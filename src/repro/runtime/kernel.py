@@ -13,26 +13,30 @@ SAnn/exhaustive validation runs (the paper's Table 4 gap).
 :class:`EvalKernel` is precomputed once per (chip, workload,
 assignment, phase multipliers): it packs the per-core V/f tables and
 the per-level IPC / dynamic-power values into contiguous arrays,
-holds direct references to every core's leakage cell state, and
-evaluates ``B`` candidate operating points simultaneously — the
-leakage-temperature fixed point runs in lockstep across candidates
-with per-column convergence masks, so each candidate sees exactly the
-serial iteration schedule and the results are **bitwise identical**
-to the serial loop (tests/test_kernel.py property-tests this).
+packs every leakage cell the fixed point touches into one size-grouped
+row (:class:`_CellLayout`), and evaluates ``B`` candidate operating
+points simultaneously — the leakage-temperature fixed point runs in
+lockstep across candidates with per-column convergence masks, so each
+candidate sees exactly the serial iteration schedule and the results
+are **bitwise identical** to the serial loop (tests/test_kernel.py
+property-tests this). :class:`FleetEvalKernel` is its dual over dies.
 
 Bitwise equality is engineered, not hoped for:
 
-* elementwise work is broadcast through the *same* expression trees
-  the serial path uses (:func:`repro.power.leakage.leakage_factor` is
-  called directly with column-shaped operands — IEEE elementwise ops
-  are value-deterministic under broadcasting);
+* elementwise work evaluates the *same* expression tree as
+  :func:`repro.power.leakage.leakage_factor`; per-block terms are
+  computed once per block and copied to cells with ``np.repeat`` —
+  copies, and IEEE elementwise ops under broadcasting, are
+  value-deterministic;
 * reductions whose summation order is implementation-defined (the
   per-core ``weights @ factors`` dot, the per-L2-block ``np.mean``,
-  the LU triangular solves) are kept in exactly the serial form, one
-  contiguous-row call per candidate — BLAS ``dgemv`` and LAPACK
-  multi-RHS ``getrs`` produce different per-column rounding than
-  their single-vector counterparts, so they are deliberately avoided
-  (see DESIGN.md §13);
+  the LU triangular solves) keep exactly the serial summation: cells
+  are packed so equal-size segments sit side by side, and one
+  ``np.vecdot`` / ``np.add.reduce(axis=2)`` over each equal-size run
+  performs the very per-row ``ddot`` / pairwise sum the serial path
+  performs. BLAS ``dgemv``, LAPACK multi-RHS ``getrs`` and
+  zero-padded ragged rows all round differently, so they are
+  deliberately avoided (see DESIGN.md §13);
 * converged candidates are frozen and compacted out of the working
   set, so a candidate's iterate sequence never depends on its batch
   neighbours.
@@ -48,7 +52,8 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby, repeat
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,15 +72,14 @@ from ..workloads import Workload
 from .evaluation import EVALUATION_COUNTER, Assignment, SystemState
 
 # Rows per internal fixed-point chunk: keeps the (rows, total_cells)
-# working matrices inside the L2 cache (16 x ~2.5k cells x 8 B = 320 kB
-# per matrix). Purely an execution-shaping knob — results are
-# independent of it.
+# working matrices inside the L2 cache. Purely an execution-shaping
+# knob — results are independent of it.
 _CHUNK_ROWS = 16
 
 
-def _scalar_pow_prefactor(temps_cols: np.ndarray,
-                          vdd_cols: np.ndarray) -> np.ndarray:
-    """Per-(row, occupied block) scalar leakage prefactor.
+def _scalar_pow_prefactor(temps: np.ndarray,
+                          vdd: np.ndarray) -> np.ndarray:
+    """Per-(row, segment) scalar leakage prefactor.
 
     ``vdd * (t / Tref) ** 2`` computed with the serial path's *scalar*
     semantics: the square goes through libm ``pow()`` (what a 0-d
@@ -84,45 +88,164 @@ def _scalar_pow_prefactor(temps_cols: np.ndarray,
     paths genuinely diverge. The division and multiply are
     single-rounded IEEE ops, identical either way, so only the ``pow``
     needs the scalar loop — a few dozen scalars per row, not one per
-    cell. Shared by the candidate-batched and die-batched kernels.
+    cell.
     """
-    ratio = temps_cols / T_REF_K
-    sq = np.array([math.pow(x, 2.0) for x in ratio.ravel().tolist()])
-    return vdd_cols * sq.reshape(ratio.shape)
+    ratio = temps / T_REF_K
+    sq = np.fromiter(map(math.pow, ratio.ravel().tolist(), repeat(2.0)),
+                     dtype=float, count=ratio.size)
+    return vdd * sq.reshape(ratio.shape)
 
 
-def _leakage_factors_inplace(vth: np.ndarray, t: np.ndarray,
-                             dib: np.ndarray, pref: np.ndarray,
-                             tmp: np.ndarray, n_slope: float,
-                             vth_temp_coeff: float) -> np.ndarray:
-    """Leakage factor over a row x cell matrix, in place.
+class _CellLayout:
+    """Size-grouped packing of the leakage cells of one die design.
 
-    Evaluates the exact expression tree of
-    :func:`repro.power.leakage.leakage_factor` — same operations, same
-    associativity, constants hoisted by the caller — as a chain of
-    in-place ufuncs over preallocated scratch (``tmp``); ``t`` is
-    destroyed, ``dib`` is the hoisted DIBL term
-    ``DIBL_COEFF * (vdd - vdd_nominal)`` and ``pref`` the per-cell
-    gather of :func:`_scalar_pow_prefactor`. The only deviations from
-    the source expression are commuted multiplication/addition
-    operands, which IEEE-754 guarantees bit-identical, so entry
-    ``[b, c]`` is bit-for-bit the serial scalar result for row ``b``
-    (property-tested in tests/test_kernel.py and tests/test_fleet.py).
-    ``vth`` may be one shared cell row (candidate batching) or one row
-    per die (fleet batching) — broadcasting is value-deterministic
-    either way. Returns ``tmp``.
+    A *segment* is the cell set of one active thread's core (weighted
+    sum, ``CoreLeakageModel.power``) or of one L2 block (mean,
+    ``L2LeakageModel.power_per_block``). Segments are packed into one
+    row, cores first then L2 blocks, each part sorted by cell count,
+    so equal-size segments sit side by side and every equal-size run
+    reshapes to a ``(rows, n_g, L)`` view whose reductions are single
+    ``np.vecdot`` / ``np.add.reduce`` calls with the serial per-row
+    summation. Everything per segment — supply, temperature,
+    calibration — lives in *pack order*: ``order`` maps pack positions
+    to canonical segments (threads ``0..n-1``, then L2 blocks),
+    ``threads`` the first ``n_core`` positions to thread indices, and
+    ``seg_block`` every position to its thermal block.
+
+    Shared by :class:`EvalKernel` (one packed row for all candidates)
+    and :class:`FleetEvalKernel` (one packed row per die).
     """
-    np.subtract(t, T_REF_K, out=tmp)
-    np.multiply(tmp, vth_temp_coeff, out=tmp)
-    np.add(tmp, vth, out=tmp)
-    np.subtract(tmp, dib, out=tmp)          # tmp = vth_eff
-    np.multiply(t, BOLTZMANN_EV, out=t)
-    np.multiply(t, n_slope, out=t)          # t = n_slope * v_t
-    np.negative(tmp, out=tmp)
-    np.divide(tmp, t, out=tmp)
-    np.exp(tmp, out=tmp)
-    np.multiply(tmp, pref, out=tmp)
-    return tmp
+
+    def __init__(self, chip: ChipProfile, core_of: Sequence[int]) -> None:
+        l2 = chip.l2_leakage
+        if l2.n_blocks != chip.thermal.n_blocks - chip.n_cores:
+            raise ValueError("L2 leakage blocks do not match the "
+                             "thermal network")
+        n = len(core_of)
+        self.core_of = tuple(core_of)
+        self.sizes = ([chip.cores[c].leakage.cell_vth.size for c in core_of]
+                      + [v.size for v in l2.block_vth])
+        by_size = self.sizes.__getitem__
+        self.order = np.array(sorted(range(n), key=by_size)
+                              + sorted(range(n, len(self.sizes)),
+                                       key=by_size))
+        self.n_core = n
+        self.threads = self.order[:n]
+        self.seg_sizes = np.array(self.sizes)[self.order]
+        self.seg_block = np.concatenate(
+            [self.core_of, chip.n_cores + np.arange(l2.n_blocks)]
+        )[self.order]
+        bounds = np.concatenate([[0], np.cumsum(self.seg_sizes)])
+        # Equal-size runs as (first seg, end seg, first cell, end cell,
+        # size); segments of one run are contiguous in the packed row,
+        # and no run straddles the core/L2 boundary.
+        runs = []
+        k = 0
+        kinds = [(j >= n, size)
+                 for j, size in enumerate(self.seg_sizes.tolist())]
+        for (_, size), group in groupby(kinds):
+            k1 = k + len(list(group))
+            runs.append((k, k1, int(bounds[k]), int(bounds[k1]), size))
+            k = k1
+        self.core_runs = [r for r in runs if r[0] < n]
+        self.l2_runs = [r for r in runs if r[0] >= n]
+        # Constants of the leakage-factor expression, hoisted so the
+        # flat pass evaluates the *identical* expression tree as
+        # :func:`repro.power.leakage.leakage_factor` without its
+        # per-call validation/dispatch overhead.
+        self._n_slope = subthreshold_slope_factor(chip.tech)
+        self._vth_temp_coeff = chip.tech.vth_temp_coeff
+        self._vdd_nominal = chip.tech.vdd_nominal
+
+    def pack(self, chip: ChipProfile
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``chip``'s packed (cell Vth, core cell weights, segment scale).
+
+        The scale is each segment's calibration: a core's
+        ``calibration``, an L2 block's ``calibration * block_share``
+        (the serial product, formed once).
+        """
+        leak = [chip.cores[c].leakage for c in self.core_of]
+        l2 = chip.l2_leakage
+        parts = [m.cell_vth for m in leak] + l2.block_vth
+        if [p.size for p in parts] != self.sizes:
+            raise ValueError("fleet dies must share the variation-"
+                             "cell layout")
+        vth = np.concatenate([parts[s] for s in self.order])
+        weights = np.concatenate([leak[s].cell_weights
+                                  for s in self.threads])
+        scale = np.array([m.calibration for m in leak]
+                         + list(l2.calibration * l2.block_share))
+        return vth, weights, scale[self.order]
+
+    def supplies(self, volts: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-segment ``(vdd, DIBL term)`` in pack order.
+
+        Cores take their thread's supply, L2 blocks ``L2_VDD``. The
+        DIBL term ``DIBL_COEFF * (vdd - vdd_nominal)`` does not depend
+        on temperature, so it is formed once per batch.
+        """
+        n_l2 = self.order.size - self.n_core
+        ext = np.concatenate(
+            [volts, np.full((volts.shape[0], n_l2), L2_VDD)], axis=1)
+        vdd = ext[:, self.order]
+        return vdd, DIBL_COEFF * (vdd - self._vdd_nominal)
+
+    def leakage(self, temps: np.ndarray, vdd: np.ndarray, dib: np.ndarray,
+                vth: np.ndarray, weights: np.ndarray,
+                scale: np.ndarray) -> np.ndarray:
+        """Per-segment leakage power (W), pack order, bitwise-serial.
+
+        Evaluates the first ``k = vdd.shape[1]`` segments: all of them
+        inside the fixed point, the ``n_core`` core segments for the
+        final per-thread recompute. ``temps`` holds block temperatures;
+        ``vth``/``weights``/``scale`` are packed rows, either one shared
+        by every row (1-D) or one per row (2-D).
+
+        The per-segment terms of ``leakage_factor``'s expression tree
+        — ``(t - Tref) * k``, the DIBL term, ``-(t * k_B) * n`` and the
+        libm-``pow`` prefactor — are formed once per segment, copied to
+        cells by one ``np.repeat``, and combined in one flat five-ufunc
+        pass over the packed row. ``x / -y`` is bitwise ``-x / y``
+        (IEEE division is sign-symmetric); the other deviations from
+        the source expression are commuted operands. The reductions
+        are one ``np.vecdot`` (weighted core sums) or
+        ``np.add.reduce(axis=2)`` (L2 means) per equal-size run, each
+        row of which is exactly the serial contiguous ``ddot`` /
+        pairwise sum (tests/test_kernel.py guards both).
+        """
+        rows, k = vdd.shape
+        t = temps[:, self.seg_block[:k]]
+        terms = np.empty((4, rows, k))
+        np.subtract(t, T_REF_K, out=terms[0])
+        np.multiply(terms[0], self._vth_temp_coeff, out=terms[0])
+        terms[1] = dib
+        np.multiply(t, BOLTZMANN_EV, out=terms[2])
+        np.multiply(terms[2], self._n_slope, out=terms[2])
+        np.negative(terms[2], out=terms[2])
+        terms[3] = _scalar_pow_prefactor(t, vdd)
+        cells = np.repeat(terms, self.seg_sizes[:k], axis=2)
+        f = cells[0]
+        np.add(f, vth[..., :f.shape[1]], out=f)       # vth_eff
+        np.subtract(f, cells[1], out=f)
+        np.divide(f, cells[2], out=f)
+        np.exp(f, out=f)
+        np.multiply(f, cells[3], out=f)
+
+        out = np.empty((rows, k))
+        for k0, k1, c0, c1, size in self.core_runs:
+            shape = (k1 - k0, size)
+            w = weights[..., c0:c1]
+            out[:, k0:k1] = scale[..., k0:k1] * np.vecdot(
+                w.reshape(w.shape[:-1] + shape),
+                f[:, c0:c1].reshape((rows,) + shape))
+        if k > self.n_core:
+            for k0, k1, c0, c1, size in self.l2_runs:
+                sums = np.add.reduce(
+                    f[:, c0:c1].reshape(rows, k1 - k0, size), axis=2)
+                out[:, k0:k1] = scale[..., k0:k1] * (sums / size)
+        return out
 
 
 class KernelStats:
@@ -170,12 +293,201 @@ class KernelStats:
         }
 
 
-class EvalKernel:
+class _LockstepKernel:
+    """Evaluation machinery shared by both batched kernels.
+
+    Subclasses set ``stats``, ``_thermal``, ``_layout``, ``_n``,
+    ``_core_of``, ``_n_cores``, ``_n_blocks`` and ``_l2_dyn_share``;
+    a row is one candidate (:class:`EvalKernel`) or one die
+    (:class:`FleetEvalKernel`).
+    """
+
+    def _run_chunks(self, start: float, n_rows: int, errors: str,
+                    eval_chunk: Callable[[int, int], tuple]) -> List:
+        """Evaluate ``n_rows`` rows in cache-sized chunks, then account.
+
+        Past ~16 rows the (rows, total_cells) working matrices outgrow
+        the L2 cache and per-row cost climbs ~60%, so oversized batches
+        are processed in chunks. Rows are fully independent (each runs
+        its own serial iteration schedule), so chunking cannot change
+        any result. Under ``errors="raise"`` the lowest-index captured
+        exception is re-raised — the one a serial in-order scan would
+        hit first.
+        """
+        out: List = []
+        total_iters = 0
+        for c0 in range(0, n_rows, _CHUNK_ROWS):
+            states, iters = eval_chunk(c0, min(c0 + _CHUNK_ROWS, n_rows))
+            out.extend(states)
+            total_iters += iters
+        wall = time.perf_counter() - start
+        self.stats.record(n_rows, total_iters, wall)
+        EVALUATION_COUNTER.record_batch(n_rows, total_iters, wall)
+        if errors == "raise":
+            for item in out:
+                if isinstance(item, Exception):
+                    raise item
+        return out
+
+    def _evaluate(self, volts: np.ndarray, freqs: np.ndarray,
+                  ipcs: np.ndarray, core_dyn: np.ndarray,
+                  vth: np.ndarray, weights: np.ndarray,
+                  scale: np.ndarray):
+        """Evaluate one chunk of rows from their gathered table values.
+
+        ``vth``/``weights``/``scale`` are the packed leakage state of
+        :meth:`_CellLayout.pack` — shared (1-D) or one row per chunk row
+        (2-D). Returns ``(states, fixed-point iterations)``.
+        """
+        n_rows = volts.shape[0]
+        block_dyn = np.zeros((n_rows, self._n_blocks))
+        block_dyn[:, self._core_of] = core_dyn
+        l2_dyn_total = L2_DYNAMIC_FRACTION * core_dyn.sum(axis=1)
+        block_dyn[:, self._n_cores:] = (l2_dyn_total[:, None]
+                                        * self._l2_dyn_share[None, :])
+        layout = self._layout
+        vdd, dib = layout.supplies(volts)
+        temps, powers, iters, row_errors = self._fixed_point(
+            block_dyn, [vdd, dib, vth, weights, scale])
+        # Failed rows hold uninitialised temperatures; park them at the
+        # ambient so the shared final recompute stays well-defined (the
+        # garbage results are replaced by the exception objects below,
+        # and every surviving row is untouched — rows are independent).
+        for b, err in enumerate(row_errors):
+            if err is not None:
+                temps[b] = self._thermal.ambient_k
+        if np.any(temps <= 0):
+            raise ValueError("temperature must be positive kelvin")
+        n = self._n
+        core_leak = np.empty((n_rows, n))
+        core_leak[:, layout.threads] = layout.leakage(
+            temps, vdd[:, :n], dib[:, :n], vth, weights, scale)
+
+        out: List = []
+        for b in range(n_rows):
+            if row_errors[b] is not None:
+                out.append(row_errors[b])
+                continue
+            l2_power = float(powers[b, self._n_cores:].sum())
+            total = float(core_dyn[b].sum() + core_leak[b].sum()) + l2_power
+            out.append(SystemState(
+                voltages=volts[b].copy(),
+                freqs=freqs[b].copy(),
+                ipcs=ipcs[b].copy(),
+                core_dynamic=core_dyn[b].copy(),
+                core_leakage=core_leak[b].copy(),
+                block_temps=temps[b].copy(),
+                l2_power=l2_power,
+                total_power=total,
+            ))
+        return out, int(iters.sum())
+
+    def _fixed_point(self, block_dyn: np.ndarray, state: List[np.ndarray]):
+        """Lockstep leakage-temperature fixed point with row masks.
+
+        Every row starts from the ambient temperature and takes exactly
+        the damped iteration sequence of
+        :func:`repro.thermal.solve_with_leakage`; rows that converge
+        are frozen (their temperatures stop updating) and compacted out
+        of the working set, so survivors never feel their finished
+        neighbours. A row that diverges is likewise compacted out, with
+        the exception the serial path would have raised (same type,
+        same message) recorded in its ``row_errors`` slot — its batch
+        neighbours run to completion untouched. ``state`` is the
+        argument list of :meth:`_CellLayout.leakage` after the
+        temperatures; its 2-D entries are per-row and compacted with
+        their rows, its 1-D entries shared by every row.
+        """
+        n_rows = block_dyn.shape[0]
+        out_temps = np.empty((n_rows, self._n_blocks))
+        out_powers = np.empty((n_rows, self._n_blocks))
+        out_iters = np.zeros(n_rows, dtype=int)
+        row_errors: List[Optional[Exception]] = [None] * n_rows
+        layout = self._layout
+        solve_many = self._thermal.solve_many
+
+        orig = np.arange(n_rows)
+        work_temps = np.full((n_rows, self._n_blocks),
+                             self._thermal.ambient_k)
+        work_dyn = block_dyn
+
+        def compact(keep: np.ndarray) -> None:
+            nonlocal orig, work_dyn, state
+            orig = orig[keep]
+            work_dyn = work_dyn[keep]
+            state = [a[keep] if a.ndim == 2 else a for a in state]
+
+        for iteration in range(1, MAX_ITERATIONS + 1):
+
+            def fail(bad: np.ndarray, make_error) -> bool:
+                """Record errors for ``bad`` rows, compact them away.
+
+                Returns True when no active rows remain.
+                """
+                nonlocal work_temps
+                for r in orig[bad]:
+                    row_errors[r] = make_error()
+                    out_iters[r] = iteration
+                compact(~bad)
+                work_temps = work_temps[~bad]
+                return orig.size == 0
+
+            # A non-positive iterate would raise inside the serial
+            # leakage_factor call of this iteration.
+            bad = (work_temps <= 0).any(axis=1)
+            if bad.any() and fail(bad, lambda: ValueError(
+                    "temperature must be positive kelvin")):
+                return out_temps, out_powers, out_iters, row_errors
+            leak = np.zeros((orig.size, self._n_blocks))
+            leak[:, layout.seg_block] = layout.leakage(work_temps, *state)
+            total = work_dyn + leak
+            bad = ~np.isfinite(total).all(axis=1)
+            if bad.any():
+                kept_total = total[~bad]
+                if fail(bad, lambda: ThermalRunawayError(
+                        "leakage diverged before the temperature did")):
+                    return out_temps, out_powers, out_iters, row_errors
+                total = kept_total
+            solved = solve_many(total)
+            new_temps = DAMPING * solved + (1.0 - DAMPING) * work_temps
+            bad = new_temps.max(axis=1) > RUNAWAY_TEMP_K
+            if bad.any():
+                kept_total = total[~bad]
+                kept_new = new_temps[~bad]
+                if fail(bad, lambda: ThermalRunawayError(
+                        f"block temperature exceeded {RUNAWAY_TEMP_K} K: "
+                        "the leakage-temperature loop gain is above unity "
+                        "for these power/cooling parameters")):
+                    return out_temps, out_powers, out_iters, row_errors
+                total = kept_total
+                new_temps = kept_new
+            delta = np.abs(new_temps - work_temps).max(axis=1)
+            converged = delta < DEFAULT_TOLERANCE_K
+            if converged.any():
+                done = orig[converged]
+                out_temps[done] = new_temps[converged]
+                out_powers[done] = total[converged]
+                out_iters[done] = iteration
+                if converged.all():
+                    return out_temps, out_powers, out_iters, row_errors
+                compact(~converged)
+                work_temps = new_temps[~converged]
+            else:
+                work_temps = new_temps
+        for r in orig:
+            row_errors[r] = RuntimeError(
+                "leakage-temperature iteration did not converge "
+                f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
+            out_iters[r] = MAX_ITERATIONS
+        return out_temps, out_powers, out_iters, row_errors
+
+
+class EvalKernel(_LockstepKernel):
     """Batched system evaluation for one (chip, workload, assignment).
 
     Precomputes everything that does not depend on the candidate
     levels — per-level voltages/frequencies/IPCs/dynamic powers, the
-    L2 area-share vector, leakage cell state references — then
+    L2 area-share vector, the packed leakage cell state — then
     :meth:`evaluate_levels_batch` evaluates a whole matrix of level
     candidates with the per-candidate Python overhead amortised over
     the batch.
@@ -213,7 +525,6 @@ class EvalKernel:
         self.workload = workload
         self.assignment = assignment
         self.stats = KernelStats()
-        self._tech = chip.tech
         self._thermal = chip.thermal
         self._n = n
         self._core_of = np.asarray(assignment.core_of, dtype=int)
@@ -241,86 +552,10 @@ class EvalKernel:
                 self._dyn_tab[i, lv] = (workload[i].ceff * ceff_mult[i]
                                         * v ** 2 * f)
 
-        # Leakage state: (vth cells, normalised weights, calibration)
-        # per active thread, plus the shared L2's per-block state.
-        self._leak_cells = [chip.cores[c].leakage.cell_vth
-                            for c in assignment.core_of]
-        self._leak_weights = [chip.cores[c].leakage.cell_weights
-                              for c in assignment.core_of]
-        self._leak_calib = [chip.cores[c].leakage.calibration
-                            for c in assignment.core_of]
-        l2 = chip.l2_leakage
-        self._l2_vth = l2.block_vth
-        self._l2_share = l2.block_share
-        self._l2_calib = l2.calibration
-        if len(self._l2_vth) != self._n_blocks - self._n_cores:
-            raise ValueError("L2 leakage blocks do not match the "
-                             "thermal network")
+        # One packed leakage row shared by every candidate.
+        self._layout = _CellLayout(chip, assignment.core_of)
+        self._vth, self._weights, self._scale = self._layout.pack(chip)
         self._l2_dyn_share = chip.floorplan.l2_area_share
-
-        # Constants of the leakage-factor expression, hoisted so the
-        # inner loop can evaluate the *identical* expression tree as
-        # :func:`repro.power.leakage.leakage_factor` without its
-        # per-call validation/dispatch overhead (the single hottest
-        # cost of the serial path). tests/test_kernel.py property-tests
-        # that this mirror stays bitwise-faithful to the original.
-        self._n_slope = subthreshold_slope_factor(chip.tech)
-        self._vth_temp_coeff = chip.tech.vth_temp_coeff
-        self._vdd_nominal = chip.tech.vdd_nominal
-
-        # Concatenated cell row: every leakage cell of every active
-        # core and every L2 block, packed into one contiguous vector so
-        # each fixed-point iteration runs ONE broadcast expression over
-        # a (B, total_cells) matrix instead of one per block — ufunc
-        # dispatch, not floating-point math, dominates small batches.
-        # ``_cell_vsrc`` maps each cell to its supply column (thread
-        # index, or the appended L2_VDD column) and ``_cell_block`` to
-        # its thermal block, so per-cell (vdd, T) operand matrices are
-        # single gathers. Reductions never cross segment boundaries:
-        # each thread/block reduces its own contiguous slice, which is
-        # bitwise-identical to reducing a standalone row.
-        parts = list(self._leak_cells) + list(self._l2_vth)
-        sizes = [p.size for p in parts]
-        bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        self._cells_row = np.concatenate(parts)
-        n_cells = self._cells_row.size
-        self._core_segs = [(int(bounds[i]), int(bounds[i + 1]))
-                           for i in range(n)]
-        self._l2_segs = [(int(bounds[n + j]), int(bounds[n + j + 1]))
-                         for j in range(len(self._l2_vth))]
-        self._n_core_cells = int(bounds[n])
-        cell_vsrc = np.empty(n_cells, dtype=int)
-        cell_block = np.empty(n_cells, dtype=int)
-        for i, (s0, s1) in enumerate(self._core_segs):
-            cell_vsrc[s0:s1] = i
-            cell_block[s0:s1] = assignment.core_of[i]
-        for j, (s0, s1) in enumerate(self._l2_segs):
-            cell_vsrc[s0:s1] = n
-            cell_block[s0:s1] = self._n_cores + j
-        self._cell_block = cell_block
-
-        # The leakage prefactor ``vdd * (t / Tref) ** 2`` is shared by
-        # every cell of a block, and the serial path computes it with
-        # *scalar* semantics: a 0-d ``t / Tref`` yields an np.float64
-        # whose ``** 2`` goes through libm ``pow()``, which disagrees
-        # with the array paths (``x ** 2`` / ``np.square`` / ``x * x``
-        # — all the correctly-rounded product) by 1 ulp for ~0.1% of
-        # inputs. The kernel therefore computes one scalar prefactor
-        # per (candidate, occupied block) via ``math.pow`` — bitwise
-        # the same libm call — and gathers it per cell. ``_pow_cols``
-        # lists the occupied thermal blocks, ``_cell_powcol`` maps each
-        # cell to its column in that compact matrix, ``_powcol_vsrc``
-        # maps each column to its supply (thread index, or the appended
-        # L2_VDD column).
-        used = sorted(set(cell_block.tolist()))
-        self._pow_cols = np.array(used, dtype=int)
-        col_of = {blk: k for k, blk in enumerate(used)}
-        self._cell_powcol = np.array(
-            [col_of[blk] for blk in cell_block.tolist()], dtype=int)
-        powcol_vsrc = np.empty(len(used), dtype=int)
-        for c in range(n_cells):
-            powcol_vsrc[self._cell_powcol[c]] = cell_vsrc[c]
-        self._powcol_vsrc = powcol_vsrc
 
     # ------------------------------------------------------------------
     def evaluate_levels(self, levels: Sequence[int]) -> SystemState:
@@ -372,299 +607,21 @@ class EvalKernel:
             raise ValueError(
                 f"level {levels[b, i]} out of range for core "
                 f"{self._core_of[i]}")
-
-        # Past ~16 candidates the (rows, total_cells) working matrices
-        # outgrow the L2 cache and per-candidate cost climbs ~60%, so
-        # oversized batches are processed in cache-sized chunks.
-        # Candidates are fully independent (each runs its own serial
-        # iteration schedule), so chunking cannot change any result.
-        out: List[SystemState] = []
-        total_iters = 0
-        for c0 in range(0, n_rows, _CHUNK_ROWS):
-            states, iters = self._eval_rows(levels[c0:c0 + _CHUNK_ROWS])
-            out.extend(states)
-            total_iters += iters
-
-        wall = time.perf_counter() - start
-        self.stats.record(n_rows, total_iters, wall)
-        EVALUATION_COUNTER.record_batch(n_rows, total_iters, wall)
-        if errors == "raise":
-            for item in out:
-                if isinstance(item, Exception):
-                    raise item
-        return out
+        return self._run_chunks(
+            start, n_rows, errors,
+            lambda c0, c1: self._eval_rows(levels[c0:c1]))
 
     def _eval_rows(self, levels: np.ndarray):
         """Evaluate one cache-sized chunk of validated level rows."""
-        n_rows = levels.shape[0]
         thread_ix = np.arange(self._n)[None, :]
-        volts = self._volts_tab[thread_ix, levels]
-        freqs = self._freqs_tab[thread_ix, levels]
-        ipcs = self._ipc_tab[thread_ix, levels]
-        core_dyn = self._dyn_tab[thread_ix, levels]
-
-        block_dyn = np.zeros((n_rows, self._n_blocks))
-        block_dyn[:, self._core_of] = core_dyn
-        l2_dyn_total = L2_DYNAMIC_FRACTION * core_dyn.sum(axis=1)
-        block_dyn[:, self._n_cores:] = (l2_dyn_total[:, None]
-                                        * self._l2_dyn_share[None, :])
-
-        # np.take (not fancy indexing) so the per-cell operand matrices
-        # are C-contiguous: fancy indexing along axis 1 returns
-        # Fortran-ordered results, which would propagate to the factor
-        # matrix and silently flip the row reductions from contiguous
-        # BLAS ddot to strided ddot — a *different* summation order.
-        volts_ext = np.concatenate(
-            [volts, np.full((n_rows, 1), L2_VDD)], axis=1)
-        vdd_cols = np.take(volts_ext, self._powcol_vsrc, axis=1)
-        # The DIBL term only depends on the candidate's supplies, not
-        # on temperature — hoist it out of the fixed-point iterations
-        # (computed per block, then gathered per cell; exact ops, so
-        # identical to the serial per-cell broadcast).
-        dib_cols = DIBL_COEFF * (vdd_cols - self._vdd_nominal)
-        dib_full = np.take(dib_cols, self._cell_powcol, axis=1)
-        temps, powers, iters, row_errors = self._fixed_point(
-            block_dyn, vdd_cols, dib_full)
-        # Failed rows hold uninitialised temperatures; park them at the
-        # ambient so the shared final recompute stays well-defined (the
-        # garbage results are replaced by the exception objects below,
-        # and every surviving row is untouched — candidates are
-        # independent).
-        for b, err in enumerate(row_errors):
-            if err is not None:
-                temps[b] = self._thermal.ambient_k
-
-        if np.any(temps <= 0):
-            raise ValueError("temperature must be positive kelvin")
-        dot = np.dot
-        cc = self._n_core_cells
-        pref_cols = self._pref_cols(
-            np.take(temps, self._pow_cols, axis=1), vdd_cols)
-        pref = np.take(pref_cols, self._cell_powcol[:cc], axis=1)
-        tgat = np.take(temps, self._cell_block[:cc], axis=1)
-        factors = self._factors(self._cells_row[:cc], tgat,
-                                dib_full[:, :cc], pref,
-                                np.empty_like(tgat))
-        core_leak = np.empty((n_rows, self._n))
-        for i in range(self._n):
-            s0, s1 = self._core_segs[i]
-            weights = self._leak_weights[i]
-            vals = np.empty(n_rows)
-            for b in range(n_rows):
-                vals[b] = dot(weights, factors[b, s0:s1])
-            core_leak[:, i] = self._leak_calib[i] * vals
-
-        out: List = []
-        for b in range(n_rows):
-            if row_errors[b] is not None:
-                out.append(row_errors[b])
-                continue
-            l2_power = float(powers[b, self._n_cores:].sum())
-            total = float(core_dyn[b].sum() + core_leak[b].sum()) + l2_power
-            out.append(SystemState(
-                voltages=volts[b].copy(),
-                freqs=freqs[b].copy(),
-                ipcs=ipcs[b].copy(),
-                core_dynamic=core_dyn[b].copy(),
-                core_leakage=core_leak[b].copy(),
-                block_temps=temps[b].copy(),
-                l2_power=l2_power,
-                total_power=total,
-            ))
-        return out, int(iters.sum())
-
-    # ------------------------------------------------------------------
-    def _pref_cols(self, temps_cols: np.ndarray,
-                   vdd_cols: np.ndarray) -> np.ndarray:
-        """Per-(candidate, occupied block) scalar leakage prefactor.
-
-        ``vdd * (t / Tref) ** 2`` computed with the serial path's
-        *scalar* semantics: the square goes through libm ``pow()``
-        (what a 0-d ``** 2`` resolves to), which differs from every
-        numpy array square by 1 ulp for rare inputs — the one place
-        scalar and array float paths genuinely diverge. The division
-        and multiply are single-rounded IEEE ops, identical either
-        way, so only the ``pow`` needs the scalar loop — a few dozen
-        scalars per candidate, not one per cell.
-        """
-        return _scalar_pow_prefactor(temps_cols, vdd_cols)
-
-    def _factors(self, vth: np.ndarray, t: np.ndarray, dib: np.ndarray,
-                 pref: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """Leakage factor over a candidate x cell matrix, in place.
-
-        Evaluates the exact expression tree of
-        :func:`repro.power.leakage.leakage_factor` — same operations,
-        same associativity, constants hoisted at construction — as a
-        chain of in-place ufuncs over preallocated ``(A, cells)``
-        scratch (``tmp``); ``t`` is destroyed, ``dib`` is the hoisted
-        DIBL term ``DIBL_COEFF * (vdd - vdd_nominal)`` and ``pref``
-        the per-cell gather of :meth:`_pref_cols`. The only
-        deviations from the source expression are commuted
-        multiplication/addition operands, which IEEE-754 guarantees
-        bit-identical, so entry ``[b, c]`` is bit-for-bit the serial
-        scalar result for candidate ``b`` (property-tested in
-        tests/test_kernel.py). Returns ``tmp``.
-        """
-        return _leakage_factors_inplace(vth, t, dib, pref, tmp,
-                                        self._n_slope,
-                                        self._vth_temp_coeff)
-
-    def _leakage_matrix(self, temps: np.ndarray, vdd_cols: np.ndarray,
-                        dib: np.ndarray, tgat: np.ndarray,
-                        tmp: np.ndarray, pref: np.ndarray) -> np.ndarray:
-        """Per-candidate per-block leakage power (bitwise-serial).
-
-        The elementwise leakage factor is evaluated in ONE broadcast
-        :meth:`_factors` call over the whole ``(active, total_cells)``
-        packed cell row; reductions whose summation order matters stay
-        in exactly the serial form — one contiguous-slice ``dot`` per
-        candidate for cores (BLAS ``dgemv`` rounds differently than
-        per-row ``ddot``), one contiguous-slice pairwise sum per
-        candidate per L2 block (bitwise equal to the serial
-        ``np.mean``) — matching ``CoreLeakageModel.power`` /
-        ``L2LeakageModel.power_per_block``.
-        """
-        if np.any(temps <= 0):
-            raise ValueError("temperature must be positive kelvin")
-        n_active = temps.shape[0]
-        dot = np.dot
-        add_reduce = np.add.reduce
-        pref_cols = self._pref_cols(
-            np.take(temps, self._pow_cols, axis=1), vdd_cols)
-        np.take(pref_cols, self._cell_powcol, axis=1, out=pref)
-        np.take(temps, self._cell_block, axis=1, out=tgat)
-        factors = self._factors(self._cells_row, tgat, dib, pref, tmp)
-        leak = np.zeros((n_active, self._n_blocks))
-        for i in range(self._n):
-            s0, s1 = self._core_segs[i]
-            weights = self._leak_weights[i]
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = dot(weights, factors[b, s0:s1])
-            leak[:, self._core_of[i]] = self._leak_calib[i] * vals
-        for j, (s0, s1) in enumerate(self._l2_segs):
-            size = s1 - s0
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = add_reduce(factors[b, s0:s1])
-            leak[:, self._n_cores + j] = (
-                (self._l2_calib * self._l2_share[j]) * (vals / size))
-        return leak
-
-    def _fixed_point(self, block_dyn: np.ndarray, vdd_cols: np.ndarray,
-                     dib_full: np.ndarray):
-        """Lockstep leakage-temperature fixed point with column masks.
-
-        Every candidate starts from the ambient temperature and takes
-        exactly the damped iteration sequence of
-        :func:`repro.thermal.solve_with_leakage`; candidates that
-        converge are frozen (their temperatures stop updating) and
-        compacted out of the working set, so survivors never feel
-        their finished neighbours. A candidate that diverges is
-        likewise compacted out, with the exception the serial path
-        would have raised (same type, same message) recorded in its
-        ``row_errors`` slot — its batch neighbours run to completion
-        untouched.
-        """
-        n_rows = block_dyn.shape[0]
-        out_temps = np.empty((n_rows, self._n_blocks))
-        out_powers = np.empty((n_rows, self._n_blocks))
-        out_iters = np.zeros(n_rows, dtype=int)
-        row_errors: List[Optional[Exception]] = [None] * n_rows
-
-        # Scratch for the leakage evaluation, allocated once per chunk
-        # and reused every iteration (prefix-sliced as the active set
-        # shrinks) — the iteration loop itself allocates nothing big.
-        n_cells = self._cells_row.size
-        tgat = np.empty((n_rows, n_cells))
-        tmp = np.empty((n_rows, n_cells))
-        pref = np.empty((n_rows, n_cells))
-
-        orig = np.arange(n_rows)
-        work_temps = np.full((n_rows, self._n_blocks),
-                             self._thermal.ambient_k)
-        work_dyn = block_dyn
-        work_vdd = vdd_cols
-        work_dib = dib_full
-
-        for iteration in range(1, MAX_ITERATIONS + 1):
-
-            def fail(bad: np.ndarray, make_error) -> bool:
-                """Record errors for ``bad`` rows, compact them away.
-
-                Returns True when no active rows remain.
-                """
-                nonlocal orig, work_temps, work_dyn, work_vdd, work_dib
-                for r in orig[bad]:
-                    row_errors[r] = make_error()
-                    out_iters[r] = iteration
-                keep = ~bad
-                orig = orig[keep]
-                work_temps = work_temps[keep]
-                work_dyn = work_dyn[keep]
-                work_vdd = work_vdd[keep]
-                work_dib = work_dib[keep]
-                return orig.size == 0
-
-            # A non-positive iterate would raise inside the serial
-            # leakage_factor call of this iteration.
-            bad = (work_temps <= 0).any(axis=1)
-            if bad.any() and fail(bad, lambda: ValueError(
-                    "temperature must be positive kelvin")):
-                return out_temps, out_powers, out_iters, row_errors
-            a = work_temps.shape[0]
-            leak = self._leakage_matrix(work_temps, work_vdd, work_dib,
-                                        tgat[:a], tmp[:a], pref[:a])
-            total = work_dyn + leak
-            bad = ~np.isfinite(total).all(axis=1)
-            if bad.any():
-                keep = ~bad
-                kept_total = total[keep]
-                if fail(bad, lambda: ThermalRunawayError(
-                        "leakage diverged before the temperature did")):
-                    return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
-            solved = self._thermal.solve_many(total)
-            new_temps = DAMPING * solved + (1.0 - DAMPING) * work_temps
-            bad = new_temps.max(axis=1) > RUNAWAY_TEMP_K
-            if bad.any():
-                keep = ~bad
-                kept_total = total[keep]
-                kept_new = new_temps[keep]
-                if fail(bad, lambda: ThermalRunawayError(
-                        f"block temperature exceeded {RUNAWAY_TEMP_K} K: "
-                        "the leakage-temperature loop gain is above unity "
-                        "for these power/cooling parameters")):
-                    return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
-                new_temps = kept_new
-            delta = np.abs(new_temps - work_temps).max(axis=1)
-            converged = delta < DEFAULT_TOLERANCE_K
-            if converged.any():
-                done = orig[converged]
-                out_temps[done] = new_temps[converged]
-                out_powers[done] = total[converged]
-                out_iters[done] = iteration
-                keep = ~converged
-                orig = orig[keep]
-                if orig.size == 0:
-                    return out_temps, out_powers, out_iters, row_errors
-                work_temps = new_temps[keep]
-                work_dyn = work_dyn[keep]
-                work_vdd = work_vdd[keep]
-                work_dib = work_dib[keep]
-            else:
-                work_temps = new_temps
-        for r in orig:
-            row_errors[r] = RuntimeError(
-                "leakage-temperature iteration did not converge "
-                f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
-            out_iters[r] = MAX_ITERATIONS
-        return out_temps, out_powers, out_iters, row_errors
+        return self._evaluate(self._volts_tab[thread_ix, levels],
+                              self._freqs_tab[thread_ix, levels],
+                              self._ipc_tab[thread_ix, levels],
+                              self._dyn_tab[thread_ix, levels],
+                              self._vth, self._weights, self._scale)
 
 
-class FleetEvalKernel:
+class FleetEvalKernel(_LockstepKernel):
     """Die-batched system evaluation: one decision, many variation maps.
 
     The dual of :class:`EvalKernel`: where that class batches *many
@@ -734,7 +691,6 @@ class FleetEvalKernel:
         self.workload = workload
         self.assignment = assignment
         self.stats = KernelStats()
-        self._tech = first.tech
         self._thermal = first.thermal
         self._n = n
         self._d = d
@@ -769,73 +725,20 @@ class FleetEvalKernel:
                     self._dyn_tab[k, i, lv] = (workload[i].ceff
                                                * ceff_mult[i] * v ** 2 * f)
 
-        # Packed leakage state: the same concatenated cell row as
-        # EvalKernel, but one row PER DIE — per-die Vth maps, weights
-        # and calibrations are the whole point of the fleet axis.
-        # Segment boundaries must agree across dies (same floorplan
-        # => same cell counts), so the per-cell bookkeeping vectors
-        # stay shared.
-        ref_parts = ([first.cores[c].leakage.cell_vth
-                      for c in assignment.core_of]
-                     + list(first.l2_leakage.block_vth))
-        sizes = [p.size for p in ref_parts]
-        bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        n_cells = int(bounds[-1])
-        n_l2 = len(first.l2_leakage.block_vth)
-        if n_l2 != self._n_blocks - self._n_cores:
-            raise ValueError("L2 leakage blocks do not match the "
-                             "thermal network")
-        self._core_segs = [(int(bounds[i]), int(bounds[i + 1]))
-                           for i in range(n)]
-        self._l2_segs = [(int(bounds[n + j]), int(bounds[n + j + 1]))
-                         for j in range(n_l2)]
-        self._n_core_cells = int(bounds[n])
-        self._cells_mat = np.empty((d, n_cells))
-        self._w_mat = np.zeros((d, self._n_core_cells))
-        self._calib_mat = np.empty((d, n))
-        self._l2_calib = np.empty(d)
-        self._l2_share_mat = np.empty((d, n_l2))
+        # Packed leakage state: EvalKernel's size-grouped cell row, but
+        # one row PER DIE — per-die Vth maps, weights and calibrations
+        # are the whole point of the fleet axis. The layout itself is
+        # shared: same floorplan => same cell counts, checked per die.
+        self._layout = layout = _CellLayout(first, assignment.core_of)
         self._l2_dyn_share = first.floorplan.l2_area_share
-        for k, chip in enumerate(chips):
-            parts = ([chip.cores[c].leakage.cell_vth
-                      for c in assignment.core_of]
-                     + list(chip.l2_leakage.block_vth))
-            if [p.size for p in parts] != sizes:
-                raise ValueError("fleet dies must share the variation-"
-                                 "cell layout")
-            self._cells_mat[k] = np.concatenate(parts)
-            for i, c in enumerate(assignment.core_of):
-                s0, s1 = self._core_segs[i]
-                self._w_mat[k, s0:s1] = chip.cores[c].leakage.cell_weights
-                self._calib_mat[k, i] = chip.cores[c].leakage.calibration
-            self._l2_calib[k] = chip.l2_leakage.calibration
-            self._l2_share_mat[k] = chip.l2_leakage.block_share
+        packed = []
+        for chip in chips:
+            packed.append(layout.pack(chip))
             if not np.array_equal(chip.floorplan.l2_area_share,
                                   self._l2_dyn_share):
                 raise ValueError("fleet dies must share the floorplan")
-
-        cell_vsrc = np.empty(n_cells, dtype=int)
-        cell_block = np.empty(n_cells, dtype=int)
-        for i, (s0, s1) in enumerate(self._core_segs):
-            cell_vsrc[s0:s1] = i
-            cell_block[s0:s1] = assignment.core_of[i]
-        for j, (s0, s1) in enumerate(self._l2_segs):
-            cell_vsrc[s0:s1] = n
-            cell_block[s0:s1] = self._n_cores + j
-        self._cell_block = cell_block
-        used = sorted(set(cell_block.tolist()))
-        self._pow_cols = np.array(used, dtype=int)
-        col_of = {blk: k for k, blk in enumerate(used)}
-        self._cell_powcol = np.array(
-            [col_of[blk] for blk in cell_block.tolist()], dtype=int)
-        powcol_vsrc = np.empty(len(used), dtype=int)
-        for c in range(n_cells):
-            powcol_vsrc[self._cell_powcol[c]] = cell_vsrc[c]
-        self._powcol_vsrc = powcol_vsrc
-
-        self._n_slope = subthreshold_slope_factor(first.tech)
-        self._vth_temp_coeff = first.tech.vth_temp_coeff
-        self._vdd_nominal = first.tech.vdd_nominal
+        self._vth, self._weights, self._scale = (
+            np.stack(col) for col in zip(*packed))
 
     @property
     def n_dies(self) -> int:
@@ -880,23 +783,9 @@ class FleetEvalKernel:
             raise ValueError(
                 f"level {lv[b, i]} out of range for core "
                 f"{self._core_of[i]}")
-
-        out: List[SystemState] = []
-        total_iters = 0
-        for c0 in range(0, self._d, _CHUNK_ROWS):
-            c1 = min(c0 + _CHUNK_ROWS, self._d)
-            states, iters = self._eval_dies(c0, c1, lv[c0:c1])
-            out.extend(states)
-            total_iters += iters
-
-        wall = time.perf_counter() - start
-        self.stats.record(self._d, total_iters, wall)
-        EVALUATION_COUNTER.record_batch(self._d, total_iters, wall)
-        if errors == "raise":
-            for item in out:
-                if isinstance(item, Exception):
-                    raise item
-        return out
+        return self._run_chunks(
+            start, self._d, errors,
+            lambda c0, c1: self._eval_dies(c0, c1, lv[c0:c1]))
 
     def evaluate_max_levels_fleet(self,
                                   errors: str = "raise",
@@ -907,226 +796,11 @@ class FleetEvalKernel:
 
     def _eval_dies(self, c0: int, c1: int, levels: np.ndarray):
         """Evaluate one cache-sized slab of dies (rows ``c0:c1``)."""
-        n_rows = c1 - c0
-        # Per-(die, thread) gathers from the (die, thread, level)
-        # tables; ascontiguousarray for the same reason EvalKernel
-        # uses np.take — downstream row reductions must see
-        # C-contiguous rows so BLAS takes the contiguous-ddot path.
-        ix_d = np.arange(n_rows)[:, None]
+        ix_d = np.arange(c1 - c0)[:, None]
         ix_t = np.arange(self._n)[None, :]
-        volts = np.ascontiguousarray(
-            self._volts_tab[c0:c1][ix_d, ix_t, levels])
-        freqs = np.ascontiguousarray(
-            self._freqs_tab[c0:c1][ix_d, ix_t, levels])
-        ipcs = np.ascontiguousarray(
-            self._ipc_tab[c0:c1][ix_d, ix_t, levels])
-        core_dyn = np.ascontiguousarray(
-            self._dyn_tab[c0:c1][ix_d, ix_t, levels])
-
-        block_dyn = np.zeros((n_rows, self._n_blocks))
-        block_dyn[:, self._core_of] = core_dyn
-        l2_dyn_total = L2_DYNAMIC_FRACTION * core_dyn.sum(axis=1)
-        block_dyn[:, self._n_cores:] = (l2_dyn_total[:, None]
-                                        * self._l2_dyn_share[None, :])
-
-        volts_ext = np.concatenate(
-            [volts, np.full((n_rows, 1), L2_VDD)], axis=1)
-        vdd_cols = np.take(volts_ext, self._powcol_vsrc, axis=1)
-        dib_cols = DIBL_COEFF * (vdd_cols - self._vdd_nominal)
-        dib_full = np.take(dib_cols, self._cell_powcol, axis=1)
-        cells = self._cells_mat[c0:c1]
-        temps, powers, iters, row_errors = self._fixed_point(
-            c0, cells, block_dyn, vdd_cols, dib_full)
-        for b, err in enumerate(row_errors):
-            if err is not None:
-                temps[b] = self._thermal.ambient_k
-
-        if np.any(temps <= 0):
-            raise ValueError("temperature must be positive kelvin")
-        dot = np.dot
-        cc = self._n_core_cells
-        pref_cols = _scalar_pow_prefactor(
-            np.take(temps, self._pow_cols, axis=1), vdd_cols)
-        pref = np.take(pref_cols, self._cell_powcol[:cc], axis=1)
-        tgat = np.take(temps, self._cell_block[:cc], axis=1)
-        factors = _leakage_factors_inplace(
-            cells[:, :cc], tgat, dib_full[:, :cc], pref,
-            np.empty_like(tgat), self._n_slope, self._vth_temp_coeff)
-        core_leak = np.empty((n_rows, self._n))
-        for i in range(self._n):
-            s0, s1 = self._core_segs[i]
-            vals = np.empty(n_rows)
-            for b in range(n_rows):
-                vals[b] = dot(self._w_mat[c0 + b, s0:s1],
-                              factors[b, s0:s1])
-            core_leak[:, i] = self._calib_mat[c0:c1, i] * vals
-
-        out: List = []
-        for b in range(n_rows):
-            if row_errors[b] is not None:
-                out.append(row_errors[b])
-                continue
-            l2_power = float(powers[b, self._n_cores:].sum())
-            total = float(core_dyn[b].sum() + core_leak[b].sum()) + l2_power
-            out.append(SystemState(
-                voltages=volts[b].copy(),
-                freqs=freqs[b].copy(),
-                ipcs=ipcs[b].copy(),
-                core_dynamic=core_dyn[b].copy(),
-                core_leakage=core_leak[b].copy(),
-                block_temps=temps[b].copy(),
-                l2_power=l2_power,
-                total_power=total,
-            ))
-        return out, int(iters.sum())
-
-    # ------------------------------------------------------------------
-    def _leakage_matrix(self, c0: int, rows: np.ndarray,
-                        temps: np.ndarray, vdd_cols: np.ndarray,
-                        dib: np.ndarray, cells: np.ndarray,
-                        tgat: np.ndarray, tmp: np.ndarray,
-                        pref: np.ndarray) -> np.ndarray:
-        """Per-die per-block leakage power (bitwise-serial).
-
-        ``rows`` maps each active working row to its die index within
-        the current slab (offset ``c0`` into the fleet arrays), so
-        compacted survivors keep reading *their own* weights and
-        calibrations. Reduction forms exactly mirror
-        ``CoreLeakageModel.power`` / ``L2LeakageModel.power_per_block``
-        — one contiguous-slice ``dot`` / pairwise sum per die per
-        segment, never a batched BLAS call (see DESIGN.md §13/§17).
-        """
-        if np.any(temps <= 0):
-            raise ValueError("temperature must be positive kelvin")
-        n_active = temps.shape[0]
-        dot = np.dot
-        add_reduce = np.add.reduce
-        pref_cols = _scalar_pow_prefactor(
-            np.take(temps, self._pow_cols, axis=1), vdd_cols)
-        np.take(pref_cols, self._cell_powcol, axis=1, out=pref)
-        np.take(temps, self._cell_block, axis=1, out=tgat)
-        factors = _leakage_factors_inplace(
-            cells, tgat, dib, pref, tmp,
-            self._n_slope, self._vth_temp_coeff)
-        leak = np.zeros((n_active, self._n_blocks))
-        for i in range(self._n):
-            s0, s1 = self._core_segs[i]
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = dot(self._w_mat[c0 + rows[b], s0:s1],
-                              factors[b, s0:s1])
-            leak[:, self._core_of[i]] = (
-                self._calib_mat[c0 + rows, i] * vals)
-        for j, (s0, s1) in enumerate(self._l2_segs):
-            size = s1 - s0
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = add_reduce(factors[b, s0:s1])
-            leak[:, self._n_cores + j] = (
-                (self._l2_calib[c0 + rows]
-                 * self._l2_share_mat[c0 + rows, j]) * (vals / size))
-        return leak
-
-    def _fixed_point(self, c0: int, cells: np.ndarray,
-                     block_dyn: np.ndarray, vdd_cols: np.ndarray,
-                     dib_full: np.ndarray):
-        """Lockstep leakage-temperature fixed point across dies.
-
-        Identical control flow to :meth:`EvalKernel._fixed_point` —
-        per-row convergence masks, freezing, compaction, error parity
-        — with the per-die cell matrix compacted alongside the other
-        row state so a surviving die never feels its finished or
-        failed fleet neighbours.
-        """
-        n_rows = block_dyn.shape[0]
-        out_temps = np.empty((n_rows, self._n_blocks))
-        out_powers = np.empty((n_rows, self._n_blocks))
-        out_iters = np.zeros(n_rows, dtype=int)
-        row_errors: List[Optional[Exception]] = [None] * n_rows
-
-        n_cells = cells.shape[1]
-        tgat = np.empty((n_rows, n_cells))
-        tmp = np.empty((n_rows, n_cells))
-        pref = np.empty((n_rows, n_cells))
-
-        orig = np.arange(n_rows)
-        work_temps = np.full((n_rows, self._n_blocks),
-                             self._thermal.ambient_k)
-        work_dyn = block_dyn
-        work_vdd = vdd_cols
-        work_dib = dib_full
-        work_cells = cells
-
-        for iteration in range(1, MAX_ITERATIONS + 1):
-
-            def fail(bad: np.ndarray, make_error) -> bool:
-                """Record errors for ``bad`` rows, compact them away."""
-                nonlocal orig, work_temps, work_dyn, work_vdd
-                nonlocal work_dib, work_cells
-                for r in orig[bad]:
-                    row_errors[r] = make_error()
-                    out_iters[r] = iteration
-                keep = ~bad
-                orig = orig[keep]
-                work_temps = work_temps[keep]
-                work_dyn = work_dyn[keep]
-                work_vdd = work_vdd[keep]
-                work_dib = work_dib[keep]
-                work_cells = work_cells[keep]
-                return orig.size == 0
-
-            bad = (work_temps <= 0).any(axis=1)
-            if bad.any() and fail(bad, lambda: ValueError(
-                    "temperature must be positive kelvin")):
-                return out_temps, out_powers, out_iters, row_errors
-            a = work_temps.shape[0]
-            leak = self._leakage_matrix(
-                c0, orig, work_temps, work_vdd, work_dib, work_cells,
-                tgat[:a], tmp[:a], pref[:a])
-            total = work_dyn + leak
-            bad = ~np.isfinite(total).all(axis=1)
-            if bad.any():
-                keep = ~bad
-                kept_total = total[keep]
-                if fail(bad, lambda: ThermalRunawayError(
-                        "leakage diverged before the temperature did")):
-                    return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
-            solved = self._thermal.solve_many(total)
-            new_temps = DAMPING * solved + (1.0 - DAMPING) * work_temps
-            bad = new_temps.max(axis=1) > RUNAWAY_TEMP_K
-            if bad.any():
-                keep = ~bad
-                kept_total = total[keep]
-                kept_new = new_temps[keep]
-                if fail(bad, lambda: ThermalRunawayError(
-                        f"block temperature exceeded {RUNAWAY_TEMP_K} K: "
-                        "the leakage-temperature loop gain is above unity "
-                        "for these power/cooling parameters")):
-                    return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
-                new_temps = kept_new
-            delta = np.abs(new_temps - work_temps).max(axis=1)
-            converged = delta < DEFAULT_TOLERANCE_K
-            if converged.any():
-                done = orig[converged]
-                out_temps[done] = new_temps[converged]
-                out_powers[done] = total[converged]
-                out_iters[done] = iteration
-                keep = ~converged
-                orig = orig[keep]
-                if orig.size == 0:
-                    return out_temps, out_powers, out_iters, row_errors
-                work_temps = new_temps[keep]
-                work_dyn = work_dyn[keep]
-                work_vdd = work_vdd[keep]
-                work_dib = work_dib[keep]
-                work_cells = work_cells[keep]
-            else:
-                work_temps = new_temps
-        for r in orig:
-            row_errors[r] = RuntimeError(
-                "leakage-temperature iteration did not converge "
-                f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
-            out_iters[r] = MAX_ITERATIONS
-        return out_temps, out_powers, out_iters, row_errors
+        return self._evaluate(self._volts_tab[c0:c1][ix_d, ix_t, levels],
+                              self._freqs_tab[c0:c1][ix_d, ix_t, levels],
+                              self._ipc_tab[c0:c1][ix_d, ix_t, levels],
+                              self._dyn_tab[c0:c1][ix_d, ix_t, levels],
+                              self._vth[c0:c1], self._weights[c0:c1],
+                              self._scale[c0:c1])

@@ -98,7 +98,8 @@ class ThermalNetwork:
                     g[i, i] += gij
                     g[j, j] += gij
         g[np.diag_indices(n)] += g_amb
-        self._g_amb = g_amb
+        # The ambient term of every right-hand side, formed once.
+        self._rhs_amb = g_amb * ambient_k
         self._lu = linalg.lu_factor(g)
         self.n_blocks = n
 
@@ -110,7 +111,7 @@ class ThermalNetwork:
                 f"power vector must have {self.n_blocks} entries")
         if np.any(p < 0):
             raise ValueError("block powers must be non-negative")
-        rhs = p + self._g_amb * self.ambient_k
+        rhs = p + self._rhs_amb
         return linalg.lu_solve(self._lu, rhs)
 
     def solve_many(self, power_w: np.ndarray) -> np.ndarray:
@@ -124,16 +125,15 @@ class ThermalNetwork:
         direct single-vector ``getrs`` call (the routine ``lu_solve``
         itself dispatches to), solving in place into the RHS matrix so
         the loop carries no python wrapper or allocation overhead.
-        Validation is hoisted out of the loop.
+        Validation and the ambient term are hoisted out of the loop.
         """
         p = np.asarray(power_w, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.n_blocks:
             raise ValueError(
                 f"power matrix must have {self.n_blocks} columns")
-        bad = np.nonzero(np.any(p < 0, axis=1))[0]
-        if bad.size:
+        if (p < 0).any():
             raise ValueError("block powers must be non-negative")
-        rhs = p + self._g_amb * self.ambient_k
+        rhs = p + self._rhs_amb
         lu, piv = self._lu
         getrs = _getrs_for(lu)
         for b in range(rhs.shape[0]):

@@ -8,18 +8,29 @@ that the policies rewired onto it return exactly the decisions,
 evaluation counts and states of their serial implementations.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.config import COST_PERFORMANCE, LOW_POWER
+from repro.chip import characterize_die
+from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER, T_REF_K,
+                          ArchConfig)
 from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
                       LinOptConfig, OptimalFrozen, SAnnManager,
                       fit_power_lines)
 from repro.power import PowerSensor
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
                                       evaluate_levels)
-from repro.runtime.kernel import EvalKernel
+from repro.runtime.kernel import (EvalKernel, FleetEvalKernel, _CellLayout,
+                                  _scalar_pow_prefactor)
+from repro.variation import DieBatch
 from repro.workloads import make_workload
+
+#: The daemon's 4-core die: every core has a different cell count, so
+#: each core segment is a size group of its own.
+DISTINCT_ARCH = ArchConfig(n_cores=4, die_area_mm2=140.0,
+                           grid_resolution=8)
 
 
 def _random_case(chip, n_threads, seed):
@@ -330,3 +341,155 @@ class TestFitPowerLinesWindow:
         slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
         assert fit.slope[i] == pytest.approx(slope)
         assert fit.intercept[i] == pytest.approx(intercept)
+
+
+class TestReductionAssumptions:
+    """The size-grouped reductions equal the serial per-row calls.
+
+    The kernel's bitwise contract rests on two numpy/BLAS facts: one
+    ``np.vecdot`` over a strided ``(rows, n_g, L)`` view of a packed
+    matrix performs, row by row, the contiguous ``ddot`` of the serial
+    ``weights @ factors``, and ``np.add.reduce(axis=2)`` the pairwise
+    sum of the serial ``np.mean``. A numpy or BLAS upgrade that breaks
+    either fails here by name, not as a digest mismatch.
+    """
+
+    SIZES = [45, 48, 60, 64, 288, 300, 640]
+
+    @staticmethod
+    def _packed(size, seed):
+        """A packed matrix with an equal-size run at an odd offset."""
+        rng = np.random.default_rng(seed)
+        rows, n_g, lead = 5, 3, 7
+        packed = rng.lognormal(0.0, 3.0, size=(rows, lead + n_g * size + 11))
+        view = packed[:, lead:lead + n_g * size].reshape(rows, n_g, size)
+        segs = [[packed[b, lead + g * size:lead + (g + 1) * size]
+                 for g in range(n_g)] for b in range(rows)]
+        return rng, view, segs
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_vecdot_matches_per_row_dot(self, size):
+        rng, view, segs = self._packed(size, size)
+        rows, n_g, _ = view.shape
+        shared = rng.uniform(size=(n_g, size))
+        per_row = rng.uniform(size=(rows, n_g, size))
+        np.testing.assert_array_equal(
+            np.vecdot(shared, view),
+            [[shared[g] @ segs[b][g] for g in range(n_g)]
+             for b in range(rows)])
+        np.testing.assert_array_equal(
+            np.vecdot(per_row, view),
+            [[np.dot(per_row[b, g], segs[b][g]) for g in range(n_g)]
+             for b in range(rows)])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_axis2_reduce_matches_per_row_reduce(self, size):
+        _, view, segs = self._packed(size, 1000 + size)
+        sums = np.add.reduce(view, axis=2)
+        np.testing.assert_array_equal(
+            sums, [[np.add.reduce(s) for s in row] for row in segs])
+        np.testing.assert_array_equal(
+            sums / size, [[np.mean(s) for s in row] for row in segs])
+
+    def test_pow_prefactor_matches_scalar_serial(self):
+        """libm ``pow`` (the serial 0-d ``** 2``), never ``x * x``."""
+        rng = np.random.default_rng(7)
+        temps = rng.uniform(300.0, 420.0, size=(40, 500))
+        vdd = rng.uniform(0.6, 1.1, size=temps.shape)
+        expected = [
+            [np.asarray(v) * (np.asarray(t) / T_REF_K) ** 2
+             for v, t in zip(v_row, t_row)]
+            for v_row, t_row in zip(vdd.tolist(), temps.tolist())]
+        np.testing.assert_array_equal(_scalar_pow_prefactor(temps, vdd),
+                                      expected)
+
+
+@pytest.fixture(scope="module")
+def distinct_chips():
+    """Three daemon-shape 4-core dies."""
+    batch = DieBatch(DEFAULT_TECH, DISTINCT_ARCH, n_dies=3, seed=5)
+    return [characterize_die(batch[k], DEFAULT_TECH, DISTINCT_ARCH)
+            for k in range(3)]
+
+
+def _mixed_case(chip, n_threads, seed):
+    """Every core busy; random levels plus two all-top-level rows."""
+    rng = np.random.default_rng(seed)
+    workload = make_workload(n_threads, rng)
+    assignment = Assignment(core_of=tuple(
+        int(c) for c in rng.permutation(chip.n_cores)[:n_threads]))
+    max_lv = min(chip.cores[c].vf_table.n_levels
+                 for c in assignment.core_of)
+    matrix = rng.integers(0, max_lv // 2, size=(8, n_threads))
+    matrix[[2, 5]] = max_lv - 1
+    return workload, assignment, matrix
+
+
+def _assert_rows_match_serial(results, chips, wl, asg, matrix, ceff_m):
+    """Row ``b`` equals the serial evaluation on ``chips[b]``,
+    exceptions included; the case must exercise both outcomes."""
+    n_err = 0
+    for chip, row, item in zip(chips, matrix, results):
+        try:
+            ref = evaluate_levels(chip, wl, asg, list(row),
+                                  ceff_multipliers=ceff_m)
+        except Exception as exc:  # noqa: BLE001 — parity check
+            n_err += 1
+            assert type(item) is type(exc)
+            assert str(item) == str(exc)
+        else:
+            _assert_state_bitwise(item, ref)
+    assert 0 < n_err < len(results)
+
+
+class TestSizeGroupedLayout:
+    """Kernel == serial on all-distinct and mixed segment sizes."""
+
+    def test_runs_never_straddle_cores_and_l2(self):
+        """A core and an L2 block of equal size stay in separate runs."""
+        def cells(k):
+            return SimpleNamespace(leakage=SimpleNamespace(
+                cell_vth=np.zeros(k)))
+        die = SimpleNamespace(
+            tech=DEFAULT_TECH, n_cores=3,
+            cores=[cells(7), cells(5), cells(7)],
+            thermal=SimpleNamespace(n_blocks=5),
+            l2_leakage=SimpleNamespace(n_blocks=2,
+                                       block_vth=[np.zeros(7)] * 2))
+        layout = _CellLayout(die, (2, 0, 1))
+        assert layout.order.tolist() == [2, 0, 1, 3, 4]
+        assert layout.threads.tolist() == [2, 0, 1]
+        assert layout.seg_block.tolist() == [1, 2, 0, 3, 4]
+        assert layout.core_runs == [(0, 1, 0, 5, 5), (1, 3, 5, 19, 7)]
+        assert layout.l2_runs == [(3, 5, 19, 33, 7)]
+
+    # (die, threads, Ceff multiplier that makes all-top rows run away)
+    CASES = {"distinct": (4, 10.0), "mixed": (20, 4.0)}
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request, distinct_chips, chip, chip2):
+        chips = (distinct_chips if request.param == "distinct"
+                 else [chip, chip2])
+        n_threads, ceff = self.CASES[request.param]
+        wl, asg, matrix = _mixed_case(chips[0], n_threads, 41)
+        runs = _CellLayout(chips[0], asg.core_of).core_runs
+        if request.param == "distinct":
+            assert len(runs) == n_threads       # one group per core
+        else:
+            assert 1 < len(runs) < n_threads   # equal sizes grouped
+        return chips, wl, asg, matrix, [ceff] * n_threads
+
+    def test_eval_kernel_isolate(self, case):
+        chips, wl, asg, matrix, ceff_m = case
+        kernel = EvalKernel(chips[0], wl, asg, ceff_multipliers=ceff_m)
+        results = kernel.evaluate_levels_batch(matrix, errors="isolate")
+        _assert_rows_match_serial(results, [chips[0]] * len(matrix),
+                                  wl, asg, matrix, ceff_m)
+
+    def test_fleet_kernel_isolate(self, case):
+        chips, wl, asg, matrix, ceff_m = case
+        kernel = FleetEvalKernel(chips, wl, asg, ceff_multipliers=ceff_m)
+        # One row per die; the last die takes the all-top row 2.
+        rows = matrix[3 - len(chips):3]
+        results = kernel.evaluate_levels_fleet(rows, errors="isolate")
+        _assert_rows_match_serial(results, chips, wl, asg, rows, ceff_m)
