@@ -2,7 +2,7 @@
 
 Gates the ROADMAP's "every user is a die" axis: a fig04-shaped
 campaign streamed through the die-batched
-:class:`~repro.runtime.kernel.FleetEvalKernel`, columnar shards and
+:class:`~repro.runtime.kernel.EvalKernel`, columnar shards and
 online quantiles. The perf gate enforces a hard **floor on dies/s**
 (the fleet throughput guarantee), checks the campaign's statistical
 metrics for drift (they are bitwise-deterministic), and the RSS test

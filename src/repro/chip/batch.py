@@ -2,7 +2,7 @@
 
 :func:`characterize_dies` bins many dies at once, bitwise-identical to
 calling :func:`~repro.chip.characterize.characterize_die` per die. It
-follows the lockstep recipe proven by ``EvalKernel``/``FleetEvalKernel``
+follows the lockstep recipe proven by ``EvalKernel``
 (DESIGN.md §13/§17): every floating-point expression of the serial
 binning flow is either hoisted (when it does not depend on the die) or
 replayed in exact serial form over stacked arrays (when IEEE semantics

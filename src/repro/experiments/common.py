@@ -132,7 +132,7 @@ class ChipFactory:
         chip dict, so walking 10^5+ dies stays O(chunk) in memory.
         Each chunk shares the factory's floorplan/thermal structures
         and is ready for the die-batched
-        :class:`~repro.runtime.kernel.FleetEvalKernel`.
+        :class:`~repro.runtime.kernel.EvalKernel`.
         """
         indices = list(die_indices)
         for lo in range(0, len(indices), chunk_dies):

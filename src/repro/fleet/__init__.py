@@ -3,7 +3,7 @@
 The paper's per-die results (Figs 4/5, Table 5) are Monte-Carlo
 estimates over sampled variation maps. This package is the 10^5-10^6
 die axis of the ROADMAP: die-batched evaluation (the
-:class:`~repro.runtime.kernel.FleetEvalKernel` lockstep path), results
+:class:`~repro.runtime.kernel.EvalKernel` lockstep path), results
 streamed to columnar npz shards instead of in-memory lists
 (:mod:`.shards`), statistics computed online in O(1) memory
 (:mod:`.quantiles`), and crash-safe chunked campaigns on the PR 5

@@ -3,7 +3,7 @@
 :func:`run_fleet_campaign` is the 10^5+-die driver: the die range is
 cut into chunks; each chunk is characterised (optionally across
 worker processes), pushed through the die-batched
-:class:`~repro.runtime.kernel.FleetEvalKernel` for the Figure-4 per-die
+:class:`~repro.runtime.kernel.EvalKernel` for the Figure-4 per-die
 metrics, streamed to one columnar shard
 (:func:`repro.fleet.shards.write_shard`), folded into the online
 :class:`~repro.fleet.quantiles.FleetAccumulator`, and journaled.
@@ -40,7 +40,7 @@ from ..parallel.journal import RunJournal, merge_journals, unit_key
 from ..parallel.manifest import ShardManifest
 from ..parallel.runner import CacheArg
 from ..runtime.evaluation import Assignment
-from ..runtime.kernel import FleetEvalKernel
+from ..runtime.kernel import EvalKernel
 from ..thermal.hotspot import ThermalNetwork
 from ..workloads import SPEC_APPS, Workload
 from .quantiles import FleetAccumulator
@@ -91,7 +91,7 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     ``core_frequency_ratio`` pair computes per die — every app alone
     on every core at max levels, per-core mean power over apps, die
     ratio max/min — but each (core, app) cell is one
-    :meth:`FleetEvalKernel.evaluate_max_levels_fleet` call across the
+    :meth:`EvalKernel.evaluate_max_levels_fleet` call across the
     whole chunk instead of one serial evaluation per die. The per-die
     mean keeps the serial reduction form (``np.mean`` over a
     contiguous per-die row), so results are bitwise-identical to the
@@ -111,7 +111,7 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     for core_id in range(n_cores):
         assignment = Assignment(core_of=(core_id,))
         for a, app in enumerate(SPEC_APPS):
-            kernel = FleetEvalKernel(chips, Workload((app,)), assignment)
+            kernel = EvalKernel(chips, Workload((app,)), assignment)
             states = kernel.evaluate_max_levels_fleet()
             for b in range(d):
                 powers[b, a] = float(states[b].core_power[0])

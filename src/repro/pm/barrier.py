@@ -26,9 +26,9 @@ import numpy as np
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
 from ..runtime.evaluation import Assignment, SystemState
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 
 # Binary-search iterations on the common pace (Hz resolution ~ fmax /
 # 2^ITERS, far below the V/f table's own quantisation).
@@ -58,9 +58,6 @@ class BarrierAwarePm(PowerManager):
 
     name = "BarrierAware"
 
-    def __init__(self, use_kernel: bool = True) -> None:
-        self.use_kernel = use_kernel
-
     def set_levels(
         self,
         chip: ChipProfile,
@@ -78,9 +75,10 @@ class BarrierAwarePm(PowerManager):
         # Each pace probe depends on the previous bisection outcome, so
         # the search is sequential — the kernel still pays off as a
         # faster single-candidate path.
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
+        evaluate = kernel.evaluate_levels
 
         f_low = min(chip.cores[c].vf_table.freqs[0]
                     for c in assignment.core_of)
@@ -121,6 +119,5 @@ class BarrierAwarePm(PowerManager):
             best_levels, best_state = levels, state
         return PmResult(levels=tuple(best_levels), state=best_state,
                         evaluations=evaluations,
-                        stats=merge_kernel_stats(
-                            {"pace_iters": float(PACE_SEARCH_ITERS)},
-                            kernel))
+                        stats={"pace_iters": float(PACE_SEARCH_ITERS),
+                               **kernel.stats.as_result_stats()})

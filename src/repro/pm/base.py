@@ -4,67 +4,24 @@ A power manager picks one DVFS level per active core so that chip
 power stays below the environment's ``Ptarget`` and every core stays
 below ``Pcoremax``, while maximising throughput. Managers observe the
 system only through evaluations (sensor readings), mirroring the
-on-line setting of the paper.
+on-line setting of the paper. Each decision evaluates through one
+:class:`repro.runtime.kernel.EvalKernel`, built for that decision's
+(chip, workload, assignment, phase multipliers), and merges the
+kernel's counters into ``PmResult.stats``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
-from ..runtime.evaluation import Assignment, SystemState, evaluate_levels
-from ..runtime.kernel import EvalKernel
+from ..runtime.evaluation import Assignment, SystemState
 from ..workloads import Workload
-
-
-def make_evaluator(
-    chip: ChipProfile,
-    workload: Workload,
-    assignment: Assignment,
-    ipc_multipliers: Optional[Sequence[float]] = None,
-    ceff_multipliers: Optional[Sequence[float]] = None,
-    use_kernel: bool = True,
-) -> Tuple[Callable[[Sequence[int]], SystemState], Optional[EvalKernel]]:
-    """Single-candidate evaluator + optional batch kernel for one decision.
-
-    Every manager evaluates many candidate level vectors against one
-    fixed (chip, workload, assignment, phase multipliers). With
-    ``use_kernel`` (the default) the returned evaluator routes through
-    a freshly built :class:`repro.runtime.kernel.EvalKernel` — results
-    are bitwise-identical to the serial path, the per-candidate Python
-    overhead is amortised, and the kernel itself is returned so the
-    manager can batch independent candidates and merge
-    ``kernel.stats`` into its ``PmResult``. With ``use_kernel=False``
-    the evaluator is the plain serial
-    :func:`repro.runtime.evaluation.evaluate_levels` closure and the
-    kernel slot is ``None`` (the regression tests pin the two modes
-    against each other).
-    """
-    if use_kernel:
-        kernel = EvalKernel(chip, workload, assignment,
-                            ipc_multipliers=ipc_multipliers,
-                            ceff_multipliers=ceff_multipliers)
-        return kernel.evaluate_levels, kernel
-
-    def evaluate(levels: Sequence[int]) -> SystemState:
-        return evaluate_levels(chip, workload, assignment, list(levels),
-                               ipc_multipliers=ipc_multipliers,
-                               ceff_multipliers=ceff_multipliers)
-
-    return evaluate, None
-
-
-def merge_kernel_stats(stats: Dict[str, float],
-                       kernel: Optional[EvalKernel]) -> Dict[str, float]:
-    """Fold a kernel's observability counters into a stats dict."""
-    if kernel is not None:
-        stats.update(kernel.stats.as_result_stats())
-    return stats
 
 
 @dataclass(frozen=True)

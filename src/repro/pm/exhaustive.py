@@ -14,9 +14,9 @@ import numpy as np
 
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 
 DEFAULT_COMBINATION_LIMIT = 50_000
 
@@ -31,12 +31,11 @@ class ExhaustiveSearch(PowerManager):
 
     name = "Exhaustive"
 
-    def __init__(self, combination_limit: int = DEFAULT_COMBINATION_LIMIT,
-                 use_kernel: bool = True) -> None:
+    def __init__(self,
+                 combination_limit: int = DEFAULT_COMBINATION_LIMIT) -> None:
         if combination_limit < 1:
             raise ValueError("combination_limit must be positive")
         self.combination_limit = combination_limit
-        self.use_kernel = use_kernel
 
     def set_levels(
         self,
@@ -59,9 +58,9 @@ class ExhaustiveSearch(PowerManager):
                 f"{n_combos} combinations exceed the limit of "
                 f"{self.combination_limit}; exhaustive search only "
                 "scales to very small systems (the paper's point)")
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
         best = None
         best_state = None
         fallback = None
@@ -80,28 +79,23 @@ class ExhaustiveSearch(PowerManager):
                   or state.total_power < fallback_state.total_power):
                 fallback, fallback_state = combo, state
 
+        # Combinations are mutually independent, so the enumeration is
+        # the ideal batch shape: fixed-size slices of the product go
+        # through one kernel call each, and the in-order walk of the
+        # results (including which combination's error surfaces first)
+        # matches a one-combination-at-a-time loop exactly.
         combos = itertools.product(*level_ranges)
-        if kernel is not None:
-            # Combinations are mutually independent, so the enumeration
-            # is the ideal batch shape: fixed-size slices of the product
-            # go through one kernel call each, and the in-order walk of
-            # the results (including which combination's error surfaces
-            # first) matches the serial loop exactly.
-            while True:
-                batch = list(itertools.islice(combos, _BATCH_COMBOS))
-                if not batch:
-                    break
-                states = kernel.evaluate_levels_batch(
-                    [list(c) for c in batch])
-                for combo, state in zip(batch, states):
-                    consider(combo, state)
-        else:
-            for combo in combos:
-                consider(combo, evaluate(list(combo)))
+        while True:
+            batch = list(itertools.islice(combos, _BATCH_COMBOS))
+            if not batch:
+                break
+            states = kernel.evaluate_levels_batch([list(c) for c in batch])
+            for combo, state in zip(batch, states):
+                consider(combo, state)
         if best is None:
             # No feasible point exists: return the lowest-power one.
             best, best_state = fallback, fallback_state
         return PmResult(levels=tuple(best), state=best_state,
                         evaluations=evaluations,
-                        stats=merge_kernel_stats(
-                            {"combinations": float(n_combos)}, kernel))
+                        stats={"combinations": float(n_combos),
+                               **kernel.stats.as_result_stats()})

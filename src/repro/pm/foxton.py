@@ -24,14 +24,14 @@ import numpy as np
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
 from ..runtime.evaluation import Assignment, SystemState
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 
 # Hard cap on (evaluate, step) iterations per invocation.
 _MAX_STEPS_FACTOR = 2
 
-# Speculative step-up batching (phase 2 with the kernel): probes are
+# Speculative step-up batching (phase 2): probes are
 # planned assuming every step is accepted, so a rejection discards the
 # rest of the batch. The batch size therefore adapts — it grows while
 # speculation keeps paying off and resets near where the last
@@ -70,9 +70,8 @@ class FoxtonStar(PowerManager):
 
     name = "Foxton*"
 
-    def __init__(self, use_kernel: bool = True) -> None:
+    def __init__(self) -> None:
         self._pointer = 0  # round-robin position persists across calls
-        self.use_kernel = use_kernel
 
     def set_levels(
         self,
@@ -86,26 +85,39 @@ class FoxtonStar(PowerManager):
         ipc_multipliers: Optional[Sequence[float]] = None,
         ceff_multipliers: Optional[Sequence[float]] = None,
     ) -> PmResult:
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
+        return self._descend(kernel, chip, assignment, env,
+                             initial_levels, initial_state)
+
+    def _descend(
+        self,
+        kernel: EvalKernel,
+        chip: ChipProfile,
+        assignment: Assignment,
+        env: PowerEnvironment,
+        initial_levels: Optional[Sequence[int]],
+        initial_state: Optional[SystemState],
+    ) -> PmResult:
+        """The controller's two phases, evaluated through ``kernel``.
+
+        Callers that already hold the decision's kernel (SAnn's greedy
+        start) pass it in, so its counters cover these evaluations too.
+        """
         p_target, p_core_max = self._budget(chip, assignment, env)
         n = assignment.n_threads
-        levels: List[int] = (list(initial_levels)
-                             if initial_levels is not None
-                             else self._top_levels(chip, assignment))
-        top = [chip.cores[c].vf_table.n_levels - 1
-               for c in assignment.core_of]
-
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
+        top = self._top_levels(chip, assignment)
+        levels: List[int] = list(top if initial_levels is None
+                                 else initial_levels)
 
         if initial_state is not None and initial_levels is not None:
             state = initial_state
             evaluations = 0
         else:
-            state = evaluate(levels)
+            state = kernel.evaluate_levels(levels)
             evaluations = 1
-        max_steps = _MAX_STEPS_FACTOR * n * max(
-            chip.cores[c].vf_table.n_levels for c in assignment.core_of)
+        max_steps = _MAX_STEPS_FACTOR * n * (max(top) + 1)
         steps = 0
 
         # Phase 1: step down round-robin while constraints are violated.
@@ -122,7 +134,7 @@ class FoxtonStar(PowerManager):
                 if victim < 0:
                     break
             levels[victim] -= 1
-            state = evaluate(levels)
+            state = kernel.evaluate_levels(levels)
             evaluations += 1
             steps += 1
 
@@ -130,92 +142,69 @@ class FoxtonStar(PowerManager):
         # that turns out to violate a constraint is undone, and that
         # core is not retried this invocation.
         blocked = [False] * n
-        if kernel is None:
-            while (meets_constraints(state, p_target, p_core_max)
-                   and steps < max_steps):
-                candidate = -1
+        # The step-ups are batched: plan a run of them under the
+        # assumption that each one will be accepted (the common case
+        # while headroom lasts), evaluate the run as one kernel batch,
+        # and walk the results in order. Pointer advances,
+        # step/evaluation counts and accept/reject decisions are
+        # committed exactly as the one-probe-at-a-time loop would make
+        # them; a rejection blocks that core, discards the
+        # not-yet-consumed remainder of the batch (that loop would have
+        # planned different probes from here on) and replans.
+        # Discarded probes are never counted. Rows are evaluated with
+        # ``errors="isolate"`` because they are speculative — a
+        # divergent probe the walk never reaches must not abort the
+        # batch — and an error on a row the walk *does* reach is
+        # re-raised right there.
+        chunk = _SPEC_MIN
+        while (meets_constraints(state, p_target, p_core_max)
+               and steps < max_steps):
+            plan = []  # (candidate, trial levels, pointer after scan)
+            sim_levels = list(levels)
+            sim_ptr = self._pointer
+            while steps + len(plan) < max_steps and len(plan) < chunk:
+                cand = -1
                 for _ in range(n):
-                    probe = self._pointer % n
-                    self._pointer += 1
-                    if not blocked[probe] and levels[probe] < top[probe]:
-                        candidate = probe
+                    probe = sim_ptr % n
+                    sim_ptr += 1
+                    if (not blocked[probe]
+                            and sim_levels[probe] < top[probe]):
+                        cand = probe
                         break
-                if candidate < 0:
+                if cand < 0:
                     break
-                levels[candidate] += 1
-                trial = evaluate(levels)
+                sim_levels[cand] += 1
+                plan.append((cand, list(sim_levels), sim_ptr))
+            if not plan:
+                # The very first scan found no eligible core; a
+                # failed scan still advances the pointer one full
+                # revolution.
+                self._pointer = sim_ptr
+                break
+            trials = kernel.evaluate_levels_batch(
+                [lv for _, lv, _ in plan], errors="isolate")
+            rejected_at = -1
+            for idx, ((cand, trial_levels, ptr_after), trial) in enumerate(
+                    zip(plan, trials)):
+                self._pointer = ptr_after
+                if isinstance(trial, Exception):
+                    raise trial
                 evaluations += 1
                 steps += 1
                 if meets_constraints(trial, p_target, p_core_max):
+                    levels = trial_levels
                     state = trial
                 else:
-                    levels[candidate] -= 1
-                    blocked[candidate] = True
-        else:
-            # Batched phase 2: plan a run of step-ups under the
-            # assumption that each one will be accepted (the common
-            # case while headroom lasts), evaluate the run as one
-            # kernel batch, and walk the results in order. Pointer
-            # advances, step/evaluation counts and accept/reject
-            # decisions are committed exactly as the serial loop would
-            # make them; a rejection blocks that core, discards the
-            # not-yet-consumed remainder of the batch (the serial loop
-            # would have planned different probes from here on) and
-            # replans. Discarded probes are never counted. Rows are
-            # evaluated with ``errors="isolate"`` because they are
-            # speculative — a divergent probe the serial loop would
-            # never have reached must not abort the batch — and an
-            # error on a row the walk *does* reach is re-raised right
-            # there, exactly like the serial evaluate call.
-            chunk = _SPEC_MIN
-            while (meets_constraints(state, p_target, p_core_max)
-                   and steps < max_steps):
-                plan = []  # (candidate, trial levels, pointer after scan)
-                sim_levels = list(levels)
-                sim_ptr = self._pointer
-                while steps + len(plan) < max_steps and len(plan) < chunk:
-                    cand = -1
-                    for _ in range(n):
-                        probe = sim_ptr % n
-                        sim_ptr += 1
-                        if (not blocked[probe]
-                                and sim_levels[probe] < top[probe]):
-                            cand = probe
-                            break
-                    if cand < 0:
-                        break
-                    sim_levels[cand] += 1
-                    plan.append((cand, list(sim_levels), sim_ptr))
-                if not plan:
-                    # The very first scan found no eligible core; the
-                    # serial loop's failed scan advances the pointer
-                    # one full revolution too.
-                    self._pointer = sim_ptr
+                    blocked[cand] = True
+                    rejected_at = idx
                     break
-                trials = kernel.evaluate_levels_batch(
-                    [lv for _, lv, _ in plan], errors="isolate")
-                rejected_at = -1
-                for idx, ((cand, trial_levels, ptr_after), trial) in enumerate(
-                        zip(plan, trials)):
-                    self._pointer = ptr_after
-                    if isinstance(trial, Exception):
-                        raise trial
-                    evaluations += 1
-                    steps += 1
-                    if meets_constraints(trial, p_target, p_core_max):
-                        levels = trial_levels
-                        state = trial
-                    else:
-                        blocked[cand] = True
-                        rejected_at = idx
-                        break
-                if rejected_at < 0:
-                    chunk = min(chunk * 2, _SPEC_MAX)
-                else:
-                    chunk = max(_SPEC_MIN, min(_SPEC_MAX, rejected_at + 2))
+            if rejected_at < 0:
+                chunk = min(chunk * 2, _SPEC_MAX)
+            else:
+                chunk = max(_SPEC_MIN, min(_SPEC_MAX, rejected_at + 2))
         return PmResult(
             levels=tuple(levels),
             state=state,
             evaluations=evaluations,
-            stats=merge_kernel_stats({"steps": float(steps)}, kernel),
+            stats={"steps": float(steps), **kernel.stats.as_result_stats()},
         )

@@ -49,9 +49,9 @@ from ..config import PowerEnvironment
 from ..linprog import LpBackend, LpProblem, make_backend
 from ..power import IpcSensor, PowerSensor, core_reader, independent_rngs
 from ..runtime.evaluation import Assignment, SystemState
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 
 # Speculative refill batching: step-up trials are planned in the fixed
 # efficiency order assuming each will be rejected (the common case once
@@ -205,14 +205,12 @@ class LinOpt(PowerManager):
     def __init__(self, config: Optional[LinOptConfig] = None,
                  power_sensor: Optional[PowerSensor] = None,
                  ipc_sensor: Optional[IpcSensor] = None,
-                 use_kernel: bool = True,
                  lp_backend: Union[str, LpBackend, None] = None) -> None:
         """``lp_backend`` accepts a backend name or instance; ``None``
         consults ``REPRO_LP_BACKEND`` (default: warm-started bounded
         engine). The backend persists across invocations so its warm
         basis carries through the 10 ms re-invocation loop."""
         self.config = config or LinOptConfig()
-        self.use_kernel = use_kernel
         self.lp_backend = make_backend(lp_backend)
         # Default sensors get *independent* child streams of one parent
         # seed: a shared default_rng(0) would correlate power and IPC
@@ -239,12 +237,12 @@ class LinOpt(PowerManager):
         levels = (list(initial_levels) if initial_levels is not None
                   else self._top_levels(chip, assignment))
 
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
 
         if initial_state is None:
-            current = evaluate(levels)
+            current = kernel.evaluate_levels(levels)
             evaluations = 1
         else:
             current = initial_state
@@ -258,7 +256,7 @@ class LinOpt(PowerManager):
         for iteration in range(self.config.n_iterations):
             levels, current, evals = self._one_pass(
                 chip, workload, assignment, p_target, p_core_max,
-                levels, current, stats, evaluate, kernel,
+                levels, current, stats, kernel,
                 ceff_multipliers=ceff_multipliers,
                 local=iteration > 0)
             evaluations += evals
@@ -273,10 +271,10 @@ class LinOpt(PowerManager):
         levels, current = best[2], best[3]
         return PmResult(levels=tuple(levels), state=current,
                         evaluations=evaluations,
-                        stats=merge_kernel_stats(stats, kernel))
+                        stats={**stats, **kernel.stats.as_result_stats()})
 
     def _one_pass(self, chip, workload, assignment, p_target, p_core_max,
-                  levels, current, stats, evaluate, kernel,
+                  levels, current, stats, kernel,
                   ceff_multipliers=None, local=False):
         """One profile -> LP -> discretise -> correct -> refill pass."""
         n = assignment.n_threads
@@ -368,7 +366,7 @@ class LinOpt(PowerManager):
                 levels[i] = table.nearest_level_at_most(float(v_star[i]))
             else:
                 levels[i] = int(np.argmin(np.abs(table.voltages - v_star[i])))
-        state = evaluate(levels)
+        state = kernel.evaluate_levels(levels)
         evaluations += 1
 
         # Marginal efficiency ranking (measured IPC * frequency slope
@@ -389,7 +387,7 @@ class LinOpt(PowerManager):
                 candidates = [i for i in range(n) if levels[i] > 0]
                 victim = min(candidates, key=lambda i: efficiency[i])
             levels[victim] -= 1
-            state = evaluate(levels)
+            state = kernel.evaluate_levels(levels)
             evaluations += 1
             corrections += 1
         stats["corrections"] += float(corrections)
@@ -404,66 +402,46 @@ class LinOpt(PowerManager):
             order = np.argsort(-efficiency)
             n_top = [chip.cores[assignment.core_of[int(i)]]
                      .vf_table.n_levels - 1 for i in range(n)]
-            if kernel is None:
-                improved = True
-                while improved:
-                    improved = False
-                    for i in order:
-                        if levels[int(i)] >= n_top[int(i)]:
-                            continue
+            # Within one round the candidate list is fully determined
+            # up front (levels only change at the accepting step, which
+            # ends the round), so runs of candidates go through one
+            # kernel call each, walked in efficiency order. Trials past
+            # the first acceptance are speculative — discarded
+            # uncounted, evaluated with errors="isolate" so a diverging
+            # one cannot abort the rest — and a failure on a trial the
+            # walk does reach re-raises there.
+            chunk = _REFILL_SPEC_MIN
+            improved = True
+            while improved:
+                improved = False
+                cands = [int(i) for i in order
+                         if levels[int(i)] < n_top[int(i)]]
+                pos = 0
+                while pos < len(cands) and not improved:
+                    batch = cands[pos:pos + chunk]
+                    trials = []
+                    for i in batch:
                         trial = list(levels)
-                        trial[int(i)] += 1
-                        trial_state = evaluate(trial)
+                        trial[i] += 1
+                        trials.append(trial)
+                    trial_states = kernel.evaluate_levels_batch(
+                        trials, errors="isolate")
+                    for idx, (i, trial_state) in enumerate(
+                            zip(batch, trial_states)):
+                        if isinstance(trial_state, Exception):
+                            raise trial_state
                         evaluations += 1
                         if meets_constraints(trial_state, p_target,
                                              p_core_max):
-                            levels = trial
+                            levels = trials[idx]
                             state = trial_state
                             refills += 1
                             improved = True
+                            chunk = max(_REFILL_SPEC_MIN,
+                                        min(_REFILL_SPEC_MAX, idx + 2))
                             break
-            else:
-                # Batched refill: within one round the candidate list
-                # is fully determined up front (levels only change at
-                # the accepting step, which ends the round), so runs of
-                # candidates go through one kernel call each, walked in
-                # efficiency order. Trials past the first acceptance
-                # are speculative — discarded uncounted, evaluated with
-                # errors="isolate" so a diverging one cannot abort the
-                # rest — and a failure on a trial the walk does reach
-                # re-raises exactly like the serial evaluate call.
-                chunk = _REFILL_SPEC_MIN
-                improved = True
-                while improved:
-                    improved = False
-                    cands = [int(i) for i in order
-                             if levels[int(i)] < n_top[int(i)]]
-                    pos = 0
-                    while pos < len(cands) and not improved:
-                        batch = cands[pos:pos + chunk]
-                        trials = []
-                        for i in batch:
-                            trial = list(levels)
-                            trial[i] += 1
-                            trials.append(trial)
-                        trial_states = kernel.evaluate_levels_batch(
-                            trials, errors="isolate")
-                        for idx, (i, trial_state) in enumerate(
-                                zip(batch, trial_states)):
-                            if isinstance(trial_state, Exception):
-                                raise trial_state
-                            evaluations += 1
-                            if meets_constraints(trial_state, p_target,
-                                                 p_core_max):
-                                levels = trials[idx]
-                                state = trial_state
-                                refills += 1
-                                improved = True
-                                chunk = max(_REFILL_SPEC_MIN,
-                                            min(_REFILL_SPEC_MAX, idx + 2))
-                                break
-                        else:
-                            chunk = min(chunk * 2, _REFILL_SPEC_MAX)
-                        pos += len(batch)
+                    else:
+                        chunk = min(chunk * 2, _REFILL_SPEC_MAX)
+                    pos += len(batch)
         stats["refills"] += float(refills)
         return levels, state, evaluations

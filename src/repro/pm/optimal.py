@@ -30,9 +30,9 @@ from ..config import PowerEnvironment
 from ..opt import MckpItem, solve_mckp
 from ..power import PowerSensor
 from ..runtime.evaluation import Assignment, SystemState
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 
 
 class OptimalFrozen(PowerManager):
@@ -41,13 +41,11 @@ class OptimalFrozen(PowerManager):
     name = "OptimalFrozen"
 
     def __init__(self, n_iterations: int = 3,
-                 power_sensor: Optional[PowerSensor] = None,
-                 use_kernel: bool = True) -> None:
+                 power_sensor: Optional[PowerSensor] = None) -> None:
         if n_iterations < 1:
             raise ValueError("n_iterations must be positive")
         self.n_iterations = n_iterations
         self.power_sensor = power_sensor or PowerSensor()
-        self.use_kernel = use_kernel
 
     def set_levels(
         self,
@@ -71,9 +69,10 @@ class OptimalFrozen(PowerManager):
         # The MCKP solve decides the next point from frozen tables, so
         # evaluations here are inherently sequential — the kernel still
         # pays off as a faster single-candidate path.
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
+        evaluate = kernel.evaluate_levels
 
         levels = (list(initial_levels) if initial_levels is not None
                   else self._top_levels(chip, assignment))
@@ -149,6 +148,6 @@ class OptimalFrozen(PowerManager):
             levels=tuple(levels),
             state=current,
             evaluations=evaluations,
-            stats=merge_kernel_stats(
-                {"mckp_nodes": float(total_nodes)}, kernel),
+            stats={"mckp_nodes": float(total_nodes),
+                   **kernel.stats.as_result_stats()},
         )

@@ -25,9 +25,9 @@ from ..anneal import simulated_annealing
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
 from ..runtime.evaluation import Assignment, SystemState
+from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
-from .base import (PmResult, PowerManager, make_evaluator,
-                   meets_constraints, merge_kernel_stats)
+from .base import PmResult, PowerManager, meets_constraints
 from .foxton import FoxtonStar
 
 # Penalty (in MIPS per watt of violation) pushing the search back into
@@ -55,8 +55,8 @@ def _greedy_walk(
     energy: Callable[[Tuple[int, ...]], float],
     current: Tuple[int, ...],
     current_e: float,
-    prefetch=None,
-    on_accept=None,
+    prefetch: Callable[[int, Tuple[int, ...]], None],
+    on_accept: Callable[[], None],
 ):
     """First-improvement walk over an indexed candidate sequence.
 
@@ -66,16 +66,14 @@ def _greedy_walk(
     sweep skips (``next_k`` then also encodes serial ``break``
     semantics by jumping past the rest of a row). An improving
     candidate is accepted immediately and the walk *continues* from
-    ``next_k`` — exactly the quench semantics of the serial loops,
-    which both the serial and the batched path route through so their
-    traversal order cannot drift apart.
+    ``next_k`` — the quench semantics of a one-candidate-at-a-time
+    sweep.
 
-    ``prefetch(k, current)``, if given, is called right before a
-    candidate is evaluated — the batched path uses it to evaluate a
-    whole run of upcoming candidates in one kernel call under the
-    assumption that none will be accepted. ``on_accept`` is called on
-    every acceptance so the prefetcher can discard speculation made
-    under the now-stale assumption.
+    ``prefetch(k, current)`` is called right before a candidate is
+    evaluated; it evaluates a whole run of upcoming candidates in one
+    kernel call under the assumption that none will be accepted.
+    ``on_accept`` is called on every acceptance so the prefetcher can
+    discard speculation made under the now-stale assumption.
     """
     improved = False
     k = 0
@@ -84,14 +82,12 @@ def _greedy_walk(
         if cand is None:
             k = next_k
             continue
-        if prefetch is not None:
-            prefetch(k, current)
+        prefetch(k, current)
         cand_e = energy(cand)
         if cand_e < current_e - 1e-9:
             current, current_e = cand, cand_e
             improved = True
-            if on_accept is not None:
-                on_accept()
+            on_accept()
         k = next_k
     return current, current_e, improved
 
@@ -103,8 +99,7 @@ class SAnnManager(PowerManager):
 
     def __init__(self, n_evaluations: int = 2000,
                  initial_temp_per_thread: float = 150.0,
-                 objective: str = "mips",
-                 use_kernel: bool = True) -> None:
+                 objective: str = "mips") -> None:
         if n_evaluations < 1:
             raise ValueError("n_evaluations must be positive")
         if initial_temp_per_thread <= 0:
@@ -114,7 +109,6 @@ class SAnnManager(PowerManager):
         self.n_evaluations = n_evaluations
         self.initial_temp_per_thread = initial_temp_per_thread
         self.objective = objective
-        self.use_kernel = use_kernel
 
     def set_levels(
         self,
@@ -134,15 +128,13 @@ class SAnnManager(PowerManager):
         n_levels = [chip.cores[c].vf_table.n_levels
                     for c in assignment.core_of]
 
-        evaluate, kernel = make_evaluator(
-            chip, workload, assignment, ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers, use_kernel=self.use_kernel)
-
-        greedy = FoxtonStar(use_kernel=self.use_kernel).set_levels(
-            chip, workload, assignment, env,
-            initial_levels=initial_levels, initial_state=initial_state,
-            ipc_multipliers=ipc_multipliers,
-            ceff_multipliers=ceff_multipliers)
+        # One kernel for the whole decision, greedy start included, so
+        # its counters cover every evaluation the decision makes.
+        kernel = EvalKernel(chip, workload, assignment,
+                            ipc_multipliers=ipc_multipliers,
+                            ceff_multipliers=ceff_multipliers)
+        greedy = FoxtonStar()._descend(kernel, chip, assignment, env,
+                                       initial_levels, initial_state)
         evaluations = greedy.evaluations
 
         best_feasible: Optional[Tuple[Tuple[int, ...], SystemState]] = None
@@ -178,7 +170,7 @@ class SAnnManager(PowerManager):
                     if isinstance(state, Exception):
                         raise state
                 else:
-                    state = evaluate(levels)
+                    state = kernel.evaluate_levels(levels)
                 state_cache[levels] = state
                 if len(state_cache) > STATE_CACHE_CAPACITY:
                     state_cache.popitem(last=False)
@@ -222,9 +214,8 @@ class SAnnManager(PowerManager):
         # Final quench: greedy single-step descent from the best state
         # (the tuned SAnn of Section 6.5 reaches within 1% of the
         # exhaustive optimum; the quench closes the stochastic tail).
-        # Both sweeps are expressed as indexed candidate sequences so
-        # the serial and the batched path share one traversal
-        # (:func:`_greedy_walk`) and cannot diverge.
+        # Both sweeps are indexed candidate sequences walked by one
+        # driver (:func:`_greedy_walk`).
 
         def cand_pm(k, cur):
             # Single +-1 moves: position 2i is thread i up, 2i+1 down.
@@ -257,9 +248,9 @@ class SAnnManager(PowerManager):
             # kernel batch, assuming none of them improves (so the
             # walk's current point stays fixed). errors="isolate"
             # because the run is speculative: a diverging candidate
-            # the serial sweep would never reach must not abort its
-            # neighbours, and one the walk *does* reach re-raises at
-            # consumption time, exactly like the serial call.
+            # the walk never reaches must not abort its neighbours,
+            # and one the walk *does* reach re-raises at consumption
+            # time.
             def prefetch(k, cur):
                 first, _ = cand_at(k, cur)
                 if first in state_cache or first in spec:
@@ -280,10 +271,8 @@ class SAnnManager(PowerManager):
 
         current = result.best_state
         current_e = energy(current)
-        pm_prefetch = (make_prefetch(2 * n, cand_pm)
-                       if kernel is not None else None)
-        trade_prefetch = (make_prefetch(n * n, cand_trade)
-                          if kernel is not None else None)
+        pm_prefetch = make_prefetch(2 * n, cand_pm)
+        trade_prefetch = make_prefetch(n * n, cand_trade)
         for _ in range(6):
             current, current_e, imp_pm = _greedy_walk(
                 2 * n, cand_pm, energy, current, current_e,
@@ -301,16 +290,17 @@ class SAnnManager(PowerManager):
             levels = result.best_state
             state = state_cache.get(levels)
             if state is None:  # evicted by the LRU bound: re-evaluate
-                state = evaluate(levels)
+                state = kernel.evaluate_levels(levels)
                 evaluations += 1
         return PmResult(
             levels=tuple(levels),
             state=state,
             evaluations=evaluations,
-            stats=merge_kernel_stats({
+            stats={
                 "sa_evaluations": float(result.evaluations),
                 "sa_acceptance": float(result.acceptance_rate),
                 "feasible": float(best_feasible is not None),
                 "sa_cache_hits": float(cache_hits),
-            }, kernel),
+                **kernel.stats.as_result_stats(),
+            },
         )

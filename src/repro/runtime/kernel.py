@@ -10,16 +10,17 @@ point for every single candidate. That per-candidate Python overhead,
 not the floating-point math, is the wall-clock bottleneck of the
 SAnn/exhaustive validation runs (the paper's Table 4 gap).
 
-:class:`EvalKernel` is precomputed once per (chip, workload,
+:class:`EvalKernel` is precomputed once per (dies, workload,
 assignment, phase multipliers): it packs the per-core V/f tables and
 the per-level IPC / dynamic-power values into contiguous arrays,
 packs every leakage cell the fixed point touches into one size-grouped
-row (:class:`_CellLayout`), and evaluates ``B`` candidate operating
-points simultaneously — the leakage-temperature fixed point runs in
-lockstep across candidates with per-column convergence masks, so each
-candidate sees exactly the serial iteration schedule and the results
-are **bitwise identical** to the serial loop (tests/test_kernel.py
-property-tests this). :class:`FleetEvalKernel` is its dual over dies.
+row (:class:`_CellLayout`), and evaluates many rows simultaneously —
+``B`` candidate operating points on one die, or one decision on each
+of ``D`` dies of one design. The leakage-temperature fixed point runs
+in lockstep across rows with per-row convergence masks, so each row
+sees exactly the serial iteration schedule and the results are
+**bitwise identical** to the serial loop (tests/test_kernel.py and
+tests/test_fleet.py property-test this).
 
 Bitwise equality is engineered, not hoped for:
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import groupby, repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,8 +113,8 @@ class _CellLayout:
     ``threads`` the first ``n_core`` positions to thread indices, and
     ``seg_block`` every position to its thermal block.
 
-    Shared by :class:`EvalKernel` (one packed row for all candidates)
-    and :class:`FleetEvalKernel` (one packed row per die).
+    :class:`EvalKernel` packs one row shared by all candidates on one
+    die, or one row per die of a fleet.
     """
 
     def __init__(self, chip: ChipProfile, core_of: Sequence[int]) -> None:
@@ -293,31 +294,264 @@ class KernelStats:
         }
 
 
-class _LockstepKernel:
-    """Evaluation machinery shared by both batched kernels.
+class EvalKernel:
+    """Batched system evaluation: ``B`` candidates or ``D`` dies per call.
 
-    Subclasses set ``stats``, ``_thermal``, ``_layout``, ``_n``,
-    ``_core_of``, ``_n_cores``, ``_n_blocks`` and ``_l2_dyn_share``;
-    a row is one candidate (:class:`EvalKernel`) or one die
-    (:class:`FleetEvalKernel`).
+    Precomputes everything that does not depend on the levels — the
+    per-(die, thread, level) voltages, frequencies, IPCs and dynamic
+    powers, the L2 area-share vector, the packed leakage cell rows —
+    once per (dies, workload, assignment, phase multipliers). Two entry
+    points feed rows of levels through one lockstep fixed point:
+
+    * :meth:`evaluate_levels_batch` — ``B`` candidate decisions on a
+      one-die kernel (the power managers' search loops);
+    * :meth:`evaluate_levels_fleet` — one decision on each of the
+      ``D`` dies (the Monte-Carlo axis of Figs 4/5 and the fleet
+      campaigns).
+
+    Row ``b`` on die ``d`` is bitwise identical to the serial
+    ``evaluate_levels(chips[d], workload, assignment, levels[b])``,
+    failures included (tests/test_kernel.py, tests/test_fleet.py).
+
+    All dies must come off one design: identical
+    :class:`~repro.config.TechParams` and
+    :class:`~repro.config.ArchConfig`, hence identical floorplans,
+    thermal networks, V/f level grids and variation-cell layouts — only
+    the *values* (binned frequencies, Vth maps, calibrations) differ.
+    The thermal solve uses ``chips[0]``'s network; networks built from
+    the same floorplan factor the same matrix, so the shared solve is
+    bit-for-bit each die's own. With one die the packed leakage rows
+    are 1-D and shared by every row, so a candidate batch neither
+    copies nor compacts them; with ``D`` dies they are
+    ``(D, n_cells)`` and compacted with their rows.
+
+    Args:
+        chips: One characterised die, or a sequence of dies of one
+            design.
+        workload: The threads (``workload[i]`` runs on
+            ``assignment.core_of[i]`` of every die).
+        assignment: Thread-to-core mapping, shared by all dies.
+        ipc_multipliers: Optional per-thread phase IPC multipliers.
+        ceff_multipliers: Optional per-thread phase power multipliers.
     """
 
-    def _run_chunks(self, start: float, n_rows: int, errors: str,
-                    eval_chunk: Callable[[int, int], tuple]) -> List:
-        """Evaluate ``n_rows`` rows in cache-sized chunks, then account.
+    def __init__(
+        self,
+        chips: Union[ChipProfile, Sequence[ChipProfile]],
+        workload: Workload,
+        assignment: Assignment,
+        ipc_multipliers: Optional[Sequence[float]] = None,
+        ceff_multipliers: Optional[Sequence[float]] = None,
+    ) -> None:
+        chips = [chips] if isinstance(chips, ChipProfile) else list(chips)
+        if not chips:
+            raise ValueError("fleet must contain at least one die")
+        first = chips[0]
+        for chip in chips[1:]:
+            if chip.tech != first.tech or chip.arch != first.arch:
+                raise ValueError(
+                    "fleet dies must share TechParams and ArchConfig")
+            if chip.thermal.n_blocks != first.thermal.n_blocks:
+                raise ValueError("fleet dies must share the thermal "
+                                 "network shape")
+            if not np.array_equal(chip.floorplan.l2_area_share,
+                                  first.floorplan.l2_area_share):
+                raise ValueError("fleet dies must share the floorplan")
+        n = assignment.n_threads
+        if workload.n_threads != n:
+            raise ValueError("workload and assignment sizes differ")
+        if max(assignment.core_of) >= first.n_cores:
+            raise ValueError("assignment references a core beyond the die")
+        ipc_mult = (np.ones(n) if ipc_multipliers is None
+                    else np.asarray(ipc_multipliers, dtype=float))
+        ceff_mult = (np.ones(n) if ceff_multipliers is None
+                     else np.asarray(ceff_multipliers, dtype=float))
+        if ipc_mult.shape != (n,) or ceff_mult.shape != (n,):
+            raise ValueError("need one multiplier per thread")
+
+        self.chips = chips
+        self.workload = workload
+        self.assignment = assignment
+        self.stats = KernelStats()
+        self._thermal = first.thermal
+        self._n = n
+        self._thread_ix = np.arange(n)
+        self._core_of = np.asarray(assignment.core_of, dtype=int)
+        self._n_cores = first.n_cores
+        self._n_blocks = first.thermal.n_blocks
+
+        # Per-(die, thread, level) voltage, frequency, IPC and dynamic
+        # power, stacked as one (4, D, n, L) table so a chunk of rows
+        # is a single gather. Each entry is the serial path's scalar
+        # expression, so a lookup is bit-for-bit the serial computation.
+        self._n_levels = np.array(
+            [first.cores[c].vf_table.n_levels for c in assignment.core_of])
+        self._tabs = np.zeros((4, len(chips), n, int(self._n_levels.max())))
+        volts, freqs, ipcs, dyn = self._tabs
+        for d, chip in enumerate(chips):
+            for i, core in enumerate(assignment.core_of):
+                table = chip.cores[core].vf_table
+                if table.n_levels != self._n_levels[i]:
+                    raise ValueError("fleet dies must share the DVFS "
+                                     "level grid")
+                for lv in range(table.n_levels):
+                    v = table.voltages[lv]
+                    f = table.freqs[lv]
+                    volts[d, i, lv] = v
+                    freqs[d, i, lv] = f
+                    ipcs[d, i, lv] = workload[i].ipc_at(f) * ipc_mult[i]
+                    dyn[d, i, lv] = (workload[i].ceff * ceff_mult[i]
+                                     * v ** 2 * f)
+
+        # Packed leakage rows: one shared 1-D set for a single die, one
+        # row per die otherwise. The layout itself is shared: same
+        # floorplan, same cell counts (checked per die by ``pack``).
+        self._layout = _CellLayout(first, assignment.core_of)
+        self._l2_dyn_share = first.floorplan.l2_area_share
+        packed = [self._layout.pack(chip) for chip in chips]
+        if len(chips) == 1:
+            self._vth, self._weights, self._scale = packed[0]
+        else:
+            self._vth, self._weights, self._scale = (
+                np.stack(col) for col in zip(*packed))
+
+    @property
+    def n_dies(self) -> int:
+        return len(self.chips)
+
+    # ------------------------------------------------------------------
+    def evaluate_levels(self, levels: Sequence[int]) -> SystemState:
+        """Single-candidate convenience wrapper (batch of one)."""
+        return self.evaluate_levels_batch([list(levels)])[0]
+
+    def evaluate_levels_batch(
+        self, levels_matrix: Sequence[Sequence[int]],
+        errors: str = "raise",
+    ) -> List[SystemState]:
+        """Evaluate ``B`` candidate level vectors on the kernel's die.
+
+        Args:
+            levels_matrix: ``(B, n_threads)`` integer array-like; row
+                ``b`` is one candidate assignment of per-thread DVFS
+                levels.
+            errors: ``"raise"`` (default) re-raises the exception of
+                the lowest-index failing row — exactly what a serial
+                in-order scan of the rows would raise first (all the
+                fixed-point error messages are static, so which row
+                trips first inside the lockstep iteration cannot leak
+                into the raised error). ``"isolate"`` instead returns
+                the exception *object* in that row's slot, so
+                speculative callers can batch candidates a serial
+                search might never have evaluated without a divergent
+                speculation aborting the real ones.
+
+        Returns:
+            One converged :class:`SystemState` per row, in row order —
+            element ``b`` is bitwise-identical to
+            ``evaluate_levels(chip, workload, assignment,
+            levels_matrix[b])`` (including, under ``"isolate"``, which
+            rows raise and with what message).
+
+        Raises:
+            ValueError: on a kernel of more than one die, or on levels
+                that are not one in-range integer per thread.
+        """
+        if self.n_dies != 1:
+            raise ValueError("evaluate_levels_batch needs a one-die "
+                             "kernel; use evaluate_levels_fleet")
+        levels = self._check_levels(levels_matrix, errors)
+        if levels.shape[0] == 0:
+            return []
+        return self._evaluate_rows(
+            np.zeros(levels.shape[0], dtype=np.intp), levels, errors)
+
+    def evaluate_levels_fleet(
+        self, levels: Sequence[int],
+        errors: str = "raise",
+    ) -> List[SystemState]:
+        """Evaluate one decision on every die.
+
+        Args:
+            levels: ``(n_threads,)`` per-thread DVFS levels applied to
+                every die (the fleet's shared decision), or a
+                ``(n_dies, n_threads)`` matrix with one row per die.
+            errors: ``"raise"`` (default) re-raises the exception of
+                the lowest-index failing die — exactly what a serial
+                in-order scan of the dies would raise first.
+                ``"isolate"`` returns the exception *object* in that
+                die's slot instead, so campaign drivers can record the
+                failure and keep streaming the rest of the fleet.
+
+        Returns:
+            One converged :class:`SystemState` per die, in die order —
+            element ``d`` is bitwise-identical to
+            ``evaluate_levels(chips[d], workload, assignment,
+            levels[d])``.
+        """
+        levels = self._check_levels(levels, errors, n_rows=self.n_dies)
+        return self._evaluate_rows(np.arange(self.n_dies), levels, errors)
+
+    def evaluate_max_levels_fleet(self,
+                                  errors: str = "raise",
+                                  ) -> List[SystemState]:
+        """Every die at its cores' top operating points (NUniFreq)."""
+        return self.evaluate_levels_fleet(self._n_levels - 1,
+                                          errors=errors)
+
+    def _check_levels(self, levels, errors: str,
+                      n_rows: Optional[int] = None) -> np.ndarray:
+        """``levels`` as a validated ``(rows, n_threads)`` int matrix.
+
+        A 1-D vector is one row, repeated on all ``n_rows`` rows when a
+        row count is required. Levels must be integers — a float level
+        is an error, never truncated — and in range for their core.
+        """
+        if errors not in ("raise", "isolate"):
+            raise ValueError("errors must be 'raise' or 'isolate'")
+        lv = np.asarray(levels)
+        if lv.ndim == 1:
+            lv = np.broadcast_to(lv, (n_rows or 1, lv.size))
+        if (lv.ndim != 2 or lv.shape[1] != self._n
+                or n_rows not in (None, lv.shape[0])):
+            raise ValueError("need one level per thread" + (
+                "" if n_rows is None else " (optionally one row per die)"))
+        if lv.dtype.kind not in "iu":
+            if lv.size:
+                raise ValueError(f"levels must be integers, not {lv.dtype}")
+            lv = lv.astype(int)
+        bad = (lv < 0) | (lv >= self._n_levels[None, :])
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"level {lv[b, i]} out of range for core "
+                f"{self._core_of[i]}")
+        return lv
+
+    def _evaluate_rows(self, dies: np.ndarray, levels: np.ndarray,
+                       errors: str) -> List:
+        """Evaluate validated level rows, row ``b`` on die ``dies[b]``.
 
         Past ~16 rows the (rows, total_cells) working matrices outgrow
-        the L2 cache and per-row cost climbs ~60%, so oversized batches
-        are processed in chunks. Rows are fully independent (each runs
-        its own serial iteration schedule), so chunking cannot change
-        any result. Under ``errors="raise"`` the lowest-index captured
+        the L2 cache and per-row cost climbs ~60%, so rows are
+        evaluated in chunks. Rows are fully independent (each runs its
+        own serial iteration schedule), so chunking cannot change any
+        result. Under ``errors="raise"`` the lowest-index captured
         exception is re-raised — the one a serial in-order scan would
         hit first.
         """
+        start = time.perf_counter()
+        n_rows = levels.shape[0]
+        shared = self._vth.ndim == 1
         out: List = []
         total_iters = 0
         for c0 in range(0, n_rows, _CHUNK_ROWS):
-            states, iters = eval_chunk(c0, min(c0 + _CHUNK_ROWS, n_rows))
+            d = dies[c0:c0 + _CHUNK_ROWS]
+            volts, freqs, ipcs, core_dyn = self._tabs[
+                :, d[:, None], self._thread_ix, levels[c0:c0 + _CHUNK_ROWS]]
+            leak = ((self._vth, self._weights, self._scale) if shared
+                    else (self._vth[d], self._weights[d], self._scale[d]))
+            states, iters = self._evaluate(volts, freqs, ipcs, core_dyn,
+                                           *leak)
             out.extend(states)
             total_iters += iters
         wall = time.perf_counter() - start
@@ -482,325 +716,8 @@ class _LockstepKernel:
         return out_temps, out_powers, out_iters, row_errors
 
 
-class EvalKernel(_LockstepKernel):
-    """Batched system evaluation for one (chip, workload, assignment).
-
-    Precomputes everything that does not depend on the candidate
-    levels — per-level voltages/frequencies/IPCs/dynamic powers, the
-    L2 area-share vector, the packed leakage cell state — then
-    :meth:`evaluate_levels_batch` evaluates a whole matrix of level
-    candidates with the per-candidate Python overhead amortised over
-    the batch.
-
-    Args:
-        chip: Characterised die.
-        workload: The threads (``workload[i]`` runs on
-            ``assignment.core_of[i]``).
-        assignment: Thread-to-core mapping.
-        ipc_multipliers: Optional per-thread phase IPC multipliers.
-        ceff_multipliers: Optional per-thread phase power multipliers.
-    """
-
-    def __init__(
-        self,
-        chip: ChipProfile,
-        workload: Workload,
-        assignment: Assignment,
-        ipc_multipliers: Optional[Sequence[float]] = None,
-        ceff_multipliers: Optional[Sequence[float]] = None,
-    ) -> None:
-        n = assignment.n_threads
-        if workload.n_threads != n:
-            raise ValueError("workload and assignment sizes differ")
-        if max(assignment.core_of) >= chip.n_cores:
-            raise ValueError("assignment references a core beyond the die")
-        ipc_mult = (np.ones(n) if ipc_multipliers is None
-                    else np.asarray(ipc_multipliers, dtype=float))
-        ceff_mult = (np.ones(n) if ceff_multipliers is None
-                     else np.asarray(ceff_multipliers, dtype=float))
-        if ipc_mult.shape != (n,) or ceff_mult.shape != (n,):
-            raise ValueError("need one multiplier per thread")
-
-        self.chip = chip
-        self.workload = workload
-        self.assignment = assignment
-        self.stats = KernelStats()
-        self._thermal = chip.thermal
-        self._n = n
-        self._core_of = np.asarray(assignment.core_of, dtype=int)
-        self._n_cores = chip.n_cores
-        self._n_blocks = chip.thermal.n_blocks
-
-        # Per-thread, per-level lookup tables. Each entry is computed
-        # with the exact scalar expression the serial path uses, so a
-        # table lookup is bit-for-bit the serial computation.
-        self._n_levels = np.array(
-            [chip.cores[c].vf_table.n_levels for c in assignment.core_of])
-        max_levels = int(self._n_levels.max())
-        self._volts_tab = np.zeros((n, max_levels))
-        self._freqs_tab = np.zeros((n, max_levels))
-        self._ipc_tab = np.zeros((n, max_levels))
-        self._dyn_tab = np.zeros((n, max_levels))
-        for i, core in enumerate(assignment.core_of):
-            table = chip.cores[core].vf_table
-            for lv in range(table.n_levels):
-                v = table.voltages[lv]
-                f = table.freqs[lv]
-                self._volts_tab[i, lv] = v
-                self._freqs_tab[i, lv] = f
-                self._ipc_tab[i, lv] = workload[i].ipc_at(f) * ipc_mult[i]
-                self._dyn_tab[i, lv] = (workload[i].ceff * ceff_mult[i]
-                                        * v ** 2 * f)
-
-        # One packed leakage row shared by every candidate.
-        self._layout = _CellLayout(chip, assignment.core_of)
-        self._vth, self._weights, self._scale = self._layout.pack(chip)
-        self._l2_dyn_share = chip.floorplan.l2_area_share
-
-    # ------------------------------------------------------------------
-    def evaluate_levels(self, levels: Sequence[int]) -> SystemState:
-        """Single-candidate convenience wrapper (batch of one)."""
-        return self.evaluate_levels_batch([list(levels)])[0]
-
-    def evaluate_levels_batch(
-        self, levels_matrix: Sequence[Sequence[int]],
-        errors: str = "raise",
-    ) -> List[SystemState]:
-        """Evaluate ``B`` candidate level vectors in one pass.
-
-        Args:
-            levels_matrix: ``(B, n_threads)`` integer array-like; row
-                ``b`` is one candidate assignment of per-thread DVFS
-                levels.
-            errors: ``"raise"`` (default) re-raises the exception of
-                the lowest-index failing row — exactly what a serial
-                in-order scan of the rows would raise first (all the
-                fixed-point error messages are static, so which row
-                trips first inside the lockstep iteration cannot leak
-                into the raised error). ``"isolate"`` instead returns
-                the exception *object* in that row's slot, so
-                speculative callers can batch candidates a serial
-                search might never have evaluated without a divergent
-                speculation aborting the real ones.
-
-        Returns:
-            One converged :class:`SystemState` per row, in row order —
-            element ``b`` is bitwise-identical to
-            ``evaluate_levels(chip, workload, assignment,
-            levels_matrix[b])`` (including, under ``"isolate"``, which
-            rows raise and with what message).
-        """
-        if errors not in ("raise", "isolate"):
-            raise ValueError("errors must be 'raise' or 'isolate'")
-        start = time.perf_counter()
-        levels = np.asarray(levels_matrix, dtype=int)
-        if levels.ndim == 1:
-            levels = levels[None, :]
-        if levels.ndim != 2 or (levels.size and levels.shape[1] != self._n):
-            raise ValueError("need one level per thread")
-        n_rows = levels.shape[0]
-        if n_rows == 0:
-            return []
-        bad = (levels < 0) | (levels >= self._n_levels[None, :])
-        if bad.any():
-            b, i = np.argwhere(bad)[0]
-            raise ValueError(
-                f"level {levels[b, i]} out of range for core "
-                f"{self._core_of[i]}")
-        return self._run_chunks(
-            start, n_rows, errors,
-            lambda c0, c1: self._eval_rows(levels[c0:c1]))
-
-    def _eval_rows(self, levels: np.ndarray):
-        """Evaluate one cache-sized chunk of validated level rows."""
-        thread_ix = np.arange(self._n)[None, :]
-        return self._evaluate(self._volts_tab[thread_ix, levels],
-                              self._freqs_tab[thread_ix, levels],
-                              self._ipc_tab[thread_ix, levels],
-                              self._dyn_tab[thread_ix, levels],
-                              self._vth, self._weights, self._scale)
-
-
-class FleetEvalKernel(_LockstepKernel):
-    """Die-batched system evaluation: one decision, many variation maps.
-
-    The dual of :class:`EvalKernel`: where that class batches *many
-    candidate decisions on one die*, this one batches *one decision
-    across many dies* — the Monte-Carlo axis of the paper's per-die
-    results (Figs 4/5, Table 5), where every sampled variation map is
-    evaluated at the same operating point and only the statistics over
-    the fleet matter. The leakage/IPC/Ceff lookup tables and the
-    packed leakage-cell row gain a leading *die* axis, and the
-    leakage-temperature fixed point runs in lockstep across dies with
-    per-row convergence masks and compaction, so die ``d``'s iterate
-    sequence is exactly the serial
-    :func:`repro.runtime.evaluation.evaluate_levels` schedule on
-    ``chips[d]`` and the results are **bitwise identical** to the
-    per-die serial loop (tests/test_fleet.py property-tests this).
-
-    All dies must come off the same design: identical
-    :class:`~repro.config.TechParams` and
-    :class:`~repro.config.ArchConfig`, hence identical floorplans,
-    thermal networks, V/f-table level grids and variation-cell layouts
-    — only the *values* (per-die binned frequencies, Vth maps,
-    calibrations) differ. The thermal solve uses ``chips[0]``'s
-    network; networks built from the same floorplan factor the same
-    matrix, so the shared solve is bit-for-bit each die's own.
-
-    Args:
-        chips: The fleet ('s current slab) of characterised dies.
-        workload: The threads (``workload[i]`` runs on
-            ``assignment.core_of[i]`` of every die).
-        assignment: Thread-to-core mapping, shared by all dies.
-        ipc_multipliers: Optional per-thread phase IPC multipliers.
-        ceff_multipliers: Optional per-thread phase power multipliers.
-    """
-
-    def __init__(
-        self,
-        chips: Sequence[ChipProfile],
-        workload: Workload,
-        assignment: Assignment,
-        ipc_multipliers: Optional[Sequence[float]] = None,
-        ceff_multipliers: Optional[Sequence[float]] = None,
-    ) -> None:
-        if not chips:
-            raise ValueError("fleet must contain at least one die")
-        first = chips[0]
-        for chip in chips:
-            if chip.tech != first.tech or chip.arch != first.arch:
-                raise ValueError(
-                    "fleet dies must share TechParams and ArchConfig")
-            if chip.thermal.n_blocks != first.thermal.n_blocks:
-                raise ValueError("fleet dies must share the thermal "
-                                 "network shape")
-        n = assignment.n_threads
-        if workload.n_threads != n:
-            raise ValueError("workload and assignment sizes differ")
-        if max(assignment.core_of) >= first.n_cores:
-            raise ValueError("assignment references a core beyond the die")
-        ipc_mult = (np.ones(n) if ipc_multipliers is None
-                    else np.asarray(ipc_multipliers, dtype=float))
-        ceff_mult = (np.ones(n) if ceff_multipliers is None
-                     else np.asarray(ceff_multipliers, dtype=float))
-        if ipc_mult.shape != (n,) or ceff_mult.shape != (n,):
-            raise ValueError("need one multiplier per thread")
-
-        d = len(chips)
-        self.chips = list(chips)
-        self.workload = workload
-        self.assignment = assignment
-        self.stats = KernelStats()
-        self._thermal = first.thermal
-        self._n = n
-        self._d = d
-        self._core_of = np.asarray(assignment.core_of, dtype=int)
-        self._n_cores = first.n_cores
-        self._n_blocks = first.thermal.n_blocks
-
-        # Per-(die, thread, level) lookup tables, each entry computed
-        # with the exact scalar expression the serial path uses.
-        self._n_levels = np.array(
-            [first.cores[c].vf_table.n_levels for c in assignment.core_of])
-        for chip in chips:
-            for i, c in enumerate(assignment.core_of):
-                if chip.cores[c].vf_table.n_levels != self._n_levels[i]:
-                    raise ValueError("fleet dies must share the DVFS "
-                                     "level grid")
-        max_levels = int(self._n_levels.max())
-        self._volts_tab = np.zeros((d, n, max_levels))
-        self._freqs_tab = np.zeros((d, n, max_levels))
-        self._ipc_tab = np.zeros((d, n, max_levels))
-        self._dyn_tab = np.zeros((d, n, max_levels))
-        for k, chip in enumerate(chips):
-            for i, core in enumerate(assignment.core_of):
-                table = chip.cores[core].vf_table
-                for lv in range(table.n_levels):
-                    v = table.voltages[lv]
-                    f = table.freqs[lv]
-                    self._volts_tab[k, i, lv] = v
-                    self._freqs_tab[k, i, lv] = f
-                    self._ipc_tab[k, i, lv] = (workload[i].ipc_at(f)
-                                               * ipc_mult[i])
-                    self._dyn_tab[k, i, lv] = (workload[i].ceff
-                                               * ceff_mult[i] * v ** 2 * f)
-
-        # Packed leakage state: EvalKernel's size-grouped cell row, but
-        # one row PER DIE — per-die Vth maps, weights and calibrations
-        # are the whole point of the fleet axis. The layout itself is
-        # shared: same floorplan => same cell counts, checked per die.
-        self._layout = layout = _CellLayout(first, assignment.core_of)
-        self._l2_dyn_share = first.floorplan.l2_area_share
-        packed = []
-        for chip in chips:
-            packed.append(layout.pack(chip))
-            if not np.array_equal(chip.floorplan.l2_area_share,
-                                  self._l2_dyn_share):
-                raise ValueError("fleet dies must share the floorplan")
-        self._vth, self._weights, self._scale = (
-            np.stack(col) for col in zip(*packed))
-
-    @property
-    def n_dies(self) -> int:
-        return self._d
-
-    # ------------------------------------------------------------------
-    def evaluate_levels_fleet(
-        self, levels: Sequence[int],
-        errors: str = "raise",
-    ) -> List[SystemState]:
-        """Evaluate one decision on every die of the fleet.
-
-        Args:
-            levels: ``(n_threads,)`` per-thread DVFS levels applied to
-                every die (the fleet's shared decision), or a
-                ``(n_dies, n_threads)`` matrix with one row per die.
-            errors: ``"raise"`` (default) re-raises the exception of
-                the lowest-index failing die — exactly what a serial
-                in-order scan of the dies would raise first.
-                ``"isolate"`` returns the exception *object* in that
-                die's slot instead, so campaign drivers can record the
-                failure and keep streaming the rest of the fleet.
-
-        Returns:
-            One converged :class:`SystemState` per die, in die order —
-            element ``k`` is bitwise-identical to
-            ``evaluate_levels(chips[k], workload, assignment,
-            levels[k])``.
-        """
-        if errors not in ("raise", "isolate"):
-            raise ValueError("errors must be 'raise' or 'isolate'")
-        start = time.perf_counter()
-        lv = np.asarray(levels, dtype=int)
-        if lv.ndim == 1:
-            lv = np.broadcast_to(lv[None, :], (self._d, lv.size)).copy()
-        if lv.shape != (self._d, self._n):
-            raise ValueError("need one level per thread (optionally "
-                             "one row per die)")
-        bad = (lv < 0) | (lv >= self._n_levels[None, :])
-        if bad.any():
-            b, i = np.argwhere(bad)[0]
-            raise ValueError(
-                f"level {lv[b, i]} out of range for core "
-                f"{self._core_of[i]}")
-        return self._run_chunks(
-            start, self._d, errors,
-            lambda c0, c1: self._eval_dies(c0, c1, lv[c0:c1]))
-
-    def evaluate_max_levels_fleet(self,
-                                  errors: str = "raise",
-                                  ) -> List[SystemState]:
-        """Every die at its cores' top operating points (NUniFreq)."""
-        return self.evaluate_levels_fleet(self._n_levels - 1,
-                                          errors=errors)
-
-    def _eval_dies(self, c0: int, c1: int, levels: np.ndarray):
-        """Evaluate one cache-sized slab of dies (rows ``c0:c1``)."""
-        ix_d = np.arange(c1 - c0)[:, None]
-        ix_t = np.arange(self._n)[None, :]
-        return self._evaluate(self._volts_tab[c0:c1][ix_d, ix_t, levels],
-                              self._freqs_tab[c0:c1][ix_d, ix_t, levels],
-                              self._ipc_tab[c0:c1][ix_d, ix_t, levels],
-                              self._dyn_tab[c0:c1][ix_d, ix_t, levels],
-                              self._vth[c0:c1], self._weights[c0:c1],
-                              self._scale[c0:c1])
+# The end-to-end benchmark's span table (benchmarks/e2e/spans.py) names
+# the fleet entry point ``FleetEvalKernel.evaluate_levels_fleet`` and
+# looks it up in the class ``__dict__``; that table is pinned with the
+# benchmark, so the old class name stays as an alias.
+FleetEvalKernel = EvalKernel

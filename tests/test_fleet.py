@@ -63,7 +63,7 @@ from repro.runtime.evaluation import (
     evaluate_levels,
     evaluate_max_levels,
 )
-from repro.runtime.kernel import FleetEvalKernel
+from repro.runtime.kernel import EvalKernel
 from repro.workloads import SPEC_APPS, Workload
 
 
@@ -91,14 +91,14 @@ def assert_state_equal(a, b):
 
 
 class TestFleetKernel:
-    """FleetEvalKernel is bitwise the serial per-die loop."""
+    """A D-die EvalKernel is bitwise the serial per-die loop."""
 
     @pytest.mark.parametrize("n_dies", [1, 5, 18])
     def test_max_levels_bitwise(self, fleet_chips, fleet_workload,
                                 n_dies):
         workload, assignment = fleet_workload
         chips = fleet_chips[:n_dies]
-        kernel = FleetEvalKernel(chips, workload, assignment)
+        kernel = EvalKernel(chips, workload, assignment)
         states = kernel.evaluate_max_levels_fleet()
         assert kernel.n_dies == n_dies and len(states) == n_dies
         for chip, state in zip(chips, states):
@@ -111,7 +111,7 @@ class TestFleetKernel:
         workload, assignment = fleet_workload
         chips = fleet_chips[:n_dies]
         levels = (1, 0, 2)
-        kernel = FleetEvalKernel(chips, workload, assignment)
+        kernel = EvalKernel(chips, workload, assignment)
         states = kernel.evaluate_levels_fleet(levels)
         for chip, state in zip(chips, states):
             serial = evaluate_levels(chip, workload, assignment,
@@ -122,7 +122,7 @@ class TestFleetKernel:
         workload, assignment = fleet_workload
         chips = fleet_chips
         rng = np.random.default_rng(11)
-        kernel = FleetEvalKernel(chips, workload, assignment)
+        kernel = EvalKernel(chips, workload, assignment)
         lv = rng.integers(0, 3, size=(len(chips), 3))
         states = kernel.evaluate_levels_fleet(lv)
         for k, (chip, state) in enumerate(zip(chips, states)):
@@ -132,7 +132,7 @@ class TestFleetKernel:
 
     def test_broadcast_equals_tiled(self, fleet_chips, fleet_workload):
         workload, assignment = fleet_workload
-        kernel = FleetEvalKernel(fleet_chips[:4], workload, assignment)
+        kernel = EvalKernel(fleet_chips[:4], workload, assignment)
         a = kernel.evaluate_levels_fleet((2, 1, 0))
         b = kernel.evaluate_levels_fleet(
             np.tile([2, 1, 0], (4, 1)))
@@ -143,16 +143,21 @@ class TestFleetKernel:
                                    small_chip):
         workload, assignment = fleet_workload
         with pytest.raises(ValueError, match="share TechParams"):
-            FleetEvalKernel([fleet_chips[0], small_chip], workload,
+            EvalKernel([fleet_chips[0], small_chip], workload,
                             assignment)
 
     def test_rejects_bad_levels(self, fleet_chips, fleet_workload):
         workload, assignment = fleet_workload
-        kernel = FleetEvalKernel(fleet_chips[:2], workload, assignment)
+        kernel = EvalKernel(fleet_chips[:2], workload, assignment)
         with pytest.raises(ValueError, match="out of range"):
             kernel.evaluate_levels_fleet((0, 0, 99))
-        with pytest.raises(ValueError, match="one level per thread"):
-            kernel.evaluate_levels_fleet((0, 0))
+        for shape_error in ((0, 0), [], [[]], np.zeros((3, 3), int)):
+            with pytest.raises(ValueError, match="one level per thread"):
+                kernel.evaluate_levels_fleet(shape_error)
+        with pytest.raises(ValueError, match="must be integers"):
+            kernel.evaluate_levels_fleet((1.7, 0, 0))
+        with pytest.raises(ValueError, match="one-die kernel"):
+            kernel.evaluate_levels_batch([(0, 0, 0)])
 
     def test_fig04_metrics_bitwise(self, fleet_chips):
         """The campaign's per-die analysis equals the serial fig04

@@ -3,9 +3,11 @@
 The contract of :class:`repro.runtime.kernel.EvalKernel` is that every
 row of a batch is *bitwise identical* to the serial
 :func:`repro.runtime.evaluation.evaluate_levels` call for the same
-levels — including which candidates raise, with what exception — and
-that the policies rewired onto it return exactly the decisions,
-evaluation counts and states of their serial implementations.
+levels — including which candidates raise, with what exception —
+that a D-die kernel's rows equal one-die kernels, and that the
+policies' speculative batching returns exactly the decisions,
+evaluation counts and states of their one-candidate-per-call
+schedules.
 """
 
 from types import SimpleNamespace
@@ -22,7 +24,7 @@ from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
 from repro.power import PowerSensor
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
                                       evaluate_levels)
-from repro.runtime.kernel import (EvalKernel, FleetEvalKernel, _CellLayout,
+from repro.runtime.kernel import (EvalKernel, _CellLayout,
                                   _scalar_pow_prefactor)
 from repro.variation import DieBatch
 from repro.workloads import make_workload
@@ -176,8 +178,14 @@ class TestErrorParity:
     def test_shape_validation(self, small_chip):
         wl, asg, _ = _random_case(small_chip, 4, 11)
         kernel = EvalKernel(small_chip, wl, asg)
-        with pytest.raises(ValueError, match="one level per thread"):
-            kernel.evaluate_levels_batch(np.zeros((2, 3), dtype=int))
+        for shape_error in (np.zeros((2, 3), dtype=int), [], [[]]):
+            with pytest.raises(ValueError, match="one level per thread"):
+                kernel.evaluate_levels_batch(shape_error)
+        # A fractional level is an error, never truncated to an index
+        # (the serial path cannot index a V/f table with it either).
+        for fractional in ([1.7, 0, 0, 0], [[0, 0, 2.0, 0]]):
+            with pytest.raises(ValueError, match="must be integers"):
+                kernel.evaluate_levels_batch(fractional)
         with pytest.raises(ValueError, match="raise.*isolate"):
             kernel.evaluate_levels_batch(np.zeros((2, 4), dtype=int),
                                          errors="always")
@@ -215,52 +223,91 @@ def _pm_case(chip, n_threads, seed):
     return wl, Assignment(core_of=tuple(int(c) for c in cores))
 
 
-class TestPolicyRegression:
-    """use_kernel=True must change nothing but speed and stats."""
+#: Manager factories, by name, for the schedule and stats checks.
+MANAGERS = {
+    "foxton": FoxtonStar,
+    "sann": lambda: SAnnManager(n_evaluations=150),
+    "sann-weighted": lambda: SAnnManager(n_evaluations=100,
+                                         objective="weighted"),
+    "linopt": lambda: LinOpt(LinOptConfig(n_iterations=2)),
+    "optimal": lambda: OptimalFrozen(n_iterations=2),
+    "barrier": BarrierAwarePm,
+    "exhaustive": ExhaustiveSearch,
+}
 
-    @pytest.mark.parametrize("factory", [
-        lambda uk: FoxtonStar(use_kernel=uk),
-        lambda uk: SAnnManager(n_evaluations=150, use_kernel=uk),
-        lambda uk: SAnnManager(n_evaluations=100, objective="weighted",
-                               use_kernel=uk),
-        lambda uk: LinOpt(LinOptConfig(n_iterations=2), use_kernel=uk),
-        lambda uk: OptimalFrozen(n_iterations=2, use_kernel=uk),
-        lambda uk: BarrierAwarePm(use_kernel=uk),
-    ], ids=["foxton", "sann", "sann-weighted", "linopt", "optimal",
-            "barrier"])
+#: Every batch-size constant of the searchers' speculation. Set to 1,
+#: each kernel call holds exactly the candidate the sequential search
+#: evaluates next: the chunk-1 schedule, the reference the speculative
+#: batches are held to.
+SPECULATION_CONSTANTS = (
+    "repro.pm.foxton._SPEC_MIN", "repro.pm.foxton._SPEC_MAX",
+    "repro.pm.linopt._REFILL_SPEC_MIN", "repro.pm.linopt._REFILL_SPEC_MAX",
+    "repro.pm.sann._SPEC_CHUNK", "repro.pm.exhaustive._BATCH_COMBOS",
+)
+
+
+def _decide(chip, name, env):
+    """One decision of manager ``name`` on a fixed small case."""
+    n_threads, seed = (3, 23) if name == "exhaustive" else (5, 21)
+    wl, asg = _pm_case(chip, n_threads, seed)
+    return MANAGERS[name]().set_levels(chip, wl, asg, env,
+                                       rng=np.random.default_rng(33))
+
+
+def _non_kernel(stats):
+    return {k: v for k, v in stats.items() if not k.startswith("kernel_")}
+
+
+def _speculative_matches_serial(chip, name, env, monkeypatch):
+    """Manager ``name``'s default decision equals its chunk-1 decision;
+    returns the default one."""
+    speculative = _decide(chip, name, env)
+    for constant in SPECULATION_CONSTANTS:
+        monkeypatch.setattr(constant, 1)
+    serial = _decide(chip, name, env)
+    # At chunk 1 every kernel call holds the one candidate the
+    # sequential search evaluates next.
+    assert serial.stats["kernel_batch_max"] == 1.0
+    assert speculative.levels == serial.levels
+    assert speculative.evaluations == serial.evaluations
+    _assert_state_bitwise(speculative.state, serial.state)
+    assert _non_kernel(speculative.stats) == _non_kernel(serial.stats)
+    return speculative
+
+
+class TestPolicyRegression:
+    """Speculative batching must change nothing but speed and stats.
+
+    The reference is each manager's *serial* schedule: the same code
+    with every speculation constant at 1, so it evaluates exactly one
+    candidate per kernel call, in the order a sequential search does.
+    """
+
+    @pytest.mark.parametrize("name", [
+        "foxton", "sann", "sann-weighted", "linopt", "optimal", "barrier"])
     @pytest.mark.parametrize("env", [COST_PERFORMANCE, LOW_POWER],
                              ids=["cost-perf", "low-power"])
-    def test_kernel_matches_serial_decision(self, small_chip, factory,
-                                            env):
-        wl, asg = _pm_case(small_chip, 5, 21)
-        with_kernel = factory(True).set_levels(
-            small_chip, wl, asg, env, rng=np.random.default_rng(33))
-        serial = factory(False).set_levels(
-            small_chip, wl, asg, env, rng=np.random.default_rng(33))
-        assert with_kernel.levels == serial.levels
-        assert with_kernel.evaluations == serial.evaluations
-        _assert_state_bitwise(with_kernel.state, serial.state)
-        non_kernel = {k: v for k, v in with_kernel.stats.items()
-                      if not k.startswith("kernel_")}
-        assert non_kernel == {k: v for k, v in serial.stats.items()
-                              if not k.startswith("kernel_")}
-        assert with_kernel.stats["kernel_evaluations"] > 0
-        assert "kernel_evaluations" not in serial.stats
+    def test_kernel_matches_serial_decision(self, small_chip, name, env,
+                                            monkeypatch):
+        _speculative_matches_serial(small_chip, name, env, monkeypatch)
 
-    def test_exhaustive_matches_serial_decision(self, small_chip):
-        wl, asg = _pm_case(small_chip, 3, 23)
-        with_kernel = ExhaustiveSearch(use_kernel=True).set_levels(
-            small_chip, wl, asg, COST_PERFORMANCE)
-        serial = ExhaustiveSearch(use_kernel=False).set_levels(
-            small_chip, wl, asg, COST_PERFORMANCE)
-        assert with_kernel.levels == serial.levels
-        assert with_kernel.evaluations == serial.evaluations
-        _assert_state_bitwise(with_kernel.state, serial.state)
-        assert (with_kernel.stats["combinations"]
-                == serial.stats["combinations"])
-        # Every combination went through the kernel, none was wasted.
-        assert (with_kernel.stats["kernel_evaluations"]
-                == with_kernel.evaluations)
+    def test_exhaustive_matches_serial_decision(self, small_chip,
+                                                monkeypatch):
+        for env in (COST_PERFORMANCE, LOW_POWER):
+            with monkeypatch.context() as patch:
+                speculative = _speculative_matches_serial(
+                    small_chip, "exhaustive", env, patch)
+            # Every combination went through the kernel, none was
+            # wasted.
+            assert (speculative.stats["kernel_evaluations"]
+                    == speculative.evaluations)
+
+    @pytest.mark.parametrize("name", sorted(MANAGERS))
+    def test_kernel_counts_every_evaluation(self, small_chip, name):
+        """A decision's kernel counters cover all its evaluations,
+        SAnn's greedy Foxton* start included."""
+        result = _decide(small_chip, name, COST_PERFORMANCE)
+        assert result.stats["kernel_evaluations"] >= result.evaluations
 
     def test_sann_reports_cache_hits(self, small_chip):
         wl, asg = _pm_case(small_chip, 4, 25)
@@ -488,8 +535,35 @@ class TestSizeGroupedLayout:
 
     def test_fleet_kernel_isolate(self, case):
         chips, wl, asg, matrix, ceff_m = case
-        kernel = FleetEvalKernel(chips, wl, asg, ceff_multipliers=ceff_m)
+        kernel = EvalKernel(chips, wl, asg, ceff_multipliers=ceff_m)
         # One row per die; the last die takes the all-top row 2.
         rows = matrix[3 - len(chips):3]
         results = kernel.evaluate_levels_fleet(rows, errors="isolate")
         _assert_rows_match_serial(results, chips, wl, asg, rows, ceff_m)
+
+    def test_die_rows_match_one_die_kernels(self, case):
+        """Row d of a D-die kernel is the one-die kernel of chips[d],
+        through either entry point, failures included."""
+        chips, wl, asg, matrix, ceff_m = case
+        fleet = EvalKernel(chips, wl, asg, ceff_multipliers=ceff_m)
+        singles = [EvalKernel(chip, wl, asg, ceff_multipliers=ceff_m)
+                   for chip in chips]
+        batches = [k.evaluate_levels_batch(matrix, errors="isolate")
+                   for k in singles]
+        for b, row in enumerate(matrix):
+            shared = fleet.evaluate_levels_fleet(row, errors="isolate")
+            for d, single in enumerate(singles):
+                _assert_same_outcome(shared[d], batches[d][b])
+                _assert_same_outcome(
+                    single.evaluate_levels_fleet(row, errors="isolate")[0],
+                    batches[d][b])
+        with pytest.raises(ValueError, match="one-die kernel"):
+            fleet.evaluate_levels_batch(matrix)
+
+
+def _assert_same_outcome(a, b):
+    """Both the same exception, or bitwise-equal states."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert type(a) is type(b) and str(a) == str(b)
+    else:
+        _assert_state_bitwise(a, b)
