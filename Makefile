@@ -9,18 +9,19 @@ test:
 
 # Fault-injection suite under a real worker pool (CI's 'chaos' job).
 chaos:
-	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py
+	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py
 
 # Daemon suite: protocol/isolation/acceptance + chaos (CI's 'daemon'
 # job runs this plus the service benchmark under a hard timeout).
 daemon:
 	$(PYTHON) -m pytest -x -q tests/test_daemon.py tests/test_daemon_chaos.py
 
-# Crash-recovery suite: op-log/snapshot units, bitwise replay,
-# reconnecting clients, then the real SIGKILL-restart chaos run
+# Crash-recovery suite: storage corruption suite, op-log/snapshot
+# units, bitwise replay, reconnecting clients, then the real
+# SIGKILL-restart chaos run
 # (CI's 'daemon-durability' job adds the recovery-time floor).
 durability:
-	$(PYTHON) -m pytest -x -q tests/test_daemon_durability.py
+	$(PYTHON) -m pytest -x -q tests/test_storage.py tests/test_daemon_durability.py
 	$(PYTHON) -m pytest -x -q -m slow tests/test_daemon_durability.py
 
 # Fleet subsystem suite + the nightly kill/resume bitwise check at

@@ -41,6 +41,7 @@ from repro.fleet import (  # noqa: E402
     load_shard,
     run_fleet_campaign,
 )
+from repro.storage import decode_line  # noqa: E402
 
 DIES_PER_S_FLOOR = 18.0
 
@@ -50,13 +51,10 @@ def count_journal_units(journal: pathlib.Path) -> int:
         return 0
     units = 0
     for line in journal.read_bytes().splitlines(keepends=True):
-        if not line.endswith(b"\n"):
+        record = decode_line(line)
+        if record is None:
             break
-        try:
-            if json.loads(line).get("kind") == "unit":
-                units += 1
-        except ValueError:
-            break
+        units += record.get("kind") == "unit"
     return units
 
 

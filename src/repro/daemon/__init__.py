@@ -47,7 +47,6 @@ from .durability import (
     RecoveryStats,
     StateDir,
     TenantStore,
-    op_key,
     tenant_dir_name,
 )
 from .protocol import (
@@ -103,7 +102,6 @@ __all__ = [
     "encode_frame",
     "error_frame",
     "event_frame",
-    "op_key",
     "reply_frame",
     "tenant_dir_name",
     "validate_request",

@@ -760,16 +760,21 @@ class DaemonController:
         tele.incr("ops_replayed", stats.ops_replayed)
         tele.incr("snapshot_restores", stats.snapshot_restores)
         tele.incr("snapshot_quarantines", stats.snapshot_quarantines)
-        tele.incr("replay_divergences", stats.tenants_quarantined)
         return stats
 
     def _recover_tenant(self, store: TenantStore,
                         stats: RecoveryStats) -> None:
         records = store.oplog.records
         if not records or records[0].rtype != "register":
-            # The daemon died between creating the directory and
-            # appending the register op: the client never saw a
-            # reply, so there is nothing admitted to restore.
+            # The daemon died before journaling the register op (the
+            # client never saw a reply: nothing to restore), or the log
+            # fails verification before naming its tenant (bit rot, an
+            # old format): set that aside rather than let it be wiped.
+            if store.oplog.damaged:
+                reason = "op log fails verification before register"
+                store.quarantine(reason)
+                stats.tenants_quarantined += 1
+                stats.quarantine_reasons[store.root.name] = reason
             return
         name = records[0].payload["tenant"]
         config = build_config(dict(records[0].payload))
@@ -804,6 +809,7 @@ class DaemonController:
                 tenant.quarantine_reason = problem
                 stats.tenants_quarantined += 1
                 stats.quarantine_reasons[name] = problem
+                self.telemetry.incr("replay_divergences")
                 break
             tenant.remember_reply(record.request_id, record.reply)
             stats.ops_replayed += 1

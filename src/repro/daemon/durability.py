@@ -2,30 +2,30 @@
 
 The daemon holds every tenant in RAM; this module is what makes a
 SIGKILL survivable. Each tenant owns one directory under the daemon's
-*state dir* holding two kinds of files:
+*state dir* holding two kinds of files, both written through
+:mod:`repro.storage`:
 
-* an append-only **op log** (``oplog.jsonl``) journaling every
-  state-mutating admitted request — ``register``, ``advance``,
-  ``inject``, ``sensor_feed`` — together with the reply that was sent.
-  The append discipline is :class:`repro.parallel.journal.RunJournal`'s:
-  a single ``write`` of one ``\\n``-terminated line to an ``O_APPEND``
-  handle, fsynced before the reply leaves the daemon, so an op is
-  either fully journaled or not journaled at all. Replay is
-  torn-tail-tolerant (a crash mid-append leaves at most one bad tail
-  line, which the next append truncates away) and every record carries
-  a sha256 content key over its sequence number, type and payload, so
-  a bit-flipped record stops replay at the last trustworthy prefix
-  instead of resurrecting garbage.
+* an append-only **op log** (``oplog.jsonl``, a
+  :class:`~repro.storage.AppendLog`) journaling every state-mutating
+  admitted request — ``register``, ``advance``, ``inject``,
+  ``sensor_feed`` — together with the reply that was sent. Each op is
+  one checksummed line, fsynced before the reply leaves the daemon,
+  so an op is either fully journaled or not journaled at all. Replay
+  stops at the first torn, corrupt or out-of-sequence record: the
+  line checksum pins each record's content (reply included) and the
+  ``seq`` check pins its position, so a bit-flipped or reordered log
+  is trusted only up to its last good prefix.
 
-* periodic **snapshots** (``snapshot-<seq>.bin``): a pickle of the
-  tenant's live stepper state at op-log sequence ``seq``, written via
-  ``mkstemp`` + ``os.replace`` with a sidecar sha256 digest. A
-  restarted daemon restores from the newest snapshot and replays only
-  the ops past it, bounding recovery cost; a snapshot that fails its
-  digest is *quarantined* (moved to ``<state_dir>/quarantine/`` next
-  to a ``*.reason.json``, mirroring the characterisation cache) and
-  recovery falls back to full replay from the op log — which is never
-  compacted away, precisely so that fallback always exists.
+* periodic **snapshots** (``snapshot-<seq>.bin``): one self-verifying
+  file per generation — a ``{format, seq, sha256}`` header line, then
+  a pickle of the tenant's live stepper state at op-log sequence
+  ``seq`` — replaced atomically. A restarted daemon restores from the
+  newest snapshot and replays only the ops past it, bounding recovery
+  cost; a snapshot with a missing, stale or mismatching header is
+  *quarantined* (moved to ``<state_dir>/quarantine/`` next to a
+  ``*.reason.json``) and recovery falls back to full replay from the
+  op log — which is never compacted away, precisely so that fallback
+  always exists.
 
 Because a tenant rebuilt by replay re-executes the same deterministic
 :class:`~repro.runtime.SimulationStepper` code path as the original
@@ -38,24 +38,25 @@ controller decides *what* to journal and *how* to rebuild.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
 import pickle
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-#: Bump whenever the op-record shape or key recipe changes; part of
-#: every record key, so old logs simply stop verifying (and recovery
-#: quarantines them instead of misreading them).
-OPLOG_TAG = "daemon-oplog-v1"
+from ..storage import AppendLog, quarantine, write_atomic
 
-#: Snapshot container version, embedded in the sidecar metadata.
-SNAPSHOT_FORMAT = 1
+#: Bump whenever the op-record shape changes; every record carries
+#: it, so old logs stop verifying at their first record.
+OPLOG_TAG = "daemon-oplog-v2"
+
+#: Snapshot container version, carried in each snapshot's header.
+SNAPSHOT_FORMAT = 2
 
 OPLOG_FILENAME = "oplog.jsonl"
 
@@ -64,10 +65,6 @@ OPLOG_FILENAME = "oplog.jsonl"
 DEDUP_WINDOW = 64
 
 PathLike = Union[str, pathlib.Path]
-
-
-class OpLogError(RuntimeError):
-    """An op log exists but cannot be trusted past some prefix."""
 
 
 class SnapshotError(RuntimeError):
@@ -88,19 +85,6 @@ def tenant_dir_name(tenant: str) -> str:
     return f"{prefix}-{digest}" if prefix else digest
 
 
-def op_key(seq: int, rtype: str, payload: Dict[str, Any]) -> str:
-    """Content key of one op record (RunJournal's unit-key idiom).
-
-    Pins the op's position (``seq``), verb and canonical payload, so
-    replay detects both bit rot and any attempt to reorder records.
-    """
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":"))
-    parts = [f"tag={OPLOG_TAG}", f"seq={int(seq)}", f"type={rtype}",
-             f"payload={canonical}"]
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
 @dataclass
 class OpRecord:
     """One journaled state-mutating request and its reply."""
@@ -113,25 +97,21 @@ class OpRecord:
 
     def to_line(self) -> Dict[str, Any]:
         return {
-            "kind": "op",
+            "tag": OPLOG_TAG,
             "seq": self.seq,
             "type": self.rtype,
             "payload": self.payload,
             "reply": self.reply,
             "request_id": self.request_id,
-            "key": op_key(self.seq, self.rtype, self.payload),
             "t_unix_s": time.time(),
         }
 
     @classmethod
     def from_line(cls, obj: Dict[str, Any]) -> "OpRecord":
-        seq = int(obj["seq"])
-        rtype = obj["type"]
-        payload = obj["payload"]
-        if obj["key"] != op_key(seq, rtype, payload):
-            raise OpLogError(f"op record {seq} fails its content key")
-        return cls(seq=seq, rtype=rtype, payload=payload,
-                   reply=obj["reply"],
+        if obj["tag"] != OPLOG_TAG:
+            raise ValueError(f"op record tag {obj['tag']!r}")
+        return cls(seq=int(obj["seq"]), rtype=obj["type"],
+                   payload=obj["payload"], reply=obj["reply"],
                    request_id=obj.get("request_id"))
 
 
@@ -139,45 +119,31 @@ class OpLog:
     """Append-only write-ahead log of one tenant's admitted ops.
 
     Construction replays the existing file (if any); appends are a
-    single durable write each, truncating at most one untrusted tail
-    left by a previous crash. Replay stops at the first record that is
-    torn, malformed, out of sequence or fails its content key — the
-    suffix past that point is untrusted and will be truncated by the
-    next append.
+    single durable write each, truncating whatever replay did not
+    trust. Replay stops at the first record that is torn, fails its
+    line checksum, carries another format's tag or is out of
+    sequence.
     """
 
     def __init__(self, path: PathLike) -> None:
         self.path = pathlib.Path(path)
+        self._log = AppendLog(self.path)
         self.records: List[OpRecord] = []
-        self._good_bytes = 0
-        self._replay()
+        for line in self._log.replay():
+            try:
+                record = OpRecord.from_line(line)
+            except (KeyError, TypeError, ValueError):
+                break  # stop trusting anything after a bad record
+            if record.seq != len(self.records):
+                break  # reordered/spliced log: untrusted from here
+            self.records.append(record)
+        #: Complete records past the trusted prefix: corruption or an
+        #: old format, not a crash mid-append.
+        self.damaged = self._log.damaged()
 
     @property
     def next_seq(self) -> int:
         return (self.records[-1].seq + 1) if self.records else 0
-
-    def _replay(self) -> None:
-        try:
-            raw = self.path.read_bytes()
-        except (FileNotFoundError, OSError):
-            return
-        good = 0
-        expect = 0
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # torn tail: crash mid-append
-            try:
-                record = OpRecord.from_line(
-                    json.loads(line.decode("utf-8")))
-            except (ValueError, KeyError, TypeError,
-                    UnicodeDecodeError, OpLogError):
-                break  # stop trusting anything after a bad record
-            if record.seq != expect:
-                break  # reordered/spliced log: untrusted from here
-            self.records.append(record)
-            expect += 1
-            good += len(line)
-        self._good_bytes = good
 
     def append(self, rtype: str, payload: Dict[str, Any],
                reply: Dict[str, Any],
@@ -186,19 +152,7 @@ class OpLog:
         record = OpRecord(seq=self.next_seq, rtype=rtype,
                           payload=payload, reply=reply,
                           request_id=request_id)
-        line = (json.dumps(record.to_line(), sort_keys=True)
-                + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if os.fstat(fd).st_size > self._good_bytes:
-                os.ftruncate(fd, self._good_bytes)
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        self._good_bytes += len(line)
+        self._log.append(record.to_line())
         self.records.append(record)
         return record
 
@@ -250,13 +204,13 @@ class TenantStore:
 
     Layout under the tenant directory::
 
-        oplog.jsonl               append-only write-ahead op log
-        snapshot-<seq>.bin        pickled stepper state at op <seq>
-        snapshot-<seq>.meta.json  {format, seq, sha256, t_unix_s}
+        oplog.jsonl          append-only write-ahead op log
+        snapshot-<seq>.bin   {format, seq, sha256} header line, then
+                             the pickled stepper state at op <seq>
 
     Only the newest snapshot is kept (*compaction*): writing a new one
-    atomically replaces the pair and unlinks older generations. The
-    op log itself is never compacted — it is the fallback that makes a
+    atomically replaces it and unlinks older generations. The op log
+    itself is never compacted — it is the fallback that makes a
     corrupt snapshot survivable.
     """
 
@@ -289,96 +243,41 @@ class TenantStore:
         one generation, and the op log guarantees the fallback.
         """
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest()
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / _snapshot_name(seq)
-        meta_path = path.with_suffix(".meta.json")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        meta = {"format": SNAPSHOT_FORMAT, "seq": int(seq),
-                "sha256": digest, "t_unix_s": time.time()}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, meta_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "seq": int(seq),
+                             "sha256": hashlib.sha256(blob).hexdigest()},
+                            sort_keys=True)
+        path = write_atomic(self.root / _snapshot_name(seq),
+                            header.encode("utf-8") + b"\n" + blob)
         for old_seq, old_path in self._snapshots_on_disk():
             if old_seq != seq:
-                for p in (old_path,
-                          old_path.with_suffix(".meta.json")):
-                    try:
-                        os.unlink(p)
-                    except OSError:
-                        pass
+                with contextlib.suppress(OSError):
+                    os.unlink(old_path)
         return path
 
-    def _quarantine_snapshot(self, path: pathlib.Path,
-                             reason: str) -> None:
-        """Move a corrupt snapshot (and its sidecar) aside, with a
-        structured reason record — the cache-quarantine idiom."""
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return
-        stamp = f"{self.root.name}-{path.name}"
-        for p in (path, path.with_suffix(".meta.json")):
-            try:
-                os.replace(
-                    p,
-                    self.quarantine_root
-                    / f"{self.root.name}-{p.name}")
-            except OSError:
-                try:
-                    os.unlink(p)
-                except OSError:
-                    pass
-        record = {
-            "tenant_dir": self.root.name,
-            "snapshot": path.name,
-            "reason": reason,
-            "quarantined_at_unix_s": time.time(),
-        }
-        try:
-            (self.quarantine_root / f"{stamp}.reason.json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            pass
+    def quarantine(self, reason: str) -> None:
+        """Move the whole tenant directory aside (its op log cannot
+        be trusted far enough to name the tenant)."""
+        quarantine(self.root, self.quarantine_root, self.root.name,
+                   reason, tenant_dir=self.root.name)
 
     def load_snapshot(self) -> Optional[Tuple[int, Any]]:
         """The newest verifiable snapshot, or None.
 
-        A snapshot that fails its digest (or cannot be read/unpickled)
-        is quarantined and the next-older one is tried; with none left
-        the caller falls back to full op-log replay. Quarantines are
-        visible in :attr:`snapshot_quarantines`.
+        A snapshot whose header is missing, of another format or
+        sequence, or whose digest fails (or that cannot be read or
+        unpickled) is quarantined and the next-older one is tried;
+        with none left the caller falls back to full op-log replay.
+        Quarantines are visible in :attr:`snapshot_quarantines`.
         """
         for seq, path in reversed(self._snapshots_on_disk()):
-            meta_path = path.with_suffix(".meta.json")
             try:
-                meta = json.loads(meta_path.read_text())
-                if int(meta["format"]) > SNAPSHOT_FORMAT:
+                header, _, blob = path.read_bytes().partition(b"\n")
+                meta = json.loads(header)
+                if (meta.get("format"), meta.get("seq")) != \
+                        (SNAPSHOT_FORMAT, seq):
                     raise SnapshotError(
-                        f"snapshot format {meta['format']} is newer "
-                        f"than supported {SNAPSHOT_FORMAT}")
-                blob = path.read_bytes()
+                        f"stale snapshot header {meta!r} (expected "
+                        f"format {SNAPSHOT_FORMAT}, seq {seq})")
                 if hashlib.sha256(blob).hexdigest() != meta["sha256"]:
                     raise SnapshotError("snapshot digest mismatch")
                 state = pickle.loads(blob)
@@ -386,10 +285,13 @@ class TenantStore:
                     pickle.UnpicklingError, EOFError,
                     AttributeError, SnapshotError) as exc:
                 self.snapshot_quarantines += 1
-                self._quarantine_snapshot(
-                    path, f"{type(exc).__name__}: {exc}")
+                quarantine(path, self.quarantine_root,
+                           f"{self.root.name}-{path.name}",
+                           f"{type(exc).__name__}: {exc}",
+                           tenant_dir=self.root.name,
+                           snapshot=path.name)
                 continue
-            return int(meta["seq"]), state
+            return seq, state
         return None
 
 
@@ -399,7 +301,9 @@ class StateDir:
     Layout::
 
         <state_dir>/tenants/<tenant-dir>/...   (see TenantStore)
-        <state_dir>/quarantine/                corrupt snapshots
+        <state_dir>/quarantine/                corrupt snapshots, and
+                                               tenant dirs whose op log
+                                               fails before register
 
     """
 

@@ -9,23 +9,23 @@ metrics, streamed to one columnar shard
 :class:`~repro.fleet.quantiles.FleetAccumulator`, and journaled.
 Peak memory is O(chunk), never O(fleet).
 
-Crash-safety rides the PR 5 journal: every chunk's per-die metric
-columns are recorded under a content key that pins tech/arch/seed/
-chunk bounds, so ``--resume`` replays completed chunks from the
+Crash-safety rides the campaign journal
+(:class:`~repro.parallel.journal.RunJournal`): every chunk's per-die
+metric columns are recorded under a content key that pins tech/arch/
+seed/chunk bounds, so ``--resume`` replays completed chunks from the
 journal (JSON floats round-trip repr-exact, hence bitwise) and only
-computes the tail. A resumed campaign therefore produces bitwise-
-identical shards and a byte-identical ``summary.json`` — the nightly
-CI job kills a campaign mid-run and asserts exactly that.
+computes the tail. Shards and the summary are replaced atomically
+through :func:`repro.storage.write_atomic`. A resumed campaign
+therefore produces bitwise-identical shards and a byte-identical
+``summary.json`` — the nightly CI job kills a campaign mid-run and
+asserts exactly that.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -41,6 +41,7 @@ from ..parallel.manifest import ShardManifest
 from ..parallel.runner import CacheArg
 from ..runtime.evaluation import Assignment
 from ..runtime.kernel import EvalKernel
+from ..storage import write_atomic
 from ..thermal.hotspot import ThermalNetwork
 from ..workloads import SPEC_APPS, Workload
 from .quantiles import FleetAccumulator
@@ -240,22 +241,14 @@ def _chunk_key(plan: FleetPlan, lo: int, hi: int) -> str:
                     chunk_end=hi, **plan.identity())
 
 
-def _write_json_atomic(path: pathlib.Path, obj: Any) -> None:
-    """Deterministic (sorted keys, fixed separators) atomic JSON."""
-    payload = json.dumps(obj, sort_keys=True, indent=2,
-                         separators=(",", ": ")) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _write_summary(out_dir: pathlib.Path, plan: FleetPlan,
+                   acc: FleetAccumulator, n_chunks: int) -> None:
+    """Deterministic (sorted keys, fixed separators) ``summary.json``."""
+    summary = {"plan": plan.to_dict(), "metrics": acc.summary(),
+               "n_chunks": n_chunks}
+    write_atomic(out_dir / "summary.json",
+                 (json.dumps(summary, sort_keys=True, indent=2,
+                             separators=(",", ": ")) + "\n").encode())
 
 
 def run_fleet_campaign(
@@ -341,11 +334,7 @@ def run_fleet_campaign(
     journal.require_complete(
         [_chunk_key(plan, lo, hi) for lo, hi in chunks], scope=scope)
     journal.mark_complete(scope, len(chunks))
-    _write_json_atomic(out_dir / "summary.json", {
-        "plan": plan.to_dict(),
-        "metrics": acc.summary(),
-        "n_chunks": len(chunks),
-    })
+    _write_summary(out_dir, plan, acc, len(chunks))
     wall = time.perf_counter() - t0
     return FleetCampaignResult(
         plan=plan, out_dir=out_dir, accumulator=acc,
@@ -397,18 +386,7 @@ def merge_campaigns(
             target = shard_dir / info.path.name
             if target.exists():
                 continue
-            fd, tmp_name = tempfile.mkstemp(dir=shard_dir,
-                                            suffix=".tmp")
-            os.close(fd)
-            try:
-                shutil.copyfile(info.path, tmp_name)
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(target, info.path.read_bytes())
 
     # The merged campaign's chunk grid is the union of the hosts'
     # grids (identical to the full plan's grid when slices are
@@ -436,11 +414,7 @@ def merge_campaigns(
         covered += hi - lo
     if require_complete:
         dest.mark_complete(scope, len(chunks))
-    _write_json_atomic(out_dir / "summary.json", {
-        "plan": plan.to_dict(),
-        "metrics": acc.summary(),
-        "n_chunks": len(chunks),
-    })
+    _write_summary(out_dir, plan, acc, len(chunks))
     return FleetCampaignResult(
         plan=plan, out_dir=out_dir, accumulator=acc,
         n_dies=covered, n_chunks=len(chunks),

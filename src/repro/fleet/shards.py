@@ -4,10 +4,10 @@ A campaign never holds per-die results for the whole fleet in memory:
 each chunk of dies is written out as one compressed npz *shard* —
 aligned 1-D columns (``die`` plus one column per metric) covering a
 contiguous, half-open die range — under ``results/<run>/shards/``.
-Shards are immutable once written; writes go through the same
-mkstemp + ``os.replace`` idiom as the characterization cache, so a
-reader (or a resumed run) never observes a torn file, and re-writing
-a shard from journaled results is an atomic no-op-shaped replace.
+Shards are immutable once written and replaced whole through
+:func:`repro.storage.write_atomic`, so a reader (or a resumed run)
+never observes a torn file, and re-writing a shard from journaled
+results is an atomic replace.
 
 File naming is the range: ``shard-<start>-<end>.npz`` with zero-padded
 8-digit bounds, so a plain lexicographic directory listing is already
@@ -18,7 +18,7 @@ column *data* (names, dtypes, shapes, bytes — not the zip container,
 whose member timestamps make file bytes unstable across runs).
 :func:`load_shard` verifies the digest and *quarantines* a corrupt
 shard — moves it to ``<shard_dir>/quarantine/`` beside a structured
-``<name>.reason.json``, the characterisation-cache idiom — so the
+``<name>.reason.json`` (:func:`repro.storage.quarantine`) — so the
 range reads as a coverage gap and a resumed campaign recomputes it
 instead of folding silent bit rot into fleet statistics. v1 shards
 (no digest member) load transparently, unverified.
@@ -27,17 +27,16 @@ instead of folding silent bit rot into fleet statistics. v1 shards
 from __future__ import annotations
 
 import hashlib
-import json
-import os
+import io
 import pathlib
 import re
-import tempfile
-import time
 import zipfile
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
+
+from ..storage import quarantine, write_atomic
 
 __all__ = [
     "SHARD_FORMAT",
@@ -116,18 +115,8 @@ def quarantine_shard(path: PathLike, reason: str) -> pathlib.Path:
     :func:`missing_ranges` reports and a resumed campaign recomputes.
     """
     path = pathlib.Path(path)
-    qdir = path.parent / "quarantine"
-    qdir.mkdir(parents=True, exist_ok=True)
-    target = qdir / path.name
-    os.replace(path, target)
-    record = {
-        "shard": path.name,
-        "reason": reason,
-        "quarantined_at_unix_s": time.time(),
-    }
-    (qdir / f"{path.name}.reason.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return target
+    return quarantine(path, path.parent / "quarantine", path.name,
+                      reason, shard=path.name)
 
 
 def write_shard(shard_dir: PathLike, start: int, end: int,
@@ -136,9 +125,9 @@ def write_shard(shard_dir: PathLike, start: int, end: int,
 
     Every column must be 1-D with exactly ``end - start`` entries; a
     ``die`` column holding the absolute die indices is added
-    automatically. Uses ``np.savez_compressed`` into a mkstemp sibling
-    then ``os.replace`` — crash-safe and last-writer-wins, matching
-    the cache-store idiom. Note npz is a zip container with member
+    automatically. The npz is built in memory and replaced whole with
+    :func:`repro.storage.write_atomic` — crash-safe and
+    last-writer-wins. Note npz is a zip container with member
     timestamps, so two byte-wise comparisons of *files* from different
     runs will differ; equality checks must compare loaded arrays
     (see :func:`load_shard` and the nightly resume check).
@@ -160,20 +149,10 @@ def write_shard(shard_dir: PathLike, start: int, end: int,
         arrays[name] = arr
     arrays["__format__"] = np.int64(SHARD_FORMAT)
     arrays["__digest__"] = np.array(shard_digest(arrays))
-    shard_dir.mkdir(parents=True, exist_ok=True)
-    path = shard_dir / shard_name(start, end)
-    fd, tmp_name = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    return write_atomic(shard_dir / shard_name(start, end),
+                        buf.getvalue())
 
 
 def load_shard(path: PathLike,

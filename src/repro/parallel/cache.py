@@ -24,21 +24,21 @@ Integrity (DESIGN.md §14): stored entries carry a SHA-256 digest over
 their data members (container format v2; v1 entries without a digest
 read transparently). Loads verify the digest; any entry that is
 unreadable or fails verification is *quarantined* — moved to
-``<root>/quarantine/`` next to a structured ``*.reason.json`` — and
-counted in a dedicated ``corrupt`` stat (distinct from ``misses``),
-so silent re-characterisation never hides corruption.
+``<root>/quarantine/`` next to a structured ``<key>.reason.json``
+(:func:`repro.storage.quarantine`) — and counted in a dedicated
+``corrupt`` stat (distinct from ``misses``), so silent
+re-characterisation never hides corruption.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
 import shutil
-import tempfile
-import time
 import zipfile
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -51,6 +51,7 @@ from ..freq import CoreFrequencyModel, VFTable
 from ..freq.critical_path import PathSet
 from ..power import CoreLeakageModel, L2LeakageModel
 from ..power import scaling
+from ..storage import quarantine, write_atomic
 from ..thermal import ThermalNetwork
 
 # Payload layout version: bump when the npz schema changes. Part of
@@ -300,7 +301,7 @@ def _unpack_payload(packed: Dict[str, np.ndarray]) -> Payload:
 class CharacterizationCache:
     """Content-addressed npz store with integrity verification.
 
-    Writes are atomic (temp file + ``os.replace``), so concurrent
+    Writes are atomic (:func:`repro.storage.write_atomic`), so concurrent
     workers — process-pool shards or parallel pytest/CI jobs — can
     share one cache directory without corrupting entries. Loads verify
     the format-v2 SHA-256 digest; an entry that exists but cannot be
@@ -356,45 +357,14 @@ class CharacterizationCache:
                     reason: str) -> None:
         """Move a corrupt entry aside and record why, atomically."""
         self.stats["corrupt"] += 1
-        qdir = self.quarantine_root
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-        except OSError:
-            # Another process may have quarantined it first; make sure
-            # the poisoned entry is at least out of the lookup path.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        record = {
-            "key": key,
-            "entry": path.name,
-            "reason": reason,
-            "quarantined_at_unix_s": time.time(),
-            "numpy": np.__version__,
-        }
-        try:
-            (qdir / f"{path.stem}.reason.json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            pass
+        quarantine(path, self.quarantine_root, path.stem, reason,
+                   key=key, entry=path.name, numpy=np.__version__)
 
     def store(self, key: str, payload: Payload) -> None:
         """Atomically persist a payload under ``key``."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **_pack_payload(payload))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **_pack_payload(payload))
+        write_atomic(self.path_for(key), buf.getvalue())
         self.stats["stores"] += 1
 
     def clear(self) -> None:

@@ -10,12 +10,12 @@ from the last completed unit instead of starting over.
 
 Crash-safety model:
 
-* appends are a single ``write`` of one ``\\n``-terminated line to an
-  ``O_APPEND`` handle, flushed and fsynced before ``record`` returns —
+* the journal is a :class:`repro.storage.AppendLog`: each unit is one
+  checksummed line, written and fsynced before ``record`` returns, so
   a unit is either fully journaled or not journaled at all;
-* replay tolerates exactly one torn tail line (a crash mid-append):
-  parsing stops at the first malformed line, which is overwritten by
-  the next append via truncation to the last good byte;
+* replay stops at the first torn, malformed or checksum-failing line
+  (a crash mid-append, or a bit-flipped result) and the next append
+  truncates it away — a corrupt result is recomputed, never replayed;
 * unit keys are content hashes over everything that determines the
   unit's result (experiment, trial, policy, seeds, tech/arch, the
   protocol parameters), so a journal can never resurrect a stale
@@ -35,16 +35,17 @@ runners never touch the journal and behave exactly as before.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 import shutil
 import time
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from ..storage import AppendLog
+
 #: Bump whenever the journal line format or unit-key recipe changes;
 #: part of every unit key, so old journals simply stop matching.
-JOURNAL_TAG = "journal-v1"
+JOURNAL_TAG = "journal-v2"
 
 JOURNAL_FILENAME = "journal.jsonl"
 
@@ -72,17 +73,25 @@ class RunJournal:
     One journal per campaign run, at ``<root>/<run>/journal.jsonl``.
     Open it with :meth:`open` (replays existing entries), look up
     units with :meth:`lookup`, and append completed units with
-    :meth:`record`. Safe against crashes between (but not during)
-    appends; a torn final line is ignored on replay and truncated
-    away before the next append.
+    :meth:`record`. A torn or corrupt line, and everything after it,
+    is ignored on replay and truncated away by the next append.
     """
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path)
+        self._log = AppendLog(self.path)
         self._entries: Dict[str, Any] = {}
         self._complete_marks: Dict[str, int] = {}
-        self._good_bytes = 0
-        self._replay()
+        for entry in self._log.replay():
+            try:
+                kind = entry.get("kind", "unit")
+                if kind == "unit":
+                    self._entries[entry["key"]] = entry["result"]
+                elif kind == "complete":
+                    self._complete_marks[entry["scope"]] = \
+                        int(entry["n_units"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                break  # malformed: stop trusting anything after it
 
     @classmethod
     def open(cls, root: Union[str, pathlib.Path],
@@ -91,30 +100,6 @@ class RunJournal:
         if not run_name or "/" in run_name or run_name in (".", ".."):
             raise ValueError(f"bad run name {run_name!r}")
         return cls(pathlib.Path(root) / run_name / JOURNAL_FILENAME)
-
-    # -- replay ------------------------------------------------------
-
-    def _replay(self) -> None:
-        try:
-            raw = self.path.read_bytes()
-        except (FileNotFoundError, OSError):
-            return
-        good = 0
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # torn tail: a crash mid-append; ignore it
-            try:
-                entry = json.loads(line.decode("utf-8"))
-                kind = entry.get("kind", "unit")
-                if kind == "unit":
-                    self._entries[entry["key"]] = entry["result"]
-                elif kind == "complete":
-                    self._complete_marks[entry["scope"]] = \
-                        int(entry["n_units"])
-            except (ValueError, KeyError, UnicodeDecodeError):
-                break  # malformed: stop trusting anything after it
-            good += len(line)
-        self._good_bytes = good
 
     # -- queries -----------------------------------------------------
 
@@ -146,22 +131,6 @@ class RunJournal:
 
     # -- appends -----------------------------------------------------
 
-    def _append_line(self, obj: Dict[str, Any]) -> None:
-        line = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            # Drop a torn tail left by a previous crash before the
-            # first new append (never shrinks past replayed entries).
-            if os.fstat(fd).st_size > self._good_bytes:
-                os.ftruncate(fd, self._good_bytes)
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        self._good_bytes += len(line)
-
     def record(self, key: str, unit: Dict[str, Any],
                result: Any) -> None:
         """Journal one completed unit (atomic, durable, idempotent).
@@ -171,7 +140,7 @@ class RunJournal:
         """
         if key in self._entries:
             return
-        self._append_line({
+        self._log.append({
             "kind": "unit",
             "key": key,
             "unit": unit,
@@ -184,7 +153,7 @@ class RunJournal:
         """Journal that a scope (one figure/table pass) finished."""
         if self._complete_marks.get(scope) == int(n_units):
             return
-        self._append_line({
+        self._log.append({
             "kind": "complete",
             "scope": scope,
             "n_units": int(n_units),

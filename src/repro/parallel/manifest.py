@@ -10,20 +10,19 @@ execution concern — any host layout produces the same per-die
 results, and ``repro fleet merge`` reassembles the hosts' journals
 and shards into the single-campaign layout.
 
-The manifest is a plain JSON file, written with the same atomic
-mkstemp + replace idiom as every other on-disk artifact, checked into
-whatever orchestrates the hosts (CI matrix, mpirun wrapper, humans
-with ssh).
+The manifest is a plain JSON file, replaced atomically
+(:func:`repro.storage.write_atomic`) and checked into whatever
+orchestrates the hosts (CI matrix, mpirun wrapper, humans with ssh).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple, Union
+
+from ..storage import write_atomic
 
 __all__ = ["HostSlice", "ShardManifest"]
 
@@ -167,22 +166,9 @@ class ShardManifest:
         }
 
     def write(self, path: PathLike) -> pathlib.Path:
-        path = pathlib.Path(path)
         payload = json.dumps(self.to_dict(), sort_keys=True,
                              indent=2) + "\n"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic(path, payload.encode("utf-8"))
 
     @classmethod
     def load(cls, path: PathLike) -> "ShardManifest":

@@ -15,6 +15,8 @@ from typing import Any, Union
 
 import numpy as np
 
+from ..storage import write_atomic
+
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert a result object to JSON-compatible types."""
@@ -35,11 +37,10 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dump_result(result: Any, path: Union[str, pathlib.Path]) -> None:
-    """Write an experiment result as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    payload = to_jsonable(result)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                    + "\n")
+    """Write an experiment result as pretty-printed JSON, atomically:
+    a crash leaves the previous file, never a truncated one."""
+    payload = json.dumps(to_jsonable(result), indent=2, sort_keys=True)
+    write_atomic(path, (payload + "\n").encode("utf-8"))
 
 
 def load_result(path: Union[str, pathlib.Path]) -> Any:

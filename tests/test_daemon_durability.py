@@ -33,14 +33,13 @@ from repro.daemon import (
 )
 from repro.daemon.durability import (
     OPLOG_FILENAME,
+    SNAPSHOT_FORMAT,
     OpLog,
-    OpLogError,
-    OpRecord,
     StateDir,
     TenantStore,
-    op_key,
     tenant_dir_name,
 )
+from repro.storage import decode_line, encode_line
 
 TENANT_SPEC = dict(seed=3, n_cores=2, n_threads=2,
                    duration_s=0.05, dvfs_interval_s=0.01)
@@ -127,16 +126,6 @@ class TestOpLog:
         fresh = OpLog(path)
         assert [r.seq for r in fresh.records] == [0]
 
-    def test_op_key_pins_position_and_payload(self):
-        key = op_key(3, "advance", {"until_s": 0.01})
-        assert key != op_key(4, "advance", {"until_s": 0.01})
-        assert key != op_key(3, "inject", {"until_s": 0.01})
-        assert key != op_key(3, "advance", {"until_s": 0.02})
-        with pytest.raises(OpLogError):
-            OpRecord.from_line({"seq": 3, "type": "advance",
-                                "payload": {"until_s": 0.02},
-                                "reply": {}, "key": key})
-
     def test_tenant_dir_name_is_safe_and_stable(self):
         name = tenant_dir_name("ten/ant: spaced*")
         assert "/" not in name and "*" not in name and " " not in name
@@ -170,7 +159,7 @@ class TestSnapshots:
         store = self.make_store(tmp_path)
         path = store.write_snapshot(4, {"state": "good"})
         raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
+        raw[-2] ^= 0xFF  # a pickle byte, past the header line
         path.write_bytes(bytes(raw))
         assert store.load_snapshot() is None
         assert store.snapshot_quarantines == 1
@@ -180,7 +169,7 @@ class TestSnapshots:
         record = json.loads(reasons[0].read_text())
         assert "digest" in record["reason"] or "mismatch" in \
             record["reason"]
-        # The snapshot pair was moved out of the tenant dir.
+        # The snapshot was moved out of the tenant dir.
         assert not list(store.root.glob("snapshot-*"))
 
     def test_corrupt_newest_falls_back_to_older(self, tmp_path):
@@ -189,10 +178,9 @@ class TestSnapshots:
         # Plant a newer, corrupt generation beside it (compaction
         # normally removes the old one; simulate a partial write).
         newest = store.root / "snapshot-000000000009.bin"
-        newest.write_bytes(b"garbage")
-        meta = {"format": 1, "seq": 9, "sha256": "0" * 64,
-                "t_unix_s": 0.0}
-        newest.with_suffix(".meta.json").write_text(json.dumps(meta))
+        header = {"format": SNAPSHOT_FORMAT, "seq": 9,
+                  "sha256": "0" * 64}
+        newest.write_bytes(json.dumps(header).encode() + b"\ngarbage")
         seq, state = store.load_snapshot()
         assert (seq, state) == (4, {"gen": "old"})
         assert store.snapshot_quarantines == 1
@@ -203,11 +191,9 @@ class TestSnapshots:
         # Valid digest over bytes that are not a pickle at all.
         blob = b"not a pickle"
         import hashlib
-        path.write_bytes(blob)
-        meta_path = path.with_suffix(".meta.json")
-        meta = json.loads(meta_path.read_text())
-        meta["sha256"] = hashlib.sha256(blob).hexdigest()
-        meta_path.write_text(json.dumps(meta))
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        header["sha256"] = hashlib.sha256(blob).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         assert store.load_snapshot() is None
         assert store.snapshot_quarantines == 1
 
@@ -279,15 +265,14 @@ class TestControllerRecovery:
         self.drive(ctl, "t", 4)
         store = ctl._get("t").store
         del ctl
-        # Rewrite op 2's journaled reply (its content key covers the
-        # payload, not the reply — divergence detection must catch
-        # what the key cannot).
+        # Rewrite op 2's journaled reply and re-seal its line checksum
+        # (a writer that journals a wrong reply — divergence detection
+        # must catch what the checksum cannot).
         log_path = store.root / OPLOG_FILENAME
         lines = log_path.read_bytes().splitlines(keepends=True)
-        doctored = json.loads(lines[2])
+        doctored = decode_line(lines[2])
         doctored["reply"]["time_s"] = 123.456
-        lines[2] = (json.dumps(doctored, sort_keys=True)
-                    + "\n").encode()
+        lines[2] = encode_line(doctored)
         log_path.write_bytes(b"".join(lines))
         recovered = durable_controller(tmp_path, snapshot_every=100)
         stats = recovered.last_recovery
@@ -297,6 +282,32 @@ class TestControllerRecovery:
         with pytest.raises(Exception) as excinfo:
             recovered.advance("t", until_s=0.05)
         assert "quarantined" in str(excinfo.value)
+
+    def test_unverifiable_op_log_quarantines_tenant_dir(self,
+                                                        tmp_path):
+        ctl = durable_controller(tmp_path)
+        ctl.register(register_payload("t"))
+        ctl.advance("t", until_s=0.01)
+        tdir = ctl._get("t").store.root
+        del ctl
+        # Strip every line checksum: the daemon-oplog-v1 line shape.
+        log_path = tdir / OPLOG_FILENAME
+        log_path.write_bytes(b"".join(
+            line.partition(b" ")[2]
+            for line in log_path.read_bytes().splitlines(keepends=True)))
+        recovered = durable_controller(tmp_path)
+        stats = recovered.last_recovery
+        assert recovered.tenants() == []
+        assert stats.tenants_quarantined == 1
+        assert "verification" in stats.quarantine_reasons[tdir.name]
+        assert recovered.telemetry.get("replay_divergences") == 0
+        # The directory was set aside with a reason, not wiped.
+        qdir = tmp_path / "state" / "quarantine"
+        assert not tdir.exists()
+        assert (qdir / tdir.name / OPLOG_FILENAME).exists()
+        record = json.loads(
+            (qdir / f"{tdir.name}.reason.json").read_text())
+        assert record["tenant_dir"] == tdir.name
 
     def test_duplicate_request_id_replays_original_reply(self,
                                                          tmp_path):

@@ -64,6 +64,7 @@ from repro.runtime.evaluation import (
     evaluate_max_levels,
 )
 from repro.runtime.kernel import EvalKernel
+from repro.storage import decode_line
 from repro.workloads import SPEC_APPS, Workload
 
 
@@ -522,7 +523,7 @@ class TestCampaign:
         journal_path = first.out_dir / "journal.jsonl"
         lines = journal_path.read_bytes().splitlines(keepends=True)
         unit_lines = [ln for ln in lines
-                      if json.loads(ln).get("kind") == "unit"]
+                      if decode_line(ln).get("kind") == "unit"]
         journal_path.write_bytes(unit_lines[0])
         for info in iter_shards(first.out_dir / "shards"):
             info.path.unlink()

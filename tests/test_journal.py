@@ -29,6 +29,7 @@ from repro.parallel import (
 from repro.parallel.journal import JOURNAL_FILENAME
 from repro.pm import FoxtonStar
 from repro.sched import RandomPolicy, VarP
+from repro.storage import decode_line
 
 
 class TestRunJournal:
@@ -70,9 +71,9 @@ class TestRunJournal:
         assert reopened.lookup("torn") is None
         # The next append truncates the torn bytes away.
         reopened.record("k2", {}, [2.0])
-        lines = journal.path.read_bytes().splitlines()
+        lines = journal.path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 2
-        assert all(json.loads(line) for line in lines)
+        assert all(decode_line(line) for line in lines)
 
     def test_malformed_middle_line_stops_replay(self, tmp_path):
         journal = RunJournal.open(tmp_path, "figx")
@@ -88,8 +89,37 @@ class TestRunJournal:
         assert reopened.lookup("k2") is None
         # …and the next append through the journal truncates it away.
         reopened.record("k3", {}, [3.0])
-        assert [json.loads(line)["key"] for line
-                in journal.path.read_bytes().splitlines()] == ["k1", "k3"]
+        assert [decode_line(line)["key"] for line in journal.path
+                .read_bytes().splitlines(keepends=True)] == ["k1", "k3"]
+
+    def test_bit_flipped_result_stops_replay(self, tmp_path):
+        journal = RunJournal.open(tmp_path, "figx")
+        journal.record("k1", {}, {"ed2": 0.5})
+        journal.record("k2", {}, {"ed2": 0.123456789})
+        journal.record("k3", {}, {"ed2": 0.25})
+        raw = journal.path.read_bytes()
+        assert raw.count(b"0.123456789") == 1
+        journal.path.write_bytes(raw.replace(b"0.123456789",
+                                             b"0.923456789"))
+        # Replay trusts nothing from the flipped line on: the corrupt
+        # unit (and every later one) is recomputed, never replayed.
+        reopened = RunJournal.open(tmp_path, "figx")
+        assert reopened.lookup("k1") == {"ed2": 0.5}
+        assert reopened.lookup("k2") is None
+        assert reopened.lookup("k3") is None
+        assert len(reopened) == 1
+
+    def test_v1_journal_is_recomputed_not_replayed(self, tmp_path):
+        journal = RunJournal.open(tmp_path, "figx")
+        journal.path.parent.mkdir(parents=True)
+        # A journal-v1 line: plain JSON with no line checksum.
+        journal.path.write_bytes(json.dumps(
+            {"kind": "unit", "key": "k1", "unit": {},
+             "result": [1.0]}).encode() + b"\n")
+        reopened = RunJournal.open(tmp_path, "figx")
+        assert len(reopened) == 0
+        reopened.record("k1", {}, [2.0])
+        assert RunJournal.open(tmp_path, "figx").lookup("k1") == [2.0]
 
     def test_require_complete(self, tmp_path):
         journal = RunJournal.open(tmp_path, "figx")

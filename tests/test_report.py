@@ -114,6 +114,22 @@ class TestSerialize:
         loaded = load_result(path)
         assert len(loaded["rows"]) == 14
 
+    def test_failed_write_keeps_previous_result(self, tmp_path,
+                                                monkeypatch):
+        import os
+        from repro.report import dump_result, load_result
+        path = tmp_path / "r.json"
+        dump_result({"value": 1.0}, path)
+
+        def boom(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(OSError, match="crash before the rename"):
+            dump_result({"value": 2.0}, path)
+        assert load_result(path) == {"value": 1.0}
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
     def test_unserialisable_rejected(self):
         from repro.report import to_jsonable
         with pytest.raises(TypeError):
