@@ -24,13 +24,18 @@ from repro.fleet import FleetPlan, load_summary, run_fleet_campaign
 from repro.fleet.campaign import fleet_die_metrics
 from repro.parallel import characterize_batch
 
-# Conservative floor: locally the campaign sustains ~85-90 dies/s
-# with die-batched characterisation (4-core fleet arch, full 4(a)
-# power analysis; ~55-70 dies/s with the serial per-die loop); CI
-# runners are slower and noisier, so the guarantee is set well below —
-# but a fleet path that falls back to per-die characterisation plus
-# per-die analysis loops (~15 dies/s) fails.
-DIES_PER_S_FLOOR = 18.0
+# Conservative floor: on a 2-core x86-64 host the 240-die campaign
+# sustains ~145 dies/s with die-batched characterisation and the
+# four-kernel-per-chunk 4(a) analysis (4-core fleet arch, full power
+# analysis). CI runners are slower and noisier, so the guarantee sits
+# well below that — but a fleet path that falls back to one kernel per
+# (core, app) cell (~70 dies/s) sits near it, and per-die
+# characterisation plus per-die analysis loops (~15 dies/s) fail.
+DIES_PER_S_FLOOR = 45.0
+
+# The four-kernel analysis runs ~20x the serial per-die loop on the
+# 16-die probe; one kernel per (core, app) cell managed ~5.7x.
+ANALYSIS_SPEEDUP_FLOOR = 8.0
 
 
 def test_fleet_campaign(benchmark, results_dir, tmp_path):
@@ -79,15 +84,17 @@ def test_fleet_campaign(benchmark, results_dir, tmp_path):
              "p95_power_ratio": power["quantiles"]["p95"],
              "min_freq_ratio": freq["min"],
          },
-         extra={"floors": {"dies_per_s": DIES_PER_S_FLOOR}})
+         extra={"floors": {
+             "dies_per_s": DIES_PER_S_FLOOR,
+             "speedup_fleet_analysis": ANALYSIS_SPEEDUP_FLOOR}})
 
     # Paper shape on the fleet arch (4 cores: narrower spread than
     # the 20-core figure arch, but clearly variation-dominated).
     assert 1.05 < freq["mean"] < 1.45
     assert 1.1 < power["mean"] < 1.9
     assert power["count"] == n_dies and freq["count"] == n_dies
-    # The die-batched analysis must win, not just tie.
-    assert speedup > 1.0
+    # The die-batched analysis must win by the four-kernel margin.
+    assert speedup > ANALYSIS_SPEEDUP_FLOOR
 
 
 _RSS_CHILD = r"""
@@ -95,7 +102,7 @@ import resource, sys
 from repro.fleet import FleetPlan, run_fleet_campaign
 n_dies = int(sys.argv[1])
 out = sys.argv[2]
-plan = FleetPlan(name="rss", n_dies=n_dies, seed=0, with_power=False,
+plan = FleetPlan(name="rss", n_dies=n_dies, seed=0, with_power=True,
                  chunk_dies=64)
 run_fleet_campaign(plan, out, workers=1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
@@ -103,7 +110,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _child_peak_rss_kb(n_dies: int, out_dir) -> int:
-    """Peak RSS of a subprocess running an n-die freq-only campaign.
+    """Peak RSS of a subprocess running an n-die campaign, 4(a) power
+    analysis included (the analysis's slabs are the largest per-chunk
+    working set).
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so comparing
     fleet sizes honestly requires one fresh process per size.

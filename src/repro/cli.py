@@ -440,7 +440,8 @@ def _fleet_main(argv: List[str]) -> int:
                                     progress=progress)
         print(fleet_summary_table(load_summary(result.out_dir)))
         print(f"\n{result.n_dies} dies in {result.wall_s:.1f}s "
-              f"({result.dies_per_s:.1f} dies/s, "
+              f"({result.computed_dies} computed at "
+              f"{result.dies_per_s:.1f} dies/s, "
               f"{result.resumed_chunks}/{result.n_chunks} chunks "
               "resumed from journal)")
         print(f"shards + summary under {result.out_dir}")

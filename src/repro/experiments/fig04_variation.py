@@ -89,10 +89,11 @@ def die_ratios(n_dies: int, tech: TechParams = DEFAULT_TECH,
     The per-die work — characterisation plus the 4(a)/4(b) ratio
     analysis — is independent, so with ``workers > 1`` whole dies
     shard across processes via :func:`repro.parallel.run_sharded`.
-    Within a process the analysis is die-batched through
-    :class:`~repro.runtime.kernel.EvalKernel` (all dies of the
-    shard evaluate each (core, app) point in lockstep), which is
-    bitwise-identical to the historical per-die loop. ``with_power=
+    Within a process the analysis is die-batched by
+    :func:`~repro.fleet.campaign.fleet_die_metrics`: one
+    :class:`~repro.runtime.kernel.EvalKernel` per core whose rows are
+    every (die, app) pair of the chunk, evaluated in lockstep, which
+    is bitwise-identical to the historical per-die loop. ``with_power=
     False`` skips the expensive 4(a) power analysis and reports NaN
     for it (Figure 5(b) only needs frequencies).
     """

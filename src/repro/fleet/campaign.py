@@ -91,36 +91,36 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     :func:`repro.experiments.fig04_variation.core_power_ratio` /
     ``core_frequency_ratio`` pair computes per die — every app alone
     on every core at max levels, per-core mean power over apps, die
-    ratio max/min — but each (core, app) cell is one
-    :meth:`EvalKernel.evaluate_max_levels_fleet` call across the
-    whole chunk instead of one serial evaluation per die. The per-die
-    mean keeps the serial reduction form (``np.mean`` over a
-    contiguous per-die row), so results are bitwise-identical to the
+    ratio max/min — in one :class:`EvalKernel` per core: its rows are
+    the chunk's ``n_apps * D`` (die, app) pairs (die-major, each die
+    object repeated once per app, one single-thread workload per
+    row), so the whole chunk's analysis is four kernel builds and
+    four :meth:`EvalKernel.evaluate_max_levels_fleet` calls on the
+    4-core fleet die. The per-die mean keeps the serial reduction
+    form (``np.mean`` over a contiguous per-die row of app powers),
+    and max/min are exact, so results are bitwise-identical to the
     serial loop (property-tested in tests/test_fleet.py).
     """
     d = len(chips)
     n_cores = chips[0].n_cores
     cols: Dict[str, np.ndarray] = {}
     fmax = np.stack([chip.fmax_array for chip in chips])
-    cols["freq_ratio"] = np.array(
-        [float(fmax[b].max() / fmax[b].min()) for b in range(d)])
+    cols["freq_ratio"] = fmax.max(axis=1) / fmax.min(axis=1)
     if not with_power:
         return cols
     n_apps = len(SPEC_APPS)
-    mean_power = np.empty((d, n_cores))
-    powers = np.empty((d, n_apps))
-    for core_id in range(n_cores):
-        assignment = Assignment(core_of=(core_id,))
-        for a, app in enumerate(SPEC_APPS):
-            kernel = EvalKernel(chips, Workload((app,)), assignment)
-            states = kernel.evaluate_max_levels_fleet()
-            for b in range(d):
-                powers[b, a] = float(states[b].core_power[0])
-        for b in range(d):
-            mean_power[b, core_id] = np.mean(powers[b])
-    cols["power_ratio"] = np.array(
-        [float(mean_power[b].max() / mean_power[b].min())
-         for b in range(d)])
+    rows = [chip for chip in chips for _ in range(n_apps)]
+    workloads = [Workload((app,)) for app in SPEC_APPS] * d
+    # One core's states are released before the next core's kernel
+    # runs, so the analysis holds one kernel's working set at a time.
+    powers = np.array([
+        [float(state.core_power[0]) for state in EvalKernel(
+            rows, workloads, Assignment(core_of=(core_id,))
+        ).evaluate_max_levels_fleet()]
+        for core_id in range(n_cores)]).reshape(n_cores, d, n_apps)
+    mean_power = np.array([[np.mean(powers[c, b]) for c in range(n_cores)]
+                           for b in range(d)])
+    cols["power_ratio"] = mean_power.max(axis=1) / mean_power.min(axis=1)
     return cols
 
 
@@ -217,7 +217,13 @@ class FleetPlan:
 @dataclass
 class FleetCampaignResult:
     """What a campaign run returns (perf facts stay out of
-    ``summary.json``, which must be byte-deterministic)."""
+    ``summary.json``, which must be byte-deterministic).
+
+    ``n_dies`` counts every die the summary covers; ``computed_dies``
+    only those characterised and analysed by this run — chunks
+    replayed from the journal, and everything a merge assembles, cost
+    no analysis and stay out of :attr:`dies_per_s`.
+    """
 
     plan: FleetPlan
     out_dir: pathlib.Path
@@ -225,11 +231,13 @@ class FleetCampaignResult:
     n_dies: int
     n_chunks: int
     resumed_chunks: int
+    computed_dies: int
     wall_s: float
 
     @property
     def dies_per_s(self) -> float:
-        return self.n_dies / self.wall_s if self.wall_s > 0 else 0.0
+        """Computed dies per wall-clock second of this run."""
+        return self.computed_dies / self.wall_s if self.wall_s > 0 else 0.0
 
     @property
     def summary_path(self) -> pathlib.Path:
@@ -302,6 +310,7 @@ def run_fleet_campaign(
     chunks = plan.chunks()
     done = 0
     resumed = 0
+    computed = 0
     for lo, hi in chunks:
         key = _chunk_key(plan, lo, hi)
         stored = journal.lookup(key)
@@ -321,6 +330,7 @@ def run_fleet_campaign(
                 workers=workers, cache=cache,
                 floorplan=floorplan, thermal=thermal)
             cols = fleet_die_metrics(chips, with_power=plan.with_power)
+            computed += hi - lo
             write_shard(shard_dir, lo, hi, cols)
             journal.record(
                 key,
@@ -339,7 +349,7 @@ def run_fleet_campaign(
     return FleetCampaignResult(
         plan=plan, out_dir=out_dir, accumulator=acc,
         n_dies=plan.n_dies, n_chunks=len(chunks),
-        resumed_chunks=resumed, wall_s=wall)
+        resumed_chunks=resumed, computed_dies=computed, wall_s=wall)
 
 
 def merge_campaigns(
@@ -418,7 +428,8 @@ def merge_campaigns(
     return FleetCampaignResult(
         plan=plan, out_dir=out_dir, accumulator=acc,
         n_dies=covered, n_chunks=len(chunks),
-        resumed_chunks=len(chunks), wall_s=time.perf_counter() - t0)
+        resumed_chunks=len(chunks), computed_dies=0,
+        wall_s=time.perf_counter() - t0)
 
 
 def summarize_shards(shard_dir: Union[str, pathlib.Path],

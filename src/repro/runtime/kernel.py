@@ -10,17 +10,18 @@ point for every single candidate. That per-candidate Python overhead,
 not the floating-point math, is the wall-clock bottleneck of the
 SAnn/exhaustive validation runs (the paper's Table 4 gap).
 
-:class:`EvalKernel` is precomputed once per (dies, workload,
+:class:`EvalKernel` is precomputed once per (dies, workloads,
 assignment, phase multipliers): it packs the per-core V/f tables and
 the per-level IPC / dynamic-power values into contiguous arrays,
 packs every leakage cell the fixed point touches into one size-grouped
-row (:class:`_CellLayout`), and evaluates many rows simultaneously —
-``B`` candidate operating points on one die, or one decision on each
-of ``D`` dies of one design. The leakage-temperature fixed point runs
-in lockstep across rows with per-row convergence masks, so each row
-sees exactly the serial iteration schedule and the results are
-**bitwise identical** to the serial loop (tests/test_kernel.py and
-tests/test_fleet.py property-test this).
+row per distinct die (:class:`_CellLayout`), and evaluates many rows
+simultaneously — ``B`` candidate operating points on one die, or one
+decision on each of ``D`` (die, workload) rows of one design. The
+leakage-temperature fixed point runs in lockstep across rows with
+per-row convergence masks, so each row sees exactly the serial
+iteration schedule and the results are **bitwise identical** to the
+serial loop (tests/test_kernel.py and tests/test_fleet.py
+property-test this).
 
 Bitwise equality is engineered, not hoped for:
 
@@ -72,29 +73,53 @@ from ..thermal.hotspot import (
 from ..workloads import Workload
 from .evaluation import EVALUATION_COUNTER, Assignment, SystemState
 
-# Rows per internal fixed-point chunk: keeps the (rows, total_cells)
-# working matrices inside the L2 cache. Purely an execution-shaping
-# knob — results are independent of it.
-_CHUNK_ROWS = 16
+# Leakage cells per fixed-point slab: bounds the (rows, cells) working
+# matrices (the repeated per-segment terms alone are 4 x _SLAB_CELLS
+# doubles, ~3.7 MB). The budget is 16 rows of the 20-core die with
+# every core busy (7184 cells), so the managers' slabs keep their
+# historical 16-row shape while narrow rows (a 216-cell one-thread
+# fleet row) get hundreds per slab. Purely an execution-shaping knob —
+# results are independent of it.
+_SLAB_CELLS = 16 * 7184
+
+
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x ** 2`` with the serial path's *scalar* semantics.
+
+    A numpy scalar's (or 0-d array's) ``** 2`` resolves to libm
+    ``pow()``, which differs from every numpy array square by 1 ulp
+    for rare inputs — the one place scalar and array float paths
+    genuinely diverge — so the square is mapped through ``math.pow``.
+    """
+    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(2.0)),
+                       dtype=float, count=x.size).reshape(x.shape)
 
 
 def _scalar_pow_prefactor(temps: np.ndarray,
                           vdd: np.ndarray) -> np.ndarray:
     """Per-(row, segment) scalar leakage prefactor.
 
-    ``vdd * (t / Tref) ** 2`` computed with the serial path's *scalar*
-    semantics: the square goes through libm ``pow()`` (what a 0-d
-    ``** 2`` resolves to), which differs from every numpy array square
-    by 1 ulp for rare inputs — the one place scalar and array float
-    paths genuinely diverge. The division and multiply are
+    ``vdd * (t / Tref) ** 2`` computed with the serial path's scalar
+    semantics (:func:`_libm_square`). The division and multiply are
     single-rounded IEEE ops, identical either way, so only the ``pow``
     needs the scalar loop — a few dozen scalars per row, not one per
     cell.
     """
-    ratio = temps / T_REF_K
-    sq = np.fromiter(map(math.pow, ratio.ravel().tolist(), repeat(2.0)),
-                     dtype=float, count=ratio.size)
-    return vdd * sq.reshape(ratio.shape)
+    return vdd * _libm_square(temps / T_REF_K)
+
+
+def _distinct(objs: Sequence) -> Tuple[list, np.ndarray]:
+    """``(distinct objects, slot of each entry)``, by object identity,
+    in first-seen order."""
+    slot: Dict[int, int] = {}
+    uniq: list = []
+    index = []
+    for obj in objs:
+        k = slot.setdefault(id(obj), len(uniq))
+        if k == len(uniq):
+            uniq.append(obj)
+        index.append(k)
+    return uniq, np.array(index, dtype=np.intp)
 
 
 class _CellLayout:
@@ -114,7 +139,7 @@ class _CellLayout:
     ``seg_block`` every position to its thermal block.
 
     :class:`EvalKernel` packs one row shared by all candidates on one
-    die, or one row per die of a fleet.
+    die, or one row per distinct die of a fleet.
     """
 
     def __init__(self, chip: ChipProfile, core_of: Sequence[int]) -> None:
@@ -298,20 +323,26 @@ class EvalKernel:
     """Batched system evaluation: ``B`` candidates or ``D`` dies per call.
 
     Precomputes everything that does not depend on the levels — the
-    per-(die, thread, level) voltages, frequencies, IPCs and dynamic
+    per-(row, thread, level) voltages, frequencies, IPCs and dynamic
     powers, the L2 area-share vector, the packed leakage cell rows —
-    once per (dies, workload, assignment, phase multipliers). Two entry
-    points feed rows of levels through one lockstep fixed point:
+    once per (dies, workloads, assignment, phase multipliers). Two
+    entry points feed rows of levels through one lockstep fixed point:
 
     * :meth:`evaluate_levels_batch` — ``B`` candidate decisions on a
-      one-die kernel (the power managers' search loops);
+      one-row kernel (the power managers' search loops);
     * :meth:`evaluate_levels_fleet` — one decision on each of the
-      ``D`` dies (the Monte-Carlo axis of Figs 4/5 and the fleet
+      ``D`` rows (the Monte-Carlo axis of Figs 4/5 and the fleet
       campaigns).
 
-    Row ``b`` on die ``d`` is bitwise identical to the serial
-    ``evaluate_levels(chips[d], workload, assignment, levels[b])``,
-    failures included (tests/test_kernel.py, tests/test_fleet.py).
+    Row ``d`` is the pair ``(chips[d], workloads[d])``: ``workload``
+    is either one :class:`~repro.workloads.Workload` run on every die
+    or a sequence with one workload per entry of ``chips``, and
+    entries of ``chips`` may repeat the same die object — the Fig 4(a)
+    analysis evaluates every (app, die) pair of a chunk as one row.
+    Level row ``b`` on kernel row ``d`` is bitwise identical to the
+    serial ``evaluate_levels(chips[d], workloads[d], assignment,
+    levels[b])``, failures included (tests/test_kernel.py,
+    tests/test_fleet.py).
 
     All dies must come off one design: identical
     :class:`~repro.config.TechParams` and
@@ -320,17 +351,20 @@ class EvalKernel:
     the *values* (binned frequencies, Vth maps, calibrations) differ.
     The thermal solve uses ``chips[0]``'s network; networks built from
     the same floorplan factor the same matrix, so the shared solve is
-    bit-for-bit each die's own. With one die the packed leakage rows
-    are 1-D and shared by every row, so a candidate batch neither
-    copies nor compacts them; with ``D`` dies they are
-    ``(D, n_cells)`` and compacted with their rows.
+    bit-for-bit each die's own. The design checks, the V/f tables and
+    the leakage packing run once per *distinct* die (by object
+    identity). With one distinct die the packed leakage rows are 1-D
+    and shared by every row, so a candidate batch neither copies nor
+    compacts them; otherwise they are ``(n_distinct, n_cells)`` and
+    each slab gathers its rows' packs.
 
     Args:
         chips: One characterised die, or a sequence of dies of one
-            design.
+            design (repeats allowed).
         workload: The threads (``workload[i]`` runs on
-            ``assignment.core_of[i]`` of every die).
-        assignment: Thread-to-core mapping, shared by all dies.
+            ``assignment.core_of[i]`` of every die), or one such
+            workload per entry of ``chips``.
+        assignment: Thread-to-core mapping, shared by all rows.
         ipc_multipliers: Optional per-thread phase IPC multipliers.
         ceff_multipliers: Optional per-thread phase power multipliers.
     """
@@ -338,7 +372,7 @@ class EvalKernel:
     def __init__(
         self,
         chips: Union[ChipProfile, Sequence[ChipProfile]],
-        workload: Workload,
+        workload: Union[Workload, Sequence[Workload]],
         assignment: Assignment,
         ipc_multipliers: Optional[Sequence[float]] = None,
         ceff_multipliers: Optional[Sequence[float]] = None,
@@ -346,8 +380,17 @@ class EvalKernel:
         chips = [chips] if isinstance(chips, ChipProfile) else list(chips)
         if not chips:
             raise ValueError("fleet must contain at least one die")
-        first = chips[0]
-        for chip in chips[1:]:
+        workloads = ([workload] * len(chips)
+                     if isinstance(workload, Workload) else list(workload))
+        if len(workloads) != len(chips):
+            raise ValueError("need one workload per die")
+        n = assignment.n_threads
+        # Row d packs distinct die ``_pack_of[d]`` and runs distinct
+        # workload ``wl_of[d]``.
+        dies_u, self._pack_of = _distinct(chips)
+        wls, wl_of = _distinct(workloads)
+        first = dies_u[0]
+        for chip in dies_u[1:]:
             if chip.tech != first.tech or chip.arch != first.arch:
                 raise ValueError(
                     "fleet dies must share TechParams and ArchConfig")
@@ -357,8 +400,7 @@ class EvalKernel:
             if not np.array_equal(chip.floorplan.l2_area_share,
                                   first.floorplan.l2_area_share):
                 raise ValueError("fleet dies must share the floorplan")
-        n = assignment.n_threads
-        if workload.n_threads != n:
+        if any(wl.n_threads != n for wl in wls):
             raise ValueError("workload and assignment sizes differ")
         if max(assignment.core_of) >= first.n_cores:
             raise ValueError("assignment references a core beyond the die")
@@ -370,7 +412,7 @@ class EvalKernel:
             raise ValueError("need one multiplier per thread")
 
         self.chips = chips
-        self.workload = workload
+        self.workloads = workloads
         self.assignment = assignment
         self.stats = KernelStats()
         self._thermal = first.thermal
@@ -380,40 +422,51 @@ class EvalKernel:
         self._n_cores = first.n_cores
         self._n_blocks = first.thermal.n_blocks
 
-        # Per-(die, thread, level) voltage, frequency, IPC and dynamic
-        # power, stacked as one (4, D, n, L) table so a chunk of rows
-        # is a single gather. Each entry is the serial path's scalar
-        # expression, so a lookup is bit-for-bit the serial computation.
+        # Per-(row, thread, level) voltage, frequency, IPC and dynamic
+        # power, stacked as one (4, D, n, L) table so a slab of rows is
+        # a single gather. V/f come from each distinct die's tables;
+        # IPC and dynamic power are the serial path's scalar
+        # expressions evaluated elementwise — ``1 / (cpi_core + mem_s *
+        # f) * mult`` and ``ceff * mult * v ** 2 * f`` in the same
+        # operation order, with the square through libm ``pow`` — so
+        # a lookup is bit-for-bit the serial computation. Levels past a
+        # core's grid are padding that validated levels never reach.
         self._n_levels = np.array(
             [first.cores[c].vf_table.n_levels for c in assignment.core_of])
-        self._tabs = np.zeros((4, len(chips), n, int(self._n_levels.max())))
-        volts, freqs, ipcs, dyn = self._tabs
-        for d, chip in enumerate(chips):
+        vf = np.zeros((2, len(dies_u), n, int(self._n_levels.max())))
+        for u, chip in enumerate(dies_u):
             for i, core in enumerate(assignment.core_of):
                 table = chip.cores[core].vf_table
                 if table.n_levels != self._n_levels[i]:
                     raise ValueError("fleet dies must share the DVFS "
                                      "level grid")
-                for lv in range(table.n_levels):
-                    v = table.voltages[lv]
-                    f = table.freqs[lv]
-                    volts[d, i, lv] = v
-                    freqs[d, i, lv] = f
-                    ipcs[d, i, lv] = workload[i].ipc_at(f) * ipc_mult[i]
-                    dyn[d, i, lv] = (workload[i].ceff * ceff_mult[i]
-                                     * v ** 2 * f)
+                vf[0, u, i, :table.n_levels] = table.voltages
+                vf[1, u, i, :table.n_levels] = table.freqs
+        apps = np.array([[(app.cpi_core, app.mem_seconds_per_instr,
+                           app.ceff) for app in wl] for wl in wls])
+        cpi_core, mem_s, ceff = apps[wl_of].transpose(2, 0, 1)[..., None]
+        volts, freqs = vf[:, self._pack_of]
+        v_sq = _libm_square(vf[0])[self._pack_of]
+        self._tabs = np.stack([
+            volts,
+            freqs,
+            1.0 / (cpi_core + mem_s * freqs) * ipc_mult[:, None],
+            ceff * ceff_mult[:, None] * v_sq * freqs,
+        ])
 
-        # Packed leakage rows: one shared 1-D set for a single die, one
-        # row per die otherwise. The layout itself is shared: same
-        # floorplan, same cell counts (checked per die by ``pack``).
+        # Packed leakage rows: one shared 1-D set for a single distinct
+        # die, one row per distinct die otherwise. The layout itself is
+        # shared: same floorplan, same cell counts (checked per die by
+        # ``pack``).
         self._layout = _CellLayout(first, assignment.core_of)
         self._l2_dyn_share = first.floorplan.l2_area_share
-        packed = [self._layout.pack(chip) for chip in chips]
-        if len(chips) == 1:
+        packed = [self._layout.pack(chip) for chip in dies_u]
+        if len(dies_u) == 1:
             self._vth, self._weights, self._scale = packed[0]
         else:
             self._vth, self._weights, self._scale = (
                 np.stack(col) for col in zip(*packed))
+        self._slab_rows = max(1, _SLAB_CELLS // self._vth.shape[-1])
 
     @property
     def n_dies(self) -> int:
@@ -527,29 +580,35 @@ class EvalKernel:
                 f"{self._core_of[i]}")
         return lv
 
-    def _evaluate_rows(self, dies: np.ndarray, levels: np.ndarray,
+    def _evaluate_rows(self, rows: np.ndarray, levels: np.ndarray,
                        errors: str) -> List:
-        """Evaluate validated level rows, row ``b`` on die ``dies[b]``.
+        """Evaluate validated level rows, level row ``b`` on kernel row
+        ``rows[b]``.
 
-        Past ~16 rows the (rows, total_cells) working matrices outgrow
-        the L2 cache and per-row cost climbs ~60%, so rows are
-        evaluated in chunks. Rows are fully independent (each runs its
-        own serial iteration schedule), so chunking cannot change any
-        result. Under ``errors="raise"`` the lowest-index captured
-        exception is re-raised — the one a serial in-order scan would
-        hit first.
+        Past 16 rows of the 20-core die the (rows, cells) working
+        matrices outgrow the L2 cache and per-row cost climbs ~60%, so
+        rows are evaluated in slabs of at most ``_SLAB_CELLS`` leakage
+        cells. Rows are fully
+        independent (each runs its own serial iteration schedule), so
+        slabbing cannot change any result. Under ``errors="raise"`` the
+        lowest-index captured exception is re-raised — the one a serial
+        in-order scan would hit first.
         """
         start = time.perf_counter()
         n_rows = levels.shape[0]
         shared = self._vth.ndim == 1
+        step = self._slab_rows
         out: List = []
         total_iters = 0
-        for c0 in range(0, n_rows, _CHUNK_ROWS):
-            d = dies[c0:c0 + _CHUNK_ROWS]
+        for c0 in range(0, n_rows, step):
+            d = rows[c0:c0 + step]
             volts, freqs, ipcs, core_dyn = self._tabs[
-                :, d[:, None], self._thread_ix, levels[c0:c0 + _CHUNK_ROWS]]
-            leak = ((self._vth, self._weights, self._scale) if shared
-                    else (self._vth[d], self._weights[d], self._scale[d]))
+                :, d[:, None], self._thread_ix, levels[c0:c0 + step]]
+            if shared:
+                leak = (self._vth, self._weights, self._scale)
+            else:
+                p = self._pack_of[d]
+                leak = (self._vth[p], self._weights[p], self._scale[p])
             states, iters = self._evaluate(volts, freqs, ipcs, core_dyn,
                                            *leak)
             out.extend(states)

@@ -70,7 +70,7 @@ from repro.workloads import SPEC_APPS, Workload
 
 @pytest.fixture(scope="module")
 def fleet_chips():
-    """18 characterised fleet-arch dies (crosses the 16-row slab)."""
+    """18 characterised fleet-arch dies."""
     return characterize_batch(DEFAULT_TECH, FLEET_ARCH, 7,
                               list(range(18)), workers=1, cache=None)
 
@@ -130,6 +130,25 @@ class TestFleetKernel:
             serial = evaluate_levels(chip, workload, assignment,
                                      lv[k])
             assert_state_equal(state, serial)
+
+    def test_rows_cross_the_slab(self, fleet_chips, fleet_workload):
+        """Repeated dies with per-row workloads, sized from the
+        kernel's own slab so the rows span two slabs."""
+        workload, assignment = fleet_workload
+        slab = EvalKernel(fleet_chips[0], workload,
+                          assignment)._slab_rows
+        n_rows = slab + 5
+        rng = np.random.default_rng(5)
+        pool = [Workload(tuple(rng.permutation(SPEC_APPS)[:3]))
+                for _ in range(7)]
+        chips = [fleet_chips[k % len(fleet_chips)] for k in range(n_rows)]
+        workloads = [pool[k % len(pool)] for k in range(n_rows)]
+        kernel = EvalKernel(chips, workloads, assignment)
+        assert kernel._slab_rows == slab < n_rows
+        states = kernel.evaluate_max_levels_fleet()
+        for chip, wl, state in zip(chips, workloads, states):
+            assert_state_equal(
+                state, evaluate_max_levels(chip, wl, assignment))
 
     def test_broadcast_equals_tiled(self, fleet_chips, fleet_workload):
         workload, assignment = fleet_workload
@@ -536,6 +555,32 @@ class TestCampaign:
             assert set(back) == set(ref)
             for k in back:
                 assert np.array_equal(back[k], ref[k])
+
+    def test_dies_per_s_counts_only_computed_dies(self, tmp_path):
+        """Throughput covers the dies a run computed: journal replays
+        and merges analyse nothing, so they add nothing."""
+        plan = _tiny_plan("rate", with_power=False)
+        fresh = run_fleet_campaign(plan, tmp_path, workers=1)
+        assert fresh.computed_dies == fresh.n_dies == 8
+        assert fresh.dies_per_s == 8 / fresh.wall_s
+
+        again = run_fleet_campaign(plan, tmp_path, workers=1)
+        assert again.n_dies == 8 and again.computed_dies == 0
+        assert again.dies_per_s == 0.0
+
+        journal_path = fresh.out_dir / "journal.jsonl"
+        unit_lines = [ln for ln in journal_path.read_bytes().splitlines(
+            keepends=True) if decode_line(ln).get("kind") == "unit"]
+        journal_path.write_bytes(unit_lines[0])
+        half = run_fleet_campaign(plan, tmp_path, workers=1)
+        assert half.resumed_chunks == 1 and half.computed_dies == 4
+        assert half.dies_per_s == 4 / half.wall_s
+
+        manifest = ShardManifest.partition(plan.to_dict(), ["a"])
+        merged = merge_campaigns(manifest, [fresh.out_dir],
+                                 tmp_path / "merged")
+        assert merged.n_dies == 8 and merged.computed_dies == 0
+        assert merged.dies_per_s == 0.0
 
     def test_mixed_cache_hits_match_cold_run(self, tmp_path):
         """Batched chunks over a partially warmed cache stay bitwise.

@@ -10,6 +10,7 @@ evaluation counts and states of their one-candidate-per-call
 schedules.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
 from repro.runtime.kernel import (EvalKernel, _CellLayout,
                                   _scalar_pow_prefactor)
 from repro.variation import DieBatch
-from repro.workloads import make_workload
+from repro.workloads import Workload, make_workload
 
 #: The daemon's 4-core die: every core has a different cell count, so
 #: each core segment is a size group of its own.
@@ -473,10 +474,12 @@ def _mixed_case(chip, n_threads, seed):
 
 
 def _assert_rows_match_serial(results, chips, wl, asg, matrix, ceff_m):
-    """Row ``b`` equals the serial evaluation on ``chips[b]``,
-    exceptions included; the case must exercise both outcomes."""
+    """Row ``b`` equals the serial evaluation on ``chips[b]`` (under
+    ``wl``, or ``wl[b]`` for per-row workloads), exceptions included;
+    the case must exercise both outcomes."""
+    wls = [wl] * len(results) if isinstance(wl, Workload) else wl
     n_err = 0
-    for chip, row, item in zip(chips, matrix, results):
+    for chip, wl, row, item in zip(chips, wls, matrix, results):
         try:
             ref = evaluate_levels(chip, wl, asg, list(row),
                                   ceff_multipliers=ceff_m)
@@ -559,6 +562,74 @@ class TestSizeGroupedLayout:
                     batches[d][b])
         with pytest.raises(ValueError, match="one-die kernel"):
             fleet.evaluate_levels_batch(matrix)
+
+
+class TestPerRowWorkloads:
+    """Rows may repeat a die object and run a workload of their own."""
+
+    N_ROWS = 9
+
+    @pytest.fixture
+    def rows(self, distinct_chips):
+        """Nine rows over three distinct dies, every die repeated, one
+        workload per row; all four cores busy."""
+        rng = np.random.default_rng(23)
+        chips = [distinct_chips[k] for k in (0, 1, 0, 2, 1, 0, 2, 2, 1)]
+        wls = [make_workload(4, rng) for _ in range(self.N_ROWS)]
+        asg = Assignment(core_of=(2, 0, 3, 1))
+        return chips, wls, asg, rng
+
+    def test_rows_match_serial(self, rows):
+        chips, wls, asg, rng = rows
+        kernel = EvalKernel(chips, wls, asg)
+        assert kernel.n_dies == self.N_ROWS
+        assert kernel._vth.shape[0] == 3        # one pack per distinct die
+        matrix = rng.integers(0, 3, size=(self.N_ROWS, 4))
+        states = kernel.evaluate_levels_fleet(matrix)
+        for chip, wl, row, state in zip(chips, wls, matrix, states):
+            _assert_state_bitwise(
+                state, evaluate_levels(chip, wl, asg, list(row)))
+
+    def test_isolate_and_raise_with_runaway_row(self, rows):
+        chips, wls, asg, rng = rows
+        ceff_m = [10.0] * 4
+        kernel = EvalKernel(chips, wls, asg, ceff_multipliers=ceff_m)
+        max_lv = min(chips[0].cores[c].vf_table.n_levels
+                     for c in asg.core_of)
+        matrix = rng.integers(0, max_lv // 2, size=(self.N_ROWS, 4))
+        matrix[4] = max_lv - 1                   # runs away
+        results = kernel.evaluate_levels_fleet(matrix, errors="isolate")
+        _assert_rows_match_serial(results, chips, wls, asg, matrix,
+                                  ceff_m)
+        first_error = next(r for r in results if isinstance(r, Exception))
+        with pytest.raises(type(first_error),
+                           match=re.escape(str(first_error))):
+            kernel.evaluate_levels_fleet(matrix)
+
+    def test_repeated_single_die_keeps_shared_pack(self, distinct_chips):
+        rng = np.random.default_rng(3)
+        wls = [make_workload(2, rng) for _ in range(4)]
+        asg = Assignment(core_of=(1, 3))
+        kernel = EvalKernel([distinct_chips[0]] * 4, wls, asg)
+        assert kernel._vth.ndim == 1
+        for wl, state in zip(wls, kernel.evaluate_levels_fleet((1, 2))):
+            _assert_state_bitwise(
+                state, evaluate_levels(distinct_chips[0], wl, asg, (1, 2)))
+
+    def test_rejects_bad_workload_counts(self, distinct_chips):
+        rng = np.random.default_rng(4)
+        asg = Assignment(core_of=(0, 1))
+        two, three = make_workload(2, rng), make_workload(3, rng)
+        with pytest.raises(ValueError, match="one workload per die"):
+            EvalKernel(distinct_chips[:2], [two], asg)
+        with pytest.raises(ValueError, match="one workload per die"):
+            EvalKernel(distinct_chips[0], [two, two], asg)
+        with pytest.raises(ValueError, match="one workload per die"):
+            EvalKernel(distinct_chips[:2], [], asg)
+        with pytest.raises(ValueError, match="sizes differ"):
+            EvalKernel(distinct_chips[:2], [two, three], asg)
+        with pytest.raises(ValueError, match="sizes differ"):
+            EvalKernel(distinct_chips[:2], three, asg)
 
 
 def _assert_same_outcome(a, b):
