@@ -21,13 +21,10 @@ from typing import Any, Dict, Optional
 
 import pytest
 
-from repro.experiments.common import ChipFactory, full_run
-from repro.parallel import (
-    get_default_cache,
-    get_run_health,
-    resolve_workers,
-)
+from repro.experiments.common import ChipFactory
+from repro.parallel import get_default_cache, get_run_health
 from repro.report.serialize import to_jsonable
+from repro.settings import settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -106,8 +103,8 @@ def emit(results_dir: pathlib.Path, name: str, table: str,
     (results_dir / f"{name}.txt").write_text(table + "\n")
     record = {
         "name": name,
-        "full_run": full_run(),
-        "workers": resolve_workers(None),
+        "full_run": settings().full,
+        "workers": settings().workers,
         "wall_time_s": _wall_time_s(benchmark),
         "cache": _cache_stats_delta(),
         "health": _health_delta(),

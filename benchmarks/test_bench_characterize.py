@@ -23,10 +23,11 @@ from conftest import emit
 
 from repro.chip import characterize_die, characterize_dies
 from repro.config import DEFAULT_TECH
-from repro.experiments.common import format_rows, full_run
+from repro.experiments.common import format_rows
 from repro.floorplan import build_floorplan
 from repro.fleet import FLEET_ARCH
 from repro.parallel import profile_payload
+from repro.settings import settings
 from repro.thermal import ThermalNetwork
 from repro.variation import DieBatch
 
@@ -40,7 +41,7 @@ MIN_SPEEDUP = 3.0
 def test_characterize_batch_speedup(benchmark, results_dir):
     tech = DEFAULT_TECH
     arch = FLEET_ARCH
-    n_dies = 200 if full_run() else 64
+    n_dies = 200 if settings().full else 64
     seed = 11
     floorplan = build_floorplan(arch)
     thermal = ThermalNetwork(floorplan)

@@ -3,11 +3,11 @@
 from conftest import emit
 
 from repro.experiments import fig04_variation
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig04_variation_histograms(benchmark, factory, results_dir):
-    n_dies = 200 if full_run() else 24
+    n_dies = 200 if settings().full else 24
 
     result = benchmark.pedantic(
         lambda: fig04_variation.run(n_dies=n_dies, factory=factory),

@@ -3,11 +3,11 @@
 from conftest import emit
 
 from repro.experiments import fig05_sigma_sweep
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig05_sigma_sweep(benchmark, results_dir):
-    n_dies = 200 if full_run() else 8
+    n_dies = 200 if settings().full else 8
 
     result = benchmark.pedantic(
         lambda: fig05_sigma_sweep.run(n_dies=n_dies),

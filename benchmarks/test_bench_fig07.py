@@ -4,11 +4,11 @@ import pytest
 from conftest import emit
 
 from repro.experiments import fig07_unifreq
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig07_unifreq(benchmark, factory, results_dir):
-    n_trials = 20 if full_run() else 8
+    n_trials = 20 if settings().full else 8
 
     result = benchmark.pedantic(
         lambda: fig07_unifreq.run(n_trials=n_trials, factory=factory),

@@ -3,11 +3,11 @@
 from conftest import emit
 
 from repro.experiments import fig08_nunifreq_power
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig08_nunifreq_power(benchmark, factory, results_dir):
-    n_trials = 20 if full_run() else 8
+    n_trials = 20 if settings().full else 8
 
     result = benchmark.pedantic(
         lambda: fig08_nunifreq_power.run(n_trials=n_trials,

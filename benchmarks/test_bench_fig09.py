@@ -4,11 +4,11 @@ the Section 7.4 NUniFreq-vs-UniFreq comparison."""
 from conftest import emit
 
 from repro.experiments import fig09_nunifreq_perf
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig09_nunifreq_performance(benchmark, factory, results_dir):
-    n_trials = 20 if full_run() else 8
+    n_trials = 20 if settings().full else 8
 
     result = benchmark.pedantic(
         lambda: fig09_nunifreq_perf.run(n_trials=n_trials,

@@ -4,11 +4,11 @@ Cost-Performance) with the online phased protocol."""
 from conftest import emit
 
 from repro.experiments import fig11_dvfs
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig11_dvfs_cost_performance(benchmark, factory, results_dir):
-    n_trials = 8 if full_run() else 3
+    n_trials = 8 if settings().full else 3
 
     result = benchmark.pedantic(
         lambda: fig11_dvfs.run(n_trials=n_trials, factory=factory,

@@ -4,11 +4,11 @@ environments, 20 threads)."""
 from conftest import emit
 
 from repro.experiments import fig12_power_envs
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig12_power_environments(benchmark, factory, results_dir):
-    n_trials = 8 if full_run() else 3
+    n_trials = 8 if settings().full else 3
 
     result = benchmark.pedantic(
         lambda: fig12_power_envs.run(n_trials=n_trials, factory=factory,

@@ -3,11 +3,11 @@
 from conftest import emit
 
 from repro.experiments import fig13_weighted
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig13_weighted_metrics(benchmark, factory, results_dir):
-    n_trials = 8 if full_run() else 2
+    n_trials = 8 if settings().full else 2
 
     result = benchmark.pedantic(
         lambda: fig13_weighted.run(n_trials=n_trials,

@@ -4,13 +4,13 @@ interval)."""
 from conftest import emit
 
 from repro.experiments import fig14_granularity
-from repro.experiments.common import full_run
+from repro.settings import settings
 
 
 def test_fig14_linopt_granularity(benchmark, factory, results_dir):
     # The 2 s / 1 s intervals need seconds of simulated time; trim the
     # sweep for the default run.
-    intervals = ((2.0, 1.0, 0.5, 0.1, 0.01) if full_run()
+    intervals = ((2.0, 1.0, 0.5, 0.1, 0.01) if settings().full
                  else (1.0, 0.5, 0.1, 0.01))
 
     result = benchmark.pedantic(

@@ -18,11 +18,11 @@ import time
 
 from conftest import emit
 
-from repro.experiments.common import full_run
 from repro.experiments.fig04_variation import core_power_ratio
 from repro.fleet import FleetPlan, load_summary, run_fleet_campaign
 from repro.fleet.campaign import fleet_die_metrics
 from repro.parallel import characterize_batch
+from repro.settings import settings
 
 # Conservative floor: on a 2-core x86-64 host the 240-die campaign
 # sustains ~145 dies/s with die-batched characterisation and the
@@ -39,7 +39,7 @@ ANALYSIS_SPEEDUP_FLOOR = 8.0
 
 
 def test_fleet_campaign(benchmark, results_dir, tmp_path):
-    n_dies = 2000 if full_run() else 240
+    n_dies = 2000 if settings().full else 240
     plan = FleetPlan(name="bench_fleet", n_dies=n_dies, seed=0)
 
     result = benchmark.pedantic(
@@ -126,7 +126,7 @@ def _child_peak_rss_kb(n_dies: int, out_dir) -> int:
 def test_fleet_rss_independent_of_fleet_size(benchmark, results_dir,
                                              tmp_path):
     """Peak memory is O(chunk): 5x the dies, same RSS high-water."""
-    small, large = (400, 2000) if full_run() else (200, 1000)
+    small, large = (400, 2000) if settings().full else (200, 1000)
 
     def run_both():
         rss_small = _child_peak_rss_kb(small, tmp_path / "small")

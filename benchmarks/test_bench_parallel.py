@@ -20,14 +20,15 @@ import time
 from conftest import emit
 
 from repro.experiments import fig05_sigma_sweep
-from repro.experiments.common import format_rows, full_run
+from repro.experiments.common import format_rows
 from repro.parallel import available_workers, parallel_config
+from repro.settings import settings
 
 PARALLEL_WORKERS = 4
 
 
 def test_parallel_fig05_speedup(benchmark, results_dir, tmp_path):
-    n_dies = 40 if full_run() else 6
+    n_dies = 40 if settings().full else 6
     cache_root = tmp_path / "cache"
 
     def timed(workers, cache_enabled, with_power):

@@ -153,7 +153,8 @@ def _parse_size(text: str) -> int:
 
 def _cache_main(argv: List[str]) -> int:
     """The ``repro cache`` maintenance subcommand."""
-    from .parallel import CharacterizationCache, default_cache_root
+    from .parallel import CharacterizationCache
+    from .settings import settings
     parser = argparse.ArgumentParser(
         prog="repro cache",
         description="Inspect and maintain the persistent "
@@ -167,7 +168,7 @@ def _cache_main(argv: List[str]) -> int:
                         help="cache directory (default: REPRO_CACHE_DIR "
                              "or benchmarks/.cache)")
     args = parser.parse_args(argv)
-    root = args.cache_dir or default_cache_root()
+    root = args.cache_dir or settings().cache_root
     cache = CharacterizationCache(root)
     if args.action == "stats":
         usage = cache.usage()

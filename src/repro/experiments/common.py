@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +22,7 @@ from ..floorplan import Floorplan, build_floorplan
 from ..parallel import characterize_batch
 from ..parallel.journal import RunJournal, active_journal
 from ..parallel.runner import CacheArg
+from ..settings import settings
 from ..thermal import ThermalNetwork
 
 # Reduced defaults for interactive runs; the paper uses 200 dies and
@@ -33,19 +33,14 @@ PAPER_N_DIES = 200
 PAPER_N_TRIALS = 20
 
 
-def full_run() -> bool:
-    """Whether the REPRO_FULL environment variable requests full scale."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
-
-
 def default_n_dies() -> int:
     """Die-batch size: the paper's 200 under REPRO_FULL, else reduced."""
-    return PAPER_N_DIES if full_run() else DEFAULT_N_DIES
+    return PAPER_N_DIES if settings().full else DEFAULT_N_DIES
 
 
 def default_n_trials() -> int:
     """Workload trials: the paper's 20 under REPRO_FULL, else reduced."""
-    return PAPER_N_TRIALS if full_run() else DEFAULT_N_TRIALS
+    return PAPER_N_TRIALS if settings().full else DEFAULT_N_TRIALS
 
 
 class ChipFactory:
@@ -66,24 +61,17 @@ class ChipFactory:
             via ``--no-cache`` / ``REPRO_NO_CACHE``), ``None``
             (disabled), or an explicit
             :class:`~repro.parallel.CharacterizationCache`.
-        batched: Whether cache misses use the die-batched
-            characterisation kernel. ``None`` defers to the
-            process-wide default (``REPRO_BATCH_CHAR`` /
-            ``parallel_config``; default on). Bitwise-identical to
-            the serial loop either way.
     """
 
     def __init__(self, tech: TechParams = DEFAULT_TECH,
                  arch: ArchConfig = DEFAULT_ARCH, seed: int = 0,
                  workers: Optional[int] = None,
-                 cache: CacheArg = "auto",
-                 batched: Optional[bool] = None) -> None:
+                 cache: CacheArg = "auto") -> None:
         self.tech = tech
         self.arch = arch
         self.seed = seed
         self.workers = workers
         self.cache = cache
-        self.batched = batched
         self.floorplan: Floorplan = build_floorplan(arch)
         self.thermal = ThermalNetwork(self.floorplan)
         self._chips: Dict[int, ChipProfile] = {}
@@ -92,8 +80,7 @@ class ChipFactory:
         profiles = characterize_batch(
             self.tech, self.arch, self.seed, die_indices,
             workers=self.workers, cache=self.cache,
-            floorplan=self.floorplan, thermal=self.thermal,
-            batched=self.batched)
+            floorplan=self.floorplan, thermal=self.thermal)
         self._chips.update(zip(die_indices, profiles))
 
     def chip(self, die_index: int, n_dies_hint: int = 1) -> ChipProfile:
@@ -140,8 +127,7 @@ class ChipFactory:
                 self.tech, self.arch, self.seed,
                 indices[lo:lo + chunk_dies],
                 workers=self.workers, cache=self.cache,
-                floorplan=self.floorplan, thermal=self.thermal,
-                batched=self.batched)
+                floorplan=self.floorplan, thermal=self.thermal)
 
 
 def campaign_journal(experiment: Optional[str]) -> Optional[RunJournal]:

@@ -25,10 +25,10 @@ from ..fleet.campaign import fleet_die_metrics
 from ..parallel import (
     CharacterizationCache,
     get_default_cache,
-    resolve_workers,
     run_sharded,
 )
 from ..runtime.evaluation import Assignment, evaluate_max_levels
+from ..settings import settings
 from ..workloads import SPEC_APPS, Workload
 from .common import ChipFactory, default_n_dies, format_rows, histogram
 
@@ -99,7 +99,8 @@ def die_ratios(n_dies: int, tech: TechParams = DEFAULT_TECH,
     """
     if factory is not None:
         tech, arch, seed = factory.tech, factory.arch, factory.seed
-    workers = resolve_workers(workers)
+    if workers is None:
+        workers = settings().workers
     if workers <= 1 or n_dies <= 1:
         if factory is not None:
             # Caller-held factory: keep its chip cache warm for reuse.

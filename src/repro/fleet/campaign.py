@@ -268,12 +268,10 @@ def run_fleet_campaign(
 ) -> FleetCampaignResult:
     """Run (or resume) one fleet campaign, streaming results to disk.
 
-    Chunk characterisation runs die-batched by default (one field-
-    sampler setup and one lockstep binning pass per chunk; see
+    Chunk characterisation runs die-batched (one field-sampler setup
+    and one lockstep binning pass per chunk; see
     :func:`repro.chip.characterize_dies`), which is bitwise-identical
-    to the serial per-die loop — so journaled chunks, resumed
-    summaries and multi-host merges stay byte-identical regardless of
-    the ``REPRO_BATCH_CHAR`` setting.
+    to the serial per-die loop.
 
     Layout under ``<out_root>/<plan.name>/``: ``shards/`` (columnar
     npz per chunk), ``journal.jsonl`` (chunk-level resume journal,

@@ -7,8 +7,6 @@ behind the :mod:`.backends` seam (``REPRO_LP_BACKEND``).
 """
 
 from .backends import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
     BoundedSimplexBackend,
     HighsBackend,
     LpBackend,
@@ -27,8 +25,6 @@ from .simplex import (
 
 __all__ = [
     "BoundedSimplexBackend",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
     "HighsBackend",
     "LpBackend",
     "LpProblem",

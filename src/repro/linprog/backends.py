@@ -14,20 +14,20 @@ between them without caring which is active:
 * ``highs`` — ``scipy.optimize.linprog(method="highs")``, optional and
   import-guarded; used to cross-check the from-scratch engines.
 
-The active backend is chosen by :func:`make_backend`, which reads the
-``REPRO_LP_BACKEND`` environment variable when no explicit spec is
-given — the same seam shape PR 4 used for ``EvalKernel``.
+The active backend is chosen by :func:`make_backend`, which reads
+``settings().lp_backend`` (``REPRO_LP_BACKEND``, default ``bounded``;
+see :mod:`repro.settings`) when no explicit spec is given.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from ..settings import settings
 from .bounded import WarmState, solve_bounded
 from .simplex import (
     STATUS_INFEASIBLE,
@@ -36,10 +36,6 @@ from .simplex import (
     LpResult,
     solve_lp_maximize,
 )
-
-# Environment variable naming the backend when none is passed in code.
-ENV_VAR = "REPRO_LP_BACKEND"
-DEFAULT_BACKEND = "bounded"
 
 
 @dataclass(frozen=True)
@@ -185,8 +181,8 @@ def make_backend(
         spec: A backend name (``"reference"``, ``"bounded"``,
             ``"highs"``), an existing :class:`LpBackend` instance
             (returned as-is, so callers can inject configured or mock
-            backends), or ``None`` to consult the ``REPRO_LP_BACKEND``
-            environment variable and fall back to ``"bounded"``.
+            backends), or ``None`` for ``settings().lp_backend``
+            (``REPRO_LP_BACKEND``, default ``"bounded"``).
 
     Returns:
         An :class:`LpBackend` ready to solve.
@@ -197,9 +193,8 @@ def make_backend(
     """
     if isinstance(spec, LpBackend):
         return spec
-    name = spec if spec is not None else os.environ.get(
-        ENV_VAR, DEFAULT_BACKEND)
-    name = name.strip().lower()
+    name = (spec.strip().lower() if spec is not None
+            else settings().lp_backend)
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown LP backend {name!r}; expected one of "

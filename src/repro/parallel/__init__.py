@@ -8,51 +8,32 @@ checkpoint/resume layer for long campaigns, composed by
 :func:`characterize_batch`. See DESIGN.md §12 and §14.
 """
 
+from ..settings import parallel_config
 from .cache import (
     CACHE_FORMAT_VERSION,
     CACHE_SCHEMA_VERSION,
     CHARACTERIZATION_TAG,
     CacheIntegrityError,
     CharacterizationCache,
-    cache_enabled,
     cache_key,
-    default_cache_root,
     get_default_cache,
     profile_from_payload,
     profile_payload,
-    set_cache_enabled,
-    set_cache_root,
 )
 from .health import RunHealth, get_run_health, reset_run_health
 from .journal import (
     IncompleteJournalError,
     RunJournal,
     active_journal,
-    default_journal_root,
     discard_journal,
     merge_journals,
-    resume_enabled,
-    set_journal_root,
-    set_resume,
     unit_key,
 )
 from .manifest import HostSlice, ShardManifest
-from .runner import (
-    characterize_batch,
-    parallel_config,
-    resolve_batched_characterization,
-    resolve_workers,
-    set_batched_characterization,
-    set_default_workers,
-)
+from .runner import characterize_batch
 from .sharding import (
     available_workers,
-    resolve_shard_backoff,
-    resolve_shard_retries,
-    resolve_shard_timeout,
     run_sharded,
-    set_shard_backoff,
-    set_shard_retries,
     shard_indices,
     spawn_seeds,
 )
@@ -70,11 +51,8 @@ __all__ = [
     "ShardManifest",
     "active_journal",
     "available_workers",
-    "cache_enabled",
     "cache_key",
     "characterize_batch",
-    "default_cache_root",
-    "default_journal_root",
     "discard_journal",
     "get_default_cache",
     "get_run_health",
@@ -83,21 +61,7 @@ __all__ = [
     "profile_from_payload",
     "profile_payload",
     "reset_run_health",
-    "resolve_batched_characterization",
-    "resolve_shard_backoff",
-    "resolve_shard_retries",
-    "resolve_shard_timeout",
-    "resolve_workers",
-    "resume_enabled",
     "run_sharded",
-    "set_batched_characterization",
-    "set_cache_enabled",
-    "set_cache_root",
-    "set_default_workers",
-    "set_journal_root",
-    "set_resume",
-    "set_shard_backoff",
-    "set_shard_retries",
     "shard_indices",
     "spawn_seeds",
     "unit_key",

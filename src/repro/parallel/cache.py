@@ -51,6 +51,7 @@ from ..freq import CoreFrequencyModel, VFTable
 from ..freq.critical_path import PathSet
 from ..power import CoreLeakageModel, L2LeakageModel
 from ..power import scaling
+from ..settings import settings
 from ..storage import quarantine, write_atomic
 from ..thermal import ThermalNetwork
 
@@ -452,49 +453,7 @@ class CharacterizationCache:
 # ---------------------------------------------------------------------------
 # Process-wide default cache
 
-_cache_enabled_override: Optional[bool] = None
-_cache_root_override: Optional[pathlib.Path] = None
 _cache_instances: Dict[pathlib.Path, CharacterizationCache] = {}
-
-
-def cache_enabled() -> bool:
-    """Whether the default cache is active (CLI/env controllable)."""
-    if _cache_enabled_override is not None:
-        return _cache_enabled_override
-    return os.environ.get("REPRO_NO_CACHE", "") in ("", "0")
-
-
-def set_cache_enabled(enabled: Optional[bool]) -> None:
-    """Force the default cache on/off; ``None`` restores env control."""
-    global _cache_enabled_override
-    _cache_enabled_override = enabled
-
-
-def set_cache_root(root: Optional[Union[str, pathlib.Path]]) -> None:
-    """Override the default cache directory (``None`` restores it)."""
-    global _cache_root_override
-    _cache_root_override = pathlib.Path(root) if root is not None else None
-
-
-def default_cache_root() -> pathlib.Path:
-    """Default cache directory.
-
-    Priority: explicit :func:`set_cache_root` override, the
-    ``REPRO_CACHE_DIR`` environment variable, then ``benchmarks/.cache``
-    of the enclosing checkout (found by walking up from the CWD), then
-    a per-user fallback.
-    """
-    if _cache_root_override is not None:
-        return _cache_root_override
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return pathlib.Path(env)
-    cwd = pathlib.Path.cwd()
-    for base in (cwd, *cwd.parents):
-        if ((base / "pyproject.toml").exists()
-                and (base / "benchmarks").is_dir()):
-            return base / "benchmarks" / ".cache"
-    return pathlib.Path.home() / ".cache" / "repro-characterization"
 
 
 def get_default_cache() -> Optional[CharacterizationCache]:
@@ -505,9 +464,10 @@ def get_default_cache() -> Optional[CharacterizationCache]:
     temporary root switch (e.g. a test pointing ``parallel_config``
     at a scratch directory) instead of resetting to zero.
     """
-    if not cache_enabled():
+    current = settings()
+    if not current.cache_enabled:
         return None
-    root = default_cache_root()
+    root = current.cache_root
     if root not in _cache_instances:
         _cache_instances[root] = CharacterizationCache(root)
     return _cache_instances[root]

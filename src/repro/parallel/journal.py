@@ -28,19 +28,19 @@ Crash-safety model:
   :class:`IncompleteJournalError` instead of producing partial tables.
 
 Resume is opt-in: the CLI's ``--resume``/``--fresh`` flags or
-``REPRO_RESUME=1`` (see :func:`resume_enabled`). Without it the
+``REPRO_RESUME=1`` (see :mod:`repro.settings`). Without it the
 runners never touch the journal and behave exactly as before.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 import shutil
 import time
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from ..settings import settings
 from ..storage import AppendLog
 
 #: Bump whenever the journal line format or unit-key recipe changes;
@@ -204,69 +204,17 @@ def merge_journals(dest: RunJournal,
     return merged
 
 
-# ---------------------------------------------------------------------------
-# Process-wide resume configuration (mirrors the cache-root pattern)
-
-_resume_override: Optional[bool] = None
-_journal_root_override: Optional[pathlib.Path] = None
-
-
-def resume_enabled() -> bool:
-    """Whether campaign journaling/resume is active.
-
-    Priority: :func:`set_resume` override (the CLI's ``--resume`` /
-    ``--fresh``), then the ``REPRO_RESUME`` environment variable,
-    then off.
-    """
-    if _resume_override is not None:
-        return _resume_override
-    return os.environ.get("REPRO_RESUME", "") not in ("", "0")
-
-
-def set_resume(enabled: Optional[bool]) -> None:
-    """Force resume on/off; ``None`` restores env control."""
-    global _resume_override
-    _resume_override = enabled
-
-
-def set_journal_root(root: Optional[Union[str, pathlib.Path]]) -> None:
-    """Override the campaign results root (``None`` restores it)."""
-    global _journal_root_override
-    _journal_root_override = (pathlib.Path(root) if root is not None
-                              else None)
-
-
-def default_journal_root() -> pathlib.Path:
-    """Campaign results root holding ``<run>/journal.jsonl`` dirs.
-
-    Priority: explicit :func:`set_journal_root` override, the
-    ``REPRO_JOURNAL_DIR`` environment variable, then ``results/`` of
-    the enclosing checkout (found by walking up from the CWD), then a
-    per-user fallback.
-    """
-    if _journal_root_override is not None:
-        return _journal_root_override
-    env = os.environ.get("REPRO_JOURNAL_DIR")
-    if env:
-        return pathlib.Path(env)
-    cwd = pathlib.Path.cwd()
-    for base in (cwd, *cwd.parents):
-        if ((base / "pyproject.toml").exists()
-                and (base / "benchmarks").is_dir()):
-            return base / "results"
-    return pathlib.Path.home() / ".cache" / "repro-results"
-
-
 def active_journal(run_name: str) -> Optional[RunJournal]:
     """The campaign journal for ``run_name``, or None when resume is
     off — callers skip all journaling in that case."""
-    if not resume_enabled():
+    current = settings()
+    if not current.resume:
         return None
-    return RunJournal.open(default_journal_root(), run_name)
+    return RunJournal.open(current.journal_root, run_name)
 
 
 def discard_journal(run_name: str) -> None:
     """Delete a campaign's journal directory (the ``--fresh`` flag)."""
     if not run_name or "/" in run_name or run_name in (".", ".."):
         raise ValueError(f"bad run name {run_name!r}")
-    shutil.rmtree(default_journal_root() / run_name, ignore_errors=True)
+    shutil.rmtree(settings().journal_root / run_name, ignore_errors=True)

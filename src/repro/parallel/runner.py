@@ -12,27 +12,25 @@ layers:
 
 Determinism: each die is generated from its own ``(seed, index)``
 stream and characterised with a per-die seed, so results are
-independent of shard boundaries and worker count. ``workers=1``
-characterises misses with the same plain loop the pre-parallel code
-used, and payload round-trips preserve arrays bitwise, so serial,
-sharded and cached runs are all bitwise-identical.
+independent of shard boundaries and worker count. Misses are binned
+by the die-batched :func:`~repro.chip.characterize_dies` kernel,
+which is bitwise-identical to the per-die
+:func:`~repro.chip.characterize_die` reference, and payload
+round-trips preserve arrays bitwise, so serial, sharded and cached
+runs are all bitwise-identical.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..chip import ChipProfile, characterize_die, characterize_dies
+from ..chip import ChipProfile, characterize_dies
 from ..config import ArchConfig, TechParams
 from ..floorplan import Floorplan, build_floorplan
 from ..thermal import ThermalNetwork
+from ..settings import settings
 from ..variation import DieBatch
-from . import cache as _cache_mod
-from . import journal as _journal_mod
-from . import sharding as _sharding_mod
 from .cache import (
     CharacterizationCache,
     Payload,
@@ -46,135 +44,6 @@ from .sharding import run_sharded
 
 CacheArg = Union[None, str, CharacterizationCache]
 
-_default_workers: Optional[int] = None
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count for a batch run.
-
-    Priority: the explicit argument, :func:`set_default_workers` (the
-    CLI's ``--workers``), the ``REPRO_WORKERS`` environment variable,
-    then 1 (serial).
-    """
-    if workers is not None:
-        return max(1, int(workers))
-    if _default_workers is not None:
-        return _default_workers
-    env = os.environ.get("REPRO_WORKERS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process-wide worker default (``None`` restores env/1)."""
-    global _default_workers
-    _default_workers = max(1, int(workers)) if workers is not None else None
-
-
-_batched_characterization_override: Optional[bool] = None
-
-
-def resolve_batched_characterization(batched: Optional[bool] = None) -> bool:
-    """Whether cache misses use the die-batched characterisation kernel.
-
-    Priority: the explicit argument,
-    :func:`set_batched_characterization` (the ``parallel_config``
-    override), the ``REPRO_BATCH_CHAR`` environment variable, then the
-    default **on**. The batched kernel is bitwise-identical to the
-    serial loop (property-tested), so this knob only selects a speed
-    path; ``REPRO_BATCH_CHAR=0`` forces the serial reference.
-    """
-    if batched is not None:
-        return bool(batched)
-    if _batched_characterization_override is not None:
-        return _batched_characterization_override
-    env = os.environ.get("REPRO_BATCH_CHAR", "")
-    if env:
-        return env.strip().lower() not in ("0", "false", "no", "off")
-    return True
-
-
-def set_batched_characterization(batched: Optional[bool]) -> None:
-    """Set the process-wide batched-characterisation default.
-
-    ``None`` restores env/default resolution.
-    """
-    global _batched_characterization_override
-    _batched_characterization_override = (
-        bool(batched) if batched is not None else None)
-
-
-@contextmanager
-def parallel_config(workers: Optional[int] = None,
-                    cache_enabled: Optional[bool] = None,
-                    cache_root=None,
-                    resume: Optional[bool] = None,
-                    journal_root=None,
-                    shard_retries: Optional[int] = None,
-                    shard_backoff_s: Optional[float] = None,
-                    batched_characterization: Optional[bool] = None):
-    """Temporarily override the process-wide parallel/cache defaults.
-
-    Used by the CLI (for the lifetime of a run) and by benchmarks and
-    tests that compare serial, sharded, cold and warm configurations.
-    ``resume``/``journal_root`` control campaign journaling (the CLI's
-    ``--resume``/``--fresh`` flags; see :mod:`repro.parallel.journal`).
-    ``shard_retries``/``shard_backoff_s`` tune the fault-tolerant
-    pool's retry budget and backoff base (the knobs
-    :func:`~repro.parallel.sharding.run_sharded` resolves when not
-    given explicitly; env: ``REPRO_SHARD_RETRIES`` /
-    ``REPRO_SHARD_BACKOFF_S``). Neither changes *which* results come
-    back — recovery merges bitwise-identically — only how patient the
-    coordinator is before narrowing a shard.
-    ``batched_characterization`` selects the die-batched
-    characterisation kernel vs the serial per-die loop for cache
-    misses (bitwise-identical either way; see
-    :func:`resolve_batched_characterization`).
-
-    Every override is restored through its setter — never by poking
-    the module globals — so any invariant a setter maintains (now or
-    later) holds on both entry and exit.
-    """
-    prev_workers = _default_workers
-    prev_enabled = _cache_mod._cache_enabled_override
-    prev_root = _cache_mod._cache_root_override
-    prev_resume = _journal_mod._resume_override
-    prev_journal_root = _journal_mod._journal_root_override
-    prev_retries = _sharding_mod._shard_retries_override
-    prev_backoff = _sharding_mod._shard_backoff_override
-    prev_batched = _batched_characterization_override
-    try:
-        if workers is not None:
-            set_default_workers(workers)
-        if cache_enabled is not None:
-            _cache_mod.set_cache_enabled(cache_enabled)
-        if cache_root is not None:
-            _cache_mod.set_cache_root(cache_root)
-        if resume is not None:
-            _journal_mod.set_resume(resume)
-        if journal_root is not None:
-            _journal_mod.set_journal_root(journal_root)
-        if shard_retries is not None:
-            _sharding_mod.set_shard_retries(shard_retries)
-        if shard_backoff_s is not None:
-            _sharding_mod.set_shard_backoff(shard_backoff_s)
-        if batched_characterization is not None:
-            set_batched_characterization(batched_characterization)
-        yield
-    finally:
-        set_batched_characterization(prev_batched)
-        set_default_workers(prev_workers)
-        _cache_mod.set_cache_enabled(prev_enabled)
-        _cache_mod.set_cache_root(prev_root)
-        _journal_mod.set_resume(prev_resume)
-        _journal_mod.set_journal_root(prev_journal_root)
-        _sharding_mod.set_shard_retries(prev_retries)
-        _sharding_mod.set_shard_backoff(prev_backoff)
-
 
 def _resolve_cache(cache: CacheArg) -> Optional[CharacterizationCache]:
     if cache == "auto":
@@ -186,7 +55,7 @@ def _resolve_cache(cache: CacheArg) -> Optional[CharacterizationCache]:
 
 
 def _characterize_shard(tech: TechParams, arch: ArchConfig, seed: int,
-                        cache_root: Optional[str], batched: bool,
+                        cache_root: Optional[str],
                         indices: List[int]) -> List[Payload]:
     """Worker body: characterise a shard of dies into payloads.
 
@@ -194,24 +63,18 @@ def _characterize_shard(tech: TechParams, arch: ArchConfig, seed: int,
     Stores into the shared cache directly so the (compressing) writes
     are parallelised too; atomic writes make concurrent stores safe.
     Returns plain array payloads — cheap to pickle back to the parent.
-    With ``batched`` the shard generates its dies with one shared
-    field sampler and bins them through the die-batched
-    :func:`~repro.chip.characterize_dies` kernel — bitwise-identical
-    to the serial loop, so shard boundaries still never show.
+    The shard generates its dies with one shared field sampler and
+    bins them through the die-batched
+    :func:`~repro.chip.characterize_dies` kernel, so shard boundaries
+    never show.
     """
     batch = DieBatch(tech, arch, max(indices) + 1, seed=seed)
     floorplan = build_floorplan(arch)
     thermal = ThermalNetwork(floorplan)
     store = (CharacterizationCache(cache_root)
              if cache_root is not None else None)
-    if batched:
-        dies = batch.dies_for(indices)
-        profiles = characterize_dies(dies, tech, arch,
-                                     floorplan=floorplan, thermal=thermal)
-    else:
-        profiles = [characterize_die(batch[index], tech, arch,
-                                     floorplan=floorplan, thermal=thermal)
-                    for index in indices]
+    profiles = characterize_dies(batch.dies_for(indices), tech, arch,
+                                 floorplan=floorplan, thermal=thermal)
     payloads = []
     for index, profile in zip(indices, profiles):
         payload = profile_payload(profile)
@@ -232,7 +95,6 @@ def characterize_batch(
     thermal: Optional[ThermalNetwork] = None,
     shard_timeout_s: Optional[float] = None,
     health: Optional[RunHealth] = None,
-    batched: Optional[bool] = None,
 ) -> List[ChipProfile]:
     """Characterise the requested dies of a seeded batch.
 
@@ -240,22 +102,16 @@ def characterize_batch(
         tech, arch, seed: The batch identity (die ``i`` is generated
             from the ``(seed, i)`` stream regardless of batch size).
         die_indices: Dies wanted, in the order results are returned.
-        workers: Process count for cache misses; ``None`` resolves via
-            :func:`resolve_workers`. ``1`` is the serial fallback,
-            bitwise-identical to the pre-parallel loop.
+        workers: Process count for cache misses; ``None`` reads
+            ``settings().workers`` (:mod:`repro.settings`). ``1``
+            characterises in-process.
         cache: ``"auto"`` (the process-wide default cache), ``None``
             (disabled), or an explicit :class:`CharacterizationCache`.
         floorplan, thermal: Shared structures to attach to the
             profiles (built from ``arch`` when omitted).
-        batched: Whether cache misses run the die-batched
-            characterisation kernel (``None`` resolves via
-            :func:`resolve_batched_characterization`; default on).
-            Batched and serial characterisation are bitwise-identical,
-            so cache keys are shared and the batch fills only misses
-            either way.
         shard_timeout_s: Per-shard wall-time limit for the pool run
-            (``None`` defers to ``REPRO_SHARD_TIMEOUT_S``; see
-            :func:`~repro.parallel.sharding.resolve_shard_timeout`).
+            (``None`` reads ``settings().shard_timeout_s``; see
+            :func:`~repro.parallel.sharding.run_sharded`).
         health: :class:`RunHealth` recording recovery actions; by
             default the process-wide collector from
             :func:`~repro.parallel.health.get_run_health`, which
@@ -269,7 +125,8 @@ def characterize_batch(
         return []
     if min(indices) < 0:
         raise ValueError("die indices must be non-negative")
-    workers = resolve_workers(workers)
+    if workers is None:
+        workers = settings().workers
     store = _resolve_cache(cache)
     if floorplan is None:
         floorplan = build_floorplan(arch)
@@ -290,11 +147,10 @@ def characterize_batch(
 
     if health is None:
         health = get_run_health()
-    use_batched = resolve_batched_characterization(batched)
     if missing and workers > 1 and len(missing) > 1:
         fn = functools.partial(
             _characterize_shard, tech, arch, seed,
-            str(store.root) if store is not None else None, use_batched)
+            str(store.root) if store is not None else None)
         payloads = run_sharded(fn, missing, workers=workers,
                                timeout_s=shard_timeout_s, health=health)
         if store is not None:
@@ -304,16 +160,8 @@ def characterize_batch(
                 payload, tech, arch, floorplan, thermal)
     elif missing:
         batch = DieBatch(tech, arch, max(missing) + 1, seed=seed)
-        if use_batched:
-            dies = batch.dies_for(missing)
-            computed = characterize_dies(dies, tech, arch,
-                                         floorplan=floorplan,
-                                         thermal=thermal)
-        else:
-            computed = [characterize_die(batch[index], tech, arch,
-                                         floorplan=floorplan,
-                                         thermal=thermal)
-                        for index in missing]
+        computed = characterize_dies(batch.dies_for(missing), tech, arch,
+                                     floorplan=floorplan, thermal=thermal)
         for index, profile in zip(missing, computed):
             if store is not None:
                 store.store(cache_key(tech, arch, seed, index),

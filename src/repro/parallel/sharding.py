@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from ..settings import settings
 from .health import RunHealth
 
 T = TypeVar("T")
@@ -48,7 +49,7 @@ R = TypeVar("R")
 
 ShardFn = Callable[[List[T]], List[R]]
 
-# Default retry budget per shard before it is narrowed (split in two).
+# Retry budget per shard before it is narrowed (split in two).
 DEFAULT_MAX_SHARD_RETRIES = 2
 
 # Base of the jitterless exponential backoff between retries of the
@@ -58,73 +59,6 @@ DEFAULT_BACKOFF_S = 0.05
 
 # Poll interval while waiting on pool futures when a timeout is set.
 _POLL_S = 0.05
-
-# Process-wide overrides for the retry knobs, set through
-# parallel_config (restored via the setters, like every other
-# override there). None defers to the environment, then the default.
-_shard_retries_override: Optional[int] = None
-_shard_backoff_override: Optional[float] = None
-
-
-def set_shard_retries(retries: Optional[int]) -> None:
-    """Set the process-wide retry budget (``None`` restores env/2)."""
-    global _shard_retries_override
-    if retries is None:
-        _shard_retries_override = None
-    else:
-        _shard_retries_override = max(0, int(retries))
-
-
-def set_shard_backoff(backoff_s: Optional[float]) -> None:
-    """Set the process-wide backoff base (``None`` restores env/.05)."""
-    global _shard_backoff_override
-    if backoff_s is None:
-        _shard_backoff_override = None
-    else:
-        _shard_backoff_override = max(0.0, float(backoff_s))
-
-
-def resolve_shard_retries(retries: Optional[int] = None) -> int:
-    """Effective per-shard retry budget before narrowing.
-
-    Priority: the explicit argument, :func:`set_shard_retries` (the
-    ``parallel_config`` override), the ``REPRO_SHARD_RETRIES``
-    environment variable, then :data:`DEFAULT_MAX_SHARD_RETRIES`.
-    Unparsable env values fall through to the default; values clamp
-    at 0 (fail straight to narrowing/serial fallback).
-    """
-    if retries is not None:
-        return max(0, int(retries))
-    if _shard_retries_override is not None:
-        return _shard_retries_override
-    env = os.environ.get("REPRO_SHARD_RETRIES", "")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_SHARD_RETRIES
-
-
-def resolve_shard_backoff(backoff_s: Optional[float] = None) -> float:
-    """Effective backoff base (s) between retries of one shard.
-
-    Priority: the explicit argument, :func:`set_shard_backoff` (the
-    ``parallel_config`` override), the ``REPRO_SHARD_BACKOFF_S``
-    environment variable, then :data:`DEFAULT_BACKOFF_S`. ``0``
-    disables sleeping; negative values clamp to 0.
-    """
-    if backoff_s is not None:
-        return max(0.0, float(backoff_s))
-    if _shard_backoff_override is not None:
-        return _shard_backoff_override
-    env = os.environ.get("REPRO_SHARD_BACKOFF_S", "")
-    if env:
-        try:
-            return max(0.0, float(env))
-        except ValueError:
-            pass
-    return DEFAULT_BACKOFF_S
 
 
 def shard_indices(n_items: int, n_shards: int) -> List[np.ndarray]:
@@ -163,25 +97,6 @@ def available_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_shard_timeout(timeout_s: Optional[float] = None,
-                          ) -> Optional[float]:
-    """Effective per-shard timeout: argument, env, or None (no limit).
-
-    ``REPRO_SHARD_TIMEOUT_S`` sets a process-wide default; unset,
-    empty, ``0`` or unparsable means no timeout.
-    """
-    if timeout_s is not None:
-        return float(timeout_s) if timeout_s > 0 else None
-    env = os.environ.get("REPRO_SHARD_TIMEOUT_S", "")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            return None
-        return value if value > 0 else None
-    return None
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (cheap, inherits module state); fall back to default."""
     if "fork" in multiprocessing.get_all_start_methods():
@@ -214,8 +129,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                 timeout_s: Optional[float] = None,
-                max_shard_retries: Optional[int] = None,
-                backoff_s: Optional[float] = None,
+                max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
+                backoff_s: float = DEFAULT_BACKOFF_S,
                 health: Optional[RunHealth] = None) -> List[R]:
     """Map a shard function over ``items``, merging in stable order.
 
@@ -237,23 +152,18 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
             free up (smaller shards, same results, no
             over-subscription).
         timeout_s: Per-shard wall-time limit, measured from the moment
-            the shard is handed to the pool. ``None`` resolves via
-            :func:`resolve_shard_timeout` (``REPRO_SHARD_TIMEOUT_S``,
-            default: no limit). On expiry the pool is assumed hung and
-            replaced, and the shard is retried.
+            the shard is handed to the pool. ``None`` reads
+            ``settings().shard_timeout_s`` (``REPRO_SHARD_TIMEOUT_S``,
+            default: no limit); a value <= 0 means no limit. On expiry
+            the pool is assumed hung and replaced, and the shard is
+            retried.
         max_shard_retries: Infrastructure-failure retries per shard
             before the shard is *narrowed* (split in half, each half
             with a fresh retry budget) — bisecting down to the single
             poisoned item, which then falls back to an in-process run.
-            ``None`` resolves via :func:`resolve_shard_retries`
-            (``parallel_config`` override, then ``REPRO_SHARD_RETRIES``,
-            default 2).
         backoff_s: Base of the jitterless exponential backoff slept
             before a retry (attempt ``k`` sleeps
             ``backoff_s * 2**(k-1)``). ``0`` disables sleeping.
-            ``None`` resolves via :func:`resolve_shard_backoff`
-            (``parallel_config`` override, then
-            ``REPRO_SHARD_BACKOFF_S``, default 0.05 s).
         health: :class:`RunHealth` to record recovery actions into
             (a throwaway one is used when omitted).
 
@@ -273,15 +183,16 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
         return []
     if health is None:
         health = RunHealth()
-    max_shard_retries = resolve_shard_retries(max_shard_retries)
-    backoff_s = resolve_shard_backoff(backoff_s)
     workers = max(1, int(workers))
     if workers == 1 or len(items) == 1:
         start = time.monotonic()
         out = _checked(fn(items), len(items))
         health.record_shard(time.monotonic() - start)
         return out
-    timeout_s = resolve_shard_timeout(timeout_s)
+    if timeout_s is None:
+        timeout_s = settings().shard_timeout_s
+    elif timeout_s <= 0:
+        timeout_s = None
     shards = shard_indices(len(items), workers)
     # Satellite fix: never start more worker processes than CPUs this
     # process may use — the coordinator queues the excess shards.

@@ -20,11 +20,9 @@ from repro.chip import (
 from repro.config import ArchConfig, DEFAULT_TECH
 from repro.parallel import (
     CharacterizationCache,
+    cache_key,
     characterize_batch,
-    parallel_config,
     profile_payload,
-    resolve_batched_characterization,
-    set_batched_characterization,
 )
 from repro.variation import (
     Die,
@@ -251,83 +249,53 @@ class TestErrorParity:
                               errors="ignore")
 
 
+def reference_profiles(seed, indices):
+    """The serial per-die :func:`characterize_die` reference."""
+    batch = DieBatch(TECH, CHOL_ARCH, max(indices) + 1, seed=seed)
+    return [characterize_die(batch[i], TECH, CHOL_ARCH) for i in indices]
+
+
 class TestRunnerKnob:
-    """resolve/config/env plumbing for the batched-characterisation knob."""
+    """characterize_batch's die-batched cache-miss path against the
+    serial characterize_die reference."""
 
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHAR", raising=False)
-        assert resolve_batched_characterization() is True
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHAR", "1")
-        assert resolve_batched_characterization(False) is False
-
-    @pytest.mark.parametrize("value,expected", [
-        ("0", False), ("false", False), ("no", False), ("off", False),
-        ("1", True), ("true", True), ("anything", True),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_BATCH_CHAR", value)
-        assert resolve_batched_characterization() is expected
-
-    def test_override_beats_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHAR", "1")
-        set_batched_characterization(False)
-        try:
-            assert resolve_batched_characterization() is False
-        finally:
-            set_batched_characterization(None)
-        assert resolve_batched_characterization() is True
-
-    def test_parallel_config_scopes_override(self):
-        with parallel_config(batched_characterization=False):
-            assert resolve_batched_characterization() is False
-        assert resolve_batched_characterization() is True
-
-    def test_characterize_batch_paths_bitwise(self, tmp_path):
-        """Serial and batched cache-miss paths agree through the runner."""
+    def test_characterize_batch_paths_bitwise(self):
+        """The runner's cache-miss path equals the per-die reference."""
         seed, indices = 17, [0, 3, 1]
-        with parallel_config(workers=1):
-            serial = characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                                        cache=None, batched=False)
-            batched = characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                                         cache=None, batched=True)
-        for s, b in zip(serial, batched):
-            assert_profiles_bitwise(s, b)
+        batched = characterize_batch(TECH, CHOL_ARCH, seed, indices,
+                                     workers=1, cache=None)
+        for ref, b in zip(reference_profiles(seed, indices), batched):
+            assert_profiles_bitwise(ref, b)
 
     def test_cache_population_identical_across_paths(self, tmp_path):
-        """Batched misses store byte-identical payloads under shared keys."""
+        """Misses store the reference's payloads; warm hits return them."""
         seed, indices = 23, [0, 1, 2]
-        cache_serial = CharacterizationCache(tmp_path / "serial")
-        cache_batched = CharacterizationCache(tmp_path / "batched")
-        with parallel_config(workers=1):
-            characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                               cache=cache_serial, batched=False)
-            characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                               cache=cache_batched, batched=True)
-            # Warm hits from the batched-populated cache must equal the
-            # serial-populated cache's hits bitwise.
-            warm_s = characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                                        cache=cache_serial, batched=False)
-            warm_b = characterize_batch(TECH, CHOL_ARCH, seed, indices,
-                                        cache=cache_batched, batched=True)
-        assert cache_serial.stats["hits"] == len(indices)
-        assert cache_batched.stats["hits"] == len(indices)
-        for s, b in zip(warm_s, warm_b):
-            assert_profiles_bitwise(s, b)
+        cache = CharacterizationCache(tmp_path / "cache")
+        characterize_batch(TECH, CHOL_ARCH, seed, indices,
+                           workers=1, cache=cache)
+        refs = reference_profiles(seed, indices)
+        for index, ref in zip(indices, refs):
+            stored = cache.load(cache_key(TECH, CHOL_ARCH, seed, index))
+            expected = profile_payload(ref)
+            assert stored.keys() == expected.keys()
+            for key in expected:
+                assert np.array_equal(stored[key], expected[key]), key
+        hits_before = cache.stats["hits"]
+        warm = characterize_batch(TECH, CHOL_ARCH, seed, indices,
+                                  workers=1, cache=cache)
+        assert cache.stats["hits"] - hits_before == len(indices)
+        for ref, w in zip(refs, warm):
+            assert_profiles_bitwise(ref, w)
 
     def test_mixed_hit_miss_batched_fills_only_misses(self, tmp_path):
         """Pre-warming a subset leaves the batch filling only misses."""
         seed = 29
         cache = CharacterizationCache(tmp_path / "cache")
-        with parallel_config(workers=1):
-            characterize_batch(TECH, CHOL_ARCH, seed, [1, 3],
-                               cache=cache, batched=True)
-            stores_before = cache.stats["stores"]
-            mixed = characterize_batch(TECH, CHOL_ARCH, seed, [0, 1, 2, 3],
-                                       cache=cache, batched=True)
-            cold = characterize_batch(TECH, CHOL_ARCH, seed, [0, 1, 2, 3],
-                                      cache=None, batched=False)
+        characterize_batch(TECH, CHOL_ARCH, seed, [1, 3],
+                           workers=1, cache=cache)
+        stores_before = cache.stats["stores"]
+        mixed = characterize_batch(TECH, CHOL_ARCH, seed, [0, 1, 2, 3],
+                                   workers=1, cache=cache)
         assert cache.stats["stores"] - stores_before == 2  # only 0 and 2
-        for m, c in zip(mixed, cold):
-            assert_profiles_bitwise(m, c)
+        for m, ref in zip(mixed, reference_profiles(seed, [0, 1, 2, 3])):
+            assert_profiles_bitwise(m, ref)

@@ -6,8 +6,9 @@ import pytest
 from repro.config import COST_PERFORMANCE, DEFAULT_TECH
 from repro.experiments.common import (
     ChipFactory,
+    default_n_dies,
+    default_n_trials,
     format_rows,
-    full_run,
     histogram,
 )
 from repro.experiments.pm_runner import (
@@ -107,11 +108,11 @@ class TestFormatting:
 
     def test_full_run_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_run()
+        assert (default_n_dies(), default_n_trials()) == (30, 8)
         monkeypatch.setenv("REPRO_FULL", "1")
-        assert full_run()
-        monkeypatch.setenv("REPRO_FULL", "0")
-        assert not full_run()
+        assert (default_n_dies(), default_n_trials()) == (200, 20)
+        monkeypatch.setenv("REPRO_FULL", "false")
+        assert (default_n_dies(), default_n_trials()) == (30, 8)
 
 
 class TestSchedRunner:

@@ -598,11 +598,11 @@ class TestCampaign:
         cold_shards = {i.path.name: load_shard(i.path)
                       for i in iter_shards(cold.out_dir / "shards")}
 
-        # Warm dies from both chunks through the batched path, then
-        # corrupt one entry so the campaign sees hit+miss+corrupt.
+        # Warm dies from both chunks, then corrupt one entry so the
+        # campaign sees hit+miss+corrupt.
         warm = CharacterizationCache(tmp_path / "cache")
         characterize_batch(plan.tech, plan.arch, plan.seed, [1, 5, 6],
-                           workers=1, cache=warm, batched=True)
+                           workers=1, cache=warm)
         corrupt_path = warm.path_for(
             cache_key(plan.tech, plan.arch, plan.seed, 5))
         corrupt_path.write_bytes(b"not an npz")

@@ -17,16 +17,12 @@ import pytest
 from repro.experiments.common import ChipFactory
 from repro.parallel import (
     CharacterizationCache,
-    cache_enabled,
     cache_key,
     characterize_batch,
     get_default_cache,
     parallel_config,
     profile_from_payload,
     profile_payload,
-    resolve_shard_backoff,
-    resolve_shard_retries,
-    resolve_workers,
     run_sharded,
     shard_indices,
     spawn_seeds,
@@ -35,6 +31,7 @@ from repro.parallel.sharding import (
     DEFAULT_BACKOFF_S,
     DEFAULT_MAX_SHARD_RETRIES,
 )
+from repro.settings import settings
 
 
 def payloads_equal(a, b) -> bool:
@@ -180,77 +177,42 @@ class TestDeterminism:
 
 class TestConfigPlumbing:
     def test_parallel_config_overrides_and_restores(self, tmp_path):
-        before_workers = resolve_workers(None)
+        before_workers = settings().workers
         with parallel_config(workers=3, cache_enabled=True,
                              cache_root=tmp_path / "c"):
-            assert resolve_workers(None) == 3
-            assert resolve_workers(5) == 5
-            assert cache_enabled()
+            assert settings().workers == 3
+            assert settings().cache_enabled
             assert get_default_cache().root == tmp_path / "c"
-        assert resolve_workers(None) == before_workers
+        assert settings().workers == before_workers
 
     def test_cache_disable(self, tmp_path):
         with parallel_config(cache_enabled=False):
-            assert not cache_enabled()
+            assert not settings().cache_enabled
             assert get_default_cache() is None
 
     def test_env_defaults(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_WORKERS", "6")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert resolve_workers(None) == 6
-        assert not cache_enabled()
+        assert settings().workers == 6
+        assert get_default_cache() is None
         monkeypatch.setenv("REPRO_NO_CACHE", "0")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert cache_enabled()
+        assert settings().cache_enabled
         assert get_default_cache().root == tmp_path / "envcache"
 
 
 class TestShardRetryKnobs:
-    """Satellite: configurable run_sharded retry budget and backoff."""
+    """run_sharded's retry budget and backoff are constants that only
+    its keyword arguments change."""
 
-    def test_defaults_unchanged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_SHARD_BACKOFF_S", raising=False)
-        assert resolve_shard_retries() == DEFAULT_MAX_SHARD_RETRIES == 2
-        assert resolve_shard_backoff() == DEFAULT_BACKOFF_S == 0.05
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "7")
-        monkeypatch.setenv("REPRO_SHARD_BACKOFF_S", "9.0")
-        with parallel_config(shard_retries=5, shard_backoff_s=1.0):
-            assert resolve_shard_retries(1) == 1
-            assert resolve_shard_backoff(0.0) == 0.0
-
-    def test_parallel_config_overrides_and_restores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_SHARD_BACKOFF_S", raising=False)
-        with parallel_config(shard_retries=5, shard_backoff_s=0.25):
-            assert resolve_shard_retries() == 5
-            assert resolve_shard_backoff() == 0.25
-        assert resolve_shard_retries() == DEFAULT_MAX_SHARD_RETRIES
-        assert resolve_shard_backoff() == DEFAULT_BACKOFF_S
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "4")
-        monkeypatch.setenv("REPRO_SHARD_BACKOFF_S", "0.125")
-        assert resolve_shard_retries() == 4
-        assert resolve_shard_backoff() == 0.125
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "junk")
-        monkeypatch.setenv("REPRO_SHARD_BACKOFF_S", "junk")
-        assert resolve_shard_retries() == DEFAULT_MAX_SHARD_RETRIES
-        assert resolve_shard_backoff() == DEFAULT_BACKOFF_S
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "-3")
-        monkeypatch.setenv("REPRO_SHARD_BACKOFF_S", "-1.0")
-        assert resolve_shard_retries() == 0
-        assert resolve_shard_backoff() == 0.0
+    def test_defaults_unchanged(self):
+        assert DEFAULT_MAX_SHARD_RETRIES == 2
+        assert DEFAULT_BACKOFF_S == 0.05
 
     def test_merge_order_unchanged_under_knobs(self):
         items = list(range(23))
         expected = [2 * i for i in items]
         assert run_sharded(_double_all, items, workers=3) == expected
-        with parallel_config(shard_retries=0, shard_backoff_s=0.0):
-            assert (run_sharded(_double_all, items, workers=3)
-                    == expected)
         assert run_sharded(_double_all, items, workers=3,
                            max_shard_retries=0,
                            backoff_s=0.0) == expected
