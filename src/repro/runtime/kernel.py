@@ -43,6 +43,30 @@ Bitwise equality is engineered, not hoped for:
   set, so a candidate's iterate sequence never depends on its batch
   neighbours.
 
+A one-row call should pay for arithmetic, not bookkeeping, and three
+shortcuts keep it so without moving a bit:
+
+* every row's first iterate is the ambient temperature, so on a kernel
+  with one distinct die its leakage depends only on each thread's
+  level; the kernel tabulates it once per (thread, level), plus the
+  constant L2 blocks, through :meth:`_CellLayout.leakage` itself, and
+  iteration 1 looks rows up instead of evaluating them. A lookup is
+  the value the row would compute because each row's ``vecdot`` /
+  ``reduce`` result does not depend on the other rows of the call
+  (``TestReductionAssumptions``). Fleet kernels compute iteration 1;
+* each fixed-point guard makes one slab-wide comparison (``min() >
+  0``, ``math.isfinite(total.sum())``, ``max() <= RUNAWAY_TEMP_K``)
+  and builds the exact per-row mask only when it trips. These trip
+  whenever some row's own test does — a finite sum implies finite
+  entries — and an overflowing ``total.sum()`` of finite entries just
+  falls through to the exact per-row test, so the same rows fail at
+  the same iteration;
+* :class:`_SlabLeakage` allocates its scratch and builds its per-run
+  views once per slab and writes the reductions with ``out=``. The
+  DIBL term stays per segment: repeating it into a per-slab ``(rows,
+  cells)`` array cost the ``fleet_cold`` benchmark 5–9 % in compaction
+  copies.
+
 The kernel reports into the process-global
 :data:`repro.runtime.evaluation.EVALUATION_COUNTER` (every candidate
 counts as one full evaluation) and into a per-instance
@@ -90,13 +114,29 @@ def _libm_square(x: np.ndarray) -> np.ndarray:
     ``pow()``, which differs from every numpy array square by 1 ulp
     for rare inputs — the one place scalar and array float paths
     genuinely diverge — so the square is mapped through ``math.pow``.
+    Where the serial ``** 2`` overflows to ``inf``, ``math.pow`` raises
+    instead, so that rare input takes a per-value fallback.
     """
-    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(2.0)),
-                       dtype=float, count=x.size).reshape(x.shape)
+    values = x.ravel().tolist()
+    try:
+        squares = np.fromiter(map(math.pow, values, repeat(2.0)),
+                              dtype=float, count=x.size)
+    except OverflowError:
+        squares = np.fromiter(map(_pow2_or_inf, values), dtype=float,
+                              count=x.size)
+    return squares.reshape(x.shape)
 
 
-def _scalar_pow_prefactor(temps: np.ndarray,
-                          vdd: np.ndarray) -> np.ndarray:
+def _pow2_or_inf(value: float) -> float:
+    """libm ``pow(value, 2)``, ``inf`` where it overflows."""
+    try:
+        return math.pow(value, 2.0)
+    except OverflowError:
+        return math.inf
+
+
+def _scalar_pow_prefactor(temps: np.ndarray, vdd: np.ndarray,
+                          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-(row, segment) scalar leakage prefactor.
 
     ``vdd * (t / Tref) ** 2`` computed with the serial path's scalar
@@ -105,7 +145,7 @@ def _scalar_pow_prefactor(temps: np.ndarray,
     needs the scalar loop — a few dozen scalars per row, not one per
     cell.
     """
-    return vdd * _libm_square(temps / T_REF_K)
+    return np.multiply(vdd, _libm_square(temps / T_REF_K), out=out)
 
 
 def _distinct(objs: Sequence) -> Tuple[list, np.ndarray]:
@@ -175,6 +215,8 @@ class _CellLayout:
             k = k1
         self.core_runs = [r for r in runs if r[0] < n]
         self.l2_runs = [r for r in runs if r[0] >= n]
+        self.cell_bounds = bounds.tolist()
+        self.l2_sizes = self.seg_sizes[n:].astype(float)
         # Constants of the leakage-factor expression, hoisted so the
         # flat pass evaluates the *identical* expression tree as
         # :func:`repro.power.leakage.leakage_factor` without its
@@ -223,55 +265,119 @@ class _CellLayout:
                 scale: np.ndarray) -> np.ndarray:
         """Per-segment leakage power (W), pack order, bitwise-serial.
 
-        Evaluates the first ``k = vdd.shape[1]`` segments: all of them
-        inside the fixed point, the ``n_core`` core segments for the
-        final per-thread recompute. ``temps`` holds block temperatures;
-        ``vth``/``weights``/``scale`` are packed rows, either one shared
-        by every row (1-D) or one per row (2-D).
-
-        The per-segment terms of ``leakage_factor``'s expression tree
-        — ``(t - Tref) * k``, the DIBL term, ``-(t * k_B) * n`` and the
-        libm-``pow`` prefactor — are formed once per segment, copied to
-        cells by one ``np.repeat``, and combined in one flat five-ufunc
-        pass over the packed row. ``x / -y`` is bitwise ``-x / y``
-        (IEEE division is sign-symmetric); the other deviations from
-        the source expression are commuted operands. The reductions
-        are one ``np.vecdot`` (weighted core sums) or
-        ``np.add.reduce(axis=2)`` (L2 means) per equal-size run, each
-        row of which is exactly the serial contiguous ``ddot`` /
-        pairwise sum (tests/test_kernel.py guards both).
+        One evaluation through a fresh :class:`_SlabLeakage`; the fixed
+        point keeps one per slab instead. Evaluates the first ``k =
+        vdd.shape[1]`` segments — all of them, or the ``n_core`` core
+        segments for the final per-thread recompute.
         """
+        return _SlabLeakage(self, vdd, dib, vth, weights, scale)(temps)
+
+
+class _SlabLeakage:
+    """Per-segment leakage of a slab's working rows, scratch built once.
+
+    Holds the packed leakage state of the rows still iterating — per-row
+    (2-D) ``vdd``, DIBL term and, for several distinct dies, ``vth`` /
+    ``weights`` / ``scale``; 1-D entries are shared by every row — and
+    evaluates the first ``k = vdd.shape[1]`` segments of
+    :class:`_CellLayout`. Scratch (the per-segment terms, the per-cell
+    factor row, the per-segment result) is allocated for the whole
+    slab, and the per-run views into it and into the weights are built
+    when the slab starts and re-derived only when rows leave
+    (:meth:`compact`), never per iteration. The working rows are
+    always a prefix of the scratch.
+
+    The per-segment terms of ``leakage_factor``'s expression tree —
+    ``(t - Tref) * k``, the DIBL term, ``-(t * k_B) * n`` and the
+    libm-``pow`` prefactor — are formed once per segment (the DIBL
+    term once per slab: it does not depend on temperature), copied to
+    cells by one ``np.repeat``, and combined in one flat five-ufunc
+    pass over the packed row. ``x / -y`` is bitwise ``-x / y`` and
+    ``x * -n`` bitwise ``-(x * n)`` (IEEE division and multiplication
+    are sign-symmetric); the other deviations from the source
+    expression are commuted operands. The reductions are one
+    ``np.vecdot`` (weighted core sums) or ``np.add.reduce(axis=2)``
+    (L2 sums) per equal-size run, each row of which is exactly the
+    serial contiguous ``ddot`` / pairwise sum, written with ``out=``
+    into the result (tests/test_kernel.py guards both); the L2 means'
+    divide and the calibration scale are one ufunc each over all runs.
+    """
+
+    def __init__(self, layout: _CellLayout, vdd: np.ndarray,
+                 dib: np.ndarray, vth: np.ndarray, weights: np.ndarray,
+                 scale: np.ndarray) -> None:
         rows, k = vdd.shape
-        t = temps[:, self.seg_block[:k]]
-        terms = np.empty((4, rows, k))
-        np.subtract(t, T_REF_K, out=terms[0])
-        np.multiply(terms[0], self._vth_temp_coeff, out=terms[0])
-        terms[1] = dib
-        np.multiply(t, BOLTZMANN_EV, out=terms[2])
-        np.multiply(terms[2], self._n_slope, out=terms[2])
-        np.negative(terms[2], out=terms[2])
-        terms[3] = _scalar_pow_prefactor(t, vdd)
-        cells = np.repeat(terms, self.seg_sizes[:k], axis=2)
-        f = cells[0]
-        np.add(f, vth[..., :f.shape[1]], out=f)       # vth_eff
+        n_cells = layout.cell_bounds[k]
+        self._n_core = layout.n_core
+        self._vth_temp_coeff = layout._vth_temp_coeff
+        self._neg_n_slope = -layout._n_slope
+        self._seg_block = layout.seg_block[:k]
+        self._seg_sizes = layout.seg_sizes[:k]
+        self._core_runs = layout.core_runs
+        self._l2_runs = layout.l2_runs if k > layout.n_core else []
+        self._l2_sizes = layout.l2_sizes
+        self._terms = np.empty((4, rows, k))
+        self._f = np.empty((rows, n_cells))
+        self._out = np.empty((rows, k))
+        self._vdd, self._dib = vdd, dib
+        self._vth, self._weights = vth[..., :n_cells], weights
+        self._scale = scale[..., :k]
+        self._bind()
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the ``keep`` rows (a boolean mask over the working
+        rows); shared 1-D state is untouched."""
+        self._vdd, self._dib, self._vth, self._weights, self._scale = (
+            a[keep] if a.ndim == 2 else a
+            for a in (self._vdd, self._dib, self._vth, self._weights,
+                      self._scale))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Derive the working-row views of the scratch and the weights."""
+        m, k = self._vdd.shape
+        self._rows_terms = terms = self._terms[:, :m]
+        self._t_shift, dib, self._t_volt, self._t_pre = terms
+        dib[...] = self._dib
+        self._rows_f = f = self._f[:m]
+        self._rows_out = out = self._out[:m]
+        w = self._weights
+        self._core_views = [
+            (w[..., c0:c1].reshape(w.shape[:-1] + (k1 - k0, size)),
+             f[:, c0:c1].reshape(m, k1 - k0, size), out[:, k0:k1])
+            for k0, k1, c0, c1, size in self._core_runs]
+        self._l2_views = [
+            (f[:, c0:c1].reshape(m, k1 - k0, size), out[:, k0:k1])
+            for k0, k1, c0, c1, size in self._l2_runs]
+        self._l2_out = out[:, self._n_core:]
+
+    def __call__(self, temps: np.ndarray) -> np.ndarray:
+        """Leakage of the working rows at block temperatures ``temps``
+        (one row per working row); a view of the slab's scratch, valid
+        until the next call."""
+        t = temps[:, self._seg_block]
+        shift, volt, pre = self._t_shift, self._t_volt, self._t_pre
+        np.subtract(t, T_REF_K, out=shift)
+        np.multiply(shift, self._vth_temp_coeff, out=shift)
+        np.multiply(t, BOLTZMANN_EV, out=volt)
+        np.multiply(volt, self._neg_n_slope, out=volt)
+        _scalar_pow_prefactor(t, self._vdd, out=pre)
+        cells = np.repeat(self._rows_terms, self._seg_sizes, axis=2)
+        f = self._rows_f
+        np.add(cells[0], self._vth, out=f)              # vth_eff
         np.subtract(f, cells[1], out=f)
         np.divide(f, cells[2], out=f)
         np.exp(f, out=f)
         np.multiply(f, cells[3], out=f)
 
-        out = np.empty((rows, k))
-        for k0, k1, c0, c1, size in self.core_runs:
-            shape = (k1 - k0, size)
-            w = weights[..., c0:c1]
-            out[:, k0:k1] = scale[..., k0:k1] * np.vecdot(
-                w.reshape(w.shape[:-1] + shape),
-                f[:, c0:c1].reshape((rows,) + shape))
-        if k > self.n_core:
-            for k0, k1, c0, c1, size in self.l2_runs:
-                sums = np.add.reduce(
-                    f[:, c0:c1].reshape(rows, k1 - k0, size), axis=2)
-                out[:, k0:k1] = scale[..., k0:k1] * (sums / size)
-        return out
+        for w, cell_run, out_run in self._core_views:
+            np.vecdot(w, cell_run, out=out_run)
+        if self._l2_views:
+            for cell_run, out_run in self._l2_views:
+                np.add.reduce(cell_run, axis=2, out=out_run)
+            np.divide(self._l2_out, self._l2_sizes, out=self._l2_out)
+        out = self._rows_out
+        return np.multiply(out, self._scale, out=out)
 
 
 class KernelStats:
@@ -463,10 +569,39 @@ class EvalKernel:
         packed = [self._layout.pack(chip) for chip in dies_u]
         if len(dies_u) == 1:
             self._vth, self._weights, self._scale = packed[0]
+            self._ambient_leak = self._ambient_table(vf[0, 0].T)
         else:
             self._vth, self._weights, self._scale = (
                 np.stack(col) for col in zip(*packed))
+            self._ambient_leak = None
         self._slab_rows = max(1, _SLAB_CELLS // self._vth.shape[-1])
+
+    def _ambient_table(self, volts: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Block leakage of the fixed point's first iterate, tabulated.
+
+        Every row's first iterate is the ambient temperature, so on one
+        die its leakage depends only on each thread's level. ``volts``
+        is ``(L, n)``: table row ``l`` puts every thread at level ``l``
+        (levels past a core's grid are padding no row reads). Returns
+        ``(core, base)``: ``core[l, i]`` is thread ``i``'s core leakage
+        at level ``l``, ``base`` the per-block vector holding the
+        constant L2 values (zero on idle cores). The values come out of
+        :meth:`_CellLayout.leakage` itself, and its per-row results do
+        not depend on the other rows of the call, so a lookup is bitwise
+        the iteration-1 leakage the row would compute.
+        """
+        layout = self._layout
+        n_levels, n = volts.shape
+        vdd, dib = layout.supplies(volts)
+        seg = layout.leakage(
+            np.full((n_levels, self._n_blocks), self._thermal.ambient_k),
+            vdd, dib, self._vth, self._weights, self._scale)
+        core = np.empty((n_levels, n))
+        core[:, layout.threads] = seg[:, :n]
+        base = np.zeros(self._n_blocks)
+        base[layout.seg_block[n:]] = seg[0, n:]
+        return core, base
 
     @property
     def n_dies(self) -> int:
@@ -609,8 +744,8 @@ class EvalKernel:
             else:
                 p = self._pack_of[d]
                 leak = (self._vth[p], self._weights[p], self._scale[p])
-            states, iters = self._evaluate(volts, freqs, ipcs, core_dyn,
-                                           *leak)
+            states, iters = self._evaluate(levels[c0:c0 + step], volts,
+                                           freqs, ipcs, core_dyn, *leak)
             out.extend(states)
             total_iters += iters
         wall = time.perf_counter() - start
@@ -622,8 +757,8 @@ class EvalKernel:
                     raise item
         return out
 
-    def _evaluate(self, volts: np.ndarray, freqs: np.ndarray,
-                  ipcs: np.ndarray, core_dyn: np.ndarray,
+    def _evaluate(self, levels: np.ndarray, volts: np.ndarray,
+                  freqs: np.ndarray, ipcs: np.ndarray, core_dyn: np.ndarray,
                   vth: np.ndarray, weights: np.ndarray,
                   scale: np.ndarray):
         """Evaluate one chunk of rows from their gathered table values.
@@ -640,8 +775,14 @@ class EvalKernel:
                                         * self._l2_dyn_share[None, :])
         layout = self._layout
         vdd, dib = layout.supplies(volts)
+        first_leak = None
+        if self._ambient_leak is not None:
+            core, base = self._ambient_leak
+            first_leak = np.tile(base, (n_rows, 1))
+            first_leak[:, self._core_of] = core[levels, self._thread_ix]
         temps, powers, iters, row_errors = self._fixed_point(
-            block_dyn, [vdd, dib, vth, weights, scale])
+            block_dyn, _SlabLeakage(layout, vdd, dib, vth, weights, scale),
+            first_leak)
         # Failed rows hold uninitialised temperatures; park them at the
         # ambient so the shared final recompute stays well-defined (the
         # garbage results are replaced by the exception objects below,
@@ -675,7 +816,8 @@ class EvalKernel:
             ))
         return out, int(iters.sum())
 
-    def _fixed_point(self, block_dyn: np.ndarray, state: List[np.ndarray]):
+    def _fixed_point(self, block_dyn: np.ndarray, leakage: _SlabLeakage,
+                     first_leak: Optional[np.ndarray]):
         """Lockstep leakage-temperature fixed point with row masks.
 
         Every row starts from the ambient temperature and takes exactly
@@ -686,18 +828,29 @@ class EvalKernel:
         neighbours. A row that diverges is likewise compacted out, with
         the exception the serial path would have raised (same type,
         same message) recorded in its ``row_errors`` slot — its batch
-        neighbours run to completion untouched. ``state`` is the
-        argument list of :meth:`_CellLayout.leakage` after the
-        temperatures; its 2-D entries are per-row and compacted with
-        their rows, its 1-D entries shared by every row.
+        neighbours run to completion untouched. ``leakage`` evaluates
+        the working rows and is compacted with them. ``first_leak``,
+        when given, is every row's block leakage at the ambient (the
+        kernel's tabulated first iterate) and replaces iteration 1's
+        leakage evaluation; iteration 1 still solves and counts.
+
+        Each guard first makes one slab-wide test and builds the exact
+        per-row mask only when that test trips. ``not x.min() > 0`` and
+        ``not x.max() <= RUNAWAY_TEMP_K`` hold whenever some row's
+        per-row test does (they also trip on a NaN, which the per-row
+        mask then ignores, as the serial comparisons do); a finite
+        ``total.sum()`` implies every entry is finite, and a sum that
+        overflows falls through to the exact per-row test.
         """
         n_rows = block_dyn.shape[0]
         out_temps = np.empty((n_rows, self._n_blocks))
         out_powers = np.empty((n_rows, self._n_blocks))
         out_iters = np.zeros(n_rows, dtype=int)
         row_errors: List[Optional[Exception]] = [None] * n_rows
-        layout = self._layout
+        seg_block = self._layout.seg_block
         solve_many = self._thermal.solve_many
+        # Idle-core columns are never written, so they stay zero.
+        leak_buf = np.zeros((n_rows, self._n_blocks))
 
         orig = np.arange(n_rows)
         work_temps = np.full((n_rows, self._n_blocks),
@@ -705,55 +858,61 @@ class EvalKernel:
         work_dyn = block_dyn
 
         def compact(keep: np.ndarray) -> None:
-            nonlocal orig, work_dyn, state
+            nonlocal orig, work_dyn
             orig = orig[keep]
             work_dyn = work_dyn[keep]
-            state = [a[keep] if a.ndim == 2 else a for a in state]
+            leakage.compact(keep)
+
+        def fail(bad: np.ndarray, error: type, message: str) -> bool:
+            """Record ``error(message)`` for the ``bad`` rows and compact
+            them away; True when no active rows remain."""
+            nonlocal work_temps
+            for r in orig[bad]:
+                row_errors[r] = error(message)
+                out_iters[r] = iteration
+            compact(~bad)
+            work_temps = work_temps[~bad]
+            return orig.size == 0
 
         for iteration in range(1, MAX_ITERATIONS + 1):
-
-            def fail(bad: np.ndarray, make_error) -> bool:
-                """Record errors for ``bad`` rows, compact them away.
-
-                Returns True when no active rows remain.
-                """
-                nonlocal work_temps
-                for r in orig[bad]:
-                    row_errors[r] = make_error()
-                    out_iters[r] = iteration
-                compact(~bad)
-                work_temps = work_temps[~bad]
-                return orig.size == 0
-
             # A non-positive iterate would raise inside the serial
             # leakage_factor call of this iteration.
-            bad = (work_temps <= 0).any(axis=1)
-            if bad.any() and fail(bad, lambda: ValueError(
-                    "temperature must be positive kelvin")):
-                return out_temps, out_powers, out_iters, row_errors
-            leak = np.zeros((orig.size, self._n_blocks))
-            leak[:, layout.seg_block] = layout.leakage(work_temps, *state)
-            total = work_dyn + leak
-            bad = ~np.isfinite(total).all(axis=1)
-            if bad.any():
-                kept_total = total[~bad]
-                if fail(bad, lambda: ThermalRunawayError(
-                        "leakage diverged before the temperature did")):
+            if not work_temps.min() > 0:
+                bad = (work_temps <= 0).any(axis=1)
+                if bad.any() and fail(bad, ValueError,
+                                      "temperature must be positive kelvin"):
                     return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
+            if iteration == 1 and first_leak is not None:
+                # Every row shares iteration 1's ambient iterate, so the
+                # guard above dropped all rows or none: ``first_leak``
+                # is still aligned with the working set.
+                leak = first_leak
+            else:
+                leak = leak_buf[:orig.size]
+                leak[:, seg_block] = leakage(work_temps)
+            total = work_dyn + leak
+            if not math.isfinite(total.sum()):
+                bad = ~np.isfinite(total).all(axis=1)
+                if bad.any():
+                    kept_total = total[~bad]
+                    if fail(bad, ThermalRunawayError,
+                            "leakage diverged before the temperature did"):
+                        return out_temps, out_powers, out_iters, row_errors
+                    total = kept_total
             solved = solve_many(total)
             new_temps = DAMPING * solved + (1.0 - DAMPING) * work_temps
-            bad = new_temps.max(axis=1) > RUNAWAY_TEMP_K
-            if bad.any():
-                kept_total = total[~bad]
-                kept_new = new_temps[~bad]
-                if fail(bad, lambda: ThermalRunawayError(
-                        f"block temperature exceeded {RUNAWAY_TEMP_K} K: "
-                        "the leakage-temperature loop gain is above unity "
-                        "for these power/cooling parameters")):
-                    return out_temps, out_powers, out_iters, row_errors
-                total = kept_total
-                new_temps = kept_new
+            if not new_temps.max() <= RUNAWAY_TEMP_K:
+                bad = new_temps.max(axis=1) > RUNAWAY_TEMP_K
+                if bad.any():
+                    kept_total = total[~bad]
+                    kept_new = new_temps[~bad]
+                    if fail(bad, ThermalRunawayError,
+                            f"block temperature exceeded {RUNAWAY_TEMP_K} "
+                            "K: the leakage-temperature loop gain is above "
+                            "unity for these power/cooling parameters"):
+                        return out_temps, out_powers, out_iters, row_errors
+                    total = kept_total
+                    new_temps = kept_new
             delta = np.abs(new_temps - work_temps).max(axis=1)
             converged = delta < DEFAULT_TOLERANCE_K
             if converged.any():

@@ -81,14 +81,20 @@ def fleet_workload():
     return Workload(apps), Assignment(core_of=(0, 1, 3))
 
 
+def _bits(value):
+    """A value's exact bit pattern: an array's dtype, shape and bytes,
+    or a float's hex form."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return float(value).hex()
+
+
 def assert_state_equal(a, b):
-    """Bitwise SystemState equality (exact, not approximate)."""
+    """Bitwise SystemState equality: the bit patterns, so ``-0.0`` never
+    passes for ``0.0``, nor one NaN payload for another."""
     for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, np.ndarray):
-            assert np.array_equal(va, vb), f.name
-        else:
-            assert va == vb, f.name
+        assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), \
+            f.name
 
 
 class TestFleetKernel:

@@ -10,6 +10,7 @@ evaluation counts and states of their one-candidate-per-call
 schedules.
 """
 
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -23,10 +24,12 @@ from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
                       LinOptConfig, OptimalFrozen, SAnnManager,
                       fit_power_lines)
 from repro.power import PowerSensor
+from repro.power.scaling import L2_DYNAMIC_FRACTION
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
                                       evaluate_levels)
 from repro.runtime.kernel import (EvalKernel, _CellLayout,
                                   _scalar_pow_prefactor)
+from repro.thermal.hotspot import RUNAWAY_TEMP_K, ThermalRunawayError
 from repro.variation import DieBatch
 from repro.workloads import Workload, make_workload
 
@@ -48,19 +51,21 @@ def _random_case(chip, n_threads, seed):
     return workload, assignment, matrix
 
 
+def _bits(value):
+    """A value's exact bit pattern: an array's dtype, shape and bytes,
+    or a float's hex form."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return float(value).hex()
+
+
 def _assert_state_bitwise(batch_state, serial_state):
-    np.testing.assert_array_equal(batch_state.voltages,
-                                  serial_state.voltages)
-    np.testing.assert_array_equal(batch_state.freqs, serial_state.freqs)
-    np.testing.assert_array_equal(batch_state.ipcs, serial_state.ipcs)
-    np.testing.assert_array_equal(batch_state.core_dynamic,
-                                  serial_state.core_dynamic)
-    np.testing.assert_array_equal(batch_state.core_leakage,
-                                  serial_state.core_leakage)
-    np.testing.assert_array_equal(batch_state.block_temps,
-                                  serial_state.block_temps)
-    assert batch_state.l2_power == serial_state.l2_power
-    assert batch_state.total_power == serial_state.total_power
+    """Every field bit for bit. ``np.testing.assert_array_equal`` would
+    accept ``0.0`` for ``-0.0`` and any NaN for any NaN, so the bit
+    patterns are compared instead."""
+    for field in dataclasses.fields(serial_state):
+        assert (_bits(getattr(batch_state, field.name))
+                == _bits(getattr(serial_state, field.name))), field.name
 
 
 class TestBitwiseIdentity:
@@ -398,9 +403,25 @@ class TestReductionAssumptions:
     ``np.vecdot`` over a strided ``(rows, n_g, L)`` view of a packed
     matrix performs, row by row, the contiguous ``ddot`` of the serial
     ``weights @ factors``, and ``np.add.reduce(axis=2)`` the pairwise
-    sum of the serial ``np.mean``. A numpy or BLAS upgrade that breaks
-    either fails here by name, not as a digest mismatch.
+    sum of the serial ``np.mean``. Both hold with the result written
+    through ``out=`` into a strided view of the kernel's per-segment
+    buffer, and a row's result does not depend on the other rows of the
+    call — what lets the kernel tabulate the first iterate's leakage in
+    one call and look rows up later. A numpy or BLAS upgrade that
+    breaks any of this fails here by name, not as a digest mismatch.
     """
+
+    @staticmethod
+    def _assert_out_and_row_independent(fn, operand, expected):
+        """``fn(operand, out=strided)`` and each one-row call
+        ``fn(operand[b:b + 1])`` reproduce ``expected`` row by row."""
+        rows, n_g = expected.shape
+        out = np.empty((rows, n_g + 3))[:, 2:2 + n_g]
+        fn(operand, out=out)
+        np.testing.assert_array_equal(out, expected)
+        for b in range(rows):
+            np.testing.assert_array_equal(fn(operand[b:b + 1])[0],
+                                          expected[b])
 
     SIZES = [45, 48, 60, 64, 288, 300, 640]
 
@@ -429,6 +450,9 @@ class TestReductionAssumptions:
             np.vecdot(per_row, view),
             [[np.dot(per_row[b, g], segs[b][g]) for g in range(n_g)]
              for b in range(rows)])
+        self._assert_out_and_row_independent(
+            lambda v, **kw: np.vecdot(shared, v, **kw), view,
+            np.vecdot(shared, view))
 
     @pytest.mark.parametrize("size", SIZES)
     def test_axis2_reduce_matches_per_row_reduce(self, size):
@@ -438,6 +462,8 @@ class TestReductionAssumptions:
             sums, [[np.add.reduce(s) for s in row] for row in segs])
         np.testing.assert_array_equal(
             sums / size, [[np.mean(s) for s in row] for row in segs])
+        self._assert_out_and_row_independent(
+            lambda v, **kw: np.add.reduce(v, axis=2, **kw), view, sums)
 
     def test_pow_prefactor_matches_scalar_serial(self):
         """libm ``pow`` (the serial 0-d ``** 2``), never ``x * x``."""
@@ -638,3 +664,200 @@ def _assert_same_outcome(a, b):
         assert type(a) is type(b) and str(a) == str(b)
     else:
         _assert_state_bitwise(a, b)
+
+
+def _serial_outcome(chip, wl, asg, row, **multipliers):
+    """The serial evaluation of ``row``: its state, or its exception."""
+    try:
+        return evaluate_levels(chip, wl, asg, list(row), **multipliers)
+    except Exception as exc:  # noqa: BLE001 — parity check
+        return exc
+
+
+def _busy_case(chip, n_threads, seed):
+    """(workload, assignment, per-thread level counts, rng)."""
+    rng = np.random.default_rng(seed)
+    wl = make_workload(n_threads, rng)
+    asg = Assignment(core_of=tuple(
+        int(c) for c in rng.permutation(chip.n_cores)[:n_threads]))
+    n_levels = np.array([chip.cores[c].vf_table.n_levels
+                         for c in asg.core_of])
+    return wl, asg, n_levels, rng
+
+
+class TestAmbientTable:
+    """A one-die kernel looks iteration 1's leakage up in a table built
+    at the ambient; every row stays bitwise the serial evaluation."""
+
+    @pytest.fixture(params=["chip", "small_chip"])
+    def die(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_table_is_the_serial_ambient_leakage(self, die):
+        """Two cores idle: their blocks leak nothing at iteration 1."""
+        wl, asg, n_levels, _ = _busy_case(die, die.n_cores - 2, 60)
+        kernel = EvalKernel(die, wl, asg)
+        core, base = kernel._ambient_leak
+        ambient = np.full(die.thermal.n_blocks, die.thermal.ambient_k)
+        for i, c in enumerate(asg.core_of):
+            table = die.cores[c].vf_table
+            assert [core[lv, i].hex() for lv in range(n_levels[i])] == [
+                die.cores[c].leakage.power(table.voltages[lv],
+                                           ambient[c]).hex()
+                for lv in range(n_levels[i])]
+        idle = sorted(set(range(die.n_cores)) - set(asg.core_of))
+        assert base[idle].tolist() == [0.0, 0.0]
+        assert (base[asg.core_of,].tobytes()
+                == np.zeros(len(asg.core_of)).tobytes())
+        assert (base[die.n_cores:].tobytes() == die.l2_leakage
+                .power_per_block(ambient[die.n_cores:]).tobytes())
+
+    @pytest.mark.parametrize("phases", [False, True],
+                             ids=["flat", "phases"])
+    def test_every_level_and_random_rows_match_serial(self, die, phases):
+        """Row ``l`` puts every thread at level ``l`` (capped at its
+        core's top level); random rows follow."""
+        n = die.n_cores
+        wl, asg, n_levels, rng = _busy_case(die, n, 61)
+        multipliers = {}
+        if phases:
+            multipliers = {
+                "ipc_multipliers": rng.uniform(0.6, 1.4, size=n),
+                "ceff_multipliers": rng.uniform(0.6, 1.2, size=n)}
+        kernel = EvalKernel(die, wl, asg, **multipliers)
+        uniform = np.minimum.outer(np.arange(n_levels.max()),
+                                   n_levels - 1)
+        matrix = np.vstack([uniform,
+                            rng.integers(0, n_levels, size=(6, n))])
+        results = kernel.evaluate_levels_batch(matrix, errors="isolate")
+        for row, item in zip(matrix, results):
+            _assert_same_outcome(
+                item, _serial_outcome(die, wl, asg, row, **multipliers))
+        converged = sum(not isinstance(r, Exception) for r in results)
+        assert converged > len(matrix) // 2
+
+    def test_fleet_kernels_have_no_table(self, chip, chip2):
+        wl, asg, _, _ = _busy_case(chip, 3, 62)
+        assert EvalKernel([chip, chip2], wl, asg)._ambient_leak is None
+        assert EvalKernel([chip, chip], wl, asg)._ambient_leak is not None
+
+
+class TestGuardPaths:
+    """Each slab-wide guard drops exactly the rows its per-row test
+    drops, with the serial exception, under both error modes."""
+
+    @staticmethod
+    def _check(kernel, chip, wl, asg, matrix, **multipliers):
+        """The batch equals the serial outcomes row by row; returns
+        them."""
+        serial = [_serial_outcome(chip, wl, asg, row, **multipliers)
+                  for row in matrix]
+        isolated = kernel.evaluate_levels_batch(matrix, errors="isolate")
+        assert len(isolated) == len(serial)
+        for item, ref in zip(isolated, serial):
+            _assert_same_outcome(item, ref)
+        first = next((r for r in serial if isinstance(r, Exception)), None)
+        if first is None:
+            for item, ref in zip(kernel.evaluate_levels_batch(matrix),
+                                 serial):
+                _assert_state_bitwise(item, ref)
+        else:
+            with pytest.raises(type(first), match=re.escape(str(first))):
+                kernel.evaluate_levels_batch(matrix)
+        return serial
+
+    def test_one_row_runaway(self, small_chip):
+        wl, asg, n_levels, _ = _busy_case(small_chip, 8, 42)
+        ceff_m = [40.0] * 8
+        kernel = EvalKernel(small_chip, wl, asg, ceff_multipliers=ceff_m)
+        serial = self._check(kernel, small_chip, wl, asg,
+                             [n_levels - 1], ceff_multipliers=ceff_m)
+        assert isinstance(serial[0], ThermalRunawayError)
+
+    def test_runaway_rows_among_rows_converging_at_different_iterations(
+            self, small_chip):
+        wl, asg, n_levels, rng = _busy_case(small_chip, 8, 43)
+        ceff_m = [6.0] * 8
+        kernel = EvalKernel(small_chip, wl, asg, ceff_multipliers=ceff_m)
+        matrix = rng.integers(0, 3, size=(10, 8))
+        matrix[[0, 4, 7]] = n_levels - 1
+        matrix[5] = np.minimum(n_levels - 1, 4)
+        serial = self._check(kernel, small_chip, wl, asg, matrix,
+                             ceff_multipliers=ceff_m)
+        failed = [isinstance(r, Exception) for r in serial]
+        assert failed[0] and failed[4] and failed[7] and not all(failed)
+        iterations = set()
+        for row, bad in zip(matrix, failed):
+            if not bad:
+                single = EvalKernel(small_chip, wl, asg,
+                                    ceff_multipliers=ceff_m)
+                single.evaluate_levels(row)
+                iterations.add(single.stats.fixed_point_iterations)
+        assert len(iterations) > 1
+
+    def test_batch_wider_than_a_slab(self, chip):
+        """Every core of the 20-core die busy: 16 rows per slab, so 21
+        rows span two, with runaway rows in both."""
+        wl, asg, n_levels, rng = _busy_case(chip, 20, 44)
+        ceff_m = [4.0] * 20
+        kernel = EvalKernel(chip, wl, asg, ceff_multipliers=ceff_m)
+        matrix = rng.integers(0, 4, size=(kernel._slab_rows + 5, 20))
+        matrix[[3, kernel._slab_rows + 2]] = n_levels - 1
+        serial = self._check(kernel, chip, wl, asg, matrix,
+                             ceff_multipliers=ceff_m)
+        failed = [isinstance(r, Exception) for r in serial]
+        assert failed[3] and failed[kernel._slab_rows + 2]
+        assert sum(failed) < len(failed)
+
+    def test_non_finite_and_overflowing_powers(self, small_chip):
+        """One thread's dynamic power is scaled to the edge of the
+        double range. At its lowest level the first iterate runs away.
+        At its top level it overflows to ``inf``: the finiteness guard
+        drops the row at iteration 1. One level down the block powers
+        are finite but their sum overflows, so the slab-wide test trips
+        and the exact per-row test keeps the row; its solve yields a NaN
+        iterate, which the runaway guard's per-row test ignores as the
+        serial comparison does, and the row fails at iteration 2."""
+        wl, asg, n_levels, _ = _busy_case(small_chip, 4, 45)
+        table = small_chip.cores[asg.core_of[0]].vf_table
+        dyn = wl[0].ceff * table.voltages ** 2 * table.freqs
+        top = n_levels[0] - 1
+        ceff_m = [1.0] * 4
+        ceff_m[0] = 1.7e308 / dyn[top - 1]
+        matrix = np.zeros((3, 4), dtype=int)
+        matrix[:, 0] = [0, top - 1, top]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = EvalKernel(small_chip, wl, asg,
+                                ceff_multipliers=ceff_m)
+            core_dyn = kernel._tabs[3, 0, 0]
+            assert np.isfinite(core_dyn[top - 1])
+            assert np.isinf(core_dyn[top - 1] * (1 + L2_DYNAMIC_FRACTION))
+            assert np.isinf(core_dyn[top])
+            serial = self._check(kernel, small_chip, wl, asg, matrix,
+                                 ceff_multipliers=ceff_m)
+            iterations = []
+            for row in matrix:
+                single = EvalKernel(small_chip, wl, asg,
+                                    ceff_multipliers=ceff_m)
+                single.evaluate_levels_batch([row], errors="isolate")
+                iterations.append(single.stats.fixed_point_iterations)
+        assert [str(r).split(":")[0] for r in serial] == [
+            f"block temperature exceeded {RUNAWAY_TEMP_K} K",
+            "leakage diverged before the temperature did",
+            "leakage diverged before the temperature did"]
+        assert iterations == [1, 2, 1]
+
+    def test_sann_decision_counters_pinned(self, chip):
+        """A 20-thread SAnn decision on the 20-core die does exactly the
+        work it did when every row computed its first iterate: the same
+        evaluations and fixed-point iterations, recorded from that
+        kernel."""
+        rng = np.random.default_rng(31)
+        wl = make_workload(20, rng)
+        asg = Assignment(core_of=tuple(
+            int(c) for c in rng.permutation(chip.n_cores)))
+        result = SAnnManager(n_evaluations=120).set_levels(
+            chip, wl, asg, COST_PERFORMANCE, rng=np.random.default_rng(5))
+        assert result.stats["kernel_evaluations"] == 1212.0
+        assert result.stats["kernel_fp_iterations"] == 11657.0
+        assert result.evaluations == 1082
