@@ -18,11 +18,13 @@ daemon:
 
 # Crash-recovery suite: storage corruption suite, op-log/snapshot
 # units, bitwise replay, reconnecting clients, then the real
-# SIGKILL-restart chaos run
-# (CI's 'daemon-durability' job adds the recovery-time floor).
+# SIGKILL-restart chaos run and the traced daemon_durable e2e run
+# (span map + pinned digest; CI's 'daemon-durability' job adds the
+# recovery-time floor).
 durability:
 	$(PYTHON) -m pytest -x -q tests/test_storage.py tests/test_daemon_durability.py
 	$(PYTHON) -m pytest -x -q -m slow tests/test_daemon_durability.py
+	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[daemon_durable]"
 
 # Fleet subsystem suite + the nightly kill/resume bitwise check at
 # smoke scale (the scheduled CI job runs it at 10^4 dies).

@@ -37,7 +37,58 @@ class DaemonError(RuntimeError):
         self.message = message
 
 
-class DaemonClient:
+class _Verbs:
+    """Convenience verbs shared by both clients, built on the
+    subclass's ``request`` and ``next_event``."""
+
+    def drain_events(self, timeout_s: float = 0.2,
+                     ) -> List[Dict[str, Any]]:
+        """Collect events until the wire stays quiet for
+        ``timeout_s``."""
+        events: List[Dict[str, Any]] = []
+        while True:
+            event = self.next_event(timeout_s=timeout_s)
+            if event is None:
+                return events
+            events.append(event)
+
+    def register(self, tenant: str, **config: Any) -> Dict[str, Any]:
+        return self.request("register", tenant=tenant, **config)
+
+    def advance(self, tenant: str,
+                until_s: Optional[float] = None,
+                to_end: bool = False, **extra: Any) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"tenant": tenant, **extra}
+        if to_end:
+            payload["to_end"] = True
+        else:
+            payload["until_s"] = until_s
+        return self.request("advance", **payload)
+
+    def sensor_feed(self, tenant: str, core_values: List[float],
+                    uncore_value: Optional[float] = None,
+                    **extra: Any) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"tenant": tenant,
+                                   "core_values": core_values,
+                                   **extra}
+        if uncore_value is not None:
+            payload["uncore_value"] = uncore_value
+        return self.request("sensor_feed", **payload)
+
+    def subscribe(self, tenant: str = "*") -> Dict[str, Any]:
+        return self.request("subscribe", tenant=tenant)
+
+    def ping(self) -> Dict[str, Any]:
+        return self.request("ping")
+
+    def status(self) -> Dict[str, Any]:
+        return self.request("status")
+
+    def telemetry(self) -> Dict[str, Any]:
+        return self.request("telemetry")
+
+
+class DaemonClient(_Verbs):
     """Blocking client for one daemon connection."""
 
     def __init__(self, host: str, port: int,
@@ -141,41 +192,6 @@ class DaemonClient:
         finally:
             self._sock.settimeout(self._timeout_s)
 
-    def drain_events(self, timeout_s: float = 0.2,
-                     ) -> List[Dict[str, Any]]:
-        """Collect events until the wire stays quiet for
-        ``timeout_s``."""
-        events: List[Dict[str, Any]] = []
-        while True:
-            event = self.next_event(timeout_s=timeout_s)
-            if event is None:
-                return events
-            events.append(event)
-
-    # -- Convenience verbs ---------------------------------------------
-
-    def register(self, tenant: str, **config: Any) -> Dict[str, Any]:
-        return self.request("register", tenant=tenant, **config)
-
-    def advance(self, tenant: str,
-                until_s: Optional[float] = None,
-                to_end: bool = False) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"tenant": tenant}
-        if to_end:
-            payload["to_end"] = True
-        else:
-            payload["until_s"] = until_s
-        return self.request("advance", **payload)
-
-    def subscribe(self, tenant: str = "*") -> Dict[str, Any]:
-        return self.request("subscribe", tenant=tenant)
-
-    def ping(self) -> Dict[str, Any]:
-        return self.request("ping")
-
-    def telemetry(self) -> Dict[str, Any]:
-        return self.request("telemetry")
-
 
 # ---------------------------------------------------------------------------
 # Reconnecting wrapper
@@ -206,7 +222,7 @@ def backoff_delay_s(attempt: int, base_s: float = BACKOFF_BASE_S,
 MUTATING_VERBS = ("register", "advance", "inject", "sensor_feed")
 
 
-class ReconnectingClient:
+class ReconnectingClient(_Verbs):
     """Crash-tolerant client: reconnect, re-subscribe, resend.
 
     Every request that dies to a connection error is retried on a
@@ -362,46 +378,3 @@ class ReconnectingClient:
         if event is None and client.eof:
             self._drop()
         return event
-
-    def drain_events(self, timeout_s: float = 0.2,
-                     ) -> List[Dict[str, Any]]:
-        events: List[Dict[str, Any]] = []
-        while True:
-            event = self.next_event(timeout_s=timeout_s)
-            if event is None:
-                return events
-            events.append(event)
-
-    # -- Convenience verbs ---------------------------------------------
-
-    def register(self, tenant: str, **config: Any) -> Dict[str, Any]:
-        return self.request("register", tenant=tenant, **config)
-
-    def advance(self, tenant: str,
-                until_s: Optional[float] = None,
-                to_end: bool = False, **extra: Any) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"tenant": tenant, **extra}
-        if to_end:
-            payload["to_end"] = True
-        else:
-            payload["until_s"] = until_s
-        return self.request("advance", **payload)
-
-    def sensor_feed(self, tenant: str, core_values: List[float],
-                    uncore_value: Optional[float] = None,
-                    **extra: Any) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"tenant": tenant,
-                                   "core_values": core_values,
-                                   **extra}
-        if uncore_value is not None:
-            payload["uncore_value"] = uncore_value
-        return self.request("sensor_feed", **payload)
-
-    def ping(self) -> Dict[str, Any]:
-        return self.request("ping")
-
-    def status(self) -> Dict[str, Any]:
-        return self.request("status")
-
-    def telemetry(self) -> Dict[str, Any]:
-        return self.request("telemetry")

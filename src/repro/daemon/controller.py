@@ -24,14 +24,16 @@ Durability (DESIGN.md §19): with ``state_dir`` set, every admitted
 state-mutating request — register, advance, fault injection, sensor
 feed — is journaled to the tenant's write-ahead op log *before* the
 reply leaves the daemon, and periodic snapshots bound recovery cost.
-A restarted controller calls :meth:`DaemonController.recover`, which
-rebuilds each tenant by deterministic replay through the stepper
-(decision streams bitwise-identical to an uninterrupted run — a
-replay that diverges from the journaled replies quarantines that
-tenant rather than serving silently-different state). Requests carry
-an optional client ``request_id``; each tenant keeps a bounded dedup
-window of recent ``request_id -> reply`` pairs so a retried request
-gets its original reply replayed, never re-executed.
+Each op after ``register`` has exactly one execution function in
+:data:`OPS`, keyed by its op-log type. A live verb looks the tenant
+up, takes its lock, answers a repeated ``request_id`` from the
+bounded dedup window (before the quarantine check, so a retry of an
+acknowledged request gets its journaled reply even after the tenant
+was quarantined), checks quarantine, runs the op function, journals
+the op and updates telemetry. :meth:`DaemonController.recover` runs
+the same op functions on the journaled payloads and compares every
+reply with the journaled one: a replay that diverges quarantines the
+tenant rather than serving silently-different state.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import pathlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +63,7 @@ from ..faults import (
     ResilientManager,
     SensorBank,
 )
+from ..faults.watchdog import GUARD_BAND_FRAC, K_SAMPLES
 from ..pm import FoxtonStar, LinOpt, LinOptConfig, PmResult, PowerManager
 from ..power import SensorSpec
 from ..report import resilience_timeline
@@ -93,10 +96,6 @@ from .telemetry import DaemonTelemetry
 ACTIVE = "active"
 FINISHED = "finished"
 QUARANTINED = "quarantined"
-
-#: Watchdog tuning (matches the ext-faults experiment).
-GUARD_BAND_FRAC = 0.01
-K_SAMPLES = 3
 
 _ENVS = {
     "low_power": LOW_POWER,
@@ -262,19 +261,17 @@ def build_stepper(config: TenantConfig, chip) -> SimulationStepper:
 class Tenant:
     """One hosted chip: a stepper plus lifecycle/quarantine state.
 
-    ``lock`` serialises advancement of *this* tenant only; different
-    tenants advance concurrently on different executor threads. It is
-    re-entrant so the controller can hold it across an
-    execute-then-journal sequence (op-log order must match execution
-    order) while :meth:`advance` keeps its own acquisition for
-    non-durable callers.
+    ``lock`` serialises the ops of *this* tenant only; different
+    tenants advance concurrently on different executor threads. The
+    controller holds it across each dedup-execute-journal sequence,
+    so the op log's order is the execution order.
     """
 
     def __init__(self, config: TenantConfig,
                  stepper: SimulationStepper) -> None:
         self.config = config
         self.stepper = stepper
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
         self.status = ACTIVE
         self.quarantine_reason: Optional[str] = None
         self.last_tier = 0
@@ -299,28 +296,6 @@ class Tenant:
                 ERR_QUARANTINED,
                 f"tenant {self.config.name!r} is quarantined: "
                 f"{self.quarantine_reason}")
-
-    def advance(self, until_s: Optional[float],
-                to_end: bool) -> List[ManagerDecision]:
-        """Advance the tenant's simulation, quarantining on crash."""
-        self.require_usable()
-        with self.lock:
-            try:
-                if to_end:
-                    decisions = self.stepper.run_to_end()
-                else:
-                    decisions = self.stepper.advance_until(
-                        float(until_s))
-            except Exception as exc:
-                self.status = QUARANTINED
-                self.quarantine_reason = (
-                    f"{type(exc).__name__}: {exc}")
-                raise
-            if decisions:
-                self.last_tier = decisions[-1].resilience_tier
-            if self.stepper.finished:
-                self.status = FINISHED
-            return decisions
 
     def info(self) -> Dict[str, Any]:
         return {
@@ -381,6 +356,76 @@ class Tenant:
             "faults_applied": len(trace.fault_events),
             "decisions": len(self.stepper.decisions),
         }
+
+
+# -- Op table: one execution function per journaled op type ------------
+
+
+def run_advance(tenant: Tenant, payload: Dict[str, Any],
+                ) -> Dict[str, Any]:
+    """Advance the tenant's simulation, quarantining it on a crash."""
+    stepper = tenant.stepper
+    try:
+        if payload["to_end"]:
+            decisions = stepper.run_to_end()
+        else:
+            decisions = stepper.advance_until(float(payload["until_s"]))
+    except Exception as exc:
+        tenant.status = QUARANTINED
+        tenant.quarantine_reason = f"{type(exc).__name__}: {exc}"
+        raise ProtocolError(
+            ERR_QUARANTINED,
+            f"tenant {tenant.config.name!r} crashed and was "
+            f"quarantined: {tenant.quarantine_reason}") from exc
+    if decisions:
+        tenant.last_tier = decisions[-1].resilience_tier
+    if stepper.finished:
+        tenant.status = FINISHED
+    return {
+        "tenant": tenant.config.name,
+        "time_s": stepper.time_s,
+        "finished": stepper.finished,
+        "decisions": [decision_to_dict(d) for d in decisions],
+    }
+
+
+def run_inject(tenant: Tenant, payload: Dict[str, Any],
+               ) -> Dict[str, Any]:
+    """Arm a one-shot manager fault on a resilient tenant."""
+    manager = tenant.stepper.sim.manager
+    if not isinstance(manager, ResilientManager):
+        raise ProtocolError(
+            ERR_INVALID,
+            f"tenant {tenant.config.name!r} has no resilient manager "
+            f"to inject into")
+    manager.inject_failure(payload["kind"])
+    return {"tenant": tenant.config.name, "armed": payload["kind"]}
+
+
+def run_sensor_feed(tenant: Tenant, payload: Dict[str, Any],
+                    ) -> Dict[str, Any]:
+    """Pass measurements through the tenant's sensor-bank clamps."""
+    bank = tenant.stepper.sim.sensor_bank
+    if bank is None:
+        raise ProtocolError(
+            ERR_INVALID,
+            f"tenant {tenant.config.name!r} has no sensor bank "
+            f"(register with noise_sigma > 0, watchdog, or sensor "
+            f"faults to enable sensor_feed)")
+    try:
+        fed = bank.feed(payload["core_values"], payload["uncore_value"])
+    except ValueError as exc:
+        raise ProtocolError(ERR_INVALID, str(exc))
+    return {"tenant": tenant.config.name, **fed}
+
+
+#: Op-log type -> the one function that executes that op, live and on
+#: replay. It mutates the tenant and returns the reply to journal.
+OPS: Dict[str, Callable[[Tenant, Dict[str, Any]], Dict[str, Any]]] = {
+    "advance": run_advance,
+    "inject": run_inject,
+    "sensor_feed": run_sensor_feed,
+}
 
 
 class DaemonController:
@@ -446,6 +491,13 @@ class DaemonController:
             self._factories[key] = factory
         return factory
 
+    def _build_tenant(self, config: TenantConfig) -> Tenant:
+        """A fresh tenant: the chip build runs outside the registry
+        lock so registrations don't serialise on it."""
+        with self._lock:
+            factory = self._factory(config.n_cores, config.seed)
+        return Tenant(config, build_stepper(config, factory.chip(0)))
+
     def _get(self, name: str) -> Tenant:
         with self._lock:
             tenant = self._tenants.get(name)
@@ -465,7 +517,28 @@ class DaemonController:
                     for _, tenant in sorted(self._tenants.items())
                     if tenant.status == QUARANTINED}
 
-    # -- Durability helpers --------------------------------------------
+    # -- Live op path --------------------------------------------------
+
+    def _serve(self, name: str, rtype: str, payload: Dict[str, Any],
+               request_id: Optional[str],
+               ) -> Tuple[Dict[str, Any], bool]:
+        """Serve one live op: dedup, quarantine check, ``OPS[rtype]``,
+        journal — all under the tenant lock. Returns the reply and
+        whether the op ran (False: replayed from the dedup window)."""
+        tenant = self._get(name)
+        with tenant.lock:
+            dup = self._duplicate(tenant, request_id)
+            if dup is not None:
+                return dup, False
+            tenant.require_usable()
+            try:
+                reply = OPS[rtype](tenant, payload)
+            except ProtocolError:
+                if tenant.status == QUARANTINED:
+                    self.telemetry.incr("quarantines")
+                raise
+            self._journal(tenant, rtype, payload, reply, request_id)
+        return reply, True
 
     def _duplicate(self, tenant: Tenant,
                    request_id: Optional[str],
@@ -516,8 +589,8 @@ class DaemonController:
     # -- Request verbs -------------------------------------------------
 
     def register(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Create a tenant; the expensive chip build happens outside
-        the registry lock so registrations don't serialise on it."""
+        """Create a tenant (a repeated ``request_id`` gets the
+        journaled reply of the registration it repeats)."""
         payload = dict(payload)
         request_id = payload.pop("request_id", None)
         if request_id is not None:
@@ -534,10 +607,7 @@ class DaemonController:
                 raise ProtocolError(
                     ERR_DUPLICATE_TENANT,
                     f"tenant {config.name!r} already registered")
-            factory = self._factory(config.n_cores, config.seed)
-        chip = factory.chip(0)
-        stepper = build_stepper(config, chip)
-        tenant = Tenant(config, stepper)
+        tenant = self._build_tenant(config)
         with self._lock:
             if config.name in self._tenants:
                 raise ProtocolError(
@@ -561,75 +631,37 @@ class DaemonController:
                 to_end: bool = False,
                 request_id: Optional[str] = None) -> Dict[str, Any]:
         """Advance one tenant; records decision/tier telemetry."""
-        tenant = self._get(name)
-        with tenant.lock:
-            dup = self._duplicate(tenant, request_id)
-            if dup is not None:
-                return dup
-            try:
-                decisions = tenant.advance(until_s, to_end)
-            except ProtocolError:
-                raise
-            except Exception as exc:
-                self.telemetry.incr("quarantines")
-                raise ProtocolError(
-                    ERR_QUARANTINED,
-                    f"tenant {name!r} crashed and was quarantined: "
-                    f"{type(exc).__name__}: {exc}") from exc
-            result = {
-                "tenant": name,
-                "time_s": tenant.stepper.time_s,
-                "finished": tenant.stepper.finished,
-                "decisions": [decision_to_dict(d) for d in decisions],
-            }
-            self._journal(tenant, "advance",
-                          {"tenant": name, "until_s": until_s,
-                           "to_end": bool(to_end)},
-                          result, request_id)
+        result, ran = self._serve(
+            name, "advance",
+            {"tenant": name, "until_s": until_s, "to_end": bool(to_end)},
+            request_id)
+        if not ran:
+            return result
         tele = self.telemetry
         tele.incr("advances")
-        if decisions:
-            tele.incr("decisions", len(decisions))
-            emergencies = sum(d.kind == DECISION_EMERGENCY
-                              for d in decisions)
-            if emergencies:
-                tele.incr("emergency_decisions", emergencies)
-            tier1 = sum(d.kind == DECISION_MANAGER
-                        and d.resilience_tier == 1 for d in decisions)
-            tier2 = sum(d.kind == DECISION_MANAGER
-                        and d.resilience_tier == 2 for d in decisions)
-            if tier1:
-                tele.incr("tier1_decisions", tier1)
-            if tier2:
-                tele.incr("tier2_decisions", tier2)
-            lp = sum(d.lp_fallbacks for d in decisions)
-            if lp:
-                tele.incr("lp_fallbacks", lp)
-        if tenant.status == FINISHED:
+        decisions = result["decisions"]
+        managed = [d for d in decisions if d["kind"] == DECISION_MANAGER]
+        for counter, n in (
+                ("decisions", len(decisions)),
+                ("emergency_decisions",
+                 sum(d["kind"] == DECISION_EMERGENCY for d in decisions)),
+                ("tier1_decisions",
+                 sum(d["resilience_tier"] == 1 for d in managed)),
+                ("tier2_decisions",
+                 sum(d["resilience_tier"] == 2 for d in managed)),
+                ("lp_fallbacks", sum(d["lp_fallbacks"] for d in decisions))):
+            if n:
+                tele.incr(counter, n)
+        if result["finished"]:
             tele.incr("tenants_finished")
         return result
 
     def inject(self, name: str, kind: str,
                request_id: Optional[str] = None) -> Dict[str, Any]:
         """Arm a one-shot manager fault on a resilient tenant."""
-        tenant = self._get(name)
-        with tenant.lock:
-            tenant.require_usable()
-            dup = self._duplicate(tenant, request_id)
-            if dup is not None:
-                return dup
-            manager = tenant.stepper.sim.manager
-            if not isinstance(manager, ResilientManager):
-                raise ProtocolError(
-                    ERR_INVALID,
-                    f"tenant {name!r} has no resilient manager to "
-                    f"inject into")
-            manager.inject_failure(kind)
-            result = {"tenant": name, "armed": kind}
-            self._journal(tenant, "inject",
-                          {"tenant": name, "kind": kind},
-                          result, request_id)
-        return result
+        return self._serve(name, "inject",
+                           {"tenant": name, "kind": kind},
+                           request_id)[0]
 
     def sensor_feed(self, name: str, core_values: List[Any],
                     uncore_value: Optional[float] = None,
@@ -645,39 +677,18 @@ class DaemonController:
         (registered with ``noise_sigma > 0``, ``watchdog`` or sensor
         faults); others get a typed ``invalid`` error.
         """
-        tenant = self._get(name)
-        with tenant.lock:
-            tenant.require_usable()
-            dup = self._duplicate(tenant, request_id)
-            if dup is not None:
-                return dup
-            bank = tenant.stepper.sim.sensor_bank
-            if bank is None:
-                raise ProtocolError(
-                    ERR_INVALID,
-                    f"tenant {name!r} has no sensor bank (register "
-                    f"with noise_sigma > 0, watchdog, or sensor "
-                    f"faults to enable sensor_feed)")
-            try:
-                fed = bank.feed(
-                    [float(v) for v in core_values],
-                    None if uncore_value is None
-                    else float(uncore_value))
-            except ValueError as exc:
-                raise ProtocolError(ERR_INVALID, str(exc))
+        result, ran = self._serve(
+            name, "sensor_feed",
+            {"tenant": name,
+             "core_values": [float(v) for v in core_values],
+             "uncore_value": (None if uncore_value is None
+                              else float(uncore_value))},
+            request_id)
+        if ran:
             self.telemetry.incr("sensor_feeds")
-            if fed["clamped"]:
+            if result["clamped"]:
                 self.telemetry.incr("sensor_feed_clamps",
-                                    fed["clamped"])
-            result = {"tenant": name, **fed}
-            self._journal(tenant, "sensor_feed",
-                          {"tenant": name,
-                           "core_values": [float(v)
-                                           for v in core_values],
-                           "uncore_value": (
-                               None if uncore_value is None
-                               else float(uncore_value))},
-                          result, request_id)
+                                    result["clamped"])
         return result
 
     def tenant_info(self, name: str) -> Dict[str, Any]:
@@ -742,12 +753,12 @@ class DaemonController:
 
         Each tenant directory is restored independently: the newest
         digest-verified snapshot (if any) seeds the live state, then
-        every journaled op past it is *re-executed* through the same
-        code paths that served it originally. Replayed ``advance``
-        replies are compared bitwise against the journaled replies —
-        the determinism invariant of DESIGN.md §19 — and a tenant
-        whose replay diverges is quarantined instead of being served
-        in a silently different state. Corrupt snapshots were already
+        every journaled op past it is *re-executed* by the same
+        :data:`OPS` function that served it originally. Every replayed
+        reply is compared bitwise against the journaled reply — the
+        determinism invariant of DESIGN.md §19 — and a tenant whose
+        replay diverges is quarantined instead of being served in a
+        silently different state. Corrupt snapshots were already
         quarantined by the store; the op log is never compacted, so
         full replay always remains as the fallback.
         """
@@ -797,8 +808,7 @@ class DaemonController:
                 start = seq + 1
                 stats.snapshot_restores += 1
         if tenant is None:
-            chip = self._factory(config.n_cores, config.seed).chip(0)
-            tenant = Tenant(config, build_stepper(config, chip))
+            tenant = self._build_tenant(config)
             tenant.remember_reply(records[0].request_id,
                                   records[0].reply)
         tenant.store = store
@@ -820,46 +830,17 @@ class DaemonController:
     def _replay_op(self, tenant: Tenant, record) -> Optional[str]:
         """Re-execute one journaled op; a description of the problem
         if the op cannot be replayed faithfully, else None."""
-        payload = record.payload
+        run = OPS.get(record.rtype)
+        if run is None:
+            return (f"op {record.seq} has unknown type "
+                    f"{record.rtype!r}")
         try:
-            if record.rtype == "advance":
-                decisions = tenant.advance(payload.get("until_s"),
-                                           payload.get("to_end",
-                                                       False))
-                replayed = {
-                    "tenant": tenant.config.name,
-                    "time_s": tenant.stepper.time_s,
-                    "finished": tenant.stepper.finished,
-                    "decisions": [decision_to_dict(d)
-                                  for d in decisions],
-                }
-                if replayed != record.reply:
-                    return (f"replay divergence at op {record.seq}: "
-                            f"re-executed advance disagrees with the "
-                            f"journaled reply")
-            elif record.rtype == "inject":
-                manager = tenant.stepper.sim.manager
-                if not isinstance(manager, ResilientManager):
-                    return (f"op {record.seq} injects into a "
-                            f"non-resilient manager")
-                manager.inject_failure(payload["kind"])
-            elif record.rtype == "sensor_feed":
-                bank = tenant.stepper.sim.sensor_bank
-                if bank is None:
-                    return (f"op {record.seq} feeds a tenant with "
-                            f"no sensor bank")
-                fed = bank.feed(
-                    [float(v) for v in payload["core_values"]],
-                    payload.get("uncore_value"))
-                replayed = {"tenant": tenant.config.name, **fed}
-                if replayed != record.reply:
-                    return (f"replay divergence at op {record.seq}: "
-                            f"re-executed sensor_feed disagrees "
-                            f"with the journaled reply")
-            else:
-                return (f"op {record.seq} has unknown type "
-                        f"{record.rtype!r}")
+            replayed = run(tenant, record.payload)
         except Exception as exc:
             return (f"replay failed at op {record.seq}: "
                     f"{type(exc).__name__}: {exc}")
+        if replayed != record.reply:
+            return (f"replay divergence at op {record.seq}: "
+                    f"re-executed {record.rtype} disagrees with the "
+                    f"journaled reply")
         return None

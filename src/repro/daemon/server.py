@@ -385,7 +385,7 @@ class DaemonServer:
             t0 = time.monotonic()
             try:
                 result = await self._run_blocking(
-                    self._advance, name, payload["until_s"],
+                    controller.advance, name, payload["until_s"],
                     payload["to_end"], payload["request_id"])
             except ProtocolError as exc:
                 if exc.code == "quarantined":
@@ -408,7 +408,9 @@ class DaemonServer:
                 payload["kind"], payload["request_id"])
         if rtype == "sensor_feed":
             result = await self._run_blocking(
-                self._sensor_feed, payload)
+                controller.sensor_feed, payload["tenant"],
+                payload["core_values"], payload["uncore_value"],
+                payload["request_id"])
             self._publish(payload["tenant"], "sensor_feed",
                           {k: result[k] for k in
                            ("core_values", "uncore_value", "clamped")})
@@ -439,18 +441,6 @@ class DaemonServer:
             return {"stopping": True}
         raise ProtocolError(ERR_INTERNAL,
                             f"unrouted request type {rtype!r}")
-
-    def _advance(self, name: str, until_s: Optional[float],
-                 to_end: bool,
-                 request_id: Optional[str]) -> Dict[str, Any]:
-        return self.controller.advance(name, until_s, to_end,
-                                       request_id=request_id)
-
-    def _sensor_feed(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return self.controller.sensor_feed(
-            payload["tenant"], payload["core_values"],
-            uncore_value=payload["uncore_value"],
-            request_id=payload["request_id"])
 
 
 class ServerThread:

@@ -45,6 +45,7 @@ from ..faults import (
     ResilientManager,
     SensorBank,
 )
+from ..faults.watchdog import GUARD_BAND_FRAC, K_SAMPLES
 from ..pm import FoxtonStar, LinOpt, LinOptConfig
 from ..power import SensorSpec
 from ..runtime.simulation import OnlineSimulation, SimulationTrace
@@ -72,9 +73,6 @@ KIND_MIX: Dict[str, float] = {
     MANAGER_ERROR: 0.10,
     MANAGER_DEADLINE: 0.05,
 }
-#: Watchdog tuning used everywhere in this experiment.
-GUARD_BAND_FRAC = 0.01
-K_SAMPLES = 3
 #: Scenario constants (the acceptance regression).
 SCENARIO_FAULT_T_S = 0.050
 SCENARIO_NOISE_SIGMA = 0.05

@@ -22,6 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..pm.foxton import next_round_robin_victim
 
+#: Watchdog tuning shared by the ext-faults experiment and the daemon's
+#: tenants: trigger above 101 % of budget for 3 consecutive samples.
+GUARD_BAND_FRAC = 0.01
+K_SAMPLES = 3
+
 
 class PowerWatchdog:
     """K-out-of-K over-budget detector with round-robin step-down.

@@ -310,15 +310,6 @@ class OnlineSimulation:
         return (self.faults is not None or self.sensor_bank is not None
                 or self.watchdog is not None)
 
-    def _multipliers(self, time_s: float) -> Tuple[np.ndarray, np.ndarray]:
-        ipc_mult = np.empty(len(self.phased))
-        ceff_mult = np.empty(len(self.phased))
-        for i, ph in enumerate(self.phased):
-            state = ph.state_at(time_s)
-            ipc_mult[i] = state.ipc_multiplier
-            ceff_mult[i] = state.power_multiplier
-        return ipc_mult, ceff_mult
-
     def _multiplier_grid(
         self, times: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -27,10 +27,12 @@ from repro.daemon import (
     DaemonClient,
     DaemonController,
     DaemonError,
+    ProtocolError,
     ReconnectingClient,
     ServerThread,
     backoff_delay_s,
 )
+from repro.daemon import controller as controller_module
 from repro.daemon.durability import (
     OPLOG_FILENAME,
     SNAPSHOT_FORMAT,
@@ -359,6 +361,84 @@ class TestControllerRecovery:
         with pytest.raises(Exception) as excinfo:
             ctl.sensor_feed("t", [1.0])
         assert "sensor bank" in str(excinfo.value)
+
+    def test_retried_feed_after_quarantine_gets_journaled_reply(
+            self, tmp_path):
+        # Dedup comes before the quarantine check for every verb: a
+        # retry of an acknowledged request gets its journaled reply
+        # even once the tenant has crashed into quarantine.
+        ctl = durable_controller(tmp_path)
+        ctl.register(register_payload("t", **SENSED_SPEC, manager={
+            "primary": "crashing", "crash_after": 1,
+            "resilient": False}))
+        fed = ctl.sensor_feed("t", [4.0, 3.0], request_id="f1")
+        with pytest.raises(ProtocolError) as err:
+            ctl.advance("t", to_end=True)
+        assert err.value.code == "quarantined"
+        assert ctl.sensor_feed("t", [4.0, 3.0],
+                               request_id="f1") == fed
+        with pytest.raises(ProtocolError) as err:
+            ctl.sensor_feed("t", [4.0, 3.0], request_id="f2")
+        assert err.value.code == "quarantined"
+
+    def test_mixed_op_log_replays_through_the_op_table(
+            self, tmp_path, monkeypatch):
+        # Live verbs and recovery run each op through the same OPS
+        # function, and every replayed reply matches the journal.
+        calls = []
+
+        def counted(rtype, run):
+            def wrapper(tenant, payload):
+                calls.append(rtype)
+                return run(tenant, payload)
+            return wrapper
+
+        for rtype, run in list(controller_module.OPS.items()):
+            monkeypatch.setitem(controller_module.OPS, rtype,
+                                counted(rtype, run))
+        reference = DaemonController(cache=None)
+        ctl = durable_controller(tmp_path, snapshot_every=100)
+        for c in (reference, ctl):
+            c.register(register_payload("t", **SENSED_SPEC))
+            c.advance("t", until_s=0.01)
+            c.inject("t", "manager_error")
+            c.sensor_feed("t", [4.0, -2.0], uncore_value=1.5)
+            c.advance("t", until_s=0.03)
+            c.inject("t", "manager_deadline")
+            c.sensor_feed("t", [3.0, 3.5])
+        live = calls[len(calls) // 2:]
+        del ctl
+        calls.clear()
+        recovered = durable_controller(tmp_path, snapshot_every=100)
+        stats = recovered.last_recovery
+        assert stats.tenants_quarantined == 0
+        assert stats.ops_replayed == 6
+        assert recovered.telemetry.get("replay_divergences") == 0
+        assert calls == live == ["advance", "inject", "sensor_feed"] * 2
+        for c in (reference, recovered):
+            c.advance("t", to_end=True)
+        assert recovered._get("t").stepper.decision_digest() == \
+            reference._get("t").stepper.decision_digest()
+
+    def test_tampered_inject_reply_quarantines_on_divergence(
+            self, tmp_path):
+        ctl = durable_controller(tmp_path, snapshot_every=100)
+        ctl.register(register_payload("t"))
+        ctl.advance("t", until_s=0.01)
+        ctl.inject("t", "manager_error")
+        log_path = ctl._get("t").store.root / OPLOG_FILENAME
+        del ctl
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        doctored = decode_line(lines[2])
+        assert doctored["type"] == "inject"
+        doctored["reply"]["armed"] = "manager_deadline"
+        lines[2] = encode_line(doctored)
+        log_path.write_bytes(b"".join(lines))
+        recovered = durable_controller(tmp_path, snapshot_every=100)
+        stats = recovered.last_recovery
+        assert stats.tenants_quarantined == 1
+        assert "replay divergence" in stats.quarantine_reasons["t"]
+        assert recovered.telemetry.get("replay_divergences") == 1
 
     def test_unregister_removes_durable_state(self, tmp_path):
         ctl = durable_controller(tmp_path)
