@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint chaos daemon durability fleet bench bench-gate bench-baseline coverage
+.PHONY: test lint chaos daemon durability pm-trace fleet bench bench-gate bench-baseline coverage
 
 test:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning
@@ -25,6 +25,12 @@ durability:
 	$(PYTHON) -m pytest -x -q tests/test_storage.py tests/test_daemon_durability.py
 	$(PYTHON) -m pytest -x -q -m slow tests/test_daemon_durability.py
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[daemon_durable]"
+
+# Traced fig11_sann e2e run: pins the Fig 11 digest and the span map
+# through the simulation stepper, the four managers and the kernel
+# (CI's 'pm-trace' job; the daemon's traced run is in 'durability').
+pm-trace:
+	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fig11_sann]"
 
 # Fleet subsystem suite + the nightly kill/resume bitwise check at
 # smoke scale (the scheduled CI job runs it at 10^4 dies).

@@ -31,7 +31,13 @@ class PmResult:
     Attributes:
         levels: Chosen per-thread DVFS level (index into each core's
             V/f table).
-        state: Evaluated system state at those levels.
+        state: The evaluation of ``levels`` at the call's (chip,
+            workload, assignment, phase multipliers), bitwise equal to
+            ``evaluate_levels`` of them, or else the very
+            ``initial_state`` object the caller passed in (a manager
+            that keeps its warm start may hand it back, and across a
+            phase change it is stale). The simulation stepper relies
+            on this: it adopts any other state as its own evaluation.
         evaluations: Number of full system evaluations (sensor-visible
             settling points) the manager consumed.
         stats: Algorithm-specific diagnostics (LP pivots, SA

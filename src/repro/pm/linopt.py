@@ -116,17 +116,21 @@ class LinearPowerFit:
 
 
 def fit_power_lines(
-    chip: ChipProfile,
-    workload: Workload,
-    assignment: Assignment,
+    kernel: EvalKernel,
     core_temps: np.ndarray,
     n_voltages: int,
     power_sensor: PowerSensor,
     center_levels: Optional[Sequence[int]] = None,
     span_levels: int = 2,
-    ceff_multipliers: Optional[Sequence[float]] = None,
 ) -> LinearPowerFit:
     """Measure each thread-core pair's power at profile voltages, fit.
+
+    ``kernel`` is the decision's one-die :class:`EvalKernel`: its
+    (chip, workload, assignment, phase multipliers) are the ones
+    profiled, and its cell layout computes the core leakage of every
+    (thread, profiling voltage) pair in one call
+    (:meth:`EvalKernel.core_leakage`, bitwise the scalar
+    ``CoreLeakageModel.power``). ``core_temps`` is indexed by core id.
 
     With ``center_levels=None`` the profiling points span the whole
     voltage range (Vlow, [Vmid,] Vhigh — Figure 1, the paper's global
@@ -151,14 +155,13 @@ def fit_power_lines(
     through the measured point — the conservative "voltage does not
     buy this core anything" model.
     """
-    n = assignment.n_threads
-    ceff_mult = (np.ones(n) if ceff_multipliers is None
-                 else np.asarray(ceff_multipliers, dtype=float))
-    slope = np.empty(n)
-    intercept = np.empty(n)
-    for i, core_id in enumerate(assignment.core_of):
-        core = chip.cores[core_id]
-        table = core.vf_table
+    chip = kernel.chips[0]
+    workload = kernel.workloads[0]
+    assignment = kernel.assignment
+    ceff_mult = kernel.ceff_multipliers
+    tables = [chip.cores[c].vf_table for c in assignment.core_of]
+    level_sets = []
+    for i, table in enumerate(tables):
         if center_levels is None:
             level_set = sorted({
                 table.nearest_level_at_most(v)
@@ -177,13 +180,27 @@ def fit_power_lines(
             level_set = sorted({
                 lo + (k * (hi - lo)) // (n_voltages - 1)
                 for k in range(n_voltages)})
+        level_sets.append(level_set)
+    # Row r of the leakage call puts every thread at its r-th profiling
+    # level (its last one once it has fewer points).
+    depth = max(len(level_set) for level_set in level_sets)
+    leak = kernel.core_leakage(
+        [[table.voltages[level_set[min(r, len(level_set) - 1)]]
+          for table, level_set in zip(tables, level_sets)]
+         for r in range(depth)],
+        core_temps)
+    n = assignment.n_threads
+    slope = np.empty(n)
+    intercept = np.empty(n)
+    for i, (core_id, table, level_set) in enumerate(
+            zip(assignment.core_of, tables, level_sets)):
         reader = core_reader(power_sensor, core_id)
         xs, ys = [], []
-        for level in level_set:
+        for r, level in enumerate(level_set):
             v_lv = float(table.voltages[level])
             f_lv = float(table.freqs[level])
             true_p = (ceff_mult[i] * workload[i].dynamic_power_at(v_lv, f_lv)
-                      + core.leakage.power(v_lv, float(core_temps[core_id])))
+                      + leak[r, i])
             xs.append(v_lv)
             ys.append(reader.read(true_p))
         if len(xs) >= 2:
@@ -257,7 +274,6 @@ class LinOpt(PowerManager):
             levels, current, evals = self._one_pass(
                 chip, workload, assignment, p_target, p_core_max,
                 levels, current, stats, kernel,
-                ceff_multipliers=ceff_multipliers,
                 local=iteration > 0)
             evaluations += evals
             feasible = meets_constraints(current, p_target, p_core_max)
@@ -274,20 +290,18 @@ class LinOpt(PowerManager):
                         stats={**stats, **kernel.stats.as_result_stats()})
 
     def _one_pass(self, chip, workload, assignment, p_target, p_core_max,
-                  levels, current, stats, kernel,
-                  ceff_multipliers=None, local=False):
+                  levels, current, stats, kernel, local=False):
         """One profile -> LP -> discretise -> correct -> refill pass."""
         n = assignment.n_threads
         evaluations = 0
 
         # --- Gather profile data (Table 3) at the current state. ---
         core_temps = current.block_temps[: chip.n_cores]
-        fit = fit_power_lines(chip, workload, assignment, core_temps,
+        fit = fit_power_lines(kernel, core_temps,
                               self.config.n_profile_voltages,
                               self.power_sensor,
                               center_levels=levels if local else None,
-                              span_levels=self.config.profile_span_levels,
-                              ceff_multipliers=ceff_multipliers)
+                              span_levels=self.config.profile_span_levels)
         ipcs = np.array([
             core_reader(self.ipc_sensor, assignment.core_of[i]).read(ipc)
             for i, ipc in enumerate(current.ipcs)])

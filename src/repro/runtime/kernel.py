@@ -472,7 +472,8 @@ class EvalKernel:
             workload per entry of ``chips``.
         assignment: Thread-to-core mapping, shared by all rows.
         ipc_multipliers: Optional per-thread phase IPC multipliers.
-        ceff_multipliers: Optional per-thread phase power multipliers.
+        ceff_multipliers: Optional per-thread phase power multipliers
+            (kept as the :attr:`ceff_multipliers` array).
     """
 
     def __init__(
@@ -520,6 +521,7 @@ class EvalKernel:
         self.chips = chips
         self.workloads = workloads
         self.assignment = assignment
+        self.ceff_multipliers = ceff_mult
         self.stats = KernelStats()
         self._thermal = first.thermal
         self._n = n
@@ -602,6 +604,43 @@ class EvalKernel:
         base = np.zeros(self._n_blocks)
         base[layout.seg_block[n:]] = seg[0, n:]
         return core, base
+
+    def core_leakage(self, volts: np.ndarray,
+                     core_temps: np.ndarray) -> np.ndarray:
+        """Per-thread core leakage (W) at given supplies, one-die kernel.
+
+        ``volts`` is ``(rows, n_threads)``: row ``r`` puts thread ``i``
+        at supply ``volts[r, i]``, and every row sees the per-core
+        temperatures ``core_temps`` (indexed by core id; a block
+        temperature vector works too). Only the core segments of
+        :class:`_CellLayout` are evaluated, as in the fixed point's
+        final per-thread recompute, so entry ``[r, i]`` is bitwise
+        ``CoreLeakageModel.power(volts[r, i], core_temps[core_of[i]])``
+        whatever the other rows hold. LinOpt profiles every (thread,
+        profiling voltage) pair of a pass in one call.
+        """
+        if self.n_dies != 1:
+            raise ValueError("core_leakage needs a one-die kernel")
+        volts = np.asarray(volts, dtype=float)
+        core_temps = np.asarray(core_temps, dtype=float)
+        temps = np.broadcast_to(core_temps,
+                                (volts.shape[0], core_temps.size))
+        vdd, dib = self._layout.supplies(volts)
+        return self._thread_leakage(temps, vdd, dib, self._vth,
+                                    self._weights, self._scale)
+
+    def _thread_leakage(self, temps: np.ndarray, vdd: np.ndarray,
+                        dib: np.ndarray, vth: np.ndarray,
+                        weights: np.ndarray,
+                        scale: np.ndarray) -> np.ndarray:
+        """``(rows, n_threads)`` core leakage in thread order, from the
+        pack-order supplies of :meth:`_CellLayout.supplies`."""
+        layout = self._layout
+        n = self._n
+        out = np.empty((temps.shape[0], n))
+        out[:, layout.threads] = layout.leakage(
+            temps, vdd[:, :n], dib[:, :n], vth, weights, scale)
+        return out
 
     @property
     def n_dies(self) -> int:
@@ -792,10 +831,8 @@ class EvalKernel:
                 temps[b] = self._thermal.ambient_k
         if np.any(temps <= 0):
             raise ValueError("temperature must be positive kelvin")
-        n = self._n
-        core_leak = np.empty((n_rows, n))
-        core_leak[:, layout.threads] = layout.leakage(
-            temps, vdd[:, :n], dib[:, :n], vth, weights, scale)
+        core_leak = self._thread_leakage(temps, vdd, dib, vth, weights,
+                                         scale)
 
         out: List = []
         for b in range(n_rows):

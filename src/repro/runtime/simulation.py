@@ -17,7 +17,11 @@ rather than once per sensor sample. The simulation therefore builds
 each application's phase-boundary timeline up front, advances event to
 event with a single cached
 :class:`~repro.runtime.evaluation.SystemState`, and fills the 1 ms
-sensor samples in between from that cached state. A per-millisecond
+sensor samples in between from that cached state. After a manager
+decision the cached state is the manager's own evaluation of the
+levels it chose (``PmResult.state``), so the loop itself evaluates
+only at phase changes and at decisions a clamp altered or whose
+state is the stale warm start handed back. A per-millisecond
 reference loop (``mode="dense"``) is kept for validation and
 benchmarking; both modes produce bitwise-identical traces.
 
@@ -816,6 +820,7 @@ class SimulationStepper:
                 self._next_manager_t = t
             self._next_os_t += sim.os_interval_s
         stepped: Optional[List[int]] = None
+        adopted = False
         if t >= self._next_manager_t - _TIME_EPS:
             if fr.skip_next_manager:
                 # Injected manager fault on a chain-less manager:
@@ -831,10 +836,12 @@ class SimulationStepper:
             else:
                 kwargs = dict(ipc_multipliers=ipc_mult,
                               ceff_multipliers=ceff_mult)
+                warm = None
                 if self._levels is not None:
                     # Warm start from the current operating point.
+                    warm = self._state
                     kwargs.update(initial_levels=self._levels,
-                                  initial_state=self._state)
+                                  initial_state=warm)
                 result = sim.manager.set_levels(
                     sim.chip, sim.workload, self._assignment, sim.env,
                     **kwargs)
@@ -870,7 +877,14 @@ class SimulationStepper:
                 self._prev_levels = list(new_levels)
                 self._manager_runs.append(t)
                 self._next_manager_t += self.dvfs_interval_s
-                self._state = None  # operating point changed
+                # The operating point changed. The manager's state is
+                # its evaluation at exactly these levels and multipliers
+                # (the PmResult.state contract) unless a clamp moved
+                # the levels or it handed back the warm-start state,
+                # which is stale across a phase change.
+                adopted = (new_levels == list(result.levels)
+                           and result.state is not warm)
+                self._state = result.state if adopted else None
                 self.decisions.append(ManagerDecision(
                     time_s=float(t), kind=DECISION_MANAGER,
                     levels=tuple(new_levels),
@@ -878,7 +892,7 @@ class SimulationStepper:
                     migrated=tuple(migrated),
                     resilience_tier=tier, lp_fallbacks=lp_fb,
                     evaluations=int(result.evaluations)))
-        if self._state is None or self._changed[step]:
+        if not adopted and (self._state is None or self._changed[step]):
             self._state = evaluate_levels(
                 sim.chip, sim.workload, self._assignment, self._levels,
                 ipc_multipliers=ipc_mult, ceff_multipliers=ceff_mult)

@@ -19,10 +19,12 @@ import pytest
 
 from repro.chip import characterize_die
 from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER, T_REF_K,
-                          ArchConfig)
+                          ArchConfig, PowerEnvironment)
+from repro.faults import MANAGER_ERROR, ResilientManager
 from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
                       LinOptConfig, OptimalFrozen, SAnnManager,
                       fit_power_lines)
+from repro.pm.base import PowerManager
 from repro.power import PowerSensor
 from repro.power.scaling import L2_DYNAMIC_FRACTION
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
@@ -339,6 +341,82 @@ class TestPolicyRegression:
         assert bounded.evaluations >= reference.evaluations
 
 
+class _Crashing(PowerManager):
+    """A manager that always raises (drives the resilience chain)."""
+
+    name = "crashing"
+
+    def set_levels(self, *args, **kwargs):
+        raise RuntimeError("crashed")
+
+
+def _contract_manager(name):
+    """``(manager, resilience tier it must decide at or None)``."""
+    if name == "resilient-tier0":
+        return ResilientManager(primary=LinOpt(LinOptConfig(
+            n_iterations=2))), 0.0
+    if name == "resilient-tier1":
+        manager = ResilientManager(primary=LinOpt(LinOptConfig(
+            n_iterations=2)))
+        manager.inject_failure(MANAGER_ERROR)
+        return manager, 1.0
+    if name == "resilient-tier2":
+        return ResilientManager(primary=_Crashing(),
+                                fallback=_Crashing()), 2.0
+    return MANAGERS[name](), None
+
+
+class TestPmResultStateContract:
+    """``PmResult.state`` is ``evaluate_levels`` of ``result.levels`` at
+    the call's multipliers, bit for bit, or else the very
+    ``initial_state`` object passed in. The simulation stepper adopts
+    any other state as its own evaluation of the decision."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "stale"])
+    @pytest.mark.parametrize("name", [
+        "linopt", "foxton", "sann", "exhaustive", "optimal", "barrier",
+        "resilient-tier0", "resilient-tier1", "resilient-tier2"])
+    def test_state_is_the_decision_evaluated(self, small_chip, name,
+                                             warm):
+        n_threads, seed = (3, 23) if name == "exhaustive" else (5, 21)
+        wl, asg = _pm_case(small_chip, n_threads, seed)
+        rng = np.random.default_rng(seed)
+        phase = dict(ipc_multipliers=rng.uniform(0.6, 1.4, n_threads),
+                     ceff_multipliers=rng.uniform(0.6, 1.4, n_threads))
+        kwargs = dict(phase)
+        stale = None
+        if warm:
+            # Evaluated at unit multipliers: stale for this call, as
+            # the stepper's state is across a phase change.
+            start = [4] * n_threads
+            stale = evaluate_levels(small_chip, wl, asg, start)
+            kwargs.update(initial_levels=start, initial_state=stale)
+        manager, tier = _contract_manager(name)
+        result = manager.set_levels(small_chip, wl, asg, LOW_POWER,
+                                    rng=np.random.default_rng(33),
+                                    **kwargs)
+        if tier is not None:
+            assert result.stats["resilience_tier"] == tier
+        if stale is not None and result.state is stale:
+            return
+        _assert_state_bitwise(result.state, evaluate_levels(
+            small_chip, wl, asg, list(result.levels), **phase))
+
+    def test_foxton_hands_back_the_warm_start(self, small_chip):
+        """The "or else": at the top levels under an unbounded budget
+        Foxton* has nothing to change and returns the warm-start state
+        object itself, stale or not."""
+        wl, asg = _pm_case(small_chip, 3, 5)
+        top = [small_chip.cores[c].vf_table.n_levels - 1
+               for c in asg.core_of]
+        stale = evaluate_levels(small_chip, wl, asg, top)
+        result = FoxtonStar().set_levels(
+            small_chip, wl, asg, PowerEnvironment("unbounded", 1e6, 1e6),
+            initial_levels=top, initial_state=stale,
+            ipc_multipliers=np.full(3, 0.8))
+        assert result.state is stale
+
+
 class TestFitPowerLinesWindow:
     """The local profiling window must honour n_profile_voltages."""
 
@@ -360,8 +438,8 @@ class TestFitPowerLinesWindow:
         sensor = self.CountingPowerSensor()
         # Centre 4, span 2 on a 9-level table: window levels 2..6, wide
         # enough to hold all requested point counts distinctly.
-        fit_power_lines(small_chip, wl, asg, temps, n_voltages, sensor,
-                        center_levels=[4, 4], span_levels=2)
+        fit_power_lines(EvalKernel(small_chip, wl, asg), temps, n_voltages,
+                        sensor, center_levels=[4, 4], span_levels=2)
         assert sensor.reads == expected * asg.n_threads
 
     def test_narrow_window_collapses_duplicates(self, small_chip):
@@ -369,15 +447,15 @@ class TestFitPowerLinesWindow:
         temps = np.full(small_chip.n_cores, 350.0)
         sensor = self.CountingPowerSensor()
         # Window 0..1 has two levels: even 5 requested points collapse.
-        fit_power_lines(small_chip, wl, asg, temps, 5, sensor,
-                        center_levels=[0, 0], span_levels=1)
+        fit_power_lines(EvalKernel(small_chip, wl, asg), temps, 5,
+                        sensor, center_levels=[0, 0], span_levels=1)
         assert sensor.reads == 2 * asg.n_threads
 
     def test_local_fit_matches_window_polyfit(self, small_chip):
         """n_voltages=2 fits exactly the window's two endpoints."""
         wl, asg = _pm_case(small_chip, 2, 29)
         temps = np.full(small_chip.n_cores, 350.0)
-        fit = fit_power_lines(small_chip, wl, asg, temps, 2,
+        fit = fit_power_lines(EvalKernel(small_chip, wl, asg), temps, 2,
                               PowerSensor(), center_levels=[4, 4],
                               span_levels=2)
         i = 0

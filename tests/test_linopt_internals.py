@@ -1,14 +1,18 @@
 """White-box tests for LinOpt's building blocks (Section 4.3.1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import COST_PERFORMANCE, LOW_POWER
 from repro.pm import (LinOpt, LinOptConfig, fit_power_lines,
                       meets_constraints)
-from repro.power import (IpcSensor, PowerSensor, SensorSpec,
+from repro.faults import SensorBank
+from repro.power import (IpcSensor, PowerSensor, SensorSpec, core_reader,
                          independent_rngs)
-from repro.runtime import Assignment, evaluate_max_levels
+from repro.runtime import Assignment
+from repro.runtime.kernel import EvalKernel
 from repro.sched import VarFAppIPC
 from repro.workloads import Workload, get_app, make_workload
 
@@ -24,14 +28,16 @@ class TestFitPowerLines:
     def test_global_fit_slope_positive(self, chip, pair):
         wl, asg = pair
         temps = np.full(chip.n_cores, 350.0)
-        fit = fit_power_lines(chip, wl, asg, temps, 3, PowerSensor())
+        fit = fit_power_lines(EvalKernel(chip, wl, asg), temps, 3,
+                              PowerSensor())
         assert np.all(fit.slope > 0)
 
     def test_fit_matches_endpoints_reasonably(self, chip, pair):
         """Figure 1: the line approximates the measured points."""
         wl, asg = pair
         temps = np.full(chip.n_cores, 350.0)
-        fit = fit_power_lines(chip, wl, asg, temps, 3, PowerSensor())
+        fit = fit_power_lines(EvalKernel(chip, wl, asg), temps, 3,
+                              PowerSensor())
         core = chip.cores[asg.core_of[0]]
         table = core.vf_table
         for v, lv in ((table.vmin, 0), (table.vmax, table.n_levels - 1)):
@@ -44,32 +50,35 @@ class TestFitPowerLines:
     def test_two_vs_three_point_similar(self, chip, pair):
         wl, asg = pair
         temps = np.full(chip.n_cores, 350.0)
-        f3 = fit_power_lines(chip, wl, asg, temps, 3, PowerSensor())
-        f2 = fit_power_lines(chip, wl, asg, temps, 2, PowerSensor())
+        kernel = EvalKernel(chip, wl, asg)
+        f3 = fit_power_lines(kernel, temps, 3, PowerSensor())
+        f2 = fit_power_lines(kernel, temps, 2, PowerSensor())
         np.testing.assert_allclose(f3.slope, f2.slope, rtol=0.35)
 
     def test_local_window_fit(self, chip, pair):
         wl, asg = pair
         temps = np.full(chip.n_cores, 350.0)
-        fit = fit_power_lines(chip, wl, asg, temps, 3, PowerSensor(),
-                              center_levels=[4, 4], span_levels=2)
+        fit = fit_power_lines(EvalKernel(chip, wl, asg), temps, 3,
+                              PowerSensor(), center_levels=[4, 4],
+                              span_levels=2)
         assert np.all(fit.slope > 0)
 
     def test_local_window_at_boundaries(self, chip, pair):
         wl, asg = pair
         temps = np.full(chip.n_cores, 350.0)
         for centre in (0, 8):
-            fit = fit_power_lines(chip, wl, asg, temps, 3, PowerSensor(),
+            fit = fit_power_lines(EvalKernel(chip, wl, asg), temps, 3,
+                                  PowerSensor(),
                                   center_levels=[centre, centre],
                                   span_levels=2)
             assert np.all(np.isfinite(fit.slope))
 
     def test_hotter_cores_fit_higher_lines(self, chip, pair):
         wl, asg = pair
-        cold = fit_power_lines(chip, wl, asg,
+        cold = fit_power_lines(EvalKernel(chip, wl, asg),
                                np.full(chip.n_cores, 330.0), 3,
                                PowerSensor())
-        hot = fit_power_lines(chip, wl, asg,
+        hot = fit_power_lines(EvalKernel(chip, wl, asg),
                               np.full(chip.n_cores, 380.0), 3,
                               PowerSensor())
         # Leakage grows with temperature: the fitted line at Vmax must
@@ -80,9 +89,10 @@ class TestFitPowerLines:
 
 
 class _OneLevelTable:
-    """A V/f table offering exactly one operating point."""
+    """A V/f table offering exactly one operating point (``VFTable``
+    itself insists on two)."""
 
-    def __init__(self, v: float = 0.9, f: float = 2.0e9) -> None:
+    def __init__(self, v: float, f: float) -> None:
         self.voltages = np.array([v])
         self.freqs = np.array([f])
         self.n_levels = 1
@@ -93,28 +103,14 @@ class _OneLevelTable:
         return 0
 
 
-class _FlatLeakage:
-    """Temperature/voltage-independent leakage stub."""
-
-    def power(self, v: float, temp_k: float) -> float:
-        return 0.5
-
-
-class _OneLevelCore:
-    """A core whose V/f table has collapsed to a single point."""
-
-    def __init__(self) -> None:
-        self.vf_table = _OneLevelTable()
-        self.leakage = _FlatLeakage()
-
-
-class _OneLevelChip:
-    """Minimal chip stand-in: one core, one V/f level."""
-
-    n_cores = 1
-
-    def __init__(self) -> None:
-        self.cores = [_OneLevelCore()]
+def one_level_chip(chip):
+    """``chip`` with core 0's V/f table collapsed to its lowest point;
+    the leakage model and everything else stay real."""
+    core = chip.cores[0]
+    table = _OneLevelTable(float(core.vf_table.voltages[0]),
+                           float(core.vf_table.freqs[0]))
+    cores = (dataclasses.replace(core, vf_table=table),) + chip.cores[1:]
+    return dataclasses.replace(chip, cores=cores)
 
 
 class TestFitPowerLinesDegenerate:
@@ -123,28 +119,159 @@ class TestFitPowerLinesDegenerate:
     a singular one-point system (which emits a RankWarning and garbage
     coefficients)."""
 
-    def test_single_point_window_flat_fallback(self):
-        chip = _OneLevelChip()
+    def test_single_point_window_flat_fallback(self, small_chip):
+        chip = one_level_chip(small_chip)
         wl = Workload((get_app("bzip2"),))
         asg = Assignment((0,))
-        fit = fit_power_lines(chip, wl, asg, np.array([350.0]), 3,
+        temps = np.full(chip.n_cores, 350.0)
+        fit = fit_power_lines(EvalKernel(chip, wl, asg), temps, 3,
                               PowerSensor())
-        table = chip.cores[0].vf_table
-        expected = (wl[0].dynamic_power_at(float(table.voltages[0]),
-                                           float(table.freqs[0]))
-                    + 0.5)
+        core = chip.cores[0]
+        v = float(core.vf_table.voltages[0])
+        expected = (wl[0].dynamic_power_at(v, float(core.vf_table.freqs[0]))
+                    + core.leakage.power(v, 350.0))
         assert fit.slope[0] == 0.0
         assert fit.intercept[0] == pytest.approx(expected)
 
-    def test_local_window_on_one_level_table(self):
-        chip = _OneLevelChip()
+    def test_local_window_on_one_level_table(self, small_chip):
+        chip = one_level_chip(small_chip)
         wl = Workload((get_app("bzip2"),))
         asg = Assignment((0,))
-        fit = fit_power_lines(chip, wl, asg, np.array([350.0]), 3,
+        fit = fit_power_lines(EvalKernel(chip, wl, asg),
+                              np.full(chip.n_cores, 350.0), 3,
                               PowerSensor(), center_levels=[0],
                               span_levels=2)
         assert fit.slope[0] == 0.0
         assert np.isfinite(fit.intercept[0])
+
+
+def scalar_fit_power_lines(chip, workload, assignment, core_temps,
+                           n_voltages, power_sensor, center_levels=None,
+                           span_levels=2, ceff_multipliers=None):
+    """The one-point-at-a-time profiling loop: every (thread, profiling
+    voltage) leakage is a scalar ``CoreLeakageModel.power`` call. The
+    parity reference for :func:`fit_power_lines`."""
+    n = assignment.n_threads
+    ceff_mult = (np.ones(n) if ceff_multipliers is None
+                 else np.asarray(ceff_multipliers, dtype=float))
+    slope = np.empty(n)
+    intercept = np.empty(n)
+    for i, core_id in enumerate(assignment.core_of):
+        core = chip.cores[core_id]
+        table = core.vf_table
+        if center_levels is None:
+            level_set = sorted({
+                table.nearest_level_at_most(v)
+                for v in np.linspace(table.vmin, table.vmax, n_voltages)})
+        else:
+            centre = int(center_levels[i])
+            lo = max(centre - span_levels, 0)
+            hi = min(centre + span_levels, table.n_levels - 1)
+            if hi - lo < 1:
+                lo = max(hi - 1, 0)
+            level_set = sorted({
+                lo + (k * (hi - lo)) // (n_voltages - 1)
+                for k in range(n_voltages)})
+        reader = core_reader(power_sensor, core_id)
+        xs, ys = [], []
+        for level in level_set:
+            v_lv = float(table.voltages[level])
+            f_lv = float(table.freqs[level])
+            true_p = (ceff_mult[i] * workload[i].dynamic_power_at(v_lv, f_lv)
+                      + core.leakage.power(v_lv, float(core_temps[core_id])))
+            xs.append(v_lv)
+            ys.append(reader.read(true_p))
+        if len(xs) >= 2:
+            b, c = np.polyfit(np.array(xs), np.array(ys), 1)
+        else:
+            b, c = 0.0, ys[0]
+        slope[i] = b
+        intercept[i] = c
+    return slope, intercept
+
+
+class TestBatchedProfilingLeakage:
+    """LinOpt profiles a pass's leakage in one kernel call; the fit it
+    feeds is bit for bit the scalar loop's."""
+
+    @staticmethod
+    def _case(chip, n_threads, seed):
+        rng = np.random.default_rng(seed)
+        wl = make_workload(n_threads, rng)
+        cores = rng.choice(chip.n_cores, size=n_threads, replace=False)
+        asg = Assignment(tuple(int(c) for c in cores))
+        temps = rng.uniform(320.0, 380.0, chip.n_cores)
+        ceff = rng.uniform(0.7, 1.3, n_threads)
+        return wl, asg, temps, ceff
+
+    @staticmethod
+    def _sensors(bank):
+        """Two identically seeded noisy sensors (or per-core banks)."""
+        spec = SensorSpec(noise_sigma=0.05)
+        if bank:
+            return (SensorBank(16, spec=spec, seed=4),
+                    SensorBank(16, spec=spec, seed=4))
+        return (PowerSensor(spec, rng=np.random.default_rng(4)),
+                PowerSensor(spec, rng=np.random.default_rng(4)))
+
+    def _assert_fit_bitwise(self, chip, wl, asg, temps, ceff, n_voltages,
+                            bank=False, **window):
+        batched, scalar = self._sensors(bank)
+        kernel = EvalKernel(chip, wl, asg, ceff_multipliers=ceff)
+        fit = fit_power_lines(kernel, temps, n_voltages, batched, **window)
+        slope, intercept = scalar_fit_power_lines(
+            chip, wl, asg, temps, n_voltages, scalar,
+            ceff_multipliers=ceff, **window)
+        assert fit.slope.tobytes() == slope.tobytes()
+        assert fit.intercept.tobytes() == intercept.tobytes()
+
+    @pytest.mark.parametrize("n_voltages", [2, 3, 5])
+    def test_global_window(self, small_chip, n_voltages):
+        wl, asg, temps, ceff = self._case(small_chip, 5, n_voltages)
+        self._assert_fit_bitwise(small_chip, wl, asg, temps, ceff,
+                                 n_voltages)
+
+    @pytest.mark.parametrize("n_voltages", [2, 3, 5])
+    def test_local_window(self, small_chip, n_voltages):
+        wl, asg, temps, ceff = self._case(small_chip, 5, 10 + n_voltages)
+        # Centres at both table edges and inside: windows of 2..5
+        # distinct levels in one call.
+        centres = [0, 8, 4, 1, 7]
+        self._assert_fit_bitwise(small_chip, wl, asg, temps, ceff,
+                                 n_voltages, center_levels=centres,
+                                 span_levels=2)
+
+    @pytest.mark.parametrize("center_levels", [None, [0, 3, 8]])
+    def test_one_level_window_beside_full_ones(self, small_chip,
+                                               center_levels):
+        chip = one_level_chip(small_chip)
+        wl, _, temps, ceff = self._case(chip, 3, 7)
+        asg = Assignment((0, 3, 5))
+        self._assert_fit_bitwise(chip, wl, asg, temps, ceff, 3,
+                                 center_levels=center_levels)
+
+    def test_per_core_sensor_bank(self, small_chip):
+        wl, asg, temps, ceff = self._case(small_chip, 4, 21)
+        self._assert_fit_bitwise(small_chip, wl, asg, temps, ceff, 3,
+                                 bank=True, center_levels=[2, 5, 6, 3])
+
+    def test_core_leakage_rows_match_scalar_power(self, chip):
+        wl, asg, temps, _ = self._case(chip, 6, 3)
+        kernel = EvalKernel(chip, wl, asg)
+        rng = np.random.default_rng(5)
+        levels = rng.integers(0, 9, size=(7, asg.n_threads))
+        volts = np.array([[chip.cores[c].vf_table.voltages[lv]
+                           for c, lv in zip(asg.core_of, row)]
+                          for row in levels])
+        leak = kernel.core_leakage(volts, temps)
+        for r in range(volts.shape[0]):
+            for i, core_id in enumerate(asg.core_of):
+                ref = chip.cores[core_id].leakage.power(
+                    float(volts[r, i]), float(temps[core_id]))
+                assert float(leak[r, i]).hex() == float(ref).hex()
+        # A row's result does not depend on the rows beside it.
+        alone = kernel.core_leakage(volts[3:4], temps)
+        assert alone.tobytes() == leak[3:4].tobytes()
 
 
 class TestSensorStreams:

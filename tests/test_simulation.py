@@ -1,12 +1,28 @@
 """Tests for the online event-driven simulation (Figure 2 / 14)."""
 
+import json
+import pathlib
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.config import COST_PERFORMANCE
+from repro.config import COST_PERFORMANCE, LOW_POWER, PowerEnvironment
+from repro.daemon import DaemonController
+from repro.faults import (
+    CORE_DROOP,
+    CORE_OFFLINE,
+    MANAGER_ERROR,
+    FaultEvent,
+    FaultSchedule,
+    PowerWatchdog,
+    ResilientManager,
+    SensorBank,
+)
 from repro.pm import FoxtonStar, LinOpt, LinOptConfig
 from repro.pm.base import PmResult, PowerManager
-from repro.runtime import OnlineSimulation
+from repro.power import SensorSpec
+from repro.runtime import Assignment, OnlineSimulation, simulation
 from repro.runtime.evaluation import EVALUATION_COUNTER, evaluate_levels
 from repro.runtime.simulation import (
     SENSOR_PERIOD_S,
@@ -343,3 +359,178 @@ class TestSimulationStepper:
         stepper.run_to_end()
         assert stepper.advance_until(1.0) == []
         assert stepper.time_s == 0.02
+
+
+#: A budget every operating point meets: managers go to the top levels.
+UNBOUNDED = PowerEnvironment("unbounded", 1e6, p_core_max=1e6)
+
+#: A daemon state dir (one tenant: op log plus a snapshot at op 3) and
+#: the digests its uninterrupted run produced, written by a build whose
+#: stepper re-evaluated every manager decision.
+SNAPSHOT_DATA = pathlib.Path(__file__).parent / "data" / "daemon_snapshot_v2"
+
+
+class _Spy(PowerManager):
+    """Delegates to ``inner`` and records, per invocation, the levels
+    it decided and whether it handed back the warm-start state."""
+
+    def __init__(self, inner: PowerManager) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.calls = []
+
+    def set_levels(self, chip, workload, assignment, env, rng=None,
+                   initial_levels=None, initial_state=None,
+                   ipc_multipliers=None, ceff_multipliers=None):
+        result = self.inner.set_levels(
+            chip, workload, assignment, env, rng=rng,
+            initial_levels=initial_levels, initial_state=initial_state,
+            ipc_multipliers=ipc_multipliers,
+            ceff_multipliers=ceff_multipliers)
+        self.calls.append((result.levels, initial_state is not None
+                           and result.state is initial_state))
+        return result
+
+
+class TestStepperAdoptsManagerState:
+    """After a decision the stepper keeps the manager's evaluated state
+    and evaluates itself only at phase changes and at decisions whose
+    state it cannot adopt — with traces unchanged bit for bit."""
+
+    @staticmethod
+    def _eval_times(monkeypatch, stepper):
+        """Count the stepper's own evaluations: the span start time of
+        each is appended to the returned list."""
+        times = []
+        real = simulation.evaluate_levels
+
+        def counting(*args, **kwargs):
+            times.append(stepper.time_s)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "evaluate_levels", counting)
+        return times
+
+    def test_decision_span_makes_no_stepper_evaluation(
+            self, chip, sim_setup, monkeypatch):
+        wl, asg = sim_setup
+        sim = OnlineSimulation(chip, wl, asg, COST_PERFORMANCE,
+                               manager=LinOpt(LinOptConfig(n_iterations=2)),
+                               phase_seed=5)
+        stepper = sim.stepper(0.05, 0.01)
+        times = self._eval_times(monkeypatch, stepper)
+        stepper.advance_until(SENSOR_PERIOD_S / 2)  # the t = 0 span
+        assert len(stepper.decisions) == 1
+        assert times == []
+        stepper.run_to_end()
+        decided = {d.time_s for d in stepper.decisions}
+        assert len(decided) == 5
+        assert not decided & set(times)
+        # Phase changes between decisions still evaluate.
+        assert times
+
+    def test_stale_warm_state_at_phase_change_is_re_evaluated(
+            self, chip, sim_setup, monkeypatch):
+        wl, asg = sim_setup
+        spy = _Spy(FoxtonStar())
+        sim = OnlineSimulation(chip, wl, asg, UNBOUNDED, manager=spy,
+                               phase_seed=5)
+        # A decision every sample: every phase change meets one.
+        stepper = sim.stepper(0.06, SENSOR_PERIOD_S)
+        times = self._eval_times(monkeypatch, stepper)
+        stepper.run_to_end()
+        change_times = set(stepper.times[stepper._change_steps].tolist())
+        assert len(spy.calls) == len(stepper.decisions)
+        stale = [d.time_s for d, (_, handed_back)
+                 in zip(stepper.decisions, spy.calls)
+                 if handed_back and d.time_s in change_times]
+        assert stale
+        assert set(stale) <= set(times)
+        dense = OnlineSimulation(chip, wl, asg, UNBOUNDED,
+                                 manager=FoxtonStar(), phase_seed=5).run(
+            0.06, SENSOR_PERIOD_S, mode="dense")
+        np.testing.assert_array_equal(stepper.trace().power_w,
+                                      dense.power_w)
+        np.testing.assert_array_equal(stepper.trace().throughput_mips,
+                                      dense.throughput_mips)
+
+    def test_fault_clamped_decision_is_re_evaluated(
+            self, chip, sim_setup, monkeypatch):
+        wl, asg = sim_setup
+        faults = FaultSchedule([FaultEvent(0.02, CORE_DROOP,
+                                           target=asg.core_of[0],
+                                           param=3)])
+        spy = _Spy(LinOpt(LinOptConfig(n_iterations=2)))
+        sim = OnlineSimulation(chip, wl, asg, UNBOUNDED, manager=spy,
+                               phase_seed=5, faults=faults)
+        stepper = sim.stepper(0.04, 0.01)
+        times = self._eval_times(monkeypatch, stepper)
+        stepper.run_to_end()
+        assert len(spy.calls) == len(stepper.decisions)
+        clamped = [d.time_s for d, (levels, _)
+                   in zip(stepper.decisions, spy.calls)
+                   if d.levels != tuple(levels)]
+        assert clamped == [0.02, 0.03]
+        assert set(clamped) <= set(times)
+        assert 0.0 not in times  # the unclamped t = 0 decision adopted
+
+    def test_fault_schedule_trace_matches_dense_re_evaluation(
+            self, chip, sim_setup, monkeypatch):
+        """``mode="dense"`` rejects faults, so the dense reference is
+        built here: every sample re-evaluated serially at the levels
+        and thread map in force (a manager decision applies from its
+        own sample, a watchdog emergency from the next)."""
+        wl, asg = sim_setup
+        faults = FaultSchedule([
+            FaultEvent(0.012, CORE_DROOP, target=asg.core_of[1], param=2),
+            FaultEvent(0.025, MANAGER_ERROR),
+            FaultEvent(0.033, CORE_OFFLINE, target=asg.core_of[2]),
+        ])
+        sim = OnlineSimulation(
+            chip, wl, asg, LOW_POWER,
+            manager=ResilientManager(LinOpt(LinOptConfig(n_iterations=2))),
+            phase_seed=5, transition_latency_s=0.0, faults=faults,
+            sensor_bank=SensorBank(chip.n_cores,
+                                   spec=SensorSpec(noise_sigma=0.5),
+                                   seed=1),
+            watchdog=PowerWatchdog(guard_band_frac=0.0, k_samples=1))
+        stepper = sim.stepper(0.05, 0.01)
+        times = self._eval_times(monkeypatch, stepper)
+        stepper.run_to_end()
+        trace = stepper.trace()
+        assert len(trace.fault_events) == 3
+        assert trace.watchdog_triggers
+        assert {d.resilience_tier for d in stepper.decisions} >= {0, 1}
+        managed = [d.time_s for d in stepper.decisions
+                   if d.kind == "manager"]
+        assert set(managed) - set(times)  # some decisions adopted
+
+        ipc_grid, ceff_grid = sim._multiplier_grid(stepper.times)
+        starts = [int(np.searchsorted(stepper.times, d.time_s))
+                  + (d.kind == "emergency") for d in stepper.decisions]
+        for step in range(stepper.times.size):
+            d = stepper.decisions[
+                int(np.searchsorted(starts, step, side="right")) - 1]
+            ref = evaluate_levels(
+                chip, wl, Assignment(d.core_of), list(d.levels),
+                ipc_multipliers=ipc_grid[step],
+                ceff_multipliers=ceff_grid[step])
+            assert trace.power_w[step] == ref.total_power, step
+            assert trace.throughput_mips[step] == ref.throughput_mips, step
+
+    def test_older_daemon_snapshot_restores_and_replays(self, tmp_path):
+        expected = json.loads(
+            (SNAPSHOT_DATA / "expected.json").read_text())
+        shutil.copytree(SNAPSHOT_DATA / "state", tmp_path / "state")
+        ctl = DaemonController(state_dir=tmp_path / "state", cache=None,
+                               snapshot_every=2)
+        stats = ctl.last_recovery
+        assert stats.tenants_recovered == 1
+        assert stats.tenants_quarantined == 0
+        assert stats.snapshot_restores == 1
+        assert stats.ops_replayed == 1
+        stepper = ctl._get("t").stepper
+        assert stepper.decision_digest() == expected["digest_at_last_op"]
+        ctl.advance("t", to_end=True)
+        assert len(stepper.decisions) == expected["decisions"]
+        assert stepper.decision_digest() == expected["final_digest"]
