@@ -38,6 +38,8 @@ MIN_RECOVERY_TENANTS_PER_S = 5.0
 
 
 def _register_all(host, port):
+    """(registration wall, evaluations summed over every decision the
+    advance replies stream)."""
     clients = [DaemonClient(host, port) for _ in range(N_CLIENTS)]
     try:
         t0 = time.perf_counter()
@@ -46,14 +48,18 @@ def _register_all(host, port):
                 f"bench-{i:02d}", seed=i % 8, n_cores=4, n_threads=3,
                 duration_s=0.03, dvfs_interval_s=0.01)
         register_wall = time.perf_counter() - t0
+        evaluations = 0
         for until in SLICES:
             for i in range(N_TENANTS):
                 client = clients[i % N_CLIENTS]
                 if until is None:
-                    client.advance(f"bench-{i:02d}", to_end=True)
+                    reply = client.advance(f"bench-{i:02d}", to_end=True)
                 else:
-                    client.advance(f"bench-{i:02d}", until_s=until)
-        return register_wall
+                    reply = client.advance(f"bench-{i:02d}",
+                                           until_s=until)
+                evaluations += sum(d["evaluations"]
+                                   for d in reply["decisions"])
+        return register_wall, evaluations
     finally:
         for client in clients:
             client.close()
@@ -62,7 +68,7 @@ def _register_all(host, port):
 def test_daemon_service_throughput(benchmark, results_dir):
     controller = DaemonController(cache=None)
     with ServerThread(controller) as (host, port):
-        register_wall = benchmark.pedantic(
+        register_wall, evaluations = benchmark.pedantic(
             _register_all, args=(host, port), rounds=1, iterations=1)
         with DaemonClient(host, port) as client:
             snapshot = client.telemetry()
@@ -81,6 +87,7 @@ def test_daemon_service_throughput(benchmark, results_dir):
         "tenants_finished": float(counters["tenants_finished"]),
         "advances": float(counters["advances"]),
         "decisions": float(counters["decisions"]),
+        "advance_evaluations": float(evaluations),
         "dropped_frames": float(counters["dropped_frames"]),
         "quarantines": float(counters["quarantines"]),
         # Machine-dependent: exempt from drift, floored below.

@@ -13,8 +13,11 @@ load spikes hit both modes, and the minimum wall per mode is compared
 (the robust statistic on a noisy runner).
 
 Also records the kernel observability counters of a full SAnn run
-(deterministic, so the perf gate catches semantic drift in how the
-policies batch) into ``BENCH_kernel.json``.
+and of a fixed sequence of daemon-shape LinOpt decisions (4 threads on
+a 4-core die, three passes, each decision warm-started from the last
+one) into ``BENCH_kernel.json``. They are deterministic, so the perf
+gate catches semantic drift in how the policies batch and how many
+kernel rows LinOpt's state memo saves.
 """
 
 import time
@@ -24,9 +27,9 @@ from conftest import emit
 
 from repro.chip import characterize_die
 from repro.config import (COST_PERFORMANCE, DEFAULT_ARCH, DEFAULT_TECH,
-                          ArchConfig)
+                          ArchConfig, PowerEnvironment)
 from repro.experiments.common import format_rows
-from repro.pm import SAnnManager
+from repro.pm import LinOpt, LinOptConfig, SAnnManager
 from repro.runtime.evaluation import Assignment, evaluate_levels
 from repro.runtime.kernel import EvalKernel
 from repro.variation import DieBatch
@@ -36,6 +39,14 @@ from repro.workloads import make_workload
 N_ROUNDS = 5
 
 SMALL_ARCH = ArchConfig(n_cores=8, die_area_mm2=140.0, grid_resolution=32)
+# A daemon tenant's die (35 mm^2 per core, as the daemon builds it).
+DAEMON_ARCH = ArchConfig(n_cores=4, die_area_mm2=140.0, grid_resolution=8)
+# The daemon benchmark's budget, under which its decisions stay at the
+# top operating points, and one that binds on the 4-core die (20-25 W
+# at top V/f), under which they quantise, correct and refill.
+LINOPT_ENVS = (COST_PERFORMANCE,
+               PowerEnvironment("Tight", 15.0, p_core_max=5.0))
+LINOPT_DECISIONS = 8
 
 # (die, threads, candidate rows, seed) per configuration: the
 # exhaustive slab matches ExhaustiveSearch._BATCH_COMBOS; the SAnn
@@ -69,11 +80,36 @@ def _case(chip, n_threads, n_rows, seed):
     return workload, assignment, matrix
 
 
+def _linopt_counters(chip):
+    """Evaluation counters summed over a fixed sequence of daemon-shape
+    LinOpt decisions, with new phase multipliers at every decision."""
+    totals = {"evaluations": 0.0, "kernel_evaluations": 0.0,
+              "state_memo_hits": 0.0}
+    for env in LINOPT_ENVS:
+        rng = np.random.default_rng(106)
+        workload = make_workload(4, rng)
+        assignment = Assignment(core_of=(0, 1, 2, 3))
+        manager = LinOpt(LinOptConfig(n_iterations=3))
+        warm = {}
+        for _ in range(LINOPT_DECISIONS):
+            result = manager.set_levels(
+                chip, workload, assignment, env,
+                ipc_multipliers=rng.uniform(0.7, 1.3, 4),
+                ceff_multipliers=rng.uniform(0.8, 1.2, 4), **warm)
+            warm = dict(initial_levels=result.levels,
+                        initial_state=result.state)
+            totals["evaluations"] += result.evaluations
+            totals["kernel_evaluations"] += (
+                result.stats["kernel_evaluations"])
+            totals["state_memo_hits"] += result.stats["state_memo_hits"]
+    return totals
+
+
 def test_kernel_batch_speedup(benchmark, results_dir):
     tech = DEFAULT_TECH
     chips = {arch: characterize_die(
         DieBatch(tech, arch, n_dies=1, seed=7)[0], tech, arch)
-        for arch in (SMALL_ARCH, DEFAULT_ARCH)}
+        for arch in (SMALL_ARCH, DEFAULT_ARCH, DAEMON_ARCH)}
 
     cases = {}
     for name, (arch, n_threads, n_rows, seed) in CONFIGS.items():
@@ -125,6 +161,8 @@ def test_kernel_batch_speedup(benchmark, results_dir):
         "sann_kernel_batch_max": sann.stats["kernel_batch_max"],
         "sann_evaluations": float(sann.evaluations),
         "sann_cache_hits": sann.stats["sa_cache_hits"],
+        **{f"linopt_{key}": value for key, value
+           in _linopt_counters(chips[DAEMON_ARCH]).items()},
     }
     rows = []
     for name, (_, n_threads, n_rows, _) in CONFIGS.items():

@@ -38,8 +38,15 @@ class PmResult:
             that keeps its warm start may hand it back, and across a
             phase change it is stale). The simulation stepper relies
             on this: it adopts any other state as its own evaluation.
-        evaluations: Number of full system evaluations (sensor-visible
-            settling points) the manager consumed.
+        evaluations: The algorithm's cost in operating points examined
+            (sensor-visible settling points). The daemon digest and
+            ``ResilientManager``'s ``evaluation_budget`` read it, so
+            saving a kernel row never changes it: speculative rows
+            that are discarded do not count, and LinOpt counts every
+            point its passes examine, repeats served from its
+            per-decision memo included (``state_memo_hits``). SAnn's
+            budget is in distinct points, so its cache hits
+            (``sa_cache_hits``) do not count.
         stats: Algorithm-specific diagnostics (LP pivots, SA
             acceptance, ...).
     """

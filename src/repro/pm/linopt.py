@@ -40,7 +40,7 @@ consumed as if it were a plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,6 +103,8 @@ class LinOptConfig:
             raise ValueError("correction_limit must be non-negative")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be positive")
+        if self.profile_span_levels < 0:
+            raise ValueError("profile_span_levels must be non-negative")
         if self.objective not in ("mips", "weighted"):
             raise ValueError("objective must be 'mips' or 'weighted'")
 
@@ -214,6 +216,51 @@ def fit_power_lines(
     return LinearPowerFit(slope=slope, intercept=intercept)
 
 
+class _StateMemo:
+    """One decision's evaluated states, keyed by level vector.
+
+    The successive-LP passes of a decision keep landing on level
+    vectors it has already evaluated: a pass quantises back to an
+    earlier pass's point, a correction steps onto an earlier refill
+    trial. ``EvalKernel`` rows are deterministic and independent of
+    their batch neighbours, so a repeat served from here is bitwise
+    the row the kernel would compute. Only misses go to the kernel;
+    ``hits`` counts the rows served instead.
+
+    The memo lives for one decision (one kernel, one set of phase
+    multipliers) and holds only states its kernel computed, never the
+    caller's ``initial_state``, which may be stale. A failed row is
+    not stored, so a failing vector raises again whenever it is
+    evaluated.
+    """
+
+    def __init__(self, kernel: EvalKernel) -> None:
+        self.kernel = kernel
+        self.states: Dict[Tuple[int, ...], SystemState] = {}
+        self.hits = 0
+
+    def evaluate(self, levels: Sequence[int]) -> SystemState:
+        return self.evaluate_batch([levels])[0]
+
+    def evaluate_batch(self, levels_matrix: Sequence[Sequence[int]],
+                       errors: str = "raise") -> List:
+        """``EvalKernel.evaluate_levels_batch`` through the memo."""
+        keys = [tuple(int(lv) for lv in row) for row in levels_matrix]
+        out = [self.states.get(key) for key in keys]
+        misses = [b for b, state in enumerate(out) if state is None]
+        self.hits += len(keys) - len(misses)
+        if misses:
+            # The kernel sees the caller's rows, so it still rejects a
+            # non-integer level instead of evaluating its truncation.
+            rows = self.kernel.evaluate_levels_batch(
+                [list(levels_matrix[b]) for b in misses], errors=errors)
+            for b, state in zip(misses, rows):
+                out[b] = state
+                if not isinstance(state, Exception):
+                    self.states[keys[b]] = state
+        return out
+
+
 class LinOpt(PowerManager):
     """Linear-programming power manager."""
 
@@ -257,9 +304,10 @@ class LinOpt(PowerManager):
         kernel = EvalKernel(chip, workload, assignment,
                             ipc_multipliers=ipc_multipliers,
                             ceff_multipliers=ceff_multipliers)
+        memo = _StateMemo(kernel)
 
         if initial_state is None:
-            current = kernel.evaluate_levels(levels)
+            current = memo.evaluate(levels)
             evaluations = 1
         else:
             current = initial_state
@@ -273,7 +321,7 @@ class LinOpt(PowerManager):
         for iteration in range(self.config.n_iterations):
             levels, current, evals = self._one_pass(
                 chip, workload, assignment, p_target, p_core_max,
-                levels, current, stats, kernel,
+                levels, current, stats, memo,
                 local=iteration > 0)
             evaluations += evals
             feasible = meets_constraints(current, p_target, p_core_max)
@@ -287,17 +335,22 @@ class LinOpt(PowerManager):
         levels, current = best[2], best[3]
         return PmResult(levels=tuple(levels), state=current,
                         evaluations=evaluations,
-                        stats={**stats, **kernel.stats.as_result_stats()})
+                        stats={**stats,
+                               "state_memo_hits": float(memo.hits),
+                               **kernel.stats.as_result_stats()})
 
     def _one_pass(self, chip, workload, assignment, p_target, p_core_max,
-                  levels, current, stats, kernel, local=False):
-        """One profile -> LP -> discretise -> correct -> refill pass."""
+                  levels, current, stats, memo, local=False):
+        """One profile -> LP -> discretise -> correct -> refill pass.
+
+        Every evaluation goes through the decision's ``memo`` and
+        counts towards ``evaluations`` whether or not it was a hit."""
         n = assignment.n_threads
         evaluations = 0
 
         # --- Gather profile data (Table 3) at the current state. ---
         core_temps = current.block_temps[: chip.n_cores]
-        fit = fit_power_lines(kernel, core_temps,
+        fit = fit_power_lines(memo.kernel, core_temps,
                               self.config.n_profile_voltages,
                               self.power_sensor,
                               center_levels=levels if local else None,
@@ -380,7 +433,7 @@ class LinOpt(PowerManager):
                 levels[i] = table.nearest_level_at_most(float(v_star[i]))
             else:
                 levels[i] = int(np.argmin(np.abs(table.voltages - v_star[i])))
-        state = kernel.evaluate_levels(levels)
+        state = memo.evaluate(levels)
         evaluations += 1
 
         # Marginal efficiency ranking (measured IPC * frequency slope
@@ -401,7 +454,7 @@ class LinOpt(PowerManager):
                 candidates = [i for i in range(n) if levels[i] > 0]
                 victim = min(candidates, key=lambda i: efficiency[i])
             levels[victim] -= 1
-            state = kernel.evaluate_levels(levels)
+            state = memo.evaluate(levels)
             evaluations += 1
             corrections += 1
         stats["corrections"] += float(corrections)
@@ -419,11 +472,12 @@ class LinOpt(PowerManager):
             # Within one round the candidate list is fully determined
             # up front (levels only change at the accepting step, which
             # ends the round), so runs of candidates go through one
-            # kernel call each, walked in efficiency order. Trials past
-            # the first acceptance are speculative — discarded
-            # uncounted, evaluated with errors="isolate" so a diverging
-            # one cannot abort the rest — and a failure on a trial the
-            # walk does reach re-raises there.
+            # kernel call each (the memo's misses only), walked in
+            # efficiency order. Trials past the first acceptance are
+            # speculative — discarded uncounted, evaluated with
+            # errors="isolate" so a diverging one cannot abort the
+            # rest — and a failure on a trial the walk does reach
+            # re-raises there.
             chunk = _REFILL_SPEC_MIN
             improved = True
             while improved:
@@ -438,7 +492,7 @@ class LinOpt(PowerManager):
                         trial = list(levels)
                         trial[i] += 1
                         trials.append(trial)
-                    trial_states = kernel.evaluate_levels_batch(
+                    trial_states = memo.evaluate_batch(
                         trials, errors="isolate")
                     for idx, (i, trial_state) in enumerate(
                             zip(batch, trial_states)):

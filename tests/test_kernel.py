@@ -312,10 +312,12 @@ class TestPolicyRegression:
 
     @pytest.mark.parametrize("name", sorted(MANAGERS))
     def test_kernel_counts_every_evaluation(self, small_chip, name):
-        """A decision's kernel counters cover all its evaluations,
-        SAnn's greedy Foxton* start included."""
+        """Every evaluation of a decision is a kernel row or a LinOpt
+        state-memo hit, SAnn's greedy Foxton* start included."""
         result = _decide(small_chip, name, COST_PERFORMANCE)
-        assert result.stats["kernel_evaluations"] >= result.evaluations
+        assert (result.stats["kernel_evaluations"]
+                + result.stats.get("state_memo_hits", 0.0)
+                >= result.evaluations)
 
     def test_sann_reports_cache_hits(self, small_chip):
         wl, asg = _pm_case(small_chip, 4, 25)

@@ -5,15 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import COST_PERFORMANCE, LOW_POWER
+from repro.chip import characterize_die
+from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER,
+                          ArchConfig, PowerEnvironment)
 from repro.pm import (LinOpt, LinOptConfig, fit_power_lines,
                       meets_constraints)
+from repro.pm import linopt
 from repro.faults import SensorBank
 from repro.power import (IpcSensor, PowerSensor, SensorSpec, core_reader,
                          independent_rngs)
 from repro.runtime import Assignment
 from repro.runtime.kernel import EvalKernel
 from repro.sched import VarFAppIPC
+from repro.variation import DieBatch
 from repro.workloads import Workload, get_app, make_workload
 
 
@@ -381,3 +385,267 @@ class TestLinOptBehaviour:
             chip, wl, asg, LOW_POWER,
             ipc_multipliers=[3.0, 1.0, 1.0, 1.0])
         assert boosted.levels[0] >= base.levels[0]
+
+
+class TestLinOptConfigValidation:
+    def test_negative_profile_span_rejected(self):
+        with pytest.raises(ValueError, match="profile_span_levels"):
+            LinOptConfig(profile_span_levels=-1)
+
+    def test_zero_profile_span_still_decides(self, daemon_chip):
+        """A zero-width local window still profiles (it widens to two
+        levels), with every core at its top level."""
+        wl = make_workload(4, np.random.default_rng(1))
+        asg = Assignment((0, 1, 2, 3))
+        res = LinOpt(LinOptConfig(profile_span_levels=0)).set_levels(
+            daemon_chip, wl, asg, COST_PERFORMANCE)
+        tops = [daemon_chip.cores[c].vf_table.n_levels - 1
+                for c in asg.core_of]
+        assert list(res.levels) == tops
+        assert meets_constraints(res.state, COST_PERFORMANCE.p_target(
+            4, daemon_chip.n_cores), COST_PERFORMANCE.p_core_max)
+
+
+@pytest.fixture(scope="module")
+def daemon_chip():
+    """A daemon tenant's die: 4 cores at 35 mm^2 per core."""
+    arch = ArchConfig(n_cores=4, die_area_mm2=140.0, grid_resolution=8)
+    return characterize_die(DieBatch(DEFAULT_TECH, arch, n_dies=1,
+                                     seed=5)[0], DEFAULT_TECH, arch)
+
+
+#: Budgets that bind on the 4-core die (it draws 20-25 W at its top
+#: operating points), so its decisions quantise, correct and refill.
+TIGHT = PowerEnvironment("Tight", 15.0, p_core_max=5.0)
+TIGHTER = PowerEnvironment("Tighter", 12.0, p_core_max=4.5)
+
+
+class _Bypass(linopt._StateMemo):
+    """No memo: every evaluation is a fresh kernel row, the schedule
+    LinOpt ran before it kept one."""
+
+    def evaluate_batch(self, levels_matrix, errors="raise"):
+        return self.kernel.evaluate_levels_batch(
+            [list(row) for row in levels_matrix], errors=errors)
+
+
+def _assert_state_bitwise(a, b):
+    for field in dataclasses.fields(a):
+        assert (np.asarray(getattr(a, field.name)).tobytes()
+                == np.asarray(getattr(b, field.name)).tobytes()), field.name
+
+
+def _algorithm_stats(stats):
+    """Stats that describe the decision, not the evaluation work."""
+    return {k: v for k, v in stats.items()
+            if not k.startswith("kernel_") and k != "state_memo_hits"}
+
+
+def _assert_same_decisions(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.levels == b.levels
+        _assert_state_bitwise(a.state, b.state)
+        assert a.evaluations == b.evaluations
+        assert _algorithm_stats(a.stats) == _algorithm_stats(b.stats)
+
+
+class TestLinOptStateMemo:
+    """The per-decision state memo changes how many kernel rows a
+    decision pays for, nothing else: levels, states, evaluation counts
+    and LP statistics are bit for bit those of the memo-less schedule,
+    whichever LP backend runs."""
+
+    @staticmethod
+    def _chain(make_manager, chip, wl, asg, env, phases):
+        """Successive decisions of one manager, each warm-started from
+        the previous result as the simulation stepper does; each phase
+        is a pair of (IPC, Ceff) multipliers, so every warm start is
+        stale."""
+        manager = make_manager()
+        results, prev = [], None
+        for ipc_m, ceff_m in phases:
+            warm = ({} if prev is None else
+                    dict(initial_levels=prev.levels,
+                         initial_state=prev.state))
+            prev = manager.set_levels(chip, wl, asg, env,
+                                      ipc_multipliers=ipc_m,
+                                      ceff_multipliers=ceff_m, **warm)
+            results.append(prev)
+        return results
+
+    def _compare(self, monkeypatch, make_manager, chip, wl, asg, env,
+                 phases):
+        memo = self._chain(make_manager, chip, wl, asg, env, phases)
+        with monkeypatch.context() as patch:
+            patch.setattr(linopt, "_StateMemo", _Bypass)
+            bypass = self._chain(make_manager, chip, wl, asg, env, phases)
+        _assert_same_decisions(memo, bypass)
+        for got, ref in zip(memo, bypass):
+            assert ref.stats["state_memo_hits"] == 0.0
+            # Every evaluation is a kernel row or a memo hit, and the
+            # memo saves exactly the rows it served.
+            assert (got.stats["kernel_evaluations"]
+                    + got.stats["state_memo_hits"]
+                    == ref.stats["kernel_evaluations"])
+        return memo
+
+    @staticmethod
+    def _phases(n_threads, n_decisions, seed):
+        rng = np.random.default_rng(seed)
+        phases = [(None, None)]
+        for _ in range(n_decisions - 1):
+            phases.append((rng.uniform(0.7, 1.3, n_threads),
+                           rng.uniform(0.8, 1.2, n_threads)))
+        return phases
+
+    @staticmethod
+    def _daemon_case(chip, seed):
+        rng = np.random.default_rng(seed)
+        return make_workload(4, rng), Assignment((0, 1, 2, 3))
+
+    @pytest.mark.parametrize("env", [COST_PERFORMANCE, TIGHT, TIGHTER],
+                             ids=["cost-perf", "tight", "tighter"])
+    def test_daemon_shape(self, daemon_chip, env, monkeypatch):
+        wl, asg = self._daemon_case(daemon_chip, 1)
+        results = self._compare(
+            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            daemon_chip, wl, asg, env, self._phases(4, 6, 2))
+        # The passes of a converging decision revisit its points, so
+        # it pays for fewer kernel rows than it examines.
+        assert any(r.stats["kernel_evaluations"] < r.evaluations
+                   for r in results)
+        assert sum(r.stats["state_memo_hits"] for r in results) > 0
+
+    def test_weighted_objective(self, daemon_chip, monkeypatch):
+        wl, asg = self._daemon_case(daemon_chip, 3)
+        self._compare(
+            monkeypatch,
+            lambda: LinOpt(LinOptConfig(n_iterations=3,
+                                        objective="weighted")),
+            daemon_chip, wl, asg, TIGHT, self._phases(4, 5, 4))
+
+    def test_noisy_sensor_bank(self, daemon_chip, monkeypatch):
+        wl, asg = self._daemon_case(daemon_chip, 5)
+        spec = SensorSpec(noise_sigma=0.05, relative=True)
+        results = self._compare(
+            monkeypatch,
+            lambda: LinOpt(LinOptConfig(n_iterations=3),
+                           power_sensor=SensorBank(4, spec=spec, seed=6),
+                           ipc_sensor=IpcSensor(
+                               spec, np.random.default_rng(7))),
+            daemon_chip, wl, asg, TIGHTER, self._phases(4, 5, 8))
+        assert sum(r.stats["corrections"] for r in results) > 0
+
+    def test_fig11_decision(self, chip, monkeypatch):
+        """20 threads on the 20-core die, cold and then warm."""
+        rng = np.random.default_rng(9)
+        wl = make_workload(20, rng)
+        asg = Assignment(tuple(int(c) for c in rng.permutation(20)))
+        self._compare(monkeypatch,
+                      lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                      chip, wl, asg, COST_PERFORMANCE,
+                      self._phases(20, 2, 10))
+
+    def test_stale_initial_state_never_served(self, daemon_chip,
+                                              monkeypatch):
+        """A warm start evaluated under other phase multipliers is not
+        an evaluation of this decision: when a pass lands back on the
+        warm-start levels, the memo evaluates them afresh."""
+        wl, asg = self._daemon_case(daemon_chip, 11)
+        env = TIGHT
+        first = LinOpt(LinOptConfig(n_iterations=3)).set_levels(
+            daemon_chip, wl, asg, env)
+        memos = self._record_memos(monkeypatch)
+        ipc_m = [1.25, 0.8, 1.1, 0.9]
+        result = LinOpt(LinOptConfig(n_iterations=3)).set_levels(
+            daemon_chip, wl, asg, env, initial_levels=first.levels,
+            initial_state=first.state, ipc_multipliers=ipc_m)
+        (memo,) = memos
+        assert all(state is not first.state
+                   for state in memo.states.values())
+        revisited = memo.states[first.levels]
+        fresh = EvalKernel(daemon_chip, wl, asg,
+                           ipc_multipliers=ipc_m).evaluate_levels(
+                               first.levels)
+        _assert_state_bitwise(revisited, fresh)
+        assert revisited.ipcs.tobytes() != first.state.ipcs.tobytes()
+        assert result.state is not first.state
+
+    @staticmethod
+    def _record_memos(monkeypatch):
+        """Make LinOpt's memos inspectable; returns the list every new
+        decision's memo is appended to."""
+        memos = []
+
+        class Recording(linopt._StateMemo):
+            def __init__(self, kernel):
+                super().__init__(kernel)
+                memos.append(self)
+
+        monkeypatch.setattr(linopt, "_StateMemo", Recording)
+        return memos
+
+    @staticmethod
+    def _poison(monkeypatch, poisoned):
+        """Make every kernel row in ``poisoned`` fail, as a diverging
+        fixed point does: per row, whatever its batch neighbours."""
+        real = EvalKernel.evaluate_levels_batch
+
+        def evaluate_levels_batch(self, levels_matrix, errors="raise"):
+            keys = [tuple(int(lv) for lv in row) for row in levels_matrix]
+            out = [RuntimeError(f"diverged at {key}") if key in poisoned
+                   else state for key, state in zip(
+                       keys, real(self, levels_matrix, errors="isolate"))]
+            if errors == "raise":
+                for state in out:
+                    if isinstance(state, Exception):
+                        raise state
+            return out
+
+        monkeypatch.setattr(EvalKernel, "evaluate_levels_batch",
+                            evaluate_levels_batch)
+
+    def test_failing_refill_trial(self, daemon_chip, monkeypatch):
+        """A refill trial that fails under ``errors="isolate"`` is not
+        stored: a trial the walk reaches raises as it did without the
+        memo, and a discarded speculative one changes nothing."""
+        wl, asg = self._daemon_case(daemon_chip, 1)
+        phases = self._phases(4, 3, 2)
+        trials = []
+        real = EvalKernel.evaluate_levels_batch
+
+        def recording(self, levels_matrix, errors="raise"):
+            if errors == "isolate":
+                trials.extend(tuple(int(lv) for lv in row)
+                              for row in levels_matrix)
+            return real(self, levels_matrix, errors=errors)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EvalKernel, "evaluate_levels_batch", recording)
+            self._chain(lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                        daemon_chip, wl, asg, TIGHT, phases)
+        outcomes = []
+        for trial in dict.fromkeys(trials):
+            runs = []
+            for bypass in (False, True):
+                with monkeypatch.context() as patch:
+                    self._poison(patch, {trial})
+                    memos = self._record_memos(patch)
+                    if bypass:
+                        patch.setattr(linopt, "_StateMemo", _Bypass)
+                    try:
+                        runs.append(self._chain(
+                            lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                            daemon_chip, wl, asg, TIGHT, phases))
+                    except RuntimeError as exc:
+                        runs.append(str(exc))
+                assert not any(trial in memo.states for memo in memos)
+            got, ref = runs
+            if isinstance(ref, str):
+                assert got == ref
+            else:
+                _assert_same_decisions(got, ref)
+            outcomes.append(isinstance(ref, str))
+        # Some poisoned trials are reached, some only speculated.
+        assert any(outcomes) and not all(outcomes)
