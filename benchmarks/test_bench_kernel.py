@@ -13,11 +13,14 @@ load spikes hit both modes, and the minimum wall per mode is compared
 (the robust statistic on a noisy runner).
 
 Also records the kernel observability counters of a full SAnn run
-and of a fixed sequence of daemon-shape LinOpt decisions (4 threads on
-a 4-core die, three passes, each decision warm-started from the last
-one) into ``BENCH_kernel.json``. They are deterministic, so the perf
-gate catches semantic drift in how the policies batch and how many
-kernel rows LinOpt's state memo saves.
+and of two fixed sequences of daemon-shape LinOpt decisions (4 threads
+on a 4-core die, three passes, each decision warm-started from the
+last one) into ``BENCH_kernel.json``: one with new phase multipliers
+at every decision, and one holding them across runs of decisions, as
+10 ms re-invocations inside ~50 ms application phases do. They are
+deterministic, so the perf gate catches semantic drift in how the
+policies batch, how many kernel rows LinOpt's state memo saves and
+how many kernels its carry builds.
 """
 
 import time
@@ -47,6 +50,8 @@ DAEMON_ARCH = ArchConfig(n_cores=4, die_area_mm2=140.0, grid_resolution=8)
 LINOPT_ENVS = (COST_PERFORMANCE,
                PowerEnvironment("Tight", 15.0, p_core_max=5.0))
 LINOPT_DECISIONS = 8
+# Decisions per application phase in the same-phase sequence.
+LINOPT_PHASE_RUNS = (1, 5, 3, 4, 2)
 
 # (die, threads, candidate rows, seed) per configuration: the
 # exhaustive slab matches ExhaustiveSearch._BATCH_COMBOS; the SAnn
@@ -105,7 +110,43 @@ def _linopt_counters(chip):
     return totals
 
 
-def test_kernel_batch_speedup(benchmark, results_dir):
+def _linopt_phase_counters(chip, monkeypatch):
+    """Evaluation counters and kernel builds summed over daemon-shape
+    LinOpt decisions whose phase multipliers hold for
+    ``LINOPT_PHASE_RUNS`` decisions at a time."""
+    totals = {"evaluations": 0.0, "kernel_evaluations": 0.0,
+              "state_memo_hits": 0.0, "kernel_builds": 0.0}
+    init = EvalKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        totals["kernel_builds"] += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EvalKernel, "__init__", counting_init)
+        for env in LINOPT_ENVS:
+            rng = np.random.default_rng(107)
+            workload = make_workload(4, rng)
+            assignment = Assignment(core_of=(0, 1, 2, 3))
+            manager = LinOpt(LinOptConfig(n_iterations=3))
+            warm = {}
+            for run in LINOPT_PHASE_RUNS:
+                phase = dict(ipc_multipliers=rng.uniform(0.7, 1.3, 4),
+                             ceff_multipliers=rng.uniform(0.8, 1.2, 4))
+                for _ in range(run):
+                    result = manager.set_levels(
+                        chip, workload, assignment, env, **phase, **warm)
+                    warm = dict(initial_levels=result.levels,
+                                initial_state=result.state)
+                    totals["evaluations"] += result.evaluations
+                    totals["kernel_evaluations"] += (
+                        result.stats["kernel_evaluations"])
+                    totals["state_memo_hits"] += (
+                        result.stats["state_memo_hits"])
+    return totals
+
+
+def test_kernel_batch_speedup(benchmark, results_dir, monkeypatch):
     tech = DEFAULT_TECH
     chips = {arch: characterize_die(
         DieBatch(tech, arch, n_dies=1, seed=7)[0], tech, arch)
@@ -163,6 +204,9 @@ def test_kernel_batch_speedup(benchmark, results_dir):
         "sann_cache_hits": sann.stats["sa_cache_hits"],
         **{f"linopt_{key}": value for key, value
            in _linopt_counters(chips[DAEMON_ARCH]).items()},
+        **{f"linopt_phase_{key}": value for key, value
+           in _linopt_phase_counters(chips[DAEMON_ARCH],
+                                     monkeypatch).items()},
     }
     rows = []
     for name, (_, n_threads, n_rows, _) in CONFIGS.items():

@@ -231,6 +231,37 @@ class TestControllerRecovery:
         assert recovered._get("t").stepper.decision_digest() == \
             ref_digest
 
+    def test_restore_with_cold_carry_matches_warm_run(self, tmp_path):
+        """LinOpt's carried kernel and memo stay out of snapshots: the
+        recovered tenant decides from a cold carry, and its replies and
+        digest equal an uninterrupted run whose carry stayed warm."""
+        spec = dict(TENANT_SPEC, duration_s=0.1)
+        reference = DaemonController(cache=None)
+        reference.register(register_payload("t", **spec))
+        ref_replies = self.drive(reference, "t", 11)
+        ref_stepper = reference._get("t").stepper
+        assert ref_stepper.sim.manager.primary._carry is not None
+
+        ctl = durable_controller(tmp_path, snapshot_every=2)
+        ctl.register(register_payload("t", **spec))
+        early = self.drive(ctl, "t", 6)  # ops 1..5: snapshot at op 5
+        store = ctl._get("t").store
+        del ctl
+        for snap in store.root.glob("snapshot-*.bin"):
+            assert b"EvalKernel" not in snap.read_bytes()
+        _, snapshot = store.load_snapshot()
+        assert snapshot["stepper"].sim.manager.primary._carry is None
+
+        recovered = durable_controller(tmp_path, snapshot_every=2)
+        assert recovered.last_recovery.snapshot_restores == 1
+        assert recovered.last_recovery.ops_replayed == 0
+        stepper = recovered._get("t").stepper
+        assert stepper.sim.manager.primary._carry is None
+        late = self.drive(recovered, "t", 11, start=6)
+        assert [json.dumps(r, sort_keys=True) for r in early + late] == \
+            [json.dumps(r, sort_keys=True) for r in ref_replies]
+        assert stepper.decision_digest() == ref_stepper.decision_digest()
+
     def test_snapshot_restore_bounds_replay(self, tmp_path):
         ctl = durable_controller(tmp_path, snapshot_every=2)
         ctl.register(register_payload("t"))
