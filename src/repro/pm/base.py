@@ -4,14 +4,18 @@ A power manager picks one DVFS level per active core so that chip
 power stays below the environment's ``Ptarget`` and every core stays
 below ``Pcoremax``, while maximising throughput. Managers observe the
 system only through evaluations (sensor readings), mirroring the
-on-line setting of the paper. Each decision evaluates through one
-:class:`repro.runtime.kernel.EvalKernel` for its (chip, workload,
-assignment, phase multipliers) and merges the counters of that
-decision into ``PmResult.stats``. Foxton* and SAnn build the kernel
-per decision. LinOpt carries its kernel and state memo from one
-decision to the next and builds new ones when the phase multipliers
-or anything else change, so a run of decisions inside one
-application phase evaluates each operating point once.
+on-line setting of the paper. Each decision of Foxton*, SAnn and
+LinOpt evaluates through one :class:`repro.runtime.kernel.StateMemo`
+over the :class:`repro.runtime.kernel.EvalKernel` of its (chip,
+workload, assignment, phase multipliers). The memo serves a repeated
+level vector without a kernel row, and its ``walk`` is the one place
+a search hands speculative candidates to the kernel. The decision
+merges the memo's counters (``state_memo_hits``, ``kernel_*``) into
+``PmResult.stats``. Foxton* and SAnn build the memo per decision, and
+SAnn's greedy Foxton* start fills SAnn's. LinOpt carries its memo
+from one decision to the next and builds a new one when the phase
+multipliers or anything else change, so a run of decisions inside
+one application phase evaluates each operating point once.
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ class PmResult:
             (sensor-visible settling points). The daemon digest and
             ``ResilientManager``'s ``evaluation_budget`` read it, so
             saving a kernel row never changes it: speculative rows
-            that are discarded do not count, and LinOpt counts every
-            point its passes examine, repeats served from its state
-            memo included (``state_memo_hits``). SAnn's
-            budget is in distinct points, so its cache hits
-            (``sa_cache_hits``) do not count.
+            past a walk's stop do not count, and Foxton* and LinOpt
+            count every point their passes examine, repeats served
+            from the state memo included. SAnn's budget is in distinct
+            points: a level vector counts on its first visit, and a
+            repeat is a cache hit (``sa_cache_hits``) whether or not
+            the memo still holds its state.
         stats: Algorithm-specific diagnostics (LP pivots, SA
             acceptance, ...).
     """

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
+from ..runtime.evaluation import Assignment
 from ..runtime.kernel import EvalKernel
 from ..workloads import Workload
 from .base import PmResult, PowerManager, meets_constraints

@@ -17,28 +17,19 @@ adds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
 from ..runtime.evaluation import Assignment, SystemState
-from ..runtime.kernel import EvalKernel
+from ..runtime.kernel import EvalKernel, StateMemo
 from ..workloads import Workload
 from .base import PmResult, PowerManager, meets_constraints
 
 # Hard cap on (evaluate, step) iterations per invocation.
 _MAX_STEPS_FACTOR = 2
-
-# Speculative step-up batching (phase 2): probes are
-# planned assuming every step is accepted, so a rejection discards the
-# rest of the batch. The batch size therefore adapts — it grows while
-# speculation keeps paying off and resets near where the last
-# rejection landed, bounding wasted evaluations when the budget is
-# nearly saturated and most probes bounce.
-_SPEC_MIN = 2
-_SPEC_MAX = 16
 
 
 def next_round_robin_victim(
@@ -65,6 +56,31 @@ def next_round_robin_victim(
     return -1, pointer
 
 
+def _step_ups(levels: Sequence[int], top: Sequence[int],
+              blocked: Sequence[bool], pointer: int, limit: int,
+              plan: list) -> Iterator[List[int]]:
+    """Foxton*'s phase-2 step-ups from ``levels`` and ``pointer``, each
+    planned as if the ones before it were accepted.
+
+    Yields up to ``limit`` trial level vectors and appends ``(core,
+    levels, pointer after its scan)`` to ``plan`` for each. Ends early
+    when a scan of every core finds none eligible.
+    """
+    n = len(levels)
+    trial = list(levels)
+    while len(plan) < limit:
+        for _ in range(n):
+            probe = pointer % n
+            pointer += 1
+            if not blocked[probe] and trial[probe] < top[probe]:
+                break
+        else:
+            return
+        trial[probe] += 1
+        plan.append((probe, list(trial), pointer))
+        yield plan[-1][1]
+
+
 class FoxtonStar(PowerManager):
     """Round-robin step-down/step-up power controller."""
 
@@ -85,25 +101,26 @@ class FoxtonStar(PowerManager):
         ipc_multipliers: Optional[Sequence[float]] = None,
         ceff_multipliers: Optional[Sequence[float]] = None,
     ) -> PmResult:
-        kernel = EvalKernel(chip, workload, assignment,
-                            ipc_multipliers=ipc_multipliers,
-                            ceff_multipliers=ceff_multipliers)
-        return self._descend(kernel, chip, assignment, env,
+        memo = StateMemo(EvalKernel(chip, workload, assignment,
+                                    ipc_multipliers=ipc_multipliers,
+                                    ceff_multipliers=ceff_multipliers))
+        return self._descend(memo, chip, assignment, env,
                              initial_levels, initial_state)
 
     def _descend(
         self,
-        kernel: EvalKernel,
+        memo: StateMemo,
         chip: ChipProfile,
         assignment: Assignment,
         env: PowerEnvironment,
         initial_levels: Optional[Sequence[int]],
         initial_state: Optional[SystemState],
     ) -> PmResult:
-        """The controller's two phases, evaluated through ``kernel``.
+        """The controller's two phases, evaluated through ``memo``.
 
-        Callers that already hold the decision's kernel (SAnn's greedy
-        start) pass it in, so its counters cover these evaluations too.
+        Callers that already hold the decision's memo (SAnn's greedy
+        start) pass it in, so the states land in it and its counters
+        cover these evaluations too.
         """
         p_target, p_core_max = self._budget(chip, assignment, env)
         n = assignment.n_threads
@@ -115,7 +132,7 @@ class FoxtonStar(PowerManager):
             state = initial_state
             evaluations = 0
         else:
-            state = kernel.evaluate_levels(levels)
+            state = memo.evaluate(levels)
             evaluations = 1
         max_steps = _MAX_STEPS_FACTOR * n * (max(top) + 1)
         steps = 0
@@ -134,77 +151,51 @@ class FoxtonStar(PowerManager):
                 if victim < 0:
                     break
             levels[victim] -= 1
-            state = kernel.evaluate_levels(levels)
+            state = memo.evaluate(levels)
             evaluations += 1
             steps += 1
 
         # Phase 2: step up round-robin while there is headroom. A step
         # that turns out to violate a constraint is undone, and that
-        # core is not retried this invocation.
+        # core is not retried this invocation. The memo walks the
+        # step-ups planned as if each were accepted, up to the first
+        # violating one; the pointer commits per step-up it reaches.
         blocked = [False] * n
-        # The step-ups are batched: plan a run of them under the
-        # assumption that each one will be accepted (the common case
-        # while headroom lasts), evaluate the run as one kernel batch,
-        # and walk the results in order. Pointer advances,
-        # step/evaluation counts and accept/reject decisions are
-        # committed exactly as the one-probe-at-a-time loop would make
-        # them; a rejection blocks that core, discards the
-        # not-yet-consumed remainder of the batch (that loop would have
-        # planned different probes from here on) and replans.
-        # Discarded probes are never counted. Rows are evaluated with
-        # ``errors="isolate"`` because they are speculative — a
-        # divergent probe the walk never reaches must not abort the
-        # batch — and an error on a row the walk *does* reach is
-        # re-raised right there.
-        chunk = _SPEC_MIN
+        verdicts: List[bool] = []  # per step-up reached: did it violate?
+
+        def violates(trial: SystemState) -> bool:
+            verdicts.append(not meets_constraints(trial, p_target,
+                                                  p_core_max))
+            return verdicts[-1]
+
         while (meets_constraints(state, p_target, p_core_max)
                and steps < max_steps):
-            plan = []  # (candidate, trial levels, pointer after scan)
-            sim_levels = list(levels)
-            sim_ptr = self._pointer
-            while steps + len(plan) < max_steps and len(plan) < chunk:
-                cand = -1
-                for _ in range(n):
-                    probe = sim_ptr % n
-                    sim_ptr += 1
-                    if (not blocked[probe]
-                            and sim_levels[probe] < top[probe]):
-                        cand = probe
-                        break
-                if cand < 0:
-                    break
-                sim_levels[cand] += 1
-                plan.append((cand, list(sim_levels), sim_ptr))
-            if not plan:
-                # The very first scan found no eligible core; a
-                # failed scan still advances the pointer one full
-                # revolution.
-                self._pointer = sim_ptr
+            plan: List[Tuple[int, List[int], int]] = []
+            verdicts.clear()
+            try:
+                trials = memo.walk(_step_ups(
+                    levels, top, blocked, self._pointer,
+                    max_steps - steps, plan), violates)
+            except Exception:
+                self._pointer = plan[len(verdicts)][2]  # the failed one
+                raise
+            if not trials:
+                # No eligible core: the failed scan still advances the
+                # pointer one full revolution.
+                self._pointer += n
                 break
-            trials = kernel.evaluate_levels_batch(
-                [lv for _, lv, _ in plan], errors="isolate")
-            rejected_at = -1
-            for idx, ((cand, trial_levels, ptr_after), trial) in enumerate(
-                    zip(plan, trials)):
-                self._pointer = ptr_after
-                if isinstance(trial, Exception):
-                    raise trial
-                evaluations += 1
-                steps += 1
-                if meets_constraints(trial, p_target, p_core_max):
-                    levels = trial_levels
-                    state = trial
-                else:
-                    blocked[cand] = True
-                    rejected_at = idx
-                    break
-            if rejected_at < 0:
-                chunk = min(chunk * 2, _SPEC_MAX)
-            else:
-                chunk = max(_SPEC_MIN, min(_SPEC_MAX, rejected_at + 2))
+            cand, _, self._pointer = plan[len(trials) - 1]
+            evaluations += len(trials)
+            steps += len(trials)
+            if verdicts[-1]:
+                blocked[cand] = True
+                trials.pop()
+            if trials:
+                _, levels, _ = plan[len(trials) - 1]
+                state = trials[-1]
         return PmResult(
             levels=tuple(levels),
             state=state,
             evaluations=evaluations,
-            stats={"steps": float(steps), **kernel.stats.as_result_stats()},
+            stats={"steps": float(steps), **memo.result_stats()},
         )

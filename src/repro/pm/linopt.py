@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,16 +50,9 @@ from ..config import PowerEnvironment
 from ..linprog import LpBackend, LpProblem, make_backend
 from ..power import IpcSensor, PowerSensor, core_reader, independent_rngs
 from ..runtime.evaluation import Assignment, SystemState
-from ..runtime.kernel import EvalKernel, KernelStats
+from ..runtime.kernel import EvalKernel, StateMemo
 from ..workloads import Workload
 from .base import PmResult, PowerManager, meets_constraints
-
-# Speculative refill batching: step-up trials are planned in the fixed
-# efficiency order assuming each will be rejected (the common case once
-# the budget is tight), so an acceptance discards the rest of the
-# batch. The batch grows while full batches keep getting rejected.
-_REFILL_SPEC_MIN = 2
-_REFILL_SPEC_MAX = 16
 
 # A carried state memo holding more states than this is dropped at the
 # next decision (never in the middle of one). A phase of ~5 decisions
@@ -222,65 +215,6 @@ def fit_power_lines(
     return LinearPowerFit(slope=slope, intercept=intercept)
 
 
-class _StateMemo:
-    """Evaluated states of one kernel, keyed by level vector.
-
-    The successive-LP passes of a decision keep landing on level
-    vectors it has already evaluated: a pass quantises back to an
-    earlier pass's point, a correction steps onto an earlier refill
-    trial. Re-invoked every 10 ms within a ~50 ms application phase,
-    the next decisions of a tenant revisit them too. ``EvalKernel``
-    rows are deterministic and independent of their batch neighbours,
-    so a repeat served from here is bitwise the row the kernel would
-    compute. Only misses go to the kernel; ``hits`` counts the rows
-    served instead.
-
-    The memo belongs to one kernel (one die, workload, assignment and
-    set of phase multipliers) and holds only its rows: states the
-    kernel computed, and a caller's warm-start state that
-    :meth:`EvalKernel.tabulates` proves is one (:meth:`seed`). Every
-    level row is validated by the kernel before it is looked up, so a
-    hit raises the kernel's error for an invalid row as a miss does. A
-    failed row is not stored, so a failing vector raises again
-    whenever it is evaluated.
-    """
-
-    def __init__(self, kernel: EvalKernel) -> None:
-        self.kernel = kernel
-        self.states: Dict[Tuple[int, ...], SystemState] = {}
-        self.hits = 0
-
-    def seed(self, levels: Sequence[int], state: SystemState) -> None:
-        """Adopt ``state`` as the row at ``levels`` if it is that row.
-
-        ``state`` is the caller's warm start, an evaluation of
-        ``levels`` on the kernel's die, workload and assignment.
-        """
-        key = tuple(self.kernel.check_levels(levels)[0].tolist())
-        if key not in self.states and self.kernel.tabulates(key, state):
-            self.states[key] = state
-
-    def evaluate(self, levels: Sequence[int]) -> SystemState:
-        return self.evaluate_batch([levels])[0]
-
-    def evaluate_batch(self, levels_matrix: Sequence[Sequence[int]],
-                       errors: str = "raise") -> List:
-        """``EvalKernel.evaluate_levels_batch`` through the memo."""
-        rows = self.kernel.check_levels(levels_matrix, errors)
-        keys = [tuple(row) for row in rows.tolist()]
-        out = [self.states.get(key) for key in keys]
-        misses = [b for b, state in enumerate(out) if state is None]
-        self.hits += len(keys) - len(misses)
-        if misses:
-            states = self.kernel.evaluate_levels_batch(rows[misses],
-                                                       errors=errors)
-            for b, state in zip(misses, states):
-                out[b] = state
-                if not isinstance(state, Exception):
-                    self.states[keys[b]] = state
-        return out
-
-
 class LinOpt(PowerManager):
     """Linear-programming power manager."""
 
@@ -289,7 +223,7 @@ class LinOpt(PowerManager):
     #: The last decision's state memo (and, through it, its kernel).
     #: Never pickled (:meth:`__getstate__`), so a restored manager, or
     #: one unpickled from a snapshot older than the carry, starts cold.
-    _carry: Optional[_StateMemo] = None
+    _carry: Optional[StateMemo] = None
 
     def __init__(self, config: Optional[LinOptConfig] = None,
                  power_sensor: Optional[PowerSensor] = None,
@@ -317,7 +251,7 @@ class LinOpt(PowerManager):
 
     def _decision_memo(self, chip: ChipProfile, workload: Workload,
                        assignment: Assignment, ipc_multipliers,
-                       ceff_multipliers) -> _StateMemo:
+                       ceff_multipliers) -> StateMemo:
         """The memo, and kernel, a decision evaluates through.
 
         The last decision's memo and kernel are reused when this
@@ -327,8 +261,10 @@ class LinOpt(PowerManager):
         or a memo grown past ``_CARRY_MAX_STATES``, builds a new kernel
         under a fresh memo. A single entry is enough because the
         multipliers are continuous draws, so a phase never returns once
-        it ends. Every decision gets fresh kernel stats and memo hits,
-        so both describe it alone.
+        it ends. Every decision gets fresh kernel stats, memo hits and
+        walk chunk (:meth:`StateMemo.begin_decision`), so the counters
+        describe it alone and its kernel calls do not depend on the
+        decision before it.
         """
         memo = self._carry
         if memo is not None:
@@ -345,12 +281,11 @@ class LinOpt(PowerManager):
                                 phase, (kernel.ipc_multipliers,
                                         kernel.ceff_multipliers)))
                     and len(memo.states) <= _CARRY_MAX_STATES):
-                kernel.stats = KernelStats()
-                memo.hits = 0
+                memo.begin_decision()
                 return memo
-        return _StateMemo(EvalKernel(chip, workload, assignment,
-                                     ipc_multipliers=ipc_multipliers,
-                                     ceff_multipliers=ceff_multipliers))
+        return StateMemo(EvalKernel(chip, workload, assignment,
+                                    ipc_multipliers=ipc_multipliers,
+                                    ceff_multipliers=ceff_multipliers))
 
     def set_levels(
         self,
@@ -370,7 +305,6 @@ class LinOpt(PowerManager):
 
         memo = self._decision_memo(chip, workload, assignment,
                                    ipc_multipliers, ceff_multipliers)
-        kernel = memo.kernel
 
         if initial_state is None:
             current = memo.evaluate(levels)
@@ -408,9 +342,7 @@ class LinOpt(PowerManager):
         self._carry = memo
         return PmResult(levels=tuple(levels), state=current,
                         evaluations=evaluations,
-                        stats={**stats,
-                               "state_memo_hits": float(memo.hits),
-                               **kernel.stats.as_result_stats()})
+                        stats={**stats, **memo.result_stats()})
 
     def _one_pass(self, chip, workload, assignment, p_target, p_core_max,
                   levels, current, stats, memo, local=False):
@@ -537,52 +469,24 @@ class LinOpt(PowerManager):
         if self.config.refill and meets_constraints(state, p_target,
                                                     p_core_max):
             # The efficiency ranking is fixed for the whole pass, so
-            # every round walks the same order; a round ends at its
-            # first feasible step-up and the search restarts.
-            order = np.argsort(-efficiency)
-            n_top = [chip.cores[assignment.core_of[int(i)]]
-                     .vf_table.n_levels - 1 for i in range(n)]
-            # Within one round the candidate list is fully determined
-            # up front (levels only change at the accepting step, which
-            # ends the round), so runs of candidates go through one
-            # kernel call each (the memo's misses only), walked in
-            # efficiency order. Trials past the first acceptance are
-            # speculative — discarded uncounted, evaluated with
-            # errors="isolate" so a diverging one cannot abort the
-            # rest — and a failure on a trial the walk does reach
-            # re-raises there.
-            chunk = _REFILL_SPEC_MIN
-            improved = True
-            while improved:
-                improved = False
-                cands = [int(i) for i in order
-                         if levels[int(i)] < n_top[int(i)]]
-                pos = 0
-                while pos < len(cands) and not improved:
-                    batch = cands[pos:pos + chunk]
-                    trials = []
-                    for i in batch:
-                        trial = list(levels)
-                        trial[i] += 1
-                        trials.append(trial)
-                    trial_states = memo.evaluate_batch(
-                        trials, errors="isolate")
-                    for idx, (i, trial_state) in enumerate(
-                            zip(batch, trial_states)):
-                        if isinstance(trial_state, Exception):
-                            raise trial_state
-                        evaluations += 1
-                        if meets_constraints(trial_state, p_target,
-                                             p_core_max):
-                            levels = trials[idx]
-                            state = trial_state
-                            refills += 1
-                            improved = True
-                            chunk = max(_REFILL_SPEC_MIN,
-                                        min(_REFILL_SPEC_MAX, idx + 2))
-                            break
-                    else:
-                        chunk = min(chunk * 2, _REFILL_SPEC_MAX)
-                    pos += len(batch)
+            # every round walks the same order, one step-up per core
+            # below its top level, and ends at its first feasible
+            # step-up; the search then restarts from there.
+            order = [int(i) for i in np.argsort(-efficiency)]
+            n_top = [chip.cores[assignment.core_of[i]].vf_table.n_levels - 1
+                     for i in range(n)]
+
+            def feasible(trial_state: SystemState) -> bool:
+                return meets_constraints(trial_state, p_target, p_core_max)
+
+            while True:
+                trials = [levels[:i] + [levels[i] + 1] + levels[i + 1:]
+                          for i in order if levels[i] < n_top[i]]
+                reached = memo.walk(trials, feasible)
+                evaluations += len(reached)
+                if not reached or not feasible(reached[-1]):
+                    break
+                levels, state = trials[len(reached) - 1], reached[-1]
+                refills += 1
         stats["refills"] += float(refills)
         return levels, state, evaluations

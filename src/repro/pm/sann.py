@@ -16,8 +16,7 @@ for LinOpt. As in Section 6.5:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from ..anneal import simulated_annealing
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
 from ..runtime.evaluation import Assignment, SystemState
-from ..runtime.kernel import EvalKernel
+from ..runtime.kernel import EvalKernel, StateMemo
 from ..workloads import Workload
 from .base import PmResult, PowerManager, meets_constraints
 from .foxton import FoxtonStar
@@ -34,62 +33,26 @@ from .foxton import FoxtonStar
 # the feasible region.
 CONSTRAINT_PENALTY_MIPS_PER_W = 50_000.0
 
-# Bound on the evaluated-state memo. The annealing run proposes at
-# most ``n_evaluations`` unique points and the quench a few hundred
-# more, so at the default settings nothing is ever evicted — the bound
-# only stops a long-lived manager (or an aggressive caller) from
-# holding every SystemState it ever saw.
-STATE_CACHE_CAPACITY = 4096
-
-# Candidates per speculative quench batch. Quench candidates are
-# planned under the assumption that none improves (the common case for
-# a near-converged descent), so an acceptance discards the rest of the
-# batch — kept small enough that the waste stays negligible.
-_SPEC_CHUNK = 8
+Levels = Tuple[int, ...]
 
 
-def _greedy_walk(
-    seq_len: int,
-    cand_at: Callable[[int, Tuple[int, ...]],
-                      Tuple[Optional[Tuple[int, ...]], int]],
-    energy: Callable[[Tuple[int, ...]], float],
-    current: Tuple[int, ...],
-    current_e: float,
-    prefetch: Callable[[int, Tuple[int, ...]], None],
-    on_accept: Callable[[], None],
-):
-    """First-improvement walk over an indexed candidate sequence.
+def _sweep(cand_at: Callable[[int, Levels], Tuple[Optional[Levels], int]],
+           k: int, seq_len: int, current: Levels,
+           plan: List[Tuple[Levels, int]]) -> Iterator[Levels]:
+    """The quench candidates from sequence position ``k`` on, all
+    around ``current``: planned as if none improves.
 
-    ``cand_at(k, current)`` materialises the candidate at sequence
-    position ``k`` given the walk's current point: it returns
-    ``(candidate, next_k)``, with ``candidate=None`` for positions the
-    sweep skips (``next_k`` then also encodes serial ``break``
-    semantics by jumping past the rest of a row). An improving
-    candidate is accepted immediately and the walk *continues* from
-    ``next_k`` — the quench semantics of a one-candidate-at-a-time
-    sweep.
-
-    ``prefetch(k, current)`` is called right before a candidate is
-    evaluated; it evaluates a whole run of upcoming candidates in one
-    kernel call under the assumption that none will be accepted.
-    ``on_accept`` is called on every acceptance so the prefetcher can
-    discard speculation made under the now-stale assumption.
+    ``cand_at(k, current)`` materialises the candidate at position
+    ``k``: it returns ``(candidate, next_k)``, with ``candidate=None``
+    for positions the sweep skips (``next_k`` then also encodes the
+    serial loop's ``break`` by jumping past the rest of a row). Each
+    yielded candidate is appended to ``plan`` with its ``next_k``.
     """
-    improved = False
-    k = 0
     while k < seq_len:
-        cand, next_k = cand_at(k, current)
-        if cand is None:
-            k = next_k
-            continue
-        prefetch(k, current)
-        cand_e = energy(cand)
-        if cand_e < current_e - 1e-9:
-            current, current_e = cand, cand_e
-            improved = True
-            on_accept()
-        k = next_k
-    return current, current_e, improved
+        cand, k = cand_at(k, current)
+        if cand is not None:
+            plan.append((cand, k))
+            yield cand
 
 
 class SAnnManager(PowerManager):
@@ -128,27 +91,22 @@ class SAnnManager(PowerManager):
         n_levels = [chip.cores[c].vf_table.n_levels
                     for c in assignment.core_of]
 
-        # One kernel for the whole decision, greedy start included, so
-        # its counters cover every evaluation the decision makes.
-        kernel = EvalKernel(chip, workload, assignment,
-                            ipc_multipliers=ipc_multipliers,
-                            ceff_multipliers=ceff_multipliers)
-        greedy = FoxtonStar()._descend(kernel, chip, assignment, env,
+        # One memo for the whole decision, greedy start included, so
+        # its counters cover every evaluation the decision makes. The
+        # budget counts distinct points: ``visited`` holds the level
+        # vectors the search has consumed, and a repeat is a cache hit
+        # whether or not the memo still holds its state.
+        memo = StateMemo(EvalKernel(chip, workload, assignment,
+                                    ipc_multipliers=ipc_multipliers,
+                                    ceff_multipliers=ceff_multipliers))
+        greedy = FoxtonStar()._descend(memo, chip, assignment, env,
                                        initial_levels, initial_state)
         evaluations = greedy.evaluations
 
-        best_feasible: Optional[Tuple[Tuple[int, ...], SystemState]] = None
+        best_feasible: Optional[Tuple[Levels, SystemState]] = None
         if meets_constraints(greedy.state, p_target, p_core_max):
             best_feasible = (greedy.levels, greedy.state)
-
-        # LRU memo of evaluated states, plus the speculative side
-        # buffer: quench batches land in ``spec`` first and are only
-        # committed to the memo (and counted as evaluations) when the
-        # walk actually consumes them — a speculative result the serial
-        # sweep would never have computed is silently discarded.
-        state_cache: "OrderedDict[Tuple[int, ...], SystemState]" = (
-            OrderedDict())
-        spec: dict = {}
+        visited: set = set()
         cache_hits = 0
 
         def metric_of(state) -> float:
@@ -158,33 +116,31 @@ class SAnnManager(PowerManager):
                 return state.weighted_throughput(workload) * 1e3
             return state.throughput_mips
 
-        def energy(levels: Tuple[int, ...]) -> float:
+        def excess_of(state) -> float:
+            excess = max(state.total_power - p_target, 0.0)
+            return excess + float(np.sum(np.maximum(
+                state.core_power - p_core_max, 0.0)))
+
+        def energy_of(state) -> float:
+            return (-metric_of(state)
+                    + CONSTRAINT_PENALTY_MIPS_PER_W * excess_of(state))
+
+        def visit(levels: Levels, state: SystemState) -> float:
+            """Count the search consuming ``levels``; its energy."""
             nonlocal best_feasible, evaluations, cache_hits
-            if levels in state_cache:
-                state = state_cache[levels]
-                state_cache.move_to_end(levels)
+            if levels in visited:
                 cache_hits += 1
             else:
-                if levels in spec:
-                    state = spec.pop(levels)
-                    if isinstance(state, Exception):
-                        raise state
-                else:
-                    state = kernel.evaluate_levels(levels)
-                state_cache[levels] = state
-                if len(state_cache) > STATE_CACHE_CAPACITY:
-                    state_cache.popitem(last=False)
+                visited.add(levels)
                 evaluations += 1
-            excess = max(state.total_power - p_target, 0.0)
-            excess += float(np.sum(np.maximum(
-                state.core_power - p_core_max, 0.0)))
-            feasible = excess <= 1e-9
-            if feasible and (best_feasible is None
-                             or metric_of(state)
-                             > metric_of(best_feasible[1])):
+            if excess_of(state) <= 1e-9 and (
+                    best_feasible is None
+                    or metric_of(state) > metric_of(best_feasible[1])):
                 best_feasible = (levels, state)
-            return (-metric_of(state)
-                    + CONSTRAINT_PENALTY_MIPS_PER_W * excess)
+            return energy_of(state)
+
+        def energy(levels: Levels) -> float:
+            return visit(levels, memo.evaluate(levels))
 
         def neighbour(levels: Tuple[int, ...], temp: float,
                       nrng: np.random.Generator) -> Tuple[int, ...]:
@@ -215,7 +171,7 @@ class SAnnManager(PowerManager):
         # (the tuned SAnn of Section 6.5 reaches within 1% of the
         # exhaustive optimum; the quench closes the stochastic tail).
         # Both sweeps are indexed candidate sequences walked by one
-        # driver (:func:`_greedy_walk`).
+        # first-improvement driver.
 
         def cand_pm(k, cur):
             # Single +-1 moves: position 2i is thread i up, 2i+1 down.
@@ -243,55 +199,43 @@ class SAnnManager(PowerManager):
             cand[j] += 1
             return tuple(cand), k + 1
 
-        def make_prefetch(seq_len, cand_at):
-            # Evaluate the next run of uncached candidates in one
-            # kernel batch, assuming none of them improves (so the
-            # walk's current point stays fixed). errors="isolate"
-            # because the run is speculative: a diverging candidate
-            # the walk never reaches must not abort its neighbours,
-            # and one the walk *does* reach re-raises at consumption
-            # time.
-            def prefetch(k, cur):
-                first, _ = cand_at(k, cur)
-                if first in state_cache or first in spec:
-                    return
-                plan = []
-                kk = k
-                while kk < seq_len and len(plan) < _SPEC_CHUNK:
-                    cand, kk = cand_at(kk, cur)
-                    if (cand is None or cand in state_cache
-                            or cand in spec or cand in plan):
-                        continue
-                    plan.append(cand)
-                results = kernel.evaluate_levels_batch(
-                    [list(c) for c in plan], errors="isolate")
-                for cand, res in zip(plan, results):
-                    spec[cand] = res
-            return prefetch
+        def descend(seq_len, cand_at, current, current_e):
+            """Accept each improving candidate as the sweep reaches it
+            and carry on from the next position: the memo walks the
+            sweep around the current point up to its first
+            improvement."""
+            improved = False
+            k = 0
+            while k < seq_len:
+                plan: List[Tuple[Levels, int]] = []
+                bar = current_e - 1e-9
+                states = memo.walk(
+                    _sweep(cand_at, k, seq_len, current, plan),
+                    lambda state, bar=bar: energy_of(state) < bar)
+                for (cand, _), state in zip(plan, states):
+                    cand_e = visit(cand, state)
+                if not states or cand_e >= bar:
+                    break
+                current, current_e = plan[len(states) - 1][0], cand_e
+                k = plan[len(states) - 1][1]
+                improved = True
+            return current, current_e, improved
 
         current = result.best_state
         current_e = energy(current)
-        pm_prefetch = make_prefetch(2 * n, cand_pm)
-        trade_prefetch = make_prefetch(n * n, cand_trade)
         for _ in range(6):
-            current, current_e, imp_pm = _greedy_walk(
-                2 * n, cand_pm, energy, current, current_e,
-                prefetch=pm_prefetch, on_accept=spec.clear)
-            current, current_e, imp_trade = _greedy_walk(
-                n * n, cand_trade, energy, current, current_e,
-                prefetch=trade_prefetch, on_accept=spec.clear)
+            current, current_e, imp_pm = descend(
+                2 * n, cand_pm, current, current_e)
+            current, current_e, imp_trade = descend(
+                n * n, cand_trade, current, current_e)
             if not (imp_pm or imp_trade):
                 break
-        spec.clear()
 
         if best_feasible is not None:
             levels, state = best_feasible
         else:
             levels = result.best_state
-            state = state_cache.get(levels)
-            if state is None:  # evicted by the LRU bound: re-evaluate
-                state = kernel.evaluate_levels(levels)
-                evaluations += 1
+            state = memo.evaluate(levels)
         return PmResult(
             levels=tuple(levels),
             state=state,
@@ -301,6 +245,6 @@ class SAnnManager(PowerManager):
                 "sa_acceptance": float(result.acceptance_rate),
                 "feasible": float(best_feasible is not None),
                 "sa_cache_hits": float(cache_hits),
-                **kernel.stats.as_result_stats(),
+                **memo.result_stats(),
             },
         )

@@ -11,7 +11,7 @@ includes core dynamic + leakage, and the shared L2's dynamic + leakage
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,50 +21,60 @@ from ..thermal import solve_with_leakage
 from ..workloads import REF_FREQ_HZ, Workload
 
 
-class EvaluationCounter:
-    """Counts full-system evaluations (thermal fixed-point solves).
+class KernelStats:
+    """Evaluation counters: one kernel's, or the whole process's.
 
-    The online simulation's perf benchmark uses this to assert that the
-    event-driven loop performs far fewer :func:`evaluate_levels` calls
-    than the per-millisecond reference loop.
-
-    The batched evaluation kernel (:mod:`repro.runtime.kernel`) also
-    reports here: ``count`` includes every batched candidate (each is
-    one full fixed-point solve), and the ``batch_*`` / ``kernel_*``
-    fields record how the batched path was exercised — batch calls,
-    per-batch-size histogram, total fixed-point iterations, and kernel
-    wall time — for the BENCH_* emitters and the CI perf gate.
+    Every :class:`repro.runtime.kernel.EvalKernel` records each batch
+    it evaluates into its own ``stats`` (which policies surface through
+    ``PmResult.stats``) and into :data:`EVALUATION_COUNTER`. The serial
+    :func:`evaluate_levels` bumps ``EVALUATION_COUNTER.evaluations``
+    only. All quantities are cumulative since the last :meth:`reset`.
     """
 
-    __slots__ = ("count", "batch_calls", "batched_evaluations",
-                 "fixed_point_iterations", "kernel_wall_s",
-                 "batch_size_hist")
+    __slots__ = ("evaluations", "batch_calls", "fixed_point_iterations",
+                 "wall_s", "batch_size_hist")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.count = 0
+        self.evaluations = 0
         self.batch_calls = 0
-        self.batched_evaluations = 0
         self.fixed_point_iterations = 0
-        self.kernel_wall_s = 0.0
-        self.batch_size_hist: dict = {}
+        self.wall_s = 0.0
+        self.batch_size_hist: Dict[int, int] = {}
 
-    def record_batch(self, batch_size: int, iterations: int,
-                     wall_s: float) -> None:
-        """Record one kernel batch (``batch_size`` candidates)."""
-        self.count += batch_size
+    def record(self, batch_size: int, iterations: int,
+               wall_s: float) -> None:
+        self.evaluations += batch_size
         self.batch_calls += 1
-        self.batched_evaluations += batch_size
         self.fixed_point_iterations += iterations
-        self.kernel_wall_s += wall_s
+        self.wall_s += wall_s
         self.batch_size_hist[batch_size] = (
             self.batch_size_hist.get(batch_size, 0) + 1)
 
+    @property
+    def max_batch(self) -> int:
+        return max(self.batch_size_hist) if self.batch_size_hist else 0
 
-#: Process-global counter, incremented by every evaluate_levels call.
-EVALUATION_COUNTER = EvaluationCounter()
+    def as_result_stats(self) -> Dict[str, float]:
+        """Scalar view merged into ``PmResult.stats`` (floats only)."""
+        mean_batch = (self.evaluations / self.batch_calls
+                      if self.batch_calls else 0.0)
+        return {
+            "kernel_evaluations": float(self.evaluations),
+            "kernel_batches": float(self.batch_calls),
+            "kernel_batch_max": float(self.max_batch),
+            "kernel_batch_mean": float(mean_batch),
+            "kernel_fp_iterations": float(self.fixed_point_iterations),
+            "kernel_wall_s": float(self.wall_s),
+        }
+
+
+#: Process-global counter: every serial evaluation and kernel row.
+#: The online simulation's tests and perf benchmark read it to count
+#: the fixed-point solves a run performs.
+EVALUATION_COUNTER = KernelStats()
 
 
 @dataclass(frozen=True)
@@ -273,7 +283,7 @@ def evaluate_levels(
     ceff_multipliers: Optional[Sequence[float]] = None,
 ) -> SystemState:
     """Evaluate with per-thread DVFS levels into each core's V/f table."""
-    EVALUATION_COUNTER.count += 1
+    EVALUATION_COUNTER.evaluations += 1
     n = assignment.n_threads
     levels = list(levels)
     if len(levels) != n:

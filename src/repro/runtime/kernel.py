@@ -72,14 +72,20 @@ The kernel reports into the process-global
 counts as one full evaluation) and into a per-instance
 :class:`KernelStats` that policies surface through
 ``PmResult.stats`` and the BENCH_*.json emitters.
+
+The power managers evaluate through a :class:`StateMemo` over a
+one-die kernel: it serves repeated level vectors without a kernel
+row, and its :meth:`StateMemo.walk` is the one place a search hands
+speculative candidates to the kernel.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import groupby, repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import groupby, islice, repeat
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -95,7 +101,8 @@ from ..thermal.hotspot import (
     ThermalRunawayError,
 )
 from ..workloads import Workload
-from .evaluation import EVALUATION_COUNTER, Assignment, SystemState
+from .evaluation import (EVALUATION_COUNTER, Assignment, KernelStats,
+                         SystemState)
 
 # Leakage cells per fixed-point slab: bounds the (rows, cells) working
 # matrices (the repeated per-segment terms alone are 4 x _SLAB_CELLS
@@ -380,53 +387,6 @@ class _SlabLeakage:
         return np.multiply(out, self._scale, out=out)
 
 
-class KernelStats:
-    """Per-kernel observability counters.
-
-    Mirrors the process-global counter for one kernel instance so a
-    policy can report exactly the work *it* did. All quantities are
-    cumulative from the moment the ``stats`` object is attached; a
-    policy that reuses a kernel across decisions attaches a fresh one
-    per decision.
-    """
-
-    __slots__ = ("evaluations", "batch_calls", "fixed_point_iterations",
-                 "wall_s", "batch_size_hist")
-
-    def __init__(self) -> None:
-        self.evaluations = 0
-        self.batch_calls = 0
-        self.fixed_point_iterations = 0
-        self.wall_s = 0.0
-        self.batch_size_hist: Dict[int, int] = {}
-
-    def record(self, batch_size: int, iterations: int,
-               wall_s: float) -> None:
-        self.evaluations += batch_size
-        self.batch_calls += 1
-        self.fixed_point_iterations += iterations
-        self.wall_s += wall_s
-        self.batch_size_hist[batch_size] = (
-            self.batch_size_hist.get(batch_size, 0) + 1)
-
-    @property
-    def max_batch(self) -> int:
-        return max(self.batch_size_hist) if self.batch_size_hist else 0
-
-    def as_result_stats(self) -> Dict[str, float]:
-        """Scalar view merged into ``PmResult.stats`` (floats only)."""
-        mean_batch = (self.evaluations / self.batch_calls
-                      if self.batch_calls else 0.0)
-        return {
-            "kernel_evaluations": float(self.evaluations),
-            "kernel_batches": float(self.batch_calls),
-            "kernel_batch_max": float(self.max_batch),
-            "kernel_batch_mean": float(mean_batch),
-            "kernel_fp_iterations": float(self.fixed_point_iterations),
-            "kernel_wall_s": float(self.wall_s),
-        }
-
-
 class EvalKernel:
     """Batched system evaluation: ``B`` candidates or ``D`` dies per call.
 
@@ -694,10 +654,12 @@ class EvalKernel:
                 fixed-point error messages are static, so which row
                 trips first inside the lockstep iteration cannot leak
                 into the raised error). ``"isolate"`` instead returns
-                the exception *object* in that row's slot, so
-                speculative callers can batch candidates a serial
-                search might never have evaluated without a divergent
-                speculation aborting the real ones.
+                the exception *object* in that row's slot, so a
+                speculative batch of candidates a serial search might
+                never have evaluated cannot abort on a divergent one.
+                The managers speculate only through
+                :meth:`StateMemo.walk`, which re-raises a failure the
+                search reaches.
 
         Returns:
             One converged :class:`SystemState` per row, in row order —
@@ -816,7 +778,7 @@ class EvalKernel:
             total_iters += iters
         wall = time.perf_counter() - start
         self.stats.record(n_rows, total_iters, wall)
-        EVALUATION_COUNTER.record_batch(n_rows, total_iters, wall)
+        EVALUATION_COUNTER.record(n_rows, total_iters, wall)
         if errors == "raise":
             for item in out:
                 if isinstance(item, Exception):
@@ -996,6 +958,136 @@ class EvalKernel:
                 f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
             out_iters[r] = MAX_ITERATIONS
         return out_temps, out_powers, out_iters, row_errors
+
+
+#: Bound on a :class:`StateMemo`; past it the oldest state is evicted.
+#: A SAnn decision evaluates at most its annealing budget (2000 by
+#: default) and a few hundred quench points, so at the default
+#: settings nothing is evicted. The bound only stops a long search
+#: from holding every state it saw.
+STATE_CACHE_CAPACITY = 4096
+
+# Chunk bounds of :meth:`StateMemo.walk`. Set both to 1 and every
+# kernel call holds the one candidate a sequential search evaluates
+# next: the reference schedule the speculative one is held to. A cap
+# of 16 ran the fig11_sann benchmark no faster than 8 and raised its
+# peak RSS by 2.6 MB, the working arrays of 16-row slabs on the
+# 20-core die.
+_WALK_MIN = 2
+_WALK_MAX = 8
+
+
+class StateMemo:
+    """Evaluated states of one one-die kernel, keyed by level vector.
+
+    The managers' sequential searches keep landing on level vectors
+    they have already evaluated: LinOpt's passes quantise back to an
+    earlier pass's point, SAnn's annealing revisits its neighbours,
+    Foxton*'s step-ups retrace its step-downs. ``EvalKernel`` rows are
+    deterministic and independent of their batch neighbours, so a
+    repeat served from here is bitwise the row the kernel would
+    compute. Only misses go to the kernel; ``hits`` counts the rows
+    served instead. At most ``STATE_CACHE_CAPACITY`` states are held,
+    the oldest evicted first, and an evicted vector is evaluated again.
+
+    The memo holds only its kernel's rows: states the kernel computed,
+    and a caller's warm-start state that :meth:`EvalKernel.tabulates`
+    proves is one (:meth:`seed`). Every level row is validated by the
+    kernel before it is looked up, so a hit raises the kernel's error
+    for an invalid row as a miss does. A failed row is not stored, so
+    a failing vector raises again whenever it is evaluated.
+    """
+
+    def __init__(self, kernel: EvalKernel) -> None:
+        if kernel.n_dies != 1:
+            raise ValueError("StateMemo needs a one-die kernel")
+        self.kernel = kernel
+        self.states: Dict[Tuple[int, ...], SystemState] = {}
+        self.hits = 0
+        self._chunk = _WALK_MIN
+
+    def begin_decision(self) -> None:
+        """Reset the kernel stats, the hit count and the walk's chunk,
+        so all three describe the decision about to run on a memo
+        carried over from the last one."""
+        self.kernel.stats.reset()
+        self.hits = 0
+        self._chunk = _WALK_MIN
+
+    def result_stats(self) -> Dict[str, float]:
+        """``state_memo_hits`` and the kernel's ``PmResult.stats``."""
+        return {"state_memo_hits": float(self.hits),
+                **self.kernel.stats.as_result_stats()}
+
+    def seed(self, levels: Sequence[int], state: SystemState) -> None:
+        """Adopt ``state`` as the row at ``levels`` if it is that row.
+
+        ``state`` is the caller's warm start, an evaluation of
+        ``levels`` on the kernel's die, workload and assignment.
+        """
+        key = tuple(self.kernel.check_levels(levels)[0].tolist())
+        if key not in self.states and self.kernel.tabulates(key, state):
+            self._store(key, state)
+
+    def _store(self, key: Tuple[int, ...], state: SystemState) -> None:
+        self.states[key] = state
+        if len(self.states) > STATE_CACHE_CAPACITY:
+            del self.states[next(iter(self.states))]
+
+    def evaluate(self, levels: Sequence[int]) -> SystemState:
+        return self.evaluate_batch([levels])[0]
+
+    def evaluate_batch(self, levels_matrix: Sequence[Sequence[int]],
+                       errors: str = "raise") -> List:
+        """``EvalKernel.evaluate_levels_batch`` through the memo."""
+        rows = self.kernel.check_levels(levels_matrix, errors)
+        keys = [tuple(row) for row in rows.tolist()]
+        out = [self.states.get(key) for key in keys]
+        misses = [b for b, state in enumerate(out) if state is None]
+        self.hits += len(keys) - len(misses)
+        if misses:
+            states = self.kernel.evaluate_levels_batch(rows[misses],
+                                                       errors=errors)
+            for b, state in zip(misses, states):
+                out[b] = state
+                if not isinstance(state, Exception):
+                    self._store(keys[b], state)
+        return out
+
+    def walk(self, candidates: Iterable[Sequence[int]],
+             stop: Callable[[SystemState], bool]) -> List[SystemState]:
+        """Evaluate ``candidates`` in order up to the first ``stop``.
+
+        Returns the states of the consumed prefix: every candidate up
+        to and including the first whose state satisfies ``stop``, or
+        all of them. ``stop`` sees each consumed state once, in order.
+
+        ``candidates`` is drawn lazily, a chunk at a time, and each
+        chunk goes through :meth:`evaluate_batch` under
+        ``errors="isolate"``. Candidates past the stop are speculation:
+        evaluated and stored, never returned, and a failure among them
+        never surfaces. A failing candidate the walk reaches raises its
+        error. The chunk starts at ``_WALK_MIN`` each decision, doubles
+        up to ``_WALK_MAX`` after a chunk without a stop, and after a
+        stop at chunk index ``i`` becomes ``i + 2``, so it tracks how
+        far ahead the last stop landed. It shapes the kernel calls,
+        never the result.
+        """
+        candidates = iter(candidates)
+        consumed: List[SystemState] = []
+        while True:
+            chunk = list(islice(candidates, self._chunk))
+            if not chunk:
+                return consumed
+            states = self.evaluate_batch(chunk, errors="isolate")
+            for index, state in enumerate(states):
+                if isinstance(state, Exception):
+                    raise state
+                consumed.append(state)
+                if stop(state):
+                    self._chunk = max(_WALK_MIN, min(_WALK_MAX, index + 2))
+                    return consumed
+            self._chunk = min(self._chunk * 2, _WALK_MAX)
 
 
 # The end-to-end benchmark's span table (benchmarks/e2e/spans.py) names

@@ -10,7 +10,9 @@ evaluation counts and states of their one-candidate-per-call
 schedules.
 """
 
+import ast
 import dataclasses
+import pathlib
 import re
 from types import SimpleNamespace
 
@@ -29,7 +31,8 @@ from repro.power import PowerSensor
 from repro.power.scaling import L2_DYNAMIC_FRACTION
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
                                       evaluate_levels)
-from repro.runtime.kernel import (EvalKernel, _CellLayout,
+from repro.runtime.kernel import (_WALK_MAX, _WALK_MIN, EvalKernel,
+                                  StateMemo, _CellLayout,
                                   _scalar_pow_prefactor)
 from repro.thermal.hotspot import RUNAWAY_TEMP_K, ThermalRunawayError
 from repro.variation import DieBatch
@@ -214,7 +217,7 @@ class TestKernelStats:
         assert stats.batch_size_hist == {5: 1, 2: 1}
         assert stats.fixed_point_iterations > 0
         assert stats.wall_s > 0
-        assert EVALUATION_COUNTER.count == 7
+        assert EVALUATION_COUNTER.evaluations == 7
         assert EVALUATION_COUNTER.batch_calls == 2
         assert EVALUATION_COUNTER.batch_size_hist == {5: 1, 2: 1}
         scalars = stats.as_result_stats()
@@ -248,9 +251,8 @@ MANAGERS = {
 #: evaluates next: the chunk-1 schedule, the reference the speculative
 #: batches are held to.
 SPECULATION_CONSTANTS = (
-    "repro.pm.foxton._SPEC_MIN", "repro.pm.foxton._SPEC_MAX",
-    "repro.pm.linopt._REFILL_SPEC_MIN", "repro.pm.linopt._REFILL_SPEC_MAX",
-    "repro.pm.sann._SPEC_CHUNK", "repro.pm.exhaustive._BATCH_COMBOS",
+    "repro.runtime.kernel._WALK_MIN", "repro.runtime.kernel._WALK_MAX",
+    "repro.pm.exhaustive._BATCH_COMBOS",
 )
 
 
@@ -312,7 +314,7 @@ class TestPolicyRegression:
 
     @pytest.mark.parametrize("name", sorted(MANAGERS))
     def test_kernel_counts_every_evaluation(self, small_chip, name):
-        """Every evaluation of a decision is a kernel row or a LinOpt
+        """Every evaluation of a decision is a kernel row or a
         state-memo hit, SAnn's greedy Foxton* start included."""
         result = _decide(small_chip, name, COST_PERFORMANCE)
         assert (result.stats["kernel_evaluations"]
@@ -328,19 +330,235 @@ class TestPolicyRegression:
 
     def test_sann_cache_bound_does_not_change_decision(
             self, small_chip, monkeypatch):
-        """A tiny LRU bound may cost re-evaluations, never the answer."""
+        """A tiny memo bound may cost kernel rows, never the answer or
+        its counts: SAnn counts distinct points it consumed, whether or
+        not the memo still holds their states."""
         wl, asg = _pm_case(small_chip, 4, 27)
         reference = SAnnManager(n_evaluations=80).set_levels(
             small_chip, wl, asg, COST_PERFORMANCE,
             rng=np.random.default_rng(2))
-        monkeypatch.setattr("repro.pm.sann.STATE_CACHE_CAPACITY", 4)
+        monkeypatch.setattr("repro.runtime.kernel.STATE_CACHE_CAPACITY", 4)
         bounded = SAnnManager(n_evaluations=80).set_levels(
             small_chip, wl, asg, COST_PERFORMANCE,
             rng=np.random.default_rng(2))
         assert bounded.levels == reference.levels
         _assert_state_bitwise(bounded.state, reference.state)
+        assert bounded.evaluations == reference.evaluations
+        assert (bounded.stats["sa_cache_hits"]
+                == reference.stats["sa_cache_hits"])
         # With four live entries nearly every revisit re-evaluates.
-        assert bounded.evaluations >= reference.evaluations
+        assert (bounded.stats["kernel_evaluations"]
+                > reference.stats["kernel_evaluations"])
+
+
+def _walk_case(chip):
+    """A kernel whose top-level row runs away, and distinct level rows
+    that converge on it: ``(kernel factory, good rows, failing row)``."""
+    wl, asg, n_levels, rng = _busy_case(chip, 8, 43)
+    ceff_m = [6.0] * 8
+
+    def make_kernel():
+        return EvalKernel(chip, wl, asg, ceff_multipliers=ceff_m)
+
+    rows = list(dict.fromkeys(
+        tuple(int(lv) for lv in row)
+        for row in rng.integers(0, 3, size=(80, 8))))
+    outcomes = make_kernel().evaluate_levels_batch(rows, errors="isolate")
+    good = [row for row, out in zip(rows, outcomes)
+            if not isinstance(out, Exception)]
+    bad = tuple(int(lv) for lv in n_levels - 1)
+    assert len(good) >= 40
+    return make_kernel, good, bad
+
+
+def _stop_at(n):
+    """A walk's ``stop`` that holds on the ``n``-th state it sees."""
+    seen = []
+
+    def stop(state):
+        seen.append(state)
+        return len(seen) == n
+
+    return stop
+
+
+class TestStateMemoWalk:
+    """``StateMemo.walk`` evaluates a candidate sequence ahead, in
+    chunks, and returns exactly the prefix a one-at-a-time loop would
+    have consumed."""
+
+    @pytest.fixture(scope="class")
+    def case(self, small_chip):
+        return _walk_case(small_chip)
+
+    def test_stop_prefix(self, case):
+        make_kernel, good, _ = case
+        seen = []
+
+        def stop(state):
+            seen.append(state)
+            return len(seen) == 6
+
+        pulled = []
+
+        def candidates():
+            for row in good[:12]:
+                pulled.append(row)
+                yield row
+
+        states = StateMemo(make_kernel()).walk(candidates(), stop)
+        assert len(states) == 6
+        assert [id(s) for s in seen] == [id(s) for s in states]
+        reference = make_kernel().evaluate_levels_batch(good[:6])
+        for got, want in zip(states, reference):
+            _assert_state_bitwise(got, want)
+        # Chunks of 2 then 4: nothing is drawn past the second chunk.
+        assert len(pulled) == 6
+        # Without a stop the walk consumes every candidate.
+        memo = StateMemo(make_kernel())
+        assert len(memo.walk(good[:12], lambda state: False)) == 12
+        assert memo.walk([], lambda state: True) == []
+
+    def test_failure_past_the_stop_never_surfaces(self, case):
+        make_kernel, good, bad = case
+        memo = StateMemo(make_kernel())
+        # Chunks [0, 1] and [2, 3, bad, 5]; the walk stops at 2.
+        rows = good[:4] + [bad] + good[4:6]
+        states = memo.walk(rows, _stop_at(3))
+        assert len(states) == 3
+        assert memo.kernel.stats.batch_size_hist == {2: 1, 4: 1}
+        assert bad not in memo.states
+
+    def test_reached_failure_raises_the_kernel_error(self, case):
+        make_kernel, good, bad = case
+        with pytest.raises(ThermalRunawayError) as want:
+            make_kernel().evaluate_levels(bad)
+        memo = StateMemo(make_kernel())
+        seen = []
+        with pytest.raises(ThermalRunawayError) as got:
+            memo.walk(good[:3] + [bad] + good[3:5],
+                      lambda state: seen.append(state) is not None)
+        assert str(got.value) == str(want.value)
+        assert len(seen) == 3
+        assert bad not in memo.states
+
+    def test_chunk_growth_and_reset(self, case):
+        make_kernel, good, _ = case
+        memo = StateMemo(make_kernel())
+        hist = memo.kernel.stats.batch_size_hist
+        never = lambda state: False  # noqa: E731
+        # No stop: 2, 4, 8 (the cap) and a short last chunk of the
+        # remaining 6.
+        assert _WALK_MAX == 8
+        assert len(memo.walk(good[:20], never)) == 20
+        assert hist == {2: 1, 4: 1, 8: 1, 6: 1}
+        # The next walk continues at the cap; a stop at chunk index 1
+        # makes the next chunk 3.
+        states = memo.walk(good[20:], _stop_at(2))
+        assert len(states) == 2
+        assert hist[8] == 2
+        calls = memo.kernel.stats.batch_calls
+        assert len(memo.walk(good[28:31], never)) == 3
+        assert hist[3] == 1 and memo.kernel.stats.batch_calls == calls + 1
+        # Memo hits are served without a kernel row.
+        rows_before = memo.kernel.stats.evaluations
+        assert len(memo.walk(good[:7], never)) == 7
+        assert memo.kernel.stats.evaluations == rows_before
+        assert memo.hits == 7
+        # A new decision starts at _WALK_MIN again.
+        memo.begin_decision()
+        assert memo.hits == 0 and memo.kernel.stats.batch_calls == 0
+        assert len(memo.walk(good[31:36], never)) == 5
+        assert memo.kernel.stats.batch_size_hist == {_WALK_MIN: 1, 3: 1}
+
+    def test_chunk_restarts_on_a_carried_linopt_memo(self, small_chip,
+                                                     monkeypatch):
+        starts = []
+        walk = StateMemo.walk
+
+        def recording(self, candidates, stop):
+            starts.append((self, self._chunk))
+            return walk(self, candidates, stop)
+
+        monkeypatch.setattr(StateMemo, "walk", recording)
+        wl, asg = _pm_case(small_chip, 5, 21)
+        manager = LinOpt(LinOptConfig(n_iterations=3))
+        first = manager.set_levels(small_chip, wl, asg, LOW_POWER)
+        memo = manager._carry
+        memo._chunk = _WALK_MAX  # as a decision ending in a long walk
+        # leaves it
+        n_first = len(starts)
+        manager.set_levels(small_chip, wl, asg, LOW_POWER,
+                           initial_levels=first.levels,
+                           initial_state=first.state)
+        assert manager._carry is memo
+        assert n_first and len(starts) > n_first
+        assert starts[n_first] == (memo, _WALK_MIN)
+
+    def test_foxton_pointer_on_a_reached_failure(self, small_chip,
+                                                 monkeypatch):
+        """A step-up that fails where the walk reaches it raises, and
+        the round-robin pointer has moved past it as the chunk-1
+        schedule's has."""
+        wl, asg = _pm_case(small_chip, 5, 21)
+        env = PowerEnvironment("roomy", 1e6, 1e6)
+        start = [0] * 5
+        real = EvalKernel.evaluate_levels_batch
+
+        def decide(poisoned):
+            def evaluate_levels_batch(self, levels_matrix,
+                                      errors="raise"):
+                out = real(self, levels_matrix, errors="isolate")
+                for b, row in enumerate(levels_matrix):
+                    if tuple(int(lv) for lv in row) == poisoned:
+                        out[b] = RuntimeError(f"diverged at {poisoned}")
+                if errors == "raise":
+                    for item in out:
+                        if isinstance(item, Exception):
+                            raise item
+                return out
+
+            manager = FoxtonStar()
+            with monkeypatch.context() as patch:
+                patch.setattr(EvalKernel, "evaluate_levels_batch",
+                              evaluate_levels_batch)
+                with pytest.raises(RuntimeError, match="diverged"):
+                    manager.set_levels(small_chip, wl, asg, env,
+                                       initial_levels=start)
+            return manager._pointer
+
+        poisoned = (1, 1, 1, 1, 0)  # the fourth step-up from all-zero
+        speculative = decide(poisoned)
+        for constant in SPECULATION_CONSTANTS:
+            monkeypatch.setattr(constant, 1)
+        assert speculative == decide(poisoned) == 4
+
+
+def _pm_calls(tree):
+    """``(line, passes errors="isolate")`` of every
+    ``evaluate_levels_batch`` call in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "evaluate_levels_batch"):
+            yield node.lineno, any(
+                kw.arg == "errors" and isinstance(kw.value, ast.Constant)
+                and kw.value.value == "isolate" for kw in node.keywords)
+
+
+def test_speculation_goes_through_the_memo_walk():
+    """Under ``repro.pm`` only exhaustive enumeration hands rows to the
+    kernel itself, and nothing isolates errors: every speculative
+    search runs through ``StateMemo.walk``."""
+    pm = (pathlib.Path(__file__).resolve().parents[1]
+          / "src" / "repro" / "pm")
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(pm.rglob("*.py"))
+        for line, isolate in _pm_calls(ast.parse(path.read_text()))
+        if isolate or path.name != "exhaustive.py"]
+    assert offenders == []
+    assert list(_pm_calls(ast.parse((pm / "exhaustive.py").read_text())))
 
 
 class _Crashing(PowerManager):
@@ -931,13 +1149,14 @@ class TestGuardPaths:
         """A 20-thread SAnn decision on the 20-core die does exactly the
         work it did when every row computed its first iterate: the same
         evaluations and fixed-point iterations, recorded from that
-        kernel."""
+        kernel. The row counts depend on the memo walk's chunk
+        schedule, so a change to that schedule re-pins them."""
         rng = np.random.default_rng(31)
         wl = make_workload(20, rng)
         asg = Assignment(core_of=tuple(
             int(c) for c in rng.permutation(chip.n_cores)))
         result = SAnnManager(n_evaluations=120).set_levels(
             chip, wl, asg, COST_PERFORMANCE, rng=np.random.default_rng(5))
-        assert result.stats["kernel_evaluations"] == 1212.0
-        assert result.stats["kernel_fp_iterations"] == 11657.0
+        assert result.stats["kernel_evaluations"] == 1155.0
+        assert result.stats["kernel_fp_iterations"] == 11091.0
         assert result.evaluations == 1082

@@ -422,7 +422,7 @@ TIGHT = PowerEnvironment("Tight", 15.0, p_core_max=5.0)
 TIGHTER = PowerEnvironment("Tighter", 12.0, p_core_max=4.5)
 
 
-class _Bypass(linopt._StateMemo):
+class _Bypass(linopt.StateMemo):
     """No memo: every evaluation is a fresh kernel row, the schedule
     LinOpt ran before it kept one."""
 
@@ -480,7 +480,7 @@ class TestLinOptStateMemo:
                  phases):
         memo = self._chain(make_manager, chip, wl, asg, env, phases)
         with monkeypatch.context() as patch:
-            patch.setattr(linopt, "_StateMemo", _Bypass)
+            patch.setattr(linopt, "StateMemo", _Bypass)
             bypass = self._chain(make_manager, chip, wl, asg, env, phases)
         _assert_same_decisions(memo, bypass)
         for got, ref in zip(memo, bypass):
@@ -579,7 +579,7 @@ class TestLinOptStateMemo:
         truncation: on a memo hit as on a miss."""
         wl, asg = self._daemon_case(daemon_chip, 1)
         kernel = EvalKernel(daemon_chip, wl, asg)
-        memo = linopt._StateMemo(kernel)
+        memo = linopt.StateMemo(kernel)
         memo.evaluate([2, 1, 1, 1])
         with pytest.raises(ValueError) as ref:
             kernel.evaluate_levels([2.5, 1, 1, 1])
@@ -603,12 +603,12 @@ class TestLinOptStateMemo:
         decision's memo is appended to."""
         memos = []
 
-        class Recording(linopt._StateMemo):
+        class Recording(linopt.StateMemo):
             def __init__(self, kernel):
                 super().__init__(kernel)
                 memos.append(self)
 
-        monkeypatch.setattr(linopt, "_StateMemo", Recording)
+        monkeypatch.setattr(linopt, "StateMemo", Recording)
         return memos
 
     @staticmethod
@@ -658,7 +658,7 @@ class TestLinOptStateMemo:
                     self._poison(patch, {trial})
                     memos = self._record_memos(patch)
                     if bypass:
-                        patch.setattr(linopt, "_StateMemo", _Bypass)
+                        patch.setattr(linopt, "StateMemo", _Bypass)
                     try:
                         runs.append(self._chain(
                             lambda: LinOpt(LinOptConfig(n_iterations=3)),
@@ -684,7 +684,7 @@ def daemon_chip2():
                                      seed=6)[0], DEFAULT_TECH, arch)
 
 
-class _NoSeed(linopt._StateMemo):
+class _NoSeed(linopt.StateMemo):
     """A memo that never adopts the caller's warm start."""
 
     def seed(self, levels, state):
@@ -1049,7 +1049,7 @@ class TestLinOptPhaseCarry:
         prev = (steps[0], self._decide(warm, TIGHT, steps[0]))
         assert warm._carry is not None
         blob = pickle.dumps(warm)
-        assert b"EvalKernel" not in blob and b"_StateMemo" not in blob
+        assert b"EvalKernel" not in blob and b"StateMemo" not in blob
         cold = pickle.loads(blob)
         assert cold._carry is None
         rows = []

@@ -167,7 +167,7 @@ class TestEventDrivenLoop:
                                policy=policy, os_interval_s=os_interval_s)
         EVALUATION_COUNTER.reset()
         trace = sim.run(duration, 0.01, mode=mode)
-        return trace, EVALUATION_COUNTER.count
+        return trace, EVALUATION_COUNTER.evaluations
 
     def _assert_identical(self, a, b):
         np.testing.assert_array_equal(a.power_w, b.power_w)
