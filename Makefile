@@ -32,11 +32,14 @@ durability:
 pm-trace:
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fig11_sann]"
 
-# Fleet subsystem suite + the nightly kill/resume bitwise check at
-# smoke scale (the scheduled CI job runs it at 10^4 dies).
+# Fleet subsystem suite, the nightly kill/resume bitwise check at
+# smoke scale (the scheduled CI job runs it at 10^4 dies) and the
+# traced fleet_cold e2e run (span map + pinned digest; CI's 'fleet'
+# job).
 fleet:
 	$(PYTHON) -m pytest -x -q tests/test_fleet.py
 	$(PYTHON) benchmarks/fleet_nightly.py --dies 600 --out /tmp/repro-fleet-nightly
+	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fleet_cold]"
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks

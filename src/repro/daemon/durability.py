@@ -16,12 +16,13 @@ SIGKILL survivable. Each tenant owns one directory under the daemon's
   ``seq`` check pins its position, so a bit-flipped or reordered log
   is trusted only up to its last good prefix.
 
-* periodic **snapshots** (``snapshot-<seq>.bin``): one self-verifying
-  file per generation — a ``{format, seq, sha256}`` header line, then
-  a pickle of the tenant's live stepper state at op-log sequence
-  ``seq`` — replaced atomically. A restarted daemon restores from the
-  newest snapshot and replays only the ops past it, bounding recovery
-  cost; a snapshot with a missing, stale or mismatching header is
+* periodic **snapshots** (``snapshot-<seq>.bin``): one sealed file
+  per generation (:func:`repro.storage.write_sealed`, identity
+  ``{format, seq}``) holding a pickle of the tenant's live stepper
+  state at op-log sequence ``seq``. A restarted daemon restores from
+  the newest snapshot and replays only the ops past it, bounding
+  recovery cost; a snapshot whose header is missing, names another
+  format or sequence, fails its digest or does not unpickle is
   *quarantined* (moved to ``<state_dir>/quarantine/`` next to a
   ``*.reason.json``) and recovery falls back to full replay from the
   op log — which is never compacted away, precisely so that fallback
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import pathlib
 import pickle
@@ -49,13 +49,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..storage import AppendLog, quarantine, write_atomic
+from ..storage import AppendLog, quarantine, read_sealed, write_sealed
 
 #: Bump whenever the op-record shape changes; every record carries
 #: it, so old logs stop verifying at their first record.
 OPLOG_TAG = "daemon-oplog-v2"
 
-#: Snapshot container version, carried in each snapshot's header.
+#: Snapshot format, an identity field of each snapshot's sealed header.
 SNAPSHOT_FORMAT = 2
 
 OPLOG_FILENAME = "oplog.jsonl"
@@ -65,10 +65,6 @@ OPLOG_FILENAME = "oplog.jsonl"
 DEDUP_WINDOW = 64
 
 PathLike = Union[str, pathlib.Path]
-
-
-class SnapshotError(RuntimeError):
-    """A snapshot exists but fails digest/format verification."""
 
 
 def tenant_dir_name(tenant: str) -> str:
@@ -205,8 +201,8 @@ class TenantStore:
     Layout under the tenant directory::
 
         oplog.jsonl          append-only write-ahead op log
-        snapshot-<seq>.bin   {format, seq, sha256} header line, then
-                             the pickled stepper state at op <seq>
+        snapshot-<seq>.bin   the pickled stepper state at op <seq>,
+                             sealed under {format, seq}
 
     Only the newest snapshot is kept (*compaction*): writing a new one
     atomically replaces it and unlinks older generations. The op log
@@ -242,12 +238,10 @@ class TenantStore:
         snapshots are removed afterwards — compaction keeps exactly
         one generation, and the op log guarantees the fallback.
         """
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        header = json.dumps({"format": SNAPSHOT_FORMAT, "seq": int(seq),
-                             "sha256": hashlib.sha256(blob).hexdigest()},
-                            sort_keys=True)
-        path = write_atomic(self.root / _snapshot_name(seq),
-                            header.encode("utf-8") + b"\n" + blob)
+        path = write_sealed(
+            self.root / _snapshot_name(seq),
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+            format=SNAPSHOT_FORMAT, seq=int(seq))
         for old_seq, old_path in self._snapshots_on_disk():
             if old_seq != seq:
                 with contextlib.suppress(OSError):
@@ -263,35 +257,26 @@ class TenantStore:
     def load_snapshot(self) -> Optional[Tuple[int, Any]]:
         """The newest verifiable snapshot, or None.
 
-        A snapshot whose header is missing, of another format or
-        sequence, or whose digest fails (or that cannot be read or
-        unpickled) is quarantined and the next-older one is tried;
-        with none left the caller falls back to full op-log replay.
-        Quarantines are visible in :attr:`snapshot_quarantines`.
+        A snapshot that :func:`repro.storage.read_sealed` rejects, or
+        whose payload does not unpickle, is quarantined and the
+        next-older one is tried; with none left the caller falls back
+        to full op-log replay. Quarantines are visible in
+        :attr:`snapshot_quarantines`.
         """
         for seq, path in reversed(self._snapshots_on_disk()):
-            try:
-                header, _, blob = path.read_bytes().partition(b"\n")
-                meta = json.loads(header)
-                if (meta.get("format"), meta.get("seq")) != \
-                        (SNAPSHOT_FORMAT, seq):
-                    raise SnapshotError(
-                        f"stale snapshot header {meta!r} (expected "
-                        f"format {SNAPSHOT_FORMAT}, seq {seq})")
-                if hashlib.sha256(blob).hexdigest() != meta["sha256"]:
-                    raise SnapshotError("snapshot digest mismatch")
-                state = pickle.loads(blob)
-            except (OSError, ValueError, KeyError, TypeError,
-                    pickle.UnpicklingError, EOFError,
-                    AttributeError, SnapshotError) as exc:
-                self.snapshot_quarantines += 1
-                quarantine(path, self.quarantine_root,
-                           f"{self.root.name}-{path.name}",
-                           f"{type(exc).__name__}: {exc}",
-                           tenant_dir=self.root.name,
-                           snapshot=path.name)
-                continue
-            return seq, state
+            label = f"{self.root.name}-{path.name}"
+            fields = dict(tenant_dir=self.root.name, snapshot=path.name)
+            blob = read_sealed(path, self.quarantine_root, label, fields,
+                               format=SNAPSHOT_FORMAT, seq=seq)
+            if blob is not None:
+                try:
+                    return seq, pickle.loads(blob)
+                except (ValueError, KeyError, TypeError, EOFError,
+                        pickle.UnpicklingError, AttributeError,
+                        ImportError) as exc:
+                    quarantine(path, self.quarantine_root, label,
+                               f"{type(exc).__name__}: {exc}", **fields)
+            self.snapshot_quarantines += 1
         return None
 
 

@@ -28,15 +28,11 @@ from .quantiles import (
     RunningMoments,
 )
 from .shards import (
-    SHARD_FORMAT,
     ShardInfo,
-    ShardIntegrityError,
     coverage_ranges,
     iter_shards,
     load_shard,
     missing_ranges,
-    quarantine_shard,
-    shard_digest,
     write_shard,
 )
 
@@ -48,9 +44,7 @@ __all__ = [
     "FleetPlan",
     "P2Quantile",
     "RunningMoments",
-    "SHARD_FORMAT",
     "ShardInfo",
-    "ShardIntegrityError",
     "coverage_ranges",
     "fleet_die_metrics",
     "iter_shards",
@@ -58,9 +52,7 @@ __all__ = [
     "load_summary",
     "merge_campaigns",
     "missing_ranges",
-    "quarantine_shard",
     "run_fleet_campaign",
-    "shard_digest",
     "summarize_shards",
     "write_shard",
 ]

@@ -14,8 +14,9 @@ Crash-safety rides the campaign journal
 metric columns are recorded under a content key that pins tech/arch/
 seed/chunk bounds, so ``--resume`` replays completed chunks from the
 journal (JSON floats round-trip repr-exact, hence bitwise) and only
-computes the tail. Shards and the summary are replaced atomically
-through :func:`repro.storage.write_atomic`. A resumed campaign
+computes the tail. Shards (:func:`repro.storage.write_sealed`) and
+the summary (:func:`repro.storage.write_atomic`) are replaced
+atomically. A resumed campaign
 therefore produces bitwise-identical shards and a byte-identical
 ``summary.json`` — the nightly CI job kills a campaign mid-run and
 asserts exactly that.
@@ -41,12 +42,11 @@ from ..parallel.manifest import ShardManifest
 from ..parallel.runner import CacheArg
 from ..runtime.evaluation import Assignment
 from ..runtime.kernel import EvalKernel
-from ..storage import write_atomic
+from ..storage import IntegrityError, write_atomic
 from ..thermal.hotspot import ThermalNetwork
 from ..workloads import SPEC_APPS, Workload
 from .quantiles import FleetAccumulator
 from .shards import (
-    ShardIntegrityError,
     iter_shards,
     load_shard,
     shard_name,
@@ -444,7 +444,7 @@ def summarize_shards(shard_dir: Union[str, pathlib.Path],
     for info in iter_shards(shard_dir):
         try:
             cols = load_shard(info.path)
-        except ShardIntegrityError:
+        except IntegrityError:
             # The shard was quarantined by load_shard; its range now
             # reads as a coverage gap for a resumed campaign to
             # recompute rather than a poisoned contribution.

@@ -10,10 +10,8 @@ checkpoint/resume layer for long campaigns, composed by
 
 from ..settings import parallel_config
 from .cache import (
-    CACHE_FORMAT_VERSION,
     CACHE_SCHEMA_VERSION,
     CHARACTERIZATION_TAG,
-    CacheIntegrityError,
     CharacterizationCache,
     cache_key,
     get_default_cache,
@@ -39,10 +37,8 @@ from .sharding import (
 )
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
     "CACHE_SCHEMA_VERSION",
     "CHARACTERIZATION_TAG",
-    "CacheIntegrityError",
     "CharacterizationCache",
     "HostSlice",
     "IncompleteJournalError",

@@ -6,7 +6,7 @@ per (tech, arch, batch seed, die index), so its output can be cached
 on disk and shared across every experiment, benchmark and CI run that
 asks for the same die.
 
-Entries are compressed ``.npz`` files under a content-addressed path:
+Entries are compressed npz payloads under a content-addressed path:
 the key is a SHA-256 over the full chip configuration (every tech and
 arch field), the variation batch seed, the die index, the power
 calibration constants, and a code-version tag. Changing *anything*
@@ -20,14 +20,16 @@ flat arrays with offset vectors so a warm load touches few npz members.
 Round-tripping is bitwise-exact: a cache hit reconstructs arrays equal
 to a cold characterisation.
 
-Integrity (DESIGN.md §14): stored entries carry a SHA-256 digest over
-their data members (container format v2; v1 entries without a digest
-read transparently). Loads verify the digest; any entry that is
-unreadable or fails verification is *quarantined* — moved to
-``<root>/quarantine/`` next to a structured ``<key>.reason.json``
-(:func:`repro.storage.quarantine`) — and counted in a dedicated
+Integrity (DESIGN.md §14): each entry, ``<key>.sealed``, is the npz
+bytes sealed by :func:`repro.storage.write_sealed` under ``{format,
+key}``. Loads go through :func:`repro.storage.read_sealed`, so an
+entry that is unreadable, fails its digest or was filed under another
+key is *quarantined* — moved to ``<root>/quarantine/`` next to a
+structured ``<key>.reason.json`` — and counted in a dedicated
 ``corrupt`` stat (distinct from ``misses``), so silent
-re-characterisation never hides corruption.
+re-characterisation never hides corruption. Entries written before
+the seal (``<key>.npz``, schema 1) are not entries at all: their keys
+are never looked up and the maintenance commands skip them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ import json
 import os
 import pathlib
 import shutil
-import zipfile
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -52,17 +53,16 @@ from ..freq.critical_path import PathSet
 from ..power import CoreLeakageModel, L2LeakageModel
 from ..power import scaling
 from ..settings import settings
-from ..storage import quarantine, write_atomic
+from ..storage import read_sealed, write_sealed
 from ..thermal import ThermalNetwork
 
-# Payload layout version: bump when the npz schema changes. Part of
-# the content key, so bumping it invalidates every existing entry.
-CACHE_SCHEMA_VERSION = 1
+# Entry layout version: bump when the npz schema or the sealed
+# container changes. Part of the content key, so bumping it turns
+# every existing entry into a miss. v2 sealed the npz bytes.
+CACHE_SCHEMA_VERSION = 2
 
-# npz *container* format version. v2 added the integrity digest. Not
-# part of the content key: the loader reads v1 entries (no digest)
-# transparently, so bumping this never invalidates the cache.
-CACHE_FORMAT_VERSION = 2
+#: The ``format`` identity field of each entry's sealed header.
+_FORMAT = "characterization-cache"
 
 # Code-version tag: bump whenever the characterisation pipeline
 # (variation sampling, path extraction, binning, leakage calibration)
@@ -70,10 +70,6 @@ CACHE_FORMAT_VERSION = 2
 CHARACTERIZATION_TAG = "characterize-v1"
 
 Payload = Dict[str, np.ndarray]
-
-
-class CacheIntegrityError(ValueError):
-    """A cache entry exists but fails verification (digest/format)."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +213,7 @@ def profile_from_payload(
 # load; a payload has ~18 members, which dominates warm-read latency.
 # Entries are therefore stored as exactly three data members — a JSON
 # layout header plus one float64 and one int64 blob — and sliced back
-# into the payload dict on load. Format v2 adds two tiny metadata
-# members: the container format version and a SHA-256 digest over the
-# data members, verified on every load.
-
-
-def _payload_digest(packed: Dict[str, np.ndarray]) -> bytes:
-    """SHA-256 over an entry's data members (layout + both blobs)."""
-    digest = hashlib.sha256()
-    for name in ("layout", "f64", "i64"):
-        arr = np.ascontiguousarray(packed[name])
-        digest.update(arr.tobytes())
-    return digest.digest()
+# into the payload dict on load.
 
 
 def _pack_payload(payload: Payload) -> Dict[str, np.ndarray]:
@@ -249,38 +234,12 @@ def _pack_payload(payload: Payload) -> Dict[str, np.ndarray]:
                            dtype=np.uint8)
     cat = (lambda parts, dtype:
            np.concatenate(parts) if parts else np.empty(0, dtype=dtype))
-    packed = {"layout": header,
-              "f64": cat(f64_parts, np.float64),
-              "i64": cat(i64_parts, np.int64)}
-    packed["format"] = np.int64(CACHE_FORMAT_VERSION)
-    packed["digest"] = np.frombuffer(_payload_digest(packed),
-                                     dtype=np.uint8)
-    return packed
+    return {"layout": header,
+            "f64": cat(f64_parts, np.float64),
+            "i64": cat(i64_parts, np.int64)}
 
 
-def _verify_packed(packed: Dict[str, np.ndarray]) -> None:
-    """Raise :class:`CacheIntegrityError` unless the entry checks out.
-
-    v1 entries (no ``format``/``digest`` members) pass transparently —
-    they predate the digest; their zip CRCs still guard the bits.
-    """
-    for name in ("layout", "f64", "i64"):
-        if name not in packed:
-            raise CacheIntegrityError(f"missing member {name!r}")
-    fmt = int(packed["format"]) if "format" in packed else 1
-    if fmt > CACHE_FORMAT_VERSION:
-        raise CacheIntegrityError(
-            f"container format {fmt} is newer than supported "
-            f"{CACHE_FORMAT_VERSION}")
-    if fmt >= 2:
-        if "digest" not in packed:
-            raise CacheIntegrityError("format>=2 entry lacks a digest")
-        stored = bytes(np.asarray(packed["digest"], dtype=np.uint8))
-        if stored != _payload_digest(packed):
-            raise CacheIntegrityError("payload digest mismatch")
-
-
-def _unpack_payload(packed: Dict[str, np.ndarray]) -> Payload:
+def _unpack_payload(packed: Mapping[str, np.ndarray]) -> Payload:
     layout = json.loads(bytes(packed["layout"]).decode("utf-8"))
     blobs = {"f": packed["f64"], "i": packed["i64"]}
     starts = {"f": 0, "i": 0}
@@ -302,14 +261,14 @@ def _unpack_payload(packed: Dict[str, np.ndarray]) -> Payload:
 class CharacterizationCache:
     """Content-addressed npz store with integrity verification.
 
-    Writes are atomic (:func:`repro.storage.write_atomic`), so concurrent
-    workers — process-pool shards or parallel pytest/CI jobs — can
-    share one cache directory without corrupting entries. Loads verify
-    the format-v2 SHA-256 digest; an entry that exists but cannot be
-    read back bitwise is quarantined (not silently re-characterised):
-    the file moves to ``<root>/quarantine/`` with a ``*.reason.json``
-    describing why, and the ``corrupt`` counter — distinct from
-    ``misses``, which counts genuinely absent entries — increments.
+    Writes are atomic (:func:`repro.storage.write_sealed`), so
+    concurrent workers — process-pool shards or parallel pytest/CI
+    jobs — can share one cache directory without corrupting entries.
+    An entry that exists but fails :func:`repro.storage.read_sealed`
+    is quarantined (not silently re-characterised): the file moves to
+    ``<root>/quarantine/`` with a ``*.reason.json`` describing why,
+    and the ``corrupt`` counter — distinct from ``misses``, which
+    counts genuinely absent entries — increments.
     """
 
     QUARANTINE_DIR = "quarantine"
@@ -320,7 +279,7 @@ class CharacterizationCache:
                                       "corrupt": 0, "stores": 0}
 
     def path_for(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}.sealed"
 
     @property
     def quarantine_root(self) -> pathlib.Path:
@@ -330,42 +289,32 @@ class CharacterizationCache:
         """The payload stored under ``key``, or None.
 
         An absent entry counts a miss; an entry that exists but fails
-        to read or verify is quarantined, counts ``corrupt``, and also
+        verification is quarantined, counts ``corrupt``, and also
         returns None (the caller re-characterises either way).
         """
         path = self.path_for(key)
         try:
-            with np.load(path) as npz:
-                packed = {name: npz[name] for name in npz.files}
+            blob = read_sealed(path, self.quarantine_root, key,
+                               dict(key=key, entry=path.name,
+                                    numpy=np.__version__),
+                               format=_FORMAT, key=key)
         except FileNotFoundError:
             self.stats["misses"] += 1
             return None
-        except (OSError, ValueError, KeyError,
-                json.JSONDecodeError, zipfile.BadZipFile) as exc:
-            self._quarantine(key, path, f"unreadable npz: {exc!r}")
+        if blob is None:
+            self.stats["corrupt"] += 1
             return None
-        try:
-            _verify_packed(packed)
-            payload = _unpack_payload(packed)
-        except (CacheIntegrityError, ValueError, KeyError, IndexError,
-                json.JSONDecodeError) as exc:
-            self._quarantine(key, path, f"verification failed: {exc!r}")
-            return None
+        with np.load(io.BytesIO(blob)) as npz:
+            payload = _unpack_payload(npz)
         self.stats["hits"] += 1
         return payload
-
-    def _quarantine(self, key: str, path: pathlib.Path,
-                    reason: str) -> None:
-        """Move a corrupt entry aside and record why, atomically."""
-        self.stats["corrupt"] += 1
-        quarantine(path, self.quarantine_root, path.stem, reason,
-                   key=key, entry=path.name, numpy=np.__version__)
 
     def store(self, key: str, payload: Payload) -> None:
         """Atomically persist a payload under ``key``."""
         buf = io.BytesIO()
         np.savez_compressed(buf, **_pack_payload(payload))
-        write_atomic(self.path_for(key), buf.getvalue())
+        write_sealed(self.path_for(key), buf.getvalue(),
+                     format=_FORMAT, key=key)
         self.stats["stores"] += 1
 
     def clear(self) -> None:
@@ -384,7 +333,7 @@ class CharacterizationCache:
             return
         for bucket in sorted(p for p in self.root.iterdir()
                              if p.is_dir() and p.name != self.QUARANTINE_DIR):
-            yield from sorted(bucket.glob("*.npz"))
+            yield from sorted(bucket.glob("*.sealed"))
 
     def usage(self) -> Dict[str, int]:
         """Entry/byte counts for ``repro cache stats``."""
@@ -395,7 +344,7 @@ class CharacterizationCache:
                 total += path.stat().st_size
             except OSError:
                 pass
-        quarantined = (len(list(self.quarantine_root.glob("*.npz")))
+        quarantined = (len(list(self.quarantine_root.glob("*.sealed")))
                        if self.quarantine_root.is_dir() else 0)
         return {"entries": n_entries, "bytes": total,
                 "quarantined": quarantined}

@@ -479,6 +479,9 @@ class LinOpt(PowerManager):
             def feasible(trial_state: SystemState) -> bool:
                 return meets_constraints(trial_state, p_target, p_core_max)
 
+            # Each pass refills from its own LP point, so the last
+            # pass's walk chunk says nothing about this one.
+            memo.begin_search()
             while True:
                 trials = [levels[:i] + [levels[i] + 1] + levels[i + 1:]
                           for i in order if levels[i] < n_top[i]]

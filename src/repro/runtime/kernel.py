@@ -1012,6 +1012,11 @@ class StateMemo:
         carried over from the last one."""
         self.kernel.stats.reset()
         self.hits = 0
+        self.begin_search()
+
+    def begin_search(self) -> None:
+        """Start the next :meth:`walk` at ``_WALK_MIN``: a search from
+        a new point learns nothing from where the last one stopped."""
         self._chunk = _WALK_MIN
 
     def result_stats(self) -> Dict[str, float]:

@@ -1,7 +1,7 @@
 """Durable on-disk storage: the one owner of how persisted bytes land.
 
 Campaign journals, daemon op logs and snapshots, cache entries, fleet
-shards, manifests and summaries all go through three primitives, so
+shards, manifests and summaries all go through these primitives, so
 no other module opens, renames or fsyncs a durable file (DESIGN §14):
 
 * :class:`AppendLog` — JSON records, one ``<sha256 hex of body>
@@ -12,6 +12,13 @@ no other module opens, renames or fsyncs a durable file (DESIGN §14):
   the target, then the directory fsynced so the rename survives.
 * :func:`quarantine` — move a corrupt file aside, best effort, next
   to a ``<label>.reason.json`` saying why.
+* :func:`write_sealed` / :func:`read_sealed` — the one whole-file
+  container: a ``{<identity fields>, "sha256"}`` JSON header line,
+  then the payload. The reader checks the header against the
+  identity it expects (format, cache key, die range, snapshot
+  sequence) and the payload against its digest, and quarantines the
+  file on any mismatch, so a corrupt, stale or misfiled file never
+  loads.
 
 Directories these create are fsynced into their parents too.
 """
@@ -25,14 +32,17 @@ import os
 import pathlib
 import tempfile
 import time
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 __all__ = [
     "AppendLog",
+    "IntegrityError",
     "decode_line",
     "encode_line",
     "quarantine",
+    "read_sealed",
     "write_atomic",
+    "write_sealed",
 ]
 
 PathLike = Union[str, pathlib.Path]
@@ -192,3 +202,52 @@ def quarantine(path: PathLike, qdir: PathLike, label: str, reason: str,
                      (json.dumps(record, indent=2, sort_keys=True)
                       + "\n").encode("utf-8"))
     return target
+
+
+class IntegrityError(RuntimeError):
+    """A sealed file failed verification and was quarantined."""
+
+
+def write_sealed(path: PathLike, payload: bytes,
+                 **identity: Any) -> pathlib.Path:
+    """Atomically write ``payload`` under a header naming ``identity``
+    and the payload's sha256 (read back with :func:`read_sealed`)."""
+    header = json.dumps(
+        {**identity, "sha256": hashlib.sha256(payload).hexdigest()},
+        sort_keys=True)
+    return write_atomic(path, header.encode("utf-8") + b"\n" + payload)
+
+
+def read_sealed(path: PathLike, qdir: PathLike, label: str,
+                reason_fields: Dict[str, Any],
+                **identity: Any) -> Optional[bytes]:
+    """The payload of a sealed file, or None once it is quarantined.
+
+    The header must parse, carry every ``identity`` field with the
+    expected value and hold the payload's sha256. Otherwise the file
+    goes to :func:`quarantine` under ``qdir/<label>``, its reason
+    record holding ``reason_fields``. An absent file raises
+    :class:`FileNotFoundError`: absent is not corrupt.
+    """
+    try:
+        header, _, payload = pathlib.Path(path).read_bytes().partition(
+            b"\n")
+        meta = json.loads(header)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        meta, reason = None, f"unreadable: {type(exc).__name__}: {exc}"
+    else:
+        reason = "header is not a JSON object"
+    if isinstance(meta, dict):
+        stale = {name: meta.get(name) for name in identity
+                 if meta.get(name) != identity[name]}
+        if stale:
+            reason = (f"identity mismatch: stored {stale!r}, "
+                      f"expected {identity!r}")
+        elif hashlib.sha256(payload).hexdigest() != meta.get("sha256"):
+            reason = "payload digest mismatch"
+        else:
+            return payload
+    quarantine(path, qdir, label, reason, **reason_fields)
+    return None

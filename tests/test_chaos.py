@@ -16,6 +16,7 @@ produced are independent of the failure — exactly the per-item purity
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import signal
@@ -31,11 +32,7 @@ from repro.parallel import (
     characterize_batch,
     run_sharded,
 )
-from repro.parallel.cache import (
-    _pack_payload,
-    _verify_packed,
-    CacheIntegrityError,
-)
+from repro.parallel import cache as cache_module
 
 
 def payloads_equal(a, b) -> bool:
@@ -225,18 +222,19 @@ class TestCacheCorruption:
         assert reason["key"] == key
         assert "unreadable" in reason["reason"]
 
-    def test_bitflip_is_caught_by_digest(self, stored, tech, small_arch):
-        cache, key, profile = stored
-        from repro.parallel import profile_payload
-        # Rebuild a *valid* npz whose data blob was tampered after the
-        # digest was computed: only the sha256 can catch this.
-        packed = _pack_payload(profile_payload(profile))
-        tampered = dict(packed)
-        tampered["f64"] = packed["f64"].copy()
-        tampered["f64"][3] += 1e-9
+    def test_bitflip_is_caught_by_digest(self, stored):
+        cache, key, _ = stored
+        # Rebuild a *valid* npz payload whose data blob was tampered
+        # after sealing, under the stale header: only the sha256 can
+        # catch this.
         path = cache.path_for(key)
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **tampered)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        with np.load(io.BytesIO(payload)) as npz:
+            tampered = {name: npz[name].copy() for name in npz.files}
+        tampered["f64"][3] += 1e-9
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **tampered)
+        path.write_bytes(header + b"\n" + buf.getvalue())
         assert cache.load(key) is None
         assert cache.stats["corrupt"] == 1
         reason = json.loads(
@@ -261,27 +259,28 @@ class TestCacheCorruption:
                               profile_payload(profile))
         assert cache.load(key) is not None
 
-    def test_v1_entry_without_digest_reads_transparently(self, stored):
-        cache, key, profile = stored
-        from repro.parallel import profile_payload
-        packed = _pack_payload(profile_payload(profile))
-        legacy = {name: arr for name, arr in packed.items()
-                  if name not in ("format", "digest")}
-        path = cache.path_for(key)
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **legacy)
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert payloads_equal(loaded, profile_payload(profile))
+    def test_pre_sealed_entry_is_a_miss(self, tech, small_arch, tmp_path,
+                                        monkeypatch):
+        # An entry written before the sealed container: a bare npz,
+        # <key>.npz, under the previous schema's key. The schema bump
+        # moved every key, so it is never read, and it is neither an
+        # entry nor corruption.
+        cache = CharacterizationCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 1)
+            old_key = cache_key(tech, small_arch, 7, 0)
+        assert old_key != cache_key(tech, small_arch, 7, 0)
+        old_path = cache.path_for(old_key).with_suffix(".npz")
+        old_path.parent.mkdir(parents=True)
+        with open(old_path, "wb") as handle:
+            np.savez_compressed(handle, layout=np.zeros(3, np.uint8))
+        characterize_batch(tech, small_arch, 7, [0], workers=1,
+                           cache=cache)
+        assert cache.stats["misses"] == 1
+        assert cache.usage()["entries"] == 1
+        assert cache.verify_all()["corrupt"] == []
         assert cache.stats["corrupt"] == 0
-
-    def test_verify_packed_rejects_future_format(self, stored):
-        cache, key, profile = stored
-        from repro.parallel import profile_payload
-        packed = _pack_payload(profile_payload(profile))
-        packed["format"] = np.int64(99)
-        with pytest.raises(CacheIntegrityError, match="newer"):
-            _verify_packed(packed)
+        assert old_path.exists()
 
 
 class TestCacheMaintenance:

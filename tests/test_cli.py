@@ -50,7 +50,7 @@ class TestCliParallelFlags:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert main(["fig5", "--dies", "2", "--workers", "2"]) == 0
         assert "Figure 5" in capsys.readouterr().out
-        assert list(cache_dir.rglob("*.npz"))
+        assert list(cache_dir.rglob("*.sealed"))
 
     def test_no_cache_flag(self, capsys, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -68,7 +68,7 @@ class TestCliCache:
 
     def _populate(self):
         assert main(["fig4", "--dies", "2", "--workers", "1"]) == 0
-        return list(self.cache_dir.rglob("*.npz"))
+        return list(self.cache_dir.rglob("*.sealed"))
 
     def test_stats(self, capsys):
         entries = self._populate()
@@ -95,13 +95,13 @@ class TestCliCache:
         self._populate()
         assert main(["cache", "gc", "--max-bytes", "0"]) == 0
         assert "0 left" in capsys.readouterr().out
-        assert not list(self.cache_dir.rglob("*.npz"))
+        assert not list(self.cache_dir.rglob("*.sealed"))
 
     def test_clear(self, capsys):
         self._populate()
         assert main(["cache", "clear"]) == 0
         assert "cleared" in capsys.readouterr().out
-        assert not list(self.cache_dir.rglob("*.npz"))
+        assert not list(self.cache_dir.rglob("*.sealed"))
 
     def test_cache_dir_flag_overrides_env(self, tmp_path, capsys):
         other = tmp_path / "elsewhere"

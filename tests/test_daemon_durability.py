@@ -1,7 +1,7 @@
 """Durability tests: op logs, snapshots, recovery, reconnection.
 
 Three layers, mirroring the stack: :mod:`repro.daemon.durability`
-units (torn-tail-tolerant op logs, digest-verified snapshots with
+units (torn-tail-tolerant op logs, sealed snapshots with
 quarantine), :class:`DaemonController` crash recovery (decision
 streams bitwise-identical to an uninterrupted run, idempotent
 replays, divergence quarantine), and the wire level (a
@@ -12,6 +12,7 @@ SIGKILL-and-restart chaos test against the ``repro daemon`` CLI.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -157,6 +158,17 @@ class TestSnapshots:
                 if p.name.endswith(".bin")]
         assert bins == ["snapshot-000000000009.bin"]
 
+    def test_snapshot_bytes_keep_their_layout(self, tmp_path):
+        # A {format, seq, sha256} JSON header line, then the pickle:
+        # the layout tests/data/daemon_snapshot_v2 was recorded in.
+        state = {"state": [1.5, "x"]}
+        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "seq": 7,
+                             "sha256": hashlib.sha256(blob).hexdigest()},
+                            sort_keys=True)
+        path = self.make_store(tmp_path).write_snapshot(7, state)
+        assert path.read_bytes() == header.encode() + b"\n" + blob
+
     def test_corrupt_snapshot_quarantined_with_reason(self, tmp_path):
         store = self.make_store(tmp_path)
         path = store.write_snapshot(4, {"state": "good"})
@@ -192,7 +204,6 @@ class TestSnapshots:
         path = store.write_snapshot(2, {"ok": True})
         # Valid digest over bytes that are not a pickle at all.
         blob = b"not a pickle"
-        import hashlib
         header = json.loads(path.read_bytes().partition(b"\n")[0])
         header["sha256"] = hashlib.sha256(blob).hexdigest()
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)

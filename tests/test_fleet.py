@@ -10,6 +10,7 @@ multi-host merge must be indistinguishable from a single-host run.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 
@@ -41,14 +42,7 @@ from repro.fleet import (
     write_shard,
 )
 from repro.fleet.quantiles import exact_quantile
-from repro.fleet.shards import (
-    SHARD_FORMAT,
-    ShardIntegrityError,
-    iter_shards,
-    quarantine_shard,
-    shard_digest,
-    shard_name,
-)
+from repro.fleet.shards import iter_shards, shard_name
 from repro.parallel import (
     HostSlice,
     IncompleteJournalError,
@@ -58,6 +52,7 @@ from repro.parallel import (
 )
 from repro.parallel.journal import RunJournal
 from repro.report import binned_histogram_chart, fleet_summary_table
+from repro.storage import IntegrityError
 from repro.runtime.evaluation import (
     Assignment,
     evaluate_levels,
@@ -420,34 +415,23 @@ class TestShards:
             coverage_ranges(tmp_path)
 
 
+def _tamper(path):
+    """Flip one column's data inside a shard's sealed payload while
+    keeping its stale header."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    with np.load(io.BytesIO(payload)) as data:
+        arrays = {name: data[name].copy() for name in data.files}
+    arrays["a"] = arrays["a"] + 1.0
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    path.write_bytes(header + b"\n" + buf.getvalue())
+
+
 class TestShardIntegrity:
-    def _tamper(self, path):
-        """Flip one column's data while keeping the stored digest."""
-        with np.load(path) as data:
-            arrays = {name: data[name].copy() for name in data.files}
-        arrays["a"] = arrays["a"] + 1.0
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-
-    def test_v2_embeds_format_and_digest(self, tmp_path, rng):
-        path = write_shard(tmp_path, 0, 4, {"a": rng.normal(size=4)})
-        with np.load(path) as data:
-            members = dict(data)
-        assert int(members["__format__"]) == SHARD_FORMAT
-        cols = {k: v for k, v in members.items()
-                if not k.startswith("__")}
-        assert str(members["__digest__"]) == shard_digest(cols)
-
-    def test_digest_ignores_container_bytes(self, rng):
-        # The digest pins column *data*, not zip member timestamps.
-        cols = {"die": np.arange(4), "a": rng.normal(size=4)}
-        assert shard_digest(cols) == shard_digest(
-            {k: v.copy() for k, v in cols.items()})
-
     def test_tampered_shard_quarantined(self, tmp_path, rng):
         path = write_shard(tmp_path, 0, 4, {"a": rng.normal(size=4)})
-        self._tamper(path)
-        with pytest.raises(ShardIntegrityError, match="digest"):
+        _tamper(path)
+        with pytest.raises(IntegrityError, match="quarantined"):
             load_shard(path)
         assert not path.exists()
         qdir = tmp_path / "quarantine"
@@ -463,43 +447,31 @@ class TestShardIntegrity:
     def test_unreadable_shard_quarantined(self, tmp_path):
         path = tmp_path / shard_name(0, 4)
         path.write_bytes(b"not an npz container")
-        with pytest.raises(ShardIntegrityError, match="unreadable"):
+        with pytest.raises(IntegrityError, match="quarantined"):
             load_shard(path)
-        assert (tmp_path / "quarantine" / path.name).exists()
+        qdir = tmp_path / "quarantine"
+        assert (qdir / path.name).exists()
+        reason = json.loads(
+            (qdir / f"{path.name}.reason.json").read_text())
+        assert "unreadable" in reason["reason"]
 
-    def test_verify_false_skips_digest(self, tmp_path, rng):
-        path = write_shard(tmp_path, 0, 4, {"a": rng.normal(size=4)})
-        self._tamper(path)
-        back = load_shard(path, verify=False)
-        assert path.exists()  # not quarantined
-        assert "__digest__" not in back and "__format__" not in back
-
-    def test_v1_shard_loads_transparently(self, tmp_path, rng):
-        # Pre-integrity shards have no meta members at all.
-        path = tmp_path / shard_name(8, 12)
+    def test_pre_sealed_shard_is_never_read(self, tmp_path, rng):
+        # A shard written before the sealed container: a bare npz.
+        path = tmp_path / "shard-00000008-00000012.npz"
         with open(path, "wb") as fh:
             np.savez_compressed(fh, die=np.arange(8, 12),
                                 a=rng.normal(size=4))
-        back = load_shard(path)
-        assert np.array_equal(back["die"], np.arange(8, 12))
-        assert not (tmp_path / "quarantine").exists()
-
-    def test_reserved_member_names_refused(self, tmp_path):
-        for name in ("__digest__", "__format__"):
-            with pytest.raises(ValueError, match="reserved"):
-                write_shard(tmp_path, 0, 4, {name: np.zeros(4)})
-
-    def test_explicit_quarantine(self, tmp_path):
-        path = write_shard(tmp_path, 0, 4, {"a": np.zeros(4)})
-        target = quarantine_shard(path, "operator said so")
-        assert target.parent.name == "quarantine"
-        assert not path.exists()
+        assert list(iter_shards(tmp_path)) == []
+        assert missing_ranges(tmp_path, 8, 12) == [(8, 12)]
+        with pytest.raises(ValueError, match="not a shard name"):
+            load_shard(path)
+        assert path.exists()
 
     def test_summarize_skips_quarantined_shard(self, tmp_path, rng):
         for lo in (0, 4):
             write_shard(tmp_path, lo, lo + 4,
                         {"a": rng.normal(size=4)})
-        self._tamper(tmp_path / shard_name(4, 8))
+        _tamper(tmp_path / shard_name(4, 8))
         acc = summarize_shards(tmp_path, {"a": (-10, 10)})
         assert acc.moments["a"].count == 4  # good shard only
         assert missing_ranges(tmp_path, 0, 8) == [(4, 8)]
@@ -556,6 +528,33 @@ class TestCampaign:
         assert resumed.resumed_chunks == 1
         assert resumed.summary_path.read_bytes() == summary_bytes
         for info in iter_shards(resumed.out_dir / "shards"):
+            back = load_shard(info.path)
+            ref = shards[info.path.name]
+            assert set(back) == set(ref)
+            for k in back:
+                assert np.array_equal(back[k], ref[k])
+
+    def test_pre_sealed_campaign_resumes_bitwise(self, tmp_path):
+        plan = _tiny_plan("legacy")
+        first = run_fleet_campaign(plan, tmp_path, workers=1)
+        summary_bytes = first.summary_path.read_bytes()
+        shard_dir = first.out_dir / "shards"
+        shards = {}
+        # Leave the directory as a run before the sealed container
+        # left it: bare npz shards named shard-<start>-<end>.npz.
+        for info in list(iter_shards(shard_dir)):
+            shards[info.path.name] = load_shard(info.path)
+            legacy = info.path.with_suffix(".npz")
+            with open(legacy, "wb") as fh:
+                np.savez_compressed(fh, **shards[info.path.name])
+            info.path.unlink()
+        first.summary_path.unlink()
+        resumed = run_fleet_campaign(plan, tmp_path, workers=1)
+        assert resumed.resumed_chunks == resumed.n_chunks == 2
+        assert resumed.summary_path.read_bytes() == summary_bytes
+        assert sorted(i.path.name for i in iter_shards(shard_dir)) == \
+            sorted(shards)
+        for info in iter_shards(shard_dir):
             back = load_shard(info.path)
             ref = shards[info.path.name]
             assert set(back) == set(ref)

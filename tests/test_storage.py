@@ -3,7 +3,8 @@
 Three layers:
 
 * :mod:`repro.storage` units — line codec, :class:`AppendLog` replay
-  and truncation, :func:`write_atomic` and :func:`quarantine`;
+  and truncation, :func:`write_atomic`, :func:`quarantine` and the
+  sealed container (:func:`write_sealed` / :func:`read_sealed`);
 * directory durability — ``os.fsync`` is recorded, and every atomic
   write must fsync its file and its directory, every new log its
   directory;
@@ -16,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import stat
@@ -25,16 +27,19 @@ import pytest
 
 from repro.daemon.durability import SNAPSHOT_FORMAT, OpLog, TenantStore
 from repro.fleet import FleetPlan, run_fleet_campaign
-from repro.fleet.shards import ShardIntegrityError, load_shard, write_shard
+from repro.fleet.shards import load_shard, write_shard
 from repro.parallel import CharacterizationCache, RunJournal
 from repro.parallel.manifest import ShardManifest
 from repro.report import dump_result
 from repro.storage import (
     AppendLog,
+    IntegrityError,
     decode_line,
     encode_line,
     quarantine,
+    read_sealed,
     write_atomic,
+    write_sealed,
 )
 
 
@@ -123,6 +128,59 @@ class TestQuarantine:
         quarantine(path, blocker, "entry", "it rotted")
         assert not path.exists()
         assert blocker.read_bytes().startswith(b"a file")
+
+
+class TestSealed:
+    IDENTITY = {"format": "f", "key": "k1", "seq": 3}
+
+    def write(self, tmp_path, payload=b"pay\nload"):
+        return write_sealed(tmp_path / "d" / "entry.bin", payload,
+                            **self.IDENTITY)
+
+    def read(self, tmp_path, path, **identity):
+        return read_sealed(path, tmp_path / "q", "entry", {"entry": "e"},
+                           **(identity or self.IDENTITY))
+
+    def test_round_trip_and_header_layout(self, tmp_path):
+        payload = b"pay\nload"
+        path = self.write(tmp_path, payload)
+        header = json.dumps(dict(
+            self.IDENTITY, sha256=hashlib.sha256(payload).hexdigest()),
+            sort_keys=True).encode()
+        assert path.read_bytes() == header + b"\n" + payload
+        assert self.read(tmp_path, path) == payload
+        assert path.exists() and not (tmp_path / "q").exists()
+
+    def test_absent_file_raises_and_quarantines_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            self.read(tmp_path, tmp_path / "absent.bin")
+        assert not (tmp_path / "q").exists()
+
+    def test_unchecked_header_fields_are_ignored(self, tmp_path):
+        path = self.write(tmp_path)
+        assert self.read(tmp_path, path, format="f") == b"pay\nload"
+
+    @pytest.mark.parametrize("fault,reason", [
+        (lambda d: d.partition(b"\n")[2], "unreadable"),
+        (lambda d: b"[1, 2]\n" + d.partition(b"\n")[2], "JSON object"),
+        (lambda d: d[:-1], "digest mismatch"),
+        (lambda d: d.replace(b'"k1"', b'"k2"'), "identity mismatch"),
+        (lambda d: d.replace(b'"f"', b'"g"'), "'format': 'g'"),
+        (lambda d: d.replace(b'"seq": 3', b'"seq": 4'), "'seq': 4"),
+        (lambda d: d.replace(b'"format": "f", ', b""), "'format': None"),
+    ], ids=["no_header", "not_an_object", "digest", "other_key",
+            "other_format", "stale_seq", "missing_field"])
+    def test_failure_quarantines_with_reason(self, tmp_path, fault,
+                                             reason):
+        path = self.write(tmp_path)
+        path.write_bytes(fault(path.read_bytes()))
+        assert self.read(tmp_path, path) is None
+        assert not path.exists()
+        assert (tmp_path / "q" / "entry.bin").exists()
+        record = json.loads(
+            (tmp_path / "q" / "entry.reason.json").read_text())
+        assert reason in record["reason"]
+        assert record["entry"] == "e"
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +409,26 @@ class _Snapshot:
 
 
 def _reseal(path, tamper):
-    """Rebuild a valid npz with tampered data but the stale digest."""
-    with np.load(path) as npz:
+    """Rebuild a valid npz payload with tampered data under the stale
+    sealed header (so only the payload digest can tell)."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    with np.load(io.BytesIO(payload)) as npz:
         arrays = {name: npz[name].copy() for name in npz.files}
     tamper(arrays)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    path.write_bytes(header + b"\n" + buf.getvalue())
 
 
 class _CacheEntry:
     reason_fields = ("key", "entry", "numpy")
     key = "cd" * 32
+    payload = {"x": np.arange(6.0)}
 
     def __init__(self, tmp_path):
+        self.tmp_path = tmp_path
         self.cache = CharacterizationCache(tmp_path / "cache")
-        self.cache.store(self.key, {"x": np.arange(6.0)})
+        self.cache.store(self.key, self.payload)
         self.path = self.cache.path_for(self.key)
         self.qdir = self.cache.quarantine_root
         self.label, self.moved = self.key, self.path.name
@@ -373,6 +436,12 @@ class _CacheEntry:
     def load_fails(self):
         assert self.cache.load(self.key) is None
         return self.cache.stats["corrupt"] == 1
+
+    def misfiled(self, _):
+        """The same payload's entry under another key, copied here."""
+        other = CharacterizationCache(self.tmp_path / "other")
+        other.store("ef" * 32, self.payload)
+        return other.path_for("ef" * 32).read_bytes()
 
     def faults(self):
         def bump(arrays):
@@ -382,22 +451,30 @@ class _CacheEntry:
             "truncation": lambda d: d[:len(d) // 2],
             "unreadable": lambda d: b"not an npz container",
             "resealed_bit_flip": bump,
+            "misfiled": self.misfiled,
         }
 
 
 class _Shard:
     reason_fields = ("shard",)
+    columns = {"a": np.arange(4.0), "b": np.ones(4)}
 
     def __init__(self, tmp_path):
+        self.tmp_path = tmp_path
         self.qdir = tmp_path / "quarantine"
-        self.path = write_shard(tmp_path, 0, 4,
-                                {"a": np.arange(4.0), "b": np.ones(4)})
+        self.path = write_shard(tmp_path, 0, 4, self.columns)
         self.label = self.moved = self.path.name
 
     def load_fails(self):
-        with pytest.raises(ShardIntegrityError):
+        with pytest.raises(IntegrityError):
             load_shard(self.path)
         return True
+
+    def misfiled(self, _):
+        """The same columns' shard of dies [100, 104), renamed to
+        [0, 4)."""
+        return write_shard(self.tmp_path / "other", 100, 104,
+                           self.columns).read_bytes()
 
     def faults(self):
         def bump(arrays):
@@ -407,6 +484,7 @@ class _Shard:
             "truncation": lambda d: d[:len(d) // 2],
             "unreadable": lambda d: b"not an npz container",
             "resealed_bit_flip": bump,
+            "misfiled": self.misfiled,
         }
 
 
@@ -417,9 +495,9 @@ BLOB_CASES = [
         ("snapshot", ["bit_flip", "truncation", "missing_header",
                       "stale_format", "stale_seq", "unreadable"]),
         ("cache", ["bit_flip", "truncation", "unreadable",
-                   "resealed_bit_flip"]),
+                   "resealed_bit_flip", "misfiled"]),
         ("shard", ["bit_flip", "truncation", "unreadable",
-                   "resealed_bit_flip"]),
+                   "resealed_bit_flip", "misfiled"]),
     ] for fault in faults]
 
 
