@@ -18,11 +18,11 @@ import time
 
 from conftest import emit
 
-from repro.experiments.fig04_variation import core_power_ratio
 from repro.fleet import FleetPlan, load_summary, run_fleet_campaign
 from repro.fleet.campaign import fleet_die_metrics
 from repro.parallel import characterize_batch
 from repro.settings import settings
+from tests.references import core_power_ratio
 
 # Conservative floor: on a 2-core x86-64 host the 240-die campaign
 # sustains ~145 dies/s with die-batched characterisation and the

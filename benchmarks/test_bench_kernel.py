@@ -19,8 +19,8 @@ last one) into ``BENCH_kernel.json``: one with new phase multipliers
 at every decision, and one holding them across runs of decisions, as
 10 ms re-invocations inside ~50 ms application phases do. They are
 deterministic, so the perf gate catches semantic drift in how the
-policies batch, how many kernel rows LinOpt's state memo saves and
-how many kernels its carry builds.
+policies batch, how many kernel rows and kernel calls LinOpt's state
+memo saves and how many kernels its carry builds.
 """
 
 import time
@@ -89,7 +89,7 @@ def _linopt_counters(chip):
     """Evaluation counters summed over a fixed sequence of daemon-shape
     LinOpt decisions, with new phase multipliers at every decision."""
     totals = {"evaluations": 0.0, "kernel_evaluations": 0.0,
-              "state_memo_hits": 0.0}
+              "kernel_batches": 0.0, "state_memo_hits": 0.0}
     for env in LINOPT_ENVS:
         rng = np.random.default_rng(106)
         workload = make_workload(4, rng)
@@ -106,6 +106,7 @@ def _linopt_counters(chip):
             totals["evaluations"] += result.evaluations
             totals["kernel_evaluations"] += (
                 result.stats["kernel_evaluations"])
+            totals["kernel_batches"] += result.stats["kernel_batches"]
             totals["state_memo_hits"] += result.stats["state_memo_hits"]
     return totals
 
@@ -115,7 +116,8 @@ def _linopt_phase_counters(chip, monkeypatch):
     LinOpt decisions whose phase multipliers hold for
     ``LINOPT_PHASE_RUNS`` decisions at a time."""
     totals = {"evaluations": 0.0, "kernel_evaluations": 0.0,
-              "state_memo_hits": 0.0, "kernel_builds": 0.0}
+              "kernel_batches": 0.0, "state_memo_hits": 0.0,
+              "kernel_builds": 0.0}
     init = EvalKernel.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -141,6 +143,8 @@ def _linopt_phase_counters(chip, monkeypatch):
                     totals["evaluations"] += result.evaluations
                     totals["kernel_evaluations"] += (
                         result.stats["kernel_evaluations"])
+                    totals["kernel_batches"] += (
+                        result.stats["kernel_batches"])
                     totals["state_memo_hits"] += (
                         result.stats["state_memo_hits"])
     return totals

@@ -1,8 +1,9 @@
 """Benchmark: event-driven online simulation vs the dense reference.
 
 Runs the Figure 14 configuration (4-thread workload, LinOpt at the
-2 s interval, 2.5 intervals of simulated time) through both loops of
-``OnlineSimulation.run``, records steps/sec and the number of
+2 s interval, 2.5 intervals of simulated time) through
+``OnlineSimulation.run`` and through the per-sample reference loop
+``tests.references.run_dense``, records steps/sec and the number of
 full-system evaluations, and asserts the event-driven loop needs at
 least 10x fewer ``evaluate_levels`` calls while producing an identical
 sensor trace.
@@ -20,6 +21,7 @@ from repro.runtime import OnlineSimulation
 from repro.runtime.evaluation import EVALUATION_COUNTER
 from repro.sched import VarFAppIPC
 from repro.workloads import make_workload
+from tests.references import run_dense
 
 # The long-interval end of Figure 14's sweep: LinOpt every 2 s,
 # 2.5 intervals simulated (fig14_granularity's duration rule).
@@ -34,19 +36,19 @@ def test_simulation_event_loop_speedup(benchmark, factory, results_dir):
     assignment = VarFAppIPC().assign_with_profiling(
         chip, workload, np.random.default_rng([0, 0, 37]))
 
-    def run(mode):
+    def run(loop):
         sim = OnlineSimulation(
             chip, workload, assignment, COST_PERFORMANCE,
             manager=LinOpt(LinOptConfig(n_iterations=3)), phase_seed=0)
         EVALUATION_COUNTER.reset()
         start = time.perf_counter()
-        trace = sim.run(DURATION_S, INTERVAL_S, mode=mode)
+        trace = loop(sim, DURATION_S, INTERVAL_S)
         wall_s = time.perf_counter() - start
         return trace, EVALUATION_COUNTER.evaluations, wall_s
 
-    dense_trace, dense_evals, dense_wall = run("dense")
+    dense_trace, dense_evals, dense_wall = run(run_dense)
     event_trace, event_evals, event_wall = benchmark.pedantic(
-        lambda: run("event"), rounds=1, iterations=1)
+        lambda: run(OnlineSimulation.run), rounds=1, iterations=1)
 
     n_steps = dense_trace.times_s.size
     table = format_rows(

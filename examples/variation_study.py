@@ -12,14 +12,9 @@ Run with::
 
 import numpy as np
 
-from repro.chip import characterize_die
-from repro.config import DEFAULT_ARCH, DEFAULT_TECH
-from repro.experiments.fig04_variation import (
-    core_frequency_ratio,
-    core_power_ratio,
-)
+from repro.config import DEFAULT_TECH
 from repro.experiments.common import ChipFactory
-from repro.variation import DieBatch
+from repro.experiments.fig04_variation import die_ratios
 
 N_DIES = 10
 
@@ -28,13 +23,9 @@ def main() -> None:
     print(f"Characterising {N_DIES} dies at Vth sigma/mu = "
           f"{DEFAULT_TECH.vth_sigma_over_mu} ...")
     factory = ChipFactory()
-    freq_ratios = []
-    power_ratios = []
-    for chip in factory.chips(N_DIES):
-        fr = core_frequency_ratio(chip)
-        pr = core_power_ratio(chip)
-        freq_ratios.append(fr)
-        power_ratios.append(pr)
+    pairs = die_ratios(N_DIES, factory=factory, workers=1)
+    power_ratios, freq_ratios = zip(*pairs)
+    for chip, (pr, fr) in zip(factory.chips(N_DIES), pairs):
         f = chip.fmax_array / 1e9
         print(f"  die {chip.die_id:2d}: fmax {f.min():.2f}-{f.max():.2f} GHz"
               f"  freq ratio {fr:.2f}  power ratio {pr:.2f}")
@@ -45,7 +36,8 @@ def main() -> None:
     print("\nScaling with sigma/mu (Figure 5 shape):")
     for sigma in (0.03, 0.06, 0.09, 0.12):
         fac = ChipFactory(tech=DEFAULT_TECH.with_sigma_over_mu(sigma))
-        ratios = [core_frequency_ratio(c) for c in fac.chips(4)]
+        ratios = [fr for _, fr in die_ratios(4, factory=fac, workers=1,
+                                             with_power=False)]
         print(f"  sigma/mu {sigma:.2f}: mean frequency ratio "
               f"{np.mean(ratios):.3f}")
 

@@ -15,7 +15,7 @@ manager, sensor bank, watchdog and stepper is per-tenant. A tenant
 whose manager stack raises is *quarantined* — its state is frozen,
 every later request for it gets a typed ``quarantined`` error, and no
 other tenant observes anything. Per-tenant determinism is structural:
-``run(mode="event")`` and daemon-driven advancement execute the same
+``OnlineSimulation.run`` and daemon-driven advancement execute the same
 :class:`SimulationStepper` code path, so a tenant's decision stream is
 bitwise-identical to a direct run no matter how advances interleave
 across threads.

@@ -27,35 +27,8 @@ from ..parallel import (
     get_default_cache,
     run_sharded,
 )
-from ..runtime.evaluation import Assignment, evaluate_max_levels
 from ..settings import settings
-from ..workloads import SPEC_APPS, Workload
 from .common import ChipFactory, default_n_dies, format_rows, histogram
-
-
-def core_power_ratio(chip: ChipProfile) -> float:
-    """Max/min per-core average power across all applications.
-
-    Serial per-die reference; batch paths go through
-    :func:`repro.fleet.campaign.fleet_die_metrics`, which computes the
-    same statistic die-batched and bitwise-identically (property-
-    tested in tests/test_fleet.py).
-    """
-    mean_power = np.empty(chip.n_cores)
-    for core_id in range(chip.n_cores):
-        assignment = Assignment(core_of=(core_id,))
-        powers = []
-        for app in SPEC_APPS:
-            state = evaluate_max_levels(chip, Workload((app,)), assignment)
-            powers.append(float(state.core_power[0]))
-        mean_power[core_id] = np.mean(powers)
-    return float(mean_power.max() / mean_power.min())
-
-
-def core_frequency_ratio(chip: ChipProfile) -> float:
-    """Max/min core frequency (binned at the hot temperature)."""
-    fmax = chip.fmax_array
-    return float(fmax.max() / fmax.min())
 
 
 def _fleet_pairs(chips: Sequence[ChipProfile],

@@ -87,19 +87,19 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
                       with_power: bool = True) -> Dict[str, np.ndarray]:
     """Figure-4 per-die metrics for a fleet chunk, die-batched.
 
-    Computes exactly what the serial
-    :func:`repro.experiments.fig04_variation.core_power_ratio` /
-    ``core_frequency_ratio`` pair computes per die — every app alone
-    on every core at max levels, per-core mean power over apps, die
-    ratio max/min — in one :class:`EvalKernel` per core: its rows are
-    the chunk's ``n_apps * D`` (die, app) pairs (die-major, each die
-    object repeated once per app, one single-thread workload per
-    row), so the whole chunk's analysis is four kernel builds and
-    four :meth:`EvalKernel.evaluate_max_levels_fleet` calls on the
-    4-core fleet die. The per-die mean keeps the serial reduction
-    form (``np.mean`` over a contiguous per-die row of app powers),
-    and max/min are exact, so results are bitwise-identical to the
-    serial loop (property-tested in tests/test_fleet.py).
+    Figure 4's per-die statistics — every app alone on every core at
+    max levels, per-core mean power over apps, die ratio max/min, and
+    the max/min core frequency — in one :class:`EvalKernel` per core:
+    its rows are the chunk's ``n_apps * D`` (die, app) pairs
+    (die-major, each die object repeated once per app, one
+    single-thread workload per row), so the whole chunk's analysis is
+    four kernel builds and four
+    :meth:`EvalKernel.evaluate_max_levels_fleet` calls on the 4-core
+    fleet die. The per-die mean keeps the serial reduction form
+    (``np.mean`` over a contiguous per-die row of app powers), and
+    max/min are exact, so results are bitwise-identical to a serial
+    per-die, per-app loop (the reference in ``tests/references.py``;
+    property-tested in tests/test_fleet.py).
     """
     d = len(chips)
     n_cores = chips[0].n_cores
@@ -363,12 +363,14 @@ def merge_campaigns(
     in any order — unit content keys, not directory naming, establish
     which results belong where. The hosts' journals are merged into
     the destination journal (conflicting duplicates refuse the merge),
-    shards are copied in, any shard missing on disk is regenerated
-    from its journaled columns, and the online statistics are rebuilt
-    by replaying chunks in die order — so when the manifest's host
-    slices are chunk-aligned (the :meth:`ShardManifest.partition`
-    default), the merged ``summary.json`` is byte-identical to what a
-    single-host run over the full range writes.
+    each merged chunk's shard is written from its checksummed
+    journaled columns (host shard files are never copied, so a host
+    shard damaged on disk cannot reach the merge), and the online
+    statistics are rebuilt by replaying chunks in die order — so when
+    the manifest's host slices are chunk-aligned (the
+    :meth:`ShardManifest.partition` default), the merged
+    ``summary.json`` is byte-identical to what a single-host run over
+    the full range writes.
 
     With ``require_complete`` (the default), the merge refuses to
     emit a summary unless every chunk of the full die range is
@@ -389,12 +391,6 @@ def merge_campaigns(
     merge_journals(dest, [pathlib.Path(d) / "journal.jsonl"
                           for d in host_dirs
                           if (pathlib.Path(d) / "journal.jsonl").exists()])
-    for d in host_dirs:
-        for info in iter_shards(pathlib.Path(d) / "shards"):
-            target = shard_dir / info.path.name
-            if target.exists():
-                continue
-            write_atomic(target, info.path.read_bytes())
 
     # The merged campaign's chunk grid is the union of the hosts'
     # grids (identical to the full plan's grid when slices are
@@ -416,8 +412,7 @@ def merge_campaigns(
             continue
         cols = {name: np.asarray(vals, dtype=float)
                 for name, vals in stored.items()}
-        if not (shard_dir / shard_name(lo, hi)).exists():
-            write_shard(shard_dir, lo, hi, cols)
+        write_shard(shard_dir, lo, hi, cols)
         acc.add_dies(cols)
         covered += hi - lo
     if require_complete:

@@ -444,13 +444,3 @@ class FleetAccumulator:
                   for k, streams in d["p2"].items()}
         return out
 
-
-def exact_quantile(values: _Values, p: float) -> float:
-    """Reference quantile (linear interpolation) for estimator tests."""
-    arr = np.sort(_clean(values, "exact_quantile"))
-    if arr.size == 0:
-        return math.nan
-    idx = p * (arr.size - 1)
-    lo = int(math.floor(idx))
-    hi = min(lo + 1, arr.size - 1)
-    return float(arr[lo] + (idx - lo) * (arr[hi] - arr[lo]))

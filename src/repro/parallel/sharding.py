@@ -227,15 +227,36 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
 
     pool = _new_pool(pool_size)
     outstanding: Dict[object, tuple] = {}  # future -> (task, t_submit)
+
+    def replace_pool() -> ProcessPoolExecutor:
+        """Requeue every in-flight shard without charging it a retry
+        (its future died with the pool) and start a fresh pool."""
+        health.broken_pools += 1
+        pending.extend(task for task, _ in outstanding.values())
+        outstanding.clear()
+        _kill_pool(pool)
+        return _new_pool(pool_size)
+
     try:
         while pending or outstanding:
             # Keep at most pool_size shards in flight so the timeout
             # clock only runs on shards that are actually executing.
+            broken = False
             while pending and len(outstanding) < pool_size:
                 task = pending.popleft()
-                future = pool.submit(
-                    fn, [items[i] for i in task.indices])
+                try:
+                    future = pool.submit(
+                        fn, [items[i] for i in task.indices])
+                except BrokenProcessPool:
+                    # The pool broke after the last wait() returned:
+                    # this shard never ran.
+                    pending.appendleft(task)
+                    broken = True
+                    break
                 outstanding[future] = (task, time.monotonic())
+            if broken:
+                pool = replace_pool()
+                continue
             done, _ = wait(list(outstanding), return_when=FIRST_COMPLETED,
                            timeout=_POLL_S if timeout_s else None)
             now = time.monotonic()
@@ -252,17 +273,10 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                 # a failed attempt, innocent in-flight shards are
                 # requeued as they were.
                 health.timeouts += len(timed_out)
-                health.broken_pools += 1
-                for future, (task, _) in list(outstanding.items()):
-                    if future in timed_out:
-                        handle_failure(task)
-                    else:
-                        pending.append(task)
-                outstanding.clear()
-                _kill_pool(pool)
-                pool = _new_pool(pool_size)
+                for future in timed_out:
+                    handle_failure(outstanding.pop(future)[0])
+                pool = replace_pool()
                 continue
-            broken = False
             for future in done:
                 task, t0 = outstanding.pop(future)
                 try:
@@ -280,14 +294,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                     store(task, part)
                     health.record_shard(now - t0)
             if broken:
-                # Every other in-flight future died with the pool;
-                # requeue their shards without charging them a retry.
-                health.broken_pools += 1
-                for future, (task, _) in list(outstanding.items()):
-                    pending.append(task)
-                outstanding.clear()
-                _kill_pool(pool)
-                pool = _new_pool(pool_size)
+                pool = replace_pool()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 

@@ -21,9 +21,9 @@ sensor samples in between from that cached state. After a manager
 decision the cached state is the manager's own evaluation of the
 levels it chose (``PmResult.state``), so the loop itself evaluates
 only at phase changes and at decisions a clamp altered or whose
-state is the stale warm start handed back. A per-millisecond
-reference loop (``mode="dense"``) is kept for validation and
-benchmarking; both modes produce bitwise-identical traces.
+state is the stale warm start handed back. The traces are bitwise
+those of a loop that re-evaluates every sensor sample; the tests keep
+that per-millisecond loop as their reference.
 
 DVFS transitions are modelled with a per-level switching latency
 (XScale-class, conservative per Section 5.1): during a transition the
@@ -46,7 +46,7 @@ provides. Core-offline faults force a reschedule of the stranded
 thread onto the fastest surviving free core through the existing
 migration path. All three hooks default to ``None`` and the fault
 layer is then completely transparent: traces are bit-identical to a
-build without it. Fault injection requires ``mode="event"``.
+build without it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class SimulationTrace:
             primary tier (``resilience_tier > 0`` in the manager's
             stats — see :class:`repro.faults.ResilientManager`).
         fallback_times_s: Timestamps of those below-primary decisions
-            (``len == fallback_activations`` in event mode).
+            (``len == fallback_activations``).
         tier_transitions: ``(time_s, tier)`` pairs recorded whenever a
             manager decision lands on a different resilience tier than
             the previous one (tier 0 assumed before the first
@@ -247,8 +247,7 @@ class OnlineSimulation:
     Args:
         transition_latency_s: Core-time lost per DVFS level stepped.
             Zero disables transition accounting entirely (useful for
-            ablations and for validating the event-driven loop against
-            the dense reference).
+            ablations).
         faults: Optional fault schedule applied as time passes
             (sensor faults require ``sensor_bank``).
         sensor_bank: Optional per-core sensor bank the chip power is
@@ -371,36 +370,18 @@ class OnlineSimulation:
         return [self.chip.cores[c].vf_table.n_levels - 1
                 for c in assignment.core_of]
 
-    def run(self, duration_s: float, dvfs_interval_s: float,
-            mode: str = "event") -> SimulationTrace:
+    def run(self, duration_s: float,
+            dvfs_interval_s: float) -> SimulationTrace:
         """Simulate ``duration_s`` with the manager run at an interval.
 
         Args:
             duration_s: Total simulated time.
             dvfs_interval_s: Period between power-manager invocations
                 (the x-axis of Figure 14).
-            mode: ``"event"`` (default) advances between events with a
-                cached system state; ``"dense"`` re-evaluates every
-                sensor sample (the reference loop — identical traces,
-                ~an order of magnitude more fixed-point solves). Fault
-                injection, sensor banks and the watchdog require
-                ``"event"``.
 
         Returns:
             A :class:`SimulationTrace`.
         """
-        if duration_s <= 0 or dvfs_interval_s <= 0:
-            raise ValueError("duration and interval must be positive")
-        if mode not in ("event", "dense"):
-            raise ValueError("mode must be 'event' or 'dense'")
-        if mode == "dense" and self._faulty:
-            raise ValueError("fault injection requires mode='event'")
-        if mode == "dense":
-            n_steps = int(round(duration_s / SENSOR_PERIOD_S))
-            times = np.arange(n_steps) * SENSOR_PERIOD_S
-            ipc_grid, ceff_grid = self._multiplier_grid(times)
-            return self._run_dense(times, dvfs_interval_s,
-                                   ipc_grid, ceff_grid)
         stepper = self.stepper(duration_s, dvfs_interval_s)
         stepper.run_to_end()
         return stepper.trace()
@@ -410,12 +391,10 @@ class OnlineSimulation:
         """An incremental driver of the event loop (controller mode).
 
         Returns a :class:`SimulationStepper` positioned at t = 0.
-        ``run(mode="event")`` is exactly ``stepper(...)`` advanced to
-        the end, so stepped execution — however the advances are
-        chunked — produces bitwise-identical traces and decisions.
+        :meth:`run` is exactly ``stepper(...)`` advanced to the end,
+        so stepped execution — however the advances are chunked —
+        produces bitwise-identical traces and decisions.
         """
-        if duration_s <= 0 or dvfs_interval_s <= 0:
-            raise ValueError("duration and interval must be positive")
         return SimulationStepper(self, duration_s, dvfs_interval_s)
 
     # ------------------------------------------------------------------
@@ -484,7 +463,7 @@ class OnlineSimulation:
         return levels
 
     # ------------------------------------------------------------------
-    # Fault application (event mode only)
+    # Fault application
     # ------------------------------------------------------------------
 
     def _build_fault_runtime(self, times: np.ndarray) -> "_FaultRuntime":
@@ -545,96 +524,6 @@ class OnlineSimulation:
                 fr.skip_next_manager = True
         return assignment, migrated, force
 
-    # ------------------------------------------------------------------
-    # Dense reference loop (per-sample re-evaluation)
-    # ------------------------------------------------------------------
-
-    def _run_dense(self, times: np.ndarray, dvfs_interval_s: float,
-                   ipc_grid: np.ndarray, ceff_grid: np.ndarray,
-                   ) -> SimulationTrace:
-        """Per-millisecond reference loop.
-
-        Semantically identical to the event-driven loop (same manager
-        invocations, same evaluations at events) but re-solves the
-        leakage-temperature fixed point at every sensor sample. Kept
-        for validation and for the perf benchmark's baseline. Does not
-        support the fault layer (``run`` rejects that combination).
-        """
-        n_steps = times.size
-        p_target = self.env.p_target(self.assignment.n_threads,
-                                     self.chip.n_cores)
-        power = np.empty(n_steps)
-        tput = np.empty(n_steps)
-        wtput = np.empty(n_steps)
-        manager_runs: List[float] = []
-        transition_time = 0.0
-        level_transitions = 0
-        migrations = 0
-
-        levels: Optional[List[int]] = None
-        prev_levels: Optional[List[int]] = None
-        state = None
-        assignment = self.assignment
-        next_manager_t = 0.0
-        next_os_t = (self.os_interval_s
-                     if self.os_interval_s is not None else None)
-        for step in range(n_steps):
-            t = times[step]
-            ipc_mult = ipc_grid[step]
-            ceff_mult = ceff_grid[step]
-            migrated: Tuple[int, ...] = ()
-            if next_os_t is not None and t >= next_os_t - _TIME_EPS:
-                assignment, migrated = self._os_reschedule(t, assignment)
-                if migrated:
-                    migrations += len(migrated)
-                    levels = None
-                    next_manager_t = t
-                next_os_t += self.os_interval_s
-            stepped: Optional[List[int]] = None
-            if t >= next_manager_t - _TIME_EPS:
-                kwargs = dict(ipc_multipliers=ipc_mult,
-                              ceff_multipliers=ceff_mult)
-                if levels is not None:
-                    kwargs.update(initial_levels=levels,
-                                  initial_state=state)
-                result = self.manager.set_levels(
-                    self.chip, self.workload, assignment, self.env,
-                    **kwargs)
-                new_levels = list(result.levels)
-                if prev_levels is not None:
-                    stepped = self._transition_steps(prev_levels,
-                                                     new_levels, migrated)
-                    n_stepped = sum(stepped)
-                    level_transitions += n_stepped
-                    transition_time += (
-                        n_stepped * self.transition_latency_s)
-                    if n_stepped == 0:
-                        stepped = None
-                levels = new_levels
-                prev_levels = list(new_levels)
-                manager_runs.append(t)
-                next_manager_t += dvfs_interval_s
-            state = evaluate_levels(self.chip, self.workload,
-                                    assignment, levels,
-                                    ipc_multipliers=ipc_mult,
-                                    ceff_multipliers=ceff_mult)
-            power[step] = state.total_power
-            tput[step] = state.throughput_mips
-            wtput[step] = state.weighted_throughput(self.workload)
-            if stepped is not None and self.transition_latency_s > 0:
-                tput[step], wtput[step] = self._lossy_sample(state, stepped)
-        return SimulationTrace(
-            times_s=times,
-            power_w=power,
-            p_target_w=p_target,
-            throughput_mips=tput,
-            weighted_throughput=wtput,
-            manager_runs=manager_runs,
-            transition_time_s=transition_time,
-            migrations=migrations,
-            level_transitions=level_transitions,
-        )
-
 
 class SimulationStepper:
     """Incremental, controller-stepped driver of the event loop.
@@ -644,10 +533,10 @@ class SimulationStepper:
     span is the stretch between two consecutive events (phase
     boundary, manager timer, OS timer, fault strike, watchdog
     emergency) during which the operating point is constant.
-    ``run(mode="event")`` simply advances a stepper to the end, so a
-    run is bitwise-identical no matter how the advances are chunked —
-    the property the power-management daemon's per-tenant isolation
-    tests pin.
+    :meth:`OnlineSimulation.run` simply advances a stepper to the end,
+    so a run is bitwise-identical no matter how the advances are
+    chunked — the property the power-management daemon's per-tenant
+    isolation tests pin.
 
     Every actuation the run takes is appended to :attr:`decisions`
     (see :class:`ManagerDecision`); an external controller forwards

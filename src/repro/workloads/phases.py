@@ -102,20 +102,6 @@ class PhasedApplication:
         idx = bisect.bisect_right(self._seg_ends, time_s)
         return self._seg_states[idx]
 
-    def boundaries_until(self, t_end: float) -> List[float]:
-        """Times in (0, ``t_end``) at which the phase changes.
-
-        Returned in increasing order. The online simulation uses these
-        to build its event timeline: between consecutive boundaries the
-        multipliers are constant, so the system state need not be
-        re-evaluated.
-        """
-        if t_end < 0:
-            raise ValueError("time must be non-negative")
-        self._advance_to(t_end)
-        idx = bisect.bisect_left(self._seg_ends, t_end)
-        return list(self._seg_ends[:idx])
-
     def timeline_until(
         self, t_end: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,10 +120,3 @@ class PhasedApplication:
         power = np.array([s.power_multiplier for s in self._seg_states])
         return ends, ipc, power
 
-    def ipc_at(self, freq_hz: float, time_s: float) -> float:
-        """Phase-adjusted IPC at a frequency and simulation time."""
-        return self.profile.ipc_at(freq_hz) * self.state_at(time_s).ipc_multiplier
-
-    def ceff_at(self, time_s: float) -> float:
-        """Phase-adjusted effective capacitance at a simulation time."""
-        return self.profile.ceff * self.state_at(time_s).power_multiplier

@@ -21,6 +21,7 @@ import json
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.parallel import (
     run_sharded,
 )
 from repro.parallel import cache as cache_module
+from repro.parallel import sharding
 
 
 def payloads_equal(a, b) -> bool:
@@ -125,6 +127,31 @@ class TestWorkerDeath:
         assert out == [2 * i for i in items]
         assert health.narrowed_shards >= 1
         assert health.broken_pools >= 1
+
+    def test_pool_broken_before_submit_is_replaced(self, monkeypatch):
+        """A pool flagged broken between one wait() and the next
+        submit raises from ``submit`` itself; the shard never ran, so
+        it is requeued uncharged onto a replacement pool."""
+
+        class BrokenPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("pool broke before submit")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        real_new_pool = sharding._new_pool
+        pools = [BrokenPool()]
+        monkeypatch.setattr(
+            sharding, "_new_pool",
+            lambda size: pools.pop() if pools else real_new_pool(size))
+        health = RunHealth()
+        out = run_sharded(_double_all, list(range(8)), workers=2,
+                          health=health)
+        assert out == [2 * i for i in range(8)]
+        assert health.broken_pools == 1
+        assert health.retries == 0
+        assert health.serial_fallback_shards == 0
 
     def test_clean_run_reports_clean_health(self):
         health = RunHealth()

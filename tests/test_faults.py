@@ -383,14 +383,6 @@ class TestSimulationFaultLayer:
         assert trace.fault_events == ()
         assert trace.fallback_activations == 0
 
-    def test_dense_mode_rejects_faults(self, sim_setup):
-        chip, wl, asg = sim_setup
-        sim = OnlineSimulation(chip, wl, asg, LOW_POWER,
-                               manager=FoxtonStar(),
-                               sensor_bank=SensorBank(chip.n_cores))
-        with pytest.raises(ValueError, match="event"):
-            sim.run(0.02, 0.01, mode="dense")
-
     def test_sensor_faults_require_bank(self, sim_setup):
         chip, wl, asg = sim_setup
         faults = FaultSchedule([FaultEvent(0.01, SENSOR_DEAD, target=0)])

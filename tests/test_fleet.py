@@ -19,11 +19,7 @@ import pytest
 
 from repro.config import DEFAULT_TECH
 from repro.experiments.common import ChipFactory
-from repro.experiments.fig04_variation import (
-    core_frequency_ratio,
-    core_power_ratio,
-    die_ratios,
-)
+from repro.experiments.fig04_variation import die_ratios
 from repro.fleet import (
     FLEET_ARCH,
     FleetAccumulator,
@@ -41,7 +37,6 @@ from repro.fleet import (
     summarize_shards,
     write_shard,
 )
-from repro.fleet.quantiles import exact_quantile
 from repro.fleet.shards import iter_shards, shard_name
 from repro.parallel import (
     HostSlice,
@@ -57,6 +52,11 @@ from repro.runtime.evaluation import (
     Assignment,
     evaluate_levels,
     evaluate_max_levels,
+)
+from tests.references import (
+    core_frequency_ratio,
+    core_power_ratio,
+    exact_quantile,
 )
 from repro.runtime.kernel import EvalKernel
 from repro.storage import decode_line
@@ -415,13 +415,13 @@ class TestShards:
             coverage_ranges(tmp_path)
 
 
-def _tamper(path):
+def _tamper(path, column="a"):
     """Flip one column's data inside a shard's sealed payload while
     keeping its stale header."""
     header, _, payload = path.read_bytes().partition(b"\n")
     with np.load(io.BytesIO(payload)) as data:
         arrays = {name: data[name].copy() for name in data.files}
-    arrays["a"] = arrays["a"] + 1.0
+    arrays[column] = arrays[column] + 1.0
     buf = io.BytesIO()
     np.savez_compressed(buf, **arrays)
     path.write_bytes(header + b"\n" + buf.getvalue())
@@ -700,6 +700,32 @@ class TestMultiHost:
             back = load_shard(info.path)
             for k in ref:
                 assert np.array_equal(back[k], ref[k])
+
+    def test_merge_ignores_a_tampered_host_shard(self, tmp_path):
+        """A host shard damaged on disk under its own name never
+        reaches the merge: every merged shard is written from the
+        checksummed journal and reads back intact."""
+        plan = _tiny_plan("tampered", with_power=False)
+        single = run_fleet_campaign(plan, tmp_path / "single",
+                                    workers=1)
+        manifest = ShardManifest.partition(plan.to_dict(), ["a", "b"])
+        host_dirs = []
+        for host in ("a", "b"):
+            sub = FleetPlan.from_dict(manifest.host_plan_params(host))
+            res = run_fleet_campaign(sub, tmp_path / host, workers=1)
+            host_dirs.append(res.out_dir)
+        _tamper(host_dirs[1] / "shards" / shard_name(4, 8),
+                column="freq_ratio")
+        merged = merge_campaigns(manifest, host_dirs,
+                                 tmp_path / "merged")
+        assert (merged.summary_path.read_bytes()
+                == single.summary_path.read_bytes())
+        for info in iter_shards(single.out_dir / "shards"):
+            ref = load_shard(info.path)
+            back = load_shard(merged.out_dir / "shards" / info.path.name)
+            for k in ref:
+                assert np.array_equal(back[k], ref[k])
+        assert not (merged.out_dir / "shards" / "quarantine").exists()
 
     def test_merge_requires_completeness(self, tmp_path):
         plan = _tiny_plan("gap", n_dies=12, with_power=False)

@@ -1,0 +1,62 @@
+"""Structural guards: parity references stay out of ``src/``.
+
+The serial and per-sample oracles the product code is checked against
+live in ``tests/references.py``. These ``ast`` checks fail if product
+code starts importing test code, or if ``OnlineSimulation.run`` grows
+a parameter again (a mode switch would bring a second simulation loop
+back into ``src/``).
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+
+def _test_imports(path: pathlib.Path):
+    """Lines of ``path`` that import the ``tests`` package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "tests" or name.startswith("tests.")
+               for name in names):
+            yield node.lineno
+
+
+def test_src_never_imports_tests():
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line in _test_imports(path)]
+    assert offenders == []
+
+
+def test_import_guard_sees_test_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import tests.references\n"
+                     "from tests import references\n"
+                     "from tests.references import run_dense\n"
+                     "import testsuite\n")
+    assert list(_test_imports(probe)) == [1, 2, 3]
+
+
+def test_online_simulation_run_takes_duration_and_interval_only():
+    path = SRC / "runtime" / "simulation.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "OnlineSimulation")
+    run = next(node for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    args = run.args
+    params = [a.arg for a in args.posonlyargs + args.args
+              + args.kwonlyargs]
+    assert params == ["self", "duration_s", "dvfs_interval_s"]
+    assert args.vararg is None and args.kwarg is None

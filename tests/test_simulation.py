@@ -30,6 +30,7 @@ from repro.runtime.simulation import (
 )
 from repro.sched import VarFAppIPC
 from repro.workloads import make_workload
+from tests.references import run_dense
 
 
 class AlternatingManager(PowerManager):
@@ -126,11 +127,13 @@ class TestOnlineSimulation:
             sim.run(duration_s=0.01, dvfs_interval_s=0.0)
 
     def test_rejects_bad_mode(self, chip, sim_setup):
+        """``run`` has one loop and no mode to pick another."""
         wl, asg = sim_setup
         sim = OnlineSimulation(chip, wl, asg, COST_PERFORMANCE,
                                manager=FoxtonStar())
-        with pytest.raises(ValueError):
-            sim.run(0.01, 0.01, mode="banana")
+        for mode in ("dense", "event", "banana"):
+            with pytest.raises(TypeError):
+                sim.run(0.01, 0.01, mode=mode)
 
     def test_rejects_negative_transition_latency(self, chip, sim_setup):
         wl, asg = sim_setup
@@ -166,7 +169,10 @@ class TestEventDrivenLoop:
                                transition_latency_s=latency,
                                policy=policy, os_interval_s=os_interval_s)
         EVALUATION_COUNTER.reset()
-        trace = sim.run(duration, 0.01, mode=mode)
+        if mode == "dense":
+            trace = run_dense(sim, duration, 0.01)
+        else:
+            trace = sim.run(duration, 0.01)
         return trace, EVALUATION_COUNTER.evaluations
 
     def _assert_identical(self, a, b):
@@ -446,9 +452,10 @@ class TestStepperAdoptsManagerState:
                  if handed_back and d.time_s in change_times]
         assert stale
         assert set(stale) <= set(times)
-        dense = OnlineSimulation(chip, wl, asg, UNBOUNDED,
-                                 manager=FoxtonStar(), phase_seed=5).run(
-            0.06, SENSOR_PERIOD_S, mode="dense")
+        dense = run_dense(
+            OnlineSimulation(chip, wl, asg, UNBOUNDED,
+                             manager=FoxtonStar(), phase_seed=5),
+            0.06, SENSOR_PERIOD_S)
         np.testing.assert_array_equal(stepper.trace().power_w,
                                       dense.power_w)
         np.testing.assert_array_equal(stepper.trace().throughput_mips,
@@ -477,10 +484,11 @@ class TestStepperAdoptsManagerState:
                   and d.time_s not in change_times]
         assert len(stayed) > len(stepper.decisions) // 2
         assert not set(stayed) & set(times)
-        dense = OnlineSimulation(
-            chip, wl, asg, UNBOUNDED,
-            manager=LinOpt(LinOptConfig(n_iterations=2)),
-            phase_seed=5).run(0.06, 0.002, mode="dense")
+        dense = run_dense(
+            OnlineSimulation(chip, wl, asg, UNBOUNDED,
+                             manager=LinOpt(LinOptConfig(n_iterations=2)),
+                             phase_seed=5),
+            0.06, 0.002)
         trace = stepper.trace()
         np.testing.assert_array_equal(trace.power_w, dense.power_w)
         np.testing.assert_array_equal(trace.throughput_mips,
@@ -510,8 +518,8 @@ class TestStepperAdoptsManagerState:
 
     def test_fault_schedule_trace_matches_dense_re_evaluation(
             self, chip, sim_setup, monkeypatch):
-        """``mode="dense"`` rejects faults, so the dense reference is
-        built here: every sample re-evaluated serially at the levels
+        """The dense reference does not model faults, so it is built
+        here: every sample re-evaluated serially at the levels
         and thread map in force (a manager decision applies from its
         own sample, a watchdog emergency from the next)."""
         wl, asg = sim_setup

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.evaluation import Assignment, evaluate_levels
 from repro.workloads import (
     APP_BY_NAME,
     AppProfile,
@@ -127,14 +128,23 @@ class TestPhases:
         with pytest.raises(ValueError):
             ph.state_at(-0.1)
 
-    def test_ipc_at_combines_profile_and_phase(self):
+    def test_ipc_at_combines_profile_and_phase(self, chip):
+        """The model's IPC is the profile's ``ipc_at`` scaled by the
+        timeline's phase multiplier, which is ``state_at``'s."""
         app = get_app("gzip")
         ph = PhasedApplication(app, seed=7)
-        mult = ph.state_at(0.0).ipc_multiplier
-        assert ph.ipc_at(3e9, 0.0) == pytest.approx(app.ipc_at(3e9) * mult)
+        ends, ipc, _ = ph.timeline_until(0.3)
+        top = chip.cores[0].vf_table.n_levels - 1
+        for t in (0.0, 0.1, 0.3):
+            mult = ipc[np.searchsorted(ends, t, side="right")]
+            assert mult == ph.state_at(t).ipc_multiplier
+            state = evaluate_levels(chip, Workload((app,)),
+                                    Assignment(core_of=(0,)), [top],
+                                    ipc_multipliers=[mult])
+            assert state.ipcs[0] == app.ipc_at(state.freqs[0]) * mult
 
     def test_boundaries_until_match_state_at(self):
-        """The bulk timeline API agrees with pointwise state_at()."""
+        """The bulk timeline agrees with pointwise state_at()."""
         ph = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
         ends, ipc, power = ph.timeline_until(0.5)
         assert ends.size == ipc.size == power.size
@@ -142,7 +152,6 @@ class TestPhases:
         assert ends[-1] >= 0.5  # horizon covers the requested end
         inner = ends[ends < 0.5]
         assert inner.size > 3  # the sweep actually crosses boundaries
-        assert ph.boundaries_until(0.5) == list(inner)
         # Same segment selection as state_at on both sides of each edge.
         probe = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
         times = np.concatenate([[0.0], inner - 1e-9, inner, [0.499]])
@@ -153,10 +162,13 @@ class TestPhases:
             assert s.power_multiplier == power[i]
 
     def test_boundaries_until_is_prefix_stable(self):
+        """A longer horizon only extends the timeline."""
         ph = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
-        short = ph.boundaries_until(0.2)
-        long = ph.boundaries_until(0.6)
-        np.testing.assert_array_equal(long[:len(short)], short)
+        short = ph.timeline_until(0.2)
+        long = ph.timeline_until(0.6)
+        assert long[0][-1] >= 0.6 > short[0][-1]
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(b[:a.size], a)
 
     def test_boundaries_does_not_disturb_state_at(self):
         a = PhasedApplication(get_app("mcf"), seed=12, mean_phase_s=0.02)
