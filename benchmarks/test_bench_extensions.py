@@ -73,7 +73,7 @@ def test_optimal_frozen_reference(benchmark, factory, results_dir):
     def run():
         rows = []
         for trial in range(2):
-            chip = factory.chip(trial, 2)
+            chip = factory.chip(trial)
             rng = np.random.default_rng(trial)
             wl = make_workload(16, rng)
             asg = VarFAppIPC().assign_with_profiling(chip, wl, rng)

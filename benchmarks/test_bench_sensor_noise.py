@@ -22,7 +22,7 @@ NOISE_LEVELS = (0.0, 0.05, 0.2)  # watts of sensor sigma
 def _gain(factory, power_sigma: float, n_trials: int = 3) -> float:
     gains = []
     for trial in range(n_trials):
-        chip = factory.chip(trial, n_trials)
+        chip = factory.chip(trial)
         rng = np.random.default_rng(trial)
         wl = make_workload(16, rng)
         asg_rand = RandomPolicy().assign_with_profiling(chip, wl, rng)

@@ -28,7 +28,7 @@ def main() -> None:
     for policy in (RandomPolicy(), VarP(), VarTemp()):
         powers, peaks, spreads = [], [], []
         for trial in range(N_TRIALS):
-            chip = factory.chip(trial % 3, 3)
+            chip = factory.chip(trial % 3)
             workload = make_workload(
                 N_THREADS, np.random.default_rng(trial))
             rng = np.random.default_rng(100 + trial)

@@ -49,7 +49,7 @@ def _linopt_throughput(factory: ChipFactory, config: LinOptConfig,
     factory.prefetch(n_trials)
     ratios = []
     for trial in range(n_trials):
-        chip = factory.chip(trial, n_trials)
+        chip = factory.chip(trial)
         workload = make_workload(
             n_threads, np.random.default_rng([seed, trial, 51]))
         rng = np.random.default_rng([seed, trial, 53])
@@ -128,7 +128,7 @@ def run_thermal_ablation(
         fac.prefetch(n_trials)
         ratios = []
         for trial in range(n_trials):
-            chip = fac.chip(trial, n_trials)
+            chip = fac.chip(trial)
             workload = make_workload(
                 n_threads, np.random.default_rng([seed, trial, 61]))
             rng = np.random.default_rng([seed, trial, 67])

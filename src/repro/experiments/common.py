@@ -6,13 +6,22 @@ rows/series the paper's figure or table reports. Experiments default to
 reduced batch sizes so they complete in seconds; pass
 ``n_dies=200, n_trials=20`` (or set the ``REPRO_FULL`` environment
 variable) for the paper's full protocol.
+
+:func:`compare_trials` is the one trial loop of the paper's Section
+6.4 protocol behind Figs 7-13: the scheduling runner
+(:mod:`.sched_runner`) and the power-management runner
+(:mod:`.pm_runner`) only say how one (method, die, workload) unit is
+measured, and the loop owns the trial draws, campaign resume and the
+per-trial baseline normalisation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import zlib
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -20,10 +29,11 @@ from ..chip import ChipProfile
 from ..config import ArchConfig, DEFAULT_ARCH, DEFAULT_TECH, TechParams
 from ..floorplan import Floorplan, build_floorplan
 from ..parallel import characterize_batch
-from ..parallel.journal import RunJournal, active_journal
+from ..parallel.journal import RunJournal, active_journal, unit_key
 from ..parallel.runner import CacheArg
 from ..settings import settings
 from ..thermal import ThermalNetwork
+from ..workloads import Workload, make_workload
 
 # Reduced defaults for interactive runs; the paper uses 200 dies and
 # 20 workload trials per experiment.
@@ -83,7 +93,7 @@ class ChipFactory:
             floorplan=self.floorplan, thermal=self.thermal)
         self._chips.update(zip(die_indices, profiles))
 
-    def chip(self, die_index: int, n_dies_hint: int = 1) -> ChipProfile:
+    def chip(self, die_index: int) -> ChipProfile:
         """Characterised chip for die ``die_index`` (cached)."""
         if die_index not in self._chips:
             self._characterize([die_index])
@@ -156,6 +166,116 @@ def journal_identity(factory: ChipFactory) -> Dict[str, object]:
         "arch": repr(sorted(dataclasses.asdict(factory.arch).items())),
         "factory_seed": int(factory.seed),
     }
+
+
+#: ``measure(method, trial, chip, workload, rng)``: one unit's raw
+#: metrics, in the same order for every method.
+Measure = Callable[[Any, int, ChipProfile, Workload, np.random.Generator],
+                   Sequence[float]]
+
+
+def compare_trials(
+    factory: ChipFactory,
+    methods: Sequence[Any],
+    measure: Measure,
+    *,
+    n_threads: int,
+    n_trials: int,
+    n_dies: int,
+    baseline: str,
+    seed: int,
+    workload_tag: int,
+    experiment: Optional[str],
+    name_field: str,
+    key_fields: Dict[str, object],
+    complete_scope: str,
+) -> Dict[str, np.ndarray]:
+    """Run every method on the same trials; baseline-normalised means.
+
+    Trial ``t`` runs on die ``t % n_dies`` with the workload
+    ``make_workload(n_threads, default_rng([seed, t, workload_tag]))``;
+    each method (any object with a ``name``) gets its own rng
+    ``[seed, t, crc32(name)]``, so methods differ only in what they
+    do with the same (die, workload) pair. Each metric of a trial is
+    divided by the baseline's value in that trial, and the ratios are
+    averaged over trials (the paper's Section 6.4 protocol).
+
+    With a campaign journal active (see :func:`campaign_journal`),
+    each (trial, method) unit's raw metrics are journaled under a
+    :func:`~repro.parallel.journal.unit_key` over the experiment,
+    thread count, trial, seed, die, ``{name_field: name}``,
+    ``key_fields`` and :func:`journal_identity`; journaled units are
+    replayed instead of measured, and the chip and workload of a trial
+    are built only when one of its units is missing. The journal must
+    hold every unit before the means are returned, and then gets a
+    ``complete_scope`` marker.
+
+    Returns:
+        Method name -> mean vector of baseline-normalised metrics (the
+        baseline's vector is all ones).
+
+    Raises:
+        ValueError: Two methods share a name, the baseline is not
+            among them, or ``n_trials``/``n_dies`` is below 1.
+    """
+    names = [method.name for method in methods]
+    if len(set(names)) != len(names):
+        raise ValueError(f"method names must be distinct, got {names}")
+    if baseline not in names:
+        raise ValueError(f"baseline {baseline!r} not among {names}")
+    if n_trials < 1 or n_dies < 1:
+        raise ValueError(f"need n_trials >= 1 and n_dies >= 1, got "
+                         f"{n_trials} and {n_dies}")
+    journal = campaign_journal(experiment)
+    keys: Dict[Tuple[int, str], str] = {}
+    if journal is not None:
+        identity = journal_identity(factory)
+        for trial in range(n_trials):
+            for name in names:
+                keys[trial, name] = unit_key(
+                    experiment=experiment, n_threads=n_threads,
+                    trial=trial, seed=seed, die=trial % n_dies,
+                    **{name_field: name}, **key_fields, **identity)
+
+    def journaled(trial: int, name: str) -> Optional[List[float]]:
+        if journal is None:
+            return None
+        return journal.lookup(keys[trial, name])
+
+    if not all(journaled(trial, name) is not None
+               for trial in range(n_trials) for name in names):
+        factory.prefetch(min(n_trials, n_dies))
+    sums: Dict[str, Any] = dict.fromkeys(names, 0.0)
+    for trial in range(n_trials):
+        raw = {name: journaled(trial, name) for name in names}
+        missing = [method for method in methods if raw[method.name] is None]
+        if missing:
+            chip = factory.chip(trial % n_dies)
+            workload = make_workload(
+                n_threads,
+                np.random.default_rng([seed, trial, workload_tag]))
+        for method in missing:
+            # crc32, not hash(): str hashing is randomised per process
+            # (PYTHONHASHSEED), which made these trials irreproducible.
+            rng = np.random.default_rng(
+                [seed, trial, zlib.crc32(method.name.encode())])
+            values = [float(v)
+                      for v in measure(method, trial, chip, workload, rng)]
+            raw[method.name] = values
+            if journal is not None:
+                journal.record(keys[trial, method.name],
+                               {"experiment": experiment, "trial": trial,
+                                name_field: method.name,
+                                "n_threads": n_threads},
+                               values)
+        base = np.array(raw[baseline])
+        for name in names:
+            sums[name] = sums[name] + np.array(raw[name]) / base
+    if journal is not None:
+        # A figure must never be emitted from a partial journal.
+        journal.require_complete(keys.values(), scope=experiment or "")
+        journal.mark_complete(complete_scope, len(keys))
+    return {name: total / n_trials for name, total in sums.items()}
 
 
 def _format_cell(v: object) -> str:

@@ -65,7 +65,7 @@ def run(
     factory.prefetch(n_dies)
     fr_b, fr_a, pr_b, pr_a, uni, gain_b, gain_a = ([] for _ in range(7))
     for die in range(n_dies):
-        chip = factory.chip(die, n_dies)
+        chip = factory.chip(die)
         biases = frequency_levelling_biases(chip)
         levelled = biased_chip(chip, biases)
 

@@ -80,7 +80,7 @@ def run(
     tp_random, tp_varf = [], []
     slack_max, slack_ba, power_saving, budget_gain = [], [], [], []
     for die in range(n_dies):
-        chip = factory.chip(die, n_dies)
+        chip = factory.chip(die)
         rng = np.random.default_rng([seed, die])
         asg_rand = RandomPolicy().assign(chip, workload, rng)
         asg_varf = VarF().assign(chip, workload, rng)

@@ -80,7 +80,7 @@ def nunifreq_vs_unifreq(factory: ChipFactory, n_trials: int, n_dies: int,
     policy = RandomPolicy()
     freq_r, power_r, ed2_r = [], [], []
     for trial in range(n_trials):
-        chip = factory.chip(trial % n_dies, n_dies)
+        chip = factory.chip(trial % n_dies)
         workload = make_workload(
             chip.n_cores, np.random.default_rng([seed, trial, 13]))
         rng = np.random.default_rng([seed, trial, 17])

@@ -75,7 +75,7 @@ def run(
             duration = max(DURATION_INTERVALS * interval, MIN_DURATION_S)
             devs = []
             for trial in range(n_trials):
-                chip = factory.chip(trial, n_trials)
+                chip = factory.chip(trial)
                 workload = make_workload(
                     nt, np.random.default_rng([seed, trial, 31]))
                 rng = np.random.default_rng([seed, trial, 37])

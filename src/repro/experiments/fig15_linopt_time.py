@@ -83,7 +83,7 @@ def run(
             flops_samples = []
             wall_samples = []
             for trial in range(n_trials):
-                chip = factory.chip(trial, n_trials)
+                chip = factory.chip(trial)
                 workload = make_workload(
                     nt, np.random.default_rng([seed, trial, 41]))
                 rng = np.random.default_rng([seed, trial, 43])

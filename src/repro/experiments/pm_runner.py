@@ -11,28 +11,28 @@ Table 1's bottom block. Two evaluation protocols are provided:
   evaluated at steady state. Cheaper; used by tests and quick scans.
 
 Metrics are normalised per-trial to ``Random+Foxton*`` and averaged.
+This module only says how one (algorithm, die, workload) unit is
+measured under either protocol; the trial loop, campaign resume and
+normalisation are :func:`repro.experiments.common.compare_trials`.
 """
 
 from __future__ import annotations
 
-import dataclasses as _dataclasses
-import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..chip import ChipProfile
 from ..config import PowerEnvironment
-from ..parallel.journal import unit_key
 from ..pm import FoxtonStar, LinOpt, LinOptConfig, PowerManager, SAnnManager
-from ..runtime.evaluation import Assignment
 from ..runtime.simulation import (
     TRANSITION_LATENCY_PER_LEVEL_S,
     OnlineSimulation,
 )
 from ..sched import RandomPolicy, SchedulingPolicy, VarFAppIPC
-from ..workloads import Workload, make_workload
-from .common import ChipFactory, campaign_journal, journal_identity
+from ..workloads import Workload
+from .common import ChipFactory, compare_trials
 
 # Default online-protocol timing (scaled down from the paper's full
 # SESC runs; REPRO_FULL experiments pass longer durations).
@@ -114,6 +114,8 @@ def run_pm_comparison(
     ablations). ``experiment`` is the campaign tag (e.g. ``"fig11"``):
     with resume mode active, completed (trial, algorithm) units
     checkpoint to the campaign journal and are skipped on rerun.
+    Algorithm names must be distinct and include ``baseline``, and
+    ``n_trials`` and ``n_dies`` must be at least 1.
 
     Returns a mapping algorithm name -> baseline-normalised averages.
     """
@@ -121,100 +123,42 @@ def run_pm_comparison(
         raise ValueError("protocol must be 'online' or 'static'")
     if algorithms is None:
         algorithms = standard_algorithms(online=protocol == "online")
-    if not any(a.name == baseline for a in algorithms):
-        raise ValueError(f"baseline {baseline!r} missing")
-    journal = campaign_journal(experiment)
-    keys: Dict[Tuple[int, str], str] = {}
-    if journal is not None:
-        identity = journal_identity(factory)
-        env_fields = repr(sorted(_dataclasses.asdict(env).items()))
-        for trial in range(n_trials):
-            for algo in algorithms:
-                keys[trial, algo.name] = unit_key(
-                    kind="pm", experiment=experiment, env=env_fields,
-                    n_threads=n_threads, trial=trial, algo=algo.name,
-                    seed=seed, die=trial % n_dies, protocol=protocol,
-                    duration_s=duration_s, interval_s=interval_s,
-                    transition_latency_s=transition_latency_s,
-                    **identity)
-    all_journaled = (journal is not None
-                     and all(journal.lookup(k) is not None
-                             for k in keys.values()))
-    if not all_journaled:
-        factory.prefetch(min(n_trials, n_dies))
-    sums = {a.name: np.zeros(5) for a in algorithms}
-    for trial in range(n_trials):
-        metrics: Dict[str, np.ndarray] = {}
-        missing = list(algorithms)
-        if journal is not None:
-            missing = []
-            for algo in algorithms:
-                cached = journal.lookup(keys[trial, algo.name])
-                if cached is not None:
-                    metrics[algo.name] = np.array(cached)
-                else:
-                    missing.append(algo)
-        if missing:
-            chip = factory.chip(trial % n_dies, n_dies)
-            workload = make_workload(
-                n_threads, np.random.default_rng([seed, trial, 23]))
-        for algo in missing:
-            # crc32, not hash(): str hashing is randomised per process
-            # (PYTHONHASHSEED), which made these trials irreproducible.
-            rng = np.random.default_rng(
-                [seed, trial, zlib.crc32(algo.name.encode())])
-            assignment = algo.policy.assign_with_profiling(
-                chip, workload, rng)
-            manager = algo.make_manager()
-            if protocol == "online":
-                sim = OnlineSimulation(
-                    chip, workload, assignment, env, manager=manager,
-                    phase_seed=seed * 100 + trial,
-                    transition_latency_s=transition_latency_s)
-                trace = sim.run(duration_s, interval_s)
-                metrics[algo.name] = np.array([
-                    trace.mean_throughput_mips,
+
+    def measure(algo: AlgorithmSpec, trial: int, chip: ChipProfile,
+                workload: Workload, rng: np.random.Generator,
+                ) -> List[float]:
+        assignment = algo.policy.assign_with_profiling(chip, workload, rng)
+        manager = algo.make_manager()
+        if protocol == "online":
+            trace = OnlineSimulation(
+                chip, workload, assignment, env, manager=manager,
+                phase_seed=seed * 100 + trial,
+                transition_latency_s=transition_latency_s,
+            ).run(duration_s, interval_s)
+            return [trace.mean_throughput_mips,
                     trace.mean_weighted_throughput,
                     trace.ed2_relative,
                     trace.weighted_ed2_relative,
-                    trace.mean_power_w,
-                ])
-            else:
-                result = manager.set_levels(chip, workload, assignment,
-                                            env, rng)
-                state = result.state
-                metrics[algo.name] = np.array([
-                    state.throughput_mips,
-                    state.weighted_throughput(workload),
-                    state.ed2_relative,
-                    state.weighted_ed2_relative(workload),
-                    state.total_power,
-                ])
-            if journal is not None:
-                journal.record(keys[trial, algo.name],
-                               {"experiment": experiment, "trial": trial,
-                                "algorithm": algo.name,
-                                "n_threads": n_threads,
-                                "env": env.name, "protocol": protocol},
-                               [float(v) for v in metrics[algo.name]])
-        base = metrics[baseline]
-        for name, vals in metrics.items():
-            sums[name] += vals / base
-    if journal is not None:
-        # A figure must never be emitted from a partial journal.
-        journal.require_complete(keys.values(), scope=experiment or "")
-        journal.mark_complete(
-            f"pm:{experiment}:env{env.name}:nt{n_threads}"
-            f":trials{n_trials}:seed{seed}:{protocol}", len(keys))
-    out = {}
-    for name, total in sums.items():
-        mean = total / n_trials
-        out[name] = PmAverages(
-            algorithm=name,
-            mips=float(mean[0]),
-            weighted_mips=float(mean[1]),
-            ed2=float(mean[2]),
-            weighted_ed2=float(mean[3]),
-            power=float(mean[4]),
-        )
-    return out
+                    trace.mean_power_w]
+        state = manager.set_levels(chip, workload, assignment, env,
+                                   rng).state
+        return [state.throughput_mips,
+                state.weighted_throughput(workload),
+                state.ed2_relative,
+                state.weighted_ed2_relative(workload),
+                state.total_power]
+
+    means = compare_trials(
+        factory, algorithms, measure, n_threads=n_threads,
+        n_trials=n_trials, n_dies=n_dies, baseline=baseline, seed=seed,
+        workload_tag=23, experiment=experiment, name_field="algo",
+        key_fields={
+            "kind": "pm",
+            "env": repr(sorted(asdict(env).items())),
+            "protocol": protocol, "duration_s": duration_s,
+            "interval_s": interval_s,
+            "transition_latency_s": transition_latency_s},
+        complete_scope=(f"pm:{experiment}:env{env.name}:nt{n_threads}"
+                        f":trials{n_trials}:seed{seed}:{protocol}"))
+    return {name: PmAverages(name, *(float(v) for v in mean))
+            for name, mean in means.items()}

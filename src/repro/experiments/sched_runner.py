@@ -1,31 +1,31 @@
-"""Shared trial runner for the scheduling experiments (Figs. 7-10).
+"""Scheduling-policy comparison for the experiments of Figs. 7-10.
 
 Each trial draws a fresh multiprogrammed workload and runs it on one
 die of the batch (trials rotate through the dies); every policy sees
-the identical (die, workload, rng) triple so differences are purely
-algorithmic. Results are normalised to the Random baseline per trial
-and then averaged, matching the paper's protocol (Section 6.4).
+the identical (die, workload) pair and its own seeded rng, so
+differences are purely algorithmic. Results are normalised to the
+Random baseline per trial and then averaged, matching the paper's
+protocol (Section 6.4).
 
-When a campaign journal is active (``--resume`` / ``REPRO_RESUME=1``
-and an ``experiment`` tag), every completed (trial, policy) unit's
-raw metrics are checkpointed to ``results/<experiment>/journal.jsonl``
-and consulted on the next run, so an interrupted campaign resumes
-from the last completed unit with bitwise-identical tables.
+This module only says how one (policy, die, workload) unit is
+measured: the policy's assignment, evaluated by the figure's
+``evaluate`` configuration. The trial loop, campaign resume
+(``--resume`` / ``REPRO_RESUME=1`` with an ``experiment`` tag) and
+normalisation are :func:`repro.experiments.common.compare_trials`.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..parallel.journal import unit_key
+from ..chip import ChipProfile
 from ..runtime.evaluation import SystemState
 from ..sched import SchedulingPolicy
-from ..workloads import Workload, make_workload
-from .common import ChipFactory, campaign_journal, journal_identity
+from ..workloads import Workload
+from .common import ChipFactory, compare_trials
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,13 @@ def run_policy_comparison(
 
     Args:
         factory: Chip cache for the die batch.
-        policies: Policies to compare (must include the baseline).
+        policies: Policies to compare (distinct names, including the
+            baseline).
         evaluate: ``evaluate(chip, workload, assignment) -> SystemState``
             — the configuration being studied (UniFreq / NUniFreq).
         n_threads: Threads per workload.
-        n_trials: Workload draws.
-        n_dies: Dies the trials rotate through.
+        n_trials: Workload draws (at least 1).
+        n_dies: Dies the trials rotate through (at least 1).
         baseline: Policy the metrics are normalised against.
         seed: Base seed for workloads and policy randomness.
         experiment: Campaign tag (e.g. ``"fig7"``). With resume mode
@@ -73,77 +74,21 @@ def run_policy_comparison(
         Mapping policy name -> :class:`PolicyAverages` (baseline-
         normalised; the baseline row is identically 1.0).
     """
-    if not any(p.name == baseline for p in policies):
-        raise ValueError(f"baseline {baseline!r} not among the policies")
-    journal = campaign_journal(experiment)
-    keys: Dict[Tuple[int, str], str] = {}
-    if journal is not None:
-        identity = journal_identity(factory)
-        for trial in range(n_trials):
-            for policy in policies:
-                keys[trial, policy.name] = unit_key(
-                    kind="sched", experiment=experiment,
-                    n_threads=n_threads, trial=trial,
-                    policy=policy.name, seed=seed,
-                    die=trial % n_dies, **identity)
-    all_journaled = (journal is not None
-                     and all(journal.lookup(k) is not None
-                             for k in keys.values()))
-    if not all_journaled:
-        factory.prefetch(min(n_trials, n_dies))
-    sums = {p.name: {"power": 0.0, "ed2": 0.0, "mips": 0.0, "freq": 0.0}
-            for p in policies}
-    for trial in range(n_trials):
-        raw: Dict[str, List[float]] = {}
-        missing = list(policies)
-        if journal is not None:
-            missing = []
-            for policy in policies:
-                cached = journal.lookup(keys[trial, policy.name])
-                if cached is not None:
-                    raw[policy.name] = cached
-                else:
-                    missing.append(policy)
-        if missing:
-            chip = factory.chip(trial % n_dies, n_dies)
-            workload = make_workload(
-                n_threads, np.random.default_rng([seed, trial, 11]))
-        for policy in missing:
-            # crc32, not hash(): str hashing is randomised per process
-            # (PYTHONHASHSEED), which made these trials irreproducible.
-            rng = np.random.default_rng(
-                [seed, trial, zlib.crc32(policy.name.encode())])
-            assignment = policy.assign_with_profiling(chip, workload, rng)
-            state = evaluate(chip, workload, assignment)
-            raw[policy.name] = [float(state.total_power),
-                                float(state.ed2_relative),
-                                float(state.throughput_mips),
-                                float(state.mean_frequency)]
-            if journal is not None:
-                journal.record(keys[trial, policy.name],
-                               {"experiment": experiment, "trial": trial,
-                                "policy": policy.name,
-                                "n_threads": n_threads},
-                               raw[policy.name])
-        base = raw[baseline]
-        for name, vals in raw.items():
-            sums[name]["power"] += vals[0] / base[0]
-            sums[name]["ed2"] += vals[1] / base[1]
-            sums[name]["mips"] += vals[2] / base[2]
-            sums[name]["freq"] += vals[3] / base[3]
-    if journal is not None:
-        # A figure must never be emitted from a partial journal.
-        journal.require_complete(keys.values(), scope=experiment or "")
-        journal.mark_complete(
-            f"sched:{experiment}:nt{n_threads}:trials{n_trials}"
-            f":seed{seed}", len(keys))
-    return {
-        name: PolicyAverages(
-            policy=name,
-            power=vals["power"] / n_trials,
-            ed2=vals["ed2"] / n_trials,
-            mips=vals["mips"] / n_trials,
-            frequency=vals["freq"] / n_trials,
-        )
-        for name, vals in sums.items()
-    }
+
+    def measure(policy: SchedulingPolicy, trial: int, chip: ChipProfile,
+                workload: Workload, rng: np.random.Generator,
+                ) -> List[float]:
+        assignment = policy.assign_with_profiling(chip, workload, rng)
+        state = evaluate(chip, workload, assignment)
+        return [state.total_power, state.ed2_relative,
+                state.throughput_mips, state.mean_frequency]
+
+    means = compare_trials(
+        factory, policies, measure, n_threads=n_threads,
+        n_trials=n_trials, n_dies=n_dies, baseline=baseline, seed=seed,
+        workload_tag=11, experiment=experiment, name_field="policy",
+        key_fields={"kind": "sched"},
+        complete_scope=(f"sched:{experiment}:nt{n_threads}"
+                        f":trials{n_trials}:seed{seed}"))
+    return {name: PolicyAverages(name, *(float(v) for v in mean))
+            for name, mean in means.items()}

@@ -12,12 +12,28 @@ from repro.experiments.common import (
     histogram,
 )
 from repro.experiments.pm_runner import (
+    AlgorithmSpec,
     run_pm_comparison,
     standard_algorithms,
 )
 from repro.experiments.sched_runner import run_policy_comparison
+from repro.pm import FoxtonStar
 from repro.runtime.evaluation import evaluate_max_levels
-from repro.sched import RandomPolicy, VarP
+from repro.sched import RandomPolicy, VarF, VarP
+
+
+class _VarFNamedVarP(VarF):
+    name = "VarP"
+
+
+#: (method indices, n_trials, n_dies, error match) of comparisons the
+#: shared trial loop must refuse before measuring anything.
+BAD_COMPARISONS = pytest.mark.parametrize(
+    "picks, n_trials, n_dies, match", [
+        ((0, 1, 2), 1, 1, "distinct"),
+        ((0, 1), 0, 1, "n_trials"),
+        ((0, 1), 1, 0, "n_dies"),
+    ], ids=["duplicate-name", "no-trials", "no-dies"])
 
 
 class TestChipFactory:
@@ -49,25 +65,21 @@ class TestChipFactory:
         assert factory.chip(0) is first
 
     def test_incremental_growth_matches_full_batch(self):
-        """chip(i) must not depend on how the die batch was grown.
+        """chip(i) must not depend on how the die batch was requested.
 
-        DieBatch seeds each die independently, so a factory whose
-        internal batch was regrown incrementally (default
-        ``n_dies_hint=1``) must produce dies identical to one sized to
-        the full batch up front.
+        Dies are seeded independently, so dies characterised one at a
+        time must equal the same dies from one batch of 8.
         """
         incremental = ChipFactory(seed=11)
-        full = ChipFactory(seed=11)
         inc_first = incremental.chip(0)          # batch of 1
-        inc_last = incremental.chip(2)           # forces regrowth to 3
-        full_last = full.chip(2, n_dies_hint=8)  # batch of 8 up front
-        full_first = full.chip(0, n_dies_hint=8)
+        inc_last = incremental.chip(2)           # another batch of 1
+        full = ChipFactory(seed=11).chips(8)     # batch of 8 up front
         np.testing.assert_array_equal(inc_first.fmax_array,
-                                      full_first.fmax_array)
+                                      full[0].fmax_array)
         np.testing.assert_array_equal(inc_last.fmax_array,
-                                      full_last.fmax_array)
+                                      full[2].fmax_array)
         np.testing.assert_array_equal(inc_first.static_rated_array,
-                                      full_first.static_rated_array)
+                                      full[0].static_rated_array)
 
 
 class TestFormatting:
@@ -137,6 +149,16 @@ class TestSchedRunner:
                 factory, (VarP(),), evaluate_max_levels,
                 n_threads=4, n_trials=1, n_dies=1)
 
+    @BAD_COMPARISONS
+    def test_bad_comparison_rejected(self, picks, n_trials, n_dies,
+                                     match):
+        methods = (RandomPolicy(), VarP(), _VarFNamedVarP())
+        with pytest.raises(ValueError, match=match):
+            run_policy_comparison(
+                ChipFactory(seed=0), [methods[i] for i in picks],
+                evaluate_max_levels, n_threads=4, n_trials=n_trials,
+                n_dies=n_dies)
+
 
 class TestPmRunner:
     def test_standard_algorithms(self):
@@ -161,3 +183,16 @@ class TestPmRunner:
         with pytest.raises(ValueError):
             run_pm_comparison(factory, COST_PERFORMANCE, 4, 1, 1,
                               protocol="banana")
+
+    @BAD_COMPARISONS
+    def test_bad_comparison_rejected(self, picks, n_trials, n_dies,
+                                     match):
+        methods = (AlgorithmSpec("Random+Foxton*", RandomPolicy(),
+                                 FoxtonStar),
+                   AlgorithmSpec("VarP+Foxton*", VarP(), FoxtonStar),
+                   AlgorithmSpec("VarP+Foxton*", VarF(), FoxtonStar))
+        with pytest.raises(ValueError, match=match):
+            run_pm_comparison(
+                ChipFactory(seed=0), COST_PERFORMANCE, n_threads=4,
+                n_trials=n_trials, n_dies=n_dies,
+                algorithms=[methods[i] for i in picks], protocol="static")

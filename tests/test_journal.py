@@ -154,6 +154,16 @@ class TestUnitKey:
         assert unit_key(experiment="fig7", trial=0, policy="VarP") != base
 
 
+#: Unit keys recorded before the two runners shared one trial loop:
+#: (trial 0, Random) of ``TestSchedRunnerResume``'s campaign and
+#: (trial 0, Random+Foxton*) of ``TestPmRunnerResume``'s online one.
+#: A drift in the key recipe orphans every journal written before it.
+PINNED_SCHED_KEY = (
+    "f7447f7f4716371085096a2316ad311f04727bbcb611ffc9d570a16f0e0b940a")
+PINNED_PM_KEY = (
+    "76d7bb2f4b42cffee8a0ac1c9e2b922958f21cc9ea0539df6504cf55bf04b081")
+
+
 class _CountingEvaluate:
     """Wraps an evaluate fn; optionally raises after ``crash_after``."""
 
@@ -168,6 +178,21 @@ class _CountingEvaluate:
             raise RuntimeError("injected campaign crash")
         self.calls += 1
         return self.inner(chip, workload, assignment)
+
+
+class _CountingManagers:
+    """A Foxton* factory; optionally raises after ``crash_after``."""
+
+    def __init__(self, crash_after=None):
+        self.calls = 0
+        self.crash_after = crash_after
+
+    def __call__(self):
+        if (self.crash_after is not None
+                and self.calls >= self.crash_after):
+            raise RuntimeError("injected campaign crash")
+        self.calls += 1
+        return FoxtonStar()
 
 
 class TestSchedRunnerResume:
@@ -232,6 +257,11 @@ class TestSchedRunnerResume:
         assert replay.calls == 0
         assert again == reference
 
+    def test_unit_key_is_pinned(self, tech, small_arch, tmp_path):
+        self._run(tech, small_arch, tmp_path, None)
+        journal = RunJournal.open(tmp_path, "figtest")
+        assert PINNED_SCHED_KEY in journal.completed()
+
     def test_changed_parameters_miss_the_journal(self, tech, small_arch,
                                                  tmp_path, reference):
         from repro.runtime.evaluation import evaluate_uniform_frequency
@@ -276,6 +306,40 @@ class TestPmRunnerResume:
         assert len(journal) == 4
         # Replay-only pass (all units journaled) is still identical.
         assert run(root=tmp_path) == reference
+
+    def test_interrupted_online_campaign_resumes_bitwise(
+            self, tech, small_arch, tmp_path):
+        from repro.config import COST_PERFORMANCE
+
+        def run(make_manager, root=None):
+            algorithms = [
+                AlgorithmSpec("Random+Foxton*", RandomPolicy(),
+                              make_manager),
+                AlgorithmSpec("VarP+Foxton*", VarP(), make_manager),
+            ]
+            config = (parallel_config(resume=True, journal_root=root)
+                      if root is not None else parallel_config())
+            with config:
+                factory = ChipFactory(tech=tech, arch=small_arch,
+                                      seed=5, workers=1, cache=None)
+                return run_pm_comparison(
+                    factory, COST_PERFORMANCE, n_threads=4, n_trials=2,
+                    n_dies=2, algorithms=algorithms, protocol="online",
+                    duration_s=0.03, seed=3, experiment="pmtest")
+
+        reference = run(_CountingManagers())
+        crash_at = 3
+        with pytest.raises(RuntimeError, match="injected"):
+            run(_CountingManagers(crash_after=crash_at), root=tmp_path)
+        journal = RunJournal.open(tmp_path, "pmtest")
+        assert len(journal) == crash_at  # completed units survived
+        assert PINNED_PM_KEY in journal.completed()
+
+        # Resume: only the missing unit is recomputed, and the tables
+        # equal the uninterrupted run bitwise.
+        resumed = _CountingManagers()
+        assert run(resumed, root=tmp_path) == reference
+        assert resumed.calls == 2 * 2 - crash_at
 
 
 class TestCliResume:

@@ -1,10 +1,12 @@
-"""Structural guards: parity references stay out of ``src/``.
+"""Structural guards: one implementation of each idea in ``src/``.
 
 The serial and per-sample oracles the product code is checked against
 live in ``tests/references.py``. These ``ast`` checks fail if product
-code starts importing test code, or if ``OnlineSimulation.run`` grows
+code starts importing test code, if ``OnlineSimulation.run`` grows
 a parameter again (a mode switch would bring a second simulation loop
-back into ``src/``).
+back into ``src/``), or if an experiment module other than
+``experiments/common.py`` keys or touches the campaign journal (a
+second journaled trial loop).
 """
 
 from __future__ import annotations
@@ -60,3 +62,43 @@ def test_online_simulation_run_takes_duration_and_interval_only():
               + args.kwonlyargs]
     assert params == ["self", "duration_s", "dvfs_interval_s"]
     assert args.vararg is None and args.kwarg is None
+
+
+#: Calls that key, read or write campaign-journal units.
+JOURNAL_CALLS = frozenset({"unit_key", "lookup", "record",
+                           "require_complete", "mark_complete"})
+
+
+def _journal_calls(path: pathlib.Path):
+    """Lines of ``path`` that call a :data:`JOURNAL_CALLS` name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None)
+        if name in JOURNAL_CALLS:
+            yield node.lineno
+
+
+def test_only_the_shared_trial_loop_journals():
+    experiments = SRC / "experiments"
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(experiments.glob("*.py"))
+                 if path.name != "common.py"
+                 for line in _journal_calls(path)]
+    assert offenders == []
+
+
+def test_journal_guard_sees_journal_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("key = unit_key(trial=0)\n"
+                     "journal.lookup(key)\n"
+                     "journal.record(key, {}, [1.0])\n"
+                     "journal.require_complete([key])\n"
+                     "journal.mark_complete('scope', 1)\n"
+                     "lookup_table = {}\n"
+                     "journal.replay()\n")
+    assert list(_journal_calls(probe)) == [1, 2, 3, 4, 5]
