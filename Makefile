@@ -7,9 +7,10 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning
 
-# Fault-injection suite under a real worker pool (CI's 'chaos' job).
+# Fault-injection suite under a real worker pool (CI's 'chaos' job);
+# test_experiment_common.py runs the shared trial loop's prefetch there.
 chaos:
-	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py
+	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py tests/test_experiment_common.py
 
 # Daemon suite: protocol/isolation/acceptance + chaos (CI's 'daemon'
 # job runs this plus the service benchmark under a hard timeout).

@@ -70,7 +70,7 @@ def _run_one(name: str, args: argparse.Namespace) -> None:
     if name in ("fig4", "fig5") and args.dies is not None:
         kwargs["n_dies"] = args.dies
     if name in ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-                "fig13") and args.trials is not None:
+                "fig13", "fig14", "fig15") and args.trials is not None:
         kwargs["n_trials"] = args.trials
     if name in ("fig11", "fig12", "fig13"):
         if args.static:

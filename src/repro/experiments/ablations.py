@@ -11,12 +11,16 @@
   coupling weakened 5x (poor heat spreading, hot spots amplified).
   Fully disabling coupling triggers leakage-temperature runaway on
   loaded dies — itself a demonstration of why the coupling matters.
+
+Each runs on :func:`~repro.experiments.common.trial_table` under its
+own campaign tag (``ablation_fit``, ``ablation_slp``,
+``ablation_thermal``); LinOpt variants share one Foxton* baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -25,8 +29,7 @@ from ..pm import FoxtonStar, LinOpt, LinOptConfig
 from ..runtime.evaluation import evaluate_max_levels
 from ..sched import RandomPolicy, VarFAppIPC, VarPAppP
 from ..thermal import ThermalNetwork
-from ..workloads import make_workload
-from .common import ChipFactory, format_rows
+from .common import Arm, ChipFactory, format_rows, normalise, trial_table
 
 
 @dataclass(frozen=True)
@@ -42,23 +45,31 @@ class AblationResult:
         return format_rows(["variant", self.metric], rows, self.title)
 
 
-def _linopt_throughput(factory: ChipFactory, config: LinOptConfig,
+def _linopt_throughput(factory: ChipFactory,
+                       variants: Dict[str, LinOptConfig],
                        env: PowerEnvironment, n_threads: int,
-                       n_trials: int, seed: int) -> float:
-    """Mean LinOpt throughput relative to Foxton* (same scheduling)."""
-    factory.prefetch(n_trials)
-    ratios = []
-    for trial in range(n_trials):
-        chip = factory.chip(trial)
-        workload = make_workload(
-            n_threads, np.random.default_rng([seed, trial, 51]))
+                       n_trials: int, seed: int,
+                       experiment: str) -> Dict[str, float]:
+    """Mean throughput of each LinOpt variant relative to Foxton*."""
+    arms = [Arm("Foxton*", None)] + [Arm(*item) for item in variants.items()]
+
+    def measure(arm: Arm, trial: int, chip, workload, _rng):
         rng = np.random.default_rng([seed, trial, 53])
         assignment = VarFAppIPC().assign_with_profiling(chip, workload, rng)
-        fox = FoxtonStar().set_levels(chip, workload, assignment, env)
-        lin = LinOpt(config).set_levels(chip, workload, assignment, env)
-        ratios.append(lin.state.throughput_mips
-                      / fox.state.throughput_mips)
-    return float(np.mean(ratios))
+        manager = FoxtonStar() if arm.spec is None else LinOpt(arm.spec)
+        return [manager.set_levels(chip, workload, assignment,
+                                   env).state.throughput_mips]
+
+    table = trial_table(
+        factory, arms, measure, n_threads=n_threads, n_trials=n_trials,
+        n_dies=n_trials, seed=seed, workload_tag=51,
+        experiment=experiment, name_field="variant",
+        key_fields={"env": repr(sorted(asdict(env).items())),
+                    "variants": repr(sorted(variants.items()))},
+        complete_scope=(f"{experiment}:env{env.name}:nt{n_threads}"
+                        f":trials{n_trials}:seed{seed}"))
+    means = normalise(table, [arm.name for arm in arms], "Foxton*")
+    return {name: float(means[name][0]) for name in variants}
 
 
 def run_fit_ablation(
@@ -76,11 +87,8 @@ def run_fit_ablation(
         "3-point fit, nearest": LinOptConfig(rounding="nearest"),
         "3-point, no refill": LinOptConfig(refill=False),
     }
-    values = {
-        name: _linopt_throughput(factory, cfg, env, n_threads,
-                                 n_trials, seed)
-        for name, cfg in variants.items()
-    }
+    values = _linopt_throughput(factory, variants, env, n_threads,
+                                n_trials, seed, "ablation_fit")
     return AblationResult(
         title="Ablation: LinOpt power-fit and rounding variants "
               f"({env.name}, {n_threads} threads)",
@@ -98,11 +106,10 @@ def run_slp_ablation(
 ) -> AblationResult:
     """Single global LP pass vs successive local re-linearisation."""
     factory = factory or ChipFactory()
-    values = {}
-    for n_iter in (1, 2, 3, 6):
-        cfg = LinOptConfig(n_iterations=n_iter)
-        values[f"{n_iter} LP pass(es)"] = _linopt_throughput(
-            factory, cfg, env, n_threads, n_trials, seed)
+    variants = {f"{n_iter} LP pass(es)": LinOptConfig(n_iterations=n_iter)
+                for n_iter in (1, 2, 3, 6)}
+    values = _linopt_throughput(factory, variants, env, n_threads,
+                                n_trials, seed, "ablation_slp")
     return AblationResult(
         title="Ablation: successive-LP passes (global linearisation of "
               f"the convex p(V) is pass 1; {env.name})",
@@ -119,25 +126,31 @@ def run_thermal_ablation(
 ) -> AblationResult:
     """VarP&AppP power saving with strong vs weak heat spreading."""
     normal = factory or ChipFactory()
-    isolated = ChipFactory(tech=normal.tech, arch=normal.arch,
-                           seed=normal.seed)
-    isolated.thermal = ThermalNetwork(isolated.floorplan, g_lateral=0.01)
-    isolated._chips = {}
+    weak = ChipFactory(tech=normal.tech, arch=normal.arch, seed=normal.seed,
+                       workers=normal.workers, cache=normal.cache)
+    weak.thermal = ThermalNetwork(weak.floorplan, g_lateral=0.01)
+    policies = (RandomPolicy(), VarPAppP())
+
+    def measure(policy, trial: int, chip, workload, _rng):
+        # VarP&AppP profiles with the stream Random's draw left behind.
+        rng = np.random.default_rng([seed, trial, 67])
+        assignments = {p.name: p.assign_with_profiling(chip, workload, rng)
+                       for p in policies}
+        return [evaluate_max_levels(chip, workload,
+                                    assignments[policy.name]).total_power]
 
     def saving(fac: ChipFactory) -> float:
-        fac.prefetch(n_trials)
-        ratios = []
-        for trial in range(n_trials):
-            chip = fac.chip(trial)
-            workload = make_workload(
-                n_threads, np.random.default_rng([seed, trial, 61]))
-            rng = np.random.default_rng([seed, trial, 67])
-            rand = RandomPolicy().assign_with_profiling(chip, workload, rng)
-            vpap = VarPAppP().assign_with_profiling(chip, workload, rng)
-            p_rand = evaluate_max_levels(chip, workload, rand).total_power
-            p_vpap = evaluate_max_levels(chip, workload, vpap).total_power
-            ratios.append(p_vpap / p_rand)
-        return float(np.mean(ratios))
+        # The factories differ only here, so it keys their units apart.
+        g_lateral = fac.thermal.g_lateral
+        table = trial_table(
+            fac, policies, measure, n_threads=n_threads,
+            n_trials=n_trials, n_dies=n_trials, seed=seed,
+            workload_tag=61, experiment="ablation_thermal",
+            name_field="policy", key_fields={"g_lateral": g_lateral},
+            complete_scope=(f"ablation_thermal:g{g_lateral!r}"
+                            f":nt{n_threads}:trials{n_trials}:seed{seed}"))
+        ratios = normalise(table, [p.name for p in policies], "Random")
+        return float(ratios["VarP&AppP"][0])
 
     return AblationResult(
         title="Ablation: VarP&AppP power vs Random, with and without "
@@ -145,6 +158,6 @@ def run_thermal_ablation(
         metric="power vs Random",
         values={
             "lateral coupling on": saving(normal),
-            "lateral coupling weak": saving(isolated),
+            "lateral coupling weak": saving(weak),
         },
     )

@@ -7,12 +7,11 @@ reduced batch sizes so they complete in seconds; pass
 ``n_dies=200, n_trials=20`` (or set the ``REPRO_FULL`` environment
 variable) for the paper's full protocol.
 
-:func:`compare_trials` is the one trial loop of the paper's Section
-6.4 protocol behind Figs 7-13: the scheduling runner
-(:mod:`.sched_runner`) and the power-management runner
-(:mod:`.pm_runner`) only say how one (method, die, workload) unit is
-measured, and the loop owns the trial draws, campaign resume and the
-per-trial baseline normalisation.
+:func:`trial_table` is the one trial loop of the paper's Section 6.4
+protocol, with journaled resume and prefetch; its callers (the
+scheduling and power-management runners, fig09's Section 7.4 ratios,
+Fig 14 and the ablations) only say how one (method, die, workload)
+unit is measured. :func:`normalise` turns its table into the means.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import zlib
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from ..chip import ChipProfile
 from ..config import ArchConfig, DEFAULT_ARCH, DEFAULT_TECH, TechParams
 from ..floorplan import Floorplan, build_floorplan
 from ..parallel import characterize_batch
-from ..parallel.journal import RunJournal, active_journal, unit_key
+from ..parallel.journal import active_journal, unit_key
 from ..parallel.runner import CacheArg
 from ..settings import settings
 from ..thermal import ThermalNetwork
@@ -140,41 +139,20 @@ class ChipFactory:
                 floorplan=self.floorplan, thermal=self.thermal)
 
 
-def campaign_journal(experiment: Optional[str]) -> Optional[RunJournal]:
-    """The checkpoint journal for an experiment's campaign, or None.
-
-    Returns a :class:`~repro.parallel.journal.RunJournal` under
-    ``results/<experiment>/journal.jsonl`` when resume mode is active
-    (CLI ``--resume``/``--fresh`` or ``REPRO_RESUME=1``) *and* the
-    caller passed an experiment tag; otherwise None, in which case
-    the trial runners skip all journaling.
-    """
-    if not experiment:
-        return None
-    return active_journal(experiment)
-
-
-def journal_identity(factory: ChipFactory) -> Dict[str, object]:
-    """Unit-key fields pinning the die population a unit ran on.
-
-    Folded into every journaled unit's content key so a journal can
-    never resurrect results measured on a different tech, arch or die
-    batch.
-    """
-    return {
-        "tech": repr(sorted(dataclasses.asdict(factory.tech).items())),
-        "arch": repr(sorted(dataclasses.asdict(factory.arch).items())),
-        "factory_seed": int(factory.seed),
-    }
-
-
 #: ``measure(method, trial, chip, workload, rng)``: one unit's raw
 #: metrics, in the same order for every method.
 Measure = Callable[[Any, int, ChipProfile, Workload, np.random.Generator],
                    Sequence[float]]
 
 
-def compare_trials(
+class Arm(NamedTuple):
+    """A named method whose ``spec`` the caller's ``measure`` reads."""
+
+    name: str
+    spec: Any
+
+
+def trial_table(
     factory: ChipFactory,
     methods: Sequence[Any],
     measure: Measure,
@@ -182,100 +160,109 @@ def compare_trials(
     n_threads: int,
     n_trials: int,
     n_dies: int,
-    baseline: str,
     seed: int,
     workload_tag: int,
     experiment: Optional[str],
     name_field: str,
     key_fields: Dict[str, object],
     complete_scope: str,
-) -> Dict[str, np.ndarray]:
-    """Run every method on the same trials; baseline-normalised means.
+) -> np.ndarray:
+    """Run every method on the same trials; the raw per-trial table.
 
     Trial ``t`` runs on die ``t % n_dies`` with the workload
     ``make_workload(n_threads, default_rng([seed, t, workload_tag]))``;
     each method (any object with a ``name``) gets its own rng
     ``[seed, t, crc32(name)]``, so methods differ only in what they
-    do with the same (die, workload) pair. Each metric of a trial is
-    divided by the baseline's value in that trial, and the ratios are
-    averaged over trials (the paper's Section 6.4 protocol).
+    do with the same (die, workload) pair.
 
-    With a campaign journal active (see :func:`campaign_journal`),
-    each (trial, method) unit's raw metrics are journaled under a
+    In resume mode (``--resume``/``--fresh``, ``REPRO_RESUME=1``) with
+    an ``experiment`` tag, each (trial, method) unit's raw metrics go
+    to ``results/<experiment>/journal.jsonl`` under a
     :func:`~repro.parallel.journal.unit_key` over the experiment,
     thread count, trial, seed, die, ``{name_field: name}``,
-    ``key_fields`` and :func:`journal_identity`; journaled units are
-    replayed instead of measured, and the chip and workload of a trial
-    are built only when one of its units is missing. The journal must
-    hold every unit before the means are returned, and then gets a
-    ``complete_scope`` marker.
+    ``key_fields`` and the factory's tech, arch and seed. Journaled
+    units are replayed instead of measured, and the chip and workload
+    of a trial are built only when one of its units is missing. The
+    journal must hold every unit before the table is returned, and
+    then gets a ``complete_scope`` marker.
 
     Returns:
-        Method name -> mean vector of baseline-normalised metrics (the
-        baseline's vector is all ones).
+        float64 array (trials x methods x metrics) of raw metrics.
 
     Raises:
-        ValueError: Two methods share a name, the baseline is not
-            among them, or ``n_trials``/``n_dies`` is below 1.
+        ValueError: Two methods share a name, or ``n_trials``/``n_dies``
+            is below 1.
     """
     names = [method.name for method in methods]
     if len(set(names)) != len(names):
         raise ValueError(f"method names must be distinct, got {names}")
-    if baseline not in names:
-        raise ValueError(f"baseline {baseline!r} not among {names}")
     if n_trials < 1 or n_dies < 1:
         raise ValueError(f"need n_trials >= 1 and n_dies >= 1, got "
                          f"{n_trials} and {n_dies}")
-    journal = campaign_journal(experiment)
+    journal = active_journal(experiment) if experiment else None
+    units = [(trial, name) for trial in range(n_trials) for name in names]
     keys: Dict[Tuple[int, str], str] = {}
+    raw: Dict[Tuple[int, str], Optional[List[float]]] = dict.fromkeys(units)
     if journal is not None:
-        identity = journal_identity(factory)
-        for trial in range(n_trials):
-            for name in names:
-                keys[trial, name] = unit_key(
-                    experiment=experiment, n_threads=n_threads,
-                    trial=trial, seed=seed, die=trial % n_dies,
-                    **{name_field: name}, **key_fields, **identity)
-
-    def journaled(trial: int, name: str) -> Optional[List[float]]:
-        if journal is None:
-            return None
-        return journal.lookup(keys[trial, name])
-
-    if not all(journaled(trial, name) is not None
-               for trial in range(n_trials) for name in names):
+        # Pin the die population so no other tech/arch/batch replays.
+        identity = {
+            "tech": repr(sorted(dataclasses.asdict(factory.tech).items())),
+            "arch": repr(sorted(dataclasses.asdict(factory.arch).items())),
+            "factory_seed": int(factory.seed)}
+        for trial, name in units:
+            keys[trial, name] = unit_key(
+                experiment=experiment, n_threads=n_threads, trial=trial,
+                seed=seed, die=trial % n_dies, **{name_field: name},
+                **key_fields, **identity)
+            raw[trial, name] = journal.lookup(keys[trial, name])
+    if None in raw.values():
         factory.prefetch(min(n_trials, n_dies))
-    sums: Dict[str, Any] = dict.fromkeys(names, 0.0)
     for trial in range(n_trials):
-        raw = {name: journaled(trial, name) for name in names}
-        missing = [method for method in methods if raw[method.name] is None]
+        missing = [method for method in methods
+                   if raw[trial, method.name] is None]
         if missing:
             chip = factory.chip(trial % n_dies)
             workload = make_workload(
-                n_threads,
-                np.random.default_rng([seed, trial, workload_tag]))
+                n_threads, np.random.default_rng([seed, trial, workload_tag]))
         for method in missing:
             # crc32, not hash(): str hashing is randomised per process
             # (PYTHONHASHSEED), which made these trials irreproducible.
             rng = np.random.default_rng(
                 [seed, trial, zlib.crc32(method.name.encode())])
-            values = [float(v)
-                      for v in measure(method, trial, chip, workload, rng)]
-            raw[method.name] = values
+            values = raw[trial, method.name] = [
+                float(v) for v in measure(method, trial, chip, workload, rng)]
             if journal is not None:
                 journal.record(keys[trial, method.name],
                                {"experiment": experiment, "trial": trial,
                                 name_field: method.name,
                                 "n_threads": n_threads},
                                values)
-        base = np.array(raw[baseline])
-        for name in names:
-            sums[name] = sums[name] + np.array(raw[name]) / base
     if journal is not None:
         # A figure must never be emitted from a partial journal.
-        journal.require_complete(keys.values(), scope=experiment or "")
+        journal.require_complete(keys.values(), scope=experiment)
         journal.mark_complete(complete_scope, len(keys))
-    return {name: total / n_trials for name, total in sums.items()}
+    return np.array([[raw[trial, name] for name in names]
+                     for trial in range(n_trials)], dtype=np.float64)
+
+
+def require_baseline(names: Sequence[str], baseline: str) -> int:
+    """Index of ``baseline`` in ``names`` (ValueError if absent)."""
+    if baseline not in names:
+        raise ValueError(f"baseline {baseline!r} not among {list(names)}")
+    return list(names).index(baseline)
+
+
+def normalise(table: np.ndarray, names: Sequence[str],
+              baseline: str) -> Dict[str, np.ndarray]:
+    """Section 6.4 means of a :func:`trial_table` table, per method.
+
+    Each trial is divided by its baseline row and the ratios are
+    averaged with ``mean(axis=0)``, which adds the trials in order
+    (numpy sums pairwise only along a contiguous axis).
+    """
+    base = require_baseline(names, baseline)
+    ratios = table / table[:, base:base + 1, :]
+    return dict(zip(names, ratios.mean(axis=0)))
 
 
 def _format_cell(v: object) -> str:

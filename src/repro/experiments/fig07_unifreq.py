@@ -63,13 +63,9 @@ def run(
     n_dies = n_dies or min(default_n_dies(), n_trials)
     factory = factory or ChipFactory()
     policies = (RandomPolicy(), VarP(), VarPAppP())
-
-    def evaluate(chip, workload, assignment):
-        return evaluate_uniform_frequency(chip, workload, assignment)
-
     results = {}
     for nt in thread_counts:
         results[nt] = run_policy_comparison(
-            factory, policies, evaluate, nt, n_trials, n_dies,
-            seed=seed, experiment="fig7")
+            factory, policies, evaluate_uniform_frequency, nt, n_trials,
+            n_dies, seed=seed, experiment="fig7")
     return Fig07Result(results=results)

@@ -58,13 +58,9 @@ def run(
     n_dies = n_dies or min(default_n_dies(), n_trials)
     factory = factory or ChipFactory()
     policies = (RandomPolicy(), VarP(), VarPAppP())
-
-    def evaluate(chip, workload, assignment):
-        return evaluate_max_levels(chip, workload, assignment)
-
     results = {}
     for nt in thread_counts:
         results[nt] = run_policy_comparison(
-            factory, policies, evaluate, nt, n_trials, n_dies,
+            factory, policies, evaluate_max_levels, nt, n_trials, n_dies,
             seed=seed, experiment="fig8")
     return Fig08Result(results=results)

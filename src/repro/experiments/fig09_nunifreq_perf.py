@@ -8,7 +8,8 @@ only helps at light load and degenerates to Random at 20 threads.
 
 Also reproduces the Section 7.4 claim that NUniFreq beats UniFreq at
 full occupancy by ~15 % average frequency, ~10 % more power and ~20 %
-lower ED^2.
+lower ED^2. Both run on :func:`~repro.experiments.common.trial_table`
+under the ``fig9`` campaign tag.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from ..runtime.evaluation import (
     evaluate_uniform_frequency,
 )
 from ..sched import RandomPolicy, VarF, VarFAppIPC
-from ..workloads import make_workload
 from .common import (
+    Arm,
     ChipFactory,
     default_n_dies,
     default_n_trials,
     format_rows,
+    normalise,
+    trial_table,
 )
 from .sched_runner import PolicyAverages, run_policy_comparison
 
@@ -77,24 +80,23 @@ class Fig09Result:
 def nunifreq_vs_unifreq(factory: ChipFactory, n_trials: int, n_dies: int,
                         seed: int = 0) -> NUniVsUni:
     """Section 7.4 comparison at full occupancy with Random mapping."""
-    policy = RandomPolicy()
-    freq_r, power_r, ed2_r = [], [], []
-    for trial in range(n_trials):
-        chip = factory.chip(trial % n_dies)
-        workload = make_workload(
-            chip.n_cores, np.random.default_rng([seed, trial, 13]))
+    configs = (Arm("NUniFreq", evaluate_max_levels),
+               Arm("UniFreq", evaluate_uniform_frequency))
+
+    def measure(config: Arm, trial: int, chip, workload, _rng):
         rng = np.random.default_rng([seed, trial, 17])
-        assignment = policy.assign_with_profiling(chip, workload, rng)
-        nuni = evaluate_max_levels(chip, workload, assignment)
-        uni = evaluate_uniform_frequency(chip, workload, assignment)
-        freq_r.append(nuni.mean_frequency / uni.mean_frequency)
-        power_r.append(nuni.total_power / uni.total_power)
-        ed2_r.append(nuni.ed2_relative / uni.ed2_relative)
-    return NUniVsUni(
-        frequency_ratio=float(np.mean(freq_r)),
-        power_ratio=float(np.mean(power_r)),
-        ed2_ratio=float(np.mean(ed2_r)),
-    )
+        assignment = RandomPolicy().assign_with_profiling(chip, workload, rng)
+        state = config.spec(chip, workload, assignment)
+        return [state.mean_frequency, state.total_power, state.ed2_relative]
+
+    table = trial_table(
+        factory, configs, measure, n_threads=factory.arch.n_cores,
+        n_trials=n_trials, n_dies=n_dies, seed=seed, workload_tag=13,
+        experiment="fig9", name_field="config",
+        key_fields={"kind": "nuni"},
+        complete_scope=f"nuni:fig9:trials{n_trials}:seed{seed}")
+    ratios = normalise(table, [c.name for c in configs], "UniFreq")
+    return NUniVsUni(*(float(r) for r in ratios["NUniFreq"]))
 
 
 def run(
@@ -109,14 +111,10 @@ def run(
     n_dies = n_dies or min(default_n_dies(), n_trials)
     factory = factory or ChipFactory()
     policies = (RandomPolicy(), VarF(), VarFAppIPC())
-
-    def evaluate(chip, workload, assignment):
-        return evaluate_max_levels(chip, workload, assignment)
-
     results = {}
     for nt in thread_counts:
         results[nt] = run_policy_comparison(
-            factory, policies, evaluate, nt, n_trials, n_dies,
+            factory, policies, evaluate_max_levels, nt, n_trials, n_dies,
             seed=seed, experiment="fig9")
     return Fig09Result(
         results=results,

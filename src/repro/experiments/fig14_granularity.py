@@ -6,12 +6,14 @@ absolute deviation of consumed power from Ptarget (sampled every ms,
 as the paper measures). Paper shape: deviation shrinks monotonically
 as the interval shrinks, below ~1 % at 10 ms; the 4-thread runs
 deviate more than the 20-thread runs at long intervals (fewer threads
-average out less phase noise).
+average out less phase noise). Each thread count is one
+:func:`~repro.experiments.common.trial_table` call (campaign
+``fig14``) with the intervals as its methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +25,7 @@ from ..runtime.simulation import (
     OnlineSimulation,
 )
 from ..sched import VarFAppIPC
-from ..workloads import make_workload
-from .common import ChipFactory, format_rows
+from .common import Arm, ChipFactory, format_rows, trial_table
 
 INTERVALS_S: Tuple[float, ...] = (2.0, 1.0, 0.5, 0.1, 0.01)
 THREAD_COUNTS: Tuple[int, ...] = (4, 20)
@@ -67,28 +68,29 @@ def run(
 ) -> Fig14Result:
     """Reproduce Figure 14."""
     factory = factory or ChipFactory()
-    factory.prefetch(n_trials)
+    intervals = [Arm(f"{interval!r}s", interval) for interval in intervals_s]
+
+    def measure(interval: Arm, trial: int, chip, workload, _rng):
+        rng = np.random.default_rng([seed, trial, 37])
+        assignment = VarFAppIPC().assign_with_profiling(chip, workload, rng)
+        sim = OnlineSimulation(
+            chip, workload, assignment, env,
+            manager=LinOpt(LinOptConfig(n_iterations=3)),
+            phase_seed=seed * 100 + trial,
+            transition_latency_s=transition_latency_s)
+        duration = max(DURATION_INTERVALS * interval.spec, MIN_DURATION_S)
+        return [sim.run(duration, interval.spec).mean_abs_deviation_pct]
+
     deviation: Dict[int, Tuple[float, ...]] = {}
     for nt in thread_counts:
-        per_interval = []
-        for interval in intervals_s:
-            duration = max(DURATION_INTERVALS * interval, MIN_DURATION_S)
-            devs = []
-            for trial in range(n_trials):
-                chip = factory.chip(trial)
-                workload = make_workload(
-                    nt, np.random.default_rng([seed, trial, 31]))
-                rng = np.random.default_rng([seed, trial, 37])
-                assignment = VarFAppIPC().assign_with_profiling(
-                    chip, workload, rng)
-                sim = OnlineSimulation(
-                    chip, workload, assignment, env,
-                    manager=LinOpt(LinOptConfig(n_iterations=3)),
-                    phase_seed=seed * 100 + trial,
-                    transition_latency_s=transition_latency_s)
-                trace = sim.run(duration, interval)
-                devs.append(trace.mean_abs_deviation_pct)
-            per_interval.append(float(np.mean(devs)))
-        deviation[nt] = tuple(per_interval)
+        table = trial_table(
+            factory, intervals, measure, n_threads=nt, n_trials=n_trials,
+            n_dies=n_trials, seed=seed, workload_tag=31,
+            experiment="fig14", name_field="interval",
+            key_fields={"env": repr(sorted(asdict(env).items())),
+                        "transition_latency_s": transition_latency_s},
+            complete_scope=(f"fig14:env{env.name}:nt{nt}"
+                            f":trials{n_trials}:seed{seed}"))
+        deviation[nt] = tuple(float(v) for v in table.mean(axis=0).ravel())
     return Fig14Result(intervals_s=tuple(intervals_s),
                        deviation_pct=deviation)

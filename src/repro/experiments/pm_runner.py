@@ -13,7 +13,8 @@ Table 1's bottom block. Two evaluation protocols are provided:
 Metrics are normalised per-trial to ``Random+Foxton*`` and averaged.
 This module only says how one (algorithm, die, workload) unit is
 measured under either protocol; the trial loop, campaign resume and
-normalisation are :func:`repro.experiments.common.compare_trials`.
+normalisation are :func:`repro.experiments.common.trial_table` and
+:func:`~repro.experiments.common.normalise`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from ..runtime.simulation import (
 )
 from ..sched import RandomPolicy, SchedulingPolicy, VarFAppIPC
 from ..workloads import Workload
-from .common import ChipFactory, compare_trials
+from .common import (ChipFactory, normalise, require_baseline,
+                     trial_table)
 
 # Default online-protocol timing (scaled down from the paper's full
 # SESC runs; REPRO_FULL experiments pass longer durations).
@@ -123,6 +125,8 @@ def run_pm_comparison(
         raise ValueError("protocol must be 'online' or 'static'")
     if algorithms is None:
         algorithms = standard_algorithms(online=protocol == "online")
+    names = [algo.name for algo in algorithms]
+    require_baseline(names, baseline)
 
     def measure(algo: AlgorithmSpec, trial: int, chip: ChipProfile,
                 workload: Workload, rng: np.random.Generator,
@@ -148,9 +152,9 @@ def run_pm_comparison(
                 state.weighted_ed2_relative(workload),
                 state.total_power]
 
-    means = compare_trials(
+    table = trial_table(
         factory, algorithms, measure, n_threads=n_threads,
-        n_trials=n_trials, n_dies=n_dies, baseline=baseline, seed=seed,
+        n_trials=n_trials, n_dies=n_dies, seed=seed,
         workload_tag=23, experiment=experiment, name_field="algo",
         key_fields={
             "kind": "pm",
@@ -161,4 +165,4 @@ def run_pm_comparison(
         complete_scope=(f"pm:{experiment}:env{env.name}:nt{n_threads}"
                         f":trials{n_trials}:seed{seed}:{protocol}"))
     return {name: PmAverages(name, *(float(v) for v in mean))
-            for name, mean in means.items()}
+            for name, mean in normalise(table, names, baseline).items()}

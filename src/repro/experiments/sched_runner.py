@@ -11,7 +11,8 @@ This module only says how one (policy, die, workload) unit is
 measured: the policy's assignment, evaluated by the figure's
 ``evaluate`` configuration. The trial loop, campaign resume
 (``--resume`` / ``REPRO_RESUME=1`` with an ``experiment`` tag) and
-normalisation are :func:`repro.experiments.common.compare_trials`.
+normalisation are :func:`repro.experiments.common.trial_table` and
+:func:`~repro.experiments.common.normalise`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from ..chip import ChipProfile
 from ..runtime.evaluation import SystemState
 from ..sched import SchedulingPolicy
 from ..workloads import Workload
-from .common import ChipFactory, compare_trials
+from .common import (ChipFactory, normalise, require_baseline,
+                     trial_table)
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ def run_policy_comparison(
         Mapping policy name -> :class:`PolicyAverages` (baseline-
         normalised; the baseline row is identically 1.0).
     """
+    names = [policy.name for policy in policies]
+    require_baseline(names, baseline)
 
     def measure(policy: SchedulingPolicy, trial: int, chip: ChipProfile,
                 workload: Workload, rng: np.random.Generator,
@@ -83,12 +87,12 @@ def run_policy_comparison(
         return [state.total_power, state.ed2_relative,
                 state.throughput_mips, state.mean_frequency]
 
-    means = compare_trials(
+    table = trial_table(
         factory, policies, measure, n_threads=n_threads,
-        n_trials=n_trials, n_dies=n_dies, baseline=baseline, seed=seed,
+        n_trials=n_trials, n_dies=n_dies, seed=seed,
         workload_tag=11, experiment=experiment, name_field="policy",
         key_fields={"kind": "sched"},
         complete_scope=(f"sched:{experiment}:nt{n_threads}"
                         f":trials{n_trials}:seed{seed}"))
     return {name: PolicyAverages(name, *(float(v) for v in mean))
-            for name, mean in means.items()}
+            for name, mean in normalise(table, names, baseline).items()}

@@ -82,6 +82,7 @@ class ThermalNetwork:
             raise ValueError("conductances must be positive")
         self.floorplan = floorplan
         self.ambient_k = ambient_k
+        self.g_lateral = g_lateral
         blocks = floorplan.blocks()
         self.block_names: Tuple[str, ...] = tuple(name for name, _ in blocks)
         rects = [rect for _, rect in blocks]

@@ -35,6 +35,23 @@ class TestCli:
         assert main(["fig7", "--trials", "2"]) == 0
         assert "Figure 7(a)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["fig14", "fig15"])
+    def test_trials_flag_reaches_run(self, name, capsys, monkeypatch):
+        seen = {}
+
+        class _Result:
+            def format_table(self):
+                return "stub table"
+
+        def run(**kwargs):
+            seen.update(kwargs)
+            return _Result()
+
+        monkeypatch.setattr(EXPERIMENTS[name], "run", run)
+        assert main([name, "--trials", "3"]) == 0
+        assert seen == {"n_trials": 3}
+        assert "stub table" in capsys.readouterr().out
+
     def test_fig11_static_no_sann(self, capsys):
         assert main(["fig11", "--trials", "1", "--static",
                      "--no-sann"]) == 0

@@ -10,6 +10,7 @@ from repro.experiments.common import (
     default_n_trials,
     format_rows,
     histogram,
+    normalise,
 )
 from repro.experiments.pm_runner import (
     AlgorithmSpec,
@@ -125,6 +126,21 @@ class TestFormatting:
         assert (default_n_dies(), default_n_trials()) == (200, 20)
         monkeypatch.setenv("REPRO_FULL", "false")
         assert (default_n_dies(), default_n_trials()) == (30, 8)
+
+
+class TestNormalise:
+    def test_means_are_in_order_running_sums(self):
+        table = np.random.default_rng(0).uniform(0.5, 2.0, size=(11, 3, 4))
+        means = normalise(table, ["a", "b", "c"], "b")
+        total = 0.0
+        for trial in table:  # 11 trials: past numpy's pairwise cut-off
+            total = total + trial[2] / trial[1]
+        assert np.array_equal(means["c"], total / 11)
+        assert np.array_equal(means["b"], np.ones(4))
+
+    def test_missing_baseline_rejected(self):
+        with pytest.raises(ValueError, match="not among"):
+            normalise(np.ones((1, 2, 1)), ["a", "b"], "c")
 
 
 class TestSchedRunner:

@@ -342,6 +342,98 @@ class TestPmRunnerResume:
         assert resumed.calls == 2 * 2 - crash_at
 
 
+class _CountingSimulations:
+    """Stands in for ``OnlineSimulation``; raises after ``crash_after``."""
+
+    def __init__(self, inner, crash_after=None):
+        self.inner = inner
+        self.calls = 0
+        self.crash_after = crash_after
+
+    def __call__(self, *args, **kwargs):
+        if (self.crash_after is not None
+                and self.calls >= self.crash_after):
+            raise RuntimeError("injected campaign crash")
+        self.calls += 1
+        return self.inner(*args, **kwargs)
+
+
+class TestFig14Resume:
+    def test_interrupted_campaign_resumes_bitwise(self, tech, small_arch,
+                                                  tmp_path, monkeypatch):
+        from repro.experiments import fig14_granularity
+        real = fig14_granularity.OnlineSimulation
+
+        def run(sims, root=None):
+            monkeypatch.setattr(fig14_granularity, "OnlineSimulation", sims)
+            config = (parallel_config(resume=True, journal_root=root)
+                      if root is not None else parallel_config())
+            with config:
+                factory = ChipFactory(tech=tech, arch=small_arch,
+                                      seed=5, workers=1, cache=None)
+                return fig14_granularity.run(
+                    intervals_s=(0.02, 0.01), thread_counts=(4,),
+                    n_trials=2, factory=factory, seed=3)
+
+        reference = run(_CountingSimulations(real))
+        crash_at = 3
+        with pytest.raises(RuntimeError, match="injected"):
+            run(_CountingSimulations(real, crash_after=crash_at),
+                root=tmp_path)
+        assert len(RunJournal.open(tmp_path, "fig14")) == crash_at
+
+        # Resume: only the missing unit is simulated, and the table
+        # equals the uninterrupted run bitwise.
+        resumed = _CountingSimulations(real)
+        assert run(resumed, root=tmp_path) == reference
+        assert resumed.calls == 2 * 2 - crash_at
+
+
+class TestFig9Resume:
+    def test_replay_only_run_characterises_nothing(self, tmp_path,
+                                                   monkeypatch):
+        from repro.experiments import common, fig09_nunifreq_perf
+
+        def run():
+            with parallel_config(resume=True, journal_root=tmp_path):
+                return fig09_nunifreq_perf.run(
+                    n_trials=3,
+                    factory=ChipFactory(seed=0, workers=1, cache=None))
+
+        first = run()
+        calls = []
+        real = common.characterize_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(common, "characterize_batch", counting)
+        assert run() == first
+        assert calls == []
+
+
+class TestThermalAblationResume:
+    def test_arms_keep_their_own_units(self, tech, small_arch, tmp_path):
+        from repro.experiments.ablations import run_thermal_ablation
+
+        def run(root=None):
+            config = (parallel_config(resume=True, journal_root=root)
+                      if root is not None else parallel_config())
+            with config:
+                factory = ChipFactory(tech=tech, arch=small_arch,
+                                      seed=5, workers=1, cache=None)
+                return run_thermal_ablation(n_trials=1, n_threads=4,
+                                            factory=factory, seed=3)
+
+        reference = run()
+        assert (reference.values["lateral coupling on"]
+                != reference.values["lateral coupling weak"])
+        assert run(root=tmp_path) == reference
+        assert len(RunJournal.open(tmp_path, "ablation_thermal")) == 4
+        assert run(root=tmp_path) == reference  # replay only
+
+
 class TestCliResume:
     @pytest.fixture(autouse=True)
     def _journal_env(self, tmp_path, monkeypatch):

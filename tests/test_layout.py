@@ -6,7 +6,8 @@ code starts importing test code, if ``OnlineSimulation.run`` grows
 a parameter again (a mode switch would bring a second simulation loop
 back into ``src/``), or if an experiment module other than
 ``experiments/common.py`` keys or touches the campaign journal (a
-second journaled trial loop).
+second journaled trial loop), or if a Section 6.4 experiment (Figs
+7-14, the ablations) draws its own workloads (a second trial loop).
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ JOURNAL_CALLS = frozenset({"unit_key", "lookup", "record",
                            "require_complete", "mark_complete"})
 
 
-def _journal_calls(path: pathlib.Path):
-    """Lines of ``path`` that call a :data:`JOURNAL_CALLS` name."""
+def _calls_to(path: pathlib.Path, names):
+    """Lines of ``path`` that call a function or method in ``names``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -79,7 +80,7 @@ def _journal_calls(path: pathlib.Path):
         name = (func.id if isinstance(func, ast.Name)
                 else func.attr if isinstance(func, ast.Attribute)
                 else None)
-        if name in JOURNAL_CALLS:
+        if name in names:
             yield node.lineno
 
 
@@ -88,7 +89,7 @@ def test_only_the_shared_trial_loop_journals():
     offenders = [f"{path.name}:{line}"
                  for path in sorted(experiments.glob("*.py"))
                  if path.name != "common.py"
-                 for line in _journal_calls(path)]
+                 for line in _calls_to(path, JOURNAL_CALLS)]
     assert offenders == []
 
 
@@ -101,4 +102,28 @@ def test_journal_guard_sees_journal_calls(tmp_path):
                      "journal.mark_complete('scope', 1)\n"
                      "lookup_table = {}\n"
                      "journal.replay()\n")
-    assert list(_journal_calls(probe)) == [1, 2, 3, 4, 5]
+    assert list(_calls_to(probe, JOURNAL_CALLS)) == [1, 2, 3, 4, 5]
+
+
+#: The Section 6.4 experiments: their trials come from ``trial_table``.
+SECTION_64_MODULES = tuple(
+    sorted(path for path in (SRC / "experiments").glob("fig*.py")
+           if 7 <= int(path.name[3:5]) <= 14)) + (
+    SRC / "experiments" / "ablations.py",)
+
+
+def test_section_64_experiments_use_the_shared_trial_loop():
+    assert len(SECTION_64_MODULES) == 9
+    offenders = [f"{path.name}:{line}"
+                 for path in SECTION_64_MODULES
+                 for line in _calls_to(path, {"make_workload"})]
+    assert offenders == []
+
+
+def test_workload_guard_sees_workload_draws(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("w = make_workload(4, rng)\n"
+                     "w = workloads.make_workload(4, rng)\n"
+                     "make_workload_cache = {}\n"
+                     "f = make_workload\n")
+    assert list(_calls_to(probe, {"make_workload"})) == [1, 2]
