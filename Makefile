@@ -15,7 +15,7 @@ chaos:
 # Daemon suite: protocol/isolation/acceptance + chaos (CI's 'daemon'
 # job runs this plus the service benchmark under a hard timeout).
 daemon:
-	$(PYTHON) -m pytest -x -q tests/test_daemon.py tests/test_daemon_chaos.py
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_daemon.py tests/test_daemon_chaos.py
 
 # Crash-recovery suite: storage corruption suite, op-log/snapshot
 # units, bitwise replay, reconnecting clients, then the real
@@ -23,8 +23,8 @@ daemon:
 # (span map + pinned digest; CI's 'daemon-durability' job adds the
 # recovery-time floor).
 durability:
-	$(PYTHON) -m pytest -x -q tests/test_storage.py tests/test_daemon_durability.py
-	$(PYTHON) -m pytest -x -q -m slow tests/test_daemon_durability.py
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_storage.py tests/test_daemon_durability.py
+	$(PYTHON) -m pytest -x -q -m slow -W error::RuntimeWarning tests/test_daemon_durability.py
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[daemon_durable]"
 
 # Traced fig11_sann e2e run: pins the Fig 11 digest and the span map
@@ -33,12 +33,14 @@ durability:
 pm-trace:
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fig11_sann]"
 
-# Fleet subsystem suite, the nightly kill/resume bitwise check at
-# smoke scale (the scheduled CI job runs it at 10^4 dies) and the
-# traced fleet_cold e2e run (span map + pinned digest; CI's 'fleet'
-# job).
+# Fleet subsystem suite plus the kernel tests that pin the fleet entry
+# point's bitwise contract (per-row workloads, the columnar result,
+# the reductions its row totals rest on), the nightly kill/resume
+# bitwise check at smoke scale (the scheduled CI job runs it at 10^4
+# dies) and the traced fleet_cold e2e run (span map + pinned digest;
+# CI's 'fleet' job).
 fleet:
-	$(PYTHON) -m pytest -x -q tests/test_fleet.py
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_fleet.py tests/test_kernel.py::TestPerRowWorkloads tests/test_kernel.py::TestReductionAssumptions
 	$(PYTHON) benchmarks/fleet_nightly.py --dies 600 --out /tmp/repro-fleet-nightly
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fleet_cold]"
 
@@ -60,4 +62,4 @@ bench-baseline: bench
 	$(PYTHON) benchmarks/perf_gate.py update
 
 coverage:
-	$(PYTHON) -m pytest --cov=repro --cov-report=term --cov-report=html
+	$(PYTHON) -m pytest -q -W error::RuntimeWarning --cov=repro --cov-report=term --cov-report=html

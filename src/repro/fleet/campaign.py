@@ -95,9 +95,12 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     single-thread workload per row), so the whole chunk's analysis is
     four kernel builds and four
     :meth:`EvalKernel.evaluate_max_levels_fleet` calls on the 4-core
-    fleet die. The per-die mean keeps the serial reduction form
-    (``np.mean`` over a contiguous per-die row of app powers), and
-    max/min are exact, so results are bitwise-identical to a serial
+    fleet die. Each call's ``core_power[:, 0]`` column is read
+    directly, no per-row state is built, and the stacked ``(n_cores,
+    D, n_apps)`` powers give every per-core app mean in one
+    ``mean(axis=2)``: each of its rows is the serial ``np.mean`` over
+    that contiguous row of app powers (``TestReductionAssumptions``).
+    Max/min are exact, so results are bitwise-identical to a serial
     per-die, per-app loop (the reference in ``tests/references.py``;
     property-tested in tests/test_fleet.py).
     """
@@ -111,16 +114,14 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     n_apps = len(SPEC_APPS)
     rows = [chip for chip in chips for _ in range(n_apps)]
     workloads = [Workload((app,)) for app in SPEC_APPS] * d
-    # One core's states are released before the next core's kernel
-    # runs, so the analysis holds one kernel's working set at a time.
-    powers = np.array([
-        [float(state.core_power[0]) for state in EvalKernel(
-            rows, workloads, Assignment(core_of=(core_id,))
-        ).evaluate_max_levels_fleet()]
+    # Only one column of a core's kernel call is kept, so the analysis
+    # holds one kernel's working set at a time.
+    powers = np.stack([
+        EvalKernel(rows, workloads, Assignment(core_of=(core_id,))
+                   ).evaluate_max_levels_fleet().core_power[:, 0]
         for core_id in range(n_cores)]).reshape(n_cores, d, n_apps)
-    mean_power = np.array([[np.mean(powers[c, b]) for c in range(n_cores)]
-                           for b in range(d)])
-    cols["power_ratio"] = mean_power.max(axis=1) / mean_power.min(axis=1)
+    mean_power = powers.mean(axis=2)
+    cols["power_ratio"] = mean_power.max(axis=0) / mean_power.min(axis=0)
     return cols
 
 

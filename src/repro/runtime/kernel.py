@@ -82,7 +82,10 @@ speculative candidates to the kernel.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections import abc
+from dataclasses import dataclass
 from itertools import groupby, islice, repeat
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -153,6 +156,21 @@ def _scalar_pow_prefactor(temps: np.ndarray, vdd: np.ndarray,
     cell.
     """
     return np.multiply(vdd, _libm_square(temps / T_REF_K), out=out)
+
+
+def _row_totals(powers: np.ndarray, n_cores: int, core_dyn: np.ndarray,
+                core_leak: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's ``(L2 power, total power)``, one reduction per column.
+
+    Entry ``b`` is bitwise the serial path's ``float(powers[b,
+    n_cores:].sum())`` and ``float(core_dyn[b].sum() +
+    core_leak[b].sum()) + l2_power``: each row of an ``axis=1`` sum is
+    that row's own contiguous pairwise sum, and the adds are
+    elementwise (``TestReductionAssumptions``). A matrix-vector product
+    with a ones vector rounds differently and is deliberately avoided.
+    """
+    l2_power = powers[:, n_cores:].sum(axis=1)
+    return l2_power, (core_dyn.sum(axis=1) + core_leak.sum(axis=1)) + l2_power
 
 
 def _distinct(objs: Sequence) -> Tuple[list, np.ndarray]:
@@ -678,13 +696,13 @@ class EvalKernel:
         levels = self.check_levels(levels_matrix, errors)
         if levels.shape[0] == 0:
             return []
-        return self._evaluate_rows(
-            np.zeros(levels.shape[0], dtype=np.intp), levels, errors)
+        return list(self._evaluate_rows(
+            np.zeros(levels.shape[0], dtype=np.intp), levels, errors))
 
     def evaluate_levels_fleet(
         self, levels: Sequence[int],
         errors: str = "raise",
-    ) -> List[SystemState]:
+    ) -> StateColumns:
         """Evaluate one decision on every die.
 
         Args:
@@ -699,18 +717,27 @@ class EvalKernel:
                 failure and keep streaming the rest of the fleet.
 
         Returns:
-            One converged :class:`SystemState` per die, in die order —
-            element ``d`` is bitwise-identical to
-            ``evaluate_levels(chips[d], workload, assignment,
-            levels[d])``.
+            The call's :class:`StateColumns`: per-die columns with a
+            leading die axis, read as a sequence with one entry per
+            die, in die order. Entry ``d`` is a :class:`SystemState`
+            bitwise-identical to ``evaluate_levels(chips[d],
+            workloads[d], assignment, levels[d])``, built when read, or
+            under ``"isolate"`` the exception that call raises. A
+            caller that needs one quantity of every die reads its
+            column instead (``fleet_die_metrics`` reads
+            ``core_power[:, 0]``).
         """
         levels = self.check_levels(levels, errors, n_rows=self.n_dies)
         return self._evaluate_rows(np.arange(self.n_dies), levels, errors)
 
     def evaluate_max_levels_fleet(self,
                                   errors: str = "raise",
-                                  ) -> List[SystemState]:
-        """Every die at its cores' top operating points (NUniFreq)."""
+                                  ) -> StateColumns:
+        """Every die at its cores' top operating points (NUniFreq).
+
+        Returns the :class:`StateColumns` of
+        :meth:`evaluate_levels_fleet` at each core's top level.
+        """
         return self.evaluate_levels_fleet(self._n_levels - 1,
                                           errors=errors)
 
@@ -744,56 +771,70 @@ class EvalKernel:
         return lv
 
     def _evaluate_rows(self, rows: np.ndarray, levels: np.ndarray,
-                       errors: str) -> List:
+                       errors: str) -> StateColumns:
         """Evaluate validated level rows, level row ``b`` on kernel row
-        ``rows[b]``.
+        ``rows[b]``, into one :class:`StateColumns`.
 
         Past 16 rows of the 20-core die the (rows, cells) working
         matrices outgrow the L2 cache and per-row cost climbs ~60%, so
         rows are evaluated in slabs of at most ``_SLAB_CELLS`` leakage
-        cells. Rows are fully
-        independent (each runs its own serial iteration schedule), so
-        slabbing cannot change any result. Under ``errors="raise"`` the
-        lowest-index captured exception is re-raised — the one a serial
-        in-order scan would hit first.
+        cells, each writing its rows of the call's columns. Rows are
+        fully independent (each runs its own serial iteration
+        schedule), so slabbing cannot change any result. The row totals
+        are then formed for the whole call by :func:`_row_totals`; a
+        failed row holds finite placeholders there, never uninitialised
+        memory. Under ``errors="raise"`` the lowest-index captured
+        exception is re-raised — the one a serial in-order scan would
+        hit first.
         """
         start = time.perf_counter()
         n_rows = levels.shape[0]
         shared = self._vth.ndim == 1
         step = self._slab_rows
-        out: List = []
+        volts, freqs, ipcs, core_dyn = self._tabs[
+            :, rows[:, None], self._thread_ix, levels]
+        temps = np.empty((n_rows, self._n_blocks))
+        powers = np.empty((n_rows, self._n_blocks))
+        core_leak = np.empty((n_rows, self._n))
+        failed: Dict[int, Exception] = {}
         total_iters = 0
         for c0 in range(0, n_rows, step):
-            d = rows[c0:c0 + step]
-            volts, freqs, ipcs, core_dyn = self._tabs[
-                :, d[:, None], self._thread_ix, levels[c0:c0 + step]]
+            s = slice(c0, c0 + step)
             if shared:
                 leak = (self._vth, self._weights, self._scale)
             else:
-                p = self._pack_of[d]
+                p = self._pack_of[rows[s]]
                 leak = (self._vth[p], self._weights[p], self._scale[p])
-            states, iters = self._evaluate(levels[c0:c0 + step], volts,
-                                           freqs, ipcs, core_dyn, *leak)
-            out.extend(states)
+            iters, slab_failed = self._evaluate(
+                levels[s], volts[s], core_dyn[s], *leak,
+                temps[s], powers[s], core_leak[s])
             total_iters += iters
+            if slab_failed:
+                failed.update((c0 + r, err)
+                              for r, err in slab_failed.items())
+        l2_power, total = _row_totals(powers, self._n_cores, core_dyn,
+                                      core_leak)
         wall = time.perf_counter() - start
         self.stats.record(n_rows, total_iters, wall)
         EVALUATION_COUNTER.record(n_rows, total_iters, wall)
-        if errors == "raise":
-            for item in out:
-                if isinstance(item, Exception):
-                    raise item
-        return out
+        if errors == "raise" and failed:
+            raise failed[min(failed)]
+        return StateColumns(volts, freqs, ipcs, core_dyn, core_leak, temps,
+                            l2_power, total, failed)
 
     def _evaluate(self, levels: np.ndarray, volts: np.ndarray,
-                  freqs: np.ndarray, ipcs: np.ndarray, core_dyn: np.ndarray,
-                  vth: np.ndarray, weights: np.ndarray,
-                  scale: np.ndarray):
-        """Evaluate one chunk of rows from their gathered table values.
+                  core_dyn: np.ndarray, vth: np.ndarray,
+                  weights: np.ndarray, scale: np.ndarray,
+                  temps: np.ndarray, powers: np.ndarray,
+                  core_leak: np.ndarray):
+        """Evaluate one slab of rows from their gathered table values.
 
         ``vth``/``weights``/``scale`` are the packed leakage state of
-        :meth:`_CellLayout.pack` — shared (1-D) or one row per chunk row
-        (2-D). Returns ``(states, fixed-point iterations)``.
+        :meth:`_CellLayout.pack` — shared (1-D) or one row per slab row
+        (2-D). Writes the slab's converged block temperatures, block
+        powers and per-thread core leakage into ``temps``, ``powers``
+        and ``core_leak``; returns ``(fixed-point iterations, {slab row:
+        exception})``.
         """
         n_rows = volts.shape[0]
         block_dyn = np.zeros((n_rows, self._n_blocks))
@@ -808,42 +849,18 @@ class EvalKernel:
             core, base = self._ambient_leak
             first_leak = np.tile(base, (n_rows, 1))
             first_leak[:, self._core_of] = core[levels, self._thread_ix]
-        temps, powers, iters, row_errors = self._fixed_point(
+        iters, failed = self._fixed_point(
             block_dyn, _SlabLeakage(layout, vdd, dib, vth, weights, scale),
-            first_leak)
-        # Failed rows hold uninitialised temperatures; park them at the
-        # ambient so the shared final recompute stays well-defined (the
-        # garbage results are replaced by the exception objects below,
-        # and every surviving row is untouched — rows are independent).
-        for b, err in enumerate(row_errors):
-            if err is not None:
-                temps[b] = self._thermal.ambient_k
+            first_leak, temps, powers)
         if np.any(temps <= 0):
             raise ValueError("temperature must be positive kelvin")
-        core_leak = self._thread_leakage(temps, vdd, dib, vth, weights,
-                                         scale)
-
-        out: List = []
-        for b in range(n_rows):
-            if row_errors[b] is not None:
-                out.append(row_errors[b])
-                continue
-            l2_power = float(powers[b, self._n_cores:].sum())
-            total = float(core_dyn[b].sum() + core_leak[b].sum()) + l2_power
-            out.append(SystemState(
-                voltages=volts[b].copy(),
-                freqs=freqs[b].copy(),
-                ipcs=ipcs[b].copy(),
-                core_dynamic=core_dyn[b].copy(),
-                core_leakage=core_leak[b].copy(),
-                block_temps=temps[b].copy(),
-                l2_power=l2_power,
-                total_power=total,
-            ))
-        return out, int(iters.sum())
+        core_leak[...] = self._thread_leakage(temps, vdd, dib, vth,
+                                              weights, scale)
+        return int(iters.sum()), failed
 
     def _fixed_point(self, block_dyn: np.ndarray, leakage: _SlabLeakage,
-                     first_leak: Optional[np.ndarray]):
+                     first_leak: Optional[np.ndarray], out_temps: np.ndarray,
+                     out_powers: np.ndarray):
         """Lockstep leakage-temperature fixed point with row masks.
 
         Every row starts from the ambient temperature and takes exactly
@@ -860,6 +877,12 @@ class EvalKernel:
         kernel's tabulated first iterate) and replaces iteration 1's
         leakage evaluation; iteration 1 still solves and counts.
 
+        Converged rows write their temperatures and block powers into
+        ``out_temps``/``out_powers``. A failed row is parked at the
+        ambient temperature with zero block power, so the final
+        per-thread recompute and the row totals stay finite; its state
+        is never read. Returns ``(per-row iterations, {row: exception})``.
+
         Each guard first makes one slab-wide test and builds the exact
         per-row mask only when that test trips. ``not x.min() > 0`` and
         ``not x.max() <= RUNAWAY_TEMP_K`` hold whenever some row's
@@ -869,18 +892,16 @@ class EvalKernel:
         overflows falls through to the exact per-row test.
         """
         n_rows = block_dyn.shape[0]
-        out_temps = np.empty((n_rows, self._n_blocks))
-        out_powers = np.empty((n_rows, self._n_blocks))
         out_iters = np.zeros(n_rows, dtype=int)
-        row_errors: List[Optional[Exception]] = [None] * n_rows
+        row_errors: Dict[int, Exception] = {}
+        ambient = self._thermal.ambient_k
         seg_block = self._layout.seg_block
         solve_many = self._thermal.solve_many
         # Idle-core columns are never written, so they stay zero.
         leak_buf = np.zeros((n_rows, self._n_blocks))
 
         orig = np.arange(n_rows)
-        work_temps = np.full((n_rows, self._n_blocks),
-                             self._thermal.ambient_k)
+        work_temps = np.full((n_rows, self._n_blocks), ambient)
         work_dyn = block_dyn
 
         def compact(keep: np.ndarray) -> None:
@@ -893,9 +914,12 @@ class EvalKernel:
             """Record ``error(message)`` for the ``bad`` rows and compact
             them away; True when no active rows remain."""
             nonlocal work_temps
-            for r in orig[bad]:
+            lost = orig[bad]
+            for r in lost.tolist():
                 row_errors[r] = error(message)
-                out_iters[r] = iteration
+            out_iters[lost] = iteration
+            out_temps[lost] = ambient
+            out_powers[lost] = 0.0
             compact(~bad)
             work_temps = work_temps[~bad]
             return orig.size == 0
@@ -907,7 +931,7 @@ class EvalKernel:
                 bad = (work_temps <= 0).any(axis=1)
                 if bad.any() and fail(bad, ValueError,
                                       "temperature must be positive kelvin"):
-                    return out_temps, out_powers, out_iters, row_errors
+                    return out_iters, row_errors
             if iteration == 1 and first_leak is not None:
                 # Every row shares iteration 1's ambient iterate, so the
                 # guard above dropped all rows or none: ``first_leak``
@@ -923,7 +947,7 @@ class EvalKernel:
                     kept_total = total[~bad]
                     if fail(bad, ThermalRunawayError,
                             "leakage diverged before the temperature did"):
-                        return out_temps, out_powers, out_iters, row_errors
+                        return out_iters, row_errors
                     total = kept_total
             solved = solve_many(total)
             new_temps = DAMPING * solved + (1.0 - DAMPING) * work_temps
@@ -936,7 +960,7 @@ class EvalKernel:
                             f"block temperature exceeded {RUNAWAY_TEMP_K} "
                             "K: the leakage-temperature loop gain is above "
                             "unity for these power/cooling parameters"):
-                        return out_temps, out_powers, out_iters, row_errors
+                        return out_iters, row_errors
                     total = kept_total
                     new_temps = kept_new
             delta = np.abs(new_temps - work_temps).max(axis=1)
@@ -947,17 +971,85 @@ class EvalKernel:
                 out_powers[done] = total[converged]
                 out_iters[done] = iteration
                 if converged.all():
-                    return out_temps, out_powers, out_iters, row_errors
+                    return out_iters, row_errors
                 compact(~converged)
                 work_temps = new_temps[~converged]
             else:
                 work_temps = new_temps
-        for r in orig:
-            row_errors[r] = RuntimeError(
-                "leakage-temperature iteration did not converge "
-                f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
-            out_iters[r] = MAX_ITERATIONS
-        return out_temps, out_powers, out_iters, row_errors
+        # Rows still iterating fail at the cap (``iteration`` is
+        # ``MAX_ITERATIONS`` once the loop has run out).
+        fail(np.ones(orig.size, dtype=bool), RuntimeError,
+             "leakage-temperature iteration did not converge "
+             f"within {MAX_ITERATIONS} iterations (thermal runaway?)")
+        return out_iters, row_errors
+
+
+@dataclass(eq=False)
+class StateColumns(abc.Sequence):
+    """One kernel call's rows as columns, read as a sequence of states.
+
+    Per-row quantities are arrays with a leading row axis:
+    ``voltages``, ``freqs``, ``ipcs``, ``core_dynamic`` and
+    ``core_leakage`` are ``(rows, n_threads)``, ``block_temps`` is
+    ``(rows, n_blocks)``, and the row totals ``l2_power`` and
+    ``total_power`` are ``(rows,)``. They are the call's own arrays,
+    shared with no other object; callers read them and never write
+    them. ``errors`` maps each failed row to the exception it
+    captured; a failed row's columns hold placeholders (ambient
+    temperatures, zero L2 power).
+
+    ``rows[d]`` builds row ``d``'s :class:`SystemState` when read, with
+    copies of the row's arrays, so it is bitwise the state the serial
+    evaluation returns and mutating it never reaches the columns. A
+    failed row reads as its exception. ``len``, iteration and negative
+    indices behave as on the list of states; a slice is such a list.
+    """
+
+    voltages: np.ndarray
+    freqs: np.ndarray
+    ipcs: np.ndarray
+    core_dynamic: np.ndarray
+    core_leakage: np.ndarray
+    block_temps: np.ndarray
+    l2_power: np.ndarray
+    total_power: np.ndarray
+    errors: Dict[int, Exception]
+
+    @property
+    def core_power(self) -> np.ndarray:
+        """``(rows, n_threads)`` total core power (W), every row's
+        :attr:`SystemState.core_power`."""
+        return self.core_dynamic + self.core_leakage
+
+    def __len__(self) -> int:
+        return self.total_power.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(d) for d in range(*index.indices(len(self)))]
+        d = operator.index(index)
+        n = len(self)
+        if not -n <= d < n:
+            raise IndexError("row index out of range")
+        return self._row(d % n)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def _row(self, d: int) -> Union[SystemState, Exception]:
+        error = self.errors.get(d)
+        if error is not None:
+            return error
+        return SystemState(
+            voltages=self.voltages[d].copy(),
+            freqs=self.freqs[d].copy(),
+            ipcs=self.ipcs[d].copy(),
+            core_dynamic=self.core_dynamic[d].copy(),
+            core_leakage=self.core_leakage[d].copy(),
+            block_temps=self.block_temps[d].copy(),
+            l2_power=float(self.l2_power[d]),
+            total_power=float(self.total_power[d]),
+        )
 
 
 #: Bound on a :class:`StateMemo`; past it the oldest state is evicted.

@@ -23,6 +23,8 @@ from repro.chip import characterize_die
 from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER, T_REF_K,
                           ArchConfig, PowerEnvironment)
 from repro.faults import MANAGER_ERROR, ResilientManager
+from repro.fleet import FLEET_ARCH
+from repro.floorplan import build_floorplan
 from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
                       LinOptConfig, OptimalFrozen, SAnnManager,
                       fit_power_lines)
@@ -31,12 +33,13 @@ from repro.power import PowerSensor
 from repro.power.scaling import L2_DYNAMIC_FRACTION
 from repro.runtime.evaluation import (EVALUATION_COUNTER, Assignment,
                                       evaluate_levels)
+from repro.runtime import kernel as kernel_module
 from repro.runtime.kernel import (_WALK_MAX, _WALK_MIN, EvalKernel,
-                                  StateMemo, _CellLayout,
+                                  StateMemo, _CellLayout, _row_totals,
                                   _scalar_pow_prefactor)
 from repro.thermal.hotspot import RUNAWAY_TEMP_K, ThermalRunawayError
 from repro.variation import DieBatch
-from repro.workloads import Workload, make_workload
+from repro.workloads import SPEC_APPS, Workload, make_workload
 
 #: The daemon's 4-core die: every core has a different cell count, so
 #: each core segment is a size group of its own.
@@ -782,6 +785,45 @@ class TestReductionAssumptions:
         np.testing.assert_array_equal(_scalar_pow_prefactor(temps, vdd),
                                       expected)
 
+    #: Row widths of the columnar reductions: every thread count of the
+    #: 20-core die and beyond, the fleet die's L2 blocks and the
+    #: Fig 4(a) analysis's apps among them.
+    WIDTHS = range(1, 41)
+
+    def test_widths_cover_the_fleet_analysis(self):
+        assert len(build_floorplan(FLEET_ARCH).l2_blocks) in self.WIDTHS
+        assert len(SPEC_APPS) in self.WIDTHS
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_row_totals_match_per_row_sums(self, width):
+        """``a[:, k:].sum(axis=1)[b]`` is ``a[b, k:].sum()``, and
+        ``(x.sum(axis=1) + y.sum(axis=1)) + z`` is ``float(x[b].sum() +
+        y[b].sum()) + z[b]``: the kernel's row totals are the serial
+        ones, by ``float.hex``."""
+        rng = np.random.default_rng(3000 + width)
+        rows, n_cores = 6, 3
+        powers = rng.lognormal(0.0, 3.0, size=(rows, n_cores + width))
+        core_dyn, core_leak = rng.lognormal(0.0, 3.0,
+                                            size=(2, rows, width))
+        l2_power, total = _row_totals(powers, n_cores, core_dyn, core_leak)
+        for b in range(rows):
+            l2_serial = float(powers[b, n_cores:].sum())
+            total_serial = (float(core_dyn[b].sum() + core_leak[b].sum())
+                            + l2_serial)
+            assert float(l2_power[b]).hex() == l2_serial.hex()
+            assert float(total[b]).hex() == total_serial.hex()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_axis2_mean_matches_per_row_mean(self, width):
+        """``powers.mean(axis=2)`` of a contiguous ``(cores, dies,
+        apps)`` stack is each row's serial ``np.mean``."""
+        rng = np.random.default_rng(4000 + width)
+        powers = rng.lognormal(0.0, 3.0, size=(3, 5, width))
+        means = powers.mean(axis=2)
+        assert ([[float(m).hex() for m in row] for row in means]
+                == [[float(np.mean(powers[c, d])).hex() for d in range(5)]
+                    for c in range(3)])
+
 
 @pytest.fixture(scope="module")
 def distinct_chips():
@@ -961,6 +1003,104 @@ class TestPerRowWorkloads:
             EvalKernel(distinct_chips[:2], [two, three], asg)
         with pytest.raises(ValueError, match="sizes differ"):
             EvalKernel(distinct_chips[:2], three, asg)
+
+    @staticmethod
+    def _runaway_matrix(chips, asg, rng, n_rows, runaway):
+        """Low random levels, every thread at its top level on the
+        ``runaway`` rows (which run away under a 10x Ceff)."""
+        max_lv = min(chips[0].cores[c].vf_table.n_levels
+                     for c in asg.core_of)
+        matrix = rng.integers(0, max_lv // 2, size=(n_rows, 4))
+        matrix[runaway] = max_lv - 1
+        return matrix
+
+    def test_columns_read_as_a_sequence(self, rows):
+        """``len``, iteration order, negative indices, slices and the
+        exception slot under ``errors="isolate"``."""
+        chips, wls, asg, rng = rows
+        n = self.N_ROWS
+        kernel = EvalKernel(chips, wls, asg, ceff_multipliers=[10.0] * 4)
+        matrix = self._runaway_matrix(chips, asg, rng, n, [4])
+        cols = kernel.evaluate_levels_fleet(matrix, errors="isolate")
+        assert len(cols) == n
+        listed = list(cols)
+        assert len(listed) == n
+        assert 4 in cols.errors
+        assert sorted(cols.errors) == [
+            d for d, item in enumerate(listed) if isinstance(item, Exception)]
+        for d in range(n):
+            _assert_same_outcome(cols[d], listed[d])
+            _assert_same_outcome(cols[d - n], listed[d])
+        assert cols[4] is cols.errors[4] is cols[-5]
+        for got, want in zip(cols[1:8:3], listed[1:8:3]):
+            _assert_same_outcome(got, want)
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                cols[bad]
+        _assert_rows_match_serial(listed, chips, wls, asg, matrix,
+                                  [10.0] * 4)
+
+    def test_row_reads_are_independent_copies(self, rows):
+        """Reading a row twice gives equal states with their own arrays;
+        writing one never reaches the columns."""
+        chips, wls, asg, rng = rows
+        cols = EvalKernel(chips, wls, asg).evaluate_levels_fleet(
+            rng.integers(0, 3, size=(self.N_ROWS, 4)))
+        first, second = cols[3], cols[3]
+        _assert_state_bitwise(first, second)
+        for field in dataclasses.fields(first):
+            value = getattr(first, field.name)
+            if isinstance(value, np.ndarray):
+                assert value is not getattr(second, field.name)
+                assert not np.shares_memory(value,
+                                            getattr(cols, field.name))
+                value[...] = -1.0
+        _assert_state_bitwise(cols[3], second)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_rows_in_each_slab_stay_out_of_the_totals(
+            self, rows, monkeypatch):
+        """A two-slab fleet call with a runaway row in each slab: the
+        failed rows hold the ambient temperature and zero L2 power, not
+        uninitialised memory, so the row totals stay finite and no
+        warning fires; every other row is the serial evaluation."""
+        chips, wls, asg, rng = rows
+        cells = _CellLayout(chips[0], asg.core_of).cell_bounds[-1]
+        monkeypatch.setattr(kernel_module, "_SLAB_CELLS", 5 * cells)
+        kernel = EvalKernel(chips, wls, asg, ceff_multipliers=[10.0] * 4)
+        assert kernel._slab_rows == 5 < self.N_ROWS
+        matrix = self._runaway_matrix(chips, asg, rng, self.N_ROWS, [1, 7])
+        cols = kernel.evaluate_levels_fleet(matrix, errors="isolate")
+        failed = sorted(cols.errors)
+        assert {1, 7} <= set(failed)
+        assert (cols.l2_power[failed] == 0.0).all()
+        assert (cols.block_temps[failed]
+                == chips[0].thermal.ambient_k).all()
+        assert np.isfinite(cols.total_power).all()
+        _assert_rows_match_serial(list(cols), chips, wls, asg, matrix,
+                                  [10.0] * 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_at_the_iteration_cap_fail_in_slot(self, rows,
+                                                    monkeypatch):
+        """Rows still iterating at the cap fail in slot with the serial
+        error and the cap as their iteration count, and hold the same
+        finite placeholders as diverged rows."""
+        chips, wls, asg, rng = rows
+        monkeypatch.setattr(kernel_module, "MAX_ITERATIONS", 2)
+        kernel = EvalKernel(chips, wls, asg)
+        matrix = rng.integers(0, 3, size=(self.N_ROWS, 4))
+        cols = kernel.evaluate_levels_fleet(matrix, errors="isolate")
+        assert sorted(cols.errors) == list(range(self.N_ROWS))
+        for item in cols:
+            assert type(item) is RuntimeError
+            assert "within 2 iterations" in str(item)
+        assert kernel.stats.fixed_point_iterations == 2 * self.N_ROWS
+        assert (cols.l2_power == 0.0).all()
+        assert (cols.block_temps == chips[0].thermal.ambient_k).all()
+        assert np.isfinite(cols.total_power).all()
+        with pytest.raises(RuntimeError, match="within 2 iterations"):
+            kernel.evaluate_levels_fleet(matrix)
 
 
 def _assert_same_outcome(a, b):
