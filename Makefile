@@ -35,12 +35,13 @@ pm-trace:
 
 # Fleet subsystem suite plus the kernel tests that pin the fleet entry
 # point's bitwise contract (per-row workloads, the columnar result,
-# the reductions its row totals rest on), the nightly kill/resume
+# the reductions its row totals rest on), the die-batched binning
+# kernel every fleet chunk runs through, the nightly kill/resume
 # bitwise check at smoke scale (the scheduled CI job runs it at 10^4
 # dies) and the traced fleet_cold e2e run (span map + pinned digest;
 # CI's 'fleet' job).
 fleet:
-	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_fleet.py tests/test_kernel.py::TestPerRowWorkloads tests/test_kernel.py::TestReductionAssumptions
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_fleet.py tests/test_characterize_batch.py tests/test_kernel.py::TestPerRowWorkloads tests/test_kernel.py::TestReductionAssumptions
 	$(PYTHON) benchmarks/fleet_nightly.py --dies 600 --out /tmp/repro-fleet-nightly
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fleet_cold]"
 

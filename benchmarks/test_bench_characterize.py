@@ -3,7 +3,8 @@
 Times cold characterisation of a fleet-arch die batch — generation
 plus binning, the exact work a cache-miss chunk pays inside
 ``characterize_batch``/``run_fleet_campaign`` — through the serial
-per-die :func:`repro.chip.characterize_die` loop and the die-batched
+per-die oracles of ``tests.references`` (``generate_variation_map``
+then ``characterize_die``, one die at a time) and the die-batched
 :func:`repro.chip.characterize_dies` kernel. Serial and batched rounds
 are interleaved and the minimum wall per mode is compared (the robust
 statistic on a noisy runner), with a hard floor on the speedup: the
@@ -21,7 +22,7 @@ import time
 import numpy as np
 from conftest import emit
 
-from repro.chip import characterize_die, characterize_dies
+from repro.chip import characterize_dies
 from repro.config import DEFAULT_TECH
 from repro.experiments.common import format_rows
 from repro.floorplan import build_floorplan
@@ -29,7 +30,8 @@ from repro.fleet import FLEET_ARCH
 from repro.parallel import profile_payload
 from repro.settings import settings
 from repro.thermal import ThermalNetwork
-from repro.variation import DieBatch
+from repro.variation import Die, DieBatch
+from tests.references import characterize_die, generate_variation_map
 
 # Interleaved measurement rounds; each round re-generates its dies so
 # both modes pay the full cold path (sampler setup + draws + binning).
@@ -46,14 +48,21 @@ def test_characterize_batch_speedup(benchmark, results_dir):
     floorplan = build_floorplan(arch)
     thermal = ThermalNetwork(floorplan)
 
+    def serial_profile(i):
+        """Die ``i`` through the oracles: generate its map, then bin."""
+        vmap = generate_variation_map(
+            tech, arch.die_edge_mm, arch.grid_resolution,
+            np.random.default_rng([seed, i]))
+        return characterize_die(Die(die_id=i, variation=vmap), tech, arch,
+                                floorplan=floorplan, thermal=thermal)
+
     # Identity sanity-check once before timing anything.
     probe = DieBatch(tech, arch, n_dies, seed=seed)
     dies = probe.dies_for(range(4))
     batched = characterize_dies(dies, tech, arch,
                                 floorplan=floorplan, thermal=thermal)
     for die, prof in zip(dies, batched):
-        ref = characterize_die(die, tech, arch,
-                               floorplan=floorplan, thermal=thermal)
+        ref = serial_profile(die.die_id)
         pr, pb = profile_payload(ref), profile_payload(prof)
         for key in pr:
             assert np.array_equal(pr[key], pb[key]), key
@@ -62,10 +71,8 @@ def test_characterize_batch_speedup(benchmark, results_dir):
         serial_walls, batch_walls = [], []
         for _ in range(N_ROUNDS):
             t0 = time.perf_counter()
-            batch = DieBatch(tech, arch, n_dies, seed=seed)
             for i in range(n_dies):
-                characterize_die(batch[i], tech, arch,
-                                 floorplan=floorplan, thermal=thermal)
+                serial_profile(i)
             serial_walls.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             batch = DieBatch(tech, arch, n_dies, seed=seed)

@@ -28,7 +28,7 @@ import time
 import numpy as np
 from conftest import emit
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import (COST_PERFORMANCE, DEFAULT_ARCH, DEFAULT_TECH,
                           ArchConfig, PowerEnvironment)
 from repro.experiments.common import format_rows
@@ -152,8 +152,8 @@ def _linopt_phase_counters(chip, monkeypatch):
 
 def test_kernel_batch_speedup(benchmark, results_dir, monkeypatch):
     tech = DEFAULT_TECH
-    chips = {arch: characterize_die(
-        DieBatch(tech, arch, n_dies=1, seed=7)[0], tech, arch)
+    chips = {arch: characterize_dies(
+        DieBatch(tech, arch, n_dies=1, seed=7)[:1], tech, arch)[0]
         for arch in (SMALL_ARCH, DEFAULT_ARCH, DAEMON_ARCH)}
 
     cases = {}

@@ -8,7 +8,7 @@ Run with::
 
 import numpy as np
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import COST_PERFORMANCE, DEFAULT_ARCH, DEFAULT_TECH
 from repro.pm import FoxtonStar, LinOpt
 from repro.runtime import evaluate_max_levels
@@ -23,7 +23,7 @@ def main() -> None:
     #    the way the chip manufacturer would: per-core (V, f) tables,
     #    leakage models and static-power ratings.
     batch = DieBatch(DEFAULT_TECH, DEFAULT_ARCH, n_dies=4, seed=42)
-    chip = characterize_die(batch[0], DEFAULT_TECH, DEFAULT_ARCH)
+    chip = characterize_dies([batch[0]], DEFAULT_TECH, DEFAULT_ARCH)[0]
 
     fmax_ghz = chip.fmax_array / 1e9
     print(f"Die 0: {chip.n_cores} cores, fmax "

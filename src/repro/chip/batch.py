@@ -1,50 +1,49 @@
 """Die-batched characterisation kernel.
 
-:func:`characterize_dies` bins many dies at once, bitwise-identical to
-calling :func:`~repro.chip.characterize.characterize_die` per die. It
-follows the lockstep recipe proven by ``EvalKernel``
-(DESIGN.md §13/§17): every floating-point expression of the serial
-binning flow is either hoisted (when it does not depend on the die) or
-replayed in exact serial form over stacked arrays (when IEEE semantics
-guarantee elementwise/broadcast equality), and reductions whose
-accumulation order is implementation-defined stay in their serial shape.
+:func:`characterize_dies` is the manufacturer's binning flow
+(Table 3) and its only implementation in ``repro``: it bins many dies
+at once, bitwise-identical to binning each die on its own with the
+one-die oracle kept in ``tests/references.py``. It follows the
+lockstep recipe proven by ``EvalKernel`` (DESIGN.md §13/§17): every
+floating-point expression of the per-die flow is either hoisted (when
+it does not depend on the die) or replayed in exact per-die form over
+stacked arrays (when IEEE semantics guarantee elementwise/broadcast
+equality), and reductions whose accumulation order is
+implementation-defined stay in their per-die shape.
 
 Concretely, per chunk of dies sharing a map geometry:
 
 * per-die RNG draws are coalesced into one ``standard_normal`` call per
-  die in the exact serial stream order;
+  die in the per-die stream order (per core, per unit);
 * candidate-path (Vth, Leff) values are one stacked gather over a
   precomputed flat cell index plus one broadcast add of the random
-  offsets — identical binary ops to the serial per-unit loop;
-* Pareto pruning calls the (vectorised) serial ``pareto_prune`` per
-  (die, core) — its keep-set depends on sort order, not accumulation;
+  offsets — identical binary ops to a per-unit loop;
+* Pareto pruning calls ``pareto_prune`` per (die, core) — its keep-set
+  depends on sort order, not accumulation;
 * ``gate_delay`` evaluates one ``(levels, total_paths)`` block for the
   whole chunk, with per-(die, core) ragged segments reduced by
   ``np.maximum.reduceat`` (max is order-independent) and V/f binning
   (`floor`/`maximum.accumulate`) running column-batched;
-* leakage models are rebuilt per die from stacked region-cell gathers
-  through ``CoreLeakageModel.from_arrays`` with per-core weights
-  computed once, and the rated power is the serial ``power()`` call on
-  the rebuilt model.
+* leakage models are built per die from stacked region-cell gathers
+  with per-core weights computed once, and the rated power is the
+  model's own ``power()`` call.
 
-Dies whose paths would push ``gate_delay`` sub-threshold are detected
-up front with the serial predicate, excluded from the batched block,
-and re-run through the serial path so their exception (or profile) is
-exactly the serial one; ``errors="raise"`` then re-raises the
-lowest-index die's failure — serial-scan parity — while
-``errors="isolate"`` returns the exception object in that die's slot.
+Binning raises and never isolates: a die whose paths would push
+``gate_delay`` sub-threshold makes the one block evaluation raise
+``gate_delay``'s own ``ValueError`` — the only failure the per-die
+flow can produce, with the same message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import T_HOT_K, T_REF_K, ArchConfig, TechParams
 from ..floorplan import Floorplan, UnitKind, build_floorplan
-from ..freq.alpha_power import gate_delay, vth_at_temperature
+from ..freq.alpha_power import gate_delay
 from ..freq.critical_path import (
     GATES_PER_PATH,
     CoreFrequencyModel,
@@ -61,11 +60,9 @@ from ..power.leakage import (
 )
 from ..thermal import ThermalNetwork
 from ..variation import Die
-from .characterize import ChipProfile, CoreDescriptor, characterize_die
+from .characterize import ChipProfile, CoreDescriptor
 
 __all__ = ["CharacterizationKernel", "characterize_dies"]
-
-CharacterizeResult = Union[ChipProfile, Exception]
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,11 @@ class _BatchGeometry:
 
 
 class CharacterizationKernel:
-    """Bins batches of dies bitwise-identically to the serial flow.
+    """Bins batches of dies, bitwise-identically to binning each alone.
 
     One kernel instance pins (tech, arch, floorplan, thermal) — the
-    same shared structures :func:`characterize_die` attaches — and
-    caches the gather geometry per map resolution/edge, so repeated
+    shared structures every :class:`ChipProfile` it builds attaches —
+    and caches the gather geometry per map resolution/edge, so repeated
     :meth:`characterize` calls (e.g. one per fleet chunk) pay the
     layout cost once.
     """
@@ -125,7 +122,7 @@ class CharacterizationKernel:
         self.arch = arch
         self.floorplan = floorplan
         self.thermal = thermal
-        # Die-independent constants, computed with the exact serial
+        # Die-independent constants, computed with the exact per-die
         # expressions so downstream float ops see identical operands.
         self._calib = frequency_calibration(tech, arch)
         self._sigma_ran_vth = tech.vth_sigma / np.sqrt(2.0)
@@ -179,8 +176,8 @@ class CharacterizationKernel:
                 else:
                     sram_pos.append(np.arange(p, p + s))
                 p += s
-                # The serial CoreLeakageModel splits each unit's weight
-                # uniformly over its cells, then normalises the core.
+                # Each unit's weight is split uniformly over its cells,
+                # then the core's weights are normalised.
                 weight_parts.append(
                     np.full(s, unit.spec.leakage_weight / s))
             core_path_bounds.append((p0, p))
@@ -217,27 +214,23 @@ class CharacterizationKernel:
     # ------------------------------------------------------------------
     # characterisation
 
-    def characterize(self, dies: Sequence[Die],
-                     errors: str = "raise") -> List[CharacterizeResult]:
+    def characterize(self, dies: Sequence[Die]) -> List[ChipProfile]:
         """Characterise every die, batched.
 
         Args:
             dies: Dies to bin; dies of mixed map geometry are grouped
                 and each group is batched separately.
-            errors: ``"raise"`` re-raises the exception of the
-                lowest-index failing die (what the serial in-order
-                loop would have raised); ``"isolate"`` returns the
-                exception object in that die's result slot and
-                characterises every other die normally.
 
         Returns:
-            One :class:`~repro.chip.ChipProfile` per die (or the
-            die's exception under ``errors="isolate"``), in order.
+            One :class:`~repro.chip.ChipProfile` per die, in order.
+
+        Raises:
+            ValueError: ``gate_delay``'s sub-threshold error, if any
+                die's paths are not super-threshold at the lowest
+                table voltage.
         """
-        if errors not in ("raise", "isolate"):
-            raise ValueError("errors must be 'raise' or 'isolate'")
         dies = list(dies)
-        results: List[Optional[CharacterizeResult]] = [None] * len(dies)
+        results: List[Optional[ChipProfile]] = [None] * len(dies)
         groups: Dict[Tuple[int, float], List[int]] = {}
         for i, die in enumerate(dies):
             vmap = die.variation
@@ -245,14 +238,10 @@ class CharacterizationKernel:
                               []).append(i)
         for idxs in groups.values():
             self._characterize_group(dies, idxs, results)
-        if errors == "raise":
-            for result in results:
-                if isinstance(result, Exception):
-                    raise result
         return results  # type: ignore[return-value]
 
     def _characterize_group(self, dies: List[Die], idxs: List[int],
-                            results: List[Optional[CharacterizeResult]],
+                            results: List[Optional[ChipProfile]],
                             ) -> None:
         tech = self.tech
         n_cores = self.arch.n_cores
@@ -261,8 +250,8 @@ class CharacterizationKernel:
         vth_maps = np.stack(
             [dies[i].variation.vth_sys for i in idxs]).reshape(d_count, -1)
 
-        # One coalesced draw per die, in the exact serial stream order
-        # (per core, per unit: Vth offsets then Leff offsets).
+        # One coalesced draw per die, in the per-die stream order (per
+        # core, per unit: Vth offsets then Leff offsets).
         draws = np.empty((d_count, geom.n_draws))
         for d, i in enumerate(idxs):
             rng = np.random.default_rng([dies[i].die_id, 0xC0DE])
@@ -280,8 +269,7 @@ class CharacterizationKernel:
         if geom.sram_pos.size:
             path_vth[:, geom.sram_pos] += self._z_sram * self._sigma_ran_vth
 
-        # Pareto pruning per (die, core): the same call the serial path
-        # makes, on the same values.
+        # Pareto pruning per (die, core), on each core's own values.
         pruned: List[List[PathSet]] = []
         for d in range(d_count):
             row = []
@@ -290,40 +278,13 @@ class CharacterizationKernel:
                                                 leff=path_leff[d, p0:p1])))
             pruned.append(row)
 
-        # Detect dies the serial path would fail on (sub-threshold
-        # overdrive at the lowest table voltage — the exact predicate
-        # gate_delay raises on, evaluated at its weakest point) and
-        # route them through the serial path for exception parity.
-        sizes = np.array([pruned[d][c].vth.size for d in range(d_count)
-                          for c in range(n_cores)], dtype=np.intp)
-        all_vth = np.concatenate(
-            [pruned[d][c].vth for d in range(d_count)
-             for c in range(n_cores)])
-        vth_t = vth_at_temperature(all_vth, T_HOT_K, tech)
-        bad = (self._voltages[0] - vth_t) <= 0
-        die_failed = np.zeros(d_count, dtype=bool)
-        if bad.any():
-            col_die = np.repeat(
-                np.arange(d_count * n_cores) // n_cores, sizes)
-            die_failed[np.unique(col_die[bad])] = True
-            for d in np.flatnonzero(die_failed):
-                i = idxs[d]
-                try:
-                    results[i] = characterize_die(
-                        dies[i], tech, self.arch,
-                        floorplan=self.floorplan, thermal=self.thermal)
-                except Exception as exc:  # noqa: BLE001 — slot-isolated
-                    results[i] = exc
-
-        alive = np.flatnonzero(~die_failed)
-        if alive.size == 0:
-            return
-
-        # Ragged-pack the surviving dies' pruned paths and evaluate the
-        # whole (levels, paths) block at once. Broadcast elementwise
-        # ops match the serial per-core fmax_many columns exactly;
-        # segment maxima via reduceat equal per-segment .max(axis=1).
-        segs = [pruned[d][c] for d in alive for c in range(n_cores)]
+        # Ragged-pack every die's pruned paths and evaluate the whole
+        # (levels, paths) block at once; gate_delay raises if any path
+        # is sub-threshold. Broadcast elementwise ops match per-core
+        # fmax_many columns exactly; segment maxima via reduceat equal
+        # per-segment .max(axis=1).
+        segs = [pruned[d][c] for d in range(d_count)
+                for c in range(n_cores)]
         flat_vth = np.concatenate([s.vth for s in segs])
         flat_leff = np.concatenate([s.leff for s in segs])
         seg_sizes = np.array([s.vth.size for s in segs], dtype=np.intp)
@@ -337,21 +298,20 @@ class CharacterizationKernel:
         freqs = np.maximum.accumulate(
             np.maximum(freqs, FREQ_QUANTUM_HZ), axis=0)
 
-        # Leakage: stacked region-cell gather, per-die model rebuild.
+        # Leakage: stacked region-cell gather, per-die model build.
         leak_calib = leakage_calibration(tech)
         leak_cells = vth_maps[:, geom.leak_idx]
-        for a, d in enumerate(alive):
-            i = idxs[d]
+        for d, i in enumerate(idxs):
             cores = []
             for c in range(n_cores):
-                seg = a * n_cores + c
+                seg = d * n_cores + c
                 paths = pruned[d][c]
                 freq_model = CoreFrequencyModel(paths, tech, self._calib)
                 vf_table = VFTable(
                     voltages=self._voltages,
                     freqs=np.ascontiguousarray(freqs[:, seg]))
                 q0, q1 = geom.core_leak_bounds[c]
-                leakage = CoreLeakageModel.from_arrays(
+                leakage = CoreLeakageModel(
                     leak_cells[d, q0:q1].copy(), geom.leak_weights[c],
                     tech, leak_calib)
                 rated = leakage.power(tech.vdd_max, T_REF_K)
@@ -380,16 +340,15 @@ def characterize_dies(
     arch: ArchConfig,
     floorplan: Optional[Floorplan] = None,
     thermal: Optional[ThermalNetwork] = None,
-    errors: str = "raise",
-) -> List[CharacterizeResult]:
-    """Characterise many dies at once, bitwise-identical to the serial
-    per-die :func:`~repro.chip.characterize.characterize_die` loop.
+) -> List[ChipProfile]:
+    """Characterise many dies at once.
 
-    The die-batched entry point of the binning flow (Table 3): one
+    The entry point of the binning flow (Table 3): one
     :class:`CharacterizationKernel` is built for (tech, arch) and the
-    whole batch runs through the lockstep pipeline. See the module
-    docstring for the parity scheme and ``errors`` semantics.
+    whole batch runs through the lockstep pipeline. Bin one die with
+    ``characterize_dies([die], tech, arch)[0]``. See the module
+    docstring for the parity scheme and the one failure it raises.
     """
     kernel = CharacterizationKernel(tech, arch, floorplan=floorplan,
                                     thermal=thermal)
-    return kernel.characterize(dies, errors=errors)
+    return kernel.characterize(dies)

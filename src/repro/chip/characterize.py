@@ -1,31 +1,26 @@
-"""Post-manufacturing die characterisation.
+"""The profile of a post-manufacturing characterised die.
 
-This layer plays the role of the chip manufacturer's binning flow
-(Table 3): from a die's variation map it derives, per core, the
-(V, f) table, the frequency model, the leakage model, and the static
-power measured at maximum voltage under zero load — the profile data
-the scheduling and power-management algorithms are allowed to see.
+The chip manufacturer's binning flow (Table 3) derives from a die's
+variation map, per core, the (V, f) table, the frequency model, the
+leakage model, and the static power measured at maximum voltage under
+zero load — the profile data the scheduling and power-management
+algorithms are allowed to see. :class:`ChipProfile` and
+:class:`CoreDescriptor` hold that data; the binning itself runs
+die-batched in :mod:`repro.chip.batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..config import T_HOT_K, T_REF_K, ArchConfig, TechParams
-from ..floorplan import Floorplan, build_floorplan
-from ..freq import (
-    CoreFrequencyModel,
-    VFTable,
-    build_vf_table,
-    extract_core_paths,
-    frequency_calibration,
-)
-from ..power import CoreLeakageModel, L2LeakageModel, build_core_leakage
+from ..config import T_REF_K, ArchConfig, TechParams
+from ..floorplan import Floorplan
+from ..freq import CoreFrequencyModel, VFTable
+from ..power import CoreLeakageModel, L2LeakageModel
 from ..thermal import ThermalNetwork
-from ..variation import Die
 
 
 @dataclass(frozen=True)
@@ -112,50 +107,3 @@ class ChipProfile:
     def min_fmax(self) -> float:
         """Frequency of the slowest core — the UniFreq chip frequency."""
         return float(self.fmax_array.min())
-
-
-def characterize_die(
-    die: Die,
-    tech: TechParams,
-    arch: ArchConfig,
-    floorplan: Optional[Floorplan] = None,
-    thermal: Optional[ThermalNetwork] = None,
-) -> ChipProfile:
-    """Characterise one die into a :class:`ChipProfile`.
-
-    Path sampling uses a per-die deterministic seed so the same die
-    always bins identically.
-    """
-    if floorplan is None:
-        floorplan = build_floorplan(arch)
-    if floorplan.n_cores != arch.n_cores:
-        raise ValueError("floorplan core count does not match arch")
-    if thermal is None:
-        thermal = ThermalNetwork(floorplan)
-    calib = frequency_calibration(tech, arch)
-    rng = np.random.default_rng([die.die_id, 0xC0DE])
-    cores = []
-    for core_id in range(arch.n_cores):
-        paths = extract_core_paths(die.variation, floorplan, core_id,
-                                   tech, rng)
-        freq_model = CoreFrequencyModel(paths, tech, calib)
-        vf_table = build_vf_table(freq_model, tech, arch)
-        leakage = build_core_leakage(die.variation, floorplan, core_id, tech)
-        rated = leakage.power(tech.vdd_max, T_REF_K)
-        cores.append(CoreDescriptor(
-            core_id=core_id,
-            vf_table=vf_table,
-            freq_model=freq_model,
-            leakage=leakage,
-            static_power_rated=rated,
-        ))
-    l2 = L2LeakageModel(die.variation, floorplan, tech)
-    return ChipProfile(
-        die_id=die.die_id,
-        tech=tech,
-        arch=arch,
-        floorplan=floorplan,
-        cores=tuple(cores),
-        l2_leakage=l2,
-        thermal=thermal,
-    )

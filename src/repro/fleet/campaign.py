@@ -271,8 +271,8 @@ def run_fleet_campaign(
 
     Chunk characterisation runs die-batched (one field-sampler setup
     and one lockstep binning pass per chunk; see
-    :func:`repro.chip.characterize_dies`), which is bitwise-identical
-    to the serial per-die loop.
+    :func:`repro.chip.characterize_dies`); each die keeps its own
+    streams, so chunk boundaries never change a die's values.
 
     Layout under ``<out_root>/<plan.name>/``: ``shards/`` (columnar
     npz per chunk), ``journal.jsonl`` (chunk-level resume journal,

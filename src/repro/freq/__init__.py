@@ -11,7 +11,6 @@ from .critical_path import (
     GATES_PER_PATH,
     CoreFrequencyModel,
     PathSet,
-    extract_core_paths,
     frequency_calibration,
     pareto_prune,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "SRAM_CELLS_PER_PATH",
     "VFTable",
     "build_vf_table",
-    "extract_core_paths",
     "frequency_calibration",
     "gate_delay",
     "mobility_factor",

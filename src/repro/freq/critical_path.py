@@ -1,8 +1,9 @@
-"""Per-core critical-path extraction and maximum-frequency model.
+"""Per-core critical paths and the maximum-frequency model.
 
 Each core's frequency is limited by the slowest of its pipeline-stage
-critical paths (Section 6.3). We draw one candidate path per variation
-grid cell per functional unit:
+critical paths (Section 6.3). The binning kernel
+(:mod:`repro.chip.batch`) draws one candidate path per variation grid
+cell per functional unit:
 
 * **Logic stages** — a chain of ``GATES_PER_PATH`` gates. The random
   Vth/Leff components of the gates average along the chain, so the
@@ -19,15 +20,11 @@ queries cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from ..config import T_HOT_K, ArchConfig, TechParams
-from ..floorplan import Floorplan, UnitKind
-from ..variation import VariationMap
 from .alpha_power import gate_delay
-from .sram import worst_cell_quantile
 
 # FO4-equivalent gates on one logic critical path.
 GATES_PER_PATH = 12
@@ -71,41 +68,6 @@ def pareto_prune(paths: PathSet) -> PathSet:
         keep[1:] = leff[1:] > np.maximum.accumulate(leff)[:-1]
     idx = np.flatnonzero(keep)
     return PathSet(vth=vth[idx], leff=leff[idx])
-
-
-def extract_core_paths(
-    vmap: VariationMap,
-    floorplan: Floorplan,
-    core_id: int,
-    tech: TechParams,
-    rng: np.random.Generator,
-) -> PathSet:
-    """Sample the candidate critical paths of one core from its map."""
-    sigma_ran_vth = tech.vth_sigma / np.sqrt(2.0)
-    sigma_ran_leff = tech.leff_sigma / np.sqrt(2.0)
-    path_sigma_vth = sigma_ran_vth / np.sqrt(GATES_PER_PATH)
-    path_sigma_leff = sigma_ran_leff / np.sqrt(GATES_PER_PATH)
-    z_sram = worst_cell_quantile()
-
-    vth_list = []
-    leff_list = []
-    for unit in floorplan.core_units(core_id):
-        r = unit.rect
-        vth_sys, leff_sys = vmap.region_cells(r.x0, r.y0, r.x1, r.y1)
-        if unit.spec.kind is UnitKind.LOGIC:
-            vth_eff = vth_sys + path_sigma_vth * rng.standard_normal(vth_sys.size)
-            leff_eff = leff_sys + path_sigma_leff * rng.standard_normal(leff_sys.size)
-        else:
-            vth_eff = vth_sys + z_sram * sigma_ran_vth
-            leff_eff = leff_sys
-        vth_list.append(vth_eff)
-        leff_list.append(leff_eff)
-
-    paths = PathSet(
-        vth=np.concatenate(vth_list),
-        leff=np.concatenate(leff_list),
-    )
-    return pareto_prune(paths)
 
 
 class CoreFrequencyModel:

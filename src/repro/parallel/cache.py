@@ -176,7 +176,7 @@ def profile_from_payload(
                                payload["path_offsets"], i),
             leff=_ragged_unpack(payload["path_leff"],
                                 payload["path_offsets"], i))
-        leakage = CoreLeakageModel.from_arrays(
+        leakage = CoreLeakageModel(
             _ragged_unpack(payload["leak_vth"],
                            payload["leak_offsets"], i),
             _ragged_unpack(payload["leak_weights"],

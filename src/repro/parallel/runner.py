@@ -13,11 +13,11 @@ layers:
 Determinism: each die is generated from its own ``(seed, index)``
 stream and characterised with a per-die seed, so results are
 independent of shard boundaries and worker count. Misses are binned
-by the die-batched :func:`~repro.chip.characterize_dies` kernel,
-which is bitwise-identical to the per-die
-:func:`~repro.chip.characterize_die` reference, and payload
-round-trips preserve arrays bitwise, so serial, sharded and cached
-runs are all bitwise-identical.
+by the die-batched :func:`~repro.chip.characterize_dies` kernel —
+the only binning flow in ``repro``; its one-die oracle lives in
+``tests/references.py`` — and payload round-trips preserve arrays
+bitwise, so serial, sharded and cached runs are all
+bitwise-identical.
 """
 
 from __future__ import annotations

@@ -12,8 +12,6 @@ from .leakage import (
     DIBL_COEFF,
     CoreLeakageModel,
     L2LeakageModel,
-    UnitLeakage,
-    build_core_leakage,
     leakage_calibration,
     leakage_factor,
     subthreshold_slope_factor,
@@ -39,8 +37,6 @@ __all__ = [
     "PowerSensor",
     "Sensor",
     "SensorSpec",
-    "UnitLeakage",
-    "build_core_leakage",
     "ceff_from_reference",
     "core_reader",
     "dynamic_power",

@@ -24,8 +24,7 @@ calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -71,69 +70,31 @@ def leakage_factor(
     return vdd * (t / T_REF_K) ** 2 * np.exp(-vth_eff / (n * v_t))
 
 
-@dataclass(frozen=True)
-class UnitLeakage:
-    """Leakage state of one functional unit: cell Vth values + weight."""
-
-    vth_cells: np.ndarray
-    weight: float
-
-
 class CoreLeakageModel:
     """Static power of one core as a function of (V, T).
 
-    Unit cell values and weights are flattened at construction so a
-    power query is a single vectorised expression — this sits in the
-    inner loop of the thermal fixed point and of simulated annealing.
+    The state is flat: one Vth value per variation-map cell of the
+    core's functional units, and a normalised weight per cell (each
+    unit's share of the transistor budget split uniformly over its
+    cells). The binning kernel builds it per core
+    (:mod:`repro.chip.batch`) and the characterisation cache rebuilds
+    it from :attr:`cell_vth` / :attr:`cell_weights`. A power query is
+    a single vectorised expression — this sits in the inner loop of
+    the thermal fixed point and of simulated annealing.
     """
 
-    def __init__(self, units: Sequence[UnitLeakage], tech: TechParams,
-                 calibration: float) -> None:
-        if not units:
-            raise ValueError("a core needs at least one unit")
-        if calibration <= 0:
-            raise ValueError("calibration must be positive")
-        vth_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        for unit in units:
-            cells = np.asarray(unit.vth_cells, dtype=float)
-            if cells.size == 0:
-                raise ValueError("unit with no variation cells")
-            if unit.weight < 0:
-                raise ValueError("unit weight must be non-negative")
-            vth_parts.append(cells)
-            weight_parts.append(np.full(cells.size, unit.weight / cells.size))
-        self._vth = np.concatenate(vth_parts)
-        weights = np.concatenate(weight_parts)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("total leakage weight must be positive")
-        self._weights = weights / total
-        self.tech = tech
-        self.calibration = calibration
-
-    @classmethod
-    def from_arrays(cls, vth: np.ndarray, weights: np.ndarray,
-                    tech: TechParams,
-                    calibration: float) -> "CoreLeakageModel":
-        """Rebuild a model from its flattened state.
-
-        ``vth``/``weights`` must be a previously flattened (and
-        normalised) cell state, e.g. from :attr:`cell_vth` /
-        :attr:`cell_weights` — the characterisation cache's round-trip.
-        """
+    def __init__(self, vth: np.ndarray, weights: np.ndarray,
+                 tech: TechParams, calibration: float) -> None:
         vth = np.asarray(vth, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if vth.shape != weights.shape or vth.ndim != 1 or vth.size == 0:
             raise ValueError("vth and weights must be matching 1-D arrays")
         if calibration <= 0:
             raise ValueError("calibration must be positive")
-        model = cls.__new__(cls)
-        model._vth = vth
-        model._weights = weights
-        model.tech = tech
-        model.calibration = calibration
-        return model
+        self._vth = vth
+        self._weights = weights
+        self.tech = tech
+        self.calibration = calibration
 
     @property
     def cell_vth(self) -> np.ndarray:
@@ -156,12 +117,8 @@ class CoreLeakageModel:
         Used by the aging extension: NBTI raises Vth uniformly across
         a stressed core, lowering its leakage (and its speed).
         """
-        clone = CoreLeakageModel.__new__(CoreLeakageModel)
-        clone._vth = self._vth + float(delta_vth)
-        clone._weights = self._weights
-        clone.tech = self.tech
-        clone.calibration = self.calibration
-        return clone
+        return CoreLeakageModel(self._vth + float(delta_vth),
+                                self._weights, self.tech, self.calibration)
 
 
 def leakage_calibration(tech: TechParams,
@@ -177,24 +134,6 @@ def leakage_calibration(tech: TechParams,
         nominal_watts = scaling.CORE_STATIC_NOMINAL_W
     ref = leakage_factor(tech.vdd_nominal, tech.vth_mean, T_REF_K, tech)
     return float(nominal_watts / ref)
-
-
-def build_core_leakage(
-    vmap: VariationMap,
-    floorplan: Floorplan,
-    core_id: int,
-    tech: TechParams,
-    nominal_watts: float = None,
-) -> CoreLeakageModel:
-    """Build the leakage model of one core from its variation map."""
-    units = []
-    for unit in floorplan.core_units(core_id):
-        r = unit.rect
-        vth_cells, _ = vmap.region_cells(r.x0, r.y0, r.x1, r.y1)
-        units.append(UnitLeakage(vth_cells=vth_cells,
-                                 weight=unit.spec.leakage_weight))
-    return CoreLeakageModel(units, tech,
-                            leakage_calibration(tech, nominal_watts))
 
 
 class L2LeakageModel:

@@ -11,7 +11,6 @@ from .varius import (
     VTH_LEFF_CORRELATION,
     VariationMap,
     VariationParams,
-    generate_variation_map,
     generate_variation_maps,
 )
 from .die import Die, DieBatch
@@ -36,7 +35,6 @@ __all__ = [
     "VariationMap",
     "VariationParams",
     "VTH_LEFF_CORRELATION",
-    "generate_variation_map",
     "generate_variation_maps",
     "grid_coordinates",
     "make_field_sampler",

@@ -3,7 +3,9 @@
 A :class:`Die` couples a die identifier with its variation map. A
 :class:`DieBatch` is a reproducible collection of dies generated from a
 single seed, mirroring the paper's batches of 200 dies per experiment
-(Section 6.1).
+(Section 6.1). Every die it hands out, one at a time or a chunk at a
+time, comes from the batched
+:func:`~repro.variation.varius.generate_variation_maps`.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..config import ArchConfig, TechParams
-from .varius import (
-    VariationMap,
-    generate_variation_map,
-    generate_variation_maps,
-)
+from .varius import VariationMap, generate_variation_maps
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class DieBatch(Sequence):
         arch: ArchConfig,
         n_dies: int,
         seed: int = 0,
-        method: Optional[str] = None,
     ) -> None:
         if n_dies <= 0:
             raise ValueError("n_dies must be positive")
@@ -56,7 +53,6 @@ class DieBatch(Sequence):
         self.arch = arch
         self.n_dies = n_dies
         self.seed = seed
-        self._method = method
         self._cache: List[Optional[Die]] = [None] * n_dies
 
     def __len__(self) -> int:
@@ -64,24 +60,8 @@ class DieBatch(Sequence):
 
     def __getitem__(self, index: int) -> Die:
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.n_dies))]
-        if index < 0:
-            index += self.n_dies
-        if not 0 <= index < self.n_dies:
-            raise IndexError("die index out of range")
-        cached = self._cache[index]
-        if cached is None:
-            rng = np.random.default_rng([self.seed, index])
-            vmap = generate_variation_map(
-                self.tech,
-                self.arch.die_edge_mm,
-                self.arch.grid_resolution,
-                rng,
-                self._method,
-            )
-            cached = Die(die_id=index, variation=vmap)
-            self._cache[index] = cached
-        return cached
+            return self.dies_for(range(*index.indices(self.n_dies)))
+        return self.dies_for([index])[0]
 
     def __iter__(self) -> Iterator[Die]:
         for i in range(self.n_dies):
@@ -90,14 +70,13 @@ class DieBatch(Sequence):
     def dies_for(self, indices: Sequence[int]) -> List[Die]:
         """The requested dies, generating any missing ones batched.
 
-        Bitwise-identical to indexing each die individually — every
-        die keeps its private ``(seed, index)`` stream — but cache
-        misses share one field-sampler setup through
-        :func:`~repro.variation.varius.generate_variation_maps`, so
-        generating a chunk of dies pays the covariance factorisation
-        (or circulant embedding) once instead of once per die.
-        Generated dies land in the batch's lazy cache exactly as
-        ``__getitem__`` would have left them.
+        Every die keeps its private ``(seed, index)`` stream, so a die
+        is the same whichever chunk generates it, but cache misses
+        share one field-sampler setup through
+        :func:`~repro.variation.varius.generate_variation_maps`: a
+        chunk of dies pays the covariance factorisation (or circulant
+        embedding) once instead of once per die. Indexing the batch is
+        this call with one index.
         """
         resolved: List[int] = []
         for index in indices:
@@ -116,7 +95,6 @@ class DieBatch(Sequence):
                 self.arch.die_edge_mm,
                 self.arch.grid_resolution,
                 rngs,
-                self._method,
             )
             for i, vmap in zip(missing, vmaps):
                 self._cache[i] = Die(die_id=i, variation=vmap)

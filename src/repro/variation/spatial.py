@@ -9,7 +9,8 @@ correlation function used by VARIUS:
 
 where ``phi`` is the distance at which correlation vanishes.
 
-Two samplers are provided:
+Two samplers are provided, both drawing fields for a whole batch of
+dies at once through ``sample_batch``:
 
 * :class:`CholeskyFieldSampler` — exact, O(n^3) setup; fine for grids up
   to roughly 40x40. Used as ground truth in tests.
@@ -17,11 +18,15 @@ Two samplers are provided:
   exact and fast for large grids. Negative embedding eigenvalues (the
   spherical covariance is not exactly embeddable on a torus) are clipped
   and the field is rescaled to preserve unit marginal variance.
+
+The one-field-at-a-time forms of both samplers live in
+``tests/references.py`` as the oracles ``sample_batch`` is checked
+against bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -89,16 +94,10 @@ class CholeskyFieldSampler:
         cov[np.diag_indices_from(cov)] += 1e-9
         self._chol = np.linalg.cholesky(cov)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one zero-mean, unit-variance correlated field."""
-        n = self.resolution
-        z = rng.standard_normal(n * n)
-        return (self._chol @ z).reshape(n, n)
-
     def sample_batch(self, rngs: Sequence[np.random.Generator],
                      count: int = 1) -> np.ndarray:
         """Draw ``count`` fields per generator, bitwise-identical to
-        ``count`` serial :meth:`sample` calls on each ``rng``.
+        drawing the fields one at a time from each ``rng``.
 
         The O(n^3) factorisation is shared across all generators (the
         per-die win), and each generator's draws are coalesced into a
@@ -108,7 +107,7 @@ class CholeskyFieldSampler:
         correlating transform itself stays one matvec per field: BLAS
         gemm accumulates multi-column products in a different order
         than gemv, so a single ``chol @ Z`` would *not* be bitwise-
-        equal to the serial path.
+        equal to one field at a time.
 
         Returns:
             Array of shape ``(len(rngs), count, n, n)``.
@@ -159,23 +158,13 @@ class CirculantFieldSampler:
             raise ValueError("degenerate covariance embedding")
         self._scale = 1.0 / np.sqrt(mean_var)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one zero-mean, unit-variance correlated field."""
-        m = self._m
-        noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        spectrum = np.sqrt(self._eigen / (m * m))
-        field = np.fft.fft2(spectrum * noise)
-        n = self.resolution
-        # Real and imaginary parts are independent fields; use the real.
-        return field.real[:n, :n] * self._scale
-
     def sample_batch(self, rngs: Sequence[np.random.Generator],
                      count: int = 1) -> np.ndarray:
         """Draw ``count`` fields per generator, bitwise-identical to
-        ``count`` serial :meth:`sample` calls on each ``rng``.
+        drawing the fields one at a time from each ``rng``.
 
         Per-generator noise draws are coalesced into one
-        ``standard_normal`` call (stream order preserved: each sample
+        ``standard_normal`` call (stream order preserved: each field
         draws its real plane then its imaginary plane, and shaped
         draws fill in C order exactly like flat draws reshaped), and
         the FFT runs once over the stacked planes — ``np.fft.fft2``
@@ -200,28 +189,19 @@ class CirculantFieldSampler:
         return field.real[..., :n, :n] * self._scale
 
 
-def make_field_sampler(
-    resolution: int,
-    edge: float,
-    phi: float,
-    method: Optional[str] = None,
-):
-    """Choose a field sampler.
+def make_field_sampler(resolution: int, edge: float, phi: float):
+    """The field sampler for a grid: Cholesky up to 32 cells per edge,
+    the circulant FFT sampler above that.
 
     Args:
         resolution: Grid cells per edge.
         edge: Die edge length.
         phi: Spherical correlation range (same unit as ``edge``).
-        method: ``"cholesky"``, ``"fft"`` or None to auto-select
-            (Cholesky for small grids, FFT otherwise).
 
     Returns:
-        An object with a ``sample(rng) -> ndarray`` method.
+        A :class:`CholeskyFieldSampler` or :class:`CirculantFieldSampler`;
+        draw fields with its ``sample_batch(rngs, count)``.
     """
-    if method is None:
-        method = "cholesky" if resolution <= 32 else "fft"
-    if method == "cholesky":
+    if resolution <= 32:
         return CholeskyFieldSampler(resolution, edge, phi)
-    if method == "fft":
-        return CirculantFieldSampler(resolution, edge, phi)
-    raise ValueError(f"unknown sampler method: {method!r}")
+    return CirculantFieldSampler(resolution, edge, phi)

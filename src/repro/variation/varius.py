@@ -1,7 +1,8 @@
 """VARIUS-style parameter-variation maps (Section 3 and 6.1).
 
 Each die gets a map of the *systematic* component of Vth and Leff on a
-regular grid, drawn from a correlated Gaussian field; the *random*
+regular grid, drawn from a correlated Gaussian field (a batch of dies
+at a time, :func:`generate_variation_maps`); the *random*
 component is per-transistor and therefore represented by its sigma and
 sampled analytically where needed (critical-path sampling).
 
@@ -17,7 +18,7 @@ gate-length variation; we model that with a correlation coefficient
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -152,11 +153,9 @@ def _finalize_variation_map(
     base: np.ndarray,
     indep: np.ndarray,
 ) -> VariationMap:
-    """Turn two raw correlated fields into one die's variation map.
-
-    Shared by the serial and batched generators so both run the exact
-    same per-die float expressions (centring, the Vth/Leff mix, the
-    sigma scaling and the physical floor) and stay bitwise-identical.
+    """Turn two raw correlated fields into one die's variation map:
+    centring, the Vth/Leff mix, the sigma scaling and the physical
+    floor, in per-die float expressions.
     """
     # The paper models *within-die* variation only (Section 3): remove
     # each die's spatial mean so no die-to-die offset leaks in, and
@@ -187,56 +186,28 @@ def _finalize_variation_map(
     )
 
 
-def generate_variation_map(
-    tech: TechParams,
-    die_edge_mm: float,
-    resolution: int,
-    rng: np.random.Generator,
-    method: Optional[str] = None,
-) -> VariationMap:
-    """Generate one die's systematic Vth/Leff maps.
-
-    The Vth and Leff fields are drawn jointly: Leff's field is a mix of
-    the Vth field and an independent field, with correlation
-    ``VTH_LEFF_CORRELATION``.
-
-    Args:
-        tech: Technology parameters supplying means, sigmas and phi.
-        die_edge_mm: Physical die edge (mm).
-        resolution: Grid cells per edge.
-        rng: Source of randomness.
-        method: Sampler override ("cholesky" or "fft").
-
-    Returns:
-        A :class:`VariationMap` for one die.
-    """
-    phi_mm = tech.phi_fraction * die_edge_mm
-    sampler = make_field_sampler(resolution, die_edge_mm, phi_mm, method)
-    base = sampler.sample(rng)
-    indep = sampler.sample(rng)
-    return _finalize_variation_map(tech, die_edge_mm, phi_mm, base, indep)
-
-
 def generate_variation_maps(
     tech: TechParams,
     die_edge_mm: float,
     resolution: int,
     rngs: Sequence[np.random.Generator],
-    method: Optional[str] = None,
 ) -> List[VariationMap]:
-    """Batched :func:`generate_variation_map` over many dies.
+    """Generate the systematic Vth/Leff maps of many dies at once.
 
-    Bitwise-identical to calling the serial generator once per ``rng``
-    (property-tested): the expensive sampler setup — the covariance
-    build plus Cholesky factorisation, or the circulant embedding —
-    is hoisted out of the per-die loop and each die's draws keep the
-    exact serial stream order via
-    :meth:`~repro.variation.spatial.CholeskyFieldSampler.sample_batch`.
-    The per-die finalisation (centring, mixing, flooring) is the same
-    shared helper the serial path runs, including its serial-order
-    degenerate-field error.
+    Each die draws two correlated fields from its own generator: the
+    Vth field, then an independent field that Leff's field mixes with
+    it at correlation ``VTH_LEFF_CORRELATION``. The sampler setup —
+    the covariance build plus Cholesky factorisation, or the circulant
+    embedding — is paid once for the whole batch, and each die's draws
+    keep its own stream order (``sample_batch`` of
+    :mod:`~repro.variation.spatial`), so a die's map does not depend
+    on which other dies share its batch. The one-die oracle in
+    ``tests/references.py`` pins this bit for bit.
 
     Args:
+        tech: Technology parameters supplying means, sigmas and phi.
+        die_edge_mm: Physical die edge (mm).
+        resolution: Grid cells per edge.
         rngs: One generator per die, consumed in order.
 
     Returns:
@@ -246,7 +217,7 @@ def generate_variation_maps(
     if not rngs:
         return []
     phi_mm = tech.phi_fraction * die_edge_mm
-    sampler = make_field_sampler(resolution, die_edge_mm, phi_mm, method)
+    sampler = make_field_sampler(resolution, die_edge_mm, phi_mm)
     fields = sampler.sample_batch(rngs, count=2)
     return [
         _finalize_variation_map(tech, die_edge_mm, phi_mm,

@@ -6,10 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import ArchConfig, DEFAULT_ARCH, DEFAULT_TECH, TechParams
-from repro.floorplan import build_floorplan
-from repro.thermal import ThermalNetwork
 from repro.variation import DieBatch
 
 
@@ -37,20 +35,20 @@ def die_batch(tech, arch) -> DieBatch:
 @pytest.fixture(scope="session")
 def chip(die_batch, tech, arch):
     """One characterised 20-core chip (die 0 of the shared batch)."""
-    return characterize_die(die_batch[0], tech, arch)
+    return characterize_dies([die_batch[0]], tech, arch)[0]
 
 
 @pytest.fixture(scope="session")
 def chip2(die_batch, tech, arch):
     """A second die, for die-to-die comparisons."""
-    return characterize_die(die_batch[1], tech, arch)
+    return characterize_dies([die_batch[1]], tech, arch)[0]
 
 
 @pytest.fixture(scope="session")
 def small_chip(tech, small_arch):
     """A characterised 8-core chip for expensive sweeps."""
     batch = DieBatch(tech, small_arch, n_dies=1, seed=99)
-    return characterize_die(batch[0], tech, small_arch)
+    return characterize_dies([batch[0]], tech, small_arch)[0]
 
 
 @pytest.fixture()

@@ -11,7 +11,18 @@ tests and for the benchmarks that measure the fast path against it:
   per-die Figure 4 statistics that
   :func:`repro.fleet.campaign.fleet_die_metrics` computes die-batched;
 * :func:`exact_quantile` — the sorted-sample quantile the online
-  estimators of :mod:`repro.fleet.quantiles` are tested against.
+  estimators of :mod:`repro.fleet.quantiles` are tested against;
+* :func:`sample_field` and :func:`generate_variation_map` — one field,
+  and one die's variation map, at a time: the oracles of the field
+  samplers' ``sample_batch`` and of
+  :func:`repro.variation.generate_variation_maps` (and so of every
+  die a :class:`repro.variation.DieBatch` hands out);
+* :func:`characterize_die` with its per-core helpers
+  :func:`extract_core_paths` and :func:`build_core_leakage` (built
+  from :class:`UnitLeakage` records by :func:`core_leakage_from_units`)
+  — the one-die binning flow that
+  :func:`repro.chip.characterize_dies` must match bit for bit,
+  including the exception a sub-threshold die raises.
 
 The module name does not match ``test_*.py``, so pytest does not
 collect it; tests and benchmarks import it as ``tests.references``.
@@ -20,12 +31,25 @@ collect it; tests and benchmarks import it as ``tests.references``.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chip import ChipProfile
+from repro.chip import ChipProfile, CoreDescriptor
+from repro.config import T_REF_K, ArchConfig, TechParams
 from repro.fleet.quantiles import _clean
+from repro.floorplan import Floorplan, UnitKind, build_floorplan
+from repro.freq import (
+    GATES_PER_PATH,
+    CoreFrequencyModel,
+    PathSet,
+    build_vf_table,
+    frequency_calibration,
+    pareto_prune,
+    worst_cell_quantile,
+)
+from repro.power import CoreLeakageModel, L2LeakageModel, leakage_calibration
 from repro.runtime.evaluation import (
     Assignment,
     evaluate_levels,
@@ -37,6 +61,14 @@ from repro.runtime.simulation import (
     OnlineSimulation,
     SimulationTrace,
 )
+from repro.thermal import ThermalNetwork
+from repro.variation import (
+    CholeskyFieldSampler,
+    Die,
+    VariationMap,
+    make_field_sampler,
+)
+from repro.variation.varius import _finalize_variation_map
 from repro.workloads import SPEC_APPS, Workload
 
 
@@ -160,3 +192,155 @@ def exact_quantile(values, p: float) -> float:
     lo = int(math.floor(idx))
     hi = min(lo + 1, arr.size - 1)
     return float(arr[lo] + (idx - lo) * (arr[hi] - arr[lo]))
+
+
+def sample_field(sampler, rng: np.random.Generator) -> np.ndarray:
+    """Draw one zero-mean, unit-variance correlated field from either
+    field sampler of :mod:`repro.variation.spatial`."""
+    n = sampler.resolution
+    if isinstance(sampler, CholeskyFieldSampler):
+        z = rng.standard_normal(n * n)
+        return (sampler._chol @ z).reshape(n, n)
+    m = sampler._m
+    noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    spectrum = np.sqrt(sampler._eigen / (m * m))
+    field = np.fft.fft2(spectrum * noise)
+    # Real and imaginary parts are independent fields; use the real.
+    return field.real[:n, :n] * sampler._scale
+
+
+def generate_variation_map(tech: TechParams, die_edge_mm: float,
+                           resolution: int,
+                           rng: np.random.Generator) -> VariationMap:
+    """One die's systematic Vth/Leff maps: the Vth field, then the
+    independent field Leff's field mixes with it."""
+    phi_mm = tech.phi_fraction * die_edge_mm
+    sampler = make_field_sampler(resolution, die_edge_mm, phi_mm)
+    base = sample_field(sampler, rng)
+    indep = sample_field(sampler, rng)
+    return _finalize_variation_map(tech, die_edge_mm, phi_mm, base, indep)
+
+
+@dataclass(frozen=True)
+class UnitLeakage:
+    """Leakage state of one functional unit: cell Vth values + weight."""
+
+    vth_cells: np.ndarray
+    weight: float
+
+
+def core_leakage_from_units(units: Sequence[UnitLeakage],
+                            tech: TechParams,
+                            calibration: float) -> CoreLeakageModel:
+    """A core's leakage model from per-unit cells and weights: each
+    unit's weight is split uniformly over its cells, then normalised
+    over the core."""
+    if not units:
+        raise ValueError("a core needs at least one unit")
+    vth_parts: List[np.ndarray] = []
+    weight_parts: List[np.ndarray] = []
+    for unit in units:
+        cells = np.asarray(unit.vth_cells, dtype=float)
+        if cells.size == 0:
+            raise ValueError("unit with no variation cells")
+        if unit.weight < 0:
+            raise ValueError("unit weight must be non-negative")
+        vth_parts.append(cells)
+        weight_parts.append(np.full(cells.size, unit.weight / cells.size))
+    weights = np.concatenate(weight_parts)
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("total leakage weight must be positive")
+    return CoreLeakageModel(np.concatenate(vth_parts), weights / total,
+                            tech, calibration)
+
+
+def build_core_leakage(vmap: VariationMap, floorplan: Floorplan,
+                       core_id: int, tech: TechParams,
+                       nominal_watts: float = None) -> CoreLeakageModel:
+    """Build the leakage model of one core from its variation map."""
+    units = []
+    for unit in floorplan.core_units(core_id):
+        r = unit.rect
+        vth_cells, _ = vmap.region_cells(r.x0, r.y0, r.x1, r.y1)
+        units.append(UnitLeakage(vth_cells=vth_cells,
+                                 weight=unit.spec.leakage_weight))
+    return core_leakage_from_units(
+        units, tech, leakage_calibration(tech, nominal_watts))
+
+
+def extract_core_paths(vmap: VariationMap, floorplan: Floorplan,
+                       core_id: int, tech: TechParams,
+                       rng: np.random.Generator) -> PathSet:
+    """Sample the candidate critical paths of one core from its map."""
+    sigma_ran_vth = tech.vth_sigma / np.sqrt(2.0)
+    sigma_ran_leff = tech.leff_sigma / np.sqrt(2.0)
+    path_sigma_vth = sigma_ran_vth / np.sqrt(GATES_PER_PATH)
+    path_sigma_leff = sigma_ran_leff / np.sqrt(GATES_PER_PATH)
+    z_sram = worst_cell_quantile()
+
+    vth_list = []
+    leff_list = []
+    for unit in floorplan.core_units(core_id):
+        r = unit.rect
+        vth_sys, leff_sys = vmap.region_cells(r.x0, r.y0, r.x1, r.y1)
+        if unit.spec.kind is UnitKind.LOGIC:
+            vth_eff = vth_sys + path_sigma_vth * rng.standard_normal(
+                vth_sys.size)
+            leff_eff = leff_sys + path_sigma_leff * rng.standard_normal(
+                leff_sys.size)
+        else:
+            vth_eff = vth_sys + z_sram * sigma_ran_vth
+            leff_eff = leff_sys
+        vth_list.append(vth_eff)
+        leff_list.append(leff_eff)
+
+    paths = PathSet(
+        vth=np.concatenate(vth_list),
+        leff=np.concatenate(leff_list),
+    )
+    return pareto_prune(paths)
+
+
+def characterize_die(die: Die, tech: TechParams, arch: ArchConfig,
+                     floorplan: Optional[Floorplan] = None,
+                     thermal: Optional[ThermalNetwork] = None,
+                     ) -> ChipProfile:
+    """Characterise one die into a :class:`ChipProfile`, core by core.
+
+    Path sampling uses a per-die deterministic seed so the same die
+    always bins identically.
+    """
+    if floorplan is None:
+        floorplan = build_floorplan(arch)
+    if floorplan.n_cores != arch.n_cores:
+        raise ValueError("floorplan core count does not match arch")
+    if thermal is None:
+        thermal = ThermalNetwork(floorplan)
+    calib = frequency_calibration(tech, arch)
+    rng = np.random.default_rng([die.die_id, 0xC0DE])
+    cores = []
+    for core_id in range(arch.n_cores):
+        paths = extract_core_paths(die.variation, floorplan, core_id,
+                                   tech, rng)
+        freq_model = CoreFrequencyModel(paths, tech, calib)
+        vf_table = build_vf_table(freq_model, tech, arch)
+        leakage = build_core_leakage(die.variation, floorplan, core_id, tech)
+        rated = leakage.power(tech.vdd_max, T_REF_K)
+        cores.append(CoreDescriptor(
+            core_id=core_id,
+            vf_table=vf_table,
+            freq_model=freq_model,
+            leakage=leakage,
+            static_power_rated=rated,
+        ))
+    l2 = L2LeakageModel(die.variation, floorplan, tech)
+    return ChipProfile(
+        die_id=die.die_id,
+        tech=tech,
+        arch=arch,
+        floorplan=floorplan,
+        cores=tuple(cores),
+        l2_leakage=l2,
+        thermal=thermal,
+    )

@@ -2,8 +2,9 @@
 
 The contract under test (DESIGN.md §18): every batched layer — the
 field samplers' ``sample_batch``, :func:`generate_variation_maps`,
-``DieBatch.dies_for`` and :func:`characterize_dies` — is bitwise
-identical to its serial counterpart, for every sampler backend, batch
+``DieBatch.dies_for`` (and indexing, which goes through it) and
+:func:`characterize_dies` — is bitwise identical to its one-at-a-time
+oracle in ``tests/references.py``, for every sampler backend, batch
 size and arch geometry, including error behaviour.
 """
 
@@ -12,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chip import (
-    CharacterizationKernel,
-    characterize_die,
-    characterize_dies,
-)
+from repro.chip import CharacterizationKernel, characterize_dies
 from repro.config import ArchConfig, DEFAULT_TECH
 from repro.parallel import (
     CharacterizationCache,
@@ -24,14 +21,14 @@ from repro.parallel import (
     characterize_batch,
     profile_payload,
 )
-from repro.variation import (
-    Die,
-    DieBatch,
-    generate_variation_map,
-    generate_variation_maps,
-)
+from repro.variation import Die, DieBatch, generate_variation_maps
 from repro.variation.spatial import make_field_sampler
 from repro.variation.varius import VariationMap
+from tests.references import (
+    characterize_die,
+    generate_variation_map,
+    sample_field,
+)
 
 TECH = DEFAULT_TECH
 
@@ -66,7 +63,7 @@ def poisoned_die(template: Die, die_id: int) -> Die:
 
 
 class TestSamplerBatchParity:
-    """sample_batch == per-rng serial sample calls, for both backends."""
+    """sample_batch == per-rng one-field oracle draws, for both backends."""
 
     @pytest.mark.parametrize("resolution,edge", [(16, 11.8), (40, 14.1)])
     def test_sample_batch_matches_serial(self, resolution, edge):
@@ -74,7 +71,7 @@ class TestSamplerBatchParity:
         serial = []
         for i in range(5):
             rng = np.random.default_rng([7, i])
-            serial.append([sampler.sample(rng) for _ in range(2)])
+            serial.append([sample_field(sampler, rng) for _ in range(2)])
         batched = sampler.sample_batch(
             [np.random.default_rng([7, i]) for i in range(5)], count=2)
         assert batched.shape == (5, 2, resolution, resolution)
@@ -125,10 +122,15 @@ class TestVariationMapBatchParity:
             assert s.die_id == b.die_id
             assert np.array_equal(s.variation.vth_sys, b.variation.vth_sys)
             assert np.array_equal(s.variation.leff_sys, b.variation.leff_sys)
+            oracle = generate_variation_map(
+                TECH, CHOL_ARCH.die_edge_mm, CHOL_ARCH.grid_resolution,
+                np.random.default_rng([77, s.die_id]))
+            assert np.array_equal(s.variation.vth_sys, oracle.vth_sys)
+            assert np.array_equal(s.variation.leff_sys, oracle.leff_sys)
 
     def test_dies_for_mixed_hit_miss_and_order(self):
         batch = DieBatch(TECH, CHOL_ARCH, n_dies=6, seed=5)
-        pre = batch[2]  # warm one die through the serial path
+        pre = batch[2]  # warm one die through indexing
         got = batch.dies_for([4, 2, 0, 2, -1])
         assert [d.die_id for d in got] == [4, 2, 0, 2, 5]
         assert got[1] is pre  # cache was reused, not regenerated
@@ -146,7 +148,7 @@ class TestVariationMapBatchParity:
 
 
 class TestCharacterizeDiesParity:
-    """The tentpole contract: batched binning == per-die serial binning."""
+    """The tentpole contract: batched binning == the one-die oracle."""
 
     @pytest.mark.parametrize("arch", ARCHS, ids=["chol16", "chol32", "fft40"])
     @pytest.mark.parametrize("n_dies", [1, 5])
@@ -165,7 +167,7 @@ class TestCharacterizeDiesParity:
         batch = DieBatch(TECH, CHOL_ARCH, n_dies=n, seed=2024)
         dies = batch.dies_for(range(n))
         batched = characterize_dies(dies, TECH, CHOL_ARCH)
-        for d in (0, 17, 63):  # spot-check the serial reference
+        for d in (0, 17, 63):  # spot-check the one-die oracle
             assert_profiles_bitwise(
                 characterize_die(dies[d], TECH, CHOL_ARCH), batched[d])
 
@@ -234,30 +236,16 @@ class TestErrorParity:
                            match="supply voltage at or below threshold"):
             characterize_dies(dies, TECH, CHOL_ARCH)
 
-    def test_isolate_quarantines_only_failures(self):
-        dies = self._dies_with_poison([1])
-        results = characterize_dies(dies, TECH, CHOL_ARCH, errors="isolate")
-        assert isinstance(results[1], ValueError)
-        for pos in (0, 2, 3):
-            assert_profiles_bitwise(
-                characterize_die(dies[pos], TECH, CHOL_ARCH), results[pos])
-
-    def test_invalid_errors_mode(self):
-        batch = DieBatch(TECH, CHOL_ARCH, n_dies=1, seed=1)
-        with pytest.raises(ValueError, match="errors"):
-            characterize_dies(batch.dies_for([0]), TECH, CHOL_ARCH,
-                              errors="ignore")
-
 
 def reference_profiles(seed, indices):
-    """The serial per-die :func:`characterize_die` reference."""
+    """The one-die :func:`characterize_die` oracle, die by die."""
     batch = DieBatch(TECH, CHOL_ARCH, max(indices) + 1, seed=seed)
     return [characterize_die(batch[i], TECH, CHOL_ARCH) for i in indices]
 
 
 class TestRunnerKnob:
     """characterize_batch's die-batched cache-miss path against the
-    serial characterize_die reference."""
+    one-die characterize_die oracle."""
 
     def test_characterize_batch_paths_bitwise(self):
         """The runner's cache-miss path equals the per-die reference."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import ArchConfig, DEFAULT_ARCH, DEFAULT_TECH, T_REF_K
 from repro.floorplan import build_floorplan
 
@@ -46,8 +46,8 @@ class TestChipProfile:
             core.leakage.power(DEFAULT_TECH.vdd_max, T_REF_K))
 
     def test_characterisation_deterministic(self, die_batch):
-        a = characterize_die(die_batch[0], DEFAULT_TECH, DEFAULT_ARCH)
-        b = characterize_die(die_batch[0], DEFAULT_TECH, DEFAULT_ARCH)
+        a = characterize_dies([die_batch[0]], DEFAULT_TECH, DEFAULT_ARCH)[0]
+        b = characterize_dies([die_batch[0]], DEFAULT_TECH, DEFAULT_ARCH)[0]
         np.testing.assert_array_equal(a.fmax_array, b.fmax_array)
         np.testing.assert_array_equal(a.static_rated_array,
                                       b.static_rated_array)
@@ -74,15 +74,17 @@ class TestChipProfile:
         small_fp = build_floorplan(ArchConfig(n_cores=8,
                                               die_area_mm2=140.0))
         with pytest.raises(ValueError):
-            characterize_die(die_batch[0], DEFAULT_TECH, DEFAULT_ARCH,
-                             floorplan=small_fp)
+            characterize_dies([die_batch[0]], DEFAULT_TECH, DEFAULT_ARCH,
+                              floorplan=small_fp)
 
     def test_lower_sigma_gives_tighter_spread(self, die_batch):
         tight_tech = DEFAULT_TECH.with_sigma_over_mu(0.03)
         from repro.variation import DieBatch
         tight_batch = DieBatch(tight_tech, DEFAULT_ARCH, 1, seed=1234)
-        tight = characterize_die(tight_batch[0], tight_tech, DEFAULT_ARCH)
-        loose = characterize_die(die_batch[0], DEFAULT_TECH, DEFAULT_ARCH)
+        tight = characterize_dies([tight_batch[0]], tight_tech,
+                                  DEFAULT_ARCH)[0]
+        loose = characterize_dies([die_batch[0]], DEFAULT_TECH,
+                                  DEFAULT_ARCH)[0]
         tight_ratio = tight.fmax_array.max() / tight.fmax_array.min()
         loose_ratio = loose.fmax_array.max() / loose.fmax_array.min()
         assert tight_ratio < loose_ratio

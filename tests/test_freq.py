@@ -13,7 +13,6 @@ from repro.freq import (
     PathSet,
     VFTable,
     build_vf_table,
-    extract_core_paths,
     frequency_calibration,
     gate_delay,
     mobility_factor,
@@ -23,7 +22,8 @@ from repro.freq import (
     worst_cell_quantile,
 )
 from repro.floorplan import build_floorplan
-from repro.variation import generate_variation_map
+from repro.variation import generate_variation_maps
+from tests.references import extract_core_paths
 
 
 class TestAlphaPower:
@@ -210,9 +210,9 @@ class TestCoreFrequencyModel:
         assert many[1] == pytest.approx(model.fmax(0.9))
 
     def test_extracted_cores_slower_than_nominal(self):
-        vmap = generate_variation_map(
+        vmap = generate_variation_maps(
             DEFAULT_TECH, DEFAULT_ARCH.die_edge_mm, 32,
-            np.random.default_rng(0))
+            [np.random.default_rng(0)])[0]
         fp = build_floorplan(DEFAULT_ARCH)
         calib = frequency_calibration(DEFAULT_TECH, DEFAULT_ARCH)
         rng = np.random.default_rng(1)

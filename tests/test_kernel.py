@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER, T_REF_K,
                           ArchConfig, PowerEnvironment)
 from repro.faults import MANAGER_ERROR, ResilientManager
@@ -829,8 +829,8 @@ class TestReductionAssumptions:
 def distinct_chips():
     """Three daemon-shape 4-core dies."""
     batch = DieBatch(DEFAULT_TECH, DISTINCT_ARCH, n_dies=3, seed=5)
-    return [characterize_die(batch[k], DEFAULT_TECH, DISTINCT_ARCH)
-            for k in range(3)]
+    return characterize_dies(batch.dies_for(range(3)), DEFAULT_TECH,
+                             DISTINCT_ARCH)
 
 
 def _mixed_case(chip, n_threads, seed):

@@ -7,7 +7,11 @@ a parameter again (a mode switch would bring a second simulation loop
 back into ``src/``), or if an experiment module other than
 ``experiments/common.py`` keys or touches the campaign journal (a
 second journaled trial loop), or if a Section 6.4 experiment (Figs
-7-14, the ablations) draws its own workloads (a second trial loop).
+7-14, the ablations) draws its own workloads (a second trial loop),
+or if a module other than the binning kernel and the characterisation
+cache builds a ``ChipProfile`` (a second binning flow), or if a field
+sampler grows a one-field ``sample`` next to ``sample_batch`` (a
+second field generator).
 """
 
 from __future__ import annotations
@@ -127,3 +131,65 @@ def test_workload_guard_sees_workload_draws(tmp_path):
                      "make_workload_cache = {}\n"
                      "f = make_workload\n")
     assert list(_calls_to(probe, {"make_workload"})) == [1, 2]
+
+
+#: The ``src/`` modules that build a ``ChipProfile``: the binning
+#: kernel and the characterisation cache's loader.
+PROFILE_BUILDERS = frozenset({"chip/batch.py", "parallel/cache.py"})
+
+
+def test_only_the_binning_kernel_and_cache_build_profiles():
+    offenders = [f"{rel}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if (rel := path.relative_to(SRC).as_posix())
+                 not in PROFILE_BUILDERS
+                 for line in _calls_to(path, {"ChipProfile"})]
+    assert offenders == []
+
+
+def _class_members(path: pathlib.Path, name: str):
+    """``Class.name`` for every class in ``path`` that defines or
+    assigns a member called ``name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if name in names:
+                yield f"{cls.name}.{name}"
+
+
+def test_field_samplers_only_draw_batched():
+    path = SRC / "variation" / "spatial.py"
+    assert list(_class_members(path, "sample")) == []
+
+
+def test_die_pipeline_guards_see_their_targets(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("profile = ChipProfile(die_id=0)\n"
+                     "profile = chip.ChipProfile(**fields)\n"
+                     "isinstance(profile, ChipProfile)\n"
+                     "ChipProfileCache = {}\n")
+    assert list(_calls_to(probe, {"ChipProfile"})) == [1, 2]
+    probe.write_text("class A:\n"
+                     "    def sample(self, rng):\n"
+                     "        pass\n"
+                     "    def sample_batch(self, rngs, count=1):\n"
+                     "        pass\n"
+                     "class B:\n"
+                     "    sample = sample_batch\n"
+                     "class C:\n"
+                     "    def sample_batch(self, rngs, count=1):\n"
+                     "        sample = rngs\n"
+                     "def sample(rng):\n"
+                     "    pass\n")
+    assert list(_class_members(probe, "sample")) == ["A.sample",
+                                                     "B.sample"]

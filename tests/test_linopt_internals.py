@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.chip import characterize_die
+from repro.chip import characterize_dies
 from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER,
                           ArchConfig, PowerEnvironment)
 from repro.pm import (LinOpt, LinOptConfig, fit_power_lines,
@@ -412,8 +412,8 @@ class TestLinOptConfigValidation:
 def daemon_chip():
     """A daemon tenant's die: 4 cores at 35 mm^2 per core."""
     arch = ArchConfig(n_cores=4, die_area_mm2=140.0, grid_resolution=8)
-    return characterize_die(DieBatch(DEFAULT_TECH, arch, n_dies=1,
-                                     seed=5)[0], DEFAULT_TECH, arch)
+    return characterize_dies(DieBatch(DEFAULT_TECH, arch, n_dies=1,
+                                      seed=5)[:1], DEFAULT_TECH, arch)[0]
 
 
 #: Budgets that bind on the 4-core die (it draws 20-25 W at its top
@@ -680,8 +680,8 @@ class TestLinOptStateMemo:
 def daemon_chip2():
     """A second die of the daemon tenants' design."""
     arch = ArchConfig(n_cores=4, die_area_mm2=140.0, grid_resolution=8)
-    return characterize_die(DieBatch(DEFAULT_TECH, arch, n_dies=1,
-                                     seed=6)[0], DEFAULT_TECH, arch)
+    return characterize_dies(DieBatch(DEFAULT_TECH, arch, n_dies=1,
+                                      seed=6)[:1], DEFAULT_TECH, arch)[0]
 
 
 class _NoSeed(linopt.StateMemo):

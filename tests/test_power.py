@@ -15,8 +15,6 @@ from repro.power import (
     L2_STATIC_NOMINAL_W,
     PowerSensor,
     SensorSpec,
-    UnitLeakage,
-    build_core_leakage,
     ceff_from_reference,
     dynamic_power,
     l2_dynamic_power,
@@ -25,7 +23,8 @@ from repro.power import (
     subthreshold_slope_factor,
 )
 from repro.power.scaling import L2_DYNAMIC_FRACTION
-from repro.variation import generate_variation_map
+from repro.variation import generate_variation_maps
+from tests.references import build_core_leakage
 
 
 class TestDynamicPower:
@@ -100,10 +99,11 @@ class TestLeakageFactor:
 
 
 class TestCoreLeakageModel:
-    def _model(self, vth_values, weight=1.0):
-        unit = UnitLeakage(vth_cells=np.asarray(vth_values), weight=weight)
+    def _model(self, vth_values):
+        vth = np.asarray(vth_values, dtype=float)
+        weights = np.full(vth.size, 1.0 / vth.size)
         calib = leakage_calibration(DEFAULT_TECH)
-        return CoreLeakageModel([unit], DEFAULT_TECH, calib)
+        return CoreLeakageModel(vth, weights, DEFAULT_TECH, calib)
 
     def test_nominal_calibration(self):
         model = self._model([DEFAULT_TECH.vth_mean])
@@ -125,32 +125,47 @@ class TestCoreLeakageModel:
     def test_weights_respected(self):
         mu = DEFAULT_TECH.vth_mean
         calib = leakage_calibration(DEFAULT_TECH)
-        heavy_low = CoreLeakageModel(
-            [UnitLeakage(np.array([mu - 0.03]), weight=0.9),
-             UnitLeakage(np.array([mu + 0.03]), weight=0.1)],
-            DEFAULT_TECH, calib)
-        heavy_high = CoreLeakageModel(
-            [UnitLeakage(np.array([mu - 0.03]), weight=0.1),
-             UnitLeakage(np.array([mu + 0.03]), weight=0.9)],
-            DEFAULT_TECH, calib)
+        vth = np.array([mu - 0.03, mu + 0.03])
+        heavy_low = CoreLeakageModel(vth, np.array([0.9, 0.1]),
+                                     DEFAULT_TECH, calib)
+        heavy_high = CoreLeakageModel(vth, np.array([0.1, 0.9]),
+                                      DEFAULT_TECH, calib)
         assert heavy_low.power(1.0, T_REF_K) > heavy_high.power(1.0, T_REF_K)
 
     def test_rejects_empty_units(self):
         with pytest.raises(ValueError):
-            CoreLeakageModel([], DEFAULT_TECH, 1.0)
+            CoreLeakageModel(np.array([]), np.array([]), DEFAULT_TECH, 1.0)
 
     def test_rejects_empty_cells(self):
+        # Every cell needs a weight: a cell array and a weight array
+        # of different lengths (or ranks) is not a core.
         with pytest.raises(ValueError):
-            CoreLeakageModel([UnitLeakage(np.array([]), 1.0)],
+            CoreLeakageModel(np.array([0.25, 0.26]), np.array([1.0]),
                              DEFAULT_TECH, 1.0)
+        with pytest.raises(ValueError):
+            CoreLeakageModel(np.ones((2, 2)), np.ones((2, 2)),
+                             DEFAULT_TECH, 1.0)
+
+    def test_rejects_non_positive_calibration(self):
+        with pytest.raises(ValueError):
+            CoreLeakageModel(np.array([0.25]), np.array([1.0]),
+                             DEFAULT_TECH, 0.0)
+
+    def test_shifted_keeps_weights_and_moves_every_cell(self):
+        model = self._model([0.24, 0.26])
+        shifted = model.shifted(0.01)
+        assert shifted.cell_weights is model.cell_weights
+        np.testing.assert_array_equal(shifted.cell_vth,
+                                      model.cell_vth + 0.01)
+        assert shifted.power(1.0, T_REF_K) < model.power(1.0, T_REF_K)
 
 
 class TestBuiltLeakageModels:
     @pytest.fixture(scope="class")
     def vmap(self):
-        return generate_variation_map(
+        return generate_variation_maps(
             DEFAULT_TECH, DEFAULT_ARCH.die_edge_mm, 32,
-            np.random.default_rng(5))
+            [np.random.default_rng(5)])[0]
 
     @pytest.fixture(scope="class")
     def floorplan(self):

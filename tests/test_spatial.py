@@ -65,15 +65,15 @@ class TestGridCoordinates:
 class TestSamplers:
     def test_cholesky_shape_and_determinism(self):
         s = CholeskyFieldSampler(8, 10.0, 5.0)
-        a = s.sample(np.random.default_rng(1))
-        b = s.sample(np.random.default_rng(1))
+        a = s.sample_batch([np.random.default_rng(1)])[0, 0]
+        b = s.sample_batch([np.random.default_rng(1)])[0, 0]
         assert a.shape == (8, 8)
         np.testing.assert_array_equal(a, b)
 
     def test_fft_shape_and_determinism(self):
         s = CirculantFieldSampler(16, 10.0, 5.0)
-        a = s.sample(np.random.default_rng(1))
-        b = s.sample(np.random.default_rng(1))
+        a = s.sample_batch([np.random.default_rng(1)])[0, 0]
+        b = s.sample_batch([np.random.default_rng(1)])[0, 0]
         assert a.shape == (16, 16)
         np.testing.assert_array_equal(a, b)
 
@@ -82,7 +82,7 @@ class TestSamplers:
     def test_unit_marginal_variance(self, cls):
         sampler = cls(16, 10.0, 5.0)
         rng = np.random.default_rng(7)
-        samples = np.stack([sampler.sample(rng) for _ in range(200)])
+        samples = sampler.sample_batch([rng], count=200)[0]
         var = samples.var()
         assert var == pytest.approx(1.0, rel=0.1)
 
@@ -91,7 +91,7 @@ class TestSamplers:
     def test_zero_mean(self, cls):
         sampler = cls(12, 10.0, 5.0)
         rng = np.random.default_rng(11)
-        samples = np.stack([sampler.sample(rng) for _ in range(300)])
+        samples = sampler.sample_batch([rng], count=300)[0]
         assert abs(samples.mean()) < 0.05
 
     def test_neighbouring_cells_correlated(self):
@@ -99,7 +99,7 @@ class TestSamplers:
         # strongly correlated and far cells weakly.
         sampler = CirculantFieldSampler(16, 16.0, 8.0)
         rng = np.random.default_rng(3)
-        fields = np.stack([sampler.sample(rng) for _ in range(400)])
+        fields = sampler.sample_batch([rng], count=400)[0]
         near = np.corrcoef(fields[:, 0, 0], fields[:, 0, 1])[0, 1]
         far = np.corrcoef(fields[:, 0, 0], fields[:, 15, 15])[0, 1]
         assert near > 0.7
@@ -112,8 +112,8 @@ class TestSamplers:
         rng2 = np.random.default_rng(5)
         chol = CholeskyFieldSampler(12, 12.0, 6.0)
         fft = CirculantFieldSampler(12, 12.0, 6.0)
-        f1 = np.stack([chol.sample(rng1) for _ in range(400)])
-        f2 = np.stack([fft.sample(rng2) for _ in range(400)])
+        f1 = chol.sample_batch([rng1], count=400)[0]
+        f2 = fft.sample_batch([rng2], count=400)[0]
         c1 = np.corrcoef(f1[:, 4, 4], f1[:, 4, 5])[0, 1]
         c2 = np.corrcoef(f2[:, 4, 4], f2[:, 4, 5])[0, 1]
         assert c1 == pytest.approx(c2, abs=0.12)
@@ -123,9 +123,3 @@ class TestSamplers:
                           CholeskyFieldSampler)
         assert isinstance(make_field_sampler(64, 10.0, 5.0),
                           CirculantFieldSampler)
-
-    def test_make_field_sampler_explicit(self):
-        assert isinstance(make_field_sampler(16, 10.0, 5.0, "fft"),
-                          CirculantFieldSampler)
-        with pytest.raises(ValueError):
-            make_field_sampler(16, 10.0, 5.0, "bogus")

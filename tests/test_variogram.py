@@ -15,7 +15,7 @@ from repro.variation.spatial import CirculantFieldSampler
 def fields():
     sampler = CirculantFieldSampler(40, 18.0, 9.0)
     rng = np.random.default_rng(7)
-    return [sampler.sample(rng) for _ in range(20)]
+    return list(sampler.sample_batch([rng], count=20)[0])
 
 
 class TestEmpiricalVariogram:

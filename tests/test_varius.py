@@ -9,13 +9,13 @@ from repro.variation import (
     DieBatch,
     VariationMap,
     VariationParams,
-    generate_variation_map,
+    generate_variation_maps,
 )
 
 
 def _map(seed=0, resolution=24):
     rng = np.random.default_rng(seed)
-    return generate_variation_map(DEFAULT_TECH, 18.0, resolution, rng)
+    return generate_variation_maps(DEFAULT_TECH, 18.0, resolution, [rng])[0]
 
 
 class TestVariationParams:
