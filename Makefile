@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint chaos daemon durability pm-trace fleet bench bench-gate bench-baseline coverage
+.PHONY: test lint chaos daemon durability pm-trace fleet lp-engines bench bench-gate bench-baseline coverage
 
 test:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning
@@ -44,6 +44,12 @@ fleet:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_fleet.py tests/test_characterize_batch.py tests/test_kernel.py::TestPerRowWorkloads tests/test_kernel.py::TestReductionAssumptions
 	$(PYTHON) benchmarks/fleet_nightly.py --dies 600 --out /tmp/repro-fleet-nightly
 	$(PYTHON) -m pytest -x -q -m slow "benchmarks/e2e/test_e2e.py::test_traced_run_matches_the_layer_map[fleet_cold]"
+
+# LP engine cross-checks against scipy's HiGHS plus the lp_engines
+# cases (CI's 'lp-backends' job).
+lp-engines:
+	$(PYTHON) -m pytest -x -q tests/test_linprog_backends.py tests/test_simplex.py
+	$(PYTHON) -m pytest -x -q -m lp_engines -W error::RuntimeWarning tests/test_linopt_internals.py
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks

@@ -27,11 +27,6 @@ T_HOT_K = 368.15
 CELSIUS_OFFSET = 273.15
 
 
-def kelvin(celsius: float) -> float:
-    """Convert a temperature from Celsius to kelvin."""
-    return celsius + CELSIUS_OFFSET
-
-
 def celsius(kelvin_t: float) -> float:
     """Convert a temperature from kelvin to Celsius."""
     return kelvin_t - CELSIUS_OFFSET
@@ -141,11 +136,6 @@ class ArchConfig:
     def die_edge_mm(self) -> float:
         """Edge length of the (square) die in millimetres."""
         return self.die_area_mm2 ** 0.5
-
-    @property
-    def memory_latency_s(self) -> float:
-        """Main-memory latency in seconds (frequency independent)."""
-        return self.memory_latency_cycles / self.freq_nominal_hz
 
 
 @dataclass(frozen=True)

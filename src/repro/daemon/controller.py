@@ -105,7 +105,7 @@ _ENVS = {
 
 
 class CrashingManager(PowerManager):
-    """Chaos-testing manager: healthy for N-1 calls, then raises.
+    """Chaos-testing manager: Foxton* for N-1 calls, then raises.
 
     Registered via ``manager: {"primary": "crashing", "crash_after":
     N}``. With ``resilient: true`` the crash is absorbed by the
@@ -116,11 +116,10 @@ class CrashingManager(PowerManager):
 
     name = "Crashing"
 
-    def __init__(self, inner: Optional[PowerManager] = None,
-                 crash_after: int = 1) -> None:
+    def __init__(self, crash_after: int = 1) -> None:
         if crash_after < 1:
             raise ValueError("crash_after must be positive")
-        self.inner = inner if inner is not None else FoxtonStar()
+        self.inner = FoxtonStar()
         self.crash_after = crash_after
         self.calls = 0
 
@@ -432,7 +431,6 @@ class DaemonController:
     """Registry of tenants plus the request verbs the server exposes.
 
     Args:
-        telemetry: Shared counter sink (one is created if omitted).
         tech: Process technology for every hosted chip.
         workers: Worker processes for chip characterisation (the
             daemon defaults to 1 — characterisation of daemon-sized
@@ -448,16 +446,15 @@ class DaemonController:
             tenant's live state (bounds replay cost at recovery).
     """
 
-    def __init__(self, telemetry: Optional[DaemonTelemetry] = None,
-                 tech: Optional[TechParams] = None,
+    def __init__(self, tech: Optional[TechParams] = None,
                  workers: int = 1, cache: Any = "auto",
                  state_dir: Optional[Union[str,
                                            pathlib.Path]] = None,
                  snapshot_every: int = 16) -> None:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
-        self.telemetry = (telemetry if telemetry is not None
-                          else DaemonTelemetry())
+        #: Shared counter sink of every tenant and the server.
+        self.telemetry = DaemonTelemetry()
         self.tech = tech if tech is not None else TechParams()
         self.workers = workers
         self.cache = cache

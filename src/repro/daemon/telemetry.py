@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 import numpy as np
 
@@ -109,12 +109,3 @@ class DaemonTelemetry:
                 "max_s": float(arr.max()),
             }
         return {"counters": counters, "latency": summary}
-
-    def latency_p99(self, op: str) -> Optional[float]:
-        """p99 of one operation's recent window (None if unseen)."""
-        with self._lock:
-            window = self._latencies.get(op)
-            samples = list(window) if window else []
-        if not samples:
-            return None
-        return float(np.percentile(np.asarray(samples), 99))

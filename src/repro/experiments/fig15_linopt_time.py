@@ -10,23 +10,26 @@ reference.
 
 The flop counter follows the unified accounting rules of
 :mod:`repro.linprog.simplex`, so modelled times are comparable across
-the simplex engines (``lp_backend`` selects one). Each invocation here
-is a *cold* solve — a fresh manager per trial, matching the paper's
-single-invocation measurement — so the bounded engine's warm-start
-savings do not appear in this figure. The ``highs`` backend reports
-``flops=0`` (no work counter) and would model as 0 us; use the
-from-scratch backends for Fig. 15.
+the simplex engines (``lp_backend`` takes an engine class, e.g.
+:class:`~repro.linprog.ReferenceSimplexBackend`). Each invocation here
+is a *cold* solve — a fresh manager and a fresh engine per trial,
+matching the paper's single-invocation measurement — so the bounded
+engine's warm-start savings do not appear in this figure.
+:class:`~repro.linprog.HighsBackend` reports ``flops=0`` (no work
+counter) and would model as 0 us; use the from-scratch engines for
+Fig. 15.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..config import POWER_ENVIRONMENTS, PowerEnvironment
+from ..linprog import BoundedSimplexBackend, LpBackend
 from ..pm import LinOpt, LinOptConfig
 from ..sched import VarFAppIPC
 from ..workloads import make_workload
@@ -66,13 +69,13 @@ def run(
     n_trials: int = 4,
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
-    lp_backend: Optional[str] = None,
+    lp_backend: Type[LpBackend] = BoundedSimplexBackend,
 ) -> Fig15Result:
     """Reproduce Figure 15.
 
-    ``lp_backend`` names the LP engine to instrument (``None`` =
-    session default); each trial builds a fresh manager, so every
-    solve is cold regardless of the engine's warm-start support.
+    ``lp_backend`` is the LP engine class to instrument; each trial
+    builds a fresh manager around a fresh engine, so every solve is
+    cold regardless of the engine's warm-start support.
     """
     factory = factory or ChipFactory()
     factory.prefetch(n_trials)
@@ -91,7 +94,7 @@ def run(
                     chip, workload, rng)
                 manager = LinOpt(LinOptConfig(n_iterations=1,
                                               refill=False),
-                                 lp_backend=lp_backend)
+                                 lp_backend=lp_backend())
                 t0 = time.perf_counter()
                 result = manager.set_levels(chip, workload, assignment,
                                             env, rng)

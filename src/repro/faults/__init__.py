@@ -33,7 +33,6 @@ from .schedule import (
     SENSOR_KINDS,
     SENSOR_STUCK,
     FaultEvent,
-    FaultLog,
     FaultSchedule,
 )
 from .sensors import FaultableSensor, SensorBank
@@ -46,7 +45,6 @@ __all__ = [
     "CORE_KINDS",
     "CORE_OFFLINE",
     "FaultEvent",
-    "FaultLog",
     "FaultSchedule",
     "FaultableSensor",
     "MANAGER_DEADLINE",

@@ -12,7 +12,7 @@ from per-kind Poisson rates with a fixed seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,10 +90,6 @@ class FaultSchedule:
         """Events with ``t_from < time_s <= t_to`` (simulation step)."""
         return [e for e in self._events if t_from < e.time_s <= t_to]
 
-    def event_times(self) -> List[float]:
-        """Distinct strike times, ascending."""
-        return sorted({e.time_s for e in self._events})
-
     @classmethod
     def random(
         cls,
@@ -146,20 +142,3 @@ class FaultSchedule:
                 events.append(FaultEvent(time_s=t, kind=kind,
                                          target=target, param=param))
         return cls(events)
-
-
-@dataclass
-class FaultLog:
-    """Mutable record of faults actually applied during one run."""
-
-    applied: List[FaultEvent] = field(default_factory=list)
-
-    def record(self, event: FaultEvent) -> None:
-        """Append one applied event."""
-        self.applied.append(event)
-
-    def count(self, kind: Optional[str] = None) -> int:
-        """Applied events, optionally filtered by kind."""
-        if kind is None:
-            return len(self.applied)
-        return sum(1 for e in self.applied if e.kind == kind)

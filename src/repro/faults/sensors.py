@@ -18,7 +18,7 @@ scalar sensor was expected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Sequence
 
 from ..power import PowerSensor, Sensor, SensorSpec, independent_rngs
 from .schedule import (
@@ -127,19 +127,18 @@ class SensorBank:
         spec: Noise/quantisation spec shared by all channels (each
             channel still gets an independent noise stream).
         seed: Parent seed for the independent per-channel generators.
-        sensor_cls: Ideal-sensor class to wrap (power by default).
         plausible_lo / plausible_hi: Plausibility clamp bounds.
     """
 
     def __init__(self, n_cores: int, spec: Optional[SensorSpec] = None,
-                 seed: int = 0, sensor_cls: Type[Sensor] = PowerSensor,
+                 seed: int = 0,
                  plausible_lo: float = 0.0,
                  plausible_hi: Optional[float] = None) -> None:
         if n_cores < 1:
             raise ValueError("need at least one core channel")
         rngs = independent_rngs(n_cores + 1, seed)
         self.channels: List[FaultableSensor] = [
-            FaultableSensor(sensor_cls(spec, rng), plausible_lo,
+            FaultableSensor(PowerSensor(spec, rng), plausible_lo,
                             plausible_hi)
             for rng in rngs]
 
@@ -218,8 +217,3 @@ class SensorBank:
         for core_id, value in zip(core_ids, core_values):
             total += self.core(core_id).read(value)
         return total
-
-    @property
-    def n_unhealthy(self) -> int:
-        """How many channels are currently degraded."""
-        return sum(0 if c.healthy else 1 for c in self.channels)

@@ -120,13 +120,3 @@ class PowerWatchdog:
                 continue
             cap += 1
             self._caps[i] = None if cap >= tops[i] else cap
-
-    @property
-    def n_triggers(self) -> int:
-        """Emergencies fired so far in this run."""
-        return len(self.triggers)
-
-    @property
-    def active_caps(self) -> int:
-        """How many threads are currently pinned by an emergency cap."""
-        return sum(1 for cap in self._caps if cap is not None)

@@ -29,10 +29,8 @@ from .quantiles import (
 )
 from .shards import (
     ShardInfo,
-    coverage_ranges,
     iter_shards,
     load_shard,
-    missing_ranges,
     write_shard,
 )
 
@@ -45,13 +43,11 @@ __all__ = [
     "P2Quantile",
     "RunningMoments",
     "ShardInfo",
-    "coverage_ranges",
     "fleet_die_metrics",
     "iter_shards",
     "load_shard",
     "load_summary",
     "merge_campaigns",
-    "missing_ranges",
     "run_fleet_campaign",
     "summarize_shards",
     "write_shard",

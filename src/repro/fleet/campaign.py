@@ -431,10 +431,11 @@ def summarize_shards(shard_dir: Union[str, pathlib.Path],
                      ) -> FleetAccumulator:
     """Rebuild an online accumulator by streaming the shards on disk.
 
-    Used by ``repro fleet stats`` and by the multi-host merge to
-    recompute campaign statistics from merged shards — one shard in
-    memory at a time. Metrics not present in a shard are skipped;
-    ``spec`` defaults to the ranges the campaign driver uses.
+    Used by ``repro fleet stats`` to recompute campaign statistics
+    from the shards on disk — one shard in memory at a time (the
+    multi-host merge, :func:`merge_campaigns`, replays journals
+    instead). Metrics not present in a shard are skipped; ``spec``
+    defaults to the ranges the campaign driver uses.
     """
     acc = FleetAccumulator(dict(spec or DEFAULT_METRIC_SPEC))
     for info in iter_shards(shard_dir):

@@ -32,7 +32,7 @@ import io
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, Union
 
 import numpy as np
 
@@ -40,10 +40,8 @@ from ..storage import IntegrityError, read_sealed, write_sealed
 
 __all__ = [
     "ShardInfo",
-    "coverage_ranges",
     "iter_shards",
     "load_shard",
-    "missing_ranges",
     "shard_name",
     "write_shard",
 ]
@@ -141,43 +139,3 @@ def iter_shards(shard_dir: PathLike) -> Iterator[ShardInfo]:
         if m:
             yield ShardInfo(path=entry, start=int(m.group(1)),
                             end=int(m.group(2)))
-
-
-def coverage_ranges(shard_dir: PathLike) -> List[Tuple[int, int]]:
-    """Merged, sorted die ranges covered by the shards on disk.
-
-    Raises if two shards overlap — overlapping ranges mean two writers
-    disagreed about chunking and the campaign must not silently pick
-    one.
-    """
-    merged: List[Tuple[int, int]] = []
-    for info in iter_shards(shard_dir):
-        if merged and info.start < merged[-1][1]:
-            raise ValueError(
-                f"overlapping shards at die {info.start}: "
-                f"{merged[-1]} vs ({info.start}, {info.end})")
-        if merged and info.start == merged[-1][1]:
-            merged[-1] = (merged[-1][0], info.end)
-        else:
-            merged.append((info.start, info.end))
-    return merged
-
-
-def missing_ranges(shard_dir: PathLike, start: int,
-                   end: int) -> List[Tuple[int, int]]:
-    """Gaps in shard coverage over the die range [start, end)."""
-    gaps: List[Tuple[int, int]] = []
-    cursor = start
-    for lo, hi in coverage_ranges(shard_dir):
-        if hi <= cursor:
-            continue
-        if lo >= end:
-            break
-        if lo > cursor:
-            gaps.append((cursor, min(lo, end)))
-        cursor = max(cursor, hi)
-        if cursor >= end:
-            break
-    if cursor < end:
-        gaps.append((cursor, end))
-    return gaps

@@ -39,10 +39,6 @@ class Rect:
     def centre(self) -> Tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
-    def contains(self, x: float, y: float) -> bool:
-        """Whether point (x, y) lies inside (inclusive of edges)."""
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
     def overlaps(self, other: "Rect") -> bool:
         """Whether the two rectangles share interior area."""
         return not (
@@ -51,13 +47,6 @@ class Rect:
             or self.y1 <= other.y0
             or other.y1 <= self.y0
         )
-
-    def inset(self, margin: float) -> "Rect":
-        """Shrink the rectangle by ``margin`` on every side."""
-        if 2 * margin >= min(self.width, self.height):
-            raise ValueError("margin too large for rectangle")
-        return Rect(self.x0 + margin, self.y0 + margin,
-                    self.x1 - margin, self.y1 - margin)
 
     def subgrid(self, cols: int, rows: int):
         """Split into a cols x rows grid of sub-rectangles.
@@ -77,8 +66,3 @@ class Rect:
                     self.x0 + (c + 1) * dw,
                     self.y0 + (r + 1) * dh,
                 )
-
-    def distance_to(self, other: "Rect") -> float:
-        """Centre-to-centre Euclidean distance."""
-        (ax, ay), (bx, by) = self.centre, other.centre
-        return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5

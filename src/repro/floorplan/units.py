@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .geometry import Rect
 
@@ -103,8 +103,3 @@ def layout_core_units(core_rect: Rect, core_id: int) -> List[PlacedUnit]:
         placed.append(PlacedUnit(spec=spec, rect=rect, core_id=core_id))
         x += w
     return placed
-
-
-def unit_weights() -> Dict[str, Tuple[float, float]]:
-    """Map unit name -> (dynamic_weight, leakage_weight)."""
-    return {u.name: (u.dynamic_weight, u.leakage_weight) for u in CORE_UNITS}

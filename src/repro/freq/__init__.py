@@ -6,7 +6,7 @@ from .alpha_power import (
     mobility_factor,
     vth_at_temperature,
 )
-from .sram import SRAM_CELLS_PER_PATH, sram_access_delay, worst_cell_quantile
+from .sram import SRAM_CELLS_PER_PATH, worst_cell_quantile
 from .critical_path import (
     GATES_PER_PATH,
     CoreFrequencyModel,
@@ -29,7 +29,6 @@ __all__ = [
     "gate_delay",
     "mobility_factor",
     "pareto_prune",
-    "sram_access_delay",
     "vth_at_temperature",
     "worst_cell_quantile",
 ]

@@ -10,18 +10,16 @@ the accessed path.
 With ``n`` cells drawing i.i.d. random Vth components, the expected
 worst-case random offset is the Gaussian upper quantile
 ``sigma_ran * z(n)``; we use that deterministic equivalent plus the
-grid cell's systematic component.
+grid cell's systematic component. The binning kernel
+(:mod:`repro.chip.batch`) builds each SRAM stage's delay that
+way from :func:`worst_cell_quantile` and :func:`gate_delay`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
 from scipy import stats
-
-from ..config import TechParams
-from .alpha_power import gate_delay
 
 # Effective number of independent weakest-cell candidates per SRAM
 # stage (cells along the critical access path of the structure).
@@ -41,31 +39,3 @@ def worst_cell_quantile(n_cells: int = SRAM_CELLS_PER_PATH) -> float:
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
     return float(stats.norm.ppf(1.0 - 1.0 / (n_cells + 1)))
-
-
-def sram_access_delay(
-    vdd,
-    vth_sys,
-    leff_sys,
-    tech: TechParams,
-    t_kelvin: float,
-    n_cells: int = SRAM_CELLS_PER_PATH,
-):
-    """Relative access delay of an SRAM stage at a given grid cell.
-
-    Args:
-        vdd: Supply voltage(s).
-        vth_sys: Systematic Vth at the stage's location (V).
-        leff_sys: Systematic Leff at the stage's location (m).
-        tech: Technology parameters.
-        t_kelvin: Operating temperature.
-        n_cells: Cells on the accessed path (sets the worst-case
-            quantile of the random component).
-
-    Returns:
-        Delay in the same arbitrary units as :func:`gate_delay`.
-    """
-    z = worst_cell_quantile(n_cells)
-    sigma_ran = tech.vth_sigma / np.sqrt(2.0)
-    vth_worst = np.asarray(vth_sys) + z * sigma_ran
-    return gate_delay(vdd, vth_worst, leff_sys, tech, t_kelvin)

@@ -64,15 +64,6 @@ class VFTable:
     def vmin(self) -> float:
         return float(self.voltages[0])
 
-    def freq_at(self, voltage: float) -> float:
-        """Binned frequency at a table voltage.
-
-        Args:
-            voltage: Must be one of the table's voltages.
-        """
-        idx = self.level_of(voltage)
-        return float(self.freqs[idx])
-
     def level_of(self, voltage: float) -> int:
         """Index of a table voltage (exact match within tolerance)."""
         idx = int(np.argmin(np.abs(self.voltages - voltage)))

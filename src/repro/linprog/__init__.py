@@ -1,9 +1,9 @@
 """Linear programming engines for LinOpt (two-phase Simplex family).
 
-Three cross-checked engines live here: the tableau reference solver
-(:mod:`.simplex`), the warm-started bounded-variable engine
-(:mod:`.bounded`), and an optional scipy/HiGHS wrapper — all unified
-behind the :mod:`.backends` seam (``REPRO_LP_BACKEND``).
+Three cross-checked engines live here: the warm-started
+bounded-variable engine (:mod:`.bounded`) that LinOpt runs, the tableau
+reference solver (:mod:`.simplex`) and a scipy/HiGHS wrapper, each
+behind the :class:`LpBackend` interface of :mod:`.backends`.
 """
 
 from .backends import (
@@ -12,7 +12,6 @@ from .backends import (
     LpBackend,
     LpProblem,
     ReferenceSimplexBackend,
-    make_backend,
 )
 from .bounded import WarmState, solve_bounded
 from .simplex import (
@@ -34,7 +33,6 @@ __all__ = [
     "STATUS_OPTIMAL",
     "STATUS_UNBOUNDED",
     "WarmState",
-    "make_backend",
     "solve_bounded",
     "solve_lp_maximize",
 ]

@@ -1,33 +1,31 @@
-"""Pluggable LP backend seam for LinOpt's per-interval solves.
+"""The LP engines behind LinOpt's per-interval solves.
 
 LinOpt re-solves a near-identical LP every 10 ms interval (Section
 4.3.1), so the solver sits on a hot path *and* feeds Fig. 15's
-flops-to-time model. This module wraps the available engines behind a
-single :class:`LpBackend` interface so the power manager can swap
-between them without caring which is active:
+flops-to-time model. Each engine implements :class:`LpBackend`:
 
-* ``reference`` — :func:`repro.linprog.simplex.solve_lp_maximize`,
-  the bitwise reference (upper bounds appended as rows);
-* ``bounded`` (default) — :func:`repro.linprog.bounded.solve_bounded`
+* :class:`BoundedSimplexBackend` — :func:`repro.linprog.bounded.solve_bounded`
   with warm-started re-solves, carrying a :class:`WarmState` across
-  calls;
-* ``highs`` — ``scipy.optimize.linprog(method="highs")``, optional and
-  import-guarded; used to cross-check the from-scratch engines.
+  calls; the engine every LinOpt uses unless handed another;
+* :class:`ReferenceSimplexBackend` —
+  :func:`repro.linprog.simplex.solve_lp_maximize`, the bitwise
+  reference (upper bounds appended as rows) and Fig. 15's textbook
+  configuration;
+* :class:`HighsBackend` — ``scipy.optimize.linprog(method="highs")``,
+  the cross-check of the from-scratch engines.
 
-The active backend is chosen by :func:`make_backend`, which reads
-``settings().lp_backend`` (``REPRO_LP_BACKEND``, default ``bounded``;
-see :mod:`repro.settings`) when no explicit spec is given.
+Callers that want another engine pass an instance to
+``LinOpt(lp_backend=...)``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..settings import settings
 from .bounded import WarmState, solve_bounded
 from .simplex import (
     STATUS_INFEASIBLE,
@@ -59,9 +57,8 @@ class LpProblem:
 class LpBackend(ABC):
     """Interface every LP engine implements.
 
-    Backends may keep cross-solve state (the bounded engine carries the
-    previous optimal basis for warm starts); :meth:`reset` drops it,
-    e.g. when the caller switches to an unrelated problem sequence.
+    Backends may keep cross-solve state: the bounded engine carries the
+    previous optimal basis for warm starts.
     """
 
     #: Short name recorded in ``LpResult.backend``.
@@ -70,9 +67,6 @@ class LpBackend(ABC):
     @abstractmethod
     def solve(self, problem: LpProblem) -> LpResult:
         """Solve one problem and return an :class:`LpResult`."""
-
-    def reset(self) -> None:
-        """Drop any cross-solve state (no-op for stateless backends)."""
 
 
 class ReferenceSimplexBackend(LpBackend):
@@ -97,22 +91,15 @@ class BoundedSimplexBackend(LpBackend):
 
     name = "bounded"
 
-    def __init__(self, warm_start: bool = True) -> None:
-        """``warm_start=False`` forces every solve cold (for tests)."""
-        self.warm_start = warm_start
+    def __init__(self) -> None:
         self._warm: Optional[WarmState] = None
 
     def solve(self, problem: LpProblem) -> LpResult:
         """Solve, reusing the previous basis when it is still valid."""
-        warm = self._warm if self.warm_start else None
         result, self._warm = solve_bounded(
             problem.c, problem.a_ub, problem.b_ub,
-            upper=problem.upper, warm=warm)
+            upper=problem.upper, warm=self._warm)
         return result
-
-    def reset(self) -> None:
-        """Discard the carried warm-start basis."""
-        self._warm = None
 
 
 class HighsBackend(LpBackend):
@@ -132,17 +119,8 @@ class HighsBackend(LpBackend):
         3: STATUS_UNBOUNDED,
     }
 
-    @staticmethod
-    def available() -> bool:
-        """Whether scipy's ``linprog`` can be imported."""
-        try:
-            from scipy.optimize import linprog  # noqa: F401
-        except ImportError:  # pragma: no cover - scipy is a core dep
-            return False
-        return True
-
     def solve(self, problem: LpProblem) -> LpResult:
-        """Solve via HiGHS; raises ImportError when scipy is absent."""
+        """Solve via HiGHS."""
         from scipy.optimize import linprog
 
         c = np.asarray(problem.c, dtype=float)
@@ -163,43 +141,3 @@ class HighsBackend(LpBackend):
         x = np.asarray(res.x, dtype=float)
         return LpResult(STATUS_OPTIMAL, x, float(c @ x),
                         iterations, 0, backend=self.name)
-
-
-_REGISTRY = {
-    "reference": ReferenceSimplexBackend,
-    "bounded": BoundedSimplexBackend,
-    "highs": HighsBackend,
-}
-
-
-def make_backend(
-    spec: Union[str, LpBackend, None] = None,
-) -> LpBackend:
-    """Resolve a backend spec into a fresh :class:`LpBackend`.
-
-    Args:
-        spec: A backend name (``"reference"``, ``"bounded"``,
-            ``"highs"``), an existing :class:`LpBackend` instance
-            (returned as-is, so callers can inject configured or mock
-            backends), or ``None`` for ``settings().lp_backend``
-            (``REPRO_LP_BACKEND``, default ``"bounded"``).
-
-    Returns:
-        An :class:`LpBackend` ready to solve.
-
-    Raises:
-        ValueError: for an unknown backend name.
-        ImportError: for ``"highs"`` when scipy is not installed.
-    """
-    if isinstance(spec, LpBackend):
-        return spec
-    name = (spec.strip().lower() if spec is not None
-            else settings().lp_backend)
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown LP backend {name!r}; expected one of "
-            f"{sorted(_REGISTRY)}")
-    if name == "highs" and not HighsBackend.available():
-        raise ImportError(
-            "LP backend 'highs' requires scipy.optimize.linprog")
-    return _REGISTRY[name]()

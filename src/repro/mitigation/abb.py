@@ -25,6 +25,9 @@ from ..chip import ChipProfile, CoreDescriptor
 from ..config import T_REF_K
 from ..freq import build_vf_table
 
+# How close to the target fmax (Hz) the bias bisection stops.
+BIAS_TOLERANCE_HZ = 5e6
+
 
 @dataclass(frozen=True)
 class AbbParams:
@@ -42,10 +45,6 @@ class AbbParams:
     def __post_init__(self) -> None:
         if self.vth_shift_per_volt <= 0 or self.max_bias <= 0:
             raise ValueError("ABB parameters must be positive")
-
-    @property
-    def max_vth_shift(self) -> float:
-        return self.vth_shift_per_volt * self.max_bias
 
 
 def biased_chip(chip: ChipProfile, biases: Sequence[float],
@@ -82,7 +81,6 @@ def bias_for_target_frequency(
     target_hz: float,
     tech_vdd_max: float,
     params: Optional[AbbParams] = None,
-    tolerance_hz: float = 5e6,
 ) -> float:
     """Bias bringing one core's fmax to a target (clipped to range).
 
@@ -105,7 +103,7 @@ def bias_for_target_frequency(
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         f = fmax_at(mid)
-        if abs(f - target_hz) <= tolerance_hz:
+        if abs(f - target_hz) <= BIAS_TOLERANCE_HZ:
             return mid
         if f < target_hz:
             lo = mid

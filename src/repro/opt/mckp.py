@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 EPS = 1e-12
+# Safety cap on the nodes one branch-and-bound solve explores.
+NODE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,6 @@ def _lp_relaxation(inst: _Instance, fixed: Dict[int, MckpItem],
 def solve_mckp(
     classes: Sequence[Sequence[MckpItem]],
     capacity: float,
-    node_limit: int = 200_000,
 ) -> MckpSolution:
     """Solve the MCKP exactly.
 
@@ -180,7 +181,6 @@ def solve_mckp(
         classes: One sequence of items per class; exactly one item per
             class must be chosen.
         capacity: Total weight budget.
-        node_limit: Safety cap on explored nodes.
 
     Returns:
         An :class:`MckpSolution`; ``choice`` is None when even the
@@ -208,7 +208,7 @@ def solve_mckp(
     while stack:
         fixed = stack.pop()
         nodes += 1
-        if nodes > node_limit:
+        if nodes > NODE_LIMIT:
             raise RuntimeError("MCKP node limit exceeded")
         bound, frac_cls, steps = _lp_relaxation(inst, fixed, capacity)
         if bound <= best_value + 1e-11:

@@ -18,7 +18,7 @@ from .cache import (
     profile_from_payload,
     profile_payload,
 )
-from .health import RunHealth, get_run_health, reset_run_health
+from .health import RunHealth, get_run_health
 from .journal import (
     IncompleteJournalError,
     RunJournal,
@@ -33,7 +33,6 @@ from .sharding import (
     available_workers,
     run_sharded,
     shard_indices,
-    spawn_seeds,
 )
 
 __all__ = [
@@ -56,9 +55,7 @@ __all__ = [
     "parallel_config",
     "profile_from_payload",
     "profile_payload",
-    "reset_run_health",
     "run_sharded",
     "shard_indices",
-    "spawn_seeds",
     "unit_key",
 ]

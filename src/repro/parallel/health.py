@@ -103,11 +103,3 @@ _global_health = RunHealth()
 def get_run_health() -> RunHealth:
     """The process-wide health collector every sharded run feeds."""
     return _global_health
-
-
-def reset_run_health() -> RunHealth:
-    """Replace the process-wide collector; returns the old one."""
-    global _global_health
-    old = _global_health
-    _global_health = RunHealth()
-    return old

@@ -143,11 +143,6 @@ class ShardManifest:
         raise KeyError(f"host {host!r} is not in the manifest "
                        f"({[h.host for h in self.hosts]})")
 
-    def host_die_range(self, host: str) -> Tuple[int, int]:
-        """The half-open die range assigned to ``host``."""
-        h = self.host_slice(host)
-        return (h.start, h.end)
-
     def host_plan_params(self, host: str) -> Dict[str, Any]:
         """``FleetPlan.from_dict`` payload for one host's slice."""
         h = self.host_slice(host)

@@ -7,9 +7,6 @@ the merge are deterministic too. This module supplies exactly that:
 
 * :func:`shard_indices` — contiguous, balanced shards whose in-order
   concatenation restores ``arange(n_items)`` exactly;
-* :func:`spawn_seeds` — independent child seed sequences from a root
-  seed via ``SeedSequence.spawn`` (stable order), for fan-out where
-  items do not carry their own per-item seed;
 * :func:`run_sharded` — map a shard function over the items on a
   process pool, merging results in item order. With ``workers=1`` it
   degenerates to one in-process call over all items, bitwise-identical
@@ -75,18 +72,6 @@ def shard_indices(n_items: int, n_shards: int) -> List[np.ndarray]:
     if n_items == 0:
         return []
     return list(np.array_split(np.arange(n_items), min(n_shards, n_items)))
-
-
-def spawn_seeds(seed: int, n: int) -> List[np.random.SeedSequence]:
-    """``n`` independent child seed sequences of a root seed.
-
-    Children are spawned in index order from a fresh
-    ``SeedSequence(seed)``, so child ``i`` is the same object-state no
-    matter how many workers the run uses or which shard ``i`` lands in.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return np.random.SeedSequence(seed).spawn(n)
 
 
 def available_workers() -> int:

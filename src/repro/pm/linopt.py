@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..chip import ChipProfile
 from ..config import PowerEnvironment
-from ..linprog import LpBackend, LpProblem, make_backend
+from ..linprog import BoundedSimplexBackend, LpBackend, LpProblem
 from ..power import IpcSensor, PowerSensor, core_reader, independent_rngs
 from ..runtime.evaluation import Assignment, SystemState
 from ..runtime.kernel import EvalKernel, StateMemo
@@ -228,13 +228,14 @@ class LinOpt(PowerManager):
     def __init__(self, config: Optional[LinOptConfig] = None,
                  power_sensor: Optional[PowerSensor] = None,
                  ipc_sensor: Optional[IpcSensor] = None,
-                 lp_backend: Union[str, LpBackend, None] = None) -> None:
-        """``lp_backend`` accepts a backend name or instance; ``None``
-        consults ``REPRO_LP_BACKEND`` (default: warm-started bounded
-        engine). The backend persists across invocations so its warm
-        basis carries through the 10 ms re-invocation loop."""
+                 lp_backend: Optional[LpBackend] = None) -> None:
+        """``lp_backend`` is the LP engine instance (``None``: a
+        :class:`BoundedSimplexBackend`). It persists across invocations
+        so its warm basis carries through the 10 ms re-invocation
+        loop."""
         self.config = config or LinOptConfig()
-        self.lp_backend = make_backend(lp_backend)
+        self.lp_backend = (lp_backend if lp_backend is not None
+                           else BoundedSimplexBackend())
         # Default sensors get *independent* child streams of one parent
         # seed: a shared default_rng(0) would correlate power and IPC
         # noise sample-for-sample once noise is configured.

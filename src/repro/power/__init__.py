@@ -1,4 +1,4 @@
-"""Power substrate: dynamic, leakage, scaling constants, sensors."""
+"""Power substrate: leakage, scaling constants, sensors."""
 
 from .scaling import (
     CORE_STATIC_NOMINAL_W,
@@ -7,7 +7,6 @@ from .scaling import (
     L2_VDD,
     ceff_from_reference,
 )
-from .dynamic import dynamic_power, l2_dynamic_power
 from .leakage import (
     DIBL_COEFF,
     CoreLeakageModel,
@@ -39,9 +38,7 @@ __all__ = [
     "SensorSpec",
     "ceff_from_reference",
     "core_reader",
-    "dynamic_power",
     "independent_rngs",
-    "l2_dynamic_power",
     "leakage_calibration",
     "leakage_factor",
     "subthreshold_slope_factor",

@@ -1,4 +1,4 @@
-"""Terminal chart rendering and result serialisation."""
+"""Terminal chart rendering and JSON conversion of results."""
 
 from .ascii import (
     bar_chart,
@@ -9,17 +9,15 @@ from .ascii import (
     resilience_timeline,
 )
 from .fleet import fleet_summary_table
-from .serialize import dump_result, load_result, to_jsonable
+from .serialize import to_jsonable
 
 __all__ = [
     "bar_chart",
     "binned_histogram_chart",
-    "dump_result",
     "event_timeline",
     "fleet_summary_table",
     "histogram_chart",
     "line_chart",
-    "load_result",
     "resilience_timeline",
     "to_jsonable",
 ]

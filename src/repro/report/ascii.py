@@ -15,6 +15,10 @@ import numpy as np
 
 BAR_CHARS = " ▏▎▍▌▋▊▉█"
 DEFAULT_WIDTH = 48
+# Canvas rows of a line chart.
+LINE_CHART_HEIGHT = 12
+# Most rows a binned histogram coalesces its bins into.
+HISTOGRAM_MAX_ROWS = 16
 
 
 def _scaled_bar(value: float, vmax: float, width: int) -> str:
@@ -75,7 +79,6 @@ def line_chart(
     series: Dict[str, Sequence[float]],
     title: str = "",
     width: int = 60,
-    height: int = 12,
 ) -> str:
     """Down-sampled multi-series line chart on a character canvas."""
     if not series:
@@ -84,7 +87,7 @@ def line_chart(
     for name, ys in series.items():
         if len(ys) != xs.size:
             raise ValueError(f"series {name!r} length mismatch")
-    if width < 10 or height < 4:
+    if width < 10:
         raise ValueError("canvas too small")
     all_y = np.concatenate([np.asarray(ys, dtype=float)
                             for ys in series.values()])
@@ -95,13 +98,14 @@ def line_chart(
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * width for _ in range(LINE_CHART_HEIGHT)]
     markers = "ox+*#@"
     for k, (name, ys) in enumerate(series.items()):
         marker = markers[k % len(markers)]
         for x, y in zip(xs, np.asarray(ys, dtype=float)):
             col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
-            row = int((y_hi - y) / (y_hi - y_lo) * (height - 1))
+            row = int((y_hi - y) / (y_hi - y_lo)
+                      * (LINE_CHART_HEIGHT - 1))
             canvas[row][col] = marker
     lines: List[str] = []
     if title:
@@ -213,7 +217,6 @@ def histogram_chart(values: Sequence[float], n_bins: int = 8,
 def binned_histogram_chart(edges: Sequence[float],
                            counts: Sequence[int],
                            title: str = "", width: int = 40,
-                           max_rows: int = 16,
                            underflow: int = 0,
                            overflow: int = 0) -> str:
     """Histogram from *already binned* counts (fleet campaigns).
@@ -221,9 +224,9 @@ def binned_histogram_chart(edges: Sequence[float],
     Fleet statistics arrive as fixed-bin counts — the raw per-die
     values were streamed to shards and never held in memory — so this
     is the O(1)-memory sibling of :func:`histogram_chart`. Adjacent
-    bins are coalesced down to at most ``max_rows`` rows (bin counts
-    add exactly), and any under/overflow mass gets its own labelled
-    row so escapees from the declared range stay visible.
+    bins are coalesced down to at most :data:`HISTOGRAM_MAX_ROWS` rows
+    (bin counts add exactly), and any under/overflow mass gets its own
+    labelled row so escapees from the declared range stay visible.
     """
     edges = np.asarray(edges, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
@@ -234,7 +237,7 @@ def binned_histogram_chart(edges: Sequence[float],
         lo_bin, hi_bin = int(occupied[0]), int(occupied[-1]) + 1
         edges = edges[lo_bin:hi_bin + 1]
         counts = counts[lo_bin:hi_bin]
-    group = max(1, -(-counts.size // max_rows))
+    group = max(1, -(-counts.size // HISTOGRAM_MAX_ROWS))
     labels: list = []
     values: list = []
     if underflow:

@@ -22,8 +22,7 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def fleet_summary_table(summary: Dict[str, Any],
-                        charts: bool = True) -> str:
+def fleet_summary_table(summary: Dict[str, Any]) -> str:
     """Render a campaign summary (the ``summary.json`` payload)."""
     plan = summary.get("plan", {})
     lines = []
@@ -58,18 +57,17 @@ def fleet_summary_table(summary: Dict[str, Any],
     lines.append("  ".join("-" * w for w in widths))
     for r in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    if charts:
-        for name in sorted(metrics):
-            hist = metrics[name].get("histogram")
-            if not hist or not sum(hist["counts"]):
-                continue
-            n_bins = len(hist["counts"])
-            edges = [hist["lo"] + (hist["hi"] - hist["lo"]) * i / n_bins
-                     for i in range(n_bins + 1)]
-            lines.append("")
-            lines.append(binned_histogram_chart(
-                edges, hist["counts"],
-                title=f"{name} distribution",
-                underflow=hist.get("underflow", 0),
-                overflow=hist.get("overflow", 0)))
+    for name in sorted(metrics):
+        hist = metrics[name].get("histogram")
+        if not hist or not sum(hist["counts"]):
+            continue
+        n_bins = len(hist["counts"])
+        edges = [hist["lo"] + (hist["hi"] - hist["lo"]) * i / n_bins
+                 for i in range(n_bins + 1)]
+        lines.append("")
+        lines.append(binned_histogram_chart(
+            edges, hist["counts"],
+            title=f"{name} distribution",
+            underflow=hist.get("underflow", 0),
+            overflow=hist.get("overflow", 0)))
     return "\n".join(lines)

@@ -1,21 +1,16 @@
-"""JSON serialisation of experiment results.
+"""JSON conversion of experiment results.
 
-Every experiment returns a (frozen) dataclass; this module converts
-those — including nested dataclasses, dicts, tuples and numpy values —
-into plain JSON for archival next to the rendered tables, and back
-into dictionaries for downstream analysis.
+Every experiment returns a (frozen) dataclass; :func:`to_jsonable`
+converts those — including nested dataclasses, dicts, tuples and numpy
+values — into plain JSON-compatible types.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
-
-from ..storage import write_atomic
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -34,15 +29,3 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
-def dump_result(result: Any, path: Union[str, pathlib.Path]) -> None:
-    """Write an experiment result as pretty-printed JSON, atomically:
-    a crash leaves the previous file, never a truncated one."""
-    payload = json.dumps(to_jsonable(result), indent=2, sort_keys=True)
-    write_atomic(path, (payload + "\n").encode("utf-8"))
-
-
-def load_result(path: Union[str, pathlib.Path]) -> Any:
-    """Load a previously dumped result as plain dicts/lists."""
-    return json.loads(pathlib.Path(path).read_text())

@@ -95,10 +95,6 @@ class Assignment:
     def n_threads(self) -> int:
         return len(self.core_of)
 
-    @property
-    def active_cores(self) -> Tuple[int, ...]:
-        return self.core_of
-
 
 @dataclass(frozen=True)
 class SystemState:
@@ -126,10 +122,6 @@ class SystemState:
     def throughput_mips(self) -> float:
         """Aggregate throughput in MIPS (Section 6.6)."""
         return float(np.sum(self.ipcs * self.freqs) / 1e6)
-
-    @property
-    def per_thread_mips(self) -> np.ndarray:
-        return self.ipcs * self.freqs / 1e6
 
     @property
     def mean_frequency(self) -> float:

@@ -28,6 +28,10 @@ from ..chip import ChipProfile
 from ..power import IpcSensor, PowerSensor
 from ..workloads import Workload
 
+# Core temperature (K) during the profiling run, used for the true
+# static power behind the sensor reading.
+T_PROFILE_K = 350.0
+
 
 @dataclass(frozen=True)
 class ThreadProfile:
@@ -52,7 +56,6 @@ def profile_threads(
     rng: np.random.Generator,
     power_sensor: Optional[PowerSensor] = None,
     ipc_sensor: Optional[IpcSensor] = None,
-    t_profile_k: float = 350.0,
 ) -> ThreadProfile:
     """Profile each thread on one random core (Section 5.2).
 
@@ -68,8 +71,6 @@ def profile_threads(
         rng: Source of the random core choices.
         power_sensor: Power sensor model (noise-free by default).
         ipc_sensor: IPC sensor model (noise-free by default).
-        t_profile_k: Core temperature during the profiling run, used
-            for the true static power behind the sensor reading.
 
     Returns:
         A :class:`ThreadProfile`.
@@ -87,7 +88,7 @@ def profile_threads(
         vdd = core.vf_table.vmax
         freq = core.vf_table.fmax
         true_dynamic = app.dynamic_power_at(vdd, freq)
-        true_static = core.leakage.power(vdd, t_profile_k)
+        true_static = core.leakage.power(vdd, T_PROFILE_K)
         measured_total = power_sensor.read(true_dynamic + true_static)
         # Manufacturer's static rating is at the reference temperature,
         # not the live one — an inherent (small) profiling error.

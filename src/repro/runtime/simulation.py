@@ -265,8 +265,6 @@ class OnlineSimulation:
         env: PowerEnvironment,
         manager: Optional["PowerManager"] = None,
         phase_seed: int = 0,
-        phase_sigma: float = 0.35,
-        mean_phase_s: float = 0.050,
         policy=None,
         os_interval_s: Optional[float] = None,
         transition_latency_s: float = TRANSITION_LATENCY_PER_LEVEL_S,
@@ -302,8 +300,7 @@ class OnlineSimulation:
                 "a FaultSchedule with sensor faults needs a sensor_bank")
         self._policy_rng = np.random.default_rng([phase_seed, 0x05])
         self.phased = [
-            PhasedApplication(app, seed=i * 1000 + phase_seed,
-                              sigma=phase_sigma, mean_phase_s=mean_phase_s)
+            PhasedApplication(app, seed=i * 1000 + phase_seed)
             for i, app in enumerate(workload)
         ]
 

@@ -61,10 +61,6 @@ def _parse_path(var: str, raw: str) -> pathlib.Path:
     return pathlib.Path(raw)
 
 
-def _parse_name(var: str, raw: str) -> str:
-    return raw.strip().lower()
-
-
 def _checkout_path(*parts: str, fallback: str) -> pathlib.Path:
     """``<checkout>/<parts>`` of the checkout enclosing the CWD (found
     by walking up to a directory holding ``pyproject.toml`` and
@@ -99,8 +95,6 @@ SETTINGS = (
     Setting("shard_timeout_s", "REPRO_SHARD_TIMEOUT_S", _parse_timeout,
             lambda: None),
     Setting("full", "REPRO_FULL", parse_bool, lambda: False),
-    Setting("lp_backend", "REPRO_LP_BACKEND", _parse_name,
-            lambda: "bounded"),
 )
 
 
@@ -119,7 +113,6 @@ class Settings:
             (``None``: no limit).
         full: Whether experiments default to the paper's 200 dies and
             20 trials.
-        lp_backend: LinOpt's LP backend name when none is given.
     """
 
     workers: int
@@ -129,7 +122,6 @@ class Settings:
     journal_root: pathlib.Path
     shard_timeout_s: Optional[float]
     full: bool
-    lp_backend: str
 
 
 # The active parallel_config overrides, by field. Rebound (never

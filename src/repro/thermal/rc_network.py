@@ -50,8 +50,13 @@ def _getrs_for(lu_matrix: np.ndarray):
     return _GETRS
 
 
-def shared_edge_length(a: Rect, b: Rect, tol: float = 1e-9) -> float:
+# Coordinates (mm) closer than this count as a touching edge.
+_EDGE_TOL_MM = 1e-9
+
+
+def shared_edge_length(a: Rect, b: Rect) -> float:
     """Length of the boundary two rectangles share (0 if not abutting)."""
+    tol = _EDGE_TOL_MM
     # Vertical shared edge: a's right touches b's left (or vice versa).
     if abs(a.x1 - b.x0) < tol or abs(b.x1 - a.x0) < tol:
         overlap = min(a.y1, b.y1) - max(a.y0, b.y0)
@@ -144,7 +149,3 @@ class ThermalNetwork:
                     f"illegal value in {-info}-th argument of "
                     "internal getrs")
         return rhs
-
-    def core_temperatures(self, temps: np.ndarray) -> np.ndarray:
-        """Core-node slice of a solved temperature vector."""
-        return temps[: self.floorplan.n_cores]

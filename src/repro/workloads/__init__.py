@@ -9,7 +9,7 @@ from .applications import (
     get_app,
 )
 from .phases import PHASE_CORRELATION, PhaseState, PhasedApplication
-from .multiprogram import Workload, make_workload, workload_trials
+from .multiprogram import Workload, make_workload
 from .parallel import ParallelApplication
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "Workload",
     "get_app",
     "make_workload",
-    "workload_trials",
 ]

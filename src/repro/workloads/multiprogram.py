@@ -61,18 +61,3 @@ def make_workload(
         idx = int(rng.integers(len(remaining)))
         picks.append(remaining.pop(idx))
     return Workload(threads=tuple(picks))
-
-
-def workload_trials(
-    n_threads: int,
-    n_trials: int,
-    seed: int = 0,
-    pool: Sequence[AppProfile] = SPEC_APPS,
-) -> List[Workload]:
-    """Reproducible list of workloads, one per trial."""
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    return [
-        make_workload(n_threads, np.random.default_rng([seed, trial]), pool)
-        for trial in range(n_trials)
-    ]

@@ -15,16 +15,15 @@ from repro.config import (
     PowerEnvironment,
     TechParams,
     celsius,
-    kelvin,
 )
 
 
 class TestTemperatureHelpers:
     def test_kelvin_roundtrip(self):
-        assert celsius(kelvin(60.0)) == pytest.approx(60.0)
+        assert celsius(60.0 + 273.15) == pytest.approx(60.0)
 
     def test_kelvin_of_zero_celsius(self):
-        assert kelvin(0.0) == pytest.approx(273.15)
+        assert celsius(273.15) == pytest.approx(0.0)
 
 
 class TestTechParams:
@@ -88,9 +87,6 @@ class TestArchConfig:
 
     def test_die_edge(self):
         assert DEFAULT_ARCH.die_edge_mm == pytest.approx(340.0 ** 0.5)
-
-    def test_memory_latency_seconds(self):
-        assert DEFAULT_ARCH.memory_latency_s == pytest.approx(400 / 4e9)
 
     def test_rejects_bad_core_count(self):
         with pytest.raises(ValueError):

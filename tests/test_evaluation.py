@@ -28,7 +28,7 @@ def assignment4():
 class TestAssignment:
     def test_properties(self, assignment4):
         assert assignment4.n_threads == 4
-        assert assignment4.active_cores == (0, 5, 10, 19)
+        assert assignment4.core_of == (0, 5, 10, 19)
 
     def test_rejects_duplicate_cores(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestEvaluateLevels:
                                           assignment4):
         state = evaluate_max_levels(chip, workload4, assignment4)
         assert state.throughput_mips == pytest.approx(
-            state.per_thread_mips.sum())
+            (state.ipcs * state.freqs / 1e6).sum())
 
     def test_lower_levels_use_less_power(self, chip, workload4,
                                          assignment4):

@@ -22,6 +22,7 @@ from repro.experiments import (
     fig15_linopt_time,
     table5_apps,
 )
+from repro.linprog import ReferenceSimplexBackend
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +213,25 @@ class TestFig15:
             assert times[1] > times[0]
         assert "Figure 15" in result.format_table()
 
-    def test_magnitude_order_of_paper(self, factory):
-        result = fig15_linopt_time.run(thread_counts=(20,),
-                                       n_trials=2, factory=factory)
-        for times in result.modelled_us.values():
+    @pytest.fixture(scope="class")
+    def at_20_threads(self, factory):
+        return fig15_linopt_time.run(thread_counts=(20,), n_trials=2,
+                                     factory=factory).modelled_us
+
+    def test_magnitude_order_of_paper(self, at_20_threads):
+        for times in at_20_threads.values():
             assert times[0] < 100.0  # paper: ~6 us; same order
+
+    def test_reference_engine_models_more_time(self, factory,
+                                               at_20_threads):
+        """The textbook dense-tableau engine, handed in as a class,
+        models more per-invocation time than the default bounded one."""
+        reference = fig15_linopt_time.run(
+            thread_counts=(20,), n_trials=2, factory=factory,
+            lp_backend=ReferenceSimplexBackend).modelled_us
+        assert reference.keys() == at_20_threads.keys()
+        for env_name, times in reference.items():
+            assert times[0] > at_20_threads[env_name][0]
 
 
 class TestAblations:

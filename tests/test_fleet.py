@@ -27,12 +27,10 @@ from repro.fleet import (
     FleetPlan,
     P2Quantile,
     RunningMoments,
-    coverage_ranges,
     fleet_die_metrics,
     load_shard,
     load_summary,
     merge_campaigns,
-    missing_ranges,
     run_fleet_campaign,
     summarize_shards,
     write_shard,
@@ -402,17 +400,8 @@ class TestShards:
     def test_coverage_and_gaps(self, tmp_path):
         for lo, hi in ((0, 4), (4, 8), (12, 16)):
             write_shard(tmp_path, lo, hi, {"a": np.zeros(hi - lo)})
-        assert coverage_ranges(tmp_path) == [(0, 8), (12, 16)]
-        assert missing_ranges(tmp_path, 0, 20) == [(8, 12), (16, 20)]
-        assert missing_ranges(tmp_path, 0, 8) == []
         assert [(i.start, i.end) for i in iter_shards(tmp_path)] == [
             (0, 4), (4, 8), (12, 16)]
-
-    def test_overlap_refused(self, tmp_path):
-        write_shard(tmp_path, 0, 8, {"a": np.zeros(8)})
-        write_shard(tmp_path, 4, 12, {"a": np.zeros(8)})
-        with pytest.raises(ValueError, match="overlapping"):
-            coverage_ranges(tmp_path)
 
 
 def _tamper(path, column="a"):
@@ -442,7 +431,7 @@ class TestShardIntegrity:
         assert "digest mismatch" in reason["reason"]
         assert reason["quarantined_at_unix_s"] > 0
         # The die range now reads as a coverage gap.
-        assert missing_ranges(tmp_path, 0, 4) == [(0, 4)]
+        assert list(iter_shards(tmp_path)) == []
 
     def test_unreadable_shard_quarantined(self, tmp_path):
         path = tmp_path / shard_name(0, 4)
@@ -462,7 +451,6 @@ class TestShardIntegrity:
             np.savez_compressed(fh, die=np.arange(8, 12),
                                 a=rng.normal(size=4))
         assert list(iter_shards(tmp_path)) == []
-        assert missing_ranges(tmp_path, 8, 12) == [(8, 12)]
         with pytest.raises(ValueError, match="not a shard name"):
             load_shard(path)
         assert path.exists()
@@ -474,7 +462,8 @@ class TestShardIntegrity:
         _tamper(tmp_path / shard_name(4, 8))
         acc = summarize_shards(tmp_path, {"a": (-10, 10)})
         assert acc.moments["a"].count == 4  # good shard only
-        assert missing_ranges(tmp_path, 0, 8) == [(4, 8)]
+        assert [(i.start, i.end) for i in iter_shards(tmp_path)] == [
+            (0, 4)]
 
 
 def _tiny_plan(name, n_dies=8, **kw):
@@ -488,7 +477,8 @@ class TestCampaign:
         plan = _tiny_plan("camp")
         result = run_fleet_campaign(plan, tmp_path, workers=1)
         assert result.n_chunks == 2 and result.resumed_chunks == 0
-        assert coverage_ranges(result.out_dir / "shards") == [(0, 8)]
+        assert [(i.start, i.end) for i in iter_shards(
+            result.out_dir / "shards")] == [(0, 4), (4, 8)]
         summary = load_summary(result.out_dir)
         assert summary["metrics"]["power_ratio"]["count"] == 8
         assert summary["metrics"]["freq_ratio"]["count"] == 8

@@ -25,6 +25,8 @@ from repro.config import (COST_PERFORMANCE, DEFAULT_TECH, LOW_POWER, T_REF_K,
 from repro.faults import MANAGER_ERROR, ResilientManager
 from repro.fleet import FLEET_ARCH
 from repro.floorplan import build_floorplan
+from repro.linprog import (BoundedSimplexBackend, HighsBackend,
+                           ReferenceSimplexBackend)
 from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
                       LinOptConfig, OptimalFrozen, SAnnManager,
                       fit_power_lines)
@@ -244,6 +246,11 @@ MANAGERS = {
     "sann-weighted": lambda: SAnnManager(n_evaluations=100,
                                          objective="weighted"),
     "linopt": lambda: LinOpt(LinOptConfig(n_iterations=2)),
+    "linopt-reference": lambda: LinOpt(
+        LinOptConfig(n_iterations=2),
+        lp_backend=ReferenceSimplexBackend()),
+    "linopt-highs": lambda: LinOpt(LinOptConfig(n_iterations=2),
+                                   lp_backend=HighsBackend()),
     "optimal": lambda: OptimalFrozen(n_iterations=2),
     "barrier": BarrierAwarePm,
     "exhaustive": ExhaustiveSearch,
@@ -304,7 +311,8 @@ class TestPolicyRegression:
     """
 
     @pytest.mark.parametrize("name", [
-        "foxton", "sann", "sann-weighted", "linopt", "optimal", "barrier"])
+        "foxton", "sann", "sann-weighted", "linopt", "linopt-reference",
+        "linopt-highs", "optimal", "barrier"])
     @pytest.mark.parametrize("env", [COST_PERFORMANCE, LOW_POWER],
                              ids=["cost-perf", "low-power"])
     def test_kernel_matches_serial_decision(self, small_chip, name, env,
@@ -492,18 +500,22 @@ class TestStateMemoWalk:
 
         monkeypatch.setattr(StateMemo, "walk", recording)
         wl, asg = _pm_case(small_chip, 5, 21)
-        manager = LinOpt(LinOptConfig(n_iterations=3))
-        first = manager.set_levels(small_chip, wl, asg, LOW_POWER)
-        memo = manager._carry
-        memo._chunk = _WALK_MAX  # as a decision ending in a long walk
-        # leaves it
-        n_first = len(starts)
-        manager.set_levels(small_chip, wl, asg, LOW_POWER,
-                           initial_levels=first.levels,
-                           initial_state=first.state)
-        assert manager._carry is memo
-        assert n_first and len(starts) > n_first
-        assert starts[n_first] == (memo, _WALK_MIN)
+        for engine in (BoundedSimplexBackend, ReferenceSimplexBackend,
+                       HighsBackend):
+            starts.clear()
+            manager = LinOpt(LinOptConfig(n_iterations=3),
+                             lp_backend=engine())
+            first = manager.set_levels(small_chip, wl, asg, LOW_POWER)
+            memo = manager._carry
+            memo._chunk = _WALK_MAX  # as a decision ending in a long
+            # walk leaves it
+            n_first = len(starts)
+            manager.set_levels(small_chip, wl, asg, LOW_POWER,
+                               initial_levels=first.levels,
+                               initial_state=first.state)
+            assert manager._carry is memo
+            assert n_first and len(starts) > n_first
+            assert starts[n_first] == (memo, _WALK_MIN)
 
     def test_foxton_pointer_on_a_reached_failure(self, small_chip,
                                                  monkeypatch):

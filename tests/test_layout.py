@@ -11,13 +11,16 @@ second journaled trial loop), or if a Section 6.4 experiment (Figs
 or if a module other than the binning kernel and the characterisation
 cache builds a ``ChipProfile`` (a second binning flow), or if a field
 sampler grows a one-field ``sample`` next to ``sample_batch`` (a
-second field generator).
+second field generator), or if a public top-level function or class
+has no caller (code that nothing runs).
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -193,3 +196,90 @@ def test_die_pipeline_guards_see_their_targets(tmp_path):
                      "    pass\n")
     assert list(_class_members(probe, "sample")) == ["A.sample",
                                                      "B.sample"]
+
+
+#: Public top-level names kept without a caller, each with its reason.
+ORPHAN_ALLOWLIST = {
+    "TransientThermal": "DESIGN §3 substitution tool: transient "
+                        "thermal model beside the steady-state one",
+    "pooled_variogram": "DESIGN §3 substitution tool: checks a "
+                        "variation map's spatial correlation",
+    "fit_spherical": "DESIGN §3 substitution tool: fits phi to a "
+                     "measured variogram",
+    "ReconnectingClient": "DESIGN §19 client API for daemon tenants",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """``(index, name)`` of each public top-level function and class."""
+    for index, node in enumerate(tree.body):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield index, node.name
+
+
+def _referenced_names(node: ast.AST):
+    """Every name and attribute ``node`` mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _orphans(src: pathlib.Path, text_roots):
+    """``module:name`` of each public top-level function or class of
+    ``src`` that no other top-level statement of a non-``__init__``
+    module mentions and no ``.py`` file under ``text_roots`` names."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.rglob("*.py"))}
+    # name -> the (module, statement) places that mention it.
+    places = collections.defaultdict(set)
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue  # re-exports are not callers
+        for index, node in enumerate(tree.body):
+            for name in _referenced_names(node):
+                places[name].add((path, index))
+    words = {word for root in text_roots
+             for path in root.rglob("*.py")
+             for word in re.findall(r"\w+", path.read_text())}
+    for path, tree in trees.items():
+        for index, name in _public_definitions(tree):
+            if places[name] - {(path, index)} or name in words:
+                continue
+            yield f"{path.relative_to(src).as_posix()}:{name}"
+
+
+def test_every_public_name_has_a_caller():
+    orphans = list(_orphans(SRC, (ROOT / "benchmarks", ROOT / "examples")))
+    names = [orphan.rsplit(":", 1)[1] for orphan in orphans]
+    assert [orphan for orphan, name in zip(orphans, names)
+            if name not in ORPHAN_ALLOWLIST] == []
+    # An allowlisted name that gained a caller leaves the list.
+    assert sorted(names) == sorted(ORPHAN_ALLOWLIST)
+
+
+def test_orphan_guard_sees_orphans(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "__init__.py").write_text("from .a import orphan, used\n"
+                                     "__all__ = ['orphan', 'used']\n")
+    (src / "a.py").write_text("def used():\n"
+                              "    pass\n"
+                              "def orphan():\n"
+                              "    orphan()\n"
+                              "class Bench:\n"
+                              "    pass\n"
+                              "class Method:\n"
+                              "    pass\n"
+                              "def _private():\n"
+                              "    pass\n")
+    (src / "b.py").write_text("from .a import used\n"
+                              "x = used()\n"
+                              "y = obj.Method\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("TARGETS = ['a', 'Bench.solve']\n")
+    assert list(_orphans(src, [bench])) == ["a.py:orphan"]

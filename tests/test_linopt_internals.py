@@ -13,6 +13,8 @@ from repro.pm import (LinOpt, LinOptConfig, fit_power_lines,
                       meets_constraints)
 from repro.pm import linopt
 from repro.faults import SensorBank
+from repro.linprog import (BoundedSimplexBackend, HighsBackend,
+                           ReferenceSimplexBackend)
 from repro.power import (IpcSensor, PowerSensor, SensorSpec, core_reader,
                          independent_rngs)
 from repro.runtime import Assignment
@@ -452,7 +454,22 @@ def _assert_same_decisions(got, ref):
         assert _algorithm_stats(a.stats) == _algorithm_stats(b.stats)
 
 
-class TestLinOptStateMemo:
+class _OnLpEngine:
+    """Runs a test class's LinOpt decisions on one LP engine: the
+    default bounded one here, the other two in the subclasses below
+    the class (different engines reach different quantised paths, so
+    LinOpt's refill walk reaches different points)."""
+
+    engine = BoundedSimplexBackend
+
+    def linopt(self, config=None, **sensors):
+        """A LinOpt (3 passes unless ``config`` says otherwise) on a
+        fresh instance of the class's LP engine."""
+        return LinOpt(config or LinOptConfig(n_iterations=3),
+                      lp_backend=self.engine(), **sensors)
+
+
+class TestLinOptStateMemo(_OnLpEngine):
     """The per-decision state memo changes how many kernel rows a
     decision pays for, nothing else: levels, states, evaluation counts
     and LP statistics are bit for bit those of the memo-less schedule,
@@ -511,7 +528,7 @@ class TestLinOptStateMemo:
     def test_daemon_shape(self, daemon_chip, env, monkeypatch):
         wl, asg = self._daemon_case(daemon_chip, 1)
         results = self._compare(
-            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            monkeypatch, self.linopt,
             daemon_chip, wl, asg, env, self._phases(4, 6, 2))
         # The passes of a converging decision revisit its points, so
         # it pays for fewer kernel rows than it examines.
@@ -523,8 +540,8 @@ class TestLinOptStateMemo:
         wl, asg = self._daemon_case(daemon_chip, 3)
         self._compare(
             monkeypatch,
-            lambda: LinOpt(LinOptConfig(n_iterations=3,
-                                        objective="weighted")),
+            lambda: self.linopt(LinOptConfig(n_iterations=3,
+                                             objective="weighted")),
             daemon_chip, wl, asg, TIGHT, self._phases(4, 5, 4))
 
     def test_noisy_sensor_bank(self, daemon_chip, monkeypatch):
@@ -532,10 +549,9 @@ class TestLinOptStateMemo:
         spec = SensorSpec(noise_sigma=0.05, relative=True)
         results = self._compare(
             monkeypatch,
-            lambda: LinOpt(LinOptConfig(n_iterations=3),
-                           power_sensor=SensorBank(4, spec=spec, seed=6),
-                           ipc_sensor=IpcSensor(
-                               spec, np.random.default_rng(7))),
+            lambda: self.linopt(
+                power_sensor=SensorBank(4, spec=spec, seed=6),
+                ipc_sensor=IpcSensor(spec, np.random.default_rng(7))),
             daemon_chip, wl, asg, TIGHTER, self._phases(4, 5, 8))
         assert sum(r.stats["corrections"] for r in results) > 0
 
@@ -545,7 +561,7 @@ class TestLinOptStateMemo:
         wl = make_workload(20, rng)
         asg = Assignment(tuple(int(c) for c in rng.permutation(20)))
         self._compare(monkeypatch,
-                      lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                      self.linopt,
                       chip, wl, asg, COST_PERFORMANCE,
                       self._phases(20, 2, 10))
 
@@ -556,11 +572,11 @@ class TestLinOptStateMemo:
         warm-start levels, the memo evaluates them afresh."""
         wl, asg = self._daemon_case(daemon_chip, 11)
         env = TIGHT
-        first = LinOpt(LinOptConfig(n_iterations=3)).set_levels(
+        first = self.linopt().set_levels(
             daemon_chip, wl, asg, env)
         memos = self._record_memos(monkeypatch)
         ipc_m = [1.25, 0.8, 1.1, 0.9]
-        result = LinOpt(LinOptConfig(n_iterations=3)).set_levels(
+        result = self.linopt().set_levels(
             daemon_chip, wl, asg, env, initial_levels=first.levels,
             initial_state=first.state, ipc_multipliers=ipc_m)
         (memo,) = memos
@@ -648,7 +664,7 @@ class TestLinOptStateMemo:
 
         with monkeypatch.context() as patch:
             patch.setattr(EvalKernel, "evaluate_levels_batch", recording)
-            self._chain(lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            self._chain(self.linopt,
                         daemon_chip, wl, asg, TIGHT, phases)
         outcomes = []
         for trial in dict.fromkeys(trials):
@@ -661,7 +677,7 @@ class TestLinOptStateMemo:
                         patch.setattr(linopt, "StateMemo", _Bypass)
                     try:
                         runs.append(self._chain(
-                            lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                            self.linopt,
                             daemon_chip, wl, asg, TIGHT, phases))
                     except RuntimeError as exc:
                         runs.append(str(exc))
@@ -674,6 +690,24 @@ class TestLinOptStateMemo:
             outcomes.append(isinstance(ref, str))
         # Some poisoned trials are reached, some only speculated.
         assert any(outcomes) and not all(outcomes)
+
+
+class TestLinOptStateMemoReference(TestLinOptStateMemo):
+    """Every memo case on the reference engine (and, below, HiGHS).
+    Poisoning each refill trial in turn reruns ~90 chains, 2-3 s per
+    engine, so on these two engines that case carries the
+    ``lp_engines`` mark: tier-1 deselects it, CI's lp-backends job
+    runs it."""
+
+    engine = ReferenceSimplexBackend
+
+    @pytest.mark.lp_engines
+    def test_failing_refill_trial(self, daemon_chip, monkeypatch):
+        super().test_failing_refill_trial(daemon_chip, monkeypatch)
+
+
+class TestLinOptStateMemoHighs(TestLinOptStateMemoReference):
+    engine = HighsBackend
 
 
 @pytest.fixture(scope="module")
@@ -705,7 +739,7 @@ def _state_bytes(state):
                  for f in dataclasses.fields(state))
 
 
-class TestLinOptPhaseCarry:
+class TestLinOptPhaseCarry(_OnLpEngine):
     """LinOpt carries the last decision's kernel and memo into the next
     one with the same inputs (anything else builds a new kernel) and
     seeds the memo with a warm start the kernel proves current. That
@@ -807,7 +841,7 @@ class TestLinOptPhaseCarry:
         steps = self._steps(daemon_chip, wl, asg,
                             self._runs(4, [3, 1, 4, 2], 2))
         carried, counts, _, ref_counts = self._compare(
-            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            monkeypatch, self.linopt,
             env, steps)
         # One build per phase.
         assert counts["builds"] == 4
@@ -823,7 +857,7 @@ class TestLinOptPhaseCarry:
                  + self._steps(daemon_chip, wl, Assignment((3, 2, 1, 0)),
                                phases[3:]))
         _, counts, _, _ = self._compare(
-            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            monkeypatch, self.linopt,
             TIGHT, steps)
         assert counts["builds"] == 2
 
@@ -837,7 +871,7 @@ class TestLinOptPhaseCarry:
             (daemon_chip2, wl2, asg, phase)] * 2 + [
             (daemon_chip, wl, asg, phase)]
         _, counts, _, _ = self._compare(
-            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            monkeypatch, self.linopt,
             TIGHT, steps)
         assert counts["builds"] == 4
 
@@ -845,8 +879,8 @@ class TestLinOptPhaseCarry:
         wl, asg = TestLinOptStateMemo._daemon_case(daemon_chip, 3)
         self._compare(
             monkeypatch,
-            lambda: LinOpt(LinOptConfig(n_iterations=3,
-                                        objective="weighted")),
+            lambda: self.linopt(LinOptConfig(n_iterations=3,
+                                             objective="weighted")),
             TIGHT, self._steps(daemon_chip, wl, asg,
                                self._runs(4, [2, 3, 2], 4)))
 
@@ -855,10 +889,9 @@ class TestLinOptPhaseCarry:
         spec = SensorSpec(noise_sigma=0.05, relative=True)
         carried, _, _, _ = self._compare(
             monkeypatch,
-            lambda: LinOpt(LinOptConfig(n_iterations=3),
-                           power_sensor=SensorBank(4, spec=spec, seed=6),
-                           ipc_sensor=IpcSensor(
-                               spec, np.random.default_rng(7))),
+            lambda: self.linopt(
+                power_sensor=SensorBank(4, spec=spec, seed=6),
+                ipc_sensor=IpcSensor(spec, np.random.default_rng(7))),
             TIGHTER, self._steps(daemon_chip, wl, asg,
                                  self._runs(4, [3, 3], 8)))
         assert sum(r.stats["corrections"] for r in carried) > 0
@@ -870,9 +903,9 @@ class TestLinOptPhaseCarry:
         wl, asg = TestLinOptStateMemo._daemon_case(daemon_chip, 11)
         phases = self._runs(4, [1, 1], 12)
         self._compare(monkeypatch,
-                      lambda: LinOpt(LinOptConfig(n_iterations=3)),
+                      self.linopt,
                       TIGHT, self._steps(daemon_chip, wl, asg, phases))
-        manager = LinOpt(LinOptConfig(n_iterations=3))
+        manager = self.linopt()
         first, second = self._run(manager, TIGHT, self._steps(
             daemon_chip, wl, asg, phases))
         memo = manager._carry
@@ -891,7 +924,7 @@ class TestLinOptPhaseCarry:
         never the caller's object."""
         wl, asg = TestLinOptStateMemo._daemon_case(daemon_chip, 1)
         ipc_m, ceff_m = self._runs(4, [1, 1], 13)[1]
-        levels = LinOpt(LinOptConfig(n_iterations=3)).set_levels(
+        levels = self.linopt().set_levels(
             daemon_chip, wl, asg, COST_PERFORMANCE, ipc_multipliers=ipc_m,
             ceff_multipliers=ceff_m).levels
         warm = evaluate_levels(daemon_chip, wl, asg, list(levels),
@@ -903,7 +936,7 @@ class TestLinOptPhaseCarry:
                 if bypass:
                     patch.setattr(linopt.LinOpt, "_decision_memo",
                                   _per_decision_memo)
-                manager = LinOpt(LinOptConfig(n_iterations=3))
+                manager = self.linopt()
                 results[bypass] = manager.set_levels(
                     daemon_chip, wl, asg, COST_PERFORMANCE,
                     initial_levels=levels, initial_state=warm,
@@ -940,11 +973,11 @@ class TestLinOptPhaseCarry:
 
         with monkeypatch.context() as patch:
             counts = self._count(patch)
-            carried = run(LinOpt(LinOptConfig(n_iterations=3)))
+            carried = run(self.linopt())
         with monkeypatch.context() as patch:
             patch.setattr(linopt.LinOpt, "_decision_memo",
                           _per_decision_memo)
-            ref = run(LinOpt(LinOptConfig(n_iterations=3)))
+            ref = run(self.linopt())
         _assert_same_decisions(carried, ref)
         assert counts["builds"] == 3
 
@@ -966,7 +999,7 @@ class TestLinOptPhaseCarry:
 
         with monkeypatch.context() as patch:
             patch.setattr(EvalKernel, "evaluate_levels_batch", recording)
-            self._run(LinOpt(LinOptConfig(n_iterations=3)), TIGHT, steps)
+            self._run(self.linopt(), TIGHT, steps)
         outcomes = []
         for trial in dict.fromkeys(trials):
             runs = []
@@ -979,7 +1012,7 @@ class TestLinOptPhaseCarry:
                                       _per_decision_memo)
                     try:
                         runs.append(self._run(
-                            LinOpt(LinOptConfig(n_iterations=3)), TIGHT,
+                            self.linopt(), TIGHT,
                             steps))
                     except RuntimeError as exc:
                         runs.append(str(exc))
@@ -1007,7 +1040,7 @@ class TestLinOptPhaseCarry:
 
         monkeypatch.setattr(EvalKernel, "evaluate_levels_batch",
                             recording)
-        manager = LinOpt(LinOptConfig(n_iterations=3))
+        manager = self.linopt()
         prev = None
         for step in steps:
             calls.append([])
@@ -1019,7 +1052,7 @@ class TestLinOptPhaseCarry:
 
     def test_carried_states_are_never_mutated(self, daemon_chip):
         wl, asg = TestLinOptStateMemo._daemon_case(daemon_chip, 1)
-        manager = LinOpt(LinOptConfig(n_iterations=3))
+        manager = self.linopt()
         seen = {}
         prev = None
         steps = self._steps(daemon_chip, wl, asg, self._runs(4, [3, 3], 2))
@@ -1037,7 +1070,7 @@ class TestLinOptPhaseCarry:
         steps = self._steps(daemon_chip, wl, asg, self._runs(4, [4], 2))
         monkeypatch.setattr(linopt, "_CARRY_MAX_STATES", 0)
         _, counts, _, _ = self._compare(
-            monkeypatch, lambda: LinOpt(LinOptConfig(n_iterations=3)),
+            monkeypatch, self.linopt,
             TIGHT, steps)
         assert counts["builds"] == len(steps)
 
@@ -1045,7 +1078,7 @@ class TestLinOptPhaseCarry:
         """A restored manager starts cold and decides identically."""
         wl, asg = TestLinOptStateMemo._daemon_case(daemon_chip, 1)
         steps = self._steps(daemon_chip, wl, asg, self._runs(4, [3], 2))
-        warm = LinOpt(LinOptConfig(n_iterations=3))
+        warm = self.linopt()
         prev = (steps[0], self._decide(warm, TIGHT, steps[0]))
         assert warm._carry is not None
         blob = pickle.dumps(warm)
@@ -1061,3 +1094,18 @@ class TestLinOptPhaseCarry:
                          b.stats["kernel_evaluations"]))
             prev = (step, a)
         assert rows[0][0] < rows[0][1]  # only the cold one re-evaluates
+
+
+class TestLinOptPhaseCarryReference(TestLinOptPhaseCarry):
+    """Every carry case on the reference engine (and, below, HiGHS);
+    the poisoned-refill case is marked as for the memo."""
+
+    engine = ReferenceSimplexBackend
+
+    @pytest.mark.lp_engines
+    def test_failing_refill_trials(self, daemon_chip, monkeypatch):
+        super().test_failing_refill_trials(daemon_chip, monkeypatch)
+
+
+class TestLinOptPhaseCarryHighs(TestLinOptPhaseCarryReference):
+    engine = HighsBackend

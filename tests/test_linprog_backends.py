@@ -1,7 +1,7 @@
-"""Cross-checks of the LP engines behind the backend seam.
+"""Cross-checks of the LP engines behind :class:`repro.linprog.LpBackend`.
 
 Three engines solve LinOpt's LPs: the reference tableau solver, the
-warm-started bounded-variable engine, and (optionally) scipy's HiGHS.
+warm-started bounded-variable engine, and scipy's HiGHS.
 This suite holds them to each other — status agreement and objective
 agreement on randomized LinOpt-shaped instances, bounded-variable
 pivoting vs appended-rows equivalence, and the determinism anchor:
@@ -22,7 +22,6 @@ from repro.linprog import (
     LpProblem,
     ReferenceSimplexBackend,
     WarmState,
-    make_backend,
     solve_bounded,
     solve_lp_maximize,
 )
@@ -30,9 +29,6 @@ from repro.pm import LinOpt, LinOptConfig
 from repro.runtime import Assignment
 from repro.sched import VarFAppIPC
 from repro.workloads import make_workload
-
-needs_highs = pytest.mark.skipif(not HighsBackend.available(),
-                                 reason="scipy/HiGHS not installed")
 
 
 def _random_instance(seed):
@@ -116,7 +112,6 @@ class TestBoundedVsReference:
         assert res.flops < ref.flops
 
 
-@needs_highs
 class TestAgainstHighs:
     """Both from-scratch engines vs the industrial solver."""
 
@@ -295,28 +290,14 @@ class TestWarmStart:
 
 
 class TestBackendSeam:
-    def test_default_is_bounded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
-        backend = make_backend()
+    def test_default_is_bounded(self):
+        backend = LinOpt().lp_backend
         assert isinstance(backend, BoundedSimplexBackend)
         assert backend.name == "bounded"
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_BACKEND", "reference")
-        assert isinstance(make_backend(), ReferenceSimplexBackend)
-
-    def test_explicit_name_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_BACKEND", "reference")
-        assert isinstance(make_backend("bounded"),
-                          BoundedSimplexBackend)
-
     def test_instance_passthrough(self):
-        backend = BoundedSimplexBackend(warm_start=False)
-        assert make_backend(backend) is backend
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_backend("glpk")
+        backend = ReferenceSimplexBackend()
+        assert LinOpt(lp_backend=backend).lp_backend is backend
 
     def test_backend_carries_warm_state_and_reset(self):
         c, a, b, ub = _linopt_instance(7, n=6)
@@ -325,7 +306,7 @@ class TestBackendSeam:
         first = backend.solve(problem)
         second = backend.solve(problem)
         assert not first.warm and second.warm
-        backend.reset()
+        backend._warm = None  # drop the carried basis
         third = backend.solve(problem)
         assert not third.warm
         np.testing.assert_array_equal(first.x, second.x)
@@ -338,9 +319,14 @@ class TestBackendSeam:
         assert res.backend == "reference"
         assert not res.warm
 
-    @needs_highs
-    def test_make_backend_highs(self):
-        assert isinstance(make_backend("highs"), HighsBackend)
+
+class ColdBoundedBackend(BoundedSimplexBackend):
+    """The bounded engine with its warm basis dropped before every
+    solve: each solve is cold."""
+
+    def solve(self, problem):
+        self._warm = None
+        return super().solve(problem)
 
 
 class TestLinOptCampaignBitwise:
@@ -350,13 +336,12 @@ class TestLinOptCampaignBitwise:
 
     N_INVOCATIONS = 4
 
-    def _run(self, chip, warm_start, n_threads, seed, n_iterations):
+    def _run(self, chip, engine, n_threads, seed, n_iterations):
         rng = np.random.default_rng(seed)
         wl = make_workload(n_threads, rng)
         asg = VarFAppIPC().assign_with_profiling(chip, wl, rng)
-        backend = BoundedSimplexBackend(warm_start=warm_start)
         mgr = LinOpt(LinOptConfig(n_iterations=n_iterations),
-                     lp_backend=backend)
+                     lp_backend=engine())
         results = []
         # Successive invocations, as the 10 ms loop issues them: the
         # backend's warm basis persists across set_levels calls.
@@ -371,8 +356,10 @@ class TestLinOptCampaignBitwise:
         configuration): fixed global bounds, drifting measurements —
         every re-invocation after the first must go warm, and the
         decisions must match the cold run bitwise."""
-        warm_runs = self._run(chip, True, n_threads, seed, 1)
-        cold_runs = self._run(chip, False, n_threads, seed, 1)
+        warm_runs = self._run(chip, BoundedSimplexBackend, n_threads,
+                              seed, 1)
+        cold_runs = self._run(chip, ColdBoundedBackend, n_threads,
+                              seed, 1)
         used_warm = 0.0
         for rw, rc in zip(warm_runs, cold_runs):
             assert rw.levels == rc.levels
@@ -388,9 +375,9 @@ class TestLinOptCampaignBitwise:
         """With local trust-region passes (n_iterations > 1) the LP
         frame shifts between passes, so warm reuse is opportunistic —
         stale bases are discarded — but the decisions must still be
-        bitwise independent of whether warm start is enabled."""
-        warm_runs = self._run(chip, True, 8, 12, 4)
-        cold_runs = self._run(chip, False, 8, 12, 4)
+        bitwise independent of whether the basis is carried."""
+        warm_runs = self._run(chip, BoundedSimplexBackend, 8, 12, 4)
+        cold_runs = self._run(chip, ColdBoundedBackend, 8, 12, 4)
         for rw, rc in zip(warm_runs, cold_runs):
             assert rw.levels == rc.levels
             assert rw.state.total_power == rc.state.total_power

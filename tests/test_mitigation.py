@@ -14,7 +14,7 @@ from repro.mitigation import (
 class TestAbbParams:
     def test_defaults(self):
         p = AbbParams()
-        assert p.max_vth_shift == pytest.approx(0.05)
+        assert p.vth_shift_per_volt * p.max_bias == pytest.approx(0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from repro.parallel import (
     profile_payload,
     run_sharded,
     shard_indices,
-    spawn_seeds,
 )
 from repro.parallel.sharding import (
     DEFAULT_BACKOFF_S,
@@ -57,14 +56,6 @@ class TestSharding:
                 np.testing.assert_array_equal(merged, np.arange(n_items))
                 assert len(shards) == min(n_shards, n_items)
                 assert all(s.size > 0 for s in shards)
-
-    def test_spawn_seeds_deterministic(self):
-        a = spawn_seeds(42, 4)
-        b = spawn_seeds(42, 4)
-        assert len(a) == 4
-        for sa, sb in zip(a, b):
-            assert (np.random.default_rng(sa).integers(1 << 30)
-                    == np.random.default_rng(sb).integers(1 << 30))
 
     def test_run_sharded_merges_in_item_order(self):
         items = list(range(23))

@@ -16,48 +16,47 @@ from repro.power import (
     PowerSensor,
     SensorSpec,
     ceff_from_reference,
-    dynamic_power,
-    l2_dynamic_power,
     leakage_calibration,
     leakage_factor,
     subthreshold_slope_factor,
 )
-from repro.power.scaling import L2_DYNAMIC_FRACTION
 from repro.variation import generate_variation_maps
+from repro.workloads import AppProfile
 from tests.references import build_core_leakage
 
 
+def _app(dynamic_power_ref):
+    """A profile whose Table 5 power is ``dynamic_power_ref`` W."""
+    return AppProfile("x", dynamic_power_ref, 1.0, 0.1)
+
+
 class TestDynamicPower:
+    """``P = Ceff * V^2 * f`` as the pipeline evaluates it
+    (:meth:`AppProfile.dynamic_power_at`)."""
+
     def test_formula(self):
-        assert dynamic_power(1e-10, 1.0, 4e9) == pytest.approx(0.4)
+        app = _app(0.4)
+        assert app.ceff == pytest.approx(1e-10)
+        assert app.dynamic_power_at(1.0, 4e9) == pytest.approx(0.4)
 
     def test_quadratic_in_voltage(self):
-        p1 = dynamic_power(1e-10, 0.5, 4e9)
-        p2 = dynamic_power(1e-10, 1.0, 4e9)
+        p1 = _app(0.4).dynamic_power_at(0.5, 4e9)
+        p2 = _app(0.4).dynamic_power_at(1.0, 4e9)
         assert p2 == pytest.approx(4 * p1)
 
     def test_linear_in_frequency(self):
-        p1 = dynamic_power(1e-10, 1.0, 2e9)
-        p2 = dynamic_power(1e-10, 1.0, 4e9)
+        p1 = _app(0.4).dynamic_power_at(1.0, 2e9)
+        p2 = _app(0.4).dynamic_power_at(1.0, 4e9)
         assert p2 == pytest.approx(2 * p1)
 
     def test_rejects_negative_ceff(self):
+        # Ceff comes from the Table 5 power, which must be positive.
         with pytest.raises(ValueError):
-            dynamic_power(-1e-10, 1.0, 4e9)
-
-    def test_rejects_zero_voltage(self):
-        with pytest.raises(ValueError):
-            dynamic_power(1e-10, 0.0, 4e9)
+            _app(-0.4)
 
     def test_ceff_round_trip(self):
         ceff = ceff_from_reference(3.7, 1.0, 4e9)
-        assert dynamic_power(ceff, 1.0, 4e9) == pytest.approx(3.7)
-
-    def test_l2_fraction(self):
-        assert l2_dynamic_power(50.0) == pytest.approx(
-            L2_DYNAMIC_FRACTION * 50.0)
-        with pytest.raises(ValueError):
-            l2_dynamic_power(-1.0)
+        assert ceff * 1.0 ** 2 * 4e9 == pytest.approx(3.7)
 
 
 class TestLeakageFactor:

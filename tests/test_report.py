@@ -75,10 +75,11 @@ class TestHistogramChart:
 
 
 class TestSerialize:
-    def test_round_trip_dataclass(self, tmp_path):
+    def test_round_trip_dataclass(self):
         import dataclasses
+        import json
         import numpy as np
-        from repro.report import dump_result, load_result
+        from repro.report import to_jsonable
 
         @dataclasses.dataclass(frozen=True)
         class Inner:
@@ -96,38 +97,36 @@ class TestSerialize:
                    arr=np.array([1.0, 2.0]),
                    nested=Inner(xs=(1, 2)),
                    table={4: Inner(xs=(3,))})
-        path = tmp_path / "r.json"
-        dump_result(r, path)
-        loaded = load_result(path)
+        loaded = json.loads(json.dumps(to_jsonable(r)))
         assert loaded["name"] == "fig"
         assert loaded["value"] == 1.5
         assert loaded["arr"] == [1.0, 2.0]
         assert loaded["nested"]["xs"] == [1, 2]
         assert loaded["table"]["4"]["xs"] == [3]
 
-    def test_real_experiment_result_serialises(self, tmp_path):
+    def test_real_experiment_result_serialises(self):
+        import json
         from repro.experiments import table5_apps
-        from repro.report import dump_result, load_result
+        from repro.report import to_jsonable
         result = table5_apps.run()
-        path = tmp_path / "table5.json"
-        dump_result(result, path)
-        loaded = load_result(path)
+        loaded = json.loads(json.dumps(to_jsonable(result)))
         assert len(loaded["rows"]) == 14
 
     def test_failed_write_keeps_previous_result(self, tmp_path,
                                                 monkeypatch):
+        import json
         import os
-        from repro.report import dump_result, load_result
+        from repro.storage import write_atomic
         path = tmp_path / "r.json"
-        dump_result({"value": 1.0}, path)
+        write_atomic(path, json.dumps({"value": 1.0}).encode("utf-8"))
 
         def boom(src, dst):
             raise OSError("crash before the rename")
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError, match="crash before the rename"):
-            dump_result({"value": 2.0}, path)
-        assert load_result(path) == {"value": 1.0}
+            write_atomic(path, json.dumps({"value": 2.0}).encode("utf-8"))
+        assert json.loads(path.read_text()) == {"value": 1.0}
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_unserialisable_rejected(self):

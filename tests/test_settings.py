@@ -38,7 +38,6 @@ CASES = {
                      pathlib.Path("cfg-results")),
     "shard_timeout_s": ("2.5", 2.5, None),
     "full": ("on", True, None),
-    "lp_backend": (" Reference ", "reference", None),
 }
 OVERRIDABLE = [field for field in FIELDS if CASES[field][2] is not None]
 
@@ -78,7 +77,7 @@ class TestTable:
             workers=1, cache_enabled=True,
             cache_root=tmp_path / "benchmarks" / ".cache",
             resume=False, journal_root=tmp_path / "results",
-            shard_timeout_s=None, full=False, lp_backend="bounded")
+            shard_timeout_s=None, full=False)
 
     def test_default_roots_outside_a_checkout(self, tmp_path,
                                               monkeypatch):

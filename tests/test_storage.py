@@ -30,7 +30,6 @@ from repro.fleet import FleetPlan, run_fleet_campaign
 from repro.fleet.shards import load_shard, write_shard
 from repro.parallel import CharacterizationCache, RunJournal
 from repro.parallel.manifest import ShardManifest
-from repro.report import dump_result
 from repro.storage import (
     AppendLog,
     IntegrityError,
@@ -226,7 +225,7 @@ def _write_snapshot(tmp_path):
 
 def _write_result(tmp_path):
     path = tmp_path / "results" / "fig.json"
-    dump_result({"value": 1.5}, path)
+    write_atomic(path, json.dumps({"value": 1.5}).encode("utf-8"))
     return path
 
 

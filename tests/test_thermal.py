@@ -113,7 +113,7 @@ class TestThermalNetwork:
 
     def test_core_temperatures_slice(self, network):
         temps = network.solve(np.zeros(network.n_blocks))
-        assert network.core_temperatures(temps).shape == (20,)
+        assert temps[: network.floorplan.n_cores].shape == (20,)
 
 
 class TestLeakageFixedPoint:

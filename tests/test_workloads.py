@@ -16,7 +16,6 @@ from repro.workloads import (
     Workload,
     get_app,
     make_workload,
-    workload_trials,
 )
 
 # (name, dynamic power W, IPC) exactly as printed in Table 5.
@@ -194,13 +193,16 @@ class TestWorkloads:
         assert wl.n_threads == 20
 
     def test_trials_reproducible(self):
-        a = workload_trials(8, 3, seed=5)
-        b = workload_trials(8, 3, seed=5)
+        a = [make_workload(8, np.random.default_rng([5, t]))
+             for t in range(3)]
+        b = [make_workload(8, np.random.default_rng([5, t]))
+             for t in range(3)]
         for wa, wb in zip(a, b):
             assert [x.name for x in wa] == [x.name for x in wb]
 
     def test_trials_differ(self):
-        trials = workload_trials(8, 5, seed=5)
+        trials = [make_workload(8, np.random.default_rng([5, t]))
+                  for t in range(5)]
         names = {tuple(a.name for a in wl) for wl in trials}
         assert len(names) > 1
 
