@@ -10,7 +10,7 @@ of objective evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Tuple, TypeVar
+from typing import Callable, Generic, TypeVar
 
 import numpy as np
 

@@ -10,7 +10,7 @@ phi = 0.5 of the chip width).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 # Boltzmann constant times unit charge inverse: kT/q at T kelvin is

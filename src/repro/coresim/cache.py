@@ -8,8 +8,8 @@ throughout — the paper's memory hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 # Table 4: 64-byte lines everywhere.
 LINE_BYTES = 64

@@ -21,7 +21,7 @@ IPC(f) and per-unit activity counts for the dynamic power model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

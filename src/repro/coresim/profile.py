@@ -15,7 +15,7 @@ in Table 5's dynamic-power range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..workloads.applications import AppProfile, REF_FREQ_HZ
 from .core import CoreSimulator, TraceSummary

@@ -524,17 +524,24 @@ class DaemonController:
         whether the op ran (False: replayed from the dedup window)."""
         tenant = self._get(name)
         with tenant.lock:
-            dup = self._duplicate(tenant, request_id)
-            if dup is not None:
-                return dup, False
-            tenant.require_usable()
-            try:
-                reply = OPS[rtype](tenant, payload)
-            except ProtocolError:
-                if tenant.status == QUARANTINED:
-                    self.telemetry.incr("quarantines")
-                raise
-            self._journal(tenant, rtype, payload, reply, request_id)
+            return self._serve_locked(tenant, rtype, payload, request_id)
+
+    def _serve_locked(self, tenant: Tenant, rtype: str,
+                      payload: Dict[str, Any],
+                      request_id: Optional[str],
+                      ) -> Tuple[Dict[str, Any], bool]:
+        """:meth:`_serve` for a caller that holds the tenant lock."""
+        dup = self._duplicate(tenant, request_id)
+        if dup is not None:
+            return dup, False
+        tenant.require_usable()
+        try:
+            reply = OPS[rtype](tenant, payload)
+        except ProtocolError:
+            if tenant.status == QUARANTINED:
+                self.telemetry.incr("quarantines")
+            raise
+        self._journal(tenant, rtype, payload, reply, request_id)
         return reply, True
 
     def _duplicate(self, tenant: Tenant,
@@ -628,16 +635,26 @@ class DaemonController:
                 to_end: bool = False,
                 request_id: Optional[str] = None) -> Dict[str, Any]:
         """Advance one tenant; records decision/tier telemetry."""
-        result, ran = self._serve(
-            name, "advance",
-            {"tenant": name, "until_s": until_s, "to_end": bool(to_end)},
-            request_id)
+        tenant = self._get(name)
+        with tenant.lock:
+            tier = tenant.last_tier
+            result, ran = self._serve_locked(
+                tenant, "advance",
+                {"tenant": name, "until_s": until_s,
+                 "to_end": bool(to_end)},
+                request_id)
         if not ran:
             return result
         tele = self.telemetry
         tele.incr("advances")
         decisions = result["decisions"]
         managed = [d for d in decisions if d["kind"] == DECISION_MANAGER]
+        # Tier changes from the tier the op started at, as the
+        # simulation trace's tier_transitions records them.
+        transitions = 0
+        for d in managed:
+            transitions += d["resilience_tier"] != tier
+            tier = d["resilience_tier"]
         for counter, n in (
                 ("decisions", len(decisions)),
                 ("emergency_decisions",
@@ -646,6 +663,7 @@ class DaemonController:
                  sum(d["resilience_tier"] == 1 for d in managed)),
                 ("tier2_decisions",
                  sum(d["resilience_tier"] == 2 for d in managed)),
+                ("tier_transitions", transitions),
                 ("lp_fallbacks", sum(d["lp_fallbacks"] for d in decisions))):
             if n:
                 tele.incr(counter, n)

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..config import COST_PERFORMANCE, LOW_POWER, PowerEnvironment
+from ..config import LOW_POWER, PowerEnvironment
 from ..pm import FoxtonStar, LinOpt, LinOptConfig
 from ..runtime.evaluation import evaluate_max_levels
 from ..sched import RandomPolicy, VarFAppIPC, VarPAppP
@@ -65,9 +65,7 @@ def _linopt_throughput(factory: ChipFactory,
         n_dies=n_trials, seed=seed, workload_tag=51,
         experiment=experiment, name_field="variant",
         key_fields={"env": repr(sorted(asdict(env).items())),
-                    "variants": repr(sorted(variants.items()))},
-        complete_scope=(f"{experiment}:env{env.name}:nt{n_threads}"
-                        f":trials{n_trials}:seed{seed}"))
+                    "variants": repr(sorted(variants.items()))})
     means = normalise(table, [arm.name for arm in arms], "Foxton*")
     return {name: float(means[name][0]) for name in variants}
 
@@ -146,9 +144,7 @@ def run_thermal_ablation(
             fac, policies, measure, n_threads=n_threads,
             n_trials=n_trials, n_dies=n_trials, seed=seed,
             workload_tag=61, experiment="ablation_thermal",
-            name_field="policy", key_fields={"g_lateral": g_lateral},
-            complete_scope=(f"ablation_thermal:g{g_lateral!r}"
-                            f":nt{n_threads}:trials{n_trials}:seed{seed}"))
+            name_field="policy", key_fields={"g_lateral": g_lateral})
         ratios = normalise(table, [p.name for p in policies], "Random")
         return float(ratios["VarP&AppP"][0])
 

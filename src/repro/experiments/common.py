@@ -11,7 +11,9 @@ variable) for the paper's full protocol.
 protocol, with journaled resume and prefetch; its callers (the
 scheduling and power-management runners, fig09's Section 7.4 ratios,
 Fig 14 and the ablations) only say how one (method, die, workload)
-unit is measured. :func:`normalise` turns its table into the means.
+unit is measured. :func:`normalise` turns its table into the means,
+and :class:`SweepResult` holds and prints the means of a Figs 7-13
+sweep.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ def trial_table(
     experiment: Optional[str],
     name_field: str,
     key_fields: Dict[str, object],
-    complete_scope: str,
 ) -> np.ndarray:
     """Run every method on the same trials; the raw per-trial table.
 
@@ -183,8 +184,7 @@ def trial_table(
     ``key_fields`` and the factory's tech, arch and seed. Journaled
     units are replayed instead of measured, and the chip and workload
     of a trial are built only when one of its units is missing. The
-    journal must hold every unit before the table is returned, and
-    then gets a ``complete_scope`` marker.
+    journal must hold every unit before the table is returned.
 
     Returns:
         float64 array (trials x methods x metrics) of raw metrics.
@@ -240,7 +240,6 @@ def trial_table(
     if journal is not None:
         # A figure must never be emitted from a partial journal.
         journal.require_complete(keys.values(), scope=experiment)
-        journal.mark_complete(complete_scope, len(keys))
     return np.array([[raw[trial, name] for name in names]
                      for trial in range(n_trials)], dtype=np.float64)
 
@@ -263,6 +262,33 @@ def normalise(table: np.ndarray, names: Sequence[str],
     base = require_baseline(names, baseline)
     ratios = table / table[:, base:base + 1, :]
     return dict(zip(names, ratios.mean(axis=0)))
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepResult:
+    """Baseline-normalised means per (point, method) of one figure.
+
+    ``results[point][method]`` holds one averages record (the runner's
+    ``PolicyAverages`` or ``PmAverages``) per point of the sweep, in
+    row order. :meth:`format_table` prints one table per ``(field,
+    title)`` panel: a row per point under ``row_header`` and that
+    field of each method, in ``columns`` order.
+    """
+
+    results: Dict[Any, Dict[str, Any]]
+    row_header: str
+    columns: Tuple[str, ...]
+    panels: Tuple[Tuple[str, str], ...]
+
+    def format_table(self) -> str:
+        header = [self.row_header, *self.columns]
+        return "\n\n".join(
+            format_rows(header,
+                        [[point] + [getattr(per[name], field)
+                                    for name in self.columns]
+                         for point, per in self.results.items()],
+                        title)
+            for field, title in self.panels)
 
 
 def _format_cell(v: object) -> str:

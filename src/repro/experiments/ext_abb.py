@@ -16,7 +16,7 @@ quantifies all three claims on our substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..aging import AgingState, SECONDS_PER_MONTH, aged_chip
-from ..chip import ChipProfile
 from ..runtime.evaluation import evaluate_max_levels
 from ..sched import RandomPolicy, SchedulingPolicy, VarFAppIPC
 from ..workloads import make_workload

@@ -17,14 +17,14 @@ variation-affected CMP:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..config import COST_PERFORMANCE, PowerEnvironment
 from ..pm import FoxtonStar
 from ..pm.barrier import BarrierAwarePm
-from ..runtime.evaluation import Assignment, evaluate_max_levels
+from ..runtime.evaluation import evaluate_max_levels
 from ..sched import RandomPolicy, VarF
 from ..workloads import Workload, get_app
 from ..workloads.parallel import ParallelApplication

@@ -13,11 +13,10 @@ above it MaxF is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..chip import ChipProfile
 from ..runtime.evaluation import Assignment, evaluate_levels
 from ..workloads import Workload, get_app
 from .common import ChipFactory, format_rows

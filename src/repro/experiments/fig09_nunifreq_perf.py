@@ -15,7 +15,7 @@ under the ``fig9`` campaign tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,19 +24,10 @@ from ..runtime.evaluation import (
     evaluate_uniform_frequency,
 )
 from ..sched import RandomPolicy, VarF, VarFAppIPC
-from .common import (
-    Arm,
-    ChipFactory,
-    default_n_dies,
-    default_n_trials,
-    format_rows,
-    normalise,
-    trial_table,
-)
-from .sched_runner import PolicyAverages, run_policy_comparison
+from .common import Arm, ChipFactory, SweepResult, normalise, trial_table
+from .sched_runner import sched_defaults, sweep_policies
 
 THREAD_COUNTS: Tuple[int, ...] = (2, 4, 8, 16, 20)
-POLICY_ORDER = ("Random", "VarF", "VarF&AppIPC")
 
 
 @dataclass(frozen=True)
@@ -49,27 +40,15 @@ class NUniVsUni:
 
 
 @dataclass(frozen=True)
-class Fig09Result:
-    results: Dict[int, Dict[str, PolicyAverages]]
+class Fig09Result(SweepResult):
+    """Figure 9's sweep plus the Section 7.4 ratios."""
+
     nunifreq_vs_unifreq: NUniVsUni
 
     def format_table(self) -> str:
-        rows_a, rows_b = [], []
-        for nt in sorted(self.results):
-            per = self.results[nt]
-            rows_a.append([nt] + [per[p].frequency for p in POLICY_ORDER])
-            rows_b.append([nt] + [per[p].mips for p in POLICY_ORDER])
-        header = ["threads"] + list(POLICY_ORDER)
         cmp = self.nunifreq_vs_unifreq
-        return "\n".join([
-            format_rows(header, rows_a,
-                        "Figure 9(a): NUniFreq average frequency relative "
-                        "to Random (paper: VarF +10% at 4T, ~1.0 at 20T)"),
-            "",
-            format_rows(header, rows_b,
-                        "Figure 9(b): NUniFreq throughput relative to "
-                        "Random (paper: VarF&AppIPC +5-10%)"),
-            "",
+        return "\n\n".join([
+            super().format_table(),
             "Section 7.4 (NUniFreq vs UniFreq, 20 threads): "
             f"frequency x{cmp.frequency_ratio:.3f} (paper ~1.15), "
             f"power x{cmp.power_ratio:.3f} (paper ~1.10), "
@@ -93,8 +72,7 @@ def nunifreq_vs_unifreq(factory: ChipFactory, n_trials: int, n_dies: int,
         factory, configs, measure, n_threads=factory.arch.n_cores,
         n_trials=n_trials, n_dies=n_dies, seed=seed, workload_tag=13,
         experiment="fig9", name_field="config",
-        key_fields={"kind": "nuni"},
-        complete_scope=f"nuni:fig9:trials{n_trials}:seed{seed}")
+        key_fields={"kind": "nuni"})
     ratios = normalise(table, [c.name for c in configs], "UniFreq")
     return NUniVsUni(*(float(r) for r in ratios["NUniFreq"]))
 
@@ -107,17 +85,14 @@ def run(
     seed: int = 0,
 ) -> Fig09Result:
     """Reproduce Figure 9 and the Section 7.4 comparison."""
-    n_trials = n_trials or default_n_trials()
-    n_dies = n_dies or min(default_n_dies(), n_trials)
-    factory = factory or ChipFactory()
-    policies = (RandomPolicy(), VarF(), VarFAppIPC())
-    results = {}
-    for nt in thread_counts:
-        results[nt] = run_policy_comparison(
-            factory, policies, evaluate_max_levels, nt, n_trials, n_dies,
-            seed=seed, experiment="fig9")
-    return Fig09Result(
-        results=results,
-        nunifreq_vs_unifreq=nunifreq_vs_unifreq(
-            factory, n_trials, n_dies, seed=seed),
-    )
+    n_trials, n_dies, factory = sched_defaults(n_trials, n_dies, factory)
+    sweep = sweep_policies(
+        "fig9", (RandomPolicy(), VarF(), VarFAppIPC()), evaluate_max_levels,
+        (("frequency", "Figure 9(a): NUniFreq average frequency relative "
+                       "to Random (paper: VarF +10% at 4T, ~1.0 at 20T)"),
+         ("mips", "Figure 9(b): NUniFreq throughput relative to Random "
+                  "(paper: VarF&AppIPC +5-10%)")),
+        thread_counts, n_trials, n_dies, factory, seed)
+    return Fig09Result(**vars(sweep),
+                       nunifreq_vs_unifreq=nunifreq_vs_unifreq(
+                           factory, n_trials, n_dies, seed=seed))

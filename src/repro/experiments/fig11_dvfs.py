@@ -12,45 +12,13 @@ magnitude more computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..config import COST_PERFORMANCE, PowerEnvironment
-from .common import ChipFactory, default_n_trials, format_rows
-from .pm_runner import PmAverages, run_pm_comparison
+from .common import ChipFactory, SweepResult
+from .pm_runner import sweep_algorithms
 
 THREAD_COUNTS: Tuple[int, ...] = (4, 8, 16, 20)
-ALGO_ORDER = ("Random+Foxton*", "VarF&AppIPC+Foxton*",
-              "VarF&AppIPC+LinOpt", "VarF&AppIPC+SAnn")
-
-
-@dataclass(frozen=True)
-class Fig11Result:
-    results: Dict[int, Dict[str, PmAverages]]
-    env_name: str
-
-    def _algos(self) -> Tuple[str, ...]:
-        some = next(iter(self.results.values()))
-        return tuple(a for a in ALGO_ORDER if a in some)
-
-    def format_table(self) -> str:
-        algos = self._algos()
-        rows_a, rows_b = [], []
-        for nt in sorted(self.results):
-            per = self.results[nt]
-            rows_a.append([nt] + [per[a].mips for a in algos])
-            rows_b.append([nt] + [per[a].ed2 for a in algos])
-        header = ["threads"] + list(algos)
-        return "\n".join([
-            format_rows(header, rows_a,
-                        f"Figure 11(a): throughput relative to "
-                        f"Random+Foxton* ({self.env_name}; paper: LinOpt "
-                        "1.12-1.17, Foxton* 1.04-1.06)"),
-            "",
-            format_rows(header, rows_b,
-                        "Figure 11(b): ED^2 relative to Random+Foxton* "
-                        "(paper: LinOpt 0.62-0.70)"),
-        ])
 
 
 def run(
@@ -62,21 +30,14 @@ def run(
     protocol: str = "online",
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
-    transition_latency_s: Optional[float] = None,
-) -> Fig11Result:
+) -> SweepResult:
     """Reproduce Figure 11."""
-    n_trials = n_trials or max(default_n_trials() // 2, 3)
-    n_dies = n_dies or n_trials
-    factory = factory or ChipFactory()
-    from .pm_runner import standard_algorithms
-    algorithms = standard_algorithms(include_sann=include_sann,
-                                     online=protocol == "online")
-    kwargs = ({} if transition_latency_s is None
-              else {"transition_latency_s": transition_latency_s})
-    results = {}
-    for nt in thread_counts:
-        results[nt] = run_pm_comparison(
-            factory, env, nt, n_trials, n_dies,
-            algorithms=algorithms, protocol=protocol, seed=seed,
-            experiment="fig11", **kwargs)
-    return Fig11Result(results=results, env_name=env.name)
+    return sweep_algorithms(
+        "fig11", {nt: (env, nt) for nt in sorted(thread_counts)}, "threads",
+        (("mips", "Figure 11(a): throughput relative to Random+Foxton* "
+                  f"({env.name}; paper: LinOpt 1.12-1.17, Foxton* "
+                  "1.04-1.06)"),
+         ("ed2", "Figure 11(b): ED^2 relative to Random+Foxton* "
+                 "(paper: LinOpt 0.62-0.70)")),
+        n_trials, n_dies, include_sann, protocol, factory=factory,
+        seed=seed)

@@ -8,30 +8,11 @@ largest at the tightest budget (16 % / 12 % / 11 %).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..config import POWER_ENVIRONMENTS, PowerEnvironment
-from .common import ChipFactory, default_n_trials, format_rows
-from .fig11_dvfs import ALGO_ORDER
-from .pm_runner import PmAverages, run_pm_comparison, standard_algorithms
-
-
-@dataclass(frozen=True)
-class Fig12Result:
-    results: Dict[str, Dict[str, PmAverages]]
-
-    def format_table(self) -> str:
-        some = next(iter(self.results.values()))
-        algos = tuple(a for a in ALGO_ORDER if a in some)
-        rows = []
-        for env_name, per in self.results.items():
-            rows.append([env_name] + [per[a].mips for a in algos])
-        header = ["power target"] + list(algos)
-        return format_rows(
-            header, rows,
-            "Figure 12: throughput relative to Random+Foxton*, 20 "
-            "threads (paper: LinOpt 1.16/1.12/1.11 across 50/75/100 W)")
+from .common import ChipFactory, SweepResult
+from .pm_runner import sweep_algorithms
 
 
 def run(
@@ -43,20 +24,13 @@ def run(
     protocol: str = "online",
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
-    transition_latency_s: Optional[float] = None,
-) -> Fig12Result:
+) -> SweepResult:
     """Reproduce Figure 12."""
-    n_trials = n_trials or max(default_n_trials() // 2, 3)
-    n_dies = n_dies or n_trials
-    factory = factory or ChipFactory()
-    algorithms = standard_algorithms(include_sann=include_sann,
-                                     online=protocol == "online")
-    kwargs = ({} if transition_latency_s is None
-              else {"transition_latency_s": transition_latency_s})
-    results = {}
-    for env in environments:
-        results[env.name] = run_pm_comparison(
-            factory, env, n_threads, n_trials, n_dies,
-            algorithms=algorithms, protocol=protocol, seed=seed,
-            experiment="fig12", **kwargs)
-    return Fig12Result(results=results)
+    return sweep_algorithms(
+        "fig12", {env.name: (env, n_threads) for env in environments},
+        "power target",
+        (("mips", "Figure 12: throughput relative to Random+Foxton*, 20 "
+                  "threads (paper: LinOpt 1.16/1.12/1.11 across "
+                  "50/75/100 W)"),),
+        n_trials, n_dies, include_sann, protocol, factory=factory,
+        seed=seed)

@@ -11,39 +11,12 @@ ED^2 for LinOpt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..config import COST_PERFORMANCE, PowerEnvironment
-from .common import ChipFactory, default_n_trials, format_rows
-from .fig11_dvfs import ALGO_ORDER, THREAD_COUNTS
-from .pm_runner import PmAverages, run_pm_comparison, standard_algorithms
-
-
-@dataclass(frozen=True)
-class Fig13Result:
-    results: Dict[int, Dict[str, PmAverages]]
-    env_name: str
-
-    def format_table(self) -> str:
-        some = next(iter(self.results.values()))
-        algos = tuple(a for a in ALGO_ORDER if a in some)
-        rows_a, rows_b = [], []
-        for nt in sorted(self.results):
-            per = self.results[nt]
-            rows_a.append([nt] + [per[a].weighted_mips for a in algos])
-            rows_b.append([nt] + [per[a].weighted_ed2 for a in algos])
-        header = ["threads"] + list(algos)
-        return "\n".join([
-            format_rows(header, rows_a,
-                        "Figure 13(a): weighted throughput relative to "
-                        f"Random+Foxton* ({self.env_name}; paper: LinOpt "
-                        "1.09-1.14, slightly below Fig 11a)"),
-            "",
-            format_rows(header, rows_b,
-                        "Figure 13(b): weighted ED^2 relative to "
-                        "Random+Foxton* (paper: LinOpt 0.67-0.76)"),
-        ])
+from .common import ChipFactory, SweepResult
+from .fig11_dvfs import THREAD_COUNTS
+from .pm_runner import sweep_algorithms
 
 
 def run(
@@ -55,21 +28,14 @@ def run(
     protocol: str = "online",
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
-    transition_latency_s: Optional[float] = None,
-) -> Fig13Result:
+) -> SweepResult:
     """Reproduce Figure 13."""
-    n_trials = n_trials or max(default_n_trials() // 2, 3)
-    n_dies = n_dies or n_trials
-    factory = factory or ChipFactory()
-    algorithms = standard_algorithms(include_sann=include_sann,
-                                     online=protocol == "online",
-                                     objective="weighted")
-    kwargs = ({} if transition_latency_s is None
-              else {"transition_latency_s": transition_latency_s})
-    results = {}
-    for nt in thread_counts:
-        results[nt] = run_pm_comparison(
-            factory, env, nt, n_trials, n_dies,
-            algorithms=algorithms, protocol=protocol, seed=seed,
-            experiment="fig13", **kwargs)
-    return Fig13Result(results=results, env_name=env.name)
+    return sweep_algorithms(
+        "fig13", {nt: (env, nt) for nt in sorted(thread_counts)}, "threads",
+        (("weighted_mips", "Figure 13(a): weighted throughput relative to "
+                           f"Random+Foxton* ({env.name}; paper: LinOpt "
+                           "1.09-1.14, slightly below Fig 11a)"),
+         ("weighted_ed2", "Figure 13(b): weighted ED^2 relative to "
+                          "Random+Foxton* (paper: LinOpt 0.67-0.76)")),
+        n_trials, n_dies, include_sann, protocol, objective="weighted",
+        factory=factory, seed=seed)

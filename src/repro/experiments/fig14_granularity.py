@@ -88,9 +88,7 @@ def run(
             n_dies=n_trials, seed=seed, workload_tag=31,
             experiment="fig14", name_field="interval",
             key_fields={"env": repr(sorted(asdict(env).items())),
-                        "transition_latency_s": transition_latency_s},
-            complete_scope=(f"fig14:env{env.name}:nt{nt}"
-                            f":trials{n_trials}:seed{seed}"))
+                        "transition_latency_s": transition_latency_s})
         deviation[nt] = tuple(float(v) for v in table.mean(axis=0).ravel())
     return Fig14Result(intervals_s=tuple(intervals_s),
                        deviation_pct=deviation)

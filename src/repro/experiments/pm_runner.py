@@ -12,15 +12,17 @@ Table 1's bottom block. Two evaluation protocols are provided:
 
 Metrics are normalised per-trial to ``Random+Foxton*`` and averaged.
 This module only says how one (algorithm, die, workload) unit is
-measured under either protocol; the trial loop, campaign resume and
-normalisation are :func:`repro.experiments.common.trial_table` and
+measured under either protocol, and :func:`sweep_algorithms` runs the
+comparison at every point of a figure; the trial loop, campaign resume
+and normalisation are :func:`repro.experiments.common.trial_table` and
 :func:`~repro.experiments.common.normalise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from ..runtime.simulation import (
 )
 from ..sched import RandomPolicy, SchedulingPolicy, VarFAppIPC
 from ..workloads import Workload
-from .common import (ChipFactory, normalise, require_baseline,
-                     trial_table)
+from .common import (ChipFactory, SweepResult, default_n_trials,
+                     normalise, require_baseline, trial_table)
 
 # Default online-protocol timing (scaled down from the paper's full
 # SESC runs; REPRO_FULL experiments pass longer durations).
@@ -161,8 +163,46 @@ def run_pm_comparison(
             "env": repr(sorted(asdict(env).items())),
             "protocol": protocol, "duration_s": duration_s,
             "interval_s": interval_s,
-            "transition_latency_s": transition_latency_s},
-        complete_scope=(f"pm:{experiment}:env{env.name}:nt{n_threads}"
-                        f":trials{n_trials}:seed{seed}:{protocol}"))
+            "transition_latency_s": transition_latency_s})
     return {name: PmAverages(name, *(float(v) for v in mean))
             for name, mean in normalise(table, names, baseline).items()}
+
+
+def sweep_algorithms(
+    experiment: str,
+    points: Mapping[Any, Tuple[PowerEnvironment, int]],
+    row_header: str,
+    panels: Sequence[Tuple[str, str]],
+    n_trials: Optional[int] = None,
+    n_dies: Optional[int] = None,
+    include_sann: bool = True,
+    protocol: str = "online",
+    objective: str = "mips",
+    factory: Optional[ChipFactory] = None,
+    seed: int = 0,
+) -> SweepResult:
+    """One power-management figure: :func:`run_pm_comparison` of the
+    :func:`standard_algorithms` at every point under the
+    ``experiment`` campaign tag.
+
+    ``points`` maps each row label (a thread count, or an environment
+    name) to the ``(env, n_threads)`` it runs, in row order; columns
+    follow the algorithms; ``panels`` are the ``(PmAverages field,
+    title)`` tables the figure prints. Without ``n_trials`` the sweep
+    runs half the reduced (or ``REPRO_FULL``) trial count, at least 3,
+    and without ``n_dies`` one die per trial.
+    """
+    n_trials = n_trials or max(default_n_trials() // 2, 3)
+    n_dies = n_dies or n_trials
+    factory = factory or ChipFactory()
+    algorithms = standard_algorithms(include_sann=include_sann,
+                                     online=protocol == "online",
+                                     objective=objective)
+    results = {point: run_pm_comparison(
+                   factory, env, n_threads, n_trials, n_dies,
+                   algorithms=algorithms, protocol=protocol, seed=seed,
+                   experiment=experiment)
+               for point, (env, n_threads) in points.items()}
+    return SweepResult(results, row_header,
+                       tuple(algo.name for algo in algorithms),
+                       tuple(panels))

@@ -342,7 +342,6 @@ def run_fleet_campaign(
             progress(done, plan.n_dies)
     journal.require_complete(
         [_chunk_key(plan, lo, hi) for lo, hi in chunks], scope=scope)
-    journal.mark_complete(scope, len(chunks))
     _write_summary(out_dir, plan, acc, len(chunks))
     wall = time.perf_counter() - t0
     return FleetCampaignResult(
@@ -377,8 +376,8 @@ def merge_campaigns(
     emit a summary unless every chunk of the full die range is
     journaled — :class:`~repro.parallel.journal.IncompleteJournalError`
     names the gap. ``require_complete=False`` produces a best-effort
-    partial summary and skips the journal's ``complete`` mark, so a
-    later merge (or resume) can finish the campaign.
+    partial summary from the chunks merged so far; a later merge (or
+    resume) can finish the campaign.
     """
     t0 = time.perf_counter()
     plan = FleetPlan.from_dict(manifest.params)
@@ -416,8 +415,6 @@ def merge_campaigns(
         write_shard(shard_dir, lo, hi, cols)
         acc.add_dies(cols)
         covered += hi - lo
-    if require_complete:
-        dest.mark_complete(scope, len(chunks))
     _write_summary(out_dir, plan, acc, len(chunks))
     return FleetCampaignResult(
         plan=plan, out_dir=out_dir, accumulator=acc,

@@ -64,13 +64,6 @@ class VFTable:
     def vmin(self) -> float:
         return float(self.voltages[0])
 
-    def level_of(self, voltage: float) -> int:
-        """Index of a table voltage (exact match within tolerance)."""
-        idx = int(np.argmin(np.abs(self.voltages - voltage)))
-        if abs(self.voltages[idx] - voltage) > 1e-9:
-            raise ValueError(f"{voltage} V is not a table operating point")
-        return idx
-
     def nearest_level_at_most(self, voltage: float) -> int:
         """Highest level whose voltage does not exceed ``voltage``."""
         eligible = np.nonzero(self.voltages <= voltage + 1e-12)[0]

@@ -81,16 +81,13 @@ class RunJournal:
         self.path = pathlib.Path(path)
         self._log = AppendLog(self.path)
         self._entries: Dict[str, Any] = {}
-        self._complete_marks: Dict[str, int] = {}
         for entry in self._log.replay():
             try:
-                kind = entry.get("kind", "unit")
-                if kind == "unit":
+                # Other kinds (the ``complete`` scope markers older
+                # journals carry) are skipped.
+                if entry.get("kind", "unit") == "unit":
                     self._entries[entry["key"]] = entry["result"]
-                elif kind == "complete":
-                    self._complete_marks[entry["scope"]] = \
-                        int(entry["n_units"])
-            except (AttributeError, KeyError, TypeError, ValueError):
+            except (AttributeError, KeyError, TypeError):
                 break  # malformed: stop trusting anything after it
 
     @classmethod
@@ -125,10 +122,6 @@ class RunJournal:
                 + (f" by {scope!r}" if scope else "")
                 + " — refusing to emit a figure from a partial journal")
 
-    def is_scope_complete(self, scope: str) -> bool:
-        """Whether a ``complete`` marker was journaled for ``scope``."""
-        return scope in self._complete_marks
-
     # -- appends -----------------------------------------------------
 
     def record(self, key: str, unit: Dict[str, Any],
@@ -149,18 +142,6 @@ class RunJournal:
         })
         self._entries[key] = result
 
-    def mark_complete(self, scope: str, n_units: int) -> None:
-        """Journal that a scope (one figure/table pass) finished."""
-        if self._complete_marks.get(scope) == int(n_units):
-            return
-        self._log.append({
-            "kind": "complete",
-            "scope": scope,
-            "n_units": int(n_units),
-            "t_unix_s": time.time(),
-        })
-        self._complete_marks[scope] = int(n_units)
-
 
 def merge_journals(dest: RunJournal,
                    sources: Iterable[Union[str, pathlib.Path,
@@ -178,10 +159,10 @@ def merge_journals(dest: RunJournal,
     work (clock-skewed code versions, corrupt transfer) and the merge
     refuses rather than silently picking a winner.
 
-    ``complete`` marks are deliberately **not** merged: a source's
-    mark covers only its own slice, so completeness of the merged
-    campaign must be re-established against the full unit-key set
-    (``RunJournal.require_complete``) by the caller.
+    Only units are merged: a source covers only its own slice, so
+    completeness of the merged campaign must be established against
+    the full unit-key set (``RunJournal.require_complete``) by the
+    caller.
 
     Returns the number of newly merged units.
     """

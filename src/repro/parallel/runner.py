@@ -93,7 +93,6 @@ def characterize_batch(
     cache: CacheArg = "auto",
     floorplan: Optional[Floorplan] = None,
     thermal: Optional[ThermalNetwork] = None,
-    shard_timeout_s: Optional[float] = None,
     health: Optional[RunHealth] = None,
 ) -> List[ChipProfile]:
     """Characterise the requested dies of a seeded batch.
@@ -109,9 +108,6 @@ def characterize_batch(
             (disabled), or an explicit :class:`CharacterizationCache`.
         floorplan, thermal: Shared structures to attach to the
             profiles (built from ``arch`` when omitted).
-        shard_timeout_s: Per-shard wall-time limit for the pool run
-            (``None`` reads ``settings().shard_timeout_s``; see
-            :func:`~repro.parallel.sharding.run_sharded`).
         health: :class:`RunHealth` recording recovery actions; by
             default the process-wide collector from
             :func:`~repro.parallel.health.get_run_health`, which
@@ -152,7 +148,7 @@ def characterize_batch(
             _characterize_shard, tech, arch, seed,
             str(store.root) if store is not None else None)
         payloads = run_sharded(fn, missing, workers=workers,
-                               timeout_s=shard_timeout_s, health=health)
+                               health=health)
         if store is not None:
             store.stats["stores"] += len(missing)
         for index, payload in zip(missing, payloads):

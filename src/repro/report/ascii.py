@@ -15,7 +15,8 @@ import numpy as np
 
 BAR_CHARS = " ▏▎▍▌▋▊▉█"
 DEFAULT_WIDTH = 48
-# Canvas rows of a line chart.
+# Canvas columns and rows of a line chart.
+LINE_CHART_WIDTH = 60
 LINE_CHART_HEIGHT = 12
 # Most rows a binned histogram coalesces its bins into.
 HISTOGRAM_MAX_ROWS = 16
@@ -78,7 +79,6 @@ def line_chart(
     xs: Sequence[float],
     series: Dict[str, Sequence[float]],
     title: str = "",
-    width: int = 60,
 ) -> str:
     """Down-sampled multi-series line chart on a character canvas."""
     if not series:
@@ -87,8 +87,6 @@ def line_chart(
     for name, ys in series.items():
         if len(ys) != xs.size:
             raise ValueError(f"series {name!r} length mismatch")
-    if width < 10:
-        raise ValueError("canvas too small")
     all_y = np.concatenate([np.asarray(ys, dtype=float)
                             for ys in series.values()])
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
@@ -98,12 +96,12 @@ def line_chart(
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
-    canvas = [[" "] * width for _ in range(LINE_CHART_HEIGHT)]
+    canvas = [[" "] * LINE_CHART_WIDTH for _ in range(LINE_CHART_HEIGHT)]
     markers = "ox+*#@"
     for k, (name, ys) in enumerate(series.items()):
         marker = markers[k % len(markers)]
         for x, y in zip(xs, np.asarray(ys, dtype=float)):
-            col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
+            col = int((x - x_lo) / (x_hi - x_lo) * (LINE_CHART_WIDTH - 1))
             row = int((y_hi - y) / (y_hi - y_lo)
                       * (LINE_CHART_HEIGHT - 1))
             canvas[row][col] = marker
@@ -115,7 +113,8 @@ def line_chart(
         lines.append(" " * 10 + " │" + "".join(row))
     lines.append(f"{y_lo:10.3f} ┤" + "".join(canvas[-1]))
     lines.append(" " * 12 + f"{x_lo:g}" + " " * max(
-        width - len(f"{x_lo:g}") - len(f"{x_hi:g}"), 1) + f"{x_hi:g}")
+        LINE_CHART_WIDTH - len(f"{x_lo:g}") - len(f"{x_hi:g}"), 1)
+        + f"{x_hi:g}")
     legend = "   ".join(f"{markers[k % len(markers)]} {name}"
                         for k, name in enumerate(series))
     lines.append(" " * 12 + legend)

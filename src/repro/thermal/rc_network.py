@@ -16,7 +16,7 @@ and of simulated annealing — cost one triangular solve each.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import linalg

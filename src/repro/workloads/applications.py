@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..config import ArchConfig, DEFAULT_ARCH
 from ..power.scaling import ceff_from_reference
 
 # Reference conditions of the Table 5 measurements.

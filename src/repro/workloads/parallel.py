@@ -17,7 +17,7 @@ as the sequential profiles (a base :class:`AppProfile` supplies it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

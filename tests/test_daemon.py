@@ -255,6 +255,21 @@ class TestController:
         assert ctl.trace("t0")["fallback_activations"] == 2
         assert ctl.telemetry.get("quarantines") == 0
 
+    def test_tier_transitions_are_counted(self):
+        ctl = DaemonController(cache=None)
+        ctl.register(register_payload("t0", manager={
+            "primary": "crashing", "crash_after": 2,
+            "resilient": True}))
+        ctl.advance("t0", until_s=0.005)  # tier 0 decides
+        assert ctl.telemetry.get("tier_transitions") == 0
+        # The fall to tier 1 counts once; staying there does not, in
+        # the same op or the next.
+        ctl.advance("t0", until_s=0.02, request_id="r1")
+        ctl.advance("t0", until_s=0.02, request_id="r1")  # deduped
+        ctl.advance("t0", to_end=True)
+        assert ctl.trace("t0")["tier_transitions"] == [[0.01, 1]]
+        assert ctl.telemetry.get("tier_transitions") == 1
+
     def test_deadline_supervision_escalates(self):
         ctl = DaemonController(cache=None)
         # A deadline no wall clock can meet: every invocation

@@ -256,17 +256,6 @@ class TestVFTable:
         assert table.vmax == pytest.approx(1.0)
         assert table.vmin == pytest.approx(0.6)
 
-    def test_freq_at_and_level_of(self):
-        table = self._table()
-        v = float(table.voltages[3])
-        assert table.level_of(v) == 3
-        assert table.freqs[table.level_of(v)] == table.freqs[3]
-
-    def test_level_of_rejects_non_grid_voltage(self):
-        table = self._table()
-        with pytest.raises(ValueError):
-            table.level_of(0.61234)
-
     def test_nearest_level_at_most(self):
         table = self._table()
         assert table.nearest_level_at_most(2.0) == table.n_levels - 1

@@ -29,7 +29,7 @@ from repro.parallel import (
 from repro.parallel.journal import JOURNAL_FILENAME
 from repro.pm import FoxtonStar
 from repro.sched import RandomPolicy, VarP
-from repro.storage import decode_line
+from repro.storage import AppendLog, decode_line
 
 
 class TestRunJournal:
@@ -128,18 +128,31 @@ class TestRunJournal:
         with pytest.raises(IncompleteJournalError, match="partial"):
             journal.require_complete(["k1", "k2"], scope="figx")
 
-    def test_complete_marker_round_trips(self, tmp_path):
-        journal = RunJournal.open(tmp_path, "figx")
-        journal.record("k1", {}, [1.0])
-        journal.mark_complete("figx:nt4", 1)
+    def test_complete_markers_of_older_journals_are_skipped(self,
+                                                            tmp_path):
+        log = AppendLog(tmp_path / "figx" / JOURNAL_FILENAME)
+        for key, scope in (("k1", "figx:nt4"), ("k2", "figx:nt8")):
+            log.append({"kind": "unit", "key": key, "unit": {},
+                        "result": [1.0], "t_unix_s": 0.0})
+            log.append(_complete_marker(scope, 1))
         reopened = RunJournal.open(tmp_path, "figx")
-        assert reopened.is_scope_complete("figx:nt4")
-        assert not reopened.is_scope_complete("figx:nt8")
+        assert reopened.completed() == ["k1", "k2"]
+        # Appends keep the markers and replay after them.
+        reopened.record("k3", {}, [3.0])
+        assert RunJournal.open(tmp_path, "figx").completed() == [
+            "k1", "k2", "k3"]
 
     def test_bad_run_names_rejected(self, tmp_path):
         for bad in ("", ".", "..", "a/b"):
             with pytest.raises(ValueError):
                 RunJournal.open(tmp_path, bad)
+
+
+def _complete_marker(scope, n_units):
+    """The line journals used to carry after each finished scope (one
+    figure pass); replay must skip it."""
+    return {"kind": "complete", "scope": scope, "n_units": n_units,
+            "t_unix_s": 0.0}
 
 
 class TestUnitKey:
@@ -454,10 +467,43 @@ class TestCliResume:
         assert size > 0
 
         # Second run replays from the journal: identical table, no
-        # new units appended (only idempotent complete markers).
+        # new units appended.
         assert main(["fig7", "--trials", "1", "--resume"]) == 0
         second = self._table_of(capsys)
         assert second == first
+        assert journal_path.stat().st_size == size
+
+    def test_resume_replays_journal_with_complete_markers(
+            self, capsys, monkeypatch):
+        from repro.experiments import common
+        assert main(["fig7", "--trials", "1", "--resume"]) == 0
+        first = self._table_of(capsys)
+        journal_path = self.root / "fig7" / JOURNAL_FILENAME
+        # Rewrite it as older code did: a ``complete`` line after the
+        # units of every thread count.
+        units = list(AppendLog(journal_path).replay())
+        journal_path.unlink()
+        log = AppendLog(journal_path)
+        for n_threads in (2, 4, 8, 16, 20):
+            for unit in units:
+                if unit["unit"]["n_threads"] == n_threads:
+                    log.append(unit)
+            log.append(_complete_marker(
+                f"sched:fig7:nt{n_threads}:trials1:seed0", 3))
+        assert len(RunJournal(journal_path)) == len(units) == 15
+        size = journal_path.stat().st_size
+        built = []
+        real = common.characterize_batch
+
+        def counting(*args, **kwargs):
+            built.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(common, "characterize_batch", counting)
+        assert main(["fig7", "--trials", "1", "--resume"]) == 0
+        # Every unit replays: no die is built, no unit is appended.
+        assert self._table_of(capsys) == first
+        assert built == []
         assert journal_path.stat().st_size == size
 
     def test_fresh_discards_journal(self, capsys):

@@ -12,7 +12,8 @@ or if a module other than the binning kernel and the characterisation
 cache builds a ``ChipProfile`` (a second binning flow), or if a field
 sampler grows a one-field ``sample`` next to ``sample_batch`` (a
 second field generator), or if a public top-level function or class
-has no caller (code that nothing runs).
+has no caller (code that nothing runs), or if a module imports a name
+it never uses.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def test_online_simulation_run_takes_duration_and_interval_only():
 
 #: Calls that key, read or write campaign-journal units.
 JOURNAL_CALLS = frozenset({"unit_key", "lookup", "record",
-                           "require_complete", "mark_complete"})
+                           "require_complete"})
 
 
 def _calls_to(path: pathlib.Path, names):
@@ -106,10 +107,9 @@ def test_journal_guard_sees_journal_calls(tmp_path):
                      "journal.lookup(key)\n"
                      "journal.record(key, {}, [1.0])\n"
                      "journal.require_complete([key])\n"
-                     "journal.mark_complete('scope', 1)\n"
                      "lookup_table = {}\n"
                      "journal.replay()\n")
-    assert list(_calls_to(probe, JOURNAL_CALLS)) == [1, 2, 3, 4, 5]
+    assert list(_calls_to(probe, JOURNAL_CALLS)) == [1, 2, 3, 4]
 
 
 #: The Section 6.4 experiments: their trials come from ``trial_table``.
@@ -283,3 +283,52 @@ def test_orphan_guard_sees_orphans(tmp_path):
     bench.mkdir()
     (bench / "run.py").write_text("TARGETS = ['a', 'Bench.solve']\n")
     assert list(_orphans(src, [bench])) == ["a.py:orphan"]
+
+
+def _unused_imports(path: pathlib.Path):
+    """``line:name`` of each name ``path`` imports but never mentions.
+
+    A mention is a bare name anywhere in the module or a word of a
+    string constant (string annotations, ``__all__``). ``__future__``
+    imports are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    mentioned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno,
+                          (alias.asname or alias.name).split(".")[0])
+                         for alias in node.names]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            imported += [(node.lineno, alias.asname or alias.name)
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            mentioned.add(node.id)
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            mentioned.update(re.findall(r"\w+", node.value))
+    for line, name in imported:
+        if name not in mentioned:
+            yield f"{line}:{name}"
+
+
+def test_src_modules_use_what_they_import():
+    # Package ``__init__`` modules import to re-export.
+    offenders = [f"{path.relative_to(SRC).as_posix()}:{unused}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path.name != "__init__.py"
+                 for unused in _unused_imports(path)]
+    assert offenders == []
+
+
+def test_import_guard_sees_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from typing import Dict, List, Tuple\n"
+                     "from .a import used as alias, spare\n"
+                     "def f(x: List[int]) -> 'Tuple[int]':\n"
+                     "    return alias(os.sep)\n")
+    assert list(_unused_imports(probe)) == ["3:np", "4:Dict", "5:spare"]

@@ -56,8 +56,6 @@ class TestLineChart:
             line_chart([1, 2], {})
         with pytest.raises(ValueError):
             line_chart([1, 2], {"a": [1.0]})
-        with pytest.raises(ValueError):
-            line_chart([1, 2], {"a": [1.0, 2.0]}, width=4)
 
 
 class TestHistogramChart:
