@@ -1,7 +1,10 @@
 """Serve chips through the resilient power-management daemon.
 
 Stands up a real daemon in-process (background thread), connects a
-client over TCP, registers two tenants — one healthy, one with a
+:class:`~repro.daemon.ReconnectingClient` over TCP (the client that
+rides out a daemon restart: it reconnects with backoff, resubscribes
+and stamps request ids so a resent request is answered from the
+journal, not re-executed), registers two tenants — one healthy, one with a
 scripted fault schedule — drives them while subscribed to the
 actuation stream, and prints the decision events, the shared
 resilience timeline and the daemon's live telemetry. Ends with the
@@ -10,13 +13,13 @@ daemon's drain-then-stop shutdown.
 Run:  PYTHONPATH=src python examples/daemon_service.py
 """
 
-from repro.daemon import DaemonClient, DaemonController, ServerThread
+from repro.daemon import DaemonController, ReconnectingClient, ServerThread
 
 
 def main() -> None:
     controller = DaemonController()
     with ServerThread(controller) as (host, port):
-        with DaemonClient(host, port) as client:
+        with ReconnectingClient(host, port) as client:
             client.subscribe("*")
 
             client.register("healthy", seed=3, n_cores=4, n_threads=3,

@@ -26,12 +26,6 @@ class CacheStats:
     def hits(self) -> int:
         return self.accesses - self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
 
 class Cache:
     """One set-associative cache level with LRU replacement."""
@@ -101,10 +95,6 @@ class HierarchyStats:
     l1i: CacheStats
     l1d: CacheStats
     l2: CacheStats
-
-    @property
-    def l2_misses_per_access(self) -> float:
-        return self.l2.miss_rate
 
 
 class CacheHierarchy:

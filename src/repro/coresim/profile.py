@@ -43,10 +43,6 @@ class SimulatedProfile:
     profile: AppProfile
     summary: TraceSummary
 
-    def simulated_ipc_at(self, freq_hz: float) -> float:
-        """IPC straight from the interval model (ground truth)."""
-        return self.summary.ipc_at(freq_hz)
-
 
 def dynamic_power_from_activity(summary: TraceSummary,
                                 freq_hz: float = REF_FREQ_HZ,

@@ -23,7 +23,7 @@ Robustness properties (pinned by ``tests/test_daemon_chaos.py``):
   ``ping`` (or any frame) resets the clock. Optional heartbeat events
   let subscribers detect a dead daemon symmetrically.
 * ``stop()`` drains: the listener closes, in-flight requests finish,
-  subscriber queues flush (bounded by ``drain_timeout_s``), then
+  subscriber queues flush (bounded by ``DRAIN_TIMEOUT_S``), then
   connections close and the server exits cleanly.
 """
 
@@ -54,6 +54,10 @@ from .schemas import validate_request
 
 #: Default bound of each subscriber's event queue (frames).
 DEFAULT_QUEUE_SIZE = 64
+
+#: Per-connection bound (s) on queue flushing during ``stop``; the
+#: wait for in-flight requests is bounded by four times this.
+DRAIN_TIMEOUT_S = 5.0
 
 #: Error codes with a dedicated telemetry counter.
 _CODE_COUNTERS = {
@@ -102,8 +106,6 @@ class DaemonServer:
         heartbeat_interval_s: Publish a ``heartbeat`` event to every
             subscriber at this period (``None`` disables; also the
             reap-check period, defaulting to 1 s when only reaping).
-        drain_timeout_s: Per-connection bound on queue flushing
-            during ``stop``.
     """
 
     def __init__(self, controller: Optional[DaemonController] = None,
@@ -111,8 +113,7 @@ class DaemonServer:
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  queue_size: int = DEFAULT_QUEUE_SIZE,
                  idle_timeout_s: Optional[float] = None,
-                 heartbeat_interval_s: Optional[float] = None,
-                 drain_timeout_s: float = 5.0) -> None:
+                 heartbeat_interval_s: Optional[float] = None) -> None:
         self.controller = (controller if controller is not None
                            else DaemonController())
         self.telemetry = self.controller.telemetry
@@ -122,7 +123,6 @@ class DaemonServer:
         self.queue_size = queue_size
         self.idle_timeout_s = idle_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.drain_timeout_s = drain_timeout_s
         self.draining = False
         self.address: Tuple[str, int] = (host, port)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -161,7 +161,7 @@ class DaemonServer:
         # Wait for requests already handed to executor threads.
         try:
             await asyncio.wait_for(self._idle.wait(),
-                                   self.drain_timeout_s * 4)
+                                   DRAIN_TIMEOUT_S * 4)
         except asyncio.TimeoutError:
             pass
         if self._housekeeper is not None:
@@ -174,7 +174,7 @@ class DaemonServer:
         if not conn.closed:
             try:
                 await asyncio.wait_for(conn.queue.join(),
-                                       self.drain_timeout_s)
+                                       DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 pass
         if conn.drain_task is not None:

@@ -30,6 +30,9 @@ from ..workloads import Workload, get_app
 from ..workloads.parallel import ParallelApplication
 from .common import ChipFactory, format_rows
 
+#: Table 5 application every worker of the parallel program runs.
+WORKER_APP = "crafty"
+
 
 @dataclass(frozen=True)
 class ExtParallelResult:
@@ -64,7 +67,6 @@ class ExtParallelResult:
 def run(
     n_dies: int = 6,
     n_workers: int = 16,
-    worker_app: str = "crafty",
     env: PowerEnvironment = COST_PERFORMANCE,
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
@@ -72,9 +74,9 @@ def run(
     """Run the parallel-application study."""
     factory = factory or ChipFactory()
     factory.prefetch(n_dies)
-    app = ParallelApplication(worker=get_app(worker_app),
+    app = ParallelApplication(worker=get_app(WORKER_APP),
                               n_threads=n_workers)
-    workload = Workload(tuple(get_app(worker_app)
+    workload = Workload(tuple(get_app(WORKER_APP)
                               for _ in range(n_workers)))
 
     tp_random, tp_varf = [], []

@@ -8,9 +8,9 @@ largest at the tightest budget (16 % / 12 % / 11 %).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..config import POWER_ENVIRONMENTS, PowerEnvironment
+from ..config import POWER_ENVIRONMENTS
 from .common import ChipFactory, SweepResult
 from .pm_runner import sweep_algorithms
 
@@ -18,7 +18,6 @@ from .pm_runner import sweep_algorithms
 def run(
     n_trials: Optional[int] = None,
     n_dies: Optional[int] = None,
-    environments: Sequence[PowerEnvironment] = POWER_ENVIRONMENTS,
     n_threads: int = 20,
     include_sann: bool = True,
     protocol: str = "online",
@@ -27,7 +26,8 @@ def run(
 ) -> SweepResult:
     """Reproduce Figure 12."""
     return sweep_algorithms(
-        "fig12", {env.name: (env, n_threads) for env in environments},
+        "fig12",
+        {env.name: (env, n_threads) for env in POWER_ENVIRONMENTS},
         "power target",
         (("mips", "Figure 12: throughput relative to Random+Foxton*, 20 "
                   "threads (paper: LinOpt 1.16/1.12/1.11 across "

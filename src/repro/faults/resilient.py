@@ -20,7 +20,7 @@ overrun its deadline), exercising the same chain.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +59,6 @@ class ResilientManager(PowerManager):
             is accepted from the primary even if still infeasible —
             there is nothing further down the chain could do about a
             budget below the chip's minimum operating point.
-        clock: Monotonic time source for the deadline (injectable for
-            deterministic tests; defaults to :func:`time.monotonic`).
 
     The wrapper is itself a :class:`PowerManager`, so it drops into
     :class:`~repro.runtime.OnlineSimulation` unchanged.
@@ -72,8 +70,7 @@ class ResilientManager(PowerManager):
                  fallback: Optional[PowerManager] = None,
                  evaluation_budget: Optional[int] = None,
                  deadline_s: Optional[float] = None,
-                 accept_infeasible_floor: bool = True,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 accept_infeasible_floor: bool = True) -> None:
         if evaluation_budget is not None and evaluation_budget < 1:
             raise ValueError("evaluation budget must be positive")
         if deadline_s is not None and deadline_s <= 0:
@@ -82,7 +79,6 @@ class ResilientManager(PowerManager):
         self.fallback = fallback if fallback is not None else FoxtonStar()
         self.evaluation_budget = evaluation_budget
         self.deadline_s = deadline_s
-        self.clock = clock if clock is not None else time.monotonic
         self.accept_infeasible_floor = accept_infeasible_floor
         self.name = f"Resilient({self.primary.name})"
         #: Cumulative count of invocations decided below tier 0.
@@ -143,10 +139,10 @@ class ResilientManager(PowerManager):
         try:
             if injected == MANAGER_ERROR:
                 raise ManagerFault("injected manager failure")
-            t0 = self.clock() if self.deadline_s is not None else 0.0
+            t0 = time.monotonic() if self.deadline_s is not None else 0.0
             result = self.primary.set_levels(chip, workload, assignment,
                                              env, **kwargs)
-            wall_s = (self.clock() - t0
+            wall_s = (time.monotonic() - t0
                       if self.deadline_s is not None else 0.0)
             evaluations += result.evaluations
             # LP-level fallbacks are counted even when the tier-0

@@ -66,9 +66,8 @@ class FaultEvent:
 class FaultSchedule:
     """An immutable, time-ordered fault schedule.
 
-    Iterating yields events in time order; :meth:`between` is the
-    simulation's per-sample query. An empty schedule is valid (and is
-    the transparent default everywhere).
+    Iterating yields events in time order. An empty schedule is valid
+    (and is the transparent default everywhere).
     """
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
@@ -85,10 +84,6 @@ class FaultSchedule:
 
     def __iter__(self):
         return iter(self._events)
-
-    def between(self, t_from: float, t_to: float) -> List[FaultEvent]:
-        """Events with ``t_from < time_s <= t_to`` (simulation step)."""
-        return [e for e in self._events if t_from < e.time_s <= t_to]
 
     @classmethod
     def random(

@@ -2,10 +2,11 @@
 
 Wraps the ideal :class:`repro.power.Sensor` with a health model: a
 sensor can be healthy, stuck at a constant, drifting, or dead.
-Readings always come back *bounded* — a plausibility clamp limits the
-reported range and a dead sensor substitutes its last-known-good
-reading — so managers consume degraded-but-safe values instead of
-NaNs or physical impossibilities (the Foxton firmware does the same).
+Readings always come back *bounded* — a plausibility clamp floors the
+reported value at :data:`PLAUSIBLE_LO_W` and a dead sensor
+substitutes its last-known-good reading — so managers consume
+degraded-but-safe values instead of NaNs or physical impossibilities
+(the Foxton firmware does the same).
 
 A :class:`SensorBank` holds one faultable sensor per core (plus one
 for the uncore), each with an *independent* noise stream spawned from
@@ -35,28 +36,25 @@ STUCK = "stuck"
 DRIFTING = "drifting"
 DEAD = "dead"
 
+#: Plausibility floor (W) on any reported value; readings are not
+#: bounded above.
+PLAUSIBLE_LO_W = 0.0
+
 
 class FaultableSensor:
     """A sensor with a health state, plausibility clamp and memory.
 
     Args:
         base: The underlying (possibly noisy) ideal sensor.
-        plausible_lo: Lower plausibility bound on any reported value.
-        plausible_hi: Upper bound (``None`` = unbounded above).
 
     Readings pass through the base sensor, then through the active
-    fault transform, then through the plausibility clamp. The last
-    clamped reading is remembered as the last-known-good substitute a
-    dead sensor keeps reporting.
+    fault transform, then through the plausibility clamp
+    (:data:`PLAUSIBLE_LO_W`). The last clamped reading is remembered
+    as the last-known-good substitute a dead sensor keeps reporting.
     """
 
-    def __init__(self, base: Sensor, plausible_lo: float = 0.0,
-                 plausible_hi: Optional[float] = None) -> None:
-        if plausible_hi is not None and plausible_hi < plausible_lo:
-            raise ValueError("plausibility bounds out of order")
+    def __init__(self, base: Sensor) -> None:
         self.base = base
-        self.plausible_lo = plausible_lo
-        self.plausible_hi = plausible_hi
         self.state = HEALTHY
         self.time_s = 0.0
         self._stuck_value = 0.0
@@ -65,16 +63,13 @@ class FaultableSensor:
         self._last_good: Optional[float] = None
 
     def _clamp(self, value: float) -> float:
-        value = max(value, self.plausible_lo)
-        if self.plausible_hi is not None:
-            value = min(value, self.plausible_hi)
-        return value
+        return max(value, PLAUSIBLE_LO_W)
 
     def read(self, true_value: float) -> float:
         """Observe a true value through noise, fault state and clamp."""
         if self.state == DEAD:
             if self._last_good is None:
-                return self.plausible_lo
+                return PLAUSIBLE_LO_W
             return self._last_good
         if self.state == STUCK:
             return self._clamp(self._stuck_value)
@@ -127,20 +122,15 @@ class SensorBank:
         spec: Noise/quantisation spec shared by all channels (each
             channel still gets an independent noise stream).
         seed: Parent seed for the independent per-channel generators.
-        plausible_lo / plausible_hi: Plausibility clamp bounds.
     """
 
     def __init__(self, n_cores: int, spec: Optional[SensorSpec] = None,
-                 seed: int = 0,
-                 plausible_lo: float = 0.0,
-                 plausible_hi: Optional[float] = None) -> None:
+                 seed: int = 0) -> None:
         if n_cores < 1:
             raise ValueError("need at least one core channel")
         rngs = independent_rngs(n_cores + 1, seed)
         self.channels: List[FaultableSensor] = [
-            FaultableSensor(PowerSensor(spec, rng), plausible_lo,
-                            plausible_hi)
-            for rng in rngs]
+            FaultableSensor(PowerSensor(spec, rng)) for rng in rngs]
 
     @property
     def n_cores(self) -> int:

@@ -8,7 +8,7 @@ controller steps voltage down within microseconds, independently of
 firmware policy. :class:`PowerWatchdog` reproduces that layer on the
 1 ms sensor grid: when the *sensor-sampled* chip power exceeds the
 budget by more than a guard band for K consecutive samples, one victim
-core (round-robin, like Foxton*) is stepped down ``step_levels``
+core (round-robin, like Foxton*) is stepped down :data:`STEP_LEVELS`
 levels, and an emergency cap pins that core until the system has been
 clean for a full manager interval.
 
@@ -27,6 +27,9 @@ from ..pm.foxton import next_round_robin_victim
 GUARD_BAND_FRAC = 0.01
 K_SAMPLES = 3
 
+#: DVFS levels removed from the victim per trigger.
+STEP_LEVELS = 1
+
 
 class PowerWatchdog:
     """K-out-of-K over-budget detector with round-robin step-down.
@@ -36,22 +39,18 @@ class PowerWatchdog:
             ``Ptarget`` (0.05 = trigger only above 105 % of budget).
         k_samples: Consecutive over-band sensor samples required to
             trigger (debounce against single-sample noise spikes).
-        step_levels: DVFS levels removed from the victim per trigger.
 
     One instance drives one simulation run; :meth:`reset` re-arms it.
     """
 
     def __init__(self, guard_band_frac: float = 0.05,
-                 k_samples: int = 3, step_levels: int = 1) -> None:
+                 k_samples: int = 3) -> None:
         if guard_band_frac < 0:
             raise ValueError("guard band must be non-negative")
         if k_samples < 1:
             raise ValueError("k_samples must be positive")
-        if step_levels < 1:
-            raise ValueError("step_levels must be positive")
         self.guard_band_frac = guard_band_frac
         self.k_samples = k_samples
-        self.step_levels = step_levels
         self.reset(0)
 
     def reset(self, n_threads: int) -> None:
@@ -96,7 +95,7 @@ class PowerWatchdog:
             new_levels, self._pointer)
         if victim < 0:
             return new_levels, victim
-        new_levels[victim] = max(new_levels[victim] - self.step_levels, 0)
+        new_levels[victim] = max(new_levels[victim] - STEP_LEVELS, 0)
         self._caps[victim] = new_levels[victim]
         return new_levels, victim
 

@@ -39,15 +39,6 @@ class Rect:
     def centre(self) -> Tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
-    def overlaps(self, other: "Rect") -> bool:
-        """Whether the two rectangles share interior area."""
-        return not (
-            self.x1 <= other.x0
-            or other.x1 <= self.x0
-            or self.y1 <= other.y0
-            or other.y1 <= self.y0
-        )
-
     def subgrid(self, cols: int, rows: int):
         """Split into a cols x rows grid of sub-rectangles.
 

@@ -115,17 +115,15 @@ def bias_for_target_frequency(
 def frequency_levelling_biases(
     chip: ChipProfile,
     params: Optional[AbbParams] = None,
-    target_hz: Optional[float] = None,
 ) -> np.ndarray:
-    """Humenay-style speed levelling: bias every core toward a target.
+    """Humenay-style speed levelling: bias every core toward the die's
+    median fmax.
 
     Slow cores get forward bias (speed-up, leakage-up), fast cores get
-    reverse bias (slow-down, leakage-down). The default target is the
-    die's median fmax.
+    reverse bias (slow-down, leakage-down).
     """
     params = params or AbbParams()
-    if target_hz is None:
-        target_hz = float(np.median(chip.fmax_array))
+    target_hz = float(np.median(chip.fmax_array))
     return np.array([
         bias_for_target_frequency(core, target_hz, chip.tech.vdd_max,
                                   params)

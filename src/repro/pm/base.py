@@ -79,12 +79,17 @@ class PmResult:
                         evaluations=self.evaluations, stats=merged)
 
 
+#: Power (W) a state may exceed either constraint by and still meet it.
+CONSTRAINT_SLACK_W = 1e-9
+
+
 def meets_constraints(state: SystemState, p_target: float,
-                      p_core_max: float, slack: float = 1e-9) -> bool:
+                      p_core_max: float) -> bool:
     """Whether a state satisfies both power constraints."""
-    if state.total_power > p_target + slack:
+    if state.total_power > p_target + CONSTRAINT_SLACK_W:
         return False
-    return bool(np.all(state.core_power <= p_core_max + slack))
+    return bool(np.all(state.core_power <= p_core_max
+                       + CONSTRAINT_SLACK_W))
 
 
 class PowerManager(abc.ABC):

@@ -35,12 +35,11 @@ _MAX_STEPS_FACTOR = 2
 def next_round_robin_victim(
     levels: Sequence[int],
     pointer: int,
-    blocked: Sequence[bool] = (),
 ) -> Tuple[int, int]:
     """Next thread the round-robin sweep may step down.
 
     Scans at most one full revolution from ``pointer``, skipping
-    threads already at the floor (level 0) and any marked blocked.
+    threads already at the floor (level 0).
     Returns ``(victim, new_pointer)`` with ``victim = -1`` when no
     thread is eligible. Shared by :class:`FoxtonStar` and the
     emergency power watchdog (:class:`repro.faults.PowerWatchdog`),
@@ -51,7 +50,7 @@ def next_round_robin_victim(
     for _ in range(n):
         candidate = pointer % n
         pointer += 1
-        if levels[candidate] > 0 and not (blocked and blocked[candidate]):
+        if levels[candidate] > 0:
             return candidate, pointer
     return -1, pointer
 

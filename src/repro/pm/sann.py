@@ -55,22 +55,22 @@ def _sweep(cand_at: Callable[[int, Levels], Tuple[Optional[Levels], int]],
             yield cand
 
 
+#: Initial annealing temperature per thread (energy units).
+INITIAL_TEMP_PER_THREAD = 150.0
+
+
 class SAnnManager(PowerManager):
     """Simulated-annealing power manager."""
 
     name = "SAnn"
 
     def __init__(self, n_evaluations: int = 2000,
-                 initial_temp_per_thread: float = 150.0,
                  objective: str = "mips") -> None:
         if n_evaluations < 1:
             raise ValueError("n_evaluations must be positive")
-        if initial_temp_per_thread <= 0:
-            raise ValueError("initial temperature must be positive")
         if objective not in ("mips", "weighted"):
             raise ValueError("objective must be 'mips' or 'weighted'")
         self.n_evaluations = n_evaluations
-        self.initial_temp_per_thread = initial_temp_per_thread
         self.objective = objective
 
     def set_levels(
@@ -157,7 +157,7 @@ class SAnnManager(PowerManager):
                 out[i] = int(np.clip(out[i] + delta, 0, n_levels[i] - 1))
             return tuple(out)
 
-        initial_temp = self.initial_temp_per_thread * n
+        initial_temp = INITIAL_TEMP_PER_THREAD * n
         result = simulated_annealing(
             initial_state=tuple(greedy.levels),
             energy_fn=energy,

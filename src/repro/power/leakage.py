@@ -141,12 +141,12 @@ class L2LeakageModel:
 
     The L2 spans several floorplan blocks; leakage is evaluated per
     block at that block's temperature, with the calibrated total split
-    across blocks by area.
+    across blocks by area. The budget is the current value of
+    :data:`repro.power.scaling.L2_STATIC_NOMINAL_W`.
     """
 
     def __init__(self, vmap: VariationMap, floorplan: Floorplan,
-                 tech: TechParams,
-                 nominal_watts: float = None) -> None:
+                 tech: TechParams) -> None:
         if not floorplan.l2_blocks:
             raise ValueError("floorplan has no L2 blocks")
         self._block_vth: List[np.ndarray] = []
@@ -155,12 +155,11 @@ class L2LeakageModel:
             vth, _ = vmap.region_cells(rect.x0, rect.y0, rect.x1, rect.y1)
             self._block_vth.append(vth)
             areas.append(rect.area)
-        if nominal_watts is None:
-            nominal_watts = scaling.L2_STATIC_NOMINAL_W
         areas = np.asarray(areas)
         self._block_share = areas / areas.sum()
         self.tech = tech
-        self.calibration = leakage_calibration(tech, nominal_watts)
+        self.calibration = leakage_calibration(
+            tech, scaling.L2_STATIC_NOMINAL_W)
 
     @classmethod
     def from_arrays(cls, block_vth: Sequence[np.ndarray],

@@ -310,18 +310,14 @@ def evaluate_uniform_frequency(
     chip: ChipProfile,
     workload: Workload,
     assignment: Assignment,
-    freq_hz: Optional[float] = None,
 ) -> SystemState:
     """UniFreq operating point: all cores at the chip frequency.
 
-    The chip frequency defaults to the slowest core's fmax (all cores
-    run at the frequency of the slowest one, Section 4.1); all cores
-    are at maximum voltage since there is no DVFS.
+    The chip frequency is the slowest core's fmax (all cores run at
+    the frequency of the slowest one, Section 4.1); all cores are at
+    maximum voltage since there is no DVFS.
     """
-    f_chip = chip.min_fmax if freq_hz is None else float(freq_hz)
-    if f_chip <= 0:
-        raise ValueError("chip frequency must be positive")
     n = assignment.n_threads
     volts = np.full(n, chip.tech.vdd_max)
-    freqs = np.full(n, f_chip)
+    freqs = np.full(n, chip.min_fmax)
     return evaluate_explicit(chip, workload, assignment, volts, freqs)

@@ -317,8 +317,9 @@ class OnlineSimulation:
 
         Built from each application's phase timeline; selecting the
         segment via ``searchsorted(..., side="right")`` performs the
-        identical comparison :meth:`PhasedApplication.state_at` does,
-        so the grid matches a per-sample ``state_at`` sweep exactly.
+        identical comparison as the per-sample reference lookup
+        ``phase_state_at`` in ``tests/references.py``, so the grid
+        matches a per-sample sweep exactly.
         """
         n_steps = times.size
         n_apps = len(self.phased)

@@ -1,4 +1,9 @@
-"""Thermal substrate: block RC network + leakage fixed point."""
+"""Thermal substrate: block RC network + leakage fixed point.
+
+Runs use the steady-state solve only; the transient integrator that
+checks the quasi-static assumption is test support
+(``tests/transient.py``).
+"""
 
 from .rc_network import (
     DEFAULT_AMBIENT_K,
@@ -7,7 +12,6 @@ from .rc_network import (
     ThermalNetwork,
     shared_edge_length,
 )
-from .transient import TransientThermal
 from .hotspot import (
     DEFAULT_TOLERANCE_K,
     MAX_ITERATIONS,
@@ -23,7 +27,6 @@ __all__ = [
     "ThermalNetwork",
     "ThermalSolution",
     "VERTICAL_CONDUCTANCE_W_PER_K_MM2",
-    "TransientThermal",
     "shared_edge_length",
     "solve_with_leakage",
 ]

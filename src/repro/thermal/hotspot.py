@@ -47,7 +47,6 @@ def solve_with_leakage(
     network: ThermalNetwork,
     dynamic_power_w: Sequence[float],
     leakage_fn: Callable[[np.ndarray], np.ndarray],
-    tolerance_k: float = DEFAULT_TOLERANCE_K,
 ) -> ThermalSolution:
     """Iterate temperature and leakage to a fixed point.
 
@@ -57,7 +56,6 @@ def solve_with_leakage(
             iterations).
         leakage_fn: Maps a block-temperature vector (kelvin) to a
             per-block leakage power vector (watts).
-        tolerance_k: Convergence threshold on max temperature change.
 
     Returns:
         A :class:`ThermalSolution`.
@@ -87,7 +85,7 @@ def solve_with_leakage(
                 "power/cooling parameters")
         delta = float(np.max(np.abs(new_temps - temps)))
         temps = new_temps
-        if delta < tolerance_k:
+        if delta < DEFAULT_TOLERANCE_K:
             return ThermalSolution(block_temps_k=temps,
                                    block_power_w=total,
                                    iterations=iteration)

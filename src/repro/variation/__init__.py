@@ -1,4 +1,8 @@
-"""Process-variation substrate (VARIUS-style model)."""
+"""Process-variation substrate (VARIUS-style model).
+
+The variogram estimator and spherical fit that check the field
+samplers' correlation are test support (``tests/variogram.py``).
+"""
 
 from .spatial import (
     CholeskyFieldSampler,
@@ -14,24 +18,12 @@ from .varius import (
     generate_variation_maps,
 )
 from .die import Die, DieBatch
-from .variogram import (
-    EmpiricalVariogram,
-    SphericalFit,
-    empirical_variogram,
-    fit_spherical,
-    pooled_variogram,
-)
 
 __all__ = [
     "CholeskyFieldSampler",
     "CirculantFieldSampler",
     "Die",
     "DieBatch",
-    "EmpiricalVariogram",
-    "SphericalFit",
-    "empirical_variogram",
-    "fit_spherical",
-    "pooled_variogram",
     "VariationMap",
     "VariationParams",
     "VTH_LEFF_CORRELATION",

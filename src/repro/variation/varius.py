@@ -33,8 +33,9 @@ VTH_LEFF_CORRELATION = 0.85
 class VariationParams:
     """Statistical parameters of one variation component pair.
 
-    ``sigma_sys`` and ``sigma_ran`` are absolute standard deviations
-    (volts for Vth, metres for Leff) with equal variances by default.
+    ``sigma_sys`` is the systematic component's absolute standard
+    deviation (volts for Vth, metres for Leff); the random component
+    has the same variance.
     """
 
     mean: float
@@ -50,11 +51,6 @@ class VariationParams:
     @property
     def sigma_sys(self) -> float:
         """Systematic-component sigma (equal-variance split)."""
-        return self.sigma_total / np.sqrt(2.0)
-
-    @property
-    def sigma_ran(self) -> float:
-        """Random-component sigma (equal-variance split)."""
         return self.sigma_total / np.sqrt(2.0)
 
 

@@ -5,14 +5,14 @@ dynamic power. The paper exploits this ("speeding up high-IPC sections
 and slowing down low-IPC sections", Section 7.5) and its Figure 14
 depends on power drifting between LinOpt invocations. We model phases
 as a piecewise-constant random process: phase durations are exponential
-with a configurable mean, and each phase scales the application's IPC
-and dynamic power by log-normal multipliers (correlated — high-activity
-phases burn more power).
+with mean :data:`MEAN_PHASE_S`, and each phase scales the application's
+IPC and dynamic power by log-normal multipliers of log-sigma
+:data:`PHASE_SIGMA` (correlated — high-activity phases burn more
+power).
 """
 
 from __future__ import annotations
 
-import bisect
 import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -23,6 +23,10 @@ from .applications import AppProfile
 
 # Correlation between the IPC multiplier and the power multiplier.
 PHASE_CORRELATION = 0.7
+# Mean phase duration (s).
+MEAN_PHASE_S = 0.050
+# Log-sigma of the phase multipliers.
+PHASE_SIGMA = 0.35
 
 
 @dataclass(frozen=True)
@@ -44,20 +48,8 @@ class PhasedApplication:
     simulation reproduces the identical phase trace.
     """
 
-    def __init__(
-        self,
-        profile: AppProfile,
-        seed: int = 0,
-        mean_phase_s: float = 0.050,
-        sigma: float = 0.35,
-    ) -> None:
-        if mean_phase_s <= 0:
-            raise ValueError("mean phase duration must be positive")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+    def __init__(self, profile: AppProfile, seed: int = 0) -> None:
         self.profile = profile
-        self.mean_phase_s = mean_phase_s
-        self.sigma = sigma
         # crc32, not hash(): str hashing is salted per process, which
         # would make phase traces unreproducible across runs.
         self._rng = np.random.default_rng(
@@ -75,32 +67,21 @@ class PhasedApplication:
         ipc_z = z1
         pow_z = rho * z1 + np.sqrt(1 - rho ** 2) * z2
         # Log-normal multipliers centred on 1 (mean-corrected).
-        correction = np.exp(-0.5 * self.sigma ** 2)
+        correction = np.exp(-0.5 * PHASE_SIGMA ** 2)
         return PhaseState(
-            ipc_multiplier=float(np.exp(self.sigma * ipc_z) * correction),
-            power_multiplier=float(np.exp(self.sigma * pow_z) * correction),
+            ipc_multiplier=float(np.exp(PHASE_SIGMA * ipc_z) * correction),
+            power_multiplier=float(np.exp(PHASE_SIGMA * pow_z)
+                                   * correction),
         )
 
     def _advance_to(self, time_s: float) -> None:
         """Generate phases forward until the process covers ``time_s``."""
         while time_s >= self._phase_end:
-            duration = self._rng.exponential(self.mean_phase_s)
+            duration = self._rng.exponential(MEAN_PHASE_S)
             self._phase_end += max(duration, 1e-6)
             state = self._draw_phase()
             self._seg_ends.append(self._phase_end)
             self._seg_states.append(state)
-
-    def state_at(self, time_s: float) -> PhaseState:
-        """Phase multipliers at simulation time ``time_s``.
-
-        The process is generated forward on demand; any time within
-        the generated horizon can be queried (segments are kept).
-        """
-        if time_s < 0:
-            raise ValueError("time must be non-negative")
-        self._advance_to(time_s)
-        idx = bisect.bisect_right(self._seg_ends, time_s)
-        return self._seg_states[idx]
 
     def timeline_until(
         self, t_end: float,
@@ -108,9 +89,10 @@ class PhasedApplication:
         """Segment ends plus per-segment multipliers covering [0, t_end].
 
         Returns ``(ends, ipc_multipliers, power_multipliers)`` where
-        segment k spans ``[ends[k-1], ends[k])``. Looking up a time t
-        via ``np.searchsorted(ends, t, side="right")`` selects exactly
-        the segment :meth:`state_at` would return.
+        segment k spans ``[ends[k-1], ends[k])``; a time t lies in
+        segment ``np.searchsorted(ends, t, side="right")``. The process
+        is generated forward on demand and segments are kept, so a
+        longer horizon only extends the timeline.
         """
         if t_end < 0:
             raise ValueError("time must be non-negative")

@@ -12,6 +12,10 @@ tests and for the benchmarks that measure the fast path against it:
   :func:`repro.fleet.campaign.fleet_die_metrics` computes die-batched;
 * :func:`exact_quantile` — the sorted-sample quantile the online
   estimators of :mod:`repro.fleet.quantiles` are tested against;
+* :func:`phase_state_at` — one application's phase multipliers at one
+  time, the per-sample lookup that
+  :meth:`repro.workloads.PhasedApplication.timeline_until` and the
+  stepper's multiplier grid must agree with;
 * :func:`sample_field` and :func:`generate_variation_map` — one field,
   and one die's variation map, at a time: the oracles of the field
   samplers' ``sample_batch`` and of
@@ -30,6 +34,7 @@ collect it; tests and benchmarks import it as ``tests.references``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -69,7 +74,12 @@ from repro.variation import (
     make_field_sampler,
 )
 from repro.variation.varius import _finalize_variation_map
-from repro.workloads import SPEC_APPS, Workload
+from repro.workloads import (
+    SPEC_APPS,
+    PhasedApplication,
+    PhaseState,
+    Workload,
+)
 
 
 def run_dense(sim: OnlineSimulation, duration_s: float,
@@ -192,6 +202,19 @@ def exact_quantile(values, p: float) -> float:
     lo = int(math.floor(idx))
     hi = min(lo + 1, arr.size - 1)
     return float(arr[lo] + (idx - lo) * (arr[hi] - arr[lo]))
+
+
+def phase_state_at(app: PhasedApplication, time_s: float) -> PhaseState:
+    """Phase multipliers of ``app`` at simulation time ``time_s``.
+
+    The process is generated forward on demand; any time within the
+    generated horizon can be queried (segments are kept).
+    """
+    if time_s < 0:
+        raise ValueError("time must be non-negative")
+    app._advance_to(time_s)
+    idx = bisect.bisect_right(app._seg_ends, time_s)
+    return app._seg_states[idx]
 
 
 def sample_field(sampler, rng: np.random.Generator) -> np.ndarray:

@@ -121,21 +121,11 @@ class TestUniformFrequency:
         np.testing.assert_allclose(state.freqs, chip.min_fmax)
         np.testing.assert_allclose(state.voltages, 1.0)
 
-    def test_explicit_frequency(self, chip, workload4, assignment4):
-        state = evaluate_uniform_frequency(chip, workload4, assignment4,
-                                           freq_hz=2.0e9)
-        np.testing.assert_allclose(state.freqs, 2.0e9)
-
     def test_nunifreq_beats_unifreq_throughput(self, chip, workload4,
                                                assignment4):
         uni = evaluate_uniform_frequency(chip, workload4, assignment4)
         nuni = evaluate_max_levels(chip, workload4, assignment4)
         assert nuni.throughput_mips >= uni.throughput_mips
-
-    def test_rejects_bad_frequency(self, chip, workload4, assignment4):
-        with pytest.raises(ValueError):
-            evaluate_uniform_frequency(chip, workload4, assignment4,
-                                       freq_hz=-1.0)
 
 
 class TestMetrics:

@@ -196,8 +196,7 @@ class TestAgingPlusAbb:
         shifts = np.full(chip.n_cores, 0.020)
         old = aged_chip(chip, shifts)
         assert old.min_fmax < chip.min_fmax
-        biases = frequency_levelling_biases(
-            old, target_hz=float(np.median(old.fmax_array)))
+        biases = frequency_levelling_biases(old)
         recovered = biased_chip(old, biases)
         # Forward bias on the slow cores lifts the UniFreq floor back.
         assert recovered.min_fmax > old.min_fmax

@@ -26,7 +26,10 @@ from repro.faults import (
     PowerWatchdog,
     ResilientManager,
     SensorBank,
+    sensors,
+    watchdog,
 )
+from repro.faults.sensors import PLAUSIBLE_LO_W
 from repro.pm import FoxtonStar, PmResult, meets_constraints
 from repro.pm.base import PowerManager
 from repro.pm.foxton import next_round_robin_victim
@@ -44,14 +47,12 @@ def sim_setup(small_chip):
 
 
 class TestFaultSchedule:
-    def test_events_sorted_and_between(self):
+    def test_events_sorted(self):
         sched = FaultSchedule([
             FaultEvent(0.030, SENSOR_DEAD, target=1),
             FaultEvent(0.010, CORE_OFFLINE, target=2),
         ])
         assert [e.time_s for e in sched] == [0.010, 0.030]
-        assert len(sched.between(0.0, 0.010)) == 1
-        assert sched.between(0.010, 0.030)[0].kind == SENSOR_DEAD
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,10 +78,9 @@ class TestFaultSchedule:
 
 class TestFaultableSensor:
     def test_stuck_reads_constant_clamped(self):
-        s = FaultableSensor(PowerSensor(), plausible_lo=0.0,
-                            plausible_hi=10.0)
-        s.apply(FaultEvent(0.0, SENSOR_STUCK, param=50.0))
-        assert s.read(3.0) == 10.0  # clamped to plausible_hi
+        s = FaultableSensor(PowerSensor())
+        s.apply(FaultEvent(0.0, SENSOR_STUCK, param=-5.0))
+        assert s.read(3.0) == PLAUSIBLE_LO_W  # clamped to the floor
         assert not s.healthy
 
     def test_drift_grows_with_time(self):
@@ -99,18 +99,18 @@ class TestFaultableSensor:
         assert s.read(99.0) == 7.5
         assert s.read(1.0) == 7.5
 
-    def test_dead_without_history_reads_floor(self):
-        s = FaultableSensor(PowerSensor(), plausible_lo=0.5)
+    def test_dead_without_history_reads_floor(self, monkeypatch):
+        monkeypatch.setattr(sensors, "PLAUSIBLE_LO_W", 0.5)
+        s = FaultableSensor(PowerSensor())
         s.apply(FaultEvent(0.0, SENSOR_DEAD))
         assert s.read(42.0) == 0.5
 
     def test_plausibility_clamp_bounds_noise(self):
         spec = SensorSpec(noise_sigma=100.0)
-        s = FaultableSensor(
-            PowerSensor(spec, np.random.default_rng(0)),
-            plausible_lo=0.0, plausible_hi=20.0)
+        s = FaultableSensor(PowerSensor(spec, np.random.default_rng(0)))
         reads = [s.read(10.0) for _ in range(50)]
-        assert all(0.0 <= r <= 20.0 for r in reads)
+        assert all(r >= PLAUSIBLE_LO_W for r in reads)
+        assert PLAUSIBLE_LO_W in reads  # the noise did reach the floor
 
 
 class TestSensorBank:
@@ -162,11 +162,6 @@ class TestRoundRobinVictim:
         victim, _ = next_round_robin_victim([0, 0, 0], 0)
         assert victim == -1
 
-    def test_blocked_mask(self):
-        victim, _ = next_round_robin_victim([2, 2], 0,
-                                            blocked=[True, False])
-        assert victim == 1
-
 
 class TestPowerWatchdog:
     def test_requires_k_consecutive_samples(self):
@@ -191,8 +186,9 @@ class TestPowerWatchdog:
         assert not wd.observe(0.001, 10.9, 10.0)
         assert wd.observe(0.002, 11.2, 10.0)
 
-    def test_step_down_round_robin_and_caps(self):
-        wd = PowerWatchdog(k_samples=1, step_levels=2)
+    def test_step_down_round_robin_and_caps(self, monkeypatch):
+        monkeypatch.setattr(watchdog, "STEP_LEVELS", 2)
+        wd = PowerWatchdog(k_samples=1)
         wd.reset(3)
         levels, victim = wd.emergency_step_down([5, 5, 5])
         assert victim == 0 and levels == [3, 5, 5]
@@ -230,8 +226,6 @@ class TestPowerWatchdog:
             PowerWatchdog(guard_band_frac=-0.1)
         with pytest.raises(ValueError):
             PowerWatchdog(k_samples=0)
-        with pytest.raises(ValueError):
-            PowerWatchdog(step_levels=0)
 
 
 class _CrashingManager(PowerManager):

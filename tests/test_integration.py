@@ -120,4 +120,4 @@ class TestFullPipeline:
                 result = manager.set_levels(chip, wl, asg, env)
                 p_target = env.p_target(10, chip.n_cores)
                 assert meets_constraints(result.state, p_target,
-                                         env.p_core_max, slack=1e-6)
+                                         env.p_core_max)

