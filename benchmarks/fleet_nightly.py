@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Nightly fleet campaign: kill it mid-run, resume it, prove bitwise.
+"""Nightly fleet campaign: kill it mid-run, resume it, split it across
+hosts, merge it, prove bitwise.
 
 The crash-safety promise of the fleet subsystem is not "it usually
 recovers" but "an interrupted-then-resumed campaign emits *exactly*
-the bytes an uninterrupted one does". This driver enforces that
-end to end, nightly, at smoke scale (10^4 dies by default):
+the bytes an uninterrupted one does", and a multi-host campaign is
+held to the same bytes once merged. This driver enforces both end to
+end, nightly, at smoke scale (10^4 dies by default):
 
 1. launch ``repro fleet run`` as a subprocess and SIGKILL it once its
    journal holds at least ``--kill-after`` completed chunk units;
@@ -14,7 +16,11 @@ end to end, nightly, at smoke scale (10^4 dies by default):
    loaded arrays bitwise-equal (npz files are zip containers with
    member timestamps, so file bytes are *expected* to differ — array
    contents are the contract);
-5. enforce the campaign throughput floor and write a
+5. run the same plan as two chunk-aligned host slices
+   (:meth:`ShardManifest.partition`), merge them with
+   :func:`merge_campaigns` and compare the merge with the reference
+   the same way;
+6. enforce the campaign throughput floor and write a
    ``BENCH_fleet_nightly.json`` record for the artifact trail.
 
 Exit code 0 only if every check above holds.
@@ -39,11 +45,16 @@ from repro.fleet import (  # noqa: E402
     FleetPlan,
     iter_shards,
     load_shard,
+    merge_campaigns,
     run_fleet_campaign,
 )
+from repro.parallel import ShardManifest  # noqa: E402
 from repro.storage import decode_line  # noqa: E402
 
 DIES_PER_S_FLOOR = 18.0
+
+#: Host names of the multi-host merge check.
+HOSTS = ("alpha", "beta")
 
 
 def count_journal_units(journal: pathlib.Path) -> int:
@@ -98,8 +109,8 @@ def compare_campaigns(a: pathlib.Path, b: pathlib.Path) -> None:
     sb = (b / "summary.json").read_bytes()
     if sa != sb:
         raise SystemExit(
-            "summary.json of the resumed campaign differs from the "
-            "uninterrupted reference — resume is not deterministic")
+            f"summary.json of {a} differs from the uninterrupted "
+            f"reference {b} — not deterministic")
     shards_a = {i.path.name: i.path for i in iter_shards(a / "shards")}
     shards_b = {i.path.name: i.path for i in iter_shards(b / "shards")}
     if set(shards_a) != set(shards_b):
@@ -113,8 +124,8 @@ def compare_campaigns(a: pathlib.Path, b: pathlib.Path) -> None:
         for col in sorted(ca):
             if not np.array_equal(ca[col], cb[col]):
                 raise SystemExit(
-                    f"{name}: column {col!r} differs between the "
-                    "resumed and reference campaigns (not bitwise)")
+                    f"{name}: column {col!r} differs between {a} and "
+                    "the reference campaign (not bitwise)")
     print(f"bitwise check OK: {len(shards_a)} shards, "
           "summary.json byte-identical")
 
@@ -141,13 +152,13 @@ def main(argv=None) -> int:
                      chunk_dies=args.chunk,
                      with_power=not args.no_power)
 
-    print(f"[1/4] interrupted run: {plan.n_dies} dies, SIGKILL after "
+    print(f"[1/5] interrupted run: {plan.n_dies} dies, SIGKILL after "
           f"{args.kill_after} journaled chunks")
     killed_at = run_and_kill(plan, args.out / "interrupted",
                              args.kill_after, args.kill_timeout)
     print(f"      killed with {killed_at} chunks journaled")
 
-    print("[2/4] resuming from the surviving journal")
+    print("[2/5] resuming from the surviving journal")
     resumed = run_fleet_campaign(plan, args.out / "interrupted",
                                  workers=1)
     if resumed.resumed_chunks < args.kill_after:
@@ -158,13 +169,23 @@ def main(argv=None) -> int:
     print(f"      {resumed.resumed_chunks}/{resumed.n_chunks} chunks "
           "replayed from journal")
 
-    print("[3/4] uninterrupted reference run")
+    print("[3/5] uninterrupted reference run")
     reference = run_fleet_campaign(plan, args.out / "reference",
                                    workers=1)
     print(f"      {reference.dies_per_s:.1f} dies/s")
 
-    print("[4/4] bitwise equality: resumed vs reference")
+    print("[4/5] bitwise equality: resumed vs reference")
     compare_campaigns(resumed.out_dir, reference.out_dir)
+
+    print("[5/5] two host slices, merged, vs reference")
+    manifest = ShardManifest.partition(plan.to_dict(), HOSTS)
+    host_dirs = [
+        run_fleet_campaign(
+            FleetPlan.from_dict(manifest.host_plan_params(host)),
+            args.out / "hosts" / host, workers=1).out_dir
+        for host in HOSTS]
+    merged = merge_campaigns(manifest, host_dirs, args.out / "merged")
+    compare_campaigns(merged.out_dir, reference.out_dir)
 
     record = {
         "name": "fleet_nightly",

@@ -6,8 +6,8 @@ worker processes), pushed through the die-batched
 :class:`~repro.runtime.kernel.EvalKernel` for the Figure-4 per-die
 metrics, streamed to one columnar shard
 (:func:`repro.fleet.shards.write_shard`), folded into the online
-:class:`~repro.fleet.quantiles.FleetAccumulator`, and journaled.
-Peak memory is O(chunk), never O(fleet).
+:class:`~repro.fleet.quantiles.FleetAccumulator` in die order, and
+journaled. Peak memory is O(chunk), never O(fleet).
 
 Crash-safety rides the campaign journal
 (:class:`~repro.parallel.journal.RunJournal`): every chunk's per-die
@@ -19,7 +19,10 @@ the summary (:func:`repro.storage.write_atomic`) are replaced
 atomically. A resumed campaign
 therefore produces bitwise-identical shards and a byte-identical
 ``summary.json`` — the nightly CI job kills a campaign mid-run and
-asserts exactly that.
+asserts exactly that. :func:`merge_campaigns` combines host slices
+the same way: it replays the hosts' journaled columns in die order
+into one fresh accumulator, so a merged ``summary.json`` is the bytes
+a single-host run writes.
 """
 
 from __future__ import annotations
@@ -228,7 +231,6 @@ class FleetCampaignResult:
 
     plan: FleetPlan
     out_dir: pathlib.Path
-    accumulator: FleetAccumulator
     n_dies: int
     n_chunks: int
     resumed_chunks: int
@@ -293,7 +295,7 @@ def run_fleet_campaign(
             invoked after every chunk.
 
     Returns:
-        :class:`FleetCampaignResult` with the online accumulator and
+        :class:`FleetCampaignResult` with the die counts and
         throughput facts.
     """
     t0 = time.perf_counter()
@@ -345,7 +347,7 @@ def run_fleet_campaign(
     _write_summary(out_dir, plan, acc, len(chunks))
     wall = time.perf_counter() - t0
     return FleetCampaignResult(
-        plan=plan, out_dir=out_dir, accumulator=acc,
+        plan=plan, out_dir=out_dir,
         n_dies=plan.n_dies, n_chunks=len(chunks),
         resumed_chunks=resumed, computed_dies=computed, wall_s=wall)
 
@@ -417,24 +419,25 @@ def merge_campaigns(
         covered += hi - lo
     _write_summary(out_dir, plan, acc, len(chunks))
     return FleetCampaignResult(
-        plan=plan, out_dir=out_dir, accumulator=acc,
+        plan=plan, out_dir=out_dir,
         n_dies=covered, n_chunks=len(chunks),
         resumed_chunks=len(chunks), computed_dies=0,
         wall_s=time.perf_counter() - t0)
 
 
 def summarize_shards(shard_dir: Union[str, pathlib.Path],
-                     spec: Optional[Dict[str, tuple]] = None,
                      ) -> FleetAccumulator:
     """Rebuild an online accumulator by streaming the shards on disk.
 
     Used by ``repro fleet stats`` to recompute campaign statistics
-    from the shards on disk — one shard in memory at a time (the
-    multi-host merge, :func:`merge_campaigns`, replays journals
-    instead). Metrics not present in a shard are skipped; ``spec``
-    defaults to the ranges the campaign driver uses.
+    from the shards on disk — one shard in memory at a time, in die
+    order (the multi-host merge, :func:`merge_campaigns`, replays
+    journals instead). The metrics are the
+    :data:`DEFAULT_METRIC_SPEC` entries the shards hold, with the
+    ranges the campaign driver uses, so a ``--no-power`` campaign
+    gets no ``power_ratio`` row.
     """
-    acc = FleetAccumulator(dict(spec or DEFAULT_METRIC_SPEC))
+    acc: Optional[FleetAccumulator] = None
     for info in iter_shards(shard_dir):
         try:
             cols = load_shard(info.path)
@@ -443,8 +446,12 @@ def summarize_shards(shard_dir: Union[str, pathlib.Path],
             # reads as a coverage gap for a resumed campaign to
             # recompute rather than a poisoned contribution.
             continue
-        acc.add_dies({k: v for k, v in cols.items() if k != "die"})
-    return acc
+        if acc is None:
+            acc = FleetAccumulator({k: v for k, v in
+                                    DEFAULT_METRIC_SPEC.items()
+                                    if k in cols})
+        acc.add_dies(cols)
+    return acc if acc is not None else FleetAccumulator({})
 
 
 def load_summary(out_dir: Union[str, pathlib.Path]) -> Dict[str, Any]:

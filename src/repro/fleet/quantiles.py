@@ -5,28 +5,26 @@ materialised as one array. Three estimators cover the fig04/fig05
 analyses:
 
 * :class:`RunningMoments` — count/mean/variance/min/max in O(1) state
-  (Welford update, Chan et al. parallel merge);
-* :class:`FleetHistogram` — fixed-bin counts over a declared range.
-  Integer count addition is exact, so shard merges are *exactly
-  associative* — the property multi-host campaigns rely on — and
-  quantiles interpolated from the bins converge as bins narrow;
+  (Welford update per batch);
+* :class:`FleetHistogram` — fixed-bin counts over a declared range;
 * :class:`P2Quantile` — the Jain & Chlamtac P-squared estimator: a
   single running quantile from five markers, no bins to declare.
-  Markers are nonlinear state, so P² streams do **not** merge across
-  shards; it serves single-stream dashboards, while cross-host
-  quantiles come from merged histograms.
 
 :class:`FleetAccumulator` bundles all three per named metric and is
-the unit the campaign driver updates per chunk and serialises into
-``summary.json``. All estimators reject NaN/inf on entry — a silent
-NaN would poison every downstream mean — and round-trip exactly
-through ``to_dict``/``from_dict`` (JSON floats are repr-exact).
+the unit the campaign driver feeds chunk by chunk, in die order, and
+serialises into ``summary.json``. There is one stream per campaign:
+hosts of a multi-host campaign are combined by replaying their
+journaled columns into a fresh accumulator in die order
+(:func:`repro.fleet.campaign.merge_campaigns`), which is what keeps a
+merged ``summary.json`` byte-identical to a single-host run's. All
+estimators reject NaN/inf on entry — a silent NaN would poison every
+downstream mean.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,12 +55,10 @@ def _clean(values: _Values, what: str) -> np.ndarray:
 class RunningMoments:
     """Streaming count / mean / variance / min / max.
 
-    Welford's update per batch; :meth:`merge` uses the Chan et al.
-    pairwise combination. Counts, min and max merge exactly; the
-    floating mean/M2 merge is algebraically exact but (like any
-    float sum) not bitwise-associative across groupings — campaign
-    summaries therefore treat merged means as tolerance-compared,
-    while counts/min/max/histograms are compared exactly.
+    Each batch's own mean and M2 fold into the running state with the
+    Chan et al. pairwise formula. The floating mean/M2 depend on how
+    the stream is cut into batches, so the campaign feeds one batch
+    per chunk, in die order, on every path that writes a summary.
     """
 
     __slots__ = ("count", "mean", "_m2", "min", "max")
@@ -84,12 +80,6 @@ class RunningMoments:
         self._combine(n_b, mean_b, m2_b,
                       float(arr.min()), float(arr.max()))
 
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
-        self._combine(other.count, other.mean, other._m2,
-                      other.min, other.max)
-
     def _combine(self, n_b: int, mean_b: float, m2_b: float,
                  min_b: float, max_b: float) -> None:
         n_a = self.count
@@ -110,21 +100,6 @@ class RunningMoments:
     def std(self) -> float:
         return math.sqrt(self.variance) if self.count else math.nan
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "mean": self.mean, "m2": self._m2,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "RunningMoments":
-        out = cls()
-        out.count = int(d["count"])
-        out.mean = float(d["mean"])
-        out._m2 = float(d["m2"])
-        out.min = math.inf if d["min"] is None else float(d["min"])
-        out.max = -math.inf if d["max"] is None else float(d["max"])
-        return out
-
 
 class P2Quantile:
     """Jain & Chlamtac's P-squared single-quantile estimator.
@@ -132,9 +107,9 @@ class P2Quantile:
     Five markers track the running ``p``-quantile with piecewise-
     parabolic height adjustment — O(1) state, no bins to declare.
     Exact for the first five samples; an approximation after. Marker
-    state is nonlinear in the sample stream, so two P² estimators
-    cannot be merged — use :class:`FleetHistogram` for anything that
-    must combine across shards or hosts.
+    state is nonlinear in the sample stream, so the estimate depends
+    on sample order: a campaign's quantiles are those of its dies
+    streamed in die order.
     """
 
     __slots__ = ("p", "_heights", "_pos", "_desired", "_incr", "_n")
@@ -219,158 +194,78 @@ class P2Quantile:
             return h[lo] + (idx - lo) * (h[hi] - h[lo])
         return self._heights[2]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"p": self.p, "n": self._n, "heights": list(self._heights),
-                "pos": list(self._pos), "desired": list(self._desired)}
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "P2Quantile":
-        out = cls(float(d["p"]))
-        out._n = int(d["n"])
-        out._heights = [float(x) for x in d["heights"]]
-        out._pos = [float(x) for x in d["pos"]]
-        out._desired = [float(x) for x in d["desired"]]
-        return out
+#: Equal-width bins of every fleet histogram.
+N_BINS = 64
 
 
 class FleetHistogram:
-    """Fixed-bin histogram with exact, associative merge.
+    """Fixed-bin histogram of a declared range.
 
-    ``n_bins`` equal bins over ``[lo, hi)``; samples outside the
+    :data:`N_BINS` equal bins over ``[lo, hi)``; samples outside the
     declared range land in dedicated underflow/overflow counters (they
     are *counted*, never dropped — a fleet tail that escapes the
-    declared range must still show up in the totals). All state is
-    int64 counts, so :meth:`merge` is exact integer addition and
-    therefore associative and commutative across any shard grouping —
-    the invariant the multi-host merge tests pin down.
+    declared range must still show up in the totals).
     """
 
     __slots__ = ("lo", "hi", "counts", "underflow", "overflow")
 
-    def __init__(self, lo: float, hi: float, n_bins: int = 64) -> None:
+    def __init__(self, lo: float, hi: float) -> None:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("need finite lo < hi")
-        if n_bins < 1:
-            raise ValueError("need at least one bin")
         self.lo = float(lo)
         self.hi = float(hi)
-        self.counts = np.zeros(int(n_bins), dtype=np.int64)
+        self.counts = np.zeros(N_BINS, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def count(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_bins + 1)
 
     def add(self, values: _Values) -> None:
         arr = _clean(values, "FleetHistogram.add")
         if arr.size == 0:
             return
-        width = (self.hi - self.lo) / self.n_bins
+        width = (self.hi - self.lo) / N_BINS
         idx = np.floor((arr - self.lo) / width).astype(np.int64)
         self.underflow += int((idx < 0).sum())
-        self.overflow += int((idx >= self.n_bins).sum())
-        inside = idx[(idx >= 0) & (idx < self.n_bins)]
+        self.overflow += int((idx >= N_BINS).sum())
+        inside = idx[(idx >= 0) & (idx < N_BINS)]
         np.add.at(self.counts, inside, 1)
-
-    def merge(self, other: "FleetHistogram") -> None:
-        if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi,
-                                                  self.n_bins):
-            raise ValueError("cannot merge histograms with different "
-                             "bin layouts")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-
-    def quantile(self, q: float) -> float:
-        """Quantile interpolated within the containing bin.
-
-        Error is bounded by one bin width; exact in the limit of
-        narrow bins. Requires the mass to be inside ``[lo, hi)`` —
-        raises if the requested quantile falls in under/overflow,
-        where no positional information exists.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        total = self.count
-        if total == 0:
-            return math.nan
-        target = q * total
-        if target <= self.underflow and self.underflow:
-            raise ValueError(f"q={q} falls in the underflow mass — "
-                             "widen the histogram range")
-        run = float(self.underflow)
-        for i, c in enumerate(self.counts.tolist()):
-            if run + c >= target:
-                frac = (target - run) / c if c else 0.0
-                width = (self.hi - self.lo) / self.n_bins
-                return self.lo + (i + frac) * width
-            run += c
-        raise ValueError(f"q={q} falls in the overflow mass — "
-                         "widen the histogram range")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"lo": self.lo, "hi": self.hi,
                 "counts": [int(c) for c in self.counts],
                 "underflow": self.underflow, "overflow": self.overflow}
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FleetHistogram":
-        out = cls(float(d["lo"]), float(d["hi"]), len(d["counts"]))
-        out.counts = np.asarray(d["counts"], dtype=np.int64)
-        out.underflow = int(d["underflow"])
-        out.overflow = int(d["overflow"])
-        return out
 
-
-#: Default running quantiles tracked per metric (P² streams).
+#: Running quantiles tracked per metric (P² streams).
 DEFAULT_QUANTILES = (0.05, 0.5, 0.95)
 
 
 class FleetAccumulator:
     """Per-metric online statistics bundle for one campaign.
 
-    One :class:`RunningMoments` + :class:`FleetHistogram` + a set of
-    :class:`P2Quantile` streams per named metric. The histogram range
-    is declared up front per metric (``spec`` maps name to
-    ``(lo, hi)``); out-of-range dies are counted in the histogram's
-    under/overflow. :meth:`merge` combines moments and histograms —
-    both well-defined across shards/hosts — and *drops* the P²
-    streams (unmergeable by construction); merged quantiles are read
-    from the merged histograms instead via :meth:`summary`.
+    One :class:`RunningMoments` + :class:`FleetHistogram` + one
+    :class:`P2Quantile` stream per :data:`DEFAULT_QUANTILES` entry,
+    per named metric. The histogram range is declared up front per
+    metric (``spec`` maps name to ``(lo, hi)``); out-of-range dies
+    are counted in the histogram's under/overflow.
     """
 
-    def __init__(self, spec: Dict[str, tuple], n_bins: int = 64,
-                 quantiles: Iterable[float] = DEFAULT_QUANTILES) -> None:
+    def __init__(self, spec: Dict[str, tuple]) -> None:
         self.spec = {k: (float(lo), float(hi))
                      for k, (lo, hi) in spec.items()}
-        self.n_bins = int(n_bins)
-        self.quantile_ps = tuple(quantiles)
         self.moments = {k: RunningMoments() for k in self.spec}
-        self.hists = {k: FleetHistogram(lo, hi, n_bins)
+        self.hists = {k: FleetHistogram(lo, hi)
                       for k, (lo, hi) in self.spec.items()}
-        self.p2: Dict[str, Dict[float, P2Quantile]] = {
-            k: {p: P2Quantile(p) for p in self.quantile_ps}
+        self.p2: Dict[str, Tuple[P2Quantile, ...]] = {
+            k: tuple(P2Quantile(p) for p in DEFAULT_QUANTILES)
             for k in self.spec}
-
-    @property
-    def metrics(self) -> List[str]:
-        return list(self.spec)
 
     def add(self, metric: str, values: _Values) -> None:
         """Fold a batch of per-die samples into one metric's stats."""
         arr = _clean(values, f"FleetAccumulator.add({metric!r})")
         self.moments[metric].add(arr)
         self.hists[metric].add(arr)
-        for est in self.p2[metric].values():
+        for est in self.p2[metric]:
             est.add(arr)
 
     def add_dies(self, columns: Dict[str, _Values]) -> None:
@@ -379,34 +274,15 @@ class FleetAccumulator:
             if metric in self.spec:
                 self.add(metric, values)
 
-    def merge(self, other: "FleetAccumulator") -> None:
-        if other.spec != self.spec or other.n_bins != self.n_bins:
-            raise ValueError("cannot merge accumulators with different "
-                             "metric specs")
-        for k in self.spec:
-            self.moments[k].merge(other.moments[k])
-            self.hists[k].merge(other.hists[k])
-        # P² streams cannot absorb another stream's markers: merged
-        # quantiles must come from the merged histograms.
-        self.p2 = {k: {} for k in self.spec}
-
     def summary(self) -> Dict[str, Any]:
-        """JSON-ready statistics per metric (deterministic layout)."""
+        """JSON-ready statistics per metric (deterministic layout).
+
+        A metric with no samples gets no quantiles."""
         out: Dict[str, Any] = {}
         for k in sorted(self.spec):
             mom = self.moments[k]
-            hist = self.hists[k]
-            quants = {}
-            for p in self.quantile_ps:
-                est = self.p2[k].get(p)
-                if est is not None and est.count:
-                    quants[f"p{int(round(p * 100)):02d}"] = est.value
-                elif hist.count:
-                    try:
-                        quants[f"p{int(round(p * 100)):02d}"] = (
-                            hist.quantile(p))
-                    except ValueError:
-                        quants[f"p{int(round(p * 100)):02d}"] = None
+            quants = {f"p{int(round(est.p * 100)):02d}": est.value
+                      for est in self.p2[k] if est.count}
             out[k] = {
                 "count": mom.count,
                 "mean": mom.mean,
@@ -414,33 +290,6 @@ class FleetAccumulator:
                 "min": mom.min if mom.count else None,
                 "max": mom.max if mom.count else None,
                 "quantiles": quants,
-                "histogram": hist.to_dict(),
+                "histogram": self.hists[k].to_dict(),
             }
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": {k: list(v) for k, v in self.spec.items()},
-            "n_bins": self.n_bins,
-            "quantile_ps": list(self.quantile_ps),
-            "moments": {k: m.to_dict() for k, m in self.moments.items()},
-            "hists": {k: h.to_dict() for k, h in self.hists.items()},
-            "p2": {k: {str(p): est.to_dict()
-                       for p, est in streams.items()}
-                   for k, streams in self.p2.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FleetAccumulator":
-        out = cls({k: tuple(v) for k, v in d["spec"].items()},
-                  n_bins=int(d["n_bins"]),
-                  quantiles=[float(p) for p in d["quantile_ps"]])
-        out.moments = {k: RunningMoments.from_dict(m)
-                       for k, m in d["moments"].items()}
-        out.hists = {k: FleetHistogram.from_dict(h)
-                     for k, h in d["hists"].items()}
-        out.p2 = {k: {float(p): P2Quantile.from_dict(e)
-                      for p, e in streams.items()}
-                  for k, streams in d["p2"].items()}
-        return out
-

@@ -71,10 +71,6 @@ class ShardInfo:
     start: int
     end: int
 
-    @property
-    def n_dies(self) -> int:
-        return self.end - self.start
-
 
 def write_shard(shard_dir: PathLike, start: int, end: int,
                 columns: Dict[str, np.ndarray]) -> pathlib.Path:

@@ -68,18 +68,6 @@ class RunHealth:
         self.shards_run += 1
         self.shard_wall_s.append(float(wall_s))
 
-    @property
-    def clean(self) -> bool:
-        """True when no recovery action of any kind was needed."""
-        return not any(getattr(self, name) for name in COUNTER_FIELDS
-                       if name != "shards_run")
-
-    def merge(self, other: "RunHealth") -> None:
-        """Fold another health record into this one."""
-        for name in COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.shard_wall_s.extend(other.shard_wall_s)
-
     def snapshot(self) -> Dict[str, float]:
         """A flat, numeric copy suitable for JSON records and deltas.
 

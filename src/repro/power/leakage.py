@@ -205,8 +205,3 @@ class L2LeakageModel:
                 leakage_factor(scaling.L2_VDD, vth, temps[i], self.tech)))
             out[i] = self.calibration * self._block_share[i] * factor
         return out
-
-    def power(self, t_kelvin: float) -> float:
-        """Total L2 static power (W) at a uniform temperature."""
-        temps = np.full(self.n_blocks, float(t_kelvin))
-        return float(self.power_per_block(temps).sum())

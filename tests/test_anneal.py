@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.anneal import (
-    AnnealResult,
     logarithmic_temperature,
     simulated_annealing,
 )

@@ -12,7 +12,6 @@ from repro.config import (
     HIGH_PERFORMANCE,
     LOW_POWER,
     POWER_ENVIRONMENTS,
-    PowerEnvironment,
     TechParams,
     celsius,
 )

@@ -25,7 +25,6 @@ import time
 import pytest
 
 from repro.daemon import (
-    DaemonClient,
     DaemonController,
     DaemonError,
     ProtocolError,

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.config import COST_PERFORMANCE
 from repro.runtime import (
     Assignment,
-    evaluate_explicit,
     evaluate_levels,
     evaluate_max_levels,
     evaluate_uniform_frequency,
 )
-from repro.workloads import Workload, get_app, make_workload
+from repro.workloads import Workload, get_app
 
 
 @pytest.fixture()

@@ -8,8 +8,6 @@ import importlib.util
 import pathlib
 import sys
 
-import pytest
-
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import COST_PERFORMANCE, DEFAULT_TECH
+from repro.config import COST_PERFORMANCE
 from repro.experiments.common import (
     ChipFactory,
     default_n_dies,

@@ -13,9 +13,9 @@ from repro.aging import (
     equivalent_stress_time,
 )
 from repro.config import COST_PERFORMANCE, PowerEnvironment
-from repro.pm import BarrierAwarePm, FoxtonStar
+from repro.pm import BarrierAwarePm
 from repro.pm.barrier import levels_for_pace
-from repro.runtime import Assignment, evaluate_max_levels
+from repro.runtime import evaluate_max_levels
 from repro.sched import VarF
 from repro.workloads import ParallelApplication, Workload, get_app
 

@@ -209,20 +209,6 @@ class TestRunningMoments:
         assert mom.std == pytest.approx(data.std(), rel=1e-12)
         assert mom.min == data.min() and mom.max == data.max()
 
-    def test_merge_matches_single_stream(self, rng):
-        data = rng.normal(size=500)
-        whole = RunningMoments()
-        whole.add(data)
-        merged = RunningMoments()
-        for part in np.array_split(data, 5):
-            other = RunningMoments()
-            other.add(part)
-            merged.merge(other)
-        assert merged.count == whole.count
-        assert merged.min == whole.min and merged.max == whole.max
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.std == pytest.approx(whole.std, rel=1e-12)
-
     def test_rejects_nonfinite(self):
         mom = RunningMoments()
         with pytest.raises(ValueError, match="non-finite"):
@@ -230,14 +216,6 @@ class TestRunningMoments:
         with pytest.raises(ValueError, match="non-finite"):
             mom.add(math.inf)
         assert mom.count == 0
-
-    def test_roundtrip(self, rng):
-        mom = RunningMoments()
-        mom.add(rng.normal(size=64))
-        back = RunningMoments.from_dict(
-            json.loads(json.dumps(mom.to_dict())))
-        assert back.to_dict() == mom.to_dict()
-        assert back.mean == mom.mean and back.std == mom.std
 
 
 class TestP2Quantile:
@@ -261,65 +239,14 @@ class TestP2Quantile:
         with pytest.raises(ValueError, match="non-finite"):
             est.add([math.nan])
 
-    def test_roundtrip(self, rng):
-        est = P2Quantile(0.9)
-        est.add(rng.normal(size=100))
-        back = P2Quantile.from_dict(
-            json.loads(json.dumps(est.to_dict())))
-        assert back.value == est.value
-        back.add([0.5])
-        est.add([0.5])
-        assert back.value == est.value
-
 
 class TestFleetHistogram:
     def test_counts_and_overflow(self):
-        hist = FleetHistogram(0.0, 10.0, n_bins=10)
-        hist.add([-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0])
+        hist = FleetHistogram(0.0, 64.0)  # unit-width bins
+        hist.add([-1.0, 0.0, 0.5, 5.0, 63.99, 64.0, 420.0])
         assert hist.underflow == 1 and hist.overflow == 2
-        assert hist.count == 7
+        assert hist.counts.sum() + hist.underflow + hist.overflow == 7
         assert hist.counts[0] == 2 and hist.counts[5] == 1
-
-    def test_merge_exactly_associative(self, rng):
-        data = rng.uniform(0.8, 4.2, size=900)
-        parts = np.array_split(data, 9)
-
-        def hist_of(chunks):
-            h = FleetHistogram(1.0, 4.0, n_bins=32)
-            for c in chunks:
-                h.add(c)
-            return h
-
-        whole = hist_of(parts)
-        # Two different merge groupings of per-part histograms.
-        left = hist_of([])
-        for part in parts:
-            left.merge(hist_of([part]))
-        paired = hist_of([])
-        for i in range(0, 9, 3):
-            paired.merge(hist_of(parts[i:i + 3]))
-        for h in (left, paired):
-            assert np.array_equal(h.counts, whole.counts)
-            assert h.underflow == whole.underflow
-            assert h.overflow == whole.overflow
-
-    def test_merge_rejects_layout_mismatch(self):
-        with pytest.raises(ValueError, match="bin layouts"):
-            FleetHistogram(0, 1, 8).merge(FleetHistogram(0, 1, 4))
-
-    def test_quantile_interpolation(self, rng):
-        data = rng.uniform(1.0, 3.0, size=20000)
-        hist = FleetHistogram(1.0, 3.0, n_bins=128)
-        hist.add(data)
-        for q in (0.05, 0.5, 0.95):
-            assert abs(hist.quantile(q)
-                       - exact_quantile(data, q)) < 0.05
-
-    def test_quantile_refuses_overflow_mass(self):
-        hist = FleetHistogram(0.0, 1.0, n_bins=4)
-        hist.add([0.5, 2.0, 3.0])
-        with pytest.raises(ValueError, match="overflow"):
-            hist.quantile(0.99)
 
     def test_rejects_nonfinite(self):
         hist = FleetHistogram(0.0, 1.0)
@@ -332,7 +259,7 @@ class TestFleetAccumulator:
 
     def test_streaming_matches_exact(self, rng):
         data = rng.uniform(1.0, 9.0, size=4000)
-        acc = FleetAccumulator(self.SPEC, n_bins=256)
+        acc = FleetAccumulator(self.SPEC)
         for part in np.array_split(data, 13):
             acc.add_dies({"x": part, "ignored": part})
         s = acc.summary()["x"]
@@ -342,41 +269,6 @@ class TestFleetAccumulator:
         for name, p in (("p05", 0.05), ("p50", 0.5), ("p95", 0.95)):
             assert abs(s["quantiles"][name]
                        - exact_quantile(data, p)) < 0.06
-
-    def test_merge_drops_p2_keeps_histogram_quantiles(self, rng):
-        data = rng.uniform(1.0, 9.0, size=2000)
-        whole = FleetAccumulator(self.SPEC, n_bins=256)
-        whole.add("x", data)
-        merged = FleetAccumulator(self.SPEC, n_bins=256)
-        for part in np.array_split(data, 4):
-            other = FleetAccumulator(self.SPEC, n_bins=256)
-            other.add("x", part)
-            merged.merge(other)
-        assert merged.p2["x"] == {}
-        sm, sw = merged.summary()["x"], whole.summary()["x"]
-        assert sm["count"] == sw["count"]
-        assert np.array_equal(sm["histogram"]["counts"],
-                              sw["histogram"]["counts"])
-        # Merged quantiles come from the (exactly merged) histogram.
-        assert abs(sm["quantiles"]["p50"]
-                   - exact_quantile(data, 0.5)) < 0.06
-
-    def test_merge_rejects_spec_mismatch(self):
-        a = FleetAccumulator({"x": (0, 1)})
-        b = FleetAccumulator({"y": (0, 1)})
-        with pytest.raises(ValueError, match="metric specs"):
-            a.merge(b)
-
-    def test_roundtrip_resumes_stream(self, rng):
-        acc = FleetAccumulator(self.SPEC)
-        acc.add("x", rng.uniform(0, 10, size=50))
-        back = FleetAccumulator.from_dict(
-            json.loads(json.dumps(acc.to_dict())))
-        assert back.summary() == acc.summary()
-        tail = rng.uniform(0, 10, size=50)
-        acc.add("x", tail)
-        back.add("x", tail)
-        assert back.summary() == acc.summary()
 
 
 class TestShards:
@@ -458,10 +350,10 @@ class TestShardIntegrity:
     def test_summarize_skips_quarantined_shard(self, tmp_path, rng):
         for lo in (0, 4):
             write_shard(tmp_path, lo, lo + 4,
-                        {"a": rng.normal(size=4)})
-        _tamper(tmp_path / shard_name(4, 8))
-        acc = summarize_shards(tmp_path, {"a": (-10, 10)})
-        assert acc.moments["a"].count == 4  # good shard only
+                        {"freq_ratio": rng.uniform(1.0, 2.0, size=4)})
+        _tamper(tmp_path / shard_name(4, 8), "freq_ratio")
+        acc = summarize_shards(tmp_path)
+        assert acc.moments["freq_ratio"].count == 4  # good shard only
         assert [(i.start, i.end) for i in iter_shards(tmp_path)] == [
             (0, 4)]
 
@@ -620,13 +512,15 @@ class TestCampaign:
         assert cache.stats["stores"] == 6
 
     def test_summarize_shards_matches_summary(self, tmp_path):
-        plan = _tiny_plan("stats", with_power=False)
-        result = run_fleet_campaign(plan, tmp_path, workers=1)
-        acc = summarize_shards(result.out_dir / "shards",
-                               plan.metric_spec())
-        assert (acc.summary()["freq_ratio"]["histogram"]
-                == load_summary(result.out_dir)["metrics"]
-                ["freq_ratio"]["histogram"])
+        # One test id for both analyses; a --no-power campaign must
+        # not grow a power_ratio row.
+        for with_power in (True, False):
+            plan = _tiny_plan(f"stats{int(with_power)}",
+                              with_power=with_power)
+            result = run_fleet_campaign(plan, tmp_path, workers=1)
+            acc = summarize_shards(result.out_dir / "shards")
+            assert (acc.summary()
+                    == load_summary(result.out_dir)["metrics"])
 
     def test_chunks_align_to_global_grid(self):
         plan = FleetPlan(name="g", n_dies=10, start=6, chunk_dies=4)

@@ -1,6 +1,5 @@
 """Tests for repro.floorplan (geometry, units, CMP builder)."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -6,12 +6,9 @@ assert the paper's headline qualitative claims hold on small runs.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import (
     COST_PERFORMANCE,
-    DEFAULT_ARCH,
-    DEFAULT_TECH,
     HIGH_PERFORMANCE,
     LOW_POWER,
     celsius,
@@ -20,7 +17,6 @@ from repro.pm import FoxtonStar, LinOpt, meets_constraints
 from repro.runtime import (
     evaluate_max_levels,
     evaluate_uniform_frequency,
-    profile_threads,
 )
 from repro.sched import POLICIES, RandomPolicy, VarFAppIPC, VarP
 from repro.workloads import make_workload

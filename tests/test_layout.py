@@ -13,7 +13,8 @@ cache builds a ``ChipProfile`` (a second binning flow), or if a field
 sampler grows a one-field ``sample`` next to ``sample_batch`` (a
 second field generator), or if a public top-level function or class,
 or a public method or property of a class, has no caller (code that
-nothing runs), or if a module imports a name it never uses.
+nothing runs), or if a module of ``src/`` or ``tests/`` imports a
+name it never uses.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 
 
 def _test_imports(path: pathlib.Path):
@@ -349,12 +351,13 @@ def test_member_guard_sees_orphan_members(tmp_path):
                                                    "a.py:A.commented"]
 
 
-def _unused_imports(path: pathlib.Path):
+def _unused_imports(path: pathlib.Path, fixtures: bool = False):
     """``line:name`` of each name ``path`` imports but never mentions.
 
     A mention is a bare name anywhere in the module or a word of a
-    string constant (string annotations, ``__all__``). ``__future__``
-    imports are exempt."""
+    string constant (string annotations, ``__all__``); with
+    ``fixtures``, also a function parameter, which pytest resolves to
+    the fixture of that name. ``__future__`` imports are exempt."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = []
     mentioned = set()
@@ -369,6 +372,8 @@ def _unused_imports(path: pathlib.Path):
                          for alias in node.names]
         elif isinstance(node, ast.Name):
             mentioned.add(node.id)
+        elif fixtures and isinstance(node, ast.arg):
+            mentioned.add(node.arg)
         elif (isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
             mentioned.update(re.findall(r"\w+", node.value))
@@ -379,10 +384,12 @@ def _unused_imports(path: pathlib.Path):
 
 def test_src_modules_use_what_they_import():
     # Package ``__init__`` modules import to re-export.
-    offenders = [f"{path.relative_to(SRC).as_posix()}:{unused}"
-                 for path in sorted(SRC.rglob("*.py"))
+    offenders = [f"{path.relative_to(ROOT).as_posix()}:{unused}"
+                 for root in (SRC, TESTS)
+                 for path in sorted(root.rglob("*.py"))
                  if path.name != "__init__.py"
-                 for unused in _unused_imports(path)]
+                 for unused in _unused_imports(path,
+                                               fixtures=root == TESTS)]
     assert offenders == []
 
 
@@ -396,3 +403,11 @@ def test_import_guard_sees_unused_imports(tmp_path):
                      "def f(x: List[int]) -> 'Tuple[int]':\n"
                      "    return alias(os.sep)\n")
     assert list(_unused_imports(probe)) == ["3:np", "4:Dict", "5:spare"]
+    probe.write_text("import pytest\n"
+                     "from tests.test_a import tmp_chip, spare\n"
+                     "def test_uses(tmp_chip):\n"
+                     "    pass\n")
+    assert list(_unused_imports(probe)) == ["1:pytest", "2:tmp_chip",
+                                            "2:spare"]
+    assert list(_unused_imports(probe, fixtures=True)) == ["1:pytest",
+                                                           "2:spare"]

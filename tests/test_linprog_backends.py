@@ -16,7 +16,6 @@ import pytest
 from repro.config import LOW_POWER
 from repro.linprog import (
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
     BoundedSimplexBackend,
     HighsBackend,
     LpProblem,

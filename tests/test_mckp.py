@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.config import LOW_POWER, PowerEnvironment
 from repro.opt import MckpItem, solve_mckp
 from repro.opt.mckp import _prepare_class, _upper_hull
-from repro.pm import FoxtonStar, LinOpt, OptimalFrozen
+from repro.pm import LinOpt, OptimalFrozen
 from repro.sched import VarFAppIPC
 from repro.workloads import Workload, get_app, make_workload
 

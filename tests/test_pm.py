@@ -17,7 +17,7 @@ from repro.pm import (
     SAnnManager,
     meets_constraints,
 )
-from repro.runtime import Assignment, evaluate_max_levels
+from repro.runtime import Assignment
 from repro.sched import VarFAppIPC
 from repro.workloads import Workload, get_app, make_workload
 

@@ -183,13 +183,19 @@ class TestBuiltLeakageModels:
 
     def test_l2_blocks_sum_to_uniform_total(self, vmap, floorplan):
         l2 = L2LeakageModel(vmap, floorplan, DEFAULT_TECH)
-        temps = np.full(l2.n_blocks, T_REF_K)
-        per_block = l2.power_per_block(temps)
-        assert per_block.sum() == pytest.approx(l2.power(T_REF_K))
+        total = l2.power_per_block(np.full(l2.n_blocks, T_REF_K)).sum()
+        # Each block leaks at its own temperature: read block i from a
+        # call that heats every other block.
+        per_block = []
+        for i in range(l2.n_blocks):
+            temps = np.full(l2.n_blocks, T_REF_K + 30.0)
+            temps[i] = T_REF_K
+            per_block.append(l2.power_per_block(temps)[i])
+        assert sum(per_block) == pytest.approx(total)
 
     def test_l2_nominal_scale(self, vmap, floorplan):
         l2 = L2LeakageModel(vmap, floorplan, DEFAULT_TECH)
-        p = l2.power(T_REF_K)
+        p = l2.power_per_block(np.full(l2.n_blocks, T_REF_K)).sum()
         assert 0.3 * L2_STATIC_NOMINAL_W < p < 5 * L2_STATIC_NOMINAL_W
 
     def test_l2_block_count_validation(self, vmap, floorplan):

@@ -8,7 +8,6 @@ from scipy.optimize import linprog
 
 from repro.linprog import (
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve_lp_maximize,
 )

@@ -6,7 +6,6 @@ import pytest
 from repro.config import DEFAULT_ARCH
 from repro.floorplan import Rect, build_floorplan
 from repro.thermal import (
-    DEFAULT_AMBIENT_K,
     ThermalNetwork,
     shared_edge_length,
     solve_with_leakage,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.runtime.evaluation import Assignment, evaluate_levels
 from repro.workloads import (
-    APP_BY_NAME,
     AppProfile,
     PhasedApplication,
     REF_FREQ_HZ,
