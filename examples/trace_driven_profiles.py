@@ -13,7 +13,7 @@ Run with::
 import numpy as np
 
 from repro.config import COST_PERFORMANCE
-from repro.coresim import TRACE_CLASSES, derive_class_profiles
+from repro.coresim import derive_class_profiles
 from repro.experiments.common import ChipFactory
 from repro.pm import FoxtonStar, LinOpt
 from repro.sched import VarFAppIPC

@@ -20,6 +20,7 @@ discards an existing journal first.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -121,11 +122,7 @@ def _render_chart(name: str, result) -> Optional[str]:
             title="ext-faults: degradation vs sensor noise sigma")
         wd = result.scenario.watchdog
         timeline = resilience_timeline(
-            DURATION_S,
-            fault_times_s=wd.fault_times_s,
-            trigger_times_s=wd.trigger_times_s,
-            fallback_times_s=wd.fallback_times_s,
-            lp_fallback_times_s=wd.lp_fallback_times_s,
+            DURATION_S, wd.fault_times_s, wd.decisions,
             title="ext-faults scenario: faults vs watchdog/fallback "
                   "activity")
         return curves + "\n\n" + timeline
@@ -490,9 +487,23 @@ def _fleet_main(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes stdout early (``repro ... | head``) ends the
+    run with status 1 and no traceback.
+    """
+    try:
+        code = _dispatch(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit
+        # cannot raise again (the idiom of the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv: List[str]) -> int:
     if argv and argv[0] == "cache":
         return _cache_main(argv[1:])
     if argv and argv[0] == "daemon":

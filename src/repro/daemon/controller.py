@@ -273,7 +273,6 @@ class Tenant:
         self.lock = threading.Lock()
         self.status = ACTIVE
         self.quarantine_reason: Optional[str] = None
-        self.last_tier = 0
         #: Durable footprint (None on a memory-only controller).
         self.store: Optional[TenantStore] = None
         #: Idempotency window: request_id -> the reply it produced.
@@ -304,7 +303,7 @@ class Tenant:
             "duration_s": self.config.duration_s,
             "finished": self.stepper.finished,
             "decisions": len(self.stepper.decisions),
-            "resilience_tier": self.last_tier,
+            "resilience_tier": self.stepper.resilience_tier,
             "quarantine_reason": self.quarantine_reason,
             "n_cores": self.config.n_cores,
             "n_threads": self.config.n_threads,
@@ -317,18 +316,10 @@ class Tenant:
         """The tenant's degradation timeline — rendered by the same
         :func:`repro.report.resilience_timeline` the ext-faults CLI
         chart uses, so both surfaces stay identical."""
-        decisions = self.stepper.decisions
         return resilience_timeline(
             self.config.duration_s,
-            fault_times_s=[e.time_s
-                           for e in self.stepper.applied_faults],
-            trigger_times_s=[d.time_s for d in decisions
-                             if d.kind == DECISION_EMERGENCY],
-            fallback_times_s=[d.time_s for d in decisions
-                              if d.kind == DECISION_MANAGER
-                              and d.resilience_tier > 0],
-            lp_fallback_times_s=[d.time_s for d in decisions
-                                 if d.lp_fallbacks > 0],
+            [e.time_s for e in self.stepper.applied_faults],
+            self.stepper.decisions,
             title=f"tenant {self.config.name}: resilience timeline",
             width=width)
 
@@ -376,8 +367,6 @@ def run_advance(tenant: Tenant, payload: Dict[str, Any],
             ERR_QUARANTINED,
             f"tenant {tenant.config.name!r} crashed and was "
             f"quarantined: {tenant.quarantine_reason}") from exc
-    if decisions:
-        tenant.last_tier = decisions[-1].resilience_tier
     if stepper.finished:
         tenant.status = FINISHED
     return {
@@ -585,7 +574,6 @@ class DaemonController:
             "dedup": list(tenant.dedup.items()),
             "status": tenant.status,
             "quarantine_reason": tenant.quarantine_reason,
-            "last_tier": tenant.last_tier,
         })
         tenant._last_snapshot_seq = seq
         self.telemetry.incr("snapshots_written")
@@ -637,7 +625,7 @@ class DaemonController:
         """Advance one tenant; records decision/tier telemetry."""
         tenant = self._get(name)
         with tenant.lock:
-            tier = tenant.last_tier
+            tier = tenant.stepper.resilience_tier
             result, ran = self._serve_locked(
                 tenant, "advance",
                 {"tenant": name, "until_s": until_s,
@@ -818,7 +806,6 @@ class DaemonController:
                 tenant.dedup = OrderedDict(state["dedup"])
                 tenant.status = state["status"]
                 tenant.quarantine_reason = state["quarantine_reason"]
-                tenant.last_tier = state["last_tier"]
                 tenant._last_snapshot_seq = seq
                 start = seq + 1
                 stats.snapshot_restores += 1

@@ -48,7 +48,11 @@ from ..faults import (
 from ..faults.watchdog import GUARD_BAND_FRAC, K_SAMPLES
 from ..pm import FoxtonStar, LinOpt, LinOptConfig
 from ..power import SensorSpec
-from ..runtime.simulation import OnlineSimulation, SimulationTrace
+from ..runtime.simulation import (
+    ManagerDecision,
+    OnlineSimulation,
+    SimulationTrace,
+)
 from ..sched import VarFAppIPC
 from ..workloads import make_workload
 from .common import ChipFactory, format_rows
@@ -97,10 +101,8 @@ class ArmSummary:
     fallback_activations: int
     migrations: int
     faults_applied: int
-    trigger_times_s: Tuple[float, ...] = ()
     fault_times_s: Tuple[float, ...] = ()
-    fallback_times_s: Tuple[float, ...] = ()
-    lp_fallback_times_s: Tuple[float, ...] = ()
+    decisions: Tuple[ManagerDecision, ...] = ()
 
     @classmethod
     def from_trace(cls, name: str, trace: SimulationTrace,
@@ -117,10 +119,8 @@ class ArmSummary:
             fallback_activations=trace.fallback_activations,
             migrations=trace.migrations,
             faults_applied=len(trace.fault_events),
-            trigger_times_s=tuple(trace.watchdog_triggers),
             fault_times_s=tuple(e.time_s for e in trace.fault_events),
-            fallback_times_s=tuple(trace.fallback_times_s),
-            lp_fallback_times_s=tuple(trace.lp_fallback_times_s),
+            decisions=trace.decisions,
         )
 
 

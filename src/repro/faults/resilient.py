@@ -81,13 +81,6 @@ class ResilientManager(PowerManager):
         self.deadline_s = deadline_s
         self.accept_infeasible_floor = accept_infeasible_floor
         self.name = f"Resilient({self.primary.name})"
-        #: Cumulative count of invocations decided below tier 0.
-        self.fallback_activations = 0
-        #: Cumulative count of LP solves inside the primary that came
-        #: back non-optimal and fell back to the clamp-to-floor plan
-        #: (surfaced by LinOpt as ``lp_fallbacks`` — a *within-tier-0*
-        #: degradation, distinct from tier changes).
-        self.lp_fallbacks = 0
         self._injected: Optional[str] = None
 
     def inject_failure(self, kind: str = MANAGER_ERROR) -> None:
@@ -145,10 +138,6 @@ class ResilientManager(PowerManager):
             wall_s = (time.monotonic() - t0
                       if self.deadline_s is not None else 0.0)
             evaluations += result.evaluations
-            # LP-level fallbacks are counted even when the tier-0
-            # answer is later discarded: the solver still degraded.
-            self.lp_fallbacks += int(
-                result.stats.get("lp_fallbacks", 0.0))
             if injected == MANAGER_DEADLINE or (
                     self.evaluation_budget is not None
                     and result.evaluations > self.evaluation_budget
@@ -167,7 +156,6 @@ class ResilientManager(PowerManager):
                                      deadline_missed=0.0)
 
         # --- Tier 1: the simple fallback controller. ---
-        self.fallback_activations += 1
         try:
             result = self.fallback.set_levels(chip, workload, assignment,
                                               env, **kwargs)

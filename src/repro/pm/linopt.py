@@ -58,6 +58,11 @@ from .base import PmResult, PowerManager, meets_constraints
 # next decision (never in the middle of one). A phase of ~5 decisions
 # fills a few dozen.
 _CARRY_MAX_STATES = 256
+# Most sensor-guided down-steps after rounding.
+CORRECTION_LIMIT = 64
+# Half-width (in DVFS levels) of the local profiling window used from
+# the second LP pass on.
+PROFILE_SPAN_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,6 @@ class LinOptConfig:
             2 is the cheaper variant Table 3 mentions — ablation).
         rounding: "floor" (never exceed the LP voltage) or "nearest".
         refill: Step freed budget back in after quantisation.
-        correction_limit: Max sensor-guided down-steps after rounding.
         n_iterations: Profile->solve passes per invocation
             (successive LP). The first pass uses the paper's global
             Vlow/Vmid/Vhigh fit; later passes re-profile *locally*
@@ -77,8 +81,6 @@ class LinOptConfig:
             of the convex p(V) curve is accurate. The online loop of
             Figure 2 performs the same refinement naturally across
             10 ms invocations.
-        profile_span_levels: Half-width (in DVFS levels) of the local
-            profiling window used from the second pass on.
         objective: "mips" maximises raw throughput; "weighted"
             maximises weighted throughput (per-thread throughput
             normalised to its reference throughput — the Figure 13
@@ -88,9 +90,7 @@ class LinOptConfig:
     n_profile_voltages: int = 3
     rounding: str = "floor"
     refill: bool = True
-    correction_limit: int = 64
     n_iterations: int = 6
-    profile_span_levels: int = 2
     objective: str = "mips"
 
     def __post_init__(self) -> None:
@@ -98,12 +98,8 @@ class LinOptConfig:
             raise ValueError("need at least two profiling voltages")
         if self.rounding not in ("floor", "nearest"):
             raise ValueError("rounding must be 'floor' or 'nearest'")
-        if self.correction_limit < 0:
-            raise ValueError("correction_limit must be non-negative")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be positive")
-        if self.profile_span_levels < 0:
-            raise ValueError("profile_span_levels must be non-negative")
         if self.objective not in ("mips", "weighted"):
             raise ValueError("objective must be 'mips' or 'weighted'")
 
@@ -360,7 +356,7 @@ class LinOpt(PowerManager):
                               self.config.n_profile_voltages,
                               self.power_sensor,
                               center_levels=levels if local else None,
-                              span_levels=self.config.profile_span_levels)
+                              span_levels=PROFILE_SPAN_LEVELS)
         ipcs = np.array([
             core_reader(self.ipc_sensor, assignment.core_of[i]).read(ipc)
             for i, ipc in enumerate(current.ipcs)])
@@ -381,7 +377,7 @@ class LinOpt(PowerManager):
         # Local passes constrain each voltage to its profiling window
         # (a trust region): the local linear fit is only valid nearby.
         if local:
-            span = self.config.profile_span_levels
+            span = PROFILE_SPAN_LEVELS
             vlow = np.empty(n)
             vhigh = np.empty(n)
             for i, core_id in enumerate(assignment.core_of):
@@ -427,8 +423,8 @@ class LinOpt(PowerManager):
         else:
             # Non-optimal solves return x = zeros, which is NOT a plan:
             # clamp every core to its window floor explicitly and
-            # surface the event (ResilientManager folds this into its
-            # tier accounting).
+            # surface the event (each decision of a simulation run
+            # records it).
             stats["lp_fallbacks"] += 1.0
             v_star = vlow.copy()
 
@@ -449,7 +445,7 @@ class LinOpt(PowerManager):
         # --- Sensor-guided correction: enforce the hard constraints. ---
         corrections = 0
         while (not meets_constraints(state, p_target, p_core_max)
-               and corrections < self.config.correction_limit
+               and corrections < CORRECTION_LIMIT
                and any(lv > 0 for lv in levels)):
             over = [i for i in range(n)
                     if state.core_power[i] > p_core_max and levels[i] > 0]

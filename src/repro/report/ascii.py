@@ -13,6 +13,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..runtime.simulation import (
+    DECISION_EMERGENCY,
+    DECISION_MANAGER,
+    ManagerDecision,
+)
+
 BAR_CHARS = " ▏▎▍▌▋▊▉█"
 DEFAULT_WIDTH = 48
 # Canvas columns and rows of a line chart.
@@ -168,10 +174,8 @@ def event_timeline(
 
 def resilience_timeline(
     duration_s: float,
-    fault_times_s: Sequence[float] = (),
-    trigger_times_s: Sequence[float] = (),
-    fallback_times_s: Sequence[float] = (),
-    lp_fallback_times_s: Sequence[float] = (),
+    fault_times_s: Sequence[float],
+    decisions: Sequence[ManagerDecision],
     title: str = "",
     width: int = 60,
 ) -> str:
@@ -179,23 +183,29 @@ def resilience_timeline(
 
     One canonical lane layout for everything that reports resilience
     events — the ``ext-faults`` experiment chart and the daemon's
-    per-tenant telemetry both call this, so the two surfaces stay
+    per-tenant telemetry both call this with a run's decision stream
+    (:class:`~repro.runtime.ManagerDecision`), so the two surfaces stay
     visually identical:
 
     - ``faults``: scheduled fault strikes (sensor/core/manager).
-    - ``watchdog``: emergency throttles taken by the power watchdog.
+    - ``watchdog``: emergency step-downs taken by the power watchdog
+      (decisions of kind ``emergency``).
     - ``tier fallback``: manager invocations decided below tier 0
       (the LinOpt -> Foxton* -> all-minimum chain engaging).
-    - ``lp fallback``: within-tier-0 LP solver degradations.
+    - ``lp fallback``: decisions with within-tier-0 LP solver
+      degradations.
 
     Lanes with no events still render, so absence of degradation is
     visible rather than silent.
     """
     rows: Dict[str, Sequence[float]] = {
         "faults": fault_times_s,
-        "watchdog": trigger_times_s,
-        "tier fallback": fallback_times_s,
-        "lp fallback": lp_fallback_times_s,
+        "watchdog": [d.time_s for d in decisions
+                     if d.kind == DECISION_EMERGENCY],
+        "tier fallback": [d.time_s for d in decisions
+                          if d.kind == DECISION_MANAGER
+                          and d.resilience_tier > 0],
+        "lp fallback": [d.time_s for d in decisions if d.lp_fallbacks > 0],
     }
     return event_timeline(duration_s, rows, title=title, width=width)
 

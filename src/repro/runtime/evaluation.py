@@ -32,7 +32,7 @@ class KernelStats:
     """
 
     __slots__ = ("evaluations", "batch_calls", "fixed_point_iterations",
-                 "wall_s", "batch_size_hist")
+                 "batch_size_hist")
 
     def __init__(self) -> None:
         self.reset()
@@ -41,15 +41,12 @@ class KernelStats:
         self.evaluations = 0
         self.batch_calls = 0
         self.fixed_point_iterations = 0
-        self.wall_s = 0.0
         self.batch_size_hist: Dict[int, int] = {}
 
-    def record(self, batch_size: int, iterations: int,
-               wall_s: float) -> None:
+    def record(self, batch_size: int, iterations: int) -> None:
         self.evaluations += batch_size
         self.batch_calls += 1
         self.fixed_point_iterations += iterations
-        self.wall_s += wall_s
         self.batch_size_hist[batch_size] = (
             self.batch_size_hist.get(batch_size, 0) + 1)
 
@@ -67,7 +64,6 @@ class KernelStats:
             "kernel_batch_max": float(self.max_batch),
             "kernel_batch_mean": float(mean_batch),
             "kernel_fp_iterations": float(self.fixed_point_iterations),
-            "kernel_wall_s": float(self.wall_s),
         }
 
 

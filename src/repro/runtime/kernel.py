@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import math
 import operator
-import time
 from collections import abc
 from dataclasses import dataclass
 from itertools import groupby, islice, repeat
@@ -787,7 +786,6 @@ class EvalKernel:
         exception is re-raised — the one a serial in-order scan would
         hit first.
         """
-        start = time.perf_counter()
         n_rows = levels.shape[0]
         shared = self._vth.ndim == 1
         step = self._slab_rows
@@ -814,9 +812,8 @@ class EvalKernel:
                               for r, err in slab_failed.items())
         l2_power, total = _row_totals(powers, self._n_cores, core_dyn,
                                       core_leak)
-        wall = time.perf_counter() - start
-        self.stats.record(n_rows, total_iters, wall)
-        EVALUATION_COUNTER.record(n_rows, total_iters, wall)
+        self.stats.record(n_rows, total_iters)
+        EVALUATION_COUNTER.record(n_rows, total_iters)
         if errors == "raise" and failed:
             raise failed[min(failed)]
         return StateColumns(volts, freqs, ipcs, core_dyn, core_leak, temps,

@@ -86,7 +86,9 @@ class SimulationTrace:
         p_target_w: The power budget in force.
         throughput_mips: Aggregate throughput at each sample (net of
             work lost to V/f transitions and migrations).
-        manager_runs: Timestamps of power-manager invocations.
+        decisions: Every actuation decision of the run, in time order
+            (see :class:`ManagerDecision`). The invocation, fallback
+            and tier tallies below are read off this stream.
         transition_time_s: Total core-time lost to DVFS transitions
             and migrations (including watchdog emergencies).
         migrations: Number of thread migrations performed (OS
@@ -100,21 +102,6 @@ class SimulationTrace:
             configured.
         watchdog_triggers: Timestamps of emergency watchdog step-downs.
         fault_events: The fault events actually applied during the run.
-        fallback_activations: Manager invocations decided below the
-            primary tier (``resilience_tier > 0`` in the manager's
-            stats — see :class:`repro.faults.ResilientManager`).
-        fallback_times_s: Timestamps of those below-primary decisions
-            (``len == fallback_activations``).
-        tier_transitions: ``(time_s, tier)`` pairs recorded whenever a
-            manager decision lands on a different resilience tier than
-            the previous one (tier 0 assumed before the first
-            decision) — the escalation/recovery path through the
-            LinOpt -> Foxton* -> all-minimum chain.
-        lp_fallbacks: Total within-tier-0 LP fallbacks (LinOpt solves
-            that came back non-optimal and clamped to the window
-            floor) summed over all manager invocations.
-        lp_fallback_times_s: Timestamps of invocations whose decision
-            involved at least one LP fallback.
     """
 
     times_s: np.ndarray
@@ -122,18 +109,49 @@ class SimulationTrace:
     p_target_w: float
     throughput_mips: np.ndarray
     weighted_throughput: np.ndarray
-    manager_runs: List[float]
+    decisions: Tuple["ManagerDecision", ...]
     transition_time_s: float
     migrations: int
     level_transitions: int = 0
     sensed_power_w: Optional[np.ndarray] = None
     watchdog_triggers: Tuple[float, ...] = ()
     fault_events: Tuple["FaultEvent", ...] = ()
-    fallback_activations: int = 0
-    fallback_times_s: Tuple[float, ...] = ()
-    tier_transitions: Tuple[Tuple[float, int], ...] = ()
-    lp_fallbacks: int = 0
-    lp_fallback_times_s: Tuple[float, ...] = ()
+
+    @property
+    def _invocations(self) -> List["ManagerDecision"]:
+        return [d for d in self.decisions if d.kind == DECISION_MANAGER]
+
+    @property
+    def manager_runs(self) -> Tuple[float, ...]:
+        """Timestamps of power-manager invocations."""
+        return tuple(d.time_s for d in self._invocations)
+
+    @property
+    def fallback_activations(self) -> int:
+        """Invocations decided below the primary tier
+        (``resilience_tier > 0`` — see
+        :class:`repro.faults.ResilientManager`)."""
+        return sum(d.resilience_tier > 0 for d in self._invocations)
+
+    @property
+    def tier_transitions(self) -> Tuple[Tuple[float, int], ...]:
+        """``(time_s, tier)`` of each invocation that lands on another
+        resilience tier than the one before it (tier 0 before the
+        first) — the escalation/recovery path through the LinOpt ->
+        Foxton* -> all-minimum chain."""
+        out: List[Tuple[float, int]] = []
+        tier = 0
+        for d in self._invocations:
+            if d.resilience_tier != tier:
+                tier = d.resilience_tier
+                out.append((d.time_s, tier))
+        return tuple(out)
+
+    @property
+    def lp_fallbacks(self) -> int:
+        """Within-tier-0 LP fallbacks (LinOpt solves that came back
+        non-optimal and clamped to the window floor), all invocations."""
+        return sum(d.lp_fallbacks for d in self.decisions)
 
     @property
     def mean_abs_deviation_pct(self) -> float:
@@ -218,7 +236,8 @@ class ManagerDecision:
         migrated: Threads migrated by this decision's reschedule.
         resilience_tier: Which tier of the fallback chain decided
             (0 = primary; see :class:`repro.faults.ResilientManager`);
-            0 for plain managers and emergencies.
+            0 for plain managers. An emergency carries the tier of the
+            decision before it.
         lp_fallbacks: Within-tier-0 LP fallbacks this invocation.
         evaluations: Full-system evaluations the decision consumed.
     """
@@ -558,16 +577,9 @@ class SimulationStepper:
         self._power = np.empty(n_steps)
         self._tput = np.empty(n_steps)
         self._wtput = np.empty(n_steps)
-        self._manager_runs: List[float] = []
         self._transition_time = 0.0
         self._level_transitions = 0
         self._migrations = 0
-        self._fallback_activations = 0
-        self._fallback_times: List[float] = []
-        self._tier_transitions: List[Tuple[float, int]] = []
-        self._last_tier = 0
-        self._lp_fallbacks = 0
-        self._lp_fallback_times: List[float] = []
         #: Actuation decisions taken so far, in time order.
         self.decisions: List[ManagerDecision] = []
 
@@ -609,6 +621,11 @@ class SimulationStepper:
     def applied_faults(self) -> Tuple["FaultEvent", ...]:
         """Fault events applied so far, in application order."""
         return tuple(self._fr.applied)
+
+    @property
+    def resilience_tier(self) -> int:
+        """Tier of the latest decision (0 before any decision)."""
+        return self.decisions[-1].resilience_tier if self.decisions else 0
 
     @property
     def time_s(self) -> float:
@@ -732,17 +749,6 @@ class SimulationStepper:
                 result = sim.manager.set_levels(
                     sim.chip, sim.workload, self._assignment, sim.env,
                     **kwargs)
-                tier = int(result.stats.get("resilience_tier", 0.0))
-                lp_fb = int(result.stats.get("lp_fallbacks", 0.0))
-                if tier > 0:
-                    self._fallback_activations += 1
-                    self._fallback_times.append(float(t))
-                if tier != self._last_tier:
-                    self._tier_transitions.append((float(t), tier))
-                    self._last_tier = tier
-                if lp_fb > 0:
-                    self._lp_fallbacks += lp_fb
-                    self._lp_fallback_times.append(float(t))
                 new_levels = list(result.levels)
                 if sim._faulty:
                     if watchdog is not None:
@@ -762,7 +768,6 @@ class SimulationStepper:
                         stepped = None
                 self._levels = new_levels
                 self._prev_levels = list(new_levels)
-                self._manager_runs.append(t)
                 self._next_manager_t += self.dvfs_interval_s
                 # The operating point changed. The manager's state is
                 # its evaluation at exactly these levels and multipliers
@@ -777,7 +782,9 @@ class SimulationStepper:
                     levels=tuple(new_levels),
                     core_of=tuple(self._assignment.core_of),
                     migrated=tuple(migrated),
-                    resilience_tier=tier, lp_fallbacks=lp_fb,
+                    resilience_tier=int(
+                        result.stats.get("resilience_tier", 0.0)),
+                    lp_fallbacks=int(result.stats.get("lp_fallbacks", 0.0)),
                     evaluations=int(result.evaluations)))
         if not adopted and (self._state is None or self._changed[step]):
             self._state = evaluate_levels(
@@ -845,7 +852,7 @@ class SimulationStepper:
                             kind=DECISION_EMERGENCY,
                             levels=tuple(new_levels),
                             core_of=tuple(self._assignment.core_of),
-                            resilience_tier=self._last_tier))
+                            resilience_tier=self.resilience_tier))
                         nxt = s + 1
                         break
                 s += 1
@@ -866,7 +873,7 @@ class SimulationStepper:
             p_target_w=self._p_target,
             throughput_mips=self._tput,
             weighted_throughput=self._wtput,
-            manager_runs=self._manager_runs,
+            decisions=tuple(self.decisions),
             transition_time_s=self._transition_time,
             migrations=self._migrations,
             level_transitions=self._level_transitions,
@@ -874,9 +881,4 @@ class SimulationStepper:
             watchdog_triggers=(tuple(watchdog.triggers)
                                if watchdog is not None else ()),
             fault_events=tuple(self._fr.applied),
-            fallback_activations=self._fallback_activations,
-            fallback_times_s=tuple(self._fallback_times),
-            tier_transitions=tuple(self._tier_transitions),
-            lp_fallbacks=self._lp_fallbacks,
-            lp_fallback_times_s=tuple(self._lp_fallback_times),
         )

@@ -16,7 +16,7 @@ and of simulated annealing — cost one triangular solve each.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg
@@ -89,7 +89,6 @@ class ThermalNetwork:
         self.ambient_k = ambient_k
         self.g_lateral = g_lateral
         blocks = floorplan.blocks()
-        self.block_names: Tuple[str, ...] = tuple(name for name, _ in blocks)
         rects = [rect for _, rect in blocks]
         n = len(rects)
         g = np.zeros((n, n))

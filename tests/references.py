@@ -62,7 +62,9 @@ from repro.runtime.evaluation import (
 )
 from repro.runtime.simulation import (
     _TIME_EPS,
+    DECISION_MANAGER,
     SENSOR_PERIOD_S,
+    ManagerDecision,
     OnlineSimulation,
     SimulationTrace,
 )
@@ -103,7 +105,7 @@ def run_dense(sim: OnlineSimulation, duration_s: float,
     power = np.empty(n_steps)
     tput = np.empty(n_steps)
     wtput = np.empty(n_steps)
-    manager_runs: List[float] = []
+    decisions: List[ManagerDecision] = []
     transition_time = 0.0
     level_transitions = 0
     migrations = 0
@@ -149,7 +151,15 @@ def run_dense(sim: OnlineSimulation, duration_s: float,
                     stepped = None
             levels = new_levels
             prev_levels = list(new_levels)
-            manager_runs.append(t)
+            decisions.append(ManagerDecision(
+                time_s=float(t), kind=DECISION_MANAGER,
+                levels=tuple(new_levels),
+                core_of=tuple(assignment.core_of),
+                migrated=tuple(migrated),
+                resilience_tier=int(
+                    result.stats.get("resilience_tier", 0.0)),
+                lp_fallbacks=int(result.stats.get("lp_fallbacks", 0.0)),
+                evaluations=int(result.evaluations)))
             next_manager_t += dvfs_interval_s
         state = evaluate_levels(sim.chip, sim.workload,
                                 assignment, levels,
@@ -166,7 +176,7 @@ def run_dense(sim: OnlineSimulation, duration_s: float,
         p_target_w=p_target,
         throughput_mips=tput,
         weighted_throughput=wtput,
-        manager_runs=manager_runs,
+        decisions=tuple(decisions),
         transition_time_s=transition_time,
         migrations=migrations,
         level_transitions=level_transitions,

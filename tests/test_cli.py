@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import EXPERIMENTS
 
@@ -12,6 +18,24 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """The reader of stdout is gone before the CLI prints (as
+        after ``repro ... | head`` has read its lines), so every write
+        fails with EPIPE."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(
+                    pathlib.Path(repro.__file__).parents[1])))
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 1
 
     def test_unknown_experiment(self, capsys):
         assert main(["nonexistent"]) == 2

@@ -221,7 +221,6 @@ class TestKernelStats:
         assert stats.batch_calls == 2
         assert stats.batch_size_hist == {5: 1, 2: 1}
         assert stats.fixed_point_iterations > 0
-        assert stats.wall_s > 0
         assert EVALUATION_COUNTER.evaluations == 7
         assert EVALUATION_COUNTER.batch_calls == 2
         assert EVALUATION_COUNTER.batch_size_hist == {5: 1, 2: 1}

@@ -383,13 +383,15 @@ def _unused_imports(path: pathlib.Path, fixtures: bool = False):
 
 
 def test_src_modules_use_what_they_import():
-    # Package ``__init__`` modules import to re-export.
+    # Package ``__init__`` modules import to re-export; pytest resolves
+    # the parameters of test and benchmark functions to fixtures.
     offenders = [f"{path.relative_to(ROOT).as_posix()}:{unused}"
-                 for root in (SRC, TESTS)
+                 for root, fixtures in ((SRC, False), (TESTS, True),
+                                        (ROOT / "benchmarks", True),
+                                        (ROOT / "examples", False))
                  for path in sorted(root.rglob("*.py"))
                  if path.name != "__init__.py"
-                 for unused in _unused_imports(path,
-                                               fixtures=root == TESTS)]
+                 for unused in _unused_imports(path, fixtures=fixtures)]
     assert offenders == []
 
 

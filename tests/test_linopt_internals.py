@@ -392,22 +392,22 @@ class TestLinOptBehaviour:
 
 
 class TestLinOptConfigValidation:
-    def test_negative_profile_span_rejected(self):
-        with pytest.raises(ValueError, match="profile_span_levels"):
-            LinOptConfig(profile_span_levels=-1)
-
     def test_zero_profile_span_still_decides(self, daemon_chip):
-        """A zero-width local window still profiles (it widens to two
-        levels), with every core at its top level."""
+        """A zero-width local window still profiles: it widens to the
+        two levels a one-level span around the top level covers."""
         wl = make_workload(4, np.random.default_rng(1))
         asg = Assignment((0, 1, 2, 3))
-        res = LinOpt(LinOptConfig(profile_span_levels=0)).set_levels(
-            daemon_chip, wl, asg, COST_PERFORMANCE)
         tops = [daemon_chip.cores[c].vf_table.n_levels - 1
                 for c in asg.core_of]
-        assert list(res.levels) == tops
-        assert meets_constraints(res.state, COST_PERFORMANCE.p_target(
-            4, daemon_chip.n_cores), COST_PERFORMANCE.p_core_max)
+        temps = np.full(daemon_chip.n_cores, 350.0)
+        fits = [fit_power_lines(EvalKernel(daemon_chip, wl, asg), temps,
+                                3, PowerSensor(), center_levels=tops,
+                                span_levels=span)
+                for span in (0, 1)]
+        np.testing.assert_array_equal(fits[0].slope, fits[1].slope)
+        np.testing.assert_array_equal(fits[0].intercept,
+                                      fits[1].intercept)
+        assert np.all(fits[0].slope > 0)
 
 
 @pytest.fixture(scope="module")

@@ -125,8 +125,6 @@ class TestLinOpt:
             LinOptConfig(rounding="up")
         with pytest.raises(ValueError):
             LinOptConfig(n_iterations=0)
-        with pytest.raises(ValueError):
-            LinOptConfig(correction_limit=-1)
 
     def test_warm_start(self, chip, setup4):
         wl, asg = setup4

@@ -180,7 +180,7 @@ class TestEventDrivenLoop:
         np.testing.assert_array_equal(a.throughput_mips, b.throughput_mips)
         np.testing.assert_array_equal(a.weighted_throughput,
                                       b.weighted_throughput)
-        assert a.manager_runs == b.manager_runs
+        assert a.decisions == b.decisions
         assert a.transition_time_s == b.transition_time_s
         assert a.level_transitions == b.level_transitions
         assert a.migrations == b.migrations
