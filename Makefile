@@ -12,10 +12,11 @@ test:
 chaos:
 	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py tests/test_experiment_common.py
 
-# Daemon suite: protocol/isolation/acceptance + chaos (CI's 'daemon'
-# job runs this plus the service benchmark under a hard timeout).
+# Daemon suite: protocol/isolation/acceptance + chaos, plus the tenant
+# stack shared with ext-faults (CI's 'daemon' job runs this plus the
+# service benchmark under a hard timeout).
 daemon:
-	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_daemon.py tests/test_daemon_chaos.py
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning tests/test_daemon.py tests/test_daemon_chaos.py tests/test_faults.py
 
 # Crash-recovery suite: storage corruption suite, op-log/snapshot
 # units, bitwise replay, reconnecting clients, then the real

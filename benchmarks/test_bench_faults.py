@@ -19,18 +19,19 @@ def test_faults_degradation(benchmark, results_dir):
     noisy = result.noise_arms[-1]
     emit(results_dir, "ext_faults", result.format_table(),
          benchmark=benchmark,
-         metrics={"clean_throughput_mips": clean.throughput_mips,
-                  "noisy_throughput_mips": noisy.throughput_mips,
+         metrics={"clean_throughput_mips": clean.mean_throughput_mips,
+                  "noisy_throughput_mips": noisy.mean_throughput_mips,
                   "scenario_watchdog_deviation_pct":
-                  result.scenario.watchdog.deviation_pct,
+                  result.scenario.watchdog.mean_abs_deviation_pct,
                   "scenario_watchdog_triggers":
-                  result.scenario.watchdog.watchdog_triggers})
+                  len(result.scenario.watchdog.watchdog_triggers)})
 
     # Degradation is graceful: heavy noise must not collapse throughput.
-    assert noisy.throughput_mips > 0.9 * clean.throughput_mips
+    assert noisy.mean_throughput_mips > 0.9 * clean.mean_throughput_mips
 
     # The seeded scenario's watchdog arm holds deviation within 2x the
     # fault-free run while the no-watchdog ablation overshoots more.
     sc = result.scenario
-    assert sc.watchdog.deviation_pct <= 2.0 * sc.fault_free.deviation_pct
+    assert (sc.watchdog.mean_abs_deviation_pct
+            <= 2.0 * sc.fault_free.mean_abs_deviation_pct)
     assert sc.ablation.mean_overshoot_w > sc.watchdog.mean_overshoot_w

@@ -116,13 +116,15 @@ def _render_chart(name: str, result) -> Optional[str]:
         from .experiments.ext_faults import DURATION_S
         curves = line_chart(
             result.noise_sigmas,
-            {"dev %": [a.deviation_pct for a in result.noise_arms],
-             "wd trig": [float(a.watchdog_triggers)
+            {"dev %": [a.mean_abs_deviation_pct
+                       for a in result.noise_arms],
+             "wd trig": [float(len(a.watchdog_triggers))
                          for a in result.noise_arms]},
             title="ext-faults: degradation vs sensor noise sigma")
         wd = result.scenario.watchdog
         timeline = resilience_timeline(
-            DURATION_S, wd.fault_times_s, wd.decisions,
+            DURATION_S, [e.time_s for e in wd.fault_events],
+            wd.decisions,
             title="ext-faults scenario: faults vs watchdog/fallback "
                   "activity")
         return curves + "\n\n" + timeline

@@ -26,16 +26,14 @@ from .client import (
     ReconnectingClient,
     backoff_delay_s,
 )
+from ..faults import CrashingManager, TenantConfig, build_stepper
 from .controller import (
     ACTIVE,
     FINISHED,
     QUARANTINED,
-    CrashingManager,
     DaemonController,
     Tenant,
-    TenantConfig,
     build_config,
-    build_stepper,
     decision_to_dict,
 )
 from .durability import (

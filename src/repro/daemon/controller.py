@@ -41,41 +41,23 @@ from __future__ import annotations
 import pathlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
-from ..config import (
-    COST_PERFORMANCE,
-    HIGH_PERFORMANCE,
-    LOW_POWER,
-    ArchConfig,
-    PowerEnvironment,
-    TechParams,
-)
+from ..config import ArchConfig, PowerEnvironment, TechParams
 from ..experiments.common import ChipFactory
 from ..faults import (
     FaultEvent,
-    FaultSchedule,
-    ManagerFault,
-    PowerWatchdog,
     ResilientManager,
-    SensorBank,
+    TenantConfig,
+    build_stepper,
 )
-from ..faults.watchdog import GUARD_BAND_FRAC, K_SAMPLES
-from ..pm import FoxtonStar, LinOpt, LinOptConfig, PmResult, PowerManager
-from ..power import SensorSpec
 from ..report import resilience_timeline
 from ..runtime import (
     DECISION_EMERGENCY,
     DECISION_MANAGER,
     ManagerDecision,
-    OnlineSimulation,
     SimulationStepper,
 )
-from ..sched import POLICIES
-from ..workloads import make_workload
 from .durability import (
     DEDUP_WINDOW,
     SNAPSHOT_FORMAT,
@@ -90,66 +72,13 @@ from .protocol import (
     ERR_UNKNOWN_TENANT,
     ProtocolError,
 )
+from .schemas import ENVS
 from .telemetry import DaemonTelemetry
 
 #: Tenant lifecycle states.
 ACTIVE = "active"
 FINISHED = "finished"
 QUARANTINED = "quarantined"
-
-_ENVS = {
-    "low_power": LOW_POWER,
-    "cost_performance": COST_PERFORMANCE,
-    "high_performance": HIGH_PERFORMANCE,
-}
-
-
-class CrashingManager(PowerManager):
-    """Chaos-testing manager: Foxton* for N-1 calls, then raises.
-
-    Registered via ``manager: {"primary": "crashing", "crash_after":
-    N}``. With ``resilient: true`` the crash is absorbed by the
-    fallback chain (a tier escalation); with ``resilient: false`` it
-    propagates and quarantines the tenant — the blast-radius case the
-    chaos tests pin.
-    """
-
-    name = "Crashing"
-
-    def __init__(self, crash_after: int = 1) -> None:
-        if crash_after < 1:
-            raise ValueError("crash_after must be positive")
-        self.inner = FoxtonStar()
-        self.crash_after = crash_after
-        self.calls = 0
-
-    def set_levels(self, chip, workload, assignment, env,
-                   **kwargs) -> PmResult:
-        self.calls += 1
-        if self.calls >= self.crash_after:
-            raise ManagerFault(
-                f"scripted crash on invocation {self.calls}")
-        return self.inner.set_levels(chip, workload, assignment, env,
-                                     **kwargs)
-
-
-@dataclass(frozen=True)
-class TenantConfig:
-    """A tenant's registration, resolved to concrete values."""
-
-    name: str
-    seed: int
-    n_cores: int
-    n_threads: int
-    env: PowerEnvironment
-    policy: str
-    duration_s: float
-    dvfs_interval_s: float
-    noise_sigma: float
-    watchdog: bool
-    faults: Tuple[FaultEvent, ...] = ()
-    manager: Dict[str, Any] = field(default_factory=dict)
-
 
 def decision_to_dict(decision: ManagerDecision) -> Dict[str, Any]:
     """JSON-ready form of one actuation decision."""
@@ -176,11 +105,10 @@ def build_config(payload: Dict[str, Any]) -> TenantConfig:
             f"({n_cores})")
     env = payload["env"]
     if isinstance(env, str):
-        env = _ENVS[env]
+        env = ENVS[env]
     else:
         env = PowerEnvironment(
-            "custom", float(env["p_target_full"]),
-            p_core_max=float(env.get("p_core_max", 8.0)))
+            "custom", **{key: float(v) for key, v in env.items()})
     raw = payload["faults"] or ()
     try:
         faults = tuple(FaultEvent(float(e["time_s"]), e["kind"],
@@ -203,58 +131,6 @@ def build_config(payload: Dict[str, Any]) -> TenantConfig:
         faults=faults,
         manager=dict(payload["manager"] or {}),
     )
-
-
-def build_stepper(config: TenantConfig, chip) -> SimulationStepper:
-    """Assemble one tenant's manager stack and stepper.
-
-    Mirrors the ext-faults experiment wiring: when a sensor bank
-    exists it is both LinOpt's profiling sensor and the watchdog's
-    measurement path, so sensor faults corrupt both consistently.
-    """
-    mgr = config.manager
-    needs_bank = (config.noise_sigma > 0 or config.watchdog
-                  or any(e.kind.startswith("sensor")
-                         for e in config.faults))
-    bank = None
-    if needs_bank:
-        bank = SensorBank(
-            chip.n_cores,
-            spec=SensorSpec(noise_sigma=config.noise_sigma,
-                            relative=True),
-            seed=config.seed + 42)
-    primary_kind = mgr.get("primary", "linopt")
-    if primary_kind == "linopt":
-        primary: PowerManager = LinOpt(
-            LinOptConfig(n_iterations=mgr.get("n_iterations") or 3),
-            power_sensor=bank)
-    elif primary_kind == "foxton":
-        primary = FoxtonStar()
-    else:
-        primary = CrashingManager(
-            crash_after=mgr.get("crash_after") or 1)
-    if mgr.get("resilient", True):
-        manager: PowerManager = ResilientManager(
-            primary=primary, fallback=FoxtonStar(),
-            evaluation_budget=mgr.get("evaluation_budget"),
-            deadline_s=mgr.get("deadline_s"),
-            accept_infeasible_floor=mgr.get("accept_infeasible_floor",
-                                            True))
-    else:
-        manager = primary
-    watchdog = (PowerWatchdog(guard_band_frac=GUARD_BAND_FRAC,
-                              k_samples=K_SAMPLES)
-                if config.watchdog else None)
-    workload = make_workload(config.n_threads,
-                             np.random.default_rng([config.seed, 31]))
-    assignment = POLICIES[config.policy].assign_with_profiling(
-        chip, workload, np.random.default_rng([config.seed, 37]))
-    sim = OnlineSimulation(
-        chip, workload, assignment, config.env, manager=manager,
-        phase_seed=config.seed,
-        faults=FaultSchedule(config.faults) if config.faults else None,
-        sensor_bank=bank, watchdog=watchdog)
-    return sim.stepper(config.duration_s, config.dvfs_interval_s)
 
 
 class Tenant:
@@ -482,7 +358,8 @@ class DaemonController:
         lock so registrations don't serialise on it."""
         with self._lock:
             factory = self._factory(config.n_cores, config.seed)
-        return Tenant(config, build_stepper(config, factory.chip(0)))
+        return Tenant(config, build_stepper(config, factory.chip(0),
+                                            bank_seed=config.seed + 42))
 
     def _get(self, name: str) -> Tenant:
         with self._lock:
@@ -736,13 +613,10 @@ class DaemonController:
         snap = self.telemetry.snapshot()
         with self._lock:
             by_status: Dict[str, int] = {}
-            quarantined: Dict[str, Optional[str]] = {}
             for tenant in self._tenants.values():
                 by_status[tenant.status] = (
                     by_status.get(tenant.status, 0) + 1)
-                if tenant.status == QUARANTINED:
-                    quarantined[tenant.config.name] = (
-                        tenant.quarantine_reason)
+            quarantined = self.quarantined()
         snap["tenants"] = by_status
         snap["quarantined"] = quarantined
         if self.last_recovery is not None:

@@ -14,6 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..config import (
+    COST_PERFORMANCE,
+    HIGH_PERFORMANCE,
+    LOW_POWER,
+    PowerEnvironment,
+)
 from ..faults.schedule import ALL_KINDS
 from ..sched import POLICIES
 from .protocol import ERR_INVALID, ERR_UNKNOWN_TYPE, ProtocolError
@@ -26,7 +32,11 @@ ENVELOPE_KEYS = ("v", "type", "id")
 MANAGER_PRIMARIES = ("linopt", "foxton", "crashing")
 
 #: Named power environments (:mod:`repro.config` presets).
-ENV_NAMES = ("low_power", "cost_performance", "high_performance")
+ENVS: Dict[str, PowerEnvironment] = {
+    "low_power": LOW_POWER,
+    "cost_performance": COST_PERFORMANCE,
+    "high_performance": HIGH_PERFORMANCE,
+}
 
 
 def _invalid(message: str) -> ProtocolError:
@@ -71,8 +81,8 @@ def _nonempty_str(value: Any) -> Optional[str]:
 
 def _check_env(value: Any) -> Optional[str]:
     if isinstance(value, str):
-        if value not in ENV_NAMES:
-            return f"must be one of {ENV_NAMES}"
+        if value not in ENVS:
+            return f"must be one of {tuple(ENVS)}"
         return None
     allowed = {"p_target_full", "p_core_max"}
     if not set(value) <= allowed:

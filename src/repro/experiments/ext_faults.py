@@ -25,10 +25,8 @@ overshoot physically reachable so the watchdog has something to do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..config import ArchConfig, LOW_POWER, PowerEnvironment
 from ..faults import (
@@ -41,20 +39,11 @@ from ..faults import (
     SENSOR_STUCK,
     FaultEvent,
     FaultSchedule,
-    PowerWatchdog,
-    ResilientManager,
-    SensorBank,
+    TenantConfig,
+    build_stepper,
 )
-from ..faults.watchdog import GUARD_BAND_FRAC, K_SAMPLES
-from ..pm import FoxtonStar, LinOpt, LinOptConfig
-from ..power import SensorSpec
-from ..runtime.simulation import (
-    ManagerDecision,
-    OnlineSimulation,
-    SimulationTrace,
-)
+from ..runtime.simulation import SimulationTrace
 from ..sched import VarFAppIPC
-from ..workloads import make_workload
 from .common import ChipFactory, format_rows
 
 #: Default simulated horizon and manager interval. The 20 ms interval
@@ -89,57 +78,23 @@ def _small_factory(seed: int = 0) -> ChipFactory:
 
 
 @dataclass(frozen=True)
-class ArmSummary:
-    """Summary statistics of one simulated arm."""
-
-    name: str
-    deviation_pct: float
-    overshoot_fraction: float
-    mean_overshoot_w: float
-    throughput_mips: float
-    watchdog_triggers: int
-    fallback_activations: int
-    migrations: int
-    faults_applied: int
-    fault_times_s: Tuple[float, ...] = ()
-    decisions: Tuple[ManagerDecision, ...] = ()
-
-    @classmethod
-    def from_trace(cls, name: str, trace: SimulationTrace,
-                   ) -> "ArmSummary":
-        """Condense a simulation trace into the reported statistics."""
-        over = np.maximum(trace.power_w - trace.p_target_w, 0.0)
-        return cls(
-            name=name,
-            deviation_pct=trace.mean_abs_deviation_pct,
-            overshoot_fraction=trace.overshoot_fraction,
-            mean_overshoot_w=float(over.mean()),
-            throughput_mips=trace.mean_throughput_mips,
-            watchdog_triggers=len(trace.watchdog_triggers),
-            fallback_activations=trace.fallback_activations,
-            migrations=trace.migrations,
-            faults_applied=len(trace.fault_events),
-            fault_times_s=tuple(e.time_s for e in trace.fault_events),
-            decisions=trace.decisions,
-        )
-
-
-@dataclass(frozen=True)
 class FaultScenarioResult:
     """The three-arm seeded scenario (acceptance regression)."""
 
-    fault_free: ArmSummary
-    watchdog: ArmSummary
-    ablation: ArmSummary
+    fault_free: SimulationTrace
+    watchdog: SimulationTrace
+    ablation: SimulationTrace
 
     def format_table(self) -> str:
         header = ["arm", "dev %", "over frac", "over W", "MIPS",
                   "wd trig", "fallbacks", "migr", "faults"]
-        rows = [[a.name, a.deviation_pct, a.overshoot_fraction,
-                 a.mean_overshoot_w, a.throughput_mips,
-                 a.watchdog_triggers, a.fallback_activations,
-                 a.migrations, a.faults_applied]
-                for a in (self.fault_free, self.watchdog, self.ablation)]
+        rows = [[name, a.mean_abs_deviation_pct, a.overshoot_fraction,
+                 a.mean_overshoot_w, a.mean_throughput_mips,
+                 len(a.watchdog_triggers), a.fallback_activations,
+                 a.migrations, len(a.fault_events)]
+                for name, a in (("fault_free", self.fault_free),
+                                ("watchdog", self.watchdog),
+                                ("ablation", self.ablation))]
         return format_rows(
             header, rows,
             "Seeded fault scenario: dead power sensor + core offline at "
@@ -152,27 +107,27 @@ class ExtFaultsResult:
     """Degradation curves plus the seeded scenario."""
 
     noise_sigmas: Tuple[float, ...]
-    noise_arms: Tuple[ArmSummary, ...]
+    noise_arms: Tuple[SimulationTrace, ...]
     fault_rates: Tuple[float, ...]
-    rate_arms: Tuple[ArmSummary, ...]
+    rate_arms: Tuple[SimulationTrace, ...]
     scenario: FaultScenarioResult
 
     def format_table(self) -> str:
         header = ["sigma", "dev %", "over frac", "MIPS", "wd trig",
                   "fallbacks"]
-        rows = [[f"{s:.2f}", a.deviation_pct, a.overshoot_fraction,
-                 a.throughput_mips, a.watchdog_triggers,
-                 a.fallback_activations]
+        rows = [[f"{s:.2f}", a.mean_abs_deviation_pct,
+                 a.overshoot_fraction, a.mean_throughput_mips,
+                 len(a.watchdog_triggers), a.fallback_activations]
                 for s, a in zip(self.noise_sigmas, self.noise_arms)]
         noise = format_rows(
             header, rows,
             "Degradation vs sensor noise sigma (full protection stack)")
         header = ["rate /s", "dev %", "over frac", "MIPS", "faults",
                   "wd trig", "fallbacks", "migr"]
-        rows = [[f"{r:.0f}", a.deviation_pct, a.overshoot_fraction,
-                 a.throughput_mips, a.faults_applied,
-                 a.watchdog_triggers, a.fallback_activations,
-                 a.migrations]
+        rows = [[f"{r:.0f}", a.mean_abs_deviation_pct,
+                 a.overshoot_fraction, a.mean_throughput_mips,
+                 len(a.fault_events), len(a.watchdog_triggers),
+                 a.fallback_activations, a.migrations]
                 for r, a in zip(self.fault_rates, self.rate_arms)]
         rates = format_rows(
             header, rows,
@@ -181,33 +136,21 @@ class ExtFaultsResult:
                             self.scenario.format_table()])
 
 
-def _build_sim(chip, workload, assignment, env, *,
-               noise_sigma: float,
-               faults: Optional[FaultSchedule],
-               with_watchdog: bool,
-               seed: int,
-               phase_seed: int) -> OnlineSimulation:
-    """One protected simulation: bank-fed LinOpt + fallback chain.
+def _tenant(chip, seed: int, env: PowerEnvironment, duration_s: float,
+            dvfs_interval_s: float, n_threads: int) -> TenantConfig:
+    """The daemon tenant every arm runs on ``chip``: LinOpt primary,
+    resilient fallback chain, VarF&AppIPC assignment, watchdog on.
+    Each arm replaces its name, noise, watchdog and faults."""
+    return TenantConfig(
+        name="", seed=seed, n_cores=chip.n_cores, n_threads=n_threads,
+        env=env, policy=VarFAppIPC.name, duration_s=duration_s,
+        dvfs_interval_s=dvfs_interval_s, noise_sigma=0.0, watchdog=True)
 
-    The same :class:`SensorBank` instance is both LinOpt's profiling
-    sensor and the simulation's watchdog measurement path, so a sensor
-    fault corrupts the manager's power model and the emergency sensing
-    consistently.
-    """
-    bank = SensorBank(chip.n_cores,
-                      spec=SensorSpec(noise_sigma=noise_sigma,
-                                      relative=True),
-                      seed=seed)
-    manager = ResilientManager(
-        primary=LinOpt(LinOptConfig(n_iterations=3), power_sensor=bank),
-        fallback=FoxtonStar())
-    watchdog = (PowerWatchdog(guard_band_frac=GUARD_BAND_FRAC,
-                              k_samples=K_SAMPLES)
-                if with_watchdog else None)
-    return OnlineSimulation(chip, workload, assignment, env,
-                            manager=manager, phase_seed=phase_seed,
-                            faults=faults, sensor_bank=bank,
-                            watchdog=watchdog)
+
+def _run(chip, config: TenantConfig, bank_seed: int) -> SimulationTrace:
+    stepper = build_stepper(config, chip, bank_seed=bank_seed)
+    stepper.run_to_end()
+    return stepper.trace()
 
 
 def scenario(
@@ -223,49 +166,31 @@ def scenario(
     At ``SCENARIO_FAULT_T_S`` the power sensor of thread 0's core dies
     (it keeps reporting its last-known-good value) and thread 1's core
     goes offline (the thread migrates to the fastest surviving spare);
-    every other sensor carries 5 % relative noise throughout.
+    every other sensor carries 5 % relative noise throughout. The
+    fault-free arm has neither noise nor watchdog, so it runs without
+    a sensor bank.
 
     Seed 1 is the pinned regression seed: it draws a workload whose
     phase excursions make the budget bind, so the watchdog visibly
     acts (asserted in ``tests/test_faults.py``).
     """
-    factory = factory or _small_factory(seed)
-    chip = factory.chip(0)
-    workload = make_workload(n_threads,
-                             np.random.default_rng([seed, 31]))
-    assignment = VarFAppIPC().assign_with_profiling(
-        chip, workload, np.random.default_rng([seed, 37]))
-    faults = FaultSchedule([
-        FaultEvent(SCENARIO_FAULT_T_S, SENSOR_DEAD,
-                   target=assignment.core_of[0]),
-        FaultEvent(SCENARIO_FAULT_T_S, CORE_OFFLINE,
-                   target=assignment.core_of[1]),
-    ])
-
-    baseline = OnlineSimulation(
-        chip, workload, assignment, env,
-        manager=ResilientManager(
-            primary=LinOpt(LinOptConfig(n_iterations=3)),
-            fallback=FoxtonStar()),
-        phase_seed=seed)
-    arms = {
-        "fault_free": baseline.run(duration_s, dvfs_interval_s),
-        "watchdog": _build_sim(
-            chip, workload, assignment, env,
-            noise_sigma=SCENARIO_NOISE_SIGMA, faults=faults,
-            with_watchdog=True, seed=seed + 42, phase_seed=seed,
-        ).run(duration_s, dvfs_interval_s),
-        "ablation": _build_sim(
-            chip, workload, assignment, env,
-            noise_sigma=SCENARIO_NOISE_SIGMA, faults=faults,
-            with_watchdog=False, seed=seed + 42, phase_seed=seed,
-        ).run(duration_s, dvfs_interval_s),
-    }
-    summaries = {name: ArmSummary.from_trace(name, trace)
-                 for name, trace in arms.items()}
-    return FaultScenarioResult(fault_free=summaries["fault_free"],
-                               watchdog=summaries["watchdog"],
-                               ablation=summaries["ablation"])
+    chip = (factory or _small_factory(seed)).chip(0)
+    tenant = _tenant(chip, seed, env, duration_s, dvfs_interval_s,
+                     n_threads)
+    bank_seed = seed + 42
+    fault_free = _run(chip, replace(tenant, name="fault_free",
+                                    watchdog=False), bank_seed)
+    # Every arm draws the same assignment: the core map of the
+    # fault-free run's first decision says where threads 0 and 1 run.
+    core_of = fault_free.decisions[0].core_of
+    faulty = replace(tenant, noise_sigma=SCENARIO_NOISE_SIGMA, faults=(
+        FaultEvent(SCENARIO_FAULT_T_S, SENSOR_DEAD, target=core_of[0]),
+        FaultEvent(SCENARIO_FAULT_T_S, CORE_OFFLINE, target=core_of[1])))
+    return FaultScenarioResult(
+        fault_free=fault_free,
+        watchdog=_run(chip, replace(faulty, name="watchdog"), bank_seed),
+        ablation=_run(chip, replace(faulty, name="ablation",
+                                    watchdog=False), bank_seed))
 
 
 def run(
@@ -278,23 +203,19 @@ def run(
     factory: Optional[ChipFactory] = None,
     seed: int = 1,
 ) -> ExtFaultsResult:
-    """Produce the degradation curves and the seeded scenario."""
+    """Produce the degradation curves and the seeded scenario.
+
+    Curve arm ``i`` seeds its sensor bank (and, on the fault-rate
+    curve, its random fault schedule) with ``seed + i``.
+    """
     factory = factory or _small_factory(seed)
     chip = factory.chip(0)
-    workload = make_workload(n_threads,
-                             np.random.default_rng([seed, 31]))
-    assignment = VarFAppIPC().assign_with_profiling(
-        chip, workload, np.random.default_rng([seed, 37]))
-
-    noise_arms = []
-    for i, sigma in enumerate(noise_sigmas):
-        trace = _build_sim(
-            chip, workload, assignment, env, noise_sigma=float(sigma),
-            faults=None, with_watchdog=True, seed=seed + i,
-            phase_seed=seed,
-        ).run(duration_s, dvfs_interval_s)
-        noise_arms.append(ArmSummary.from_trace(f"sigma={sigma}", trace))
-
+    tenant = _tenant(chip, seed, env, duration_s, dvfs_interval_s,
+                     n_threads)
+    noise_arms = tuple(
+        _run(chip, replace(tenant, name=f"sigma={sigma}",
+                           noise_sigma=float(sigma)), seed + i)
+        for i, sigma in enumerate(noise_sigmas))
     rate_arms = []
     for i, rate in enumerate(fault_rates):
         rates = {kind: share * float(rate)
@@ -302,16 +223,14 @@ def run(
         faults = FaultSchedule.random(
             duration_s, rates, chip.n_cores, seed=seed + i,
             param_ranges={SENSOR_STUCK: (0.0, 8.0)})
-        trace = _build_sim(
-            chip, workload, assignment, env,
-            noise_sigma=SCENARIO_NOISE_SIGMA, faults=faults,
-            with_watchdog=True, seed=seed + i, phase_seed=seed,
-        ).run(duration_s, dvfs_interval_s)
-        rate_arms.append(ArmSummary.from_trace(f"rate={rate}", trace))
+        rate_arms.append(_run(
+            chip, replace(tenant, name=f"rate={rate}",
+                          noise_sigma=SCENARIO_NOISE_SIGMA,
+                          faults=faults.events), seed + i))
 
     return ExtFaultsResult(
         noise_sigmas=tuple(float(s) for s in noise_sigmas),
-        noise_arms=tuple(noise_arms),
+        noise_arms=noise_arms,
         fault_rates=tuple(float(r) for r in fault_rates),
         rate_arms=tuple(rate_arms),
         scenario=scenario(env=env, duration_s=duration_s,

@@ -64,7 +64,6 @@ def run(
     n_trials: int = 2,
     factory: Optional[ChipFactory] = None,
     seed: int = 0,
-    transition_latency_s: float = TRANSITION_LATENCY_PER_LEVEL_S,
 ) -> Fig14Result:
     """Reproduce Figure 14."""
     factory = factory or ChipFactory()
@@ -76,8 +75,7 @@ def run(
         sim = OnlineSimulation(
             chip, workload, assignment, env,
             manager=LinOpt(LinOptConfig(n_iterations=3)),
-            phase_seed=seed * 100 + trial,
-            transition_latency_s=transition_latency_s)
+            phase_seed=seed * 100 + trial)
         duration = max(DURATION_INTERVALS * interval.spec, MIN_DURATION_S)
         return [sim.run(duration, interval.spec).mean_abs_deviation_pct]
 
@@ -88,7 +86,8 @@ def run(
             n_dies=n_trials, seed=seed, workload_tag=31,
             experiment="fig14", name_field="interval",
             key_fields={"env": repr(sorted(asdict(env).items())),
-                        "transition_latency_s": transition_latency_s})
+                        "transition_latency_s":
+                        TRANSITION_LATENCY_PER_LEVEL_S})
         deviation[nt] = tuple(float(v) for v in table.mean(axis=0).ravel())
     return Fig14Result(intervals_s=tuple(intervals_s),
                        deviation_pct=deviation)

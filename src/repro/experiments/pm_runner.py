@@ -108,16 +108,16 @@ def run_pm_comparison(
     interval_s: float = DEFAULT_INTERVAL_S,
     baseline: str = "Random+Foxton*",
     seed: int = 0,
-    transition_latency_s: float = TRANSITION_LATENCY_PER_LEVEL_S,
     experiment: Optional[str] = None,
 ) -> Dict[str, PmAverages]:
     """Compare the power-budget algorithms at one (env, thread count).
 
-    ``transition_latency_s`` is the per-level V/f switching cost
-    charged by the online protocol (zero disables the accounting, for
-    ablations). ``experiment`` is the campaign tag (e.g. ``"fig11"``):
-    with resume mode active, completed (trial, algorithm) units
-    checkpoint to the campaign journal and are skipped on rerun.
+    The online protocol charges
+    :data:`~repro.runtime.simulation.TRANSITION_LATENCY_PER_LEVEL_S`
+    per V/f level stepped. ``experiment`` is the campaign tag (e.g.
+    ``"fig11"``): with resume mode active, completed (trial,
+    algorithm) units checkpoint to the campaign journal and are
+    skipped on rerun.
     Algorithm names must be distinct and include ``baseline``, and
     ``n_trials`` and ``n_dies`` must be at least 1.
 
@@ -139,7 +139,6 @@ def run_pm_comparison(
             trace = OnlineSimulation(
                 chip, workload, assignment, env, manager=manager,
                 phase_seed=seed * 100 + trial,
-                transition_latency_s=transition_latency_s,
             ).run(duration_s, interval_s)
             return [trace.mean_throughput_mips,
                     trace.mean_weighted_throughput,
@@ -163,7 +162,8 @@ def run_pm_comparison(
             "env": repr(sorted(asdict(env).items())),
             "protocol": protocol, "duration_s": duration_s,
             "interval_s": interval_s,
-            "transition_latency_s": transition_latency_s})
+            # Keyed so journals that recorded the latency resume.
+            "transition_latency_s": TRANSITION_LATENCY_PER_LEVEL_S})
     return {name: PmAverages(name, *(float(v) for v in mean))
             for name, mean in normalise(table, names, baseline).items()}
 

@@ -13,6 +13,8 @@ and twenty healthy cores. This package drops those assumptions:
   the online simulation runs on the 1 ms sensor grid.
 * :mod:`~repro.faults.resilient` — the LinOpt -> Foxton* ->
   all-minimum fallback chain as a drop-in power manager.
+* :mod:`~repro.faults.tenant` — the one builder that wires those
+  layers around a chip: daemon tenants and ext-faults arms alike.
 
 Everything here is transparent by default: an empty schedule, a
 healthy bank and an untriggered watchdog leave every experiment's
@@ -38,12 +40,14 @@ from .schedule import (
 from .sensors import FaultableSensor, SensorBank
 from .watchdog import PowerWatchdog
 from .resilient import ManagerFault, ResilientManager
+from .tenant import CrashingManager, TenantConfig, build_stepper
 
 __all__ = [
     "ALL_KINDS",
     "CORE_DROOP",
     "CORE_KINDS",
     "CORE_OFFLINE",
+    "CrashingManager",
     "FaultEvent",
     "FaultSchedule",
     "FaultableSensor",
@@ -58,4 +62,6 @@ __all__ = [
     "SENSOR_KINDS",
     "SENSOR_STUCK",
     "SensorBank",
+    "TenantConfig",
+    "build_stepper",
 ]

@@ -22,9 +22,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..pm.foxton import next_round_robin_victim
 
-#: Watchdog tuning shared by the ext-faults experiment and the daemon's
-#: tenants: trigger above 101 % of budget for 3 consecutive samples.
+#: Overshoot tolerance as a fraction of ``Ptarget``: trigger only
+#: above 101 % of budget. Every tenant built by
+#: :func:`repro.faults.tenant.build_stepper` (daemon tenants and the
+#: ext-faults arms) runs with it.
 GUARD_BAND_FRAC = 0.01
+#: Consecutive over-band sensor samples required to trigger (debounce
+#: against single-sample noise spikes).
 K_SAMPLES = 3
 
 #: DVFS levels removed from the victim per trigger.
@@ -34,23 +38,12 @@ STEP_LEVELS = 1
 class PowerWatchdog:
     """K-out-of-K over-budget detector with round-robin step-down.
 
-    Args:
-        guard_band_frac: Overshoot tolerance as a fraction of
-            ``Ptarget`` (0.05 = trigger only above 105 % of budget).
-        k_samples: Consecutive over-band sensor samples required to
-            trigger (debounce against single-sample noise spikes).
-
-    One instance drives one simulation run; :meth:`reset` re-arms it.
+    It triggers after :data:`K_SAMPLES` consecutive samples above
+    ``Ptarget * (1 + GUARD_BAND_FRAC)``. One instance drives one
+    simulation run; :meth:`reset` re-arms it.
     """
 
-    def __init__(self, guard_band_frac: float = 0.05,
-                 k_samples: int = 3) -> None:
-        if guard_band_frac < 0:
-            raise ValueError("guard band must be non-negative")
-        if k_samples < 1:
-            raise ValueError("k_samples must be positive")
-        self.guard_band_frac = guard_band_frac
-        self.k_samples = k_samples
+    def __init__(self) -> None:
         self.reset(0)
 
     def reset(self, n_threads: int) -> None:
@@ -69,11 +62,11 @@ class PowerWatchdog:
         back inside the band, and after every trigger (giving the
         step-down K samples to take effect before escalating).
         """
-        if sensed_power_w > p_target_w * (1.0 + self.guard_band_frac):
+        if sensed_power_w > p_target_w * (1.0 + GUARD_BAND_FRAC):
             self._count += 1
         else:
             self._count = 0
-        if self._count < self.k_samples:
+        if self._count < K_SAMPLES:
             return False
         self._count = 0
         self._triggered_since_manager = True

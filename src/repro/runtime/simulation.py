@@ -170,6 +170,12 @@ class SimulationTrace:
         return float(np.mean(self.power_w > self.p_target_w))
 
     @property
+    def mean_overshoot_w(self) -> float:
+        """Mean true power above Ptarget, 0 for in-budget samples."""
+        over = np.maximum(self.power_w - self.p_target_w, 0.0)
+        return float(over.mean())
+
+    @property
     def mean_power_w(self) -> float:
         return float(self.power_w.mean())
 

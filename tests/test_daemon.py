@@ -438,7 +438,8 @@ class TestAcceptanceScenario:
                 config = build_config(payload)
                 chip = ref_ctl._factory(config.n_cores,
                                         config.seed).chip(0)
-                stepper = build_stepper(config, chip)
+                stepper = build_stepper(config, chip,
+                                        bank_seed=config.seed + 42)
                 stepper.run_to_end()
                 reference[name] = [decision_to_dict(d)
                                    for d in stepper.decisions]

@@ -18,6 +18,7 @@ from repro.faults import (
     PowerWatchdog,
     ResilientManager,
     SensorBank,
+    watchdog,
 )
 from repro.pm import FoxtonStar, LinOpt, LinOptConfig
 from repro.pm.base import PmResult, PowerManager
@@ -523,6 +524,8 @@ class TestStepperAdoptsManagerState:
         and thread map in force (a manager decision applies from its
         own sample, a watchdog emergency from the next)."""
         wl, asg = sim_setup
+        monkeypatch.setattr(watchdog, "GUARD_BAND_FRAC", 0.0)
+        monkeypatch.setattr(watchdog, "K_SAMPLES", 1)
         faults = FaultSchedule([
             FaultEvent(0.012, CORE_DROOP, target=asg.core_of[1], param=2),
             FaultEvent(0.025, MANAGER_ERROR),
@@ -535,7 +538,7 @@ class TestStepperAdoptsManagerState:
             sensor_bank=SensorBank(chip.n_cores,
                                    spec=SensorSpec(noise_sigma=0.5),
                                    seed=1),
-            watchdog=PowerWatchdog(guard_band_frac=0.0, k_samples=1))
+            watchdog=PowerWatchdog())
         stepper = sim.stepper(0.05, 0.01)
         times = self._eval_times(monkeypatch, stepper)
         stepper.run_to_end()
