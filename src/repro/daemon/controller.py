@@ -52,12 +52,7 @@ from ..faults import (
     build_stepper,
 )
 from ..report import resilience_timeline
-from ..runtime import (
-    DECISION_EMERGENCY,
-    DECISION_MANAGER,
-    ManagerDecision,
-    SimulationStepper,
-)
+from ..runtime import ManagerDecision, SimulationStepper
 from .durability import (
     DEDUP_WINDOW,
     SNAPSHOT_FORMAT,
@@ -180,6 +175,9 @@ class Tenant:
             "finished": self.stepper.finished,
             "decisions": len(self.stepper.decisions),
             "resilience_tier": self.stepper.resilience_tier,
+            "cause": self.stepper.cause,
+            "fallback_activations": self.stepper.fallback_activations,
+            "lp_fallbacks": self.stepper.lp_fallbacks,
             "quarantine_reason": self.quarantine_reason,
             "n_cores": self.config.n_cores,
             "n_threads": self.config.n_threads,
@@ -218,6 +216,7 @@ class Tenant:
             "lp_fallbacks": trace.lp_fallbacks,
             "tier_transitions": [[t, tier] for t, tier
                                  in trace.tier_transitions],
+            "causes": trace.causes,
             "watchdog_triggers": len(trace.watchdog_triggers),
             "faults_applied": len(trace.fault_events),
             "decisions": len(self.stepper.decisions),
@@ -390,25 +389,13 @@ class DaemonController:
         whether the op ran (False: replayed from the dedup window)."""
         tenant = self._get(name)
         with tenant.lock:
-            return self._serve_locked(tenant, rtype, payload, request_id)
-
-    def _serve_locked(self, tenant: Tenant, rtype: str,
-                      payload: Dict[str, Any],
-                      request_id: Optional[str],
-                      ) -> Tuple[Dict[str, Any], bool]:
-        """:meth:`_serve` for a caller that holds the tenant lock."""
-        dup = self._duplicate(tenant, request_id)
-        if dup is not None:
-            return dup, False
-        tenant.require_usable()
-        try:
+            dup = self._duplicate(tenant, request_id)
+            if dup is not None:
+                return dup, False
+            tenant.require_usable()
             reply = OPS[rtype](tenant, payload)
-        except ProtocolError:
-            if tenant.status == QUARANTINED:
-                self.telemetry.incr("quarantines")
-            raise
-        self._journal(tenant, rtype, payload, reply, request_id)
-        return reply, True
+            self._journal(tenant, rtype, payload, reply, request_id)
+            return reply, True
 
     def _duplicate(self, tenant: Tenant,
                    request_id: Optional[str],
@@ -499,41 +486,15 @@ class DaemonController:
     def advance(self, name: str, until_s: Optional[float] = None,
                 to_end: bool = False,
                 request_id: Optional[str] = None) -> Dict[str, Any]:
-        """Advance one tenant; records decision/tier telemetry."""
-        tenant = self._get(name)
-        with tenant.lock:
-            tier = tenant.stepper.resilience_tier
-            result, ran = self._serve_locked(
-                tenant, "advance",
-                {"tenant": name, "until_s": until_s,
-                 "to_end": bool(to_end)},
-                request_id)
-        if not ran:
-            return result
-        tele = self.telemetry
-        tele.incr("advances")
-        decisions = result["decisions"]
-        managed = [d for d in decisions if d["kind"] == DECISION_MANAGER]
-        # Tier changes from the tier the op started at, as the
-        # simulation trace's tier_transitions records them.
-        transitions = 0
-        for d in managed:
-            transitions += d["resilience_tier"] != tier
-            tier = d["resilience_tier"]
-        for counter, n in (
-                ("decisions", len(decisions)),
-                ("emergency_decisions",
-                 sum(d["kind"] == DECISION_EMERGENCY for d in decisions)),
-                ("tier1_decisions",
-                 sum(d["resilience_tier"] == 1 for d in managed)),
-                ("tier2_decisions",
-                 sum(d["resilience_tier"] == 2 for d in managed)),
-                ("tier_transitions", transitions),
-                ("lp_fallbacks", sum(d["lp_fallbacks"] for d in decisions))):
-            if n:
-                tele.incr(counter, n)
-        if result["finished"]:
-            tele.incr("tenants_finished")
+        """Advance one tenant. Its decisions, tiers and causes are
+        read from the stepper's stream (``status``, ``trace``), not
+        counted here."""
+        result, ran = self._serve(
+            name, "advance",
+            {"tenant": name, "until_s": until_s, "to_end": bool(to_end)},
+            request_id)
+        if ran:
+            self.telemetry.incr("advances")
         return result
 
     def inject(self, name: str, kind: str,
@@ -619,8 +580,6 @@ class DaemonController:
             quarantined = self.quarantined()
         snap["tenants"] = by_status
         snap["quarantined"] = quarantined
-        if self.last_recovery is not None:
-            snap["recovery"] = self.last_recovery.to_dict()
         return snap
 
     # -- Crash recovery ------------------------------------------------
@@ -643,11 +602,6 @@ class DaemonController:
         assert self.state is not None
         for store in self.state.iter_stores():
             self._recover_tenant(store, stats)
-        tele = self.telemetry
-        tele.incr("tenants_recovered", stats.tenants_recovered)
-        tele.incr("ops_replayed", stats.ops_replayed)
-        tele.incr("snapshot_restores", stats.snapshot_restores)
-        tele.incr("snapshot_quarantines", stats.snapshot_quarantines)
         return stats
 
     def _recover_tenant(self, store: TenantStore,
@@ -695,7 +649,6 @@ class DaemonController:
                 tenant.quarantine_reason = problem
                 stats.tenants_quarantined += 1
                 stats.quarantine_reasons[name] = problem
-                self.telemetry.incr("replay_divergences")
                 break
             tenant.remember_reply(record.request_id, record.reply)
             stats.ops_replayed += 1

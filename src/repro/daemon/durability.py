@@ -175,7 +175,8 @@ def _snapshot_seq(name: str) -> Optional[int]:
 
 @dataclass
 class RecoveryStats:
-    """What one recovery pass did (surfaced through telemetry)."""
+    """What one recovery pass did (the ``status`` reply and the
+    heartbeat report it as ``recovery``)."""
 
     tenants_recovered: int = 0
     ops_replayed: int = 0

@@ -1,10 +1,12 @@
-"""Live health counters and latency tracking for the daemon.
+"""Live transport counters and latency tracking for the daemon.
 
-The daemon's observable state, in the same spirit as
-:class:`repro.parallel.health.RunHealth`: a fixed set of named
-counters (every recovery or protocol anomaly increments one — nothing
-is silent) plus bounded reservoirs of recent per-operation latencies
-summarised as p50/p99. Thread-safe: the server increments from the
+A fixed set of named counters for what only the daemon process sees
+(connections, frames, protocol anomalies, pub/sub drops, journal
+writes) plus bounded reservoirs of recent per-operation latencies
+summarised as p50/p99. What the tenants decided — tiers, fallback
+causes, LP fallbacks — is read from each tenant's decision stream,
+and what recovery did from ``DaemonController.last_recovery``; neither
+is copied into a counter. Thread-safe: the server increments from the
 asyncio loop thread while controller work runs in executor threads.
 """
 
@@ -35,28 +37,14 @@ COUNTER_FIELDS = (
     # Tenant lifecycle.
     "tenants_registered",
     "tenants_unregistered",
-    "tenants_finished",
-    "quarantines",
-    # Decision stream.
     "advances",
-    "decisions",
-    "emergency_decisions",
-    "tier1_decisions",
-    "tier2_decisions",
-    "tier_transitions",
-    "lp_fallbacks",
     # Sensor-event ingestion.
     "sensor_feeds",
     "sensor_feed_clamps",
-    # Durability: write-ahead logging, idempotency, recovery.
+    # Durability: write-ahead logging and idempotency.
     "oplog_appends",
     "snapshots_written",
     "deduped_requests",
-    "tenants_recovered",
-    "ops_replayed",
-    "snapshot_restores",
-    "snapshot_quarantines",
-    "replay_divergences",
 )
 
 #: Latency reservoir depth per operation (recent-window percentiles).

@@ -6,10 +6,21 @@ state, or blows its evaluation budget (the stand-in for missing the
 10 ms decision deadline), the decision is retried with the simpler
 Foxton* controller; if that also fails, every thread is parked at its
 minimum V/f level — the one operating point that needs no model, no
-sensors and no optimisation to be safe. Which tier actually decided is
-surfaced in ``PmResult.stats`` (``resilience_tier``: 0 = primary,
-1 = fallback, 2 = all-minimum) so traces and experiments can count
-activations.
+sensors and no optimisation to be safe. The result says which tier
+decided (``PmResult.resilience_tier``: 0 = primary, 1 = fallback,
+2 = all-minimum) and why each tier above it was skipped
+(``PmResult.cause``, one entry per skipped tier, joined by ``,``):
+
+* ``injected`` — a :class:`ManagerFault` (a scripted crash, or either
+  kind of :meth:`ResilientManager.inject_failure`);
+* ``error:<ExceptionType>`` — any other exception, i.e. a bug;
+* ``evaluation_budget`` / ``deadline`` — the primary answered but
+  overran its evaluation budget or its wall-clock deadline;
+* ``infeasible`` — the answer misses a power constraint.
+
+The simulation stepper copies both onto each
+:class:`~repro.runtime.ManagerDecision`, so a run's decision stream
+says what degraded and why.
 
 Manager faults from a :class:`~repro.faults.schedule.FaultSchedule`
 are delivered through :meth:`ResilientManager.inject_failure`; the
@@ -20,7 +31,8 @@ overrun its deadline), exercising the same chain.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -123,12 +135,10 @@ class ResilientManager(PowerManager):
                       ipc_multipliers=ipc_multipliers,
                       ceff_multipliers=ceff_multipliers)
         injected, self._injected = self._injected, None
+        causes: List[str] = []
         evaluations = 0
-        primary_failed = 0.0
-        deadline_missed = 0.0
 
         # --- Tier 0: the primary manager. ---
-        result: Optional[PmResult] = None
         try:
             if injected == MANAGER_ERROR:
                 raise ManagerFault("injected manager failure")
@@ -138,38 +148,31 @@ class ResilientManager(PowerManager):
             wall_s = (time.monotonic() - t0
                       if self.deadline_s is not None else 0.0)
             evaluations += result.evaluations
-            if injected == MANAGER_DEADLINE or (
-                    self.evaluation_budget is not None
-                    and result.evaluations > self.evaluation_budget
-            ) or (self.deadline_s is not None
-                  and wall_s > self.deadline_s):
-                deadline_missed = 1.0
-                result = None
+            if injected == MANAGER_DEADLINE:
+                causes.append("injected")
+            elif (self.evaluation_budget is not None
+                  and result.evaluations > self.evaluation_budget):
+                causes.append("evaluation_budget")
+            elif self.deadline_s is not None and wall_s > self.deadline_s:
+                causes.append("deadline")
             elif not self._acceptable(result, p_target, p_core_max):
-                result = None
-        except Exception:
-            primary_failed = 1.0
-            result = None
-        if result is not None:
-            return result.with_stats(resilience_tier=0.0,
-                                     primary_failed=0.0,
-                                     deadline_missed=0.0)
+                causes.append("infeasible")
+            else:
+                return result
+        except Exception as exc:
+            causes.append(_failure(exc))
 
         # --- Tier 1: the simple fallback controller. ---
         try:
             result = self.fallback.set_levels(chip, workload, assignment,
                                               env, **kwargs)
             evaluations += result.evaluations
-            if not self._acceptable(result, p_target, p_core_max):
-                result = None
-        except Exception:
-            result = None
-        if result is not None:
-            return result.with_stats(
-                resilience_tier=1.0,
-                primary_failed=primary_failed,
-                deadline_missed=deadline_missed,
-                evaluations_total=float(evaluations))
+            if self._acceptable(result, p_target, p_core_max):
+                return replace(result, resilience_tier=1,
+                               cause=causes[0])
+            causes.append("infeasible")
+        except Exception as exc:
+            causes.append(_failure(exc))
 
         # --- Tier 2: park every thread at its minimum level. ---
         levels = [0] * assignment.n_threads
@@ -177,8 +180,13 @@ class ResilientManager(PowerManager):
                                 ipc_multipliers=ipc_multipliers,
                                 ceff_multipliers=ceff_multipliers)
         evaluations += 1
-        return PmResult(
-            levels=tuple(levels), state=state, evaluations=evaluations,
-            stats={"resilience_tier": 2.0,
-                   "primary_failed": primary_failed,
-                   "deadline_missed": deadline_missed})
+        return PmResult(levels=tuple(levels), state=state,
+                        evaluations=evaluations, resilience_tier=2,
+                        cause=",".join(causes))
+
+
+def _failure(exc: Exception) -> str:
+    """The cause a tier that raised ``exc`` records."""
+    if isinstance(exc, ManagerFault):
+        return "injected"
+    return f"error:{type(exc).__name__}"

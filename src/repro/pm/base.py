@@ -56,27 +56,21 @@ class PmResult:
             points: a level vector counts on its first visit, and a
             repeat is a cache hit (``sa_cache_hits``) whether or not
             the memo still holds its state.
-        stats: Algorithm-specific diagnostics (LP pivots, SA
+        stats: Algorithm-specific float diagnostics (LP pivots, SA
             acceptance, ...).
+        resilience_tier: Which tier of a fallback chain decided (0 =
+            the primary; see :class:`repro.faults.ResilientManager`).
+            Plain managers leave it at 0.
+        cause: Why each tier above ``resilience_tier`` was skipped,
+            in tier order and joined by ``,`` (``None`` at tier 0).
     """
 
     levels: Tuple[int, ...]
     state: SystemState
     evaluations: int
     stats: Dict[str, float] = field(default_factory=dict)
-
-    def with_stats(self, **extra: float) -> "PmResult":
-        """A copy with ``extra`` merged into ``stats``.
-
-        Wrapper managers (e.g. the resilience fallback chain in
-        :class:`repro.faults.ResilientManager`) use this to annotate a
-        delegate's result — ``resilience_tier``, ``primary_failed``,
-        ... — without mutating the frozen original.
-        """
-        merged = dict(self.stats)
-        merged.update(extra)
-        return PmResult(levels=self.levels, state=self.state,
-                        evaluations=self.evaluations, stats=merged)
+    resilience_tier: int = 0
+    cause: Optional[str] = None
 
 
 #: Power (W) a state may exceed either constraint by and still meet it.

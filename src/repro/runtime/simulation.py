@@ -52,6 +52,7 @@ build without it.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -76,46 +77,10 @@ TRANSITION_LATENCY_PER_LEVEL_S = 20e-6
 _TIME_EPS = 1e-12
 
 
-@dataclass
-class SimulationTrace:
-    """Recorded time series of one online run.
-
-    Attributes:
-        times_s: Sample timestamps.
-        power_w: Total chip power at each sample (ground truth).
-        p_target_w: The power budget in force.
-        throughput_mips: Aggregate throughput at each sample (net of
-            work lost to V/f transitions and migrations).
-        decisions: Every actuation decision of the run, in time order
-            (see :class:`ManagerDecision`). The invocation, fallback
-            and tier tallies below are read off this stream.
-        transition_time_s: Total core-time lost to DVFS transitions
-            and migrations (including watchdog emergencies).
-        migrations: Number of thread migrations performed (OS
-            reschedules and core-offline evacuations).
-        level_transitions: Total DVFS levels stepped across the run
-            (including the per-migration minimum); equals
-            ``transition_time_s / transition_latency_s`` when the
-            latency is non-zero.
-        sensed_power_w: Chip power as sampled through the (possibly
-            faulty) sensor bank; ``None`` when no bank or watchdog was
-            configured.
-        watchdog_triggers: Timestamps of emergency watchdog step-downs.
-        fault_events: The fault events actually applied during the run.
-    """
-
-    times_s: np.ndarray
-    power_w: np.ndarray
-    p_target_w: float
-    throughput_mips: np.ndarray
-    weighted_throughput: np.ndarray
-    decisions: Tuple["ManagerDecision", ...]
-    transition_time_s: float
-    migrations: int
-    level_transitions: int = 0
-    sensed_power_w: Optional[np.ndarray] = None
-    watchdog_triggers: Tuple[float, ...] = ()
-    fault_events: Tuple["FaultEvent", ...] = ()
+class DecisionTallies:
+    """Tallies over the ``decisions`` stream of :class:`ManagerDecision`
+    that a subclass holds: a finished run's :class:`SimulationTrace`
+    and a live :class:`SimulationStepper` count the same way."""
 
     @property
     def _invocations(self) -> List["ManagerDecision"]:
@@ -148,10 +113,70 @@ class SimulationTrace:
         return tuple(out)
 
     @property
+    def causes(self) -> Dict[str, int]:
+        """``{cause: count}`` over the invocations decided below tier
+        0 (see :attr:`ManagerDecision.cause`)."""
+        return dict(Counter(d.cause for d in self._invocations
+                            if d.cause is not None))
+
+    @property
     def lp_fallbacks(self) -> int:
         """Within-tier-0 LP fallbacks (LinOpt solves that came back
         non-optimal and clamped to the window floor), all invocations."""
         return sum(d.lp_fallbacks for d in self.decisions)
+
+    @property
+    def resilience_tier(self) -> int:
+        """Tier of the latest decision (0 before any decision)."""
+        return self.decisions[-1].resilience_tier if self.decisions else 0
+
+    @property
+    def cause(self) -> Optional[str]:
+        """Cause of the latest decision (``None`` before any)."""
+        return self.decisions[-1].cause if self.decisions else None
+
+
+@dataclass
+class SimulationTrace(DecisionTallies):
+    """Recorded time series of one online run.
+
+    Attributes:
+        times_s: Sample timestamps.
+        power_w: Total chip power at each sample (ground truth).
+        p_target_w: The power budget in force.
+        throughput_mips: Aggregate throughput at each sample (net of
+            work lost to V/f transitions and migrations).
+        decisions: Every actuation decision of the run, in time order
+            (see :class:`ManagerDecision`). The invocation, fallback,
+            tier and cause tallies of :class:`DecisionTallies` are
+            read off this stream.
+        transition_time_s: Total core-time lost to DVFS transitions
+            and migrations (including watchdog emergencies).
+        migrations: Number of thread migrations performed (OS
+            reschedules and core-offline evacuations).
+        level_transitions: Total DVFS levels stepped across the run
+            (including the per-migration minimum); equals
+            ``transition_time_s / transition_latency_s`` when the
+            latency is non-zero.
+        sensed_power_w: Chip power as sampled through the (possibly
+            faulty) sensor bank; ``None`` when no bank or watchdog was
+            configured.
+        watchdog_triggers: Timestamps of emergency watchdog step-downs.
+        fault_events: The fault events actually applied during the run.
+    """
+
+    times_s: np.ndarray
+    power_w: np.ndarray
+    p_target_w: float
+    throughput_mips: np.ndarray
+    weighted_throughput: np.ndarray
+    decisions: Tuple["ManagerDecision", ...]
+    transition_time_s: float
+    migrations: int
+    level_transitions: int = 0
+    sensed_power_w: Optional[np.ndarray] = None
+    watchdog_triggers: Tuple[float, ...] = ()
+    fault_events: Tuple["FaultEvent", ...] = ()
 
     @property
     def mean_abs_deviation_pct(self) -> float:
@@ -246,6 +271,11 @@ class ManagerDecision:
             decision before it.
         lp_fallbacks: Within-tier-0 LP fallbacks this invocation.
         evaluations: Full-system evaluations the decision consumed.
+        cause: Why each tier above ``resilience_tier`` was skipped
+            (``PmResult.cause``: ``injected``, ``error:<type>``,
+            ``deadline``, ``evaluation_budget`` or ``infeasible``,
+            joined by ``,``); ``None`` at tier 0. An emergency carries
+            the cause of the decision before it.
     """
 
     time_s: float
@@ -256,6 +286,7 @@ class ManagerDecision:
     resilience_tier: int = 0
     lp_fallbacks: int = 0
     evaluations: int = 0
+    cause: Optional[str] = None
 
 
 class OnlineSimulation:
@@ -548,7 +579,7 @@ class OnlineSimulation:
         return assignment, migrated, force
 
 
-class SimulationStepper:
+class SimulationStepper(DecisionTallies):
     """Incremental, controller-stepped driver of the event loop.
 
     Owns the entire mutable state of one event-driven run of an
@@ -629,11 +660,6 @@ class SimulationStepper:
         return tuple(self._fr.applied)
 
     @property
-    def resilience_tier(self) -> int:
-        """Tier of the latest decision (0 before any decision)."""
-        return self.decisions[-1].resilience_tier if self.decisions else 0
-
-    @property
     def time_s(self) -> float:
         """Simulated time of the next unprocessed sensor sample."""
         if self.finished:
@@ -672,14 +698,18 @@ class SimulationStepper:
         recovery — produce the same digest, and any divergence
         (reordered, dropped or altered actuation) changes it. Floats
         are hashed via ``repr``, which round-trips IEEE-754 doubles
-        exactly, so the comparison is bitwise, not approximate.
+        exactly, so the comparison is bitwise, not approximate. A
+        decision's cause is hashed only when it has one, so a stream
+        that never fell back keeps the digest it had before causes
+        were recorded.
         """
         h = hashlib.sha256(b"decision-stream-v1\n")
         for d in self.decisions:
+            cause = "" if d.cause is None else f"|{d.cause}"
             h.update((f"{d.time_s!r}|{d.kind}|{list(d.levels)!r}|"
                       f"{list(d.core_of)!r}|{list(d.migrated)!r}|"
                       f"{d.resilience_tier}|{d.lp_fallbacks}|"
-                      f"{d.evaluations}\n").encode("utf-8"))
+                      f"{d.evaluations}{cause}\n").encode("utf-8"))
         return h.hexdigest()
 
     # -- The event loop body ------------------------------------------
@@ -788,10 +818,10 @@ class SimulationStepper:
                     levels=tuple(new_levels),
                     core_of=tuple(self._assignment.core_of),
                     migrated=tuple(migrated),
-                    resilience_tier=int(
-                        result.stats.get("resilience_tier", 0.0)),
+                    resilience_tier=result.resilience_tier,
                     lp_fallbacks=int(result.stats.get("lp_fallbacks", 0.0)),
-                    evaluations=int(result.evaluations)))
+                    evaluations=int(result.evaluations),
+                    cause=result.cause))
         if not adopted and (self._state is None or self._changed[step]):
             self._state = evaluate_levels(
                 sim.chip, sim.workload, self._assignment, self._levels,
@@ -858,7 +888,8 @@ class SimulationStepper:
                             kind=DECISION_EMERGENCY,
                             levels=tuple(new_levels),
                             core_of=tuple(self._assignment.core_of),
-                            resilience_tier=self.resilience_tier))
+                            resilience_tier=self.resilience_tier,
+                            cause=self.cause))
                         nxt = s + 1
                         break
                 s += 1

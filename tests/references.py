@@ -156,10 +156,10 @@ def run_dense(sim: OnlineSimulation, duration_s: float,
                 levels=tuple(new_levels),
                 core_of=tuple(assignment.core_of),
                 migrated=tuple(migrated),
-                resilience_tier=int(
-                    result.stats.get("resilience_tier", 0.0)),
+                resilience_tier=result.resilience_tier,
                 lp_fallbacks=int(result.stats.get("lp_fallbacks", 0.0)),
-                evaluations=int(result.evaluations)))
+                evaluations=int(result.evaluations),
+                cause=result.cause))
             next_manager_t += dvfs_interval_s
         state = evaluate_levels(sim.chip, sim.workload,
                                 assignment, levels,

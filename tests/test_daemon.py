@@ -174,6 +174,14 @@ class TestTelemetry:
         assert snap["latency"] == {}
 
 
+def _fallback_status(ctl, name):
+    """``(resilience_tier, cause, fallback_activations)`` of a
+    tenant's ``status`` entry."""
+    info = ctl.tenant_info(name)
+    return (info["resilience_tier"], info["cause"],
+            info["fallback_activations"])
+
+
 def register_payload(tenant, **overrides):
     """A small, fast tenant registration (validated)."""
     frame = _frame("register", tenant=tenant, seed=3, n_cores=4,
@@ -233,11 +241,11 @@ class TestController:
         assert ctl.tenant_info("victim")["status"] == "quarantined"
         assert "ManagerFault" in str(
             ctl.tenant_info("victim")["quarantine_reason"])
-        # Still quarantined on the next touch, and telemetry counted.
+        # Still quarantined on the next touch, and listed as such.
         with pytest.raises(ProtocolError) as err:
             ctl.advance("victim", to_end=True)
         assert err.value.code == "quarantined"
-        assert ctl.telemetry.get("quarantines") == 1
+        assert list(ctl.quarantined()) == ["victim"]
         # The bystander is untouched.
         out = ctl.advance("bystander", to_end=True)
         assert out["finished"]
@@ -252,8 +260,11 @@ class TestController:
         tiers = [d["resilience_tier"] for d in out["decisions"]]
         assert tiers[0] == 0 and all(t >= 1 for t in tiers[1:])
         assert ctl.tenant_info("t0")["status"] == "finished"
-        assert ctl.trace("t0")["fallback_activations"] == 2
-        assert ctl.telemetry.get("quarantines") == 0
+        trace = ctl.trace("t0")
+        assert trace["fallback_activations"] == 2
+        # The scripted crash is a ManagerFault: an injected cause.
+        assert trace["causes"] == {"injected": 2}
+        assert ctl.quarantined() == {}
 
     def test_tier_transitions_are_counted(self):
         ctl = DaemonController(cache=None)
@@ -261,14 +272,15 @@ class TestController:
             "primary": "crashing", "crash_after": 2,
             "resilient": True}))
         ctl.advance("t0", until_s=0.005)  # tier 0 decides
-        assert ctl.telemetry.get("tier_transitions") == 0
-        # The fall to tier 1 counts once; staying there does not, in
-        # the same op or the next.
+        assert _fallback_status(ctl, "t0") == (0, None, 0)
+        # The fall to tier 1 counts once, and a deduped retry adds
+        # nothing; staying there is no new transition.
         ctl.advance("t0", until_s=0.02, request_id="r1")
         ctl.advance("t0", until_s=0.02, request_id="r1")  # deduped
+        assert _fallback_status(ctl, "t0") == (1, "injected", 1)
         ctl.advance("t0", to_end=True)
         assert ctl.trace("t0")["tier_transitions"] == [[0.01, 1]]
-        assert ctl.telemetry.get("tier_transitions") == 1
+        assert _fallback_status(ctl, "t0") == (1, "injected", 2)
 
     def test_deadline_supervision_escalates(self):
         ctl = DaemonController(cache=None)
@@ -279,6 +291,8 @@ class TestController:
         out = ctl.advance("t0", to_end=True)
         assert all(d["resilience_tier"] >= 1
                    for d in out["decisions"])
+        assert {cause.split(",")[0] for cause
+                in ctl.trace("t0")["causes"]} == {"deadline"}
 
     def test_inject_manager_fault(self):
         ctl = DaemonController(cache=None)
@@ -286,6 +300,7 @@ class TestController:
         ctl.inject("t0", "manager_error")
         out = ctl.advance("t0", until_s=0.005)
         assert out["decisions"][0]["resilience_tier"] >= 1
+        assert ctl.tenant_info("t0")["cause"].startswith("injected")
 
     def test_inject_needs_resilient_manager(self):
         ctl = DaemonController(cache=None)
@@ -496,8 +511,8 @@ class TestAcceptanceScenario:
         with DaemonClient(host, port) as client:
             tele = client.telemetry()
             assert tele["counters"]["tenants_registered"] == N_TENANTS
-            assert tele["counters"]["tenants_finished"] == N_TENANTS
-            assert tele["counters"]["quarantines"] == 0
+            assert tele["tenants"] == {"finished": N_TENANTS}
+            assert tele["quarantined"] == {}
 
             for name, payload, kind in specs:
                 info = client.request("tenant_info", tenant=name)

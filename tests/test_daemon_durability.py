@@ -282,7 +282,7 @@ class TestControllerRecovery:
         assert stats.snapshot_restores == 1
         # Snapshot at seq 5 covers everything: nothing to replay.
         assert stats.ops_replayed == 0
-        assert recovered.telemetry.get("snapshot_restores") == 1
+        assert recovered.status()["recovery"]["snapshot_restores"] == 1
 
     def test_corrupt_snapshot_falls_back_to_full_replay(self,
                                                         tmp_path):
@@ -321,7 +321,8 @@ class TestControllerRecovery:
         stats = recovered.last_recovery
         assert stats.tenants_quarantined == 1
         assert "divergence" in stats.quarantine_reasons["t"]
-        assert recovered.telemetry.get("replay_divergences") == 1
+        assert recovered.quarantined() == {
+            "t": stats.quarantine_reasons["t"]}
         with pytest.raises(Exception) as excinfo:
             recovered.advance("t", until_s=0.05)
         assert "quarantined" in str(excinfo.value)
@@ -343,7 +344,7 @@ class TestControllerRecovery:
         assert recovered.tenants() == []
         assert stats.tenants_quarantined == 1
         assert "verification" in stats.quarantine_reasons[tdir.name]
-        assert recovered.telemetry.get("replay_divergences") == 0
+        assert recovered.quarantined() == {}
         # The directory was set aside with a reason, not wiped.
         qdir = tmp_path / "state" / "quarantine"
         assert not tdir.exists()
@@ -454,7 +455,7 @@ class TestControllerRecovery:
         stats = recovered.last_recovery
         assert stats.tenants_quarantined == 0
         assert stats.ops_replayed == 6
-        assert recovered.telemetry.get("replay_divergences") == 0
+        assert recovered.quarantined() == {}
         assert calls == live == ["advance", "inject", "sensor_feed"] * 2
         for c in (reference, recovered):
             c.advance("t", to_end=True)
@@ -479,7 +480,7 @@ class TestControllerRecovery:
         stats = recovered.last_recovery
         assert stats.tenants_quarantined == 1
         assert "replay divergence" in stats.quarantine_reasons["t"]
-        assert recovered.telemetry.get("replay_divergences") == 1
+        assert list(recovered.quarantined()) == ["t"]
 
     def test_unregister_removes_durable_state(self, tmp_path):
         ctl = durable_controller(tmp_path)
@@ -502,9 +503,7 @@ class TestControllerRecovery:
         assert status["durable"] is True
         assert [t["tenant"] for t in status["tenants"]] == ["t"]
         assert status["recovery"]["tenants_recovered"] == 1
-        snap = recovered.telemetry_snapshot()
-        assert snap["recovery"]["tenants_recovered"] == 1
-        assert snap["quarantined"] == {}
+        assert status["telemetry"]["quarantined"] == {}
 
     def test_incomplete_tenant_dir_is_skipped(self, tmp_path):
         state = StateDir(tmp_path / "state")
@@ -698,9 +697,8 @@ class TestSigkillRestart:
                 assert json.dumps(all_decisions, sort_keys=True) == \
                     json.dumps(ref_all, sort_keys=True)
                 # Zero quarantines of any kind after the crash.
-                counters = client.telemetry()["counters"]
-                assert counters["snapshot_quarantines"] == 0
-                assert counters["replay_divergences"] == 0
+                assert status["recovery"]["snapshot_quarantines"] == 0
+                assert status["telemetry"]["quarantined"] == {}
             finally:
                 proc2.kill()
                 proc2.wait(timeout=30)

@@ -258,7 +258,8 @@ class TestResilientManager:
         mgr = ResilientManager(primary=FoxtonStar(),
                                fallback=FoxtonStar())
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 0.0
+        assert (res.resilience_tier, res.cause) == (0, None)
+        assert "resilience_tier" not in res.stats
         assert res.levels == FoxtonStar().set_levels(
             chip, wl, asg, LOW_POWER).levels
 
@@ -267,8 +268,8 @@ class TestResilientManager:
         mgr = ResilientManager(primary=_CrashingManager(),
                                fallback=FoxtonStar())
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 1.0
-        assert res.stats["primary_failed"] == 1.0
+        assert (res.resilience_tier, res.cause) == (
+            1, "error:RuntimeError")
         p_target, p_core_max = mgr._budget(chip, asg, LOW_POWER)
         assert meets_constraints(res.state, p_target, p_core_max)
 
@@ -277,7 +278,8 @@ class TestResilientManager:
         mgr = ResilientManager(primary=_CrashingManager(),
                                fallback=_CrashingManager())
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 2.0
+        assert (res.resilience_tier, res.cause) == (
+            2, "error:RuntimeError,error:RuntimeError")
         assert res.levels == (0,) * asg.n_threads
 
     def test_injected_error_is_one_shot(self, sim_setup):
@@ -286,9 +288,9 @@ class TestResilientManager:
                                fallback=FoxtonStar())
         mgr.inject_failure(MANAGER_ERROR)
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 1.0
+        assert (res.resilience_tier, res.cause) == (1, "injected")
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 0.0
+        assert (res.resilience_tier, res.cause) == (0, None)
 
     def test_injected_deadline_discards_primary(self, sim_setup):
         chip, wl, asg = sim_setup
@@ -296,8 +298,7 @@ class TestResilientManager:
                                fallback=FoxtonStar())
         mgr.inject_failure(MANAGER_DEADLINE)
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
-        assert res.stats["resilience_tier"] == 1.0
-        assert res.stats["deadline_missed"] == 1.0
+        assert (res.resilience_tier, res.cause) == (1, "injected")
 
     def test_evaluation_budget_enforced(self, sim_setup):
         chip, wl, asg = sim_setup
@@ -306,7 +307,8 @@ class TestResilientManager:
                                evaluation_budget=1)
         res = mgr.set_levels(chip, wl, asg, LOW_POWER)
         # Foxton* needs more than one evaluation from a cold start.
-        assert res.stats["resilience_tier"] >= 1.0
+        assert (res.resilience_tier, res.cause) == (
+            1, "evaluation_budget")
 
     def test_accepts_infeasible_floor_from_primary(self, sim_setup):
         chip, wl, asg = sim_setup
@@ -316,7 +318,12 @@ class TestResilientManager:
         res = mgr.set_levels(chip, wl, asg, starved)
         # The floor is accepted even though infeasible: nothing lower
         # exists, so the chain must not spin through its tiers.
-        assert res.stats["resilience_tier"] == 0.0
+        assert (res.resilience_tier, res.cause) == (0, None)
+        # Without that allowance each tier's failure is on record.
+        mgr.accept_infeasible_floor = False
+        res = mgr.set_levels(chip, wl, asg, starved)
+        assert (res.resilience_tier, res.cause) == (
+            2, "infeasible,error:RuntimeError")
 
     def test_invalid_injection_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -423,6 +430,18 @@ class TestSimulationFaultLayer:
         # No invocation lost: the chain absorbed the crash.
         assert len(trace.manager_runs) == 6
         assert trace.fallback_activations == 1
+        assert trace.causes == {"injected": 1}
+
+    def test_primary_bug_is_told_apart_from_injected_faults(
+            self, sim_setup):
+        chip, wl, asg = sim_setup
+        mgr = ResilientManager(primary=_CrashingManager(),
+                               fallback=FoxtonStar())
+        trace = OnlineSimulation(chip, wl, asg, LOW_POWER,
+                                 manager=mgr).run(0.03, 0.01)
+        assert [(d.resilience_tier, d.cause) for d in trace.decisions] \
+            == [(1, "error:RuntimeError")] * 3
+        assert trace.causes == {"error:RuntimeError": 3}
 
     def test_watchdog_fires_on_sustained_overshoot(self, sim_setup,
                                                    monkeypatch):

@@ -595,15 +595,15 @@ def _contract_manager(name):
     """``(manager, resilience tier it must decide at or None)``."""
     if name == "resilient-tier0":
         return ResilientManager(primary=LinOpt(LinOptConfig(
-            n_iterations=2))), 0.0
+            n_iterations=2))), 0
     if name == "resilient-tier1":
         manager = ResilientManager(primary=LinOpt(LinOptConfig(
             n_iterations=2)))
         manager.inject_failure(MANAGER_ERROR)
-        return manager, 1.0
+        return manager, 1
     if name == "resilient-tier2":
         return ResilientManager(primary=_Crashing(),
-                                fallback=_Crashing()), 2.0
+                                fallback=_Crashing()), 2
     return MANAGERS[name](), None
 
 
@@ -637,7 +637,7 @@ class TestPmResultStateContract:
                                     rng=np.random.default_rng(33),
                                     **kwargs)
         if tier is not None:
-            assert result.stats["resilience_tier"] == tier
+            assert result.resilience_tier == tier
         if stale is not None and result.state is stale:
             return
         _assert_state_bitwise(result.state, evaluate_levels(

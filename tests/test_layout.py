@@ -14,7 +14,8 @@ sampler grows a one-field ``sample`` next to ``sample_batch`` (a
 second field generator), or if a public top-level function or class,
 or a public method or property of a class, has no caller (code that
 nothing runs), or if a module of ``src/`` or ``tests/`` imports a
-name it never uses.
+name it never uses, or if the daemon declares a telemetry counter that
+nothing in the daemon package writes (a counter that always reads 0).
 """
 
 from __future__ import annotations
@@ -413,3 +414,40 @@ def test_import_guard_sees_unused_imports(tmp_path):
                                             "2:spare"]
     assert list(_unused_imports(probe, fixtures=True)) == ["1:pytest",
                                                            "2:spare"]
+
+
+def _unwritten_counters(package: pathlib.Path):
+    """Names in ``package/telemetry.py``'s ``COUNTER_FIELDS`` that no
+    other module of ``package`` spells as a string literal."""
+    declared = []
+    tree = ast.parse((package / "telemetry.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["COUNTER_FIELDS"]):
+            declared = [elt.value for elt in node.value.elts]
+    literals = set()
+    for path in package.glob("*.py"):
+        if path.name == "telemetry.py":
+            continue
+        literals.update(
+            node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str))
+    return [name for name in declared if name not in literals]
+
+
+def test_every_daemon_counter_has_a_writer():
+    from repro.daemon.telemetry import COUNTER_FIELDS
+    assert len(COUNTER_FIELDS) == 19
+    assert _unwritten_counters(SRC / "daemon") == []
+
+
+def test_counter_guard_sees_unwritten_counters(tmp_path):
+    (tmp_path / "telemetry.py").write_text(
+        'COUNTER_FIELDS = ("frames_in", "drops", "ghosts")\n')
+    (tmp_path / "server.py").write_text(
+        '"""Counts ghosts."""\n'
+        'tele.incr("frames_in")\n'
+        'CODES = {"x": "drops"}\n'
+        '# tele.incr("ghosts")\n')
+    assert _unwritten_counters(tmp_path) == ["ghosts"]

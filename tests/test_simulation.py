@@ -1,5 +1,7 @@
 """Tests for the online event-driven simulation (Figure 2 / 14)."""
 
+import copy
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -546,6 +548,12 @@ class TestStepperAdoptsManagerState:
         assert len(trace.fault_events) == 3
         assert trace.watchdog_triggers
         assert {d.resilience_tier for d in stepper.decisions} >= {0, 1}
+        # Only the injected error fell back; an emergency carries the
+        # cause of the decision before it.
+        for before, d in zip(stepper.decisions, stepper.decisions[1:]):
+            if d.kind == "emergency":
+                assert d.cause == before.cause
+        assert trace.causes == {"injected": 1}
         managed = [d.time_s for d in stepper.decisions
                    if d.kind == "manager"]
         assert set(managed) - set(times)  # some decisions adopted
@@ -576,7 +584,22 @@ class TestStepperAdoptsManagerState:
         assert stats.ops_replayed == 1
         stepper = ctl._get("t").stepper
         assert stepper.sim.manager.primary._carry is None
-        assert stepper.decision_digest() == expected["digest_at_last_op"]
+        # The snapshot's decisions predate causes and read the class
+        # default; the replayed op records why both tiers failed.
+        assert [d.cause for d in stepper.decisions] == [None] * 3 + [
+            "error:ThermalRunawayError,error:ThermalRunawayError"]
+        assert _digest_without_causes(stepper) == \
+            expected["digest_at_last_op"]
         ctl.advance("t", to_end=True)
         assert len(stepper.decisions) == expected["decisions"]
-        assert stepper.decision_digest() == expected["final_digest"]
+        assert _digest_without_causes(stepper) == expected["final_digest"]
+        assert stepper.decision_digest() != expected["final_digest"]
+
+
+def _digest_without_causes(stepper):
+    """The decision digest with every cause cleared: what the build
+    that wrote ``SNAPSHOT_DATA`` hashed (it recorded no causes)."""
+    clone = copy.copy(stepper)
+    clone.decisions = [dataclasses.replace(d, cause=None)
+                       for d in stepper.decisions]
+    return clone.decision_digest()
