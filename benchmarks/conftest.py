@@ -28,10 +28,9 @@ from repro.settings import settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-# Cache-counter and run-health snapshots taken at test start so each
+# Flat cache and run-health counters marked at test start so each
 # BENCH json reports the deltas of *its* test only.
-_cache_mark: Dict[str, int] = {}
-_health_mark: Dict[str, float] = {}
+_marks: Dict[str, Optional[Dict[str, float]]] = {}
 
 
 @pytest.fixture(scope="session")
@@ -46,33 +45,41 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-@pytest.fixture(autouse=True)
-def _mark_cache_stats():
-    """Snapshot cache and run-health counters before every benchmark."""
+def _counters() -> Dict[str, Optional[Dict[str, float]]]:
+    """The ``cache`` section (``None`` with the cache off) and the
+    ``health`` section: the shard-health counters plus the total and
+    maximum shard wall time."""
     cache = get_default_cache()
-    global _cache_mark, _health_mark
-    _cache_mark = cache.snapshot() if cache is not None else {}
-    _health_mark = get_run_health().snapshot()
+    health = get_run_health().snapshot()
+    shard = health["latency"].get("shard", {})
+    return {
+        "cache": cache.snapshot() if cache is not None else None,
+        "health": {**health["counters"],
+                   "shard_wall_total_s": shard.get("total_s", 0.0),
+                   "shard_wall_max_s": shard.get("max_s", 0.0)},
+    }
+
+
+@pytest.fixture(autouse=True)
+def _mark_counters():
+    """Mark the cache and run-health counters before every benchmark."""
+    global _marks
+    _marks = _counters()
     yield
 
 
-def _cache_stats_delta() -> Optional[Dict[str, int]]:
-    cache = get_default_cache()
-    if cache is None:
-        return None
-    return {key: value - _cache_mark.get(key, 0)
-            for key, value in cache.snapshot().items()}
-
-
-def _health_delta() -> Dict[str, float]:
-    """This test's RunHealth deltas (retries, fallbacks, walls).
-
-    The perf gate fails any clean benchmark whose delta shows a
-    serial-fallback activation: robustness machinery must be
-    zero-cost on the happy path.
-    """
-    return {key: round(value - _health_mark.get(key, 0), 9)
-            for key, value in get_run_health().snapshot().items()}
+def _counter_deltas() -> Dict[str, Optional[Dict[str, float]]]:
+    """This test's cache and run-health deltas. The perf gate fails
+    any clean benchmark whose ``health`` delta shows a serial-fallback
+    activation: robustness machinery must be zero-cost on the happy
+    path."""
+    deltas: Dict[str, Optional[Dict[str, float]]] = {}
+    for section, now in _counters().items():
+        mark = _marks.get(section) or {}
+        deltas[section] = (None if now is None else
+                           {key: round(value - mark.get(key, 0), 9)
+                            for key, value in now.items()})
+    return deltas
 
 
 def _wall_time_s(benchmark) -> Optional[float]:
@@ -106,8 +113,7 @@ def emit(results_dir: pathlib.Path, name: str, table: str,
         "full_run": settings().full,
         "workers": settings().workers,
         "wall_time_s": _wall_time_s(benchmark),
-        "cache": _cache_stats_delta(),
-        "health": _health_delta(),
+        **_counter_deltas(),
         "metrics": to_jsonable(metrics or {}),
     }
     if extra:

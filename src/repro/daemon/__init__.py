@@ -60,7 +60,7 @@ from .protocol import (
 )
 from .schemas import REQUESTS, validate_request
 from .server import DaemonServer, ServerThread
-from .telemetry import COUNTER_FIELDS, DaemonTelemetry
+from .telemetry import COUNTER_FIELDS
 
 __all__ = [
     "ACTIVE",
@@ -74,7 +74,6 @@ __all__ = [
     "DaemonController",
     "DaemonError",
     "DaemonServer",
-    "DaemonTelemetry",
     "ERROR_CODES",
     "FINISHED",
     "OPLOG_FILENAME",

@@ -51,6 +51,7 @@ from ..faults import (
     TenantConfig,
     build_stepper,
 )
+from ..metrics import Metrics
 from ..report import resilience_timeline
 from ..runtime import ManagerDecision, SimulationStepper
 from .durability import (
@@ -68,7 +69,7 @@ from .protocol import (
     ProtocolError,
 )
 from .schemas import ENVS
-from .telemetry import DaemonTelemetry
+from .telemetry import COUNTER_FIELDS
 
 #: Tenant lifecycle states.
 ACTIVE = "active"
@@ -318,7 +319,7 @@ class DaemonController:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
         #: Shared counter sink of every tenant and the server.
-        self.telemetry = DaemonTelemetry()
+        self.telemetry = Metrics(COUNTER_FIELDS)
         self.tech = tech if tech is not None else TechParams()
         self.workers = workers
         self.cache = cache
@@ -339,9 +340,15 @@ class DaemonController:
         key = (n_cores, seed)
         factory = self._factories.get(key)
         if factory is None:
-            # 35 mm^2/core keeps the leakage-temperature loop gain
-            # below unity even on 2-core dies (smaller dies have too
-            # little heat-spreading area and run away at top V/f).
+            # 35 mm^2/core grows the heat-spreading area with the core
+            # count; smaller dies have too little of it and run away
+            # at top V/f. The area lowers the leakage-temperature loop
+            # gain but does not keep it below unity on every die: the
+            # 2-core low_power tenant with seed 3 recorded in
+            # tests/data/daemon_snapshot_v2 runs away at its top V/f
+            # and its decisions fall back to the tier-2 floor (see
+            # test_older_daemon_snapshot_restores_and_replays in
+            # tests/test_simulation.py).
             arch = ArchConfig(
                 n_cores=n_cores,
                 die_area_mm2=35.0 * n_cores,

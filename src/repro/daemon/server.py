@@ -376,8 +376,7 @@ class DaemonServer:
             t0 = time.monotonic()
             info = await self._run_blocking(controller.register,
                                             payload)
-            self.telemetry.observe_latency(
-                "register", time.monotonic() - t0)
+            self.telemetry.observe("register", time.monotonic() - t0)
             self._publish(payload["tenant"], "registered", info)
             return info
         if rtype == "advance":
@@ -392,8 +391,7 @@ class DaemonServer:
                     self._publish(name, "quarantined",
                                   {"reason": exc.message})
                 raise
-            self.telemetry.observe_latency(
-                "advance", time.monotonic() - t0)
+            self.telemetry.observe("advance", time.monotonic() - t0)
             for decision in result["decisions"]:
                 self._publish(name, "decision", decision)
             if result["finished"]:

@@ -18,7 +18,6 @@ from .cache import (
     profile_from_payload,
     profile_payload,
 )
-from .health import RunHealth, get_run_health
 from .journal import (
     IncompleteJournalError,
     RunJournal,
@@ -31,6 +30,7 @@ from .manifest import HostSlice, ShardManifest
 from .runner import characterize_batch
 from .sharding import (
     available_workers,
+    get_run_health,
     run_sharded,
     shard_indices,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "CharacterizationCache",
     "HostSlice",
     "IncompleteJournalError",
-    "RunHealth",
     "RunJournal",
     "ShardManifest",
     "active_journal",

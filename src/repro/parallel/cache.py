@@ -50,6 +50,7 @@ from ..config import ArchConfig, TechParams
 from ..floorplan import Floorplan, build_floorplan
 from ..freq import CoreFrequencyModel, VFTable
 from ..freq.critical_path import PathSet
+from ..metrics import Metrics
 from ..power import CoreLeakageModel, L2LeakageModel
 from ..power import scaling
 from ..settings import settings
@@ -70,6 +71,10 @@ _FORMAT = "characterization-cache"
 CHARACTERIZATION_TAG = "characterize-v1"
 
 Payload = Dict[str, np.ndarray]
+
+#: What a cache counts: ``hits`` (entries loaded), ``misses`` (absent
+#: entries), ``corrupt`` (entries quarantined on load) and ``stores``.
+CACHE_COUNTERS = ("hits", "misses", "corrupt", "stores")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +280,7 @@ class CharacterizationCache:
 
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
-        self.stats: Dict[str, int] = {"hits": 0, "misses": 0,
-                                      "corrupt": 0, "stores": 0}
+        self.stats = Metrics(CACHE_COUNTERS)
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.sealed"
@@ -299,14 +303,14 @@ class CharacterizationCache:
                                     numpy=np.__version__),
                                format=_FORMAT, key=key)
         except FileNotFoundError:
-            self.stats["misses"] += 1
+            self.stats.incr("misses")
             return None
         if blob is None:
-            self.stats["corrupt"] += 1
+            self.stats.incr("corrupt")
             return None
         with np.load(io.BytesIO(blob)) as npz:
             payload = _unpack_payload(npz)
-        self.stats["hits"] += 1
+        self.stats.incr("hits")
         return payload
 
     def store(self, key: str, payload: Payload) -> None:
@@ -315,7 +319,7 @@ class CharacterizationCache:
         np.savez_compressed(buf, **_pack_payload(payload))
         write_sealed(self.path_for(key), buf.getvalue(),
                      format=_FORMAT, key=key)
-        self.stats["stores"] += 1
+        self.stats.incr("stores")
 
     def clear(self) -> None:
         """Delete every entry (always safe: entries are pure caches)."""
@@ -323,7 +327,7 @@ class CharacterizationCache:
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the hit/miss/corrupt/store counters."""
-        return dict(self.stats)
+        return self.stats.snapshot()["counters"]
 
     # -- maintenance (the ``repro cache`` CLI subcommand) ------------
 
@@ -359,11 +363,11 @@ class CharacterizationCache:
         corrupt: List[str] = []
         for path in list(self.entries()):
             key = path.stem
-            before = self.stats["corrupt"]
+            before = self.stats.get("corrupt")
             payload = self.load(key)
             if payload is not None:
                 ok.append(key)
-            elif self.stats["corrupt"] > before:
+            elif self.stats.get("corrupt") > before:
                 corrupt.append(key)
         return {"ok": ok, "corrupt": corrupt}
 

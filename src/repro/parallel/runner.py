@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..chip import ChipProfile, characterize_dies
 from ..config import ArchConfig, TechParams
 from ..floorplan import Floorplan, build_floorplan
+from ..metrics import Metrics
 from ..thermal import ThermalNetwork
 from ..settings import settings
 from ..variation import DieBatch
@@ -39,8 +40,7 @@ from .cache import (
     profile_from_payload,
     profile_payload,
 )
-from .health import RunHealth, get_run_health
-from .sharding import run_sharded
+from .sharding import get_run_health, run_sharded
 
 CacheArg = Union[None, str, CharacterizationCache]
 
@@ -93,7 +93,7 @@ def characterize_batch(
     cache: CacheArg = "auto",
     floorplan: Optional[Floorplan] = None,
     thermal: Optional[ThermalNetwork] = None,
-    health: Optional[RunHealth] = None,
+    health: Optional[Metrics] = None,
 ) -> List[ChipProfile]:
     """Characterise the requested dies of a seeded batch.
 
@@ -108,9 +108,9 @@ def characterize_batch(
             (disabled), or an explicit :class:`CharacterizationCache`.
         floorplan, thermal: Shared structures to attach to the
             profiles (built from ``arch`` when omitted).
-        health: :class:`RunHealth` recording recovery actions; by
-            default the process-wide collector from
-            :func:`~repro.parallel.health.get_run_health`, which
+        health: Shard-health :class:`~repro.metrics.Metrics`
+            recording recovery actions; by default the process-wide
+            record from :func:`~repro.parallel.get_run_health`, which
             benchmarks snapshot into ``BENCH_*.json``.
 
     Returns:
@@ -150,7 +150,7 @@ def characterize_batch(
         payloads = run_sharded(fn, missing, workers=workers,
                                health=health)
         if store is not None:
-            store.stats["stores"] += len(missing)
+            store.stats.incr("stores", len(missing))
         for index, payload in zip(missing, payloads):
             profiles[index] = profile_from_payload(
                 payload, tech, arch, floorplan, thermal)

@@ -21,8 +21,13 @@ anything the pool cannot complete runs in-process as a final serial
 fallback, so a run degrades to ``workers=1`` semantics instead of
 dying. Results are keyed by item position throughout, so the stable
 merge-order (and therefore bitwise-output) guarantee survives every
-recovery path. All recovery actions are counted in a
-:class:`~repro.parallel.health.RunHealth`.
+recovery path. Every recovery action is counted, under the names
+in :data:`HEALTH_COUNTERS`, in a :class:`~repro.metrics.Metrics`
+that also observes each completed shard's wall time as ``"shard"``.
+A *clean* run counts nothing but ``shards_run``: the robustness
+machinery must be invisible on the happy path, and the CI perf gate
+(``benchmarks/perf_gate.py``) fails whenever a clean benchmark run
+shows a serial-fallback activation.
 """
 
 from __future__ import annotations
@@ -38,24 +43,55 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from ..metrics import Metrics
 from ..settings import settings
-from .health import RunHealth
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 ShardFn = Callable[[List[T]], List[R]]
 
-# Retry budget per shard before it is narrowed (split in two).
-DEFAULT_MAX_SHARD_RETRIES = 2
+# Infrastructure-failure retries per shard before it is narrowed
+# (split in half, each half with a fresh budget), bisecting down to
+# the single poisoned item. Read at call time.
+MAX_SHARD_RETRIES = 2
 
-# Base of the jitterless exponential backoff between retries of the
-# same shard: attempt k sleeps backoff * 2**(k-1). Deterministic (no
-# jitter) so failure-path tests and reruns behave identically.
-DEFAULT_BACKOFF_S = 0.05
+# Base of the jitterless exponential backoff slept before a retry of
+# the same shard: attempt k sleeps BACKOFF_S * 2**(k-1); 0 disables
+# sleeping. Deterministic (no jitter) so failure-path tests and
+# reruns behave identically. Read at call time.
+BACKOFF_S = 0.05
+
+#: Recovery actions a sharded run counts, in reporting order:
+#: ``shards_run`` — shards completed (on the pool or serially);
+#: ``retries`` — shard attempts re-enqueued after a worker death or
+#: timeout; ``timeouts`` — shards that exceeded the per-shard timeout;
+#: ``broken_pools`` — pools replaced after ``BrokenProcessPool`` or a
+#: timeout; ``narrowed_shards`` — shards split in half after
+#: exhausting their retries; ``serial_fallback_shards`` and
+#: ``serial_fallback_items`` — shards (and their items) run
+#: in-process because the pool could not complete them.
+HEALTH_COUNTERS = (
+    "shards_run",
+    "retries",
+    "timeouts",
+    "broken_pools",
+    "narrowed_shards",
+    "serial_fallback_shards",
+    "serial_fallback_items",
+)
+
+# The process-wide record every characterize_batch call feeds by
+# default; benchmarks snapshot and delta it into BENCH_*.json.
+_run_health = Metrics(HEALTH_COUNTERS)
 
 # Poll interval while waiting on pool futures when a timeout is set.
 _POLL_S = 0.05
+
+
+def get_run_health() -> Metrics:
+    """The process-wide shard-health record."""
+    return _run_health
 
 
 def shard_indices(n_items: int, n_shards: int) -> List[np.ndarray]:
@@ -114,9 +150,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                 timeout_s: Optional[float] = None,
-                max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-                backoff_s: float = DEFAULT_BACKOFF_S,
-                health: Optional[RunHealth] = None) -> List[R]:
+                health: Optional[Metrics] = None) -> List[R]:
     """Map a shard function over ``items``, merging in stable order.
 
     Args:
@@ -141,16 +175,11 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
             ``settings().shard_timeout_s`` (``REPRO_SHARD_TIMEOUT_S``,
             default: no limit); a value <= 0 means no limit. On expiry
             the pool is assumed hung and replaced, and the shard is
-            retried.
-        max_shard_retries: Infrastructure-failure retries per shard
-            before the shard is *narrowed* (split in half, each half
-            with a fresh retry budget) — bisecting down to the single
-            poisoned item, which then falls back to an in-process run.
-        backoff_s: Base of the jitterless exponential backoff slept
-            before a retry (attempt ``k`` sleeps
-            ``backoff_s * 2**(k-1)``). ``0`` disables sleeping.
-        health: :class:`RunHealth` to record recovery actions into
-            (a throwaway one is used when omitted).
+            retried (up to :data:`MAX_SHARD_RETRIES` times, after a
+            :data:`BACKOFF_S` backoff, before it is narrowed).
+        health: :class:`~repro.metrics.Metrics` over
+            :data:`HEALTH_COUNTERS` to record recovery actions and
+            shard walls into (a throwaway one is used when omitted).
 
     Returns:
         One result per item, in the original item order regardless of
@@ -167,12 +196,17 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
     if not items:
         return []
     if health is None:
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
+
+    def record_shard(wall_s: float) -> None:
+        health.incr("shards_run")
+        health.observe("shard", wall_s)
+
     workers = max(1, int(workers))
     if workers == 1 or len(items) == 1:
         start = time.monotonic()
         out = _checked(fn(items), len(items))
-        health.record_shard(time.monotonic() - start)
+        record_shard(time.monotonic() - start)
         return out
     if timeout_s is None:
         timeout_s = settings().shard_timeout_s
@@ -195,13 +229,13 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
     def handle_failure(task: _ShardTask) -> None:
         """Retry, narrow, or route a failed shard to the serial path."""
         task.attempt += 1
-        if task.attempt <= max_shard_retries:
-            health.retries += 1
-            if backoff_s > 0:
-                time.sleep(backoff_s * (2 ** (task.attempt - 1)))
+        if task.attempt <= MAX_SHARD_RETRIES:
+            health.incr("retries")
+            if BACKOFF_S > 0:
+                time.sleep(BACKOFF_S * (2 ** (task.attempt - 1)))
             pending.append(task)
         elif len(task.indices) > 1:
-            health.narrowed_shards += 1
+            health.incr("narrowed_shards")
             mid = len(task.indices) // 2
             pending.append(_ShardTask(task.indices[:mid]))
             pending.append(_ShardTask(task.indices[mid:]))
@@ -216,7 +250,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
     def replace_pool() -> ProcessPoolExecutor:
         """Requeue every in-flight shard without charging it a retry
         (its future died with the pool) and start a fresh pool."""
-        health.broken_pools += 1
+        health.incr("broken_pools")
         pending.extend(task for task, _ in outstanding.values())
         outstanding.clear()
         _kill_pool(pool)
@@ -257,7 +291,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                 # replace the whole pool. Timed-out shards are charged
                 # a failed attempt, innocent in-flight shards are
                 # requeued as they were.
-                health.timeouts += len(timed_out)
+                health.incr("timeouts", len(timed_out))
                 for future in timed_out:
                     handle_failure(outstanding.pop(future)[0])
                 pool = replace_pool()
@@ -277,7 +311,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
                     serial_queue.append(task)
                 else:
                     store(task, part)
-                    health.record_shard(now - t0)
+                    record_shard(now - t0)
             if broken:
                 pool = replace_pool()
     finally:
@@ -285,11 +319,11 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
 
     # Final in-process serial fallback, in item order for determinism.
     for task in sorted(serial_queue, key=lambda t: t.indices[0]):
-        health.serial_fallback_shards += 1
-        health.serial_fallback_items += len(task.indices)
+        health.incr("serial_fallback_shards")
+        health.incr("serial_fallback_items", len(task.indices))
         start = time.monotonic()
         store(task, fn([items[i] for i in task.indices]))
-        health.record_shard(time.monotonic() - start)
+        record_shard(time.monotonic() - start)
 
     if len(results) != len(items):  # pragma: no cover - defensive
         missing = sorted(set(range(len(items))) - set(results))

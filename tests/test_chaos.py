@@ -4,7 +4,8 @@ Each test injects one failure the host-side pipeline must survive —
 a SIGKILLed pool worker, a hung shard, a poisoned item, a corrupted
 or truncated cache entry — and asserts the run completes with results
 bitwise-identical to an undisturbed ``workers=1`` run, with the event
-visible in :class:`~repro.parallel.RunHealth` or the cache counters.
+visible in the shard-health :class:`~repro.metrics.Metrics` or the
+cache counters.
 
 Failure injection is marker-file based (a worker consults a path on
 disk to decide whether to misbehave) so retries are deterministic:
@@ -26,22 +27,21 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.metrics import Metrics
 from repro.parallel import (
     CharacterizationCache,
-    RunHealth,
     cache_key,
     characterize_batch,
     run_sharded,
 )
 from repro.parallel import cache as cache_module
 from repro.parallel import sharding
-from repro.parallel.health import COUNTER_FIELDS
+from repro.parallel.sharding import HEALTH_COUNTERS
 
 
-def is_clean(health: RunHealth) -> bool:
+def is_clean(health: Metrics) -> bool:
     """True when the run needed no recovery action of any kind."""
-    snap = health.snapshot()
-    return not any(snap[name] for name in COUNTER_FIELDS
+    return not any(health.get(name) for name in HEALTH_COUNTERS
                    if name != "shards_run")
 
 
@@ -114,27 +114,29 @@ def _always_raise(items):
 
 
 class TestWorkerDeath:
-    def test_sigkilled_worker_is_replaced_and_retried(self, tmp_path):
+    def test_sigkilled_worker_is_replaced_and_retried(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(8))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_kill_once, str(tmp_path))
-        out = run_sharded(fn, items, workers=4, backoff_s=0.01,
-                          health=health)
+        out = run_sharded(fn, items, workers=4, health=health)
         assert out == [2 * i for i in items]
-        assert health.broken_pools >= 1
-        assert health.retries >= 1
-        assert health.serial_fallback_shards == 0
+        assert health.get("broken_pools") >= 1
+        assert health.get("retries") >= 1
+        assert health.get("serial_fallback_shards") == 0
         assert not is_clean(health)
 
-    def test_poisoned_item_is_bisected_out(self):
+    def test_poisoned_item_is_bisected_out(self, monkeypatch):
+        monkeypatch.setattr(sharding, "MAX_SHARD_RETRIES", 1)
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(8))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         out = run_sharded(_kill_if_grouped, items, workers=2,
-                          max_shard_retries=1, backoff_s=0.01,
                           health=health)
         assert out == [2 * i for i in items]
-        assert health.narrowed_shards >= 1
-        assert health.broken_pools >= 1
+        assert health.get("narrowed_shards") >= 1
+        assert health.get("broken_pools") >= 1
 
     def test_pool_broken_before_submit_is_replaced(self, monkeypatch):
         """A pool flagged broken between one wait() and the next
@@ -153,68 +155,72 @@ class TestWorkerDeath:
         monkeypatch.setattr(
             sharding, "_new_pool",
             lambda size: pools.pop() if pools else real_new_pool(size))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         out = run_sharded(_double_all, list(range(8)), workers=2,
                           health=health)
         assert out == [2 * i for i in range(8)]
-        assert health.broken_pools == 1
-        assert health.retries == 0
-        assert health.serial_fallback_shards == 0
+        assert health.get("broken_pools") == 1
+        assert health.get("retries") == 0
+        assert health.get("serial_fallback_shards") == 0
 
     def test_clean_run_reports_clean_health(self):
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         out = run_sharded(_double_all, list(range(8)), workers=4,
                           health=health)
         assert out == [2 * i for i in range(8)]
         assert is_clean(health)
-        assert health.shards_run == 4
-        assert health.retries == 0
-        assert health.serial_fallback_items == 0
+        assert health.get("shards_run") == 4
+        assert health.get("retries") == 0
+        assert health.get("serial_fallback_items") == 0
 
 
 class TestTimeouts:
-    def test_hung_shard_times_out_and_recovers(self, tmp_path):
+    def test_hung_shard_times_out_and_recovers(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(4))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_hang_once, str(tmp_path))
         start = time.monotonic()
         out = run_sharded(fn, items, workers=2, timeout_s=1.0,
-                          backoff_s=0.01, health=health)
+                          health=health)
         wall = time.monotonic() - start
         assert out == [2 * i for i in items]
-        assert health.timeouts >= 1
-        assert health.broken_pools >= 1
+        assert health.get("timeouts") >= 1
+        assert health.get("broken_pools") >= 1
         # Recovery must not wait out the 120 s sleep.
         assert wall < 60.0
 
     def test_env_timeout_is_honoured(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", "1.0")
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(4))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_hang_once, str(tmp_path))
-        out = run_sharded(fn, items, workers=2, backoff_s=0.01,
-                          health=health)
+        out = run_sharded(fn, items, workers=2, health=health)
         assert out == [2 * i for i in items]
-        assert health.timeouts >= 1
+        assert health.get("timeouts") >= 1
 
 
 class TestSerialFallback:
-    def test_degrades_to_in_process_run(self):
+    def test_degrades_to_in_process_run(self, monkeypatch):
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.0)
         items = list(range(6))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_fail_in_child, os.getpid())
-        out = run_sharded(fn, items, workers=3, backoff_s=0.0,
-                          health=health)
+        out = run_sharded(fn, items, workers=3, health=health)
         assert out == [2 * i for i in items]
-        assert health.serial_fallback_shards >= 1
-        assert health.serial_fallback_items == len(items)
+        assert health.get("serial_fallback_shards") >= 1
+        assert health.get("serial_fallback_items") == len(items)
 
-    def test_deterministic_error_propagates_like_serial(self):
-        health = RunHealth()
+    def test_deterministic_error_propagates_like_serial(self,
+                                                        monkeypatch):
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.0)
+        health = Metrics(HEALTH_COUNTERS)
         with pytest.raises(ValueError, match="deterministic"):
             run_sharded(_always_raise, list(range(4)), workers=2,
-                        backoff_s=0.0, health=health)
-        assert health.serial_fallback_shards >= 1
+                        health=health)
+        assert health.get("serial_fallback_shards") >= 1
 
 
 class TestPoolClamp:
@@ -222,10 +228,10 @@ class TestPoolClamp:
         # Requesting far more workers than CPUs must still produce
         # len==workers shards, queued through a CPU-sized pool.
         items = list(range(40))
-        health = RunHealth()
+        health = Metrics(HEALTH_COUNTERS)
         out = run_sharded(_double_all, items, workers=32, health=health)
         assert out == [2 * i for i in items]
-        assert health.shards_run == 32
+        assert health.get("shards_run") == 32
         assert is_clean(health)
 
 
@@ -245,11 +251,11 @@ class TestCacheCorruption:
         cache, key, _ = stored
         path = cache.path_for(key)
         path.write_bytes(path.read_bytes()[:100])
-        misses_before = cache.stats["misses"]
+        misses_before = cache.stats.get("misses")
         assert cache.load(key) is None
         # Corruption is counted separately — it is NOT a miss.
-        assert cache.stats["corrupt"] == 1
-        assert cache.stats["misses"] == misses_before
+        assert cache.stats.get("corrupt") == 1
+        assert cache.stats.get("misses") == misses_before
         assert not path.exists()
         assert (cache.quarantine_root / path.name).exists()
         reason = json.loads(
@@ -271,7 +277,7 @@ class TestCacheCorruption:
         np.savez_compressed(buf, **tampered)
         path.write_bytes(header + b"\n" + buf.getvalue())
         assert cache.load(key) is None
-        assert cache.stats["corrupt"] == 1
+        assert cache.stats.get("corrupt") == 1
         reason = json.loads(
             (cache.quarantine_root / f"{key}.reason.json").read_text())
         assert "digest mismatch" in reason["reason"]
@@ -287,7 +293,7 @@ class TestCacheCorruption:
         # The corrupt entry is quarantined, the die recharacterised…
         [again] = characterize_batch(tech, small_arch, 7, [0],
                                      workers=1, cache=cache)
-        assert cache.stats["corrupt"] == 1
+        assert cache.stats.get("corrupt") == 1
         # …bitwise-equal to the original characterisation, and the
         # fresh store is immediately loadable again.
         assert payloads_equal(profile_payload(again),
@@ -311,10 +317,10 @@ class TestCacheCorruption:
             np.savez_compressed(handle, layout=np.zeros(3, np.uint8))
         characterize_batch(tech, small_arch, 7, [0], workers=1,
                            cache=cache)
-        assert cache.stats["misses"] == 1
+        assert cache.stats.get("misses") == 1
         assert cache.usage()["entries"] == 1
         assert cache.verify_all()["corrupt"] == []
-        assert cache.stats["corrupt"] == 0
+        assert cache.stats.get("corrupt") == 0
         assert old_path.exists()
 
 

@@ -268,10 +268,10 @@ class TestRunnerKnob:
             assert stored.keys() == expected.keys()
             for key in expected:
                 assert np.array_equal(stored[key], expected[key]), key
-        hits_before = cache.stats["hits"]
+        hits_before = cache.stats.get("hits")
         warm = characterize_batch(TECH, CHOL_ARCH, seed, indices,
                                   workers=1, cache=cache)
-        assert cache.stats["hits"] - hits_before == len(indices)
+        assert cache.stats.get("hits") - hits_before == len(indices)
         for ref, w in zip(refs, warm):
             assert_profiles_bitwise(ref, w)
 
@@ -281,9 +281,9 @@ class TestRunnerKnob:
         cache = CharacterizationCache(tmp_path / "cache")
         characterize_batch(TECH, CHOL_ARCH, seed, [1, 3],
                            workers=1, cache=cache)
-        stores_before = cache.stats["stores"]
+        stores_before = cache.stats.get("stores")
         mixed = characterize_batch(TECH, CHOL_ARCH, seed, [0, 1, 2, 3],
                                    workers=1, cache=cache)
-        assert cache.stats["stores"] - stores_before == 2  # only 0 and 2
+        assert cache.stats.get("stores") - stores_before == 2  # only 0 and 2
         for m, ref in zip(mixed, reference_profiles(seed, [0, 1, 2, 3])):
             assert_profiles_bitwise(m, ref)

@@ -1,12 +1,14 @@
 """Tests for the resilient power-management daemon.
 
-Layer by layer: protocol framing, declarative schemas, telemetry,
-the transport-free controller, the asyncio server over real sockets,
-and — at the end — the multi-tenant acceptance scenario: 200
-concurrent tenants with injected sensor/core/manager faults and
-client churn, zero cross-tenant interference (unfaulted tenants'
-decision streams bitwise-identical to driving the stepper directly),
-documented tier degradation, and a clean drain-then-stop exit.
+Layer by layer: protocol framing, declarative schemas, the
+transport-free controller (its telemetry is a
+:class:`repro.metrics.Metrics`, tested in ``tests/test_metrics.py``),
+the asyncio server over real sockets, and — at the end — the
+multi-tenant acceptance scenario: 200 concurrent tenants with
+injected sensor/core/manager faults and client churn, zero
+cross-tenant interference (unfaulted tenants' decision streams
+bitwise-identical to driving the stepper directly), documented tier
+degradation, and a clean drain-then-stop exit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.daemon import (
     DaemonClient,
     DaemonController,
     DaemonError,
-    DaemonTelemetry,
     ProtocolError,
     ServerThread,
     build_config,
@@ -146,32 +147,6 @@ class TestSchemas:
         _, payload = validate_request(
             _frame("advance", tenant="a", to_end=True))
         assert payload["to_end"] is True
-
-
-class TestTelemetry:
-    def test_counters(self):
-        tele = DaemonTelemetry()
-        tele.incr("frames_in")
-        tele.incr("frames_in", 2)
-        assert tele.get("frames_in") == 3
-        with pytest.raises(KeyError):
-            tele.incr("made_up_counter")
-
-    def test_latency_percentiles(self):
-        tele = DaemonTelemetry()
-        for ms in range(1, 101):
-            tele.observe_latency("advance", ms / 1000.0)
-        snap = tele.snapshot()
-        stats = snap["latency"]["advance"]
-        assert stats["count"] == 100
-        assert 0.045 <= stats["p50_s"] <= 0.055
-        assert stats["p99_s"] <= stats["max_s"] == 0.1
-        assert "unseen" not in snap["latency"]
-
-    def test_snapshot_has_stable_shape(self):
-        snap = DaemonTelemetry().snapshot()
-        assert snap["counters"]["dropped_frames"] == 0
-        assert snap["latency"] == {}
 
 
 def _fallback_status(ctl, name):

@@ -546,6 +546,39 @@ class TestReconnectingClient:
         assert slept == [0.05, 0.1, 0.2, 0.4]
         assert client.retries == 4
 
+    def test_unsubscribe_drops_it_from_the_replay(self):
+        sent = []
+        drops = []
+
+        class FakeClient:
+            eof = False
+
+            def __init__(self, host, port, timeout_s):
+                pass
+
+            def request(self, rtype, **payload):
+                if drops:
+                    drops.pop()
+                    raise ConnectionResetError("daemon restarted")
+                sent.append((rtype, payload.get("tenant")))
+                return {}
+
+            def close(self):
+                pass
+
+        client = ReconnectingClient("127.0.0.1", 1, sleep=lambda s: None,
+                                    client_factory=FakeClient)
+        for tenant in ("a", "b", "c"):
+            client.subscribe(tenant)
+        client.unsubscribe("b")
+        assert sent[-1] == ("unsubscribe", "b")
+        sent.clear()
+        drops.append(True)  # the next request finds the link dead
+        client.ping()
+        assert client.connects == 2
+        assert sent == [("subscribe", "a"), ("subscribe", "c"),
+                        ("ping", None)]
+
     def test_typed_errors_are_never_retried(self):
         ctl = DaemonController(cache=None)
         slept = []

@@ -14,8 +14,10 @@ sampler grows a one-field ``sample`` next to ``sample_batch`` (a
 second field generator), or if a public top-level function or class,
 or a public method or property of a class, has no caller (code that
 nothing runs), or if a module of ``src/`` or ``tests/`` imports a
-name it never uses, or if the daemon declares a telemetry counter that
-nothing in the daemon package writes (a counter that always reads 0).
+name it never uses, or if a counter set passed to ``Metrics`` declares
+a name that nothing in its package writes (a counter that always reads
+0), or if a class other than ``repro.metrics.Metrics`` defines both
+``incr`` and ``snapshot`` (a second counter implementation).
 """
 
 from __future__ import annotations
@@ -416,38 +418,114 @@ def test_import_guard_sees_unused_imports(tmp_path):
                                                            "2:spare"]
 
 
-def _unwritten_counters(package: pathlib.Path):
-    """Names in ``package/telemetry.py``'s ``COUNTER_FIELDS`` that no
-    other module of ``package`` spells as a string literal."""
-    declared = []
-    tree = ast.parse((package / "telemetry.py").read_text())
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["COUNTER_FIELDS"]):
-            declared = [elt.value for elt in node.value.elts]
-    literals = set()
-    for path in package.glob("*.py"):
-        if path.name == "telemetry.py":
-            continue
-        literals.update(
-            node.value for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Constant)
-            and isinstance(node.value, str))
-    return [name for name in declared if name not in literals]
+def _counter_sets(src: pathlib.Path):
+    """``{(path, name): names}`` for every counter set a
+    ``Metrics(...)`` call of ``src`` declares: a module-level tuple of
+    strings it is passed by name, or a tuple literal."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(src.rglob("*.py"))}
+    calls = [(path, node) for path, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.args
+             and getattr(node.func, "id", None) == "Metrics"]
+    passed = {node.args[0].id for _, node in calls
+              if isinstance(node.args[0], ast.Name)}
+    sets = {(path, f"line {node.lineno}"): node.args[0]
+            for path, node in calls
+            if isinstance(node.args[0], ast.Tuple)}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Tuple)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    in ([name] for name in passed)):
+                sets[(path, node.targets[0].id)] = node.value
+    return trees, sets
 
 
-def test_every_daemon_counter_has_a_writer():
+def _unwritten_counters(src: pathlib.Path):
+    """``module:set:counter`` for every declared counter that no
+    module of the declaring package spells as a string literal outside
+    the declaration itself."""
+    trees, sets = _counter_sets(src)
+    for (path, label), decl in sorted(sets.items()):
+        inside = {id(node) for node in ast.walk(decl)}
+        literals = {node.value
+                    for other, tree in trees.items()
+                    if other.parent == path.parent
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in inside}
+        for elt in decl.elts:
+            if elt.value not in literals:
+                yield (f"{path.relative_to(src).as_posix()}:{label}:"
+                       f"{elt.value}")
+
+
+def test_every_declared_counter_has_a_writer():
     from repro.daemon.telemetry import COUNTER_FIELDS
     assert len(COUNTER_FIELDS) == 19
-    assert _unwritten_counters(SRC / "daemon") == []
+    _, sets = _counter_sets(SRC)
+    assert sorted((path.relative_to(SRC).as_posix(), label)
+                  for path, label in sets) == [
+        ("daemon/telemetry.py", "COUNTER_FIELDS"),
+        ("parallel/cache.py", "CACHE_COUNTERS"),
+        ("parallel/sharding.py", "HEALTH_COUNTERS"),
+    ]
+    assert list(_unwritten_counters(SRC)) == []
 
 
 def test_counter_guard_sees_unwritten_counters(tmp_path):
-    (tmp_path / "telemetry.py").write_text(
+    daemon = tmp_path / "daemon"
+    daemon.mkdir()
+    (daemon / "telemetry.py").write_text(
         'COUNTER_FIELDS = ("frames_in", "drops", "ghosts")\n')
-    (tmp_path / "server.py").write_text(
+    (daemon / "server.py").write_text(
         '"""Counts ghosts."""\n'
+        'tele = Metrics(COUNTER_FIELDS)\n'
         'tele.incr("frames_in")\n'
         'CODES = {"x": "drops"}\n'
         '# tele.incr("ghosts")\n')
-    assert _unwritten_counters(tmp_path) == ["ghosts"]
+    (tmp_path / "cache.py").write_text(
+        'STATS = ("hits", "stores")\n'
+        'stats = Metrics(STATS)\n'
+        'stats.incr("stores")\n'
+        'other = Metrics(("seen", "unseen"))\n'
+        'other.incr("seen")\n')
+    assert list(_unwritten_counters(tmp_path)) == [
+        "cache.py:STATS:hits",
+        "cache.py:line 4:unseen",
+        "daemon/telemetry.py:COUNTER_FIELDS:ghosts",
+    ]
+
+
+def _counter_classes(src: pathlib.Path):
+    """``module:Class`` for every class of ``src`` that defines both
+    ``incr`` and ``snapshot`` (a counter implementation)."""
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and {"incr", "snapshot"} <= {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)}:
+                yield f"{path.relative_to(src).as_posix()}:{node.name}"
+
+
+def test_metrics_is_the_only_counter_class():
+    assert list(_counter_classes(SRC)) == ["metrics.py:Metrics"]
+
+
+def test_counter_class_guard_sees_counter_classes(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class Tally:\n"
+        "    def incr(self, name): pass\n"
+        "    def snapshot(self): return {}\n"
+        "class Cache:\n"
+        "    def snapshot(self): return {}\n"
+        "    def incr_hits(self): pass\n"
+        "def outer():\n"
+        "    class Inner:\n"
+        "        def incr(self): pass\n"
+        "        def snapshot(self): pass\n")
+    assert list(_counter_classes(tmp_path)) == ["probe.py:Tally",
+                                                "probe.py:Inner"]

@@ -26,10 +26,7 @@ from repro.parallel import (
     run_sharded,
     shard_indices,
 )
-from repro.parallel.sharding import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_MAX_SHARD_RETRIES,
-)
+from repro.parallel import sharding
 from repro.settings import settings
 
 
@@ -106,8 +103,8 @@ class TestPayloadRoundTrip:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not an npz file")
         assert cache.load(key) is None
-        assert cache.stats["corrupt"] == 1
-        assert cache.stats["misses"] == 0
+        assert cache.stats.get("corrupt") == 1
+        assert cache.stats.get("misses") == 0
         assert (cache.quarantine_root / path.name).exists()
 
     def test_store_is_idempotent(self, tech, small_arch, tmp_path):
@@ -147,11 +144,11 @@ class TestDeterminism:
         indices = list(range(self.N_DIES))
         cold = characterize_batch(tech, small_arch, 3, indices,
                                   workers=1, cache=cache)
-        assert cache.stats["misses"] == self.N_DIES
-        assert cache.stats["stores"] == self.N_DIES
+        assert cache.stats.get("misses") == self.N_DIES
+        assert cache.stats.get("stores") == self.N_DIES
         warm = characterize_batch(tech, small_arch, 3, indices,
                                   workers=1, cache=cache)
-        assert cache.stats["hits"] == self.N_DIES
+        assert cache.stats.get("hits") == self.N_DIES
         for cold_p, warm_p, expected in zip(cold, warm, serial_payloads):
             assert payloads_equal(profile_payload(warm_p),
                                   profile_payload(cold_p))
@@ -193,20 +190,20 @@ class TestConfigPlumbing:
 
 
 class TestShardRetryKnobs:
-    """run_sharded's retry budget and backoff are constants that only
-    its keyword arguments change."""
+    """run_sharded's retry budget and backoff are module constants,
+    read at call time."""
 
     def test_defaults_unchanged(self):
-        assert DEFAULT_MAX_SHARD_RETRIES == 2
-        assert DEFAULT_BACKOFF_S == 0.05
+        assert sharding.MAX_SHARD_RETRIES == 2
+        assert sharding.BACKOFF_S == 0.05
 
-    def test_merge_order_unchanged_under_knobs(self):
+    def test_merge_order_unchanged_under_knobs(self, monkeypatch):
         items = list(range(23))
         expected = [2 * i for i in items]
         assert run_sharded(_double_all, items, workers=3) == expected
-        assert run_sharded(_double_all, items, workers=3,
-                           max_shard_retries=0,
-                           backoff_s=0.0) == expected
+        monkeypatch.setattr(sharding, "MAX_SHARD_RETRIES", 0)
+        monkeypatch.setattr(sharding, "BACKOFF_S", 0.0)
+        assert run_sharded(_double_all, items, workers=3) == expected
 
 
 class TestChipFactoryIntegration:

@@ -434,7 +434,7 @@ class _CacheEntry:
 
     def load_fails(self):
         assert self.cache.load(self.key) is None
-        return self.cache.stats["corrupt"] == 1
+        return self.cache.stats.get("corrupt") == 1
 
     def misfiled(self, _):
         """The same payload's entry under another key, copied here."""
