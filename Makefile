@@ -8,9 +8,10 @@ test:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning
 
 # Fault-injection suite under a real worker pool (CI's 'chaos' job);
-# test_experiment_common.py runs the shared trial loop's prefetch there.
+# test_experiment_common.py runs the shared trial loop's prefetch
+# there, and TestFig4 the sharded Fig 4 road and its shard counts.
 chaos:
-	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py tests/test_experiment_common.py
+	REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_journal.py tests/test_storage.py tests/test_experiment_common.py tests/test_experiments.py::TestFig4
 
 # Daemon suite: protocol/isolation/acceptance + chaos, plus the tenant
 # stack shared with ext-faults (CI's 'daemon' job runs this plus the

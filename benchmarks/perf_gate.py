@@ -9,8 +9,9 @@ those records against the committed ``benchmarks/baseline.json``:
   when its wall time regresses more than ``--max-regression`` (30 %
   by default; walls under the noise floor are skipped), when a
   deterministic figure metric drifts beyond ``--rtol``, or when the
-  record's ``RunHealth`` delta shows a serial-fallback activation
-  (the fault-tolerant runner must stay zero-cost on the happy path);
+  record's delta of the shard-health record shows a serial-fallback
+  activation (the fault-tolerant runner must stay zero-cost on the
+  happy path);
 * ``update`` — regenerate the baseline from the current records
   (run ``make bench-baseline``; commit the result).
 
@@ -128,12 +129,12 @@ def check(records: Dict[str, Dict[str, Any]],
                     or health.get("serial_fallback_items", 0))
         if fallback:
             failures.append(
-                f"{name}: RunHealth reports serial-fallback activation "
-                f"in a clean benchmark run ({health})")
+                f"{name}: shard-health record reports serial-fallback "
+                f"activation in a clean benchmark run ({health})")
         for key in ("retries", "timeouts", "broken_pools",
                     "narrowed_shards"):
             if health.get(key, 0):
-                warnings.append(f"{name}: RunHealth {key}="
+                warnings.append(f"{name}: shard-health record {key}="
                                 f"{health[key]} in a clean run")
 
         base_metrics = base.get("metrics", {})

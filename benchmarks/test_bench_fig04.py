@@ -6,11 +6,11 @@ from repro.experiments import fig04_variation
 from repro.settings import settings
 
 
-def test_fig04_variation_histograms(benchmark, factory, results_dir):
+def test_fig04_variation_histograms(benchmark, results_dir):
     n_dies = 200 if settings().full else 24
 
     result = benchmark.pedantic(
-        lambda: fig04_variation.run(n_dies=n_dies, factory=factory),
+        lambda: fig04_variation.run(n_dies=n_dies),
         rounds=1, iterations=1)
     emit(results_dir, "fig04", result.format_table(),
          benchmark=benchmark,

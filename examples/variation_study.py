@@ -22,10 +22,9 @@ N_DIES = 10
 def main() -> None:
     print(f"Characterising {N_DIES} dies at Vth sigma/mu = "
           f"{DEFAULT_TECH.vth_sigma_over_mu} ...")
-    factory = ChipFactory()
-    pairs = die_ratios(N_DIES, factory=factory, workers=1)
+    pairs = die_ratios(N_DIES, workers=1)
     power_ratios, freq_ratios = zip(*pairs)
-    for chip, (pr, fr) in zip(factory.chips(N_DIES), pairs):
+    for chip, (pr, fr) in zip(ChipFactory().chips(N_DIES), pairs):
         f = chip.fmax_array / 1e9
         print(f"  die {chip.die_id:2d}: fmax {f.min():.2f}-{f.max():.2f} GHz"
               f"  freq ratio {fr:.2f}  power ratio {pr:.2f}")
@@ -35,8 +34,8 @@ def main() -> None:
 
     print("\nScaling with sigma/mu (Figure 5 shape):")
     for sigma in (0.03, 0.06, 0.09, 0.12):
-        fac = ChipFactory(tech=DEFAULT_TECH.with_sigma_over_mu(sigma))
-        ratios = [fr for _, fr in die_ratios(4, factory=fac, workers=1,
+        tech = DEFAULT_TECH.with_sigma_over_mu(sigma)
+        ratios = [fr for _, fr in die_ratios(4, tech=tech, workers=1,
                                              with_power=False)]
         print(f"  sigma/mu {sigma:.2f}: mean frequency ratio "
               f"{np.mean(ratios):.3f}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import zlib
-from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -120,25 +120,6 @@ class ChipFactory:
         """
         self.chips(n_dies)
         return self
-
-    def chips_stream(self, die_indices: Sequence[int],
-                     chunk_dies: int = 64) -> Iterator[List[ChipProfile]]:
-        """Characterised chips in chunks, *without* retaining them.
-
-        The fleet-scale sibling of :meth:`chips_for`: yields one
-        chunk of profiles at a time and never populates the in-memory
-        chip dict, so walking 10^5+ dies stays O(chunk) in memory.
-        Each chunk shares the factory's floorplan/thermal structures
-        and is ready for the die-batched
-        :class:`~repro.runtime.kernel.EvalKernel`.
-        """
-        indices = list(die_indices)
-        for lo in range(0, len(indices), chunk_dies):
-            yield characterize_batch(
-                self.tech, self.arch, self.seed,
-                indices[lo:lo + chunk_dies],
-                workers=self.workers, cache=self.cache,
-                floorplan=self.floorplan, thermal=self.thermal)
 
 
 #: ``measure(method, trial, chip, workload, rng)``: one unit's raw

@@ -19,75 +19,77 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..chip import ChipProfile
 from ..config import ArchConfig, DEFAULT_ARCH, DEFAULT_TECH, TechParams
 from ..fleet.campaign import fleet_die_metrics
+from ..floorplan import build_floorplan
 from ..parallel import (
-    CharacterizationCache,
+    characterize_batch,
     get_default_cache,
     run_sharded,
+    shared_cache,
 )
 from ..settings import settings
-from .common import ChipFactory, default_n_dies, format_rows, histogram
+from ..thermal import ThermalNetwork
+from .common import default_n_dies, format_rows, histogram
 
-
-def _fleet_pairs(chips: Sequence[ChipProfile],
-                 with_power: bool) -> List[Tuple[float, float]]:
-    """Die-batched ``(power_ratio, freq_ratio)`` pairs for a fleet."""
-    cols = fleet_die_metrics(chips, with_power=with_power)
-    freq = cols["freq_ratio"]
-    power = cols.get("power_ratio")
-    if power is None:
-        return [(float("nan"), float(f)) for f in freq]
-    return [(float(p), float(f)) for p, f in zip(power, freq)]
+#: Dies a shard characterises and analyses at a time: the fleet
+#: campaign's default chunk, so memory stays O(chunk) at any worker
+#: count.
+CHUNK_DIES = 64
 
 
 def _ratio_shard(tech: TechParams, arch: ArchConfig, seed: int,
                  cache_root: Optional[str], with_power: bool,
                  indices: Sequence[int]) -> List[Tuple[float, float]]:
-    """Worker body: characterise a shard of dies and compute ratios."""
-    cache = CharacterizationCache(cache_root) if cache_root else None
-    factory = ChipFactory(tech=tech, arch=arch, seed=seed,
-                          workers=1, cache=cache)
-    return _fleet_pairs(factory.chips_for(list(indices)), with_power)
+    """Shard body: ``(power_ratio, freq_ratio)`` for each of ``indices``.
+
+    Characterises the shard's dies :data:`CHUNK_DIES` at a time and
+    analyses each chunk with
+    :func:`~repro.fleet.campaign.fleet_die_metrics` — the fleet
+    campaign's chunk body. NaN stands in for the power ratio when
+    ``with_power`` is false.
+    """
+    cache = shared_cache(cache_root) if cache_root is not None else None
+    floorplan = build_floorplan(arch)
+    thermal = ThermalNetwork(floorplan)
+    pairs: List[Tuple[float, float]] = []
+    for lo in range(0, len(indices), CHUNK_DIES):
+        chips = characterize_batch(
+            tech, arch, seed, indices[lo:lo + CHUNK_DIES], workers=1,
+            cache=cache, floorplan=floorplan, thermal=thermal)
+        cols = fleet_die_metrics(chips, with_power=with_power)
+        power = cols.get("power_ratio",
+                         np.full(len(chips), float("nan")))
+        pairs.extend((float(p), float(f))
+                     for p, f in zip(power, cols["freq_ratio"]))
+    return pairs
 
 
 def die_ratios(n_dies: int, tech: TechParams = DEFAULT_TECH,
                arch: ArchConfig = DEFAULT_ARCH, seed: int = 0,
                workers: Optional[int] = None, with_power: bool = True,
-               factory: Optional[ChipFactory] = None,
                ) -> List[Tuple[float, float]]:
-    """Per-die ``(power_ratio, freq_ratio)`` pairs, sharded.
+    """Per-die ``(power_ratio, freq_ratio)`` pairs for dies
+    ``0..n_dies-1`` of the ``(tech, arch, seed)`` batch.
 
     The per-die work — characterisation plus the 4(a)/4(b) ratio
-    analysis — is independent, so with ``workers > 1`` whole dies
-    shard across processes via :func:`repro.parallel.run_sharded`.
-    Within a process the analysis is die-batched by
-    :func:`~repro.fleet.campaign.fleet_die_metrics`: one
-    :class:`~repro.runtime.kernel.EvalKernel` per core whose rows are
-    every (die, app) pair of the chunk, evaluated in lockstep, which
-    is bitwise-identical to the historical per-die loop. ``with_power=
-    False`` skips the expensive 4(a) power analysis and reports NaN
-    for it (Figure 5(b) only needs frequencies).
+    analysis — is independent, so whole dies shard across ``workers``
+    processes (``None`` reads ``settings().workers``) through
+    :func:`repro.parallel.run_sharded`, which at ``workers=1`` calls
+    the same shard body once in-process. Within a shard the analysis
+    is die-batched by :func:`~repro.fleet.campaign.fleet_die_metrics`,
+    which is bitwise-identical to the historical per-die loop, so the
+    pairs do not depend on the worker count. ``with_power=False``
+    skips the expensive 4(a) power analysis and reports NaN for it
+    (Figure 5(b) only needs frequencies).
     """
-    if factory is not None:
-        tech, arch, seed = factory.tech, factory.arch, factory.seed
     if workers is None:
         workers = settings().workers
-    if workers <= 1 or n_dies <= 1:
-        if factory is not None:
-            # Caller-held factory: keep its chip cache warm for reuse.
-            return _fleet_pairs(factory.chips(n_dies), with_power)
-        factory = ChipFactory(tech=tech, arch=arch, seed=seed)
-        pairs: List[Tuple[float, float]] = []
-        for chunk in factory.chips_stream(range(n_dies)):
-            pairs.extend(_fleet_pairs(chunk, with_power))
-        return pairs
     store = get_default_cache()
     cache_root = str(store.root) if store is not None else None
-    fn = functools.partial(_ratio_shard, tech, arch, seed,
-                           cache_root, with_power)
-    return run_sharded(fn, list(range(n_dies)), workers=workers)
+    fn = functools.partial(_ratio_shard, tech, arch, seed, cache_root,
+                           with_power)
+    return run_sharded(fn, range(n_dies), workers)
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,10 @@ class Fig04Result:
 
 
 def run(n_dies: Optional[int] = None,
-        factory: Optional[ChipFactory] = None,
         workers: Optional[int] = None) -> Fig04Result:
     """Reproduce Figure 4 on a batch of dies."""
     n_dies = n_dies or default_n_dies()
-    pairs = die_ratios(n_dies, factory=factory, workers=workers)
+    pairs = die_ratios(n_dies, workers=workers)
     power_ratios, freq_ratios = zip(*pairs)
     return Fig04Result(power_ratios=np.array(power_ratios),
                        freq_ratios=np.array(freq_ratios))

@@ -17,6 +17,7 @@ from .cache import (
     get_default_cache,
     profile_from_payload,
     profile_payload,
+    shared_cache,
 )
 from .journal import (
     IncompleteJournalError,
@@ -56,5 +57,6 @@ __all__ = [
     "profile_payload",
     "run_sharded",
     "shard_indices",
+    "shared_cache",
     "unit_key",
 ]

@@ -409,18 +409,23 @@ class CharacterizationCache:
 _cache_instances: Dict[pathlib.Path, CharacterizationCache] = {}
 
 
-def get_default_cache() -> Optional[CharacterizationCache]:
-    """The process-wide cache instance, or None when disabled.
+def shared_cache(root: Union[str, pathlib.Path]) -> CharacterizationCache:
+    """This process's one cache instance for ``root``.
 
     One instance is shared per root directory so hit/miss counters
-    aggregate across every factory in the process — and survive a
+    aggregate across every caller in the process — and survive a
     temporary root switch (e.g. a test pointing ``parallel_config``
     at a scratch directory) instead of resetting to zero.
     """
-    current = settings()
-    if not current.cache_enabled:
-        return None
-    root = current.cache_root
+    root = pathlib.Path(root)
     if root not in _cache_instances:
         _cache_instances[root] = CharacterizationCache(root)
     return _cache_instances[root]
+
+
+def get_default_cache() -> Optional[CharacterizationCache]:
+    """The process-wide cache instance, or None when disabled."""
+    current = settings()
+    if not current.cache_enabled:
+        return None
+    return shared_cache(current.cache_root)

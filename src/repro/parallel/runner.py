@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..chip import ChipProfile, characterize_dies
 from ..config import ArchConfig, TechParams
 from ..floorplan import Floorplan, build_floorplan
-from ..metrics import Metrics
 from ..thermal import ThermalNetwork
 from ..settings import settings
 from ..variation import DieBatch
@@ -40,7 +39,7 @@ from .cache import (
     profile_from_payload,
     profile_payload,
 )
-from .sharding import get_run_health, run_sharded
+from .sharding import run_sharded
 
 CacheArg = Union[None, str, CharacterizationCache]
 
@@ -93,7 +92,6 @@ def characterize_batch(
     cache: CacheArg = "auto",
     floorplan: Optional[Floorplan] = None,
     thermal: Optional[ThermalNetwork] = None,
-    health: Optional[Metrics] = None,
 ) -> List[ChipProfile]:
     """Characterise the requested dies of a seeded batch.
 
@@ -108,10 +106,6 @@ def characterize_batch(
             (disabled), or an explicit :class:`CharacterizationCache`.
         floorplan, thermal: Shared structures to attach to the
             profiles (built from ``arch`` when omitted).
-        health: Shard-health :class:`~repro.metrics.Metrics`
-            recording recovery actions; by default the process-wide
-            record from :func:`~repro.parallel.get_run_health`, which
-            benchmarks snapshot into ``BENCH_*.json``.
 
     Returns:
         One :class:`ChipProfile` per entry of ``die_indices``.
@@ -141,14 +135,11 @@ def characterize_batch(
         else:
             missing.append(index)
 
-    if health is None:
-        health = get_run_health()
     if missing and workers > 1 and len(missing) > 1:
         fn = functools.partial(
             _characterize_shard, tech, arch, seed,
             str(store.root) if store is not None else None)
-        payloads = run_sharded(fn, missing, workers=workers,
-                               health=health)
+        payloads = run_sharded(fn, missing, workers=workers)
         if store is not None:
             store.stats.incr("stores", len(missing))
         for index, payload in zip(missing, payloads):

@@ -22,8 +22,9 @@ fallback, so a run degrades to ``workers=1`` semantics instead of
 dying. Results are keyed by item position throughout, so the stable
 merge-order (and therefore bitwise-output) guarantee survives every
 recovery path. Every recovery action is counted, under the names
-in :data:`HEALTH_COUNTERS`, in a :class:`~repro.metrics.Metrics`
-that also observes each completed shard's wall time as ``"shard"``.
+in :data:`HEALTH_COUNTERS`, in the process-wide shard-health record
+(:func:`get_run_health`), which also observes each completed shard's
+wall time as ``"shard"``.
 A *clean* run counts nothing but ``shards_run``: the robustness
 machinery must be invisible on the happy path, and the CI perf gate
 (``benchmarks/perf_gate.py``) fails whenever a clean benchmark run
@@ -39,7 +40,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -81,8 +82,8 @@ HEALTH_COUNTERS = (
     "serial_fallback_items",
 )
 
-# The process-wide record every characterize_batch call feeds by
-# default; benchmarks snapshot and delta it into BENCH_*.json.
+# The process-wide record every run_sharded call feeds; benchmarks
+# snapshot and delta it into BENCH_*.json.
 _run_health = Metrics(HEALTH_COUNTERS)
 
 # Poll interval while waiting on pool futures when a timeout is set.
@@ -148,9 +149,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
-                timeout_s: Optional[float] = None,
-                health: Optional[Metrics] = None) -> List[R]:
+def run_sharded(fn: ShardFn, items: Sequence[T],
+                workers: int = 1) -> List[R]:
     """Map a shard function over ``items``, merging in stable order.
 
     Args:
@@ -170,16 +170,14 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
             in the coordinator and feeds them to the pool as slots
             free up (smaller shards, same results, no
             over-subscription).
-        timeout_s: Per-shard wall-time limit, measured from the moment
-            the shard is handed to the pool. ``None`` reads
-            ``settings().shard_timeout_s`` (``REPRO_SHARD_TIMEOUT_S``,
-            default: no limit); a value <= 0 means no limit. On expiry
-            the pool is assumed hung and replaced, and the shard is
-            retried (up to :data:`MAX_SHARD_RETRIES` times, after a
-            :data:`BACKOFF_S` backoff, before it is narrowed).
-        health: :class:`~repro.metrics.Metrics` over
-            :data:`HEALTH_COUNTERS` to record recovery actions and
-            shard walls into (a throwaway one is used when omitted).
+
+    Each shard's wall-time limit is ``settings().shard_timeout_s``
+    (``REPRO_SHARD_TIMEOUT_S``, default: no limit), measured from the
+    moment the shard is handed to the pool. On expiry the pool is
+    assumed hung and replaced, and the shard is retried (up to
+    :data:`MAX_SHARD_RETRIES` times, after a :data:`BACKOFF_S`
+    backoff, before it is narrowed). Completed shards, their walls and
+    every recovery action are recorded in :func:`get_run_health`.
 
     Returns:
         One result per item, in the original item order regardless of
@@ -195,8 +193,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
     items = list(items)
     if not items:
         return []
-    if health is None:
-        health = Metrics(HEALTH_COUNTERS)
+    health = _run_health
 
     def record_shard(wall_s: float) -> None:
         health.incr("shards_run")
@@ -208,10 +205,7 @@ def run_sharded(fn: ShardFn, items: Sequence[T], workers: int = 1, *,
         out = _checked(fn(items), len(items))
         record_shard(time.monotonic() - start)
         return out
-    if timeout_s is None:
-        timeout_s = settings().shard_timeout_s
-    elif timeout_s <= 0:
-        timeout_s = None
+    timeout_s = settings().shard_timeout_s
     shards = shard_indices(len(items), workers)
     # Satellite fix: never start more worker processes than CPUs this
     # process may use — the coordinator queues the excess shards.

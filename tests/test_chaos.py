@@ -4,8 +4,8 @@ Each test injects one failure the host-side pipeline must survive —
 a SIGKILLed pool worker, a hung shard, a poisoned item, a corrupted
 or truncated cache entry — and asserts the run completes with results
 bitwise-identical to an undisturbed ``workers=1`` run, with the event
-visible in the shard-health :class:`~repro.metrics.Metrics` or the
-cache counters.
+visible in the test's deltas of the process-wide shard-health record
+or in the cache counters.
 
 Failure injection is marker-file based (a worker consults a path on
 disk to decide whether to misbehave) so retries are deterministic:
@@ -27,19 +27,37 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.metrics import Metrics
 from repro.parallel import (
     CharacterizationCache,
     cache_key,
     characterize_batch,
+    get_run_health,
     run_sharded,
 )
 from repro.parallel import cache as cache_module
 from repro.parallel import sharding
 from repro.parallel.sharding import HEALTH_COUNTERS
+from repro.settings import settings
 
 
-def is_clean(health: Metrics) -> bool:
+class HealthDelta:
+    """Counter deltas of the process-wide shard-health record since
+    construction (the mark-and-delta idiom of
+    ``benchmarks/conftest.py``)."""
+
+    def __init__(self) -> None:
+        self._mark = get_run_health().snapshot()["counters"]
+
+    def get(self, name: str) -> int:
+        return get_run_health().get(name) - self._mark[name]
+
+
+@pytest.fixture()
+def health() -> HealthDelta:
+    return HealthDelta()
+
+
+def is_clean(health: HealthDelta) -> bool:
     """True when the run needed no recovery action of any kind."""
     return not any(health.get(name) for name in HEALTH_COUNTERS
                    if name != "shards_run")
@@ -115,30 +133,28 @@ def _always_raise(items):
 
 class TestWorkerDeath:
     def test_sigkilled_worker_is_replaced_and_retried(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, health):
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(8))
-        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_kill_once, str(tmp_path))
-        out = run_sharded(fn, items, workers=4, health=health)
+        out = run_sharded(fn, items, workers=4)
         assert out == [2 * i for i in items]
         assert health.get("broken_pools") >= 1
         assert health.get("retries") >= 1
         assert health.get("serial_fallback_shards") == 0
         assert not is_clean(health)
 
-    def test_poisoned_item_is_bisected_out(self, monkeypatch):
+    def test_poisoned_item_is_bisected_out(self, monkeypatch, health):
         monkeypatch.setattr(sharding, "MAX_SHARD_RETRIES", 1)
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(8))
-        health = Metrics(HEALTH_COUNTERS)
-        out = run_sharded(_kill_if_grouped, items, workers=2,
-                          health=health)
+        out = run_sharded(_kill_if_grouped, items, workers=2)
         assert out == [2 * i for i in items]
         assert health.get("narrowed_shards") >= 1
         assert health.get("broken_pools") >= 1
 
-    def test_pool_broken_before_submit_is_replaced(self, monkeypatch):
+    def test_pool_broken_before_submit_is_replaced(self, monkeypatch,
+                                                   health):
         """A pool flagged broken between one wait() and the next
         submit raises from ``submit`` itself; the shard never ran, so
         it is requeued uncharged onto a replacement pool."""
@@ -155,18 +171,14 @@ class TestWorkerDeath:
         monkeypatch.setattr(
             sharding, "_new_pool",
             lambda size: pools.pop() if pools else real_new_pool(size))
-        health = Metrics(HEALTH_COUNTERS)
-        out = run_sharded(_double_all, list(range(8)), workers=2,
-                          health=health)
+        out = run_sharded(_double_all, list(range(8)), workers=2)
         assert out == [2 * i for i in range(8)]
         assert health.get("broken_pools") == 1
         assert health.get("retries") == 0
         assert health.get("serial_fallback_shards") == 0
 
-    def test_clean_run_reports_clean_health(self):
-        health = Metrics(HEALTH_COUNTERS)
-        out = run_sharded(_double_all, list(range(8)), workers=4,
-                          health=health)
+    def test_clean_run_reports_clean_health(self, health):
+        out = run_sharded(_double_all, list(range(8)), workers=4)
         assert out == [2 * i for i in range(8)]
         assert is_clean(health)
         assert health.get("shards_run") == 4
@@ -176,14 +188,14 @@ class TestWorkerDeath:
 
 class TestTimeouts:
     def test_hung_shard_times_out_and_recovers(self, tmp_path,
-                                               monkeypatch):
+                                               monkeypatch, health):
+        """``REPRO_SHARD_TIMEOUT_S`` is the one per-shard timeout."""
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", "1.0")
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
         items = list(range(4))
-        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_hang_once, str(tmp_path))
         start = time.monotonic()
-        out = run_sharded(fn, items, workers=2, timeout_s=1.0,
-                          health=health)
+        out = run_sharded(fn, items, workers=2)
         wall = time.monotonic() - start
         assert out == [2 * i for i in items]
         assert health.get("timeouts") >= 1
@@ -191,45 +203,41 @@ class TestTimeouts:
         # Recovery must not wait out the 120 s sleep.
         assert wall < 60.0
 
-    def test_env_timeout_is_honoured(self, tmp_path, monkeypatch):
+    def test_env_timeout_is_honoured(self, tmp_path, monkeypatch, health):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", "1.0")
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.01)
+        assert settings().shard_timeout_s == 1.0
         items = list(range(4))
-        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_hang_once, str(tmp_path))
-        out = run_sharded(fn, items, workers=2, health=health)
+        out = run_sharded(fn, items, workers=2)
         assert out == [2 * i for i in items]
         assert health.get("timeouts") >= 1
 
 
 class TestSerialFallback:
-    def test_degrades_to_in_process_run(self, monkeypatch):
+    def test_degrades_to_in_process_run(self, monkeypatch, health):
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.0)
         items = list(range(6))
-        health = Metrics(HEALTH_COUNTERS)
         fn = functools.partial(_fail_in_child, os.getpid())
-        out = run_sharded(fn, items, workers=3, health=health)
+        out = run_sharded(fn, items, workers=3)
         assert out == [2 * i for i in items]
         assert health.get("serial_fallback_shards") >= 1
         assert health.get("serial_fallback_items") == len(items)
 
-    def test_deterministic_error_propagates_like_serial(self,
-                                                        monkeypatch):
+    def test_deterministic_error_propagates_like_serial(self, monkeypatch,
+                                                        health):
         monkeypatch.setattr(sharding, "BACKOFF_S", 0.0)
-        health = Metrics(HEALTH_COUNTERS)
         with pytest.raises(ValueError, match="deterministic"):
-            run_sharded(_always_raise, list(range(4)), workers=2,
-                        health=health)
+            run_sharded(_always_raise, list(range(4)), workers=2)
         assert health.get("serial_fallback_shards") >= 1
 
 
 class TestPoolClamp:
-    def test_oversubscription_is_clamped(self):
+    def test_oversubscription_is_clamped(self, health):
         # Requesting far more workers than CPUs must still produce
         # len==workers shards, queued through a CPU-sized pool.
         items = list(range(40))
-        health = Metrics(HEALTH_COUNTERS)
-        out = run_sharded(_double_all, items, workers=32, health=health)
+        out = run_sharded(_double_all, items, workers=32)
         assert out == [2 * i for i in items]
         assert health.get("shards_run") == 32
         assert is_clean(health)

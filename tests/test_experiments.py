@@ -23,6 +23,7 @@ from repro.experiments import (
     table5_apps,
 )
 from repro.linprog import ReferenceSimplexBackend
+from repro.parallel import get_run_health, parallel_config
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +54,29 @@ class TestTable5:
 
 
 class TestFig4(object):
-    def test_ratios_in_band(self, factory):
-        result = fig04_variation.run(n_dies=4, factory=factory)
+    def test_ratios_in_band(self):
+        result = fig04_variation.run(n_dies=4)
         # Frequency ratios: paper band 1.2-1.5 (we allow margin).
         assert 1.1 < result.mean_freq_ratio < 1.6
         # Power ratios: paper 1.4-1.7; our leakage-heavier calibration
         # runs somewhat above.
         assert 1.3 < result.mean_power_ratio < 2.6
         assert "Figure 4(a)" in result.format_table()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sharded_ratios_are_bitwise_and_counted(self, tech,
+                                                    small_arch, workers):
+        """Every worker count runs the one shard body, and a pooled run
+        counts its shards into the process-wide shard-health record."""
+        health = get_run_health()
+        with parallel_config(cache_enabled=False):
+            serial = fig04_variation.die_ratios(6, tech, small_arch,
+                                                seed=5, workers=1)
+            mark = health.get("shards_run")
+            sharded = fig04_variation.die_ratios(6, tech, small_arch,
+                                                 seed=5, workers=workers)
+        assert sharded == serial
+        assert health.get("shards_run") - mark >= 2
 
 
 class TestFig5:

@@ -192,7 +192,8 @@ class TestFleetKernel:
     def test_die_ratios_serial_path_bitwise(self):
         factory = ChipFactory(tech=DEFAULT_TECH, arch=FLEET_ARCH,
                               seed=3, workers=1)
-        pairs = die_ratios(4, factory=factory, workers=1)
+        pairs = die_ratios(4, tech=DEFAULT_TECH, arch=FLEET_ARCH, seed=3,
+                           workers=1)
         for chip, (p, f) in zip(factory.chips(4), pairs):
             assert p == core_power_ratio(chip)
             assert f == core_frequency_ratio(chip)
